@@ -15,8 +15,8 @@ from .errors import (ConfigError, DarkPointError, DegenerateGeometryError,
                      DivergenceError, ResolutionError, RingDetectionError,
                      StepSizeError, VortexLatticeError)
 from .lg_mode import (BeamSpec, CylPoint, FieldSample, laguerre_poly,
-                      mode_amplitude, mode_field, mode_phase, rayleigh_range,
-                      waist_at, wrap_phase)
+                      mode_amplitude, mode_field, mode_gradient, mode_phase,
+                      rayleigh_range, waist_at, wrap_phase)
 from .ring_analysis import (RadialSplit, Ring, RingSet, RingSplit,
                             double_ring_radii, find_rings, measure_axial_drift,
                             measure_rotation_rate, radial_separation,

@@ -10,6 +10,14 @@ dominant slopes each beam imposes in its own frame, exactly
 (0, l / rho, direction * k); "full" differentiates the complete phase.  Two
 combination rules exist for a pair: "sum-of-beams" adds the two single-beam
 forces, "total-field" applies the force formulas to the interfered field.
+
+Every gradient is in closed form.  ``lg_mode.mode_gradient`` gives grad(U)
+and grad(Theta) of each mode; the total field E = sum_j U_j e^{i Theta_j}
+has grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), from
+which Omega grad(Omega) = s^2 Re(E* grad E) and
+grad(arg E) = Im(grad E / E), with s = rabi_omega0 / (reference amplitude).
+Only ``axial_force_slope`` differentiates numerically: it is the numeric leg
+of the spring-constant check.
 """
 
 from dataclasses import dataclass
@@ -18,8 +26,10 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DarkPointError, DegenerateGeometryError
-from .lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_phase
-from .superpose import DARK_FRACTION, PairSpec, pair_complex, total_amplitude
+from .lg_mode import AXIS_RHO, BeamSpec, CylPoint, mode_amplitude, mode_gradient, mode_phase
+# mode_phase and pair_complex are not called here; they stay module attributes
+# because perfbench/spans.py traces calls by rebinding these names
+from .superpose import DARK_FRACTION, PairSpec, _static_phases, pair_complex, total_amplitude
 
 __all__ = [
     "AtomSpec",
@@ -42,9 +52,6 @@ __all__ = [
     "harmonic_potential_v0",
     "torque_axial",
 ]
-
-# Radius below which azimuthal gradient components are taken as 0 (m)
-AXIS_RHO = 1e-15
 
 _REDUCED, _FULL = "reduced", "full"
 _SUM_ALIASES = ("sum-of-beams", "sum")
@@ -120,82 +127,7 @@ def _pair_amp_ref(pair):
     return ref
 
 
-def _fd_step(field):
-    beams = (field,) if isinstance(field, BeamSpec) else (field.beam1, field.beam2)
-    return min(min(b.wavelength, b.waist_w0) for b in beams) / 200.0
-
-
-def _with_rho(pt, rho):
-    # amplitude and the closed-form phase depend on rho only through rho^2,
-    # so an even extension across the axis keeps radial stencils valid
-    return CylPoint(rho=np.abs(rho), phi=pt.phi, z=pt.z)
-
-
-def _with_phi(pt, phi):
-    return CylPoint(rho=pt.rho, phi=phi, z=pt.z)
-
-
-def _with_z(pt, z):
-    return CylPoint(rho=pt.rho, phi=pt.phi, z=z)
-
-
-def _fd(values, h, refine):
-    """Derivative from samples (f(+h), f(-h)) or, refined,
-    (f(+h), f(-h), f(+2h), f(-2h))."""
-    if refine:
-        a, b, c, d = values
-        return (8.0 * (a - b) - (c - d)) / (12.0 * h)
-    a, b = values
-    return (a - b) / (2.0 * h)
-
-
-def _stencil(pt, axis, h, refine):
-    make = {"rho": lambda s: _with_rho(pt, np.asarray(pt.rho) + s),
-            "phi": lambda s: _with_phi(pt, np.asarray(pt.phi) + s),
-            "z": lambda s: _with_z(pt, np.asarray(pt.z) + s)}[axis]
-    steps = (h, -h, 2.0 * h, -2.0 * h) if refine else (h, -h)
-    return [make(s) for s in steps]
-
-
-def _scalar_grad(func, pt, h, refine=True):
-    """Gradient (d/drho, (1/rho) d/dphi, d/dz) of a scalar field given as
-    func(CylPoint)."""
-    g_rho = _fd([func(p) for p in _stencil(pt, "rho", h, refine)], h, refine)
-    g_z = _fd([func(p) for p in _stencil(pt, "z", h, refine)], h, refine)
-    rho = np.asarray(pt.rho)
-    on_axis = rho <= AXIS_RHO
-    hp = h / np.where(on_axis, 1.0, rho)
-    dphi = _fd([func(p) for p in _stencil(pt, "phi", hp, refine)], hp, refine)
-    g_phi = np.where(on_axis, 0.0, dphi / np.where(on_axis, 1.0, rho))
-    return np.stack(np.broadcast_arrays(g_rho, g_phi, g_z))
-
-
-def _angle_diff(e_plus, e_minus):
-    return np.angle(e_plus * np.conj(e_minus))
-
-
-def _arg_grad(cfunc, pt, h, refine=True):
-    """Gradient of the argument of a complex field, from phase increments of
-    ratios so no unwrapping is needed (stencil spans must stay < pi)."""
-
-    def along(axis, step):
-        pts = _stencil(pt, axis, step, refine)
-        if refine:
-            d1 = _angle_diff(cfunc(pts[0]), cfunc(pts[1]))
-            d2 = _angle_diff(cfunc(pts[2]), cfunc(pts[3]))
-            return (8.0 * d1 - d2) / (12.0 * step)
-        return _angle_diff(cfunc(pts[0]), cfunc(pts[1])) / (2.0 * step)
-
-    g_rho = along("rho", h)
-    g_z = along("z", h)
-    rho = np.asarray(pt.rho)
-    on_axis = rho <= AXIS_RHO
-    hp = h / np.where(on_axis, 1.0, rho)
-    g_phi = np.where(on_axis, 0.0, along("phi", hp) / np.where(on_axis, 1.0, rho))
-    return np.stack(np.broadcast_arrays(g_rho, g_phi, g_z))
-
-
-def _beam_phase_gradient(beam, pt, mode, refine=True):
+def _beam_phase_gradient(beam, pt, mode):
     if mode == _REDUCED:
         rho = np.asarray(pt.rho)
         on_axis = rho <= AXIS_RHO
@@ -204,42 +136,68 @@ def _beam_phase_gradient(beam, pt, mode, refine=True):
         g_phi = np.where(on_axis, 0.0, beam.winding_l / np.where(on_axis, 1.0, rho))
         g_z = np.broadcast_to(float(beam.direction) * beam.wavenumber, g_phi.shape)
         return np.stack(np.broadcast_arrays(np.zeros_like(g_phi), g_phi, g_z))
-    h = _fd_step(beam)
-    grad = _scalar_grad(lambda p: mode_phase(beam, p), pt, h, refine)
-    rho = np.asarray(pt.rho)
-    on_axis = rho <= AXIS_RHO
-    grad[1] = np.where(on_axis, 0.0,
-                       beam.azimuthal_sign * beam.winding_l / np.where(on_axis, 1.0, rho))
-    return grad
+    return mode_gradient(beam, pt)[1]
 
 
-def _pair_dark_mask(pair, pt, t):
+def _pair_gradient(pair, pt, t):
+    """Total field E, its gradient and max(|U1|, |U2|).
+
+    grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), so
+    Re(E* grad E) = |E| grad|E| and grad(arg E) = Im(grad E / E).
+    """
     u1 = mode_amplitude(pair.beam1, pt)
     u2 = mode_amplitude(pair.beam2, pt)
-    u = np.abs(pair_complex(pair, pt, t))
-    return u <= DARK_FRACTION * np.maximum(u1, u2)
+    th1, th2 = _static_phases(pair, pt, t)
+    gu1, gth1 = mode_gradient(pair.beam1, pt)
+    gu2, gth2 = mode_gradient(pair.beam2, pt)
+    gth2[2] += pair.delta_k
+    c1 = np.exp(1j * th1)
+    c2 = np.exp(1j * th2)
+    e = u1 * c1 + u2 * c2
+    grad_e = c1 * (gu1 + 1j * u1 * gth1) + c2 * (gu2 + 1j * u2 * gth2)
+    return e, grad_e, np.maximum(np.abs(u1), np.abs(u2))
 
 
-def phase_gradient(field, pt, mode="reduced", t=0.0, refine=True):
+def _phase_slope(e, grad_e, u_max):
+    """grad(arg E) = Im(grad E / E), set to 0 at dark points, and the dark
+    mask |E| <= DARK_FRACTION * max(|U1|, |U2|).
+
+    Magnitudes set the threshold: the signed amplitudes are negative where
+    the radial polynomial is (radial_p > 0).  Dividing E and grad E by
+    max(|U1|, |U2|) first keeps the quotient finite in the far field, where
+    |E|^2 underflows.
+    """
+    dark = np.abs(e) <= DARK_FRACTION * u_max
+    scale = np.where(dark, 1.0, u_max)
+    e_scaled = np.where(dark, 1.0, e / scale)
+    return np.where(dark, 0.0, (grad_e / scale / e_scaled).imag), dark
+
+
+def _total_phase_gradient(e, grad_e, u_max):
+    slope, dark = _phase_slope(e, grad_e, u_max)
+    if np.any(dark):
+        raise DarkPointError("total phase undefined at a dark point")
+    return slope
+
+
+def phase_gradient(field, pt, mode="reduced", t=0.0):
     """Gradient of the optical phase as an array [g_rho, g_phi, g_z].
 
     For a BeamSpec, ``mode="reduced"`` returns exactly
     (0, l / rho, direction * k) with the azimuthal entry zeroed on the axis;
-    ``mode="full"`` finite-differences the closed-form phase in rho and z and
-    keeps the azimuthal slope analytic.  For a PairSpec the gradient of the
-    total-field phase is computed by finite differences of complex-field
-    ratios; only ``mode="full"`` is meaningful there, and a DarkPointError is
-    raised if any evaluation point is dark.
+    ``mode="full"`` differentiates the closed-form phase (``mode_gradient``).
+    For a PairSpec the gradient of the total-field phase is Im(grad E / E),
+    with grad E formed from the two modes' closed-form gradients; only
+    ``mode="full"`` is meaningful there, and a DarkPointError is raised if
+    any evaluation point is dark.
     """
     if mode not in (_REDUCED, _FULL):
         raise ValueError("mode must be 'reduced' or 'full'")
     if isinstance(field, BeamSpec):
-        return _beam_phase_gradient(field, pt, mode, refine)
+        return _beam_phase_gradient(field, pt, mode)
     if mode == _REDUCED:
         raise ValueError("a pair has no single reduced gradient; evaluate per beam")
-    if np.any(_pair_dark_mask(field, pt, t)):
-        raise DarkPointError("total phase undefined at a dark point")
-    return _arg_grad(lambda p: pair_complex(field, p, t), pt, _fd_step(field), refine)
+    return _total_phase_gradient(*_pair_gradient(field, pt, t))
 
 
 def detuning_eff(atom, vel, grad):
@@ -262,77 +220,77 @@ def _force_prefactor(atom, omega, delta):
         / (delta * delta + 0.5 * omega * omega + 0.25 * atom.gamma ** 2)
 
 
-def _single_scattering(atom, beam, pt, vel, mode, amp_ref, refine):
+def _single_scattering(atom, beam, pt, vel, mode, amp_ref):
     omega = rabi_at(atom, mode_amplitude(beam, pt), amp_ref)
-    grad = _beam_phase_gradient(beam, pt, mode, refine)
+    grad = _beam_phase_gradient(beam, pt, mode)
     pref = _force_prefactor(atom, omega, detuning_eff(atom, vel, grad))
     return ForceVec(pref * grad[0], pref * grad[1], pref * grad[2])
 
 
 def scattering_force(atom, field, pt, vel=None, mode="reduced",
-                     combine="sum-of-beams", t=0.0, refine=True):
+                     combine="sum-of-beams", t=0.0):
     """Scattering force (hbar Gamma / 4) Omega^2 grad(Theta) /
     (Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4).
 
     ``field`` is a BeamSpec or a PairSpec.  For a pair, ``combine`` picks the
     sum of the two single-beam forces (each beam's phase gradient taken in
     ``mode``) or the force of the interfered total field, which always uses
-    the full gradient and is set to zero at dark points.
+    the full gradient Im(grad E / E) and is zero at dark points.
     """
     if isinstance(field, BeamSpec):
-        return _single_scattering(atom, field, pt, vel, mode, field.amp_scale, refine)
+        return _single_scattering(atom, field, pt, vel, mode, field.amp_scale)
     ref = _pair_amp_ref(field)
     if _normalize_combine(combine) == "sum":
-        return _single_scattering(atom, field.beam1, pt, vel, mode, ref, refine) \
-            + _single_scattering(atom, field.beam2, pt, vel, mode, ref, refine)
-    dark = _pair_dark_mask(field, pt, t)
-    if np.ndim(dark) == 0 and dark:
-        return ForceVec(0.0, 0.0, 0.0)
-    grad = _arg_grad(lambda p: pair_complex(field, p, t), pt, _fd_step(field), refine)
-    omega = rabi_at(atom, total_amplitude(field, pt, t=t), ref)
+        return _single_scattering(atom, field.beam1, pt, vel, mode, ref) \
+            + _single_scattering(atom, field.beam2, pt, vel, mode, ref)
+    e, grad_e, u_max = _pair_gradient(field, pt, t)
+    grad, _ = _phase_slope(e, grad_e, u_max)
+    omega = rabi_at(atom, np.abs(e), ref)
     pref = _force_prefactor(atom, omega, detuning_eff(atom, vel, grad))
-    comp = [np.where(dark, 0.0, pref * grad[i]) for i in range(3)]
-    return ForceVec(*comp)
+    return ForceVec(pref * grad[0], pref * grad[1], pref * grad[2])
 
 
-def _dipole_from_amp(atom, omega, grad_omega, delta):
+def _dipole_from_amp(atom, omega, omega_grad_omega, delta):
     den = delta * delta + 0.5 * omega * omega + 0.25 * atom.gamma ** 2
-    scale = -0.5 * HBAR * delta * omega / den
-    return ForceVec(scale * grad_omega[0], scale * grad_omega[1], scale * grad_omega[2])
+    scale = -0.5 * HBAR * delta / den
+    return ForceVec(scale * omega_grad_omega[0], scale * omega_grad_omega[1],
+                    scale * omega_grad_omega[2])
 
 
-def _single_dipole(atom, beam, pt, vel, mode, amp_ref, refine):
-    h = _fd_step(beam)
+def _single_dipole(atom, beam, pt, vel, mode, amp_ref):
     scale = atom.rabi_omega0 / amp_ref
-    omega = scale * mode_amplitude(beam, pt)
-    grad_omega = scale * _scalar_grad(lambda p: mode_amplitude(beam, p), pt, h, refine)
-    delta = detuning_eff(atom, vel, _beam_phase_gradient(beam, pt, mode, refine)) \
+    u = mode_amplitude(beam, pt)
+    grad_u = mode_gradient(beam, pt)[0]
+    delta = detuning_eff(atom, vel, _beam_phase_gradient(beam, pt, mode)) \
         if vel is not None else atom.detuning0
-    return _dipole_from_amp(atom, omega, grad_omega, delta)
+    return _dipole_from_amp(atom, scale * u, scale * scale * u * grad_u, delta)
 
 
 def dipole_force(atom, field, pt, vel=None, mode="reduced",
-                 combine="sum-of-beams", t=0.0, refine=True):
+                 combine="sum-of-beams", t=0.0):
     """Dipole force -(hbar / 2) Omega grad(Omega) Delta_eff /
-    (Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4), with grad(Omega) from central
-    finite differences of the Rabi field (Richardson-refined by default).
+    (Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4), in closed form.
+
+    For one beam Omega grad(Omega) = s^2 U grad(U), with s = rabi_omega0 over
+    the reference amplitude and grad(U) from ``mode_gradient``.  For the
+    total field it is s^2 Re(E* grad E), which needs no division and is 0 at
+    dark points.
     """
     if isinstance(field, BeamSpec):
-        return _single_dipole(atom, field, pt, vel, mode, field.amp_scale, refine)
+        return _single_dipole(atom, field, pt, vel, mode, field.amp_scale)
     ref = _pair_amp_ref(field)
     if _normalize_combine(combine) == "sum":
-        return _single_dipole(atom, field.beam1, pt, vel, mode, ref, refine) \
-            + _single_dipole(atom, field.beam2, pt, vel, mode, ref, refine)
+        return _single_dipole(atom, field.beam1, pt, vel, mode, ref) \
+            + _single_dipole(atom, field.beam2, pt, vel, mode, ref)
     if vel is not None and mode != _FULL:
         raise ValueError("velocity coupling with the total field needs mode='full'")
     scale = atom.rabi_omega0 / ref
-    omega = scale * total_amplitude(field, pt, t=t)
-    h = _fd_step(field)
-    grad_omega = scale * _scalar_grad(lambda p: total_amplitude(field, p, t=t), pt, h, refine)
+    e, grad_e, u_max = _pair_gradient(field, pt, t)
     delta = atom.detuning0
     if vel is not None:
-        delta = detuning_eff(atom, vel, phase_gradient(field, pt, mode=_FULL, t=t, refine=refine))
-    return _dipole_from_amp(atom, omega, grad_omega, delta)
+        delta = detuning_eff(atom, vel, _total_phase_gradient(e, grad_e, u_max))
+    return _dipole_from_amp(atom, scale * np.abs(e),
+                            scale * scale * (np.conj(e) * grad_e).real, delta)
 
 
 def _potential(atom, omega, delta):
@@ -341,7 +299,7 @@ def _potential(atom, omega, delta):
 
 
 def dipole_potential(atom, field, pt, vel=None, mode="reduced",
-                     combine="sum-of-beams", t=0.0, refine=True):
+                     combine="sum-of-beams", t=0.0):
     """Dipole potential (hbar Delta_eff / 2) ln(1 + (Omega^2/2) /
     (Delta_eff^2 + Gamma^2/4)); its negative gradient is the dipole force
     when the velocity is zero."""
@@ -349,7 +307,7 @@ def dipole_potential(atom, field, pt, vel=None, mode="reduced",
         omega = rabi_at(atom, mode_amplitude(beam, pt), amp_ref)
         delta = atom.detuning0
         if vel is not None:
-            delta = detuning_eff(atom, vel, _beam_phase_gradient(beam, pt, mode, refine))
+            delta = detuning_eff(atom, vel, _beam_phase_gradient(beam, pt, mode))
         return _potential(atom, omega, delta)
 
     if isinstance(field, BeamSpec):
@@ -360,7 +318,7 @@ def dipole_potential(atom, field, pt, vel=None, mode="reduced",
     omega = rabi_at(atom, total_amplitude(field, pt, t=t), ref)
     delta = atom.detuning0
     if vel is not None:
-        delta = detuning_eff(atom, vel, phase_gradient(field, pt, mode=_FULL, t=t, refine=refine))
+        delta = detuning_eff(atom, vel, phase_gradient(field, pt, mode=_FULL, t=t))
     return _potential(atom, omega, delta)
 
 

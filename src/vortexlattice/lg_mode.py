@@ -13,13 +13,18 @@ import numpy as np
 
 from .constants import C_LIGHT
 
+# Radius below which the radial and azimuthal gradient components are 0 (m)
+AXIS_RHO = 1e-15
+
 __all__ = [
     "BeamSpec",
     "CylPoint",
     "FieldSample",
+    "AXIS_RHO",
     "laguerre_poly",
     "mode_amplitude",
     "mode_field",
+    "mode_gradient",
     "mode_phase",
     "rayleigh_range",
     "waist_at",
@@ -229,6 +234,52 @@ def mode_phase(beam, pt, t=0.0, principal=False):
     if principal:
         theta = wrap_phase(theta)
     return theta
+
+
+def mode_gradient(beam, pt):
+    """Gradients of the mode's amplitude and phase.
+
+    Returns ``(grad_amplitude, grad_phase)``, each stacked as
+    [d/drho, (1/rho) d/dphi, d/dz] along axis 0.  With x = 2 rho^2 / w^2 the
+    amplitude is pref * R(x), pref = amp_scale * C_lp / sqrt(1 + z^2/z_R^2)
+    and R = x^(|l|/2) L_p^|l|(x) e^(-x/2); dL_p^a/dx = -L_(p-1)^(a+1) gives
+    x R'(x) = x^(|l|/2) e^(-x/2) [((|l| - x)/2) L_p^|l| - x L_(p-1)^(|l|+1)].
+    Both w(z) and the (1 + z^2/z_R^2)^(-1/2) prefactor carry the axial
+    dependence, so dU/dz_local = -z_local (U + 2 pref x R') / (z_local^2 + z_R^2).
+    The phase gradient differentiates the plane-wave, azimuthal, Gouy and
+    curvature terms of ``mode_phase``; omega * t has no spatial gradient.
+
+    On the axis (rho <= AXIS_RHO) the rho and phi entries are 0, the values
+    a central difference of the mode extended evenly in rho gives: the
+    azimuthal slope l / rho has no limit there, and for |l| = 1 the
+    amplitude, proportional to rho, has no radial derivative.
+    """
+    l = abs(beam.winding_l)
+    k = beam.wavenumber
+    zl = _local_z(beam, pt.z)
+    zr = beam.rayleigh_range
+    den = zl * zl + zr * zr
+    rho = np.asarray(pt.rho)
+    on_axis = rho <= AXIS_RHO
+    safe_rho = np.where(on_axis, 1.0, rho)
+    w = waist_at(beam, zl)
+    arg = 2.0 * rho * rho / (w * w)
+    lag = laguerre_poly(beam.radial_p, l, arg)
+    lag_deriv = laguerre_poly(beam.radial_p - 1, l + 1, arg) if beam.radial_p > 0 else 0.0
+    pref = beam.amp_scale * beam.norm / np.sqrt(1.0 + (zl / zr) ** 2)
+    envelope = pref * (np.sqrt(2.0) * rho / w) ** l * np.exp(-0.5 * arg)
+    amplitude = envelope * lag
+    x_dr = envelope * ((0.5 * (l - arg)) * lag - arg * lag_deriv)
+    shape = (3,) + np.broadcast(rho, np.asarray(pt.phi), zl).shape
+    grad_amplitude = np.zeros(shape)
+    grad_amplitude[0] = np.where(on_axis, 0.0, 2.0 * x_dr / safe_rho)
+    grad_amplitude[2] = -beam.direction * zl * (amplitude + 2.0 * x_dr) / den
+    grad_phase = np.empty(shape)
+    grad_phase[0] = np.where(on_axis, 0.0, k * rho * zl / den)
+    grad_phase[1] = np.where(on_axis, 0.0, beam.azimuthal_sign * beam.winding_l / safe_rho)
+    grad_phase[2] = beam.direction * (k - (2.0 * beam.radial_p + l + 1.0) * zr / den
+                                      + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den))
+    return grad_amplitude, grad_phase
 
 
 def mode_field(beam, pt, t=0.0):

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
 from .lg_mode import CylPoint
@@ -120,6 +119,10 @@ def find_rings(pair, region, n_threads=1):
     Raises RingDetectionError when no interference maxima exist in the
     region.
     """
+    # scipy.signal takes about a second to import; only ring detection and
+    # drift tracking need it, so the CLI's other commands never load it
+    from scipy.signal import find_peaks
+
     b = pair.beam1
     if region.kind != "rho_z":
         raise ResolutionError("ring detection needs a rho_z region")
@@ -273,6 +276,8 @@ def measure_axial_drift(pair, rho, t0, t1, z_center=0.0, half_span=None, n_z=120
     between t0 and t1.  The displacement over t1 - t0 must stay well inside
     one fringe; ``suggested_sample_dt`` satisfies this.
     """
+    from scipy.signal import find_peaks
+
     if half_span is None:
         half_span = 1.5 * np.pi / pair.beam1.wavenumber
     z = np.linspace(z_center - half_span, z_center + half_span, int(n_z))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from vortexlattice.atom_forces import (AtomSpec, ForceVec, Velocity,
                                        axial_force_slope, central_ring_radius,
@@ -14,7 +15,8 @@ from vortexlattice.atom_forces import (AtomSpec, ForceVec, Velocity,
 from vortexlattice.constants import HBAR
 from vortexlattice.errors import DarkPointError, DegenerateGeometryError
 from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude
-from vortexlattice.superpose import PairSpec, total_amplitude
+from vortexlattice.superpose import (PairSpec, pair_complex, phase_difference,
+                                     total_amplitude, total_phase)
 
 WAVELENGTH = 589.16e-9
 GAMMA = 2.0 * math.pi * 10.01e6
@@ -70,8 +72,8 @@ def test_reduced_gradient_per_beam():
 
 
 def full_gradient_analytic(beam, pt):
-    """Closed-form gradient of the single-beam phase for cross-checking the
-    finite-difference path."""
+    """Closed-form gradient of the single-beam phase, written out here
+    independently of lg_mode.mode_gradient."""
     k = beam.wavenumber
     zr = beam.rayleigh_range
     zl = beam.direction * (pt.z - beam.focal_z)
@@ -266,8 +268,9 @@ def test_dipole_force_is_potential_gradient_sum():
 
 
 def test_dipole_force_total_field_consistency():
-    """The interfered-field dipole force matches -grad V away from dark
-    fringes; differencing the fringe-scale amplitude limits the agreement."""
+    """The interfered-field dipole force matches -grad V everywhere,
+    near-dark fringes included: Omega grad(Omega) = s^2 Re(E* grad E) is in
+    closed form and needs no division."""
     atom = sodium(delta0=-2.0 * GAMMA, rabi=0.5 * GAMMA)
     p = pair(l1=2, d_frac=0.8, amp2=0.7)
     rho0 = central_ring_radius(p)
@@ -275,11 +278,6 @@ def test_dipole_force_total_field_consistency():
     rho = rho0 * rng.uniform(0.6, 1.4, 400)
     phi = rng.uniform(-np.pi, np.pi, 400)
     z = rng.uniform(-0.5, 0.5, 400) * p.beam1.rayleigh_range
-    pts = CylPoint(rho=rho, phi=phi, z=z)
-    u1 = np.abs(mode_amplitude(p.beam1, pts))
-    u2 = np.abs(mode_amplitude(p.beam2, pts))
-    keep = total_amplitude(p, pts) >= 0.25 * (u1 + u2)
-    rho, phi, z = rho[keep][:100], phi[keep][:100], z[keep][:100]
     f = dipole_force(atom, p, CylPoint(rho=rho, phi=phi, z=z), combine="total-field")
     h = WAVELENGTH / 400.0
 
@@ -293,7 +291,98 @@ def test_dipole_force_total_field_consistency():
     got = np.stack([f.f_rho, f.f_phi, f.f_z])
     rel = np.linalg.norm(got - want, axis=0) \
         / np.maximum(np.linalg.norm(got, axis=0), np.linalg.norm(want, axis=0))
-    assert np.max(rel) < 1e-3
+    assert np.max(rel) < 1e-6
+
+
+def arg_gradient_stencil(p, rho, phi, z, t, h):
+    """Five-point stencil of arg E from the unwrapped phase differences
+    arg(E(x + s) / E(x - s)), which need no unwrapping of arg E itself."""
+    def e(rr, pp, zz):
+        return pair_complex(p, CylPoint(rho=rr, phi=pp, z=zz), t)
+
+    def along(shift, step):
+        d1 = np.angle(e(*shift(step)) * np.conj(e(*shift(-step))))
+        d2 = np.angle(e(*shift(2.0 * step)) * np.conj(e(*shift(-2.0 * step))))
+        return (8.0 * d1 - d2) / (12.0 * step)
+
+    return np.stack([along(lambda s: (rho + s, phi, z), h),
+                     along(lambda s: (rho, phi + s, z), h / rho) / rho,
+                     along(lambda s: (rho, phi, z + s), h)])
+
+
+def offset_pair_points():
+    p = pair(l1=2, d_frac=0.8, amp2=0.7, delta_omega=2.0 * math.pi * 1e3, delta_k=3e3)
+    rho0 = central_ring_radius(p)
+    rng = np.random.default_rng(5)
+    rho = rho0 * rng.uniform(0.6, 1.4, 400)
+    phi = rng.uniform(-np.pi, np.pi, 400)
+    z = rng.uniform(-0.5, 0.5, 400) * p.beam1.rayleigh_range
+    return p, rho, phi, z
+
+
+def test_pair_phase_gradient_matches_stencil():
+    """The total-field phase gradient Im(grad E / E) against a
+    stencil of the phase differences, with frequency and wavenumber offsets
+    on beam 2.  The step is small because arg E varies on the scale of |E|
+    near dark fringes."""
+    p, rho, phi, z = offset_pair_points()
+    t = 3e-5
+    got = phase_gradient(p, CylPoint(rho=rho, phi=phi, z=z), mode="full", t=t)
+    want = arg_gradient_stencil(p, rho, phi, z, t, WAVELENGTH / 20000.0)
+    rel = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.max(rel) < 1e-6
+
+
+def test_scattering_force_total_field_matches_stencil():
+    """The total-field scattering force, velocity coupling included, equals
+    its formula evaluated with the stencil phase gradient."""
+    atom = sodium()
+    p, rho, phi, z = offset_pair_points()
+    t = 3e-5
+    pts = CylPoint(rho=rho, phi=phi, z=z)
+    vel = Velocity(0.3, -0.2, 0.5)
+    grad = arg_gradient_stencil(p, rho, phi, z, t, WAVELENGTH / 20000.0)
+    omega = rabi_at(atom, total_amplitude(p, pts, t=t), p.beam1.amp_scale)
+    delta = detuning_eff(atom, vel, grad)
+    pref = 0.25 * HBAR * atom.gamma * omega ** 2 \
+        / (delta ** 2 + 0.5 * omega ** 2 + 0.25 * atom.gamma ** 2)
+    want = pref * grad
+    f = scattering_force(atom, p, pts, vel=vel, mode="full", combine="total-field", t=t)
+    got = np.stack([f.f_rho, f.f_phi, f.f_z])
+    rel = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.max(rel) < 1e-6
+
+
+def test_pair_dark_point_with_negative_amplitudes():
+    """radial_p = 1 makes both amplitudes negative outside the inner node;
+    where the two beams cancel the total phase is undefined, so the phase
+    gradient raises and the total-field scattering force is 0."""
+    p = PairSpec.counterpropagating(WAVELENGTH, 8e-6, l1=1, separation_d=0.0, radial_p=1)
+    rho = 1.5 * p.beam1.waist_w0
+    z = brentq(lambda zz: phase_difference(p, CylPoint(rho, 0.0, zz)).total - math.pi,
+               1e-12, 0.6 * WAVELENGTH, xtol=1e-30)
+    pt = CylPoint(rho=rho, phi=0.0, z=z)
+    assert mode_amplitude(p.beam1, pt) < 0.0 and mode_amplitude(p.beam2, pt) < 0.0
+    assert np.isnan(total_phase(p, pt))
+    with pytest.raises(DarkPointError):
+        phase_gradient(p, pt, mode="full")
+    f = scattering_force(sodium(), p, pt, mode="full", combine="total-field")
+    np.testing.assert_array_equal(f.as_array(), [0.0, 0.0, 0.0])
+
+
+def test_total_field_far_from_beam_is_finite():
+    """About 28 waists out, |E|^2 underflows while |E| is still far above the
+    dark threshold; the phase gradient and the forces stay finite there."""
+    atom = sodium()
+    p = pair(l1=1, d_frac=1.4)
+    pt = CylPoint(rho=2.259e-4, phi=0.0, z=-1.2277e-4)
+    assert 0.0 < abs(pair_complex(p, pt)) < 1e-154
+    g = phase_gradient(p, pt, mode="full")
+    assert np.all(np.isfinite(g)) and g[2] != 0.0
+    vel = Velocity(0.0, 0.0, 0.2)
+    for force in (scattering_force, dipole_force):
+        f = force(atom, p, pt, vel=vel, mode="full", combine="total-field")
+        assert np.all(np.isfinite(f.as_array()))
 
 
 def test_dipole_potential_sign():

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +115,20 @@ def test_to_si_dict_echo():
 
 
 # ---------------------------------------------------------------------- cli
+
+def test_cli_import_does_not_load_scipy_signal():
+    """scipy.signal costs about a second to import and only ring detection
+    uses it, so importing the CLI must not pull it in."""
+    import vortexlattice
+    src = str(Path(vortexlattice.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, vortexlattice.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
 
 def run_cli(args):
     return main([str(a) for a in args])

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from vortexlattice.lg_mode import (BeamSpec, CylPoint, laguerre_poly,
-                                   mode_amplitude, mode_field, mode_phase,
-                                   waist_at, wrap_phase)
+from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, laguerre_poly,
+                                   mode_amplitude, mode_field, mode_gradient,
+                                   mode_phase, waist_at, wrap_phase)
 
 WAVELENGTH = 589.16e-9
 
@@ -235,3 +235,65 @@ def envelope_residual(b, n_rho=201, n_z=81):
 def test_envelope_equation_residual():
     assert envelope_residual(beam(l=4, w0=12 * WAVELENGTH)) < 1e-3
     assert envelope_residual(beam(l=0, w0=10 * WAVELENGTH)) < 1e-3
+
+
+def grad5(f, h):
+    return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
+
+
+def stencil_gradient(func, b, rho, phi, z):
+    """[d/drho, (1/rho) d/dphi, d/dz] of func(b, pt) by five-point central
+    differences."""
+    f = lambda rr, pp, zz: func(b, CylPoint(rho=rr, phi=pp, z=zz))
+    h = b.waist_w0 / 1000.0
+    hz = b.rayleigh_range / 1000.0
+    return np.stack([grad5(lambda s: f(rho + s, phi, z), h),
+                     grad5(lambda s: f(rho, phi + s, z), h / rho) / rho,
+                     grad5(lambda s: f(rho, phi, z + s), hz)])
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("l", [0, 1, 3, 80])
+def test_mode_gradient_matches_stencil(l, p):
+    """The closed-form gradients of amplitude and unwrapped phase agree with
+    a five-point stencil around the bright rings, for both directions and a
+    focal plane off the origin."""
+    w0 = 6.0 * WAVELENGTH
+    rng = np.random.default_rng(10 * l + p)
+    for direction in (1, -1):
+        b = beam(l=direction * l, w0=w0, p=p, direction=direction,
+                 focal_z=0.4 * direction * ZR_6LAM, amp_scale=1.3,
+                 azimuthal_sign=-direction)
+        z = b.focal_z + rng.uniform(-1.5, 1.5, 200) * ZR_6LAM
+        w = waist_at(b, z - b.focal_z)
+        rho = w * np.maximum(0.05, math.sqrt(0.5 * l + p) + rng.uniform(-2.0, 2.0, 200))
+        phi = rng.uniform(-np.pi, np.pi, 200)
+        got = mode_gradient(b, CylPoint(rho=rho, phi=phi, z=z))
+        for g, func in zip(got, (mode_amplitude, mode_phase)):
+            want = stencil_gradient(func, b, rho, phi, z)
+            assert g.shape == want.shape
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(g - want) <= 1e-7 * scale)
+
+
+def test_mode_gradient_axis_convention():
+    """On the axis the rho and phi components are 0 (an even extension in
+    rho, no azimuthal slope); the axial components keep their closed forms."""
+    for l, p in ((0, 0), (0, 2), (1, 0), (2, 1)):
+        b = beam(l=l, p=p, focal_z=1e-4)
+        for rho in (0.0, AXIS_RHO):
+            pt = CylPoint(rho=rho, phi=0.7, z=3e-4)
+            ga, gp = mode_gradient(b, pt)
+            assert ga[0] == 0.0 and ga[1] == 0.0
+            assert gp[0] == 0.0 and gp[1] == 0.0
+            zl = 3e-4 - 1e-4
+            n = 2.0 * p + l + 1.0
+            want_z = b.wavenumber - n * ZR_8UM / (zl * zl + ZR_8UM * ZR_8UM)
+            assert gp[2] == pytest.approx(want_z, rel=1e-9)
+            hz = ZR_8UM / 1000.0
+            want_az = grad5(lambda s: mode_amplitude(b, CylPoint(rho, 0.7, 3e-4 + s)), hz)
+            assert ga[2] == pytest.approx(want_az, rel=1e-8, abs=1e-300)
+    # just off the axis the radial slope of the Gaussian tends to 0 as well
+    b = beam(l=0)
+    ga, _ = mode_gradient(b, CylPoint(rho=1e-12, phi=0.0, z=0.0))
+    assert abs(ga[0]) < 1e-6 * mode_amplitude(b, CylPoint(0.0, 0.0, 0.0)) / b.waist_w0
