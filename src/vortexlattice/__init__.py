@@ -22,7 +22,7 @@ from .ring_analysis import (RadialSplit, Ring, RingSet, RingSplit,
                             measure_rotation_rate, radial_separation,
                             suggested_sample_dt)
 from .superpose import (FieldMap, GridSpec, PairSpec, PhaseDifference,
-                        curvature_difference_closed_form,
+                        amplitude_map, curvature_difference_closed_form,
                         gouy_difference_closed_form, intensity_map, pair_complex,
                         pair_field, phase_difference, total_amplitude,
                         total_phase)

@@ -25,7 +25,7 @@ from .errors import ConfigError, DegenerateGeometryError, DivergenceError, \
     ResolutionError, RingDetectionError, StepSizeError, VortexLatticeError
 from .ring_analysis import double_ring_radii, find_rings, measure_axial_drift, \
     measure_rotation_rate, radial_separation, suggested_sample_dt
-from .superpose import GridSpec, PairSpec, intensity_map
+from .superpose import GridSpec, PairSpec, intensity_map, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,15 +36,11 @@ _NUMERICAL_ERRORS = (ResolutionError, RingDetectionError, StepSizeError,
                      DivergenceError, DegenerateGeometryError)
 
 
-def _write_csv(path, header, rows):
-    data = np.atleast_2d(np.asarray(rows, dtype=float))
-    with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, data, fmt="%.17g", delimiter=",", header=header, comments="")
-
-
 def _write_json(path, payload):
+    # NaN and Infinity are not JSON; a value that can be undefined is written
+    # as null by its producer, so a non-finite float here raises
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -103,7 +99,7 @@ def cmd_spring_sweep(cfg, args, out, threads):
         numeric = -axial_force_slope(atom, pair_d, central_ring_radius(pair_d))
         rows.append((d, k0, numeric))
     path = out / "spring_sweep.csv"
-    _write_csv(path, "d,K0_analytic,K0_numeric", rows)
+    write_csv(path, "d,K0_analytic,K0_numeric", rows)
     return [path]
 
 
@@ -129,8 +125,8 @@ def cmd_rings(cfg, args, out, threads):
                      split.delta_rho, sep.exact, sep.approx, sep.alpha))
     if rows:
         csv_path = out / "ring_comparison.csv"
-        _write_csv(csv_path, "z,r_inner,r_outer,w1,w2,delta_rho_measured,"
-                             "delta_rho_exact,delta_rho_approx,alpha", rows)
+        write_csv(csv_path, "z,r_inner,r_outer,w1,w2,delta_rho_measured,"
+                            "delta_rho_exact,delta_rho_approx,alpha", rows)
         written.append(csv_path)
 
     central = [r for r in ringset.rings if r.classification == "central"]
@@ -227,14 +223,16 @@ def cmd_trajectory(cfg, args, out, threads):
                      v.v_rho * c - v.v_phi * s, v.v_rho * s + v.v_phi * c, v.v_z,
                      p.rho, p.phi))
     path = out / "trajectory.csv"
-    _write_csv(path, "t,x,y,z,vx,vy,vz,rho,phi", rows)
+    write_csv(path, "t,x,y,z,vx,vy,vz,rho,phi", rows)
 
     times = [st.time for st in states]
     z_vals = [st.position.z for st in states]
     lz = [angular_momentum(atom, st) for st in states]
+    omega = estimate_frequency(times, z_vals)
     summary = {
         "n_samples": len(states),
-        "oscillation_omega_measured": estimate_frequency(times, z_vals),
+        # NaN (fewer than three crossings) is written as null
+        "oscillation_omega_measured": None if math.isnan(omega) else omega,
         "lz_initial": lz[0],
         "lz_final": lz[-1],
         "lz_monotone_nondecreasing": bool(np.all(np.diff(lz) >= -1e-12 * max(

@@ -129,7 +129,8 @@ def integrate(atom, pair, init, cfg):
     Returns the sampled states, always including the initial and final ones.
     Raises StepSizeError when the step resolves the axial trap period with
     fewer than MIN_STEPS_PER_PERIOD points, and DivergenceError if the atom
-    leaves DIVERGENCE_FACTOR times the beam extent.
+    leaves DIVERGENCE_FACTOR times the beam extent or its state stops being
+    finite.
     """
     if pair.separation_d > 0.0:
         k0 = spring_constant_k0(atom, pair)
@@ -175,6 +176,11 @@ def integrate(atom, pair, init, cfg):
         k3 = deriv(y + 0.5 * h * k2)
         k4 = deriv(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # every comparison with NaN is False, so the region test alone would
+        # let a NaN state through; the sum is NaN or infinite when any entry
+        # is (and cheaper per step than np.isfinite on six entries)
+        if not math.isfinite(sum(y.tolist())):
+            raise DivergenceError(f"trajectory state became non-finite at step {n}")
         if math.hypot(y[0], y[1]) > radial_max or abs(y[2]) > axial_max:
             raise DivergenceError(f"trajectory left the beam region at step {n}")
         if n % cfg.sample_every == 0 or n == n_steps:

@@ -14,11 +14,13 @@ from .errors import ConfigError
 from .lg_mode import BeamSpec, CylPoint, FieldSample, mode_amplitude, mode_phase, wrap_phase
 
 __all__ = [
+    "BLOCK_POINTS",
     "DARK_FRACTION",
     "FieldMap",
     "GridSpec",
     "PairSpec",
     "PhaseDifference",
+    "amplitude_map",
     "curvature_difference_closed_form",
     "gouy_difference_closed_form",
     "intensity_map",
@@ -174,6 +176,30 @@ def _static_phases(pair, pt, t):
     return th1, th2
 
 
+def _pair_terms(pair, pt, t):
+    """Amplitudes and static phases (U1, U2, Theta1, Theta2) of both beams,
+    each mode evaluated once."""
+    u1 = mode_amplitude(pair.beam1, pt)
+    u2 = mode_amplitude(pair.beam2, pt)
+    th1, th2 = _static_phases(pair, pt, t)
+    return u1, u2, th1, th2
+
+
+def _amplitude_of(u1, u2, th1, th2):
+    radicand = u1 * u1 + u2 * u2 + 2.0 * u1 * u2 * np.cos(th1 - th2)
+    a1 = np.abs(u1)
+    a2 = np.abs(u2)
+    return np.clip(np.sqrt(np.maximum(radicand, 0.0)), np.abs(a1 - a2), a1 + a2)
+
+
+def _phase_of(u1, u2, th1, th2):
+    re = u1 * np.cos(th1) + u2 * np.cos(th2)
+    im = u1 * np.sin(th1) + u2 * np.sin(th2)
+    dark = np.hypot(re, im) <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
+    phase = np.arctan2(im, re)
+    return np.where(dark, np.nan, phase)
+
+
 def total_amplitude(pair, pt, t=0.0):
     """Amplitude of the two-beam field:
     sqrt(U1^2 + U2^2 + 2 U1 U2 cos(Theta1 - Theta2)).
@@ -182,41 +208,27 @@ def total_amplitude(pair, pt, t=0.0):
     amplitudes can be negative where the radial polynomial oscillates
     (radial_p > 0), so the envelope is built from magnitudes.
     """
-    u1 = mode_amplitude(pair.beam1, pt)
-    u2 = mode_amplitude(pair.beam2, pt)
-    th1, th2 = _static_phases(pair, pt, t)
-    radicand = u1 * u1 + u2 * u2 + 2.0 * u1 * u2 * np.cos(th1 - th2)
-    a1 = np.abs(u1)
-    a2 = np.abs(u2)
-    return np.clip(np.sqrt(np.maximum(radicand, 0.0)), np.abs(a1 - a2), a1 + a2)
+    return _amplitude_of(*_pair_terms(pair, pt, t))
 
 
 def pair_complex(pair, pt, t=0.0):
     """Complex field U1 e^{i Theta1} + U2 e^{i (Theta2 + dk z + dw t)} with the
     common optical carrier divided out."""
-    u1 = mode_amplitude(pair.beam1, pt)
-    u2 = mode_amplitude(pair.beam2, pt)
-    th1, th2 = _static_phases(pair, pt, t)
+    u1, u2, th1, th2 = _pair_terms(pair, pt, t)
     return u1 * np.exp(1j * th1) + u2 * np.exp(1j * th2)
 
 
 def total_phase(pair, pt, t=0.0):
     """Principal-value phase of the two-beam field; NaN at dark points
     (total amplitude <= DARK_FRACTION * max(U1, U2))."""
-    u1 = mode_amplitude(pair.beam1, pt)
-    u2 = mode_amplitude(pair.beam2, pt)
-    th1, th2 = _static_phases(pair, pt, t)
-    re = u1 * np.cos(th1) + u2 * np.cos(th2)
-    im = u1 * np.sin(th1) + u2 * np.sin(th2)
-    dark = np.hypot(re, im) <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
-    phase = np.arctan2(im, re)
-    return np.where(dark, np.nan, phase)
+    return _phase_of(*_pair_terms(pair, pt, t))
 
 
 def pair_field(pair, pt, t=0.0):
-    """Total amplitude and phase as a FieldSample (phase NaN at dark points)."""
-    return FieldSample(amplitude=total_amplitude(pair, pt, t=t),
-                       phase=total_phase(pair, pt, t=t))
+    """Total amplitude and phase as a FieldSample (phase NaN at dark points),
+    from one evaluation of each mode."""
+    terms = _pair_terms(pair, pt, t)
+    return FieldSample(amplitude=_amplitude_of(*terms), phase=_phase_of(*terms))
 
 
 @dataclass(frozen=True)
@@ -287,6 +299,19 @@ class GridSpec:
                                        self.z_slice)
 
 
+def write_csv(path, header, data):
+    """Write a header line, then one row of ``data`` per line: "%.17g" values
+    (doubles round-trip), comma-separated, LF newlines.  The bytes are those
+    np.savetxt writes with the same format, NaN included."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    fmt = ",".join(["%.17g"] * data.shape[1])
+    lines = [header]
+    lines.extend(fmt % tuple(row) for row in data.tolist())
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class FieldMap:
     """Sampled total field on a grid; arrays indexed [axis2, axis1]."""
@@ -304,30 +329,64 @@ class FieldMap:
         c2 = np.repeat(self.grid.axis2, n1)
         data = np.column_stack([c1, c2, self.amplitude.ravel(),
                                 self.phase.ravel(), self.intensity.ravel()])
-        with open(path, "w", newline="\n") as fh:
-            np.savetxt(fh, data, fmt="%.17g", delimiter=",",
-                       header="coord1,coord2,amplitude,phase,intensity", comments="")
+        write_csv(path, "coord1,coord2,amplitude,phase,intensity", data)
+
+
+# Grid points in one row block of a map.  A block's temporaries stay small
+# enough for the cache, and the blocks are the units the --threads pool hands
+# out; every point is computed the same way in any block, so maps do not
+# depend on the thread count.
+BLOCK_POINTS = 100_000
+
+
+def _block_points(grid, rows):
+    """CylPoint of the grid rows ``rows`` with separable operands: axis1 as
+    shape (1, n1) and axis2 as (rows, 1).  On rho_z grids everything that
+    depends on z alone (w(z), the axial prefactor, the Gouy and plane
+    phases) is then evaluated once per row."""
+    a1 = grid.axis1[None, :]
+    a2 = grid.axis2[rows][:, None]
+    if grid.kind == "rho_z":
+        return CylPoint(rho=a1, phi=grid.phi, z=a2)
+    return CylPoint.from_cartesian(a1, a2, grid.z_slice)
+
+
+def _fill_blocks(grid, n_threads, fill):
+    """Call fill(rows) for row blocks of about BLOCK_POINTS points, on a pool
+    of n_threads workers."""
+    n2 = grid.axis2.size
+    step = max(1, BLOCK_POINTS // grid.axis1.size)
+    blocks = [slice(a, min(a + step, n2)) for a in range(0, n2, step)]
+    n_threads = min(max(1, int(n_threads)), len(blocks))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
+        list(pool.map(fill, blocks))
+
+
+def amplitude_map(pair, grid, n_threads=1):
+    """Total amplitude over a grid, indexed [axis2, axis1], without the
+    phase a FieldMap also carries.  Equal to ``intensity_map(...).amplitude``
+    at less than half the cost."""
+    amplitude = np.empty((grid.axis2.size, grid.axis1.size))
+
+    def fill(rows):
+        amplitude[rows] = total_amplitude(pair, _block_points(grid, rows), t=grid.time)
+
+    _fill_blocks(grid, n_threads, fill)
+    return amplitude
 
 
 def intensity_map(pair, grid, n_threads=1):
-    """Evaluate the pair field over a grid, optionally splitting the rows of
-    axis2 across worker threads.  Output is independent of n_threads."""
+    """Evaluate the pair field over a grid in row blocks, optionally spread
+    across worker threads.  Output is independent of n_threads."""
     n2, n1 = grid.axis2.size, grid.axis1.size
     amplitude = np.empty((n2, n1))
     phase = np.empty((n2, n1))
 
     def fill(rows):
-        sample = pair_field(pair, grid.point_block(rows), t=grid.time)
+        sample = pair_field(pair, _block_points(grid, rows), t=grid.time)
         amplitude[rows] = sample.amplitude
         phase[rows] = sample.phase
 
-    n_threads = max(1, int(n_threads))
-    if n_threads == 1 or n2 < 2 * n_threads:
-        fill(slice(None))
-    else:
-        bounds = np.linspace(0, n2, n_threads + 1, dtype=int)
-        chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fill, chunks))
+    _fill_blocks(grid, n_threads, fill)
     return FieldMap(grid=grid, amplitude=amplitude, phase=phase,
                     intensity=amplitude ** 2)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vortexlattice import cli
 from vortexlattice.cli import main
 from vortexlattice.config import RunConfig, parse_quantity
 from vortexlattice.constants import AMU
@@ -240,3 +241,26 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     blocker.write_text("")
     assert run_cli(["field-map", "--config", good,
                     "--out", blocker / "sub"]) == 4
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_trajectory_too_short_to_oscillate_writes_null(tmp_path, monkeypatch):
+    monkeypatch.delenv("VL_THREADS", raising=False)
+    cfg = json.loads((REPO / "configs" / "trajectory.json").read_text())
+    cfg["trajectory"]["duration"] = "11.0374us"     # 20 steps, no crossings
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "short"
+    assert run_cli(["trajectory", "--config", path, "--out", out]) == 0
+    summary = json.loads((out / "trajectory_summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["oscillation_omega_measured"] is None
+    assert summary["n_samples"] == 6
+
+
+def test_cli_json_writer_rejects_non_finite(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "bad.json", {"value": bad})

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from vortexlattice.atom_forces import (AtomSpec, Velocity, central_ring_radius,
-                                       dipole_potential, spring_constant_k0,
-                                       torque_axial)
+from vortexlattice import dynamics
+from vortexlattice.atom_forces import (AtomSpec, ForceVec, Velocity,
+                                       central_ring_radius, dipole_potential,
+                                       spring_constant_k0, torque_axial)
 from vortexlattice.dynamics import (IntegratorConfig, TrajectoryState,
                                     angular_momentum, estimate_frequency,
                                     integrate, trap_frequency)
@@ -205,3 +206,17 @@ def test_estimate_frequency_known_signal():
     t = np.linspace(0.0, 5.0 * 2.0 * math.pi / omega, 1000)
     assert estimate_frequency(t, np.sin(omega * t + 0.3)) == pytest.approx(omega, rel=1e-4)
     assert math.isnan(estimate_frequency(t[:3], np.sin(omega * t[:3])))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_divergence_guard_catches_non_finite_state(monkeypatch, bad):
+    """A NaN position fails every comparison, so the region test alone would
+    let it through; the guard must still raise."""
+    atom = sodium()
+    p = trap_pair()
+    period = 2.0 * math.pi / trap_frequency(atom, p)
+    monkeypatch.setattr(dynamics, "scattering_force",
+                        lambda *args, **kwargs: ForceVec(bad, bad, bad))
+    cfg = IntegratorConfig(step=period / 400, duration=period)
+    with pytest.raises(DivergenceError, match="non-finite"):
+        integrate(atom, p, on_ring_state(p), cfg)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from vortexlattice import ring_analysis
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
                                   RingDetectionError)
 from vortexlattice.lg_mode import waist_at
@@ -11,7 +12,7 @@ from vortexlattice.ring_analysis import (double_ring_radii, find_rings,
                                          measure_axial_drift,
                                          measure_rotation_rate,
                                          radial_separation, suggested_sample_dt)
-from vortexlattice.superpose import GridSpec, PairSpec
+from vortexlattice.superpose import BLOCK_POINTS, GridSpec, PairSpec, intensity_map
 
 WAVELENGTH = 589.16e-9
 
@@ -226,3 +227,20 @@ def test_measure_axial_drift():
     drift = measure_axial_drift(p, p.beam1.waist_w0, 0.0, dt)
     want = dw / (2.0 * p.beam1.wavenumber)
     assert drift == pytest.approx(want, rel=1e-3)
+
+
+def test_find_rings_intensity_skips_the_phase_but_matches_the_map():
+    p = pair()
+    region = lattice_region(p)
+    assert region.axis1.size * region.axis2.size > BLOCK_POINTS
+    got = ring_analysis._ring_intensity(p, region, 2)
+    assert np.array_equal(got, intensity_map(p, region).intensity)
+
+
+def test_find_rings_thread_count_invariant():
+    p = pair()
+    region = lattice_region(p)
+    one = find_rings(p, region, n_threads=1)
+    two = find_rings(p, region, n_threads=2)
+    assert one == two
+    assert len(one.rings) >= 10

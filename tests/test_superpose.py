@@ -1,3 +1,4 @@
+import io
 import math
 import os
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_phase
-from vortexlattice.superpose import (FieldMap, GridSpec, PairSpec,
+from vortexlattice.superpose import (BLOCK_POINTS, FieldMap, GridSpec, PairSpec,
+                                     amplitude_map,
                                      curvature_difference_closed_form,
                                      gouy_difference_closed_form, intensity_map,
                                      pair_complex, phase_difference,
-                                     total_amplitude, total_phase)
+                                     total_amplitude, total_phase, write_csv)
 
 WAVELENGTH = 589.16e-9
 
@@ -282,3 +284,65 @@ def test_field_map_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(data[:, 0], grid_c1)
     np.testing.assert_array_equal(data[:, 2], fm.amplitude.ravel())
     np.testing.assert_array_equal(data[:, 4], fm.intensity.ravel())
+
+
+def _multi_block_grids():
+    """A rho_z and an xy grid, each several row blocks large, with a row
+    count that is not a multiple of the block height."""
+    grids = [GridSpec.rho_z(rho_min=0.0, rho_max=3e-5, n_rho=400,
+                            z_min=-1e-4, z_max=1e-4, n_z=601),
+             GridSpec.xy(half_width=2.4e-5, n=401, z=1.5e-5)]
+    for g in grids:
+        n2, n1 = g.axis2.size, g.axis1.size
+        rows_per_block = BLOCK_POINTS // n1
+        assert n1 * n2 > BLOCK_POINTS
+        assert n2 % rows_per_block != 0
+    return grids
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["rho_z", "xy"])
+def test_blocked_maps_do_not_depend_on_thread_count(kind):
+    pr = pair(l1=3, delta_omega=2e3, delta_k=1e3)
+    g = _multi_block_grids()[kind]
+    g = GridSpec(kind=g.kind, axis1=g.axis1, axis2=g.axis2, phi=0.3,
+                 z_slice=g.z_slice, time=1e-4)
+    maps = {n: intensity_map(pr, g, n_threads=n) for n in (1, 2, 3)}
+    amps = {n: amplitude_map(pr, g, n_threads=n) for n in (1, 2, 3)}
+    for n in (2, 3):
+        assert np.array_equal(maps[n].amplitude, maps[1].amplitude)
+        assert np.array_equal(maps[n].phase, maps[1].phase, equal_nan=True)
+        assert np.array_equal(maps[n].intensity, maps[1].intensity)
+        assert np.array_equal(amps[n], amps[1])
+    assert np.array_equal(amps[1], maps[1].amplitude)
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["rho_z", "xy"])
+def test_separable_blocks_equal_full_point_block(kind):
+    """The kernel's separable (1, n1) x (rows, 1) operands give exactly the
+    values of the full-size broadcast point block."""
+    pr = pair(l1=2, radial_p=1, delta_omega=1e3)
+    g = _multi_block_grids()[kind]
+    g = GridSpec(kind=g.kind, axis1=g.axis1, axis2=g.axis2, phi=0.7,
+                 z_slice=g.z_slice, time=3e-4)
+    block = g.point_block()
+    fm = intensity_map(pr, g, n_threads=2)
+    assert np.array_equal(amplitude_map(pr, g),
+                          total_amplitude(pr, block, t=g.time))
+    assert np.array_equal(fm.amplitude, total_amplitude(pr, block, t=g.time))
+    assert np.array_equal(fm.phase, total_phase(pr, block, t=g.time), equal_nan=True)
+
+
+def test_write_csv_matches_savetxt(tmp_path):
+    data = np.array([[0.0, -0.0, 1.0 / 3.0],
+                     [np.nan, np.inf, -np.inf],
+                     [5e-324, 1.7976931348623157e308, -2.5e-17],
+                     [123456789.0, -1e-300, 0.1]])
+    header = "a,b,c"
+    path = tmp_path / "data.csv"
+    write_csv(path, header, data)
+    ref = io.StringIO()
+    np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    assert path.read_bytes() == ref.getvalue().encode()
+    # rows given as a list of tuples, as the CLI passes them
+    write_csv(path, header, [tuple(row) for row in data])
+    assert path.read_bytes() == ref.getvalue().encode()
