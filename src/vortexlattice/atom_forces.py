@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 _REDUCED, _FULL = "reduced", "full"
-_SUM_ALIASES = ("sum-of-beams", "sum")
-_TOTAL_ALIASES = ("total-field", "total")
+_SUM, _TOTAL = "sum-of-beams", "total-field"
 
 
 @dataclass(frozen=True)
@@ -207,12 +206,10 @@ def detuning_eff(atom, vel, grad):
     return atom.detuning0 - (vel.v_rho * grad[0] + vel.v_phi * grad[1] + vel.v_z * grad[2])
 
 
-def _normalize_combine(combine):
-    if combine in _SUM_ALIASES:
-        return "sum"
-    if combine in _TOTAL_ALIASES:
-        return "total"
-    raise ValueError("combine must be 'sum-of-beams' or 'total-field'")
+def _sums_beams(combine):
+    if combine not in (_SUM, _TOTAL):
+        raise ValueError("combine must be 'sum-of-beams' or 'total-field'")
+    return combine == _SUM
 
 
 def _force_prefactor(atom, omega, delta):
@@ -240,7 +237,7 @@ def scattering_force(atom, field, pt, vel=None, mode="reduced",
     if isinstance(field, BeamSpec):
         return _single_scattering(atom, field, pt, vel, mode, field.amp_scale)
     ref = _pair_amp_ref(field)
-    if _normalize_combine(combine) == "sum":
+    if _sums_beams(combine):
         return _single_scattering(atom, field.beam1, pt, vel, mode, ref) \
             + _single_scattering(atom, field.beam2, pt, vel, mode, ref)
     e, grad_e, u_max = _pair_gradient(field, pt, t)
@@ -279,7 +276,7 @@ def dipole_force(atom, field, pt, vel=None, mode="reduced",
     if isinstance(field, BeamSpec):
         return _single_dipole(atom, field, pt, vel, mode, field.amp_scale)
     ref = _pair_amp_ref(field)
-    if _normalize_combine(combine) == "sum":
+    if _sums_beams(combine):
         return _single_dipole(atom, field.beam1, pt, vel, mode, ref) \
             + _single_dipole(atom, field.beam2, pt, vel, mode, ref)
     if vel is not None and mode != _FULL:
@@ -313,7 +310,7 @@ def dipole_potential(atom, field, pt, vel=None, mode="reduced",
     if isinstance(field, BeamSpec):
         return beam_potential(field, field.amp_scale)
     ref = _pair_amp_ref(field)
-    if _normalize_combine(combine) == "sum":
+    if _sums_beams(combine):
         return beam_potential(field.beam1, ref) + beam_potential(field.beam2, ref)
     omega = rabi_at(atom, total_amplitude(field, pt, t=t), ref)
     delta = atom.detuning0
@@ -405,7 +402,7 @@ def axial_force_slope(atom, pair, rho, z=0.0, h=None):
 
     def fz(zz):
         f = scattering_force(atom, pair, CylPoint(rho=rho, phi=0.0, z=zz),
-                             mode=_REDUCED, combine="sum-of-beams")
+                             mode=_REDUCED, combine=_SUM)
         return f.f_z
 
     return (8.0 * (fz(z + h) - fz(z - h)) - (fz(z + 2.0 * h) - fz(z - 2.0 * h))) / (12.0 * h)

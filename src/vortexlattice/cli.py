@@ -1,17 +1,16 @@
 """Command-line interface.
 
 Subcommands: field-map, spring-sweep, rings, ferris, trajectory.  All take
---config (JSON run configuration), --out (output directory), --threads and
---mode; the VL_THREADS environment variable overrides --threads.  Exit codes:
-0 success, 2 configuration problems, 3 numerical or resolution failures,
-4 I/O failures.
+--config (JSON run configuration), --out (output directory) and --threads;
+trajectory also takes --mode, which overrides the config's mode.phase.  Exit
+codes: 0 success, 2 configuration problems, 3 numerical or resolution
+failures, 4 I/O failures.
 """
 
 import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -20,7 +19,8 @@ import numpy as np
 from .atom_forces import central_ring_radius, ferris_rate, lift_speed, \
     axial_force_slope, spring_constant_k0
 from .config import RunConfig
-from .dynamics import angular_momentum, estimate_frequency, integrate, trap_frequency
+from .dynamics import FORCE_MODELS, angular_momentum, estimate_frequency, integrate, \
+    trap_frequency
 from .errors import ConfigError, DegenerateGeometryError, DivergenceError, \
     ResolutionError, RingDetectionError, StepSizeError, VortexLatticeError
 from .ring_analysis import double_ring_radii, find_rings, measure_axial_drift, \
@@ -254,15 +254,13 @@ def build_parser():
     common.add_argument("--config", required=True, help="JSON run configuration")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for map evaluation "
-                             "(VL_THREADS overrides)")
-    common.add_argument("--mode", choices=("reduced", "full"), default=None,
-                        help="force/phase model override")
+                        help="worker threads for map evaluation")
 
     parser = argparse.ArgumentParser(
         prog="vortexlattice",
         description="Interference lattices of counter-propagating "
                     "Laguerre-Gaussian beams and the traps they form")
+    parser.set_defaults(mode=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field-map", parents=[common],
@@ -286,6 +284,8 @@ def build_parser():
 
     p = sub.add_parser("trajectory", parents=[common],
                        help="integrate one atom trajectory")
+    p.add_argument("--mode", choices=tuple(FORCE_MODELS), default=None,
+                   help="force model, overriding the config's mode.phase")
     p.set_defaults(func=cmd_trajectory)
     return parser
 
@@ -295,26 +295,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
-        if args.mode is not None:
-            cfg.mode_phase = args.mode
-            cfg.mode_combine = "sum-of-beams" if args.mode == "reduced" else "total-field"
-            if cfg.trajectory_config is not None:
-                cfg.trajectory_config = dataclasses.replace(
-                    cfg.trajectory_config,
-                    force_model="reduced-sum" if args.mode == "reduced" else "full-total")
-        threads = args.threads
-        env_threads = os.environ.get("VL_THREADS")
-        if env_threads is not None:
-            try:
-                threads = int(env_threads)
-            except ValueError:
-                raise ConfigError(f"VL_THREADS must be an integer, got {env_threads!r}")
-        if threads < 1:
+        if args.mode is not None and cfg.trajectory_config is not None:
+            cfg = dataclasses.replace(cfg, trajectory_config=dataclasses.replace(
+                cfg.trajectory_config, force_model=args.mode))
+        if args.threads < 1:
             raise ConfigError("thread count must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        written = args.func(cfg, args, out, threads)
-        written.append(_metadata(out, args.command, cfg, threads, written))
+        written = args.func(cfg, args, out, args.threads)
+        written.append(_metadata(out, args.command, cfg, args.threads, written))
         for path in written:
             print(path)
         return EXIT_OK

@@ -3,7 +3,10 @@
 Numbers are taken as bare SI values; strings carry a unit suffix, e.g.
 "8um", "10.01MHz", "0.5ms".  Frequencies given in hertz are ordinary
 frequencies and are converted to angular ones (multiplied by 2 pi); bare
-numbers in frequency slots are already rad/s.
+numbers in frequency slots are already rad/s.  Every quantity must resolve
+to a finite number, every flag must be a JSON boolean, and a section or key
+outside ``SECTION_KEYS`` is an error, so a misspelt key cannot be dropped
+silently.
 """
 
 import json
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 from .atom_forces import AtomSpec, Velocity
 from .constants import AMU
-from .dynamics import IntegratorConfig, TrajectoryState
+from .dynamics import FORCE_MODELS, IntegratorConfig, TrajectoryState
 from .errors import ConfigError
 from .lg_mode import CylPoint
 from .superpose import GridSpec, PairSpec
@@ -35,6 +38,22 @@ _UNITS = {
     "plain": {},
 }
 
+_GRID_KEYS = ("rho_min", "rho_max", "n_rho", "z_min", "z_max", "n_z", "phi", "time")
+SECTION_KEYS = {
+    "beams": ("wavelength", "waist", "l1", "l2", "p", "amp1", "amp2", "azimuthal_sign2"),
+    "pair": ("d", "delta_omega", "delta_k"),
+    "atom": ("mass", "gamma", "delta0", "rabi"),
+    "mode": ("phase",),
+    "grid": _GRID_KEYS,
+    "rings_grid": _GRID_KEYS,
+    "xy_grid": ("half_width", "n", "z_slices", "time"),
+    "sweep": ("d_min", "d_max", "steps"),
+    "ferris": ("t_samples",),
+    "trajectory": ("rho", "phi", "z", "v_rho", "v_phi", "v_z", "step", "duration",
+                   "velocity_coupling", "include_scattering", "include_dipole",
+                   "include_azimuthal", "sample_every"),
+}
+
 _QUANTITY_RE = re.compile(r"^\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*(\S*)\s*$")
 
 
@@ -44,22 +63,28 @@ def parse_quantity(value, kind, name="value"):
     if isinstance(value, bool):
         raise ConfigError(f"{name}: expected a quantity, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name}: integer beyond the float range") from None
+    elif isinstance(value, str):
+        m = _QUANTITY_RE.match(value)
+        if not m:
+            raise ConfigError(f"{name}: cannot parse quantity {value!r}")
+        number, suffix = float(m.group(1)), m.group(2)
+        if suffix != "":
+            table = _UNITS[kind]
+            if suffix not in table:
+                raise ConfigError(f"{name}: unknown {kind} unit {suffix!r} in {value!r}")
+            number *= table[suffix]
+    else:
         raise ConfigError(f"{name}: expected a number or unit-suffixed string")
-    m = _QUANTITY_RE.match(value)
-    if not m:
-        raise ConfigError(f"{name}: cannot parse quantity {value!r}")
-    number, suffix = float(m.group(1)), m.group(2)
-    if suffix == "":
-        return number
-    table = _UNITS[kind]
-    if suffix not in table:
-        raise ConfigError(f"{name}: unknown {kind} unit {suffix!r} in {value!r}")
-    return number * table[suffix]
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: {value!r} is not a finite quantity")
+    return number
 
 
-def _section(raw, key, required, name):
+def _section(raw, key, required=False):
     sec = raw.get(key)
     if sec is None:
         if required:
@@ -67,7 +92,14 @@ def _section(raw, key, required, name):
         return None
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {key!r} must be an object")
+    _reject_unknown(sec, SECTION_KEYS[key], f"key(s) in config section {key!r}")
     return sec
+
+
+def _reject_unknown(keys, allowed, what):
+    unknown = sorted(str(k) for k in set(keys) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what}: {', '.join(unknown)}")
 
 
 def _get(sec, key, kind, name, default=None, required=False):
@@ -89,25 +121,152 @@ def _get_int(sec, key, name, default=None, required=False):
     return v
 
 
-@dataclass
+def _get_bool(sec, key, name, default):
+    v = sec.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{name}.{key} must be true or false")
+    return v
+
+
+def _pair(raw):
+    beams = _section(raw, "beams", required=True)
+    pair_sec = _section(raw, "pair") or {}
+    d = _get(pair_sec, "d", "length", "pair", default=0.0)
+    if d < 0.0:
+        raise ConfigError("pair.d must be >= 0")
+    try:
+        return PairSpec.counterpropagating(
+            wavelength=_get(beams, "wavelength", "length", "beams", required=True),
+            waist=_get(beams, "waist", "length", "beams", required=True),
+            l1=_get_int(beams, "l1", "beams", required=True),
+            l2=_get_int(beams, "l2", "beams"),
+            separation_d=d,
+            delta_omega=_get(pair_sec, "delta_omega", "angular_frequency", "pair",
+                             default=0.0),
+            delta_k=_get(pair_sec, "delta_k", "wavenumber", "pair", default=0.0),
+            radial_p=_get_int(beams, "p", "beams", default=0),
+            amp1=_get(beams, "amp1", "plain", "beams", default=1.0),
+            amp2=_get(beams, "amp2", "plain", "beams", default=1.0),
+            azimuthal_sign2=_get_int(beams, "azimuthal_sign2", "beams", default=-1),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _atom(raw):
+    sec = _section(raw, "atom")
+    if sec is None:
+        return None
+    try:
+        return AtomSpec(
+            mass=_get(sec, "mass", "mass", "atom", required=True),
+            gamma=_get(sec, "gamma", "angular_frequency", "atom", required=True),
+            detuning0=_get(sec, "delta0", "angular_frequency", "atom", required=True),
+            rabi_omega0=_get(sec, "rabi", "angular_frequency", "atom", required=True),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _grid(raw, key):
+    sec = _section(raw, key)
+    if sec is None:
+        return None
+    try:
+        return GridSpec.rho_z(
+            rho_min=_get(sec, "rho_min", "length", key, default=0.0),
+            rho_max=_get(sec, "rho_max", "length", key, required=True),
+            n_rho=_get_int(sec, "n_rho", key, required=True),
+            z_min=_get(sec, "z_min", "length", key, required=True),
+            z_max=_get(sec, "z_max", "length", key, required=True),
+            n_z=_get_int(sec, "n_z", key, required=True),
+            phi=_get(sec, "phi", "plain", key, default=0.0),
+            time=_get(sec, "time", "time", key, default=0.0),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _xy(raw):
+    sec = _section(raw, "xy_grid")
+    if sec is None:
+        return ()
+    half_width = _get(sec, "half_width", "length", "xy_grid", required=True)
+    n = _get_int(sec, "n", "xy_grid", required=True)
+    if n < 2:
+        raise ConfigError("xy_grid.n must be >= 2")
+    slices = sec.get("z_slices", [0.0])
+    if not isinstance(slices, list) or not slices:
+        raise ConfigError("xy_grid.z_slices must be a non-empty list")
+    time = _get(sec, "time", "time", "xy_grid", default=0.0)
+    return tuple(GridSpec.xy(half_width, n, z=parse_quantity(z, "length", "xy_grid.z_slices"),
+                             time=time) for z in slices)
+
+
+def _sweep(raw):
+    sec = _section(raw, "sweep")
+    if sec is None:
+        return None
+    steps = _get_int(sec, "steps", "sweep", required=True)
+    if steps < 2:
+        raise ConfigError("sweep.steps must be >= 2")
+    d_min = _get(sec, "d_min", "length", "sweep", required=True)
+    d_max = _get(sec, "d_max", "length", "sweep", required=True)
+    if d_max <= d_min:
+        raise ConfigError("sweep.d_max must exceed sweep.d_min")
+    return d_min, d_max, steps
+
+
+def _ferris(raw):
+    sec = _section(raw, "ferris")
+    if sec is None:
+        return ()
+    samples = sec.get("t_samples")
+    if not isinstance(samples, list) or len(samples) < 1:
+        raise ConfigError("ferris.t_samples must be a non-empty list")
+    return tuple(parse_quantity(s, "time", "ferris.t_samples") for s in samples)
+
+
+def _trajectory(raw, force_model):
+    """Initial state and integrator settings, or (None, None)."""
+    sec = _section(raw, "trajectory")
+    if sec is None:
+        return None, None
+    try:
+        pos = CylPoint(rho=_get(sec, "rho", "length", "trajectory", required=True),
+                       phi=_get(sec, "phi", "plain", "trajectory", default=0.0),
+                       z=_get(sec, "z", "length", "trajectory", required=True))
+        vel = Velocity(v_rho=_get(sec, "v_rho", "speed", "trajectory", default=0.0),
+                       v_phi=_get(sec, "v_phi", "speed", "trajectory", default=0.0),
+                       v_z=_get(sec, "v_z", "speed", "trajectory", default=0.0))
+        integrator = IntegratorConfig(
+            step=_get(sec, "step", "time", "trajectory", required=True),
+            duration=_get(sec, "duration", "time", "trajectory", required=True),
+            force_model=force_model,
+            velocity_coupling=_get_bool(sec, "velocity_coupling", "trajectory", False),
+            include_scattering=_get_bool(sec, "include_scattering", "trajectory", True),
+            include_dipole=_get_bool(sec, "include_dipole", "trajectory", False),
+            include_azimuthal=_get_bool(sec, "include_azimuthal", "trajectory", True),
+            sample_every=_get_int(sec, "sample_every", "trajectory", default=1),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return TrajectoryState(position=pos, velocity=vel, time=0.0), integrator
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration resolved to SI quantities."""
 
     pair: PairSpec
     atom: AtomSpec = None
-    mode_phase: str = "reduced"
-    mode_combine: str = "sum-of-beams"
     grid: GridSpec = None
     rings_grid: GridSpec = None
-    xy_half_width: float = None
-    xy_n: int = None
-    xy_z_slices: tuple = ()
-    xy_time: float = 0.0
+    xy: tuple = ()                      # one xy GridSpec per z slice
     sweep: tuple = None                 # (d_min, d_max, steps)
     ferris_times: tuple = ()
     trajectory_init: TrajectoryState = None
     trajectory_config: IntegratorConfig = None
-    seed: int = 0
 
     @classmethod
     def from_file(cls, path):
@@ -116,7 +275,9 @@ class RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, a UnicodeDecodeError, or an integer literal
+            # beyond Python's digit limit for int()
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -124,154 +285,25 @@ class RunConfig:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-
-        beams = _section(raw, "beams", True, "beams")
-        pair_sec = _section(raw, "pair", False, "pair") or {}
-        d = _get(pair_sec, "d", "length", "pair", default=0.0)
-        if d < 0.0:
-            raise ConfigError("pair.d must be >= 0")
-        try:
-            pair = PairSpec.counterpropagating(
-                wavelength=_get(beams, "wavelength", "length", "beams", required=True),
-                waist=_get(beams, "waist", "length", "beams", required=True),
-                l1=_get_int(beams, "l1", "beams", required=True),
-                l2=_get_int(beams, "l2", "beams"),
-                separation_d=d,
-                delta_omega=_get(pair_sec, "delta_omega", "angular_frequency", "pair",
-                                 default=0.0),
-                delta_k=_get(pair_sec, "delta_k", "wavenumber", "pair", default=0.0),
-                radial_p=_get_int(beams, "p", "beams", default=0),
-                amp1=_get(beams, "amp1", "plain", "beams", default=1.0),
-                amp2=_get(beams, "amp2", "plain", "beams", default=1.0),
-                azimuthal_sign2=_get_int(beams, "azimuthal_sign2", "beams", default=-1),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-        atom = None
-        atom_sec = _section(raw, "atom", False, "atom")
-        if atom_sec is not None:
-            try:
-                atom = AtomSpec(
-                    mass=_get(atom_sec, "mass", "mass", "atom", required=True),
-                    gamma=_get(atom_sec, "gamma", "angular_frequency", "atom", required=True),
-                    detuning0=_get(atom_sec, "delta0", "angular_frequency", "atom",
-                                   required=True),
-                    rabi_omega0=_get(atom_sec, "rabi", "angular_frequency", "atom",
-                                     required=True),
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-
-        mode_sec = _section(raw, "mode", False, "mode") or {}
+        _reject_unknown(raw, SECTION_KEYS, "config section(s)")
+        mode_sec = _section(raw, "mode") or {}
         phase = mode_sec.get("phase", "reduced")
-        combine = mode_sec.get("combine", "sum-of-beams")
-        if phase not in ("reduced", "full"):
+        if not isinstance(phase, str) or phase not in FORCE_MODELS:
             raise ConfigError("mode.phase must be 'reduced' or 'full'")
-        if combine not in ("sum-of-beams", "total-field", "sum", "total"):
-            raise ConfigError("mode.combine must be 'sum-of-beams' or 'total-field'")
-
-        cfg = cls(pair=pair, atom=atom, mode_phase=phase, mode_combine=combine)
-        cfg.grid = cls._grid(raw, "grid")
-        cfg.rings_grid = cls._grid(raw, "rings_grid")
-
-        xy = _section(raw, "xy_grid", False, "xy_grid")
-        if xy is not None:
-            cfg.xy_half_width = _get(xy, "half_width", "length", "xy_grid", required=True)
-            cfg.xy_n = _get_int(xy, "n", "xy_grid", required=True)
-            if cfg.xy_n < 2:
-                raise ConfigError("xy_grid.n must be >= 2")
-            slices = xy.get("z_slices", [0.0])
-            if not isinstance(slices, list) or not slices:
-                raise ConfigError("xy_grid.z_slices must be a non-empty list")
-            cfg.xy_z_slices = tuple(parse_quantity(s, "length", "xy_grid.z_slices")
-                                    for s in slices)
-            cfg.xy_time = _get(xy, "time", "time", "xy_grid", default=0.0)
-
-        sweep = _section(raw, "sweep", False, "sweep")
-        if sweep is not None:
-            steps = _get_int(sweep, "steps", "sweep", required=True)
-            if steps < 2:
-                raise ConfigError("sweep.steps must be >= 2")
-            cfg.sweep = (_get(sweep, "d_min", "length", "sweep", required=True),
-                         _get(sweep, "d_max", "length", "sweep", required=True),
-                         steps)
-            if cfg.sweep[1] <= cfg.sweep[0]:
-                raise ConfigError("sweep.d_max must exceed sweep.d_min")
-
-        ferris = _section(raw, "ferris", False, "ferris")
-        if ferris is not None:
-            samples = ferris.get("t_samples")
-            if not isinstance(samples, list) or len(samples) < 1:
-                raise ConfigError("ferris.t_samples must be a non-empty list")
-            cfg.ferris_times = tuple(parse_quantity(s, "time", "ferris.t_samples")
-                                     for s in samples)
-
-        traj = _section(raw, "trajectory", False, "trajectory")
-        if traj is not None:
-            pos = CylPoint(rho=_get(traj, "rho", "length", "trajectory", required=True),
-                           phi=_get(traj, "phi", "plain", "trajectory", default=0.0),
-                           z=_get(traj, "z", "length", "trajectory", required=True))
-            vel = Velocity(v_rho=_get(traj, "v_rho", "speed", "trajectory", default=0.0),
-                           v_phi=_get(traj, "v_phi", "speed", "trajectory", default=0.0),
-                           v_z=_get(traj, "v_z", "speed", "trajectory", default=0.0))
-            cfg.trajectory_init = TrajectoryState(position=pos, velocity=vel, time=0.0)
-            force_model = "reduced-sum" if phase == "reduced" else "full-total"
-            try:
-                cfg.trajectory_config = IntegratorConfig(
-                    step=_get(traj, "step", "time", "trajectory", required=True),
-                    duration=_get(traj, "duration", "time", "trajectory", required=True),
-                    force_model=force_model,
-                    velocity_coupling=bool(traj.get("velocity_coupling", False)),
-                    include_scattering=bool(traj.get("include_scattering", True)),
-                    include_dipole=bool(traj.get("include_dipole", False)),
-                    include_azimuthal=bool(traj.get("include_azimuthal", True)),
-                    sample_every=_get_int(traj, "sample_every", "trajectory", default=1),
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-
-        seed = raw.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
-        cfg.seed = seed
-        return cfg
-
-    @staticmethod
-    def _grid(raw, key):
-        sec = _section(raw, key, False, key)
-        if sec is None:
-            return None
-        kind = sec.get("kind", "rho_z")
-        if kind != "rho_z":
-            raise ConfigError(f"{key}.kind must be 'rho_z'")
-        try:
-            return GridSpec.rho_z(
-                rho_min=_get(sec, "rho_min", "length", key, default=0.0),
-                rho_max=_get(sec, "rho_max", "length", key, required=True),
-                n_rho=_get_int(sec, "n_rho", key, required=True),
-                z_min=_get(sec, "z_min", "length", key, required=True),
-                z_max=_get(sec, "z_max", "length", key, required=True),
-                n_z=_get_int(sec, "n_z", key, required=True),
-                phi=_get(sec, "phi", "plain", key, default=0.0),
-                time=_get(sec, "time", "time", key, default=0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        init, integrator = _trajectory(raw, phase)
+        return cls(pair=_pair(raw), atom=_atom(raw),
+                   grid=_grid(raw, "grid"), rings_grid=_grid(raw, "rings_grid"),
+                   xy=_xy(raw), sweep=_sweep(raw), ferris_times=_ferris(raw),
+                   trajectory_init=init, trajectory_config=integrator)
 
     def xy_grids(self):
-        """One xy GridSpec per configured z slice."""
-        if self.xy_half_width is None:
-            return []
-        return [GridSpec.xy(self.xy_half_width, self.xy_n, z=z, time=self.xy_time)
-                for z in self.xy_z_slices]
+        """One GridSpec per configured xy z slice."""
+        return list(self.xy)
 
     def to_si_dict(self):
         """SI echo of the resolved configuration, for run metadata."""
         b1, b2 = self.pair.beam1, self.pair.beam2
         out = {
-            "seed": self.seed,
-            "mode": {"phase": self.mode_phase, "combine": self.mode_combine},
             "beams": {"wavelength": b1.wavelength, "waist": b1.waist_w0,
                       "l1": b1.winding_l, "l2": b2.winding_l, "p": b1.radial_p,
                       "amp1": b1.amp_scale, "amp2": b2.amp_scale,
@@ -289,4 +321,6 @@ class RunConfig:
                             "steps": self.sweep[2]}
         if self.ferris_times:
             out["ferris"] = {"t_samples": list(self.ferris_times)}
+        if self.trajectory_config is not None:
+            out["trajectory"] = {"force_model": self.trajectory_config.force_model}
         return out

@@ -28,7 +28,7 @@ __all__ = [
     "trap_frequency",
 ]
 
-_FORCE_MODELS = ("reduced-sum", "full-total")
+FORCE_MODELS = {"reduced": ("reduced", "sum-of-beams"), "full": ("full", "total-field")}
 
 # Trajectories further out than this multiple of the beam extent abort
 DIVERGENCE_FACTOR = 10.0
@@ -51,8 +51,8 @@ class TrajectoryState:
 class IntegratorConfig:
     """Integration controls.
 
-    ``force_model`` selects "reduced-sum" (per-beam reduced phase gradients,
-    forces added) or "full-total" (full gradient of the interfered field).
+    ``force_model`` selects "reduced" (per-beam reduced phase gradients,
+    forces added) or "full" (full gradient of the interfered field).
     ``velocity_coupling`` feeds v . grad(Theta) into the detuning.  The
     scattering and dipole contributions toggle independently, and
     ``include_azimuthal`` can zero the azimuthal scattering component to
@@ -61,7 +61,7 @@ class IntegratorConfig:
 
     step: float
     duration: float
-    force_model: str = "reduced-sum"
+    force_model: str = "reduced"
     velocity_coupling: bool = False
     include_scattering: bool = True
     include_dipole: bool = False
@@ -73,8 +73,8 @@ class IntegratorConfig:
             raise ValueError("step must be positive")
         if self.duration < self.step:
             raise ValueError("duration must be at least one step")
-        if self.force_model not in _FORCE_MODELS:
-            raise ValueError(f"force_model must be one of {_FORCE_MODELS}")
+        if self.force_model not in FORCE_MODELS:
+            raise ValueError(f"force_model must be one of {tuple(FORCE_MODELS)}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
 
@@ -92,7 +92,7 @@ def angular_momentum(atom, state):
     return atom.mass * state.position.rho * state.velocity.v_phi
 
 
-def _force_cartesian(atom, pair, cfg, x, y, z, vx, vy, vz):
+def _force_cartesian(atom, pair, cfg, mode, combine, x, y, z, vx, vy, vz):
     rho = math.hypot(x, y)
     phi = math.atan2(y, x)
     c, s = math.cos(phi), math.sin(phi)
@@ -100,8 +100,6 @@ def _force_cartesian(atom, pair, cfg, x, y, z, vx, vy, vz):
     vel = None
     if cfg.velocity_coupling:
         vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz)
-    mode, combine = ("reduced", "sum-of-beams") if cfg.force_model == "reduced-sum" \
-        else ("full", "total-field")
     f = ForceVec(0.0, 0.0, 0.0)
     if cfg.include_scattering:
         fs = scattering_force(atom, pair, pt, vel=vel, mode=mode, combine=combine)
@@ -150,9 +148,10 @@ def integrate(atom, pair, init, cfg):
     y = np.array([p.rho * c, p.rho * s, p.z,
                   v.v_rho * c - v.v_phi * s, v.v_rho * s + v.v_phi * c, v.v_z])
     inv_m = 1.0 / atom.mass
+    mode, combine = FORCE_MODELS[cfg.force_model]
 
     def deriv(state):
-        fx, fy, fz = _force_cartesian(atom, pair, cfg, *state)
+        fx, fy, fz = _force_cartesian(atom, pair, cfg, mode, combine, *state)
         return np.array([state[3], state[4], state[5],
                          fx * inv_m, fy * inv_m, fz * inv_m])
 

@@ -1,16 +1,18 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortexlattice import cli
 from vortexlattice.cli import main
-from vortexlattice.config import RunConfig, parse_quantity
+from vortexlattice.config import SECTION_KEYS, RunConfig, parse_quantity
 from vortexlattice.constants import AMU
 from vortexlattice.errors import ConfigError
 
@@ -67,6 +69,37 @@ def test_parse_quantity_rejections():
         parse_quantity([1.0], "length")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400,
+                                   "1e400um", "1e300GHz", "inf", "nan"],
+                         ids=["NaN", "Infinity", "-Infinity", "10**400", "1e400um",
+                              "1e300GHz", "inf-string", "nan-string"])
+def test_parse_quantity_rejects_non_finite(value):
+    with pytest.raises(ConfigError):
+        parse_quantity(value, "angular_frequency" if "Hz" in str(value) else "length")
+
+
+# JSON documents as json.load returns them: NaN and Infinity are literals it
+# accepts, and an integer literal may exceed the float range
+json_scalars = (st.none() | st.booleans() | st.floats() | st.integers()
+                | st.integers(min_value=10 ** 300, max_value=10 ** 400) | st.text()
+                | st.builds("{}{}".format, st.floats() | st.integers(),
+                            st.sampled_from(["", "um", "nm", "MHz", "GHz", "ms", "amu",
+                                             "mm/s", "rad/m", " parsec"])))
+json_values = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=json_values, kind=st.sampled_from(["length", "angular_frequency", "time",
+                                                "mass", "speed", "wavenumber", "plain"]))
+def test_parse_quantity_is_finite_or_config_error(value, kind):
+    try:
+        got = parse_quantity(value, kind)
+    except ConfigError:
+        return
+    assert isinstance(got, float) and math.isfinite(got)
+
+
 # -------------------------------------------------------------- run configs
 
 def test_from_file_spring_fixture():
@@ -98,6 +131,111 @@ def test_from_dict_validation():
         RunConfig.from_dict(cfg)
 
 
+def full_config():
+    """A valid config that sets every accepted key."""
+    grid = {"rho_min": 0.0, "rho_max": "6um", "n_rho": 5, "z_min": "-5um",
+            "z_max": "5um", "n_z": 5, "phi": 0.0, "time": 0.0}
+    return base_config(
+        beams={"wavelength": "589.16nm", "waist": "3um", "l1": 2, "l2": 2, "p": 0,
+               "amp1": 1.0, "amp2": 1.0, "azimuthal_sign2": -1},
+        pair={"d": "8um", "delta_omega": "1kHz", "delta_k": 0.0},
+        mode={"phase": "reduced"}, grid=grid, rings_grid=dict(grid),
+        xy_grid={"half_width": "6um", "n": 5, "z_slices": [0.0, "1um"], "time": 0.0},
+        sweep={"d_min": 0.0, "d_max": "10um", "steps": 3},
+        ferris={"t_samples": [0.0, "1us"]},
+        trajectory={"rho": "2um", "phi": 0.0, "z": "0.1um", "v_rho": 0.0, "v_phi": 0.0,
+                    "v_z": 0.0, "step": "0.1us", "duration": "1us",
+                    "velocity_coupling": False, "include_scattering": True,
+                    "include_dipole": False, "include_azimuthal": True,
+                    "sample_every": 1})
+
+
+def test_full_config_sets_every_accepted_key():
+    cfg = full_config()
+    assert {s: set(cfg[s]) for s in SECTION_KEYS} == \
+        {s: set(keys) for s, keys in SECTION_KEYS.items()}
+    RunConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("section,key", [
+    (None, "seed"), (None, "grids"), ("mode", "combine"),
+    ("trajectory", "include_dipol"), ("beams", "wavelenght"), ("grid", "kind")])
+def test_unknown_keys_are_rejected(tmp_path, section, key):
+    cfg = full_config()
+    (cfg if section is None else cfg[section])[key] = "total-field"
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(cfg)
+    path = write_config(tmp_path, cfg)
+    assert run_cli(["field-map", "--config", path, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_trajectory_flags_must_be_json_booleans(value):
+    for flag in ("velocity_coupling", "include_scattering", "include_dipole",
+                 "include_azimuthal"):
+        cfg = full_config()
+        cfg["trajectory"][flag] = value
+        with pytest.raises(ConfigError, match=flag):
+            RunConfig.from_dict(cfg)
+
+
+def test_trajectory_flags_are_read():
+    cfg = full_config()
+    flags = {"velocity_coupling": True, "include_scattering": False,
+             "include_dipole": True, "include_azimuthal": False}
+    cfg["trajectory"].update(flags)
+    integrator = RunConfig.from_dict(cfg).trajectory_config
+    assert {f: getattr(integrator, f) for f in flags} == flags
+
+
+# every key but the grid sizes: a huge generated size would allocate the grid
+FUZZED_KEYS = [(section, key) for section, keys in SECTION_KEYS.items() for key in keys
+               if key not in ("n_rho", "n_z", "n")]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(where=st.sampled_from(FUZZED_KEYS), value=json_values)
+def test_from_dict_accepts_or_raises_config_error(where, value):
+    """Any JSON value at any key gives a config whose SI echo is finite, or a
+    ConfigError; never another exception."""
+    cfg = full_config()
+    cfg[where[0]][where[1]] = value
+    try:
+        run = RunConfig.from_dict(cfg)
+    except ConfigError:
+        return
+    json.dumps(run.to_si_dict(), allow_nan=False)
+
+
+def test_config_file_read_errors_are_config_errors(tmp_path):
+    """A file json.load cannot read raises ConfigError and exits 2."""
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"beams": {"wavelength": ' + "9" * 5000 + "}}")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"beams": "\xff"}')
+    for path in (huge, binary):
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(path)
+        assert run_cli(["field-map", "--config", path, "--out", tmp_path / "o"]) == 2
+
+
+def test_shipped_configs_load():
+    for path in sorted((REPO / "configs").glob("*.json")):
+        RunConfig.from_file(path)
+
+
+def test_readme_schema_table_matches_accepted_keys():
+    readme = (REPO / "README.md").read_text()
+    table = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        cells = row.split("|")
+        if len(cells) == 5:
+            for section in re.findall(r"`([^`]+)`", cells[1]):
+                documented[section] = set(re.findall(r"`([^`]+)`", cells[2]))
+    assert documented == {s: set(keys) for s, keys in SECTION_KEYS.items()}
+
+
 def test_xy_grids_fixture():
     cfg = RunConfig.from_file(REPO / "configs" / "ring_lattice_xy.json")
     grids = cfg.xy_grids()
@@ -107,9 +245,8 @@ def test_xy_grids_fixture():
 
 
 def test_to_si_dict_echo():
-    cfg = RunConfig.from_dict(base_config(seed=7))
+    cfg = RunConfig.from_dict(base_config())
     echo = cfg.to_si_dict()
-    assert echo["seed"] == 7
     assert echo["beams"]["l2"] == 2
     assert echo["pair"]["d"] == pytest.approx(8e-6)
     assert echo["atom"]["rabi"] == pytest.approx(TWO_PI * 10.01e6)
@@ -135,8 +272,7 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def test_cli_field_map_writes_outputs(tmp_path, monkeypatch):
-    monkeypatch.delenv("VL_THREADS", raising=False)
+def test_cli_field_map_writes_outputs(tmp_path):
     cfg = base_config(grid={"rho_max": "6um", "n_rho": 40,
                             "z_min": "-10um", "z_max": "10um", "n_z": 50})
     path = write_config(tmp_path, cfg)
@@ -151,23 +287,22 @@ def test_cli_field_map_writes_outputs(tmp_path, monkeypatch):
     assert header == "coord1,coord2,amplitude,phase,intensity"
 
 
-def test_cli_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+def test_cli_thread_count_does_not_change_bytes(tmp_path):
     cfg = base_config(grid={"rho_max": "6um", "n_rho": 33,
                             "z_min": "-9um", "z_max": "9um", "n_z": 41})
     path = write_config(tmp_path, cfg)
     blobs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("VL_THREADS", threads)
+    for threads in (1, 4):
         out = tmp_path / f"t{threads}"
-        assert run_cli(["field-map", "--config", path, "--out", out]) == 0
+        assert run_cli(["field-map", "--config", path, "--out", out,
+                        "--threads", threads]) == 0
         blobs[threads] = (out / "field_map_rho_z.csv").read_bytes()
         meta = json.loads((out / "field-map_metadata.json").read_text())
-        assert meta["threads"] == int(threads)
-    assert blobs["1"] == blobs["4"]
+        assert meta["threads"] == threads
+    assert blobs[1] == blobs[4]
 
 
-def test_cli_spring_sweep_flag_override(tmp_path, monkeypatch):
-    monkeypatch.delenv("VL_THREADS", raising=False)
+def test_cli_spring_sweep_flag_override(tmp_path):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "sweep"
     zr = math.pi * (3e-6) ** 2 / 589.16e-9
@@ -183,8 +318,7 @@ def test_cli_spring_sweep_flag_override(tmp_path, monkeypatch):
     assert np.max(rel) < 1e-6
 
 
-def test_cli_rings_small_case(tmp_path, monkeypatch):
-    monkeypatch.delenv("VL_THREADS", raising=False)
+def test_cli_rings_small_case(tmp_path):
     cfg = base_config(rings_grid={"rho_max": "6um", "n_rho": 201,
                                   "z_min": "-4.5um", "z_max": "4.5um",
                                   "n_z": 401})
@@ -200,20 +334,36 @@ def test_cli_rings_small_case(tmp_path, monkeypatch):
             summary["central_radius_formula"], rel=0.05)
 
 
-def test_cli_mode_override_recorded(tmp_path, monkeypatch):
-    monkeypatch.delenv("VL_THREADS", raising=False)
-    cfg = base_config(grid={"rho_max": "6um", "n_rho": 20,
-                            "z_min": "-5um", "z_max": "5um", "n_z": 21})
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "full"
-    assert run_cli(["field-map", "--config", path, "--out", out,
-                    "--mode", "full"]) == 0
-    meta = json.loads((out / "field-map_metadata.json").read_text())
-    assert meta["config"]["mode"] == {"phase": "full", "combine": "total-field"}
+def short_trajectory_config(tmp_path):
+    cfg = json.loads((REPO / "configs" / "trajectory.json").read_text())
+    cfg["trajectory"]["duration"] = "11.0374us"     # 20 steps, no crossings
+    return write_config(tmp_path, cfg)
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
-    monkeypatch.delenv("VL_THREADS", raising=False)
+def cli_exit_code(args):
+    """main's return value, or the status of argparse's SystemExit."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_cli_mode_override_recorded(tmp_path):
+    path = short_trajectory_config(tmp_path)
+    for mode, args in (("reduced", []), ("full", ["--mode", "full"])):
+        out = tmp_path / mode
+        assert run_cli(["trajectory", "--config", path, "--out", out, *args]) == 0
+        meta = json.loads((out / "trajectory_metadata.json").read_text())
+        assert meta["config"]["trajectory"] == {"force_model": mode}
+    # --mode changes nothing a map computes, so only trajectory takes it
+    grid = write_config(tmp_path, base_config(grid={
+        "rho_max": "6um", "n_rho": 20, "z_min": "-5um", "z_max": "5um", "n_z": 21}),
+        "grid.json")
+    assert cli_exit_code(["field-map", "--config", grid, "--out", tmp_path / "fm",
+                          "--mode", "full"]) == 2
+
+
+def test_cli_exit_codes(tmp_path):
     # 2: config invalid (missing required key)
     bad = write_config(tmp_path, {"beams": {"wavelength": "589nm"}}, "bad.json")
     assert run_cli(["field-map", "--config", bad, "--out", tmp_path]) == 2
@@ -225,10 +375,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     # 2: command needs a section the config lacks
     assert run_cli(["trajectory", "--config", good, "--out", tmp_path]) == 2
 
-    # 2: bad thread override
-    monkeypatch.setenv("VL_THREADS", "abc")
-    assert run_cli(["field-map", "--config", good, "--out", tmp_path / "x"]) == 2
-    monkeypatch.delenv("VL_THREADS")
+    # 2: bad thread count
+    assert run_cli(["field-map", "--config", good, "--out", tmp_path / "x",
+                    "--threads", 0]) == 2
 
     # 3: ring detection on a grid too coarse to trust
     coarse = write_config(tmp_path, base_config(
@@ -247,11 +396,8 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_cli_trajectory_too_short_to_oscillate_writes_null(tmp_path, monkeypatch):
-    monkeypatch.delenv("VL_THREADS", raising=False)
-    cfg = json.loads((REPO / "configs" / "trajectory.json").read_text())
-    cfg["trajectory"]["duration"] = "11.0374us"     # 20 steps, no crossings
-    path = write_config(tmp_path, cfg)
+def test_cli_trajectory_too_short_to_oscillate_writes_null(tmp_path):
+    path = short_trajectory_config(tmp_path)
     out = tmp_path / "short"
     assert run_cli(["trajectory", "--config", path, "--out", out]) == 0
     summary = json.loads((out / "trajectory_summary.json").read_text(),
