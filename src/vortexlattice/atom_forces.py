@@ -11,8 +11,9 @@ dominant slopes each beam imposes in its own frame, exactly
 combination rules exist for a pair: "sum-of-beams" adds the two single-beam
 forces, "total-field" applies the force formulas to the interfered field.
 
-Every gradient is in closed form.  ``lg_mode.mode_gradient`` gives grad(U)
-and grad(Theta) of each mode; the total field E = sum_j U_j e^{i Theta_j}
+Every gradient is in closed form.  ``lg_mode.mode_jet`` gives U, Theta,
+grad(U) and grad(Theta) of each mode in one pass, called once per beam per
+force; the total field E = sum_j U_j e^{i Theta_j}
 has grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), from
 which Omega grad(Omega) = s^2 Re(E* grad E) and
 grad(arg E) = Im(grad E / E), with s = rabi_omega0 / (reference amplitude).
@@ -26,10 +27,10 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DarkPointError, DegenerateGeometryError
-from .lg_mode import AXIS_RHO, BeamSpec, CylPoint, mode_amplitude, mode_gradient, mode_phase
+from .lg_mode import AXIS_RHO, BeamSpec, CylPoint, mode_amplitude, mode_jet, mode_phase
 # mode_phase and pair_complex are not called here; they stay module attributes
 # because perfbench/spans.py traces calls by rebinding these names
-from .superpose import DARK_FRACTION, PairSpec, _static_phases, pair_complex, total_amplitude
+from .superpose import DARK_FRACTION, PairSpec, _offset_phase, pair_complex, total_amplitude
 
 __all__ = [
     "AtomSpec",
@@ -127,28 +128,30 @@ def _pair_amp_ref(pair):
 
 
 def _beam_phase_gradient(beam, pt, mode):
+    """Phase gradient of one beam; the reduced one is (0, l / rho,
+    direction * k), shaped (3,) + shape(rho), with the azimuthal entry 0 for
+    rho <= AXIS_RHO."""
     if mode == _REDUCED:
         rho = np.asarray(pt.rho)
-        on_axis = rho <= AXIS_RHO
+        grad = np.zeros((3,) + rho.shape)
         # own-frame azimuthal slope l / rho: every beam advances its phase in
         # its own handedness, so no lab-frame azimuthal_sign appears here
-        g_phi = np.where(on_axis, 0.0, beam.winding_l / np.where(on_axis, 1.0, rho))
-        g_z = np.broadcast_to(float(beam.direction) * beam.wavenumber, g_phi.shape)
-        return np.stack(np.broadcast_arrays(np.zeros_like(g_phi), g_phi, g_z))
-    return mode_gradient(beam, pt)[1]
+        np.divide(beam.winding_l, rho, out=grad[1, ...], where=rho > AXIS_RHO)
+        grad[2] = beam.direction * beam.wavenumber
+        return grad
+    return mode_jet(beam, pt)[3]
 
 
 def _pair_gradient(pair, pt, t):
-    """Total field E, its gradient and max(|U1|, |U2|).
+    """Total field E, its gradient and max(|U1|, |U2|), from one mode jet
+    per beam.
 
     grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), so
     Re(E* grad E) = |E| grad|E| and grad(arg E) = Im(grad E / E).
     """
-    u1 = mode_amplitude(pair.beam1, pt)
-    u2 = mode_amplitude(pair.beam2, pt)
-    th1, th2 = _static_phases(pair, pt, t)
-    gu1, gth1 = mode_gradient(pair.beam1, pt)
-    gu2, gth2 = mode_gradient(pair.beam2, pt)
+    u1, th1, gu1, gth1 = mode_jet(pair.beam1, pt)
+    u2, th2, gu2, gth2 = mode_jet(pair.beam2, pt)
+    th2 = _offset_phase(pair, pt, t, th2)
     gth2[2] += pair.delta_k
     c1 = np.exp(1j * th1)
     c2 = np.exp(1j * th2)
@@ -184,7 +187,7 @@ def phase_gradient(field, pt, mode="reduced", t=0.0):
 
     For a BeamSpec, ``mode="reduced"`` returns exactly
     (0, l / rho, direction * k) with the azimuthal entry zeroed on the axis;
-    ``mode="full"`` differentiates the closed-form phase (``mode_gradient``).
+    ``mode="full"`` differentiates the closed-form phase (``mode_jet``).
     For a PairSpec the gradient of the total-field phase is Im(grad E / E),
     with grad E formed from the two modes' closed-form gradients; only
     ``mode="full"`` is meaningful there, and a DarkPointError is raised if
@@ -218,8 +221,11 @@ def _force_prefactor(atom, omega, delta):
 
 
 def _single_scattering(atom, beam, pt, vel, mode, amp_ref):
-    omega = rabi_at(atom, mode_amplitude(beam, pt), amp_ref)
-    grad = _beam_phase_gradient(beam, pt, mode)
+    if mode == _REDUCED:
+        u, grad = mode_amplitude(beam, pt), _beam_phase_gradient(beam, pt, mode)
+    else:
+        u, _, _, grad = mode_jet(beam, pt)
+    omega = rabi_at(atom, u, amp_ref)
     pref = _force_prefactor(atom, omega, detuning_eff(atom, vel, grad))
     return ForceVec(pref * grad[0], pref * grad[1], pref * grad[2])
 
@@ -256,10 +262,12 @@ def _dipole_from_amp(atom, omega, omega_grad_omega, delta):
 
 def _single_dipole(atom, beam, pt, vel, mode, amp_ref):
     scale = atom.rabi_omega0 / amp_ref
-    u = mode_amplitude(beam, pt)
-    grad_u = mode_gradient(beam, pt)[0]
-    delta = detuning_eff(atom, vel, _beam_phase_gradient(beam, pt, mode)) \
-        if vel is not None else atom.detuning0
+    u, _, grad_u, grad_phase = mode_jet(beam, pt)
+    delta = atom.detuning0
+    if vel is not None:
+        if mode == _REDUCED:
+            grad_phase = _beam_phase_gradient(beam, pt, mode)
+        delta = detuning_eff(atom, vel, grad_phase)
     return _dipole_from_amp(atom, scale * u, scale * scale * u * grad_u, delta)
 
 
@@ -269,7 +277,7 @@ def dipole_force(atom, field, pt, vel=None, mode="reduced",
     (Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4), in closed form.
 
     For one beam Omega grad(Omega) = s^2 U grad(U), with s = rabi_omega0 over
-    the reference amplitude and grad(U) from ``mode_gradient``.  For the
+    the reference amplitude and U, grad(U) from one ``mode_jet``.  For the
     total field it is s^2 Re(E* grad E), which needs no division and is 0 at
     dark points.
     """

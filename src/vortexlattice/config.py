@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .lg_mode import CylPoint
 from .superpose import GridSpec, PairSpec
 
-__all__ = ["RunConfig", "parse_quantity"]
+__all__ = ["MAX_GRID_POINTS", "RunConfig", "parse_quantity"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -37,6 +37,10 @@ _UNITS = {
     "wavenumber": {"rad/m": 1.0},
     "plain": {},
 }
+
+# Most points one grid may hold: a float64 map over 5e7 points takes 400 MB,
+# and a command holds several maps of its grid
+MAX_GRID_POINTS = 50_000_000
 
 _GRID_KEYS = ("rho_min", "rho_max", "n_rho", "z_min", "z_max", "n_z", "phi", "time")
 SECTION_KEYS = {
@@ -168,18 +172,31 @@ def _atom(raw):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_grid(name, sizes, points):
+    """Each axis size in ``sizes`` (key -> samples) must be at least 2, and
+    the grid may hold at most MAX_GRID_POINTS points."""
+    for key, n in sizes.items():
+        if n < 2:
+            raise ConfigError(f"{name}.{key} must be >= 2")
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"{name}: {points} grid points exceed the limit of {MAX_GRID_POINTS}")
+
+
 def _grid(raw, key):
     sec = _section(raw, key)
     if sec is None:
         return None
+    n_rho = _get_int(sec, "n_rho", key, required=True)
+    n_z = _get_int(sec, "n_z", key, required=True)
+    _check_grid(key, {"n_rho": n_rho, "n_z": n_z}, n_rho * n_z)
     try:
         return GridSpec.rho_z(
             rho_min=_get(sec, "rho_min", "length", key, default=0.0),
             rho_max=_get(sec, "rho_max", "length", key, required=True),
-            n_rho=_get_int(sec, "n_rho", key, required=True),
+            n_rho=n_rho,
             z_min=_get(sec, "z_min", "length", key, required=True),
             z_max=_get(sec, "z_max", "length", key, required=True),
-            n_z=_get_int(sec, "n_z", key, required=True),
+            n_z=n_z,
             phi=_get(sec, "phi", "plain", key, default=0.0),
             time=_get(sec, "time", "time", key, default=0.0),
         )
@@ -193,8 +210,7 @@ def _xy(raw):
         return ()
     half_width = _get(sec, "half_width", "length", "xy_grid", required=True)
     n = _get_int(sec, "n", "xy_grid", required=True)
-    if n < 2:
-        raise ConfigError("xy_grid.n must be >= 2")
+    _check_grid("xy_grid", {"n": n}, n * n)
     slices = sec.get("z_slices", [0.0])
     if not isinstance(slices, list) or not slices:
         raise ConfigError("xy_grid.z_slices must be a non-empty list")

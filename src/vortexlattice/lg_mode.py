@@ -6,6 +6,7 @@ the axis.  All quantities are SI; angles are radians.  Every evaluation
 routine accepts scalars or broadcastable numpy arrays.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,8 @@ from .constants import C_LIGHT
 # Radius below which the radial and azimuthal gradient components are 0 (m)
 AXIS_RHO = 1e-15
 
+_SQRT2 = math.sqrt(2.0)
+
 __all__ = [
     "BeamSpec",
     "CylPoint",
@@ -25,6 +28,7 @@ __all__ = [
     "mode_amplitude",
     "mode_field",
     "mode_gradient",
+    "mode_jet",
     "mode_phase",
     "rayleigh_range",
     "waist_at",
@@ -66,6 +70,10 @@ class BeamSpec:
         in shared lab coordinates, hence the explicit sign.
     norm_constant : float or None
         Mode normalisation constant; None selects sqrt(p! / (p + |l|)!).
+
+    ``wavenumber``, ``rayleigh_range`` and ``norm`` are computed once per
+    instance; the spec is frozen, and ``dataclasses.replace`` builds a new
+    instance with its own values.
     """
 
     wavelength: float
@@ -92,11 +100,11 @@ class BeamSpec:
         if self.amp_scale < 0.0:
             raise ValueError("amp_scale must be >= 0")
 
-    @property
+    @functools.cached_property
     def wavenumber(self):
         return 2.0 * np.pi / self.wavelength
 
-    @property
+    @functools.cached_property
     def rayleigh_range(self):
         return np.pi * self.waist_w0 ** 2 / self.wavelength
 
@@ -104,7 +112,7 @@ class BeamSpec:
     def omega(self):
         return C_LIGHT * self.wavenumber
 
-    @property
+    @functools.cached_property
     def norm(self):
         """Resolved normalisation constant C_{lp}."""
         if self.norm_constant is not None:
@@ -124,7 +132,7 @@ class CylPoint:
     z: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.rho) < 0.0):
+        if (np.asarray(self.rho) < 0.0).any():
             raise ValueError("rho must be >= 0")
 
     @classmethod
@@ -164,7 +172,8 @@ def laguerre_poly(p, alpha, x):
     """Generalised Laguerre polynomial L_p^alpha(x) by the three-term
     upward recurrence in the degree.
 
-    Stable for the small p used here; x may be an array.
+    Tested for p up to 40, where the mode it builds still integrates to
+    its normalisation to 1e-6; x may be an array.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
@@ -197,16 +206,36 @@ def mode_amplitude(beam, pt):
     float or ndarray
         amp_scale * C_lp * (1 + z^2/z_R^2)^(-1/2) * (sqrt(2) rho / w)^|l|
         * L_p^|l|(2 rho^2 / w^2) * exp(-rho^2 / w^2), with w = w(z) and z
-        the local axial offset.
+        the local axial offset.  L_0 = 1 is not formed.
     """
     l = abs(beam.winding_l)
-    zl = _local_z(beam, pt.z)
-    zr = beam.rayleigh_range
-    w = waist_at(beam, zl)
+    u = _local_z(beam, pt.z) / beam.rayleigh_range
+    w = beam.waist_w0 * np.sqrt(1.0 + u * u)
     rho = np.asarray(pt.rho)
     arg = 2.0 * rho * rho / (w * w)
-    radial = (np.sqrt(2.0) * rho / w) ** l * laguerre_poly(beam.radial_p, l, arg) * np.exp(-0.5 * arg)
-    return beam.amp_scale * beam.norm * radial / np.sqrt(1.0 + (zl / zr) ** 2)
+    radial = (_SQRT2 * rho / w) ** l
+    if beam.radial_p:
+        radial = radial * laguerre_poly(beam.radial_p, l, arg)
+    radial = radial * np.exp(-0.5 * arg)
+    # the prefactor keeps 1 + u ** 2 rather than reusing sqrt(1 + u * u) from
+    # w: on numpy scalars u ** 2 and u * u can differ in the last bit, which
+    # would move the bytes of single-point outputs such as trajectories
+    return beam.amp_scale * beam.norm * radial / np.sqrt(1.0 + u ** 2)
+
+
+def _phase(beam, zl, pt, t):
+    """Unwrapped phase of ``mode_phase`` at local axial offset zl."""
+    k = beam.wavenumber
+    zr = beam.rayleigh_range
+    rho = np.asarray(pt.rho)
+    plane = beam.direction * k * (np.asarray(pt.z) - beam.focal_z)
+    azimuthal = beam.azimuthal_sign * beam.winding_l * np.asarray(pt.phi)
+    gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * np.arctan(zl / zr)
+    curvature = k * rho * rho * zl / (2.0 * (zl * zl + zr * zr))
+    theta = plane + azimuthal + gouy + curvature
+    if t != 0.0:
+        theta = theta + beam.omega * t
+    return theta
 
 
 def mode_phase(beam, pt, t=0.0, principal=False):
@@ -220,29 +249,22 @@ def mode_phase(beam, pt, t=0.0, principal=False):
     Set ``principal=True`` to wrap the result into (-pi, pi].  The unwrapped
     value is exact and is the form finite differences should act on.
     """
-    k = beam.wavenumber
-    zl = _local_z(beam, pt.z)
-    zr = beam.rayleigh_range
-    rho = np.asarray(pt.rho)
-    plane = beam.direction * k * (np.asarray(pt.z) - beam.focal_z)
-    azimuthal = beam.azimuthal_sign * beam.winding_l * np.asarray(pt.phi)
-    gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * np.arctan(zl / zr)
-    curvature = k * rho * rho * zl / (2.0 * (zl * zl + zr * zr))
-    theta = plane + azimuthal + gouy + curvature
-    if t != 0.0:
-        theta = theta + beam.omega * t
+    theta = _phase(beam, _local_z(beam, pt.z), pt, t)
     if principal:
         theta = wrap_phase(theta)
     return theta
 
 
-def mode_gradient(beam, pt):
-    """Gradients of the mode's amplitude and phase.
+def mode_jet(beam, pt, t=0.0):
+    """Amplitude, unwrapped phase and both gradients of the mode in one pass.
 
-    Returns ``(grad_amplitude, grad_phase)``, each stacked as
-    [d/drho, (1/rho) d/dphi, d/dz] along axis 0.  With x = 2 rho^2 / w^2 the
-    amplitude is pref * R(x), pref = amp_scale * C_lp / sqrt(1 + z^2/z_R^2)
-    and R = x^(|l|/2) L_p^|l|(x) e^(-x/2); dL_p^a/dx = -L_(p-1)^(a+1) gives
+    Returns ``(U, Theta, grad_U, grad_Theta)``.  U and Theta equal
+    ``mode_amplitude(beam, pt)`` and ``mode_phase(beam, pt, t)`` exactly;
+    each gradient is stacked as [d/drho, (1/rho) d/dphi, d/dz] along axis 0.
+
+    With x = 2 rho^2 / w^2 the amplitude is pref * R(x),
+    pref = amp_scale * C_lp / sqrt(1 + z^2/z_R^2) and
+    R = x^(|l|/2) L_p^|l|(x) e^(-x/2); dL_p^a/dx = -L_(p-1)^(a+1) gives
     x R'(x) = x^(|l|/2) e^(-x/2) [((|l| - x)/2) L_p^|l| - x L_(p-1)^(|l|+1)].
     Both w(z) and the (1 + z^2/z_R^2)^(-1/2) prefactor carry the axial
     dependence, so dU/dz_local = -z_local (U + 2 pref x R') / (z_local^2 + z_R^2).
@@ -255,31 +277,51 @@ def mode_gradient(beam, pt):
     amplitude, proportional to rho, has no radial derivative.
     """
     l = abs(beam.winding_l)
+    p = beam.radial_p
     k = beam.wavenumber
-    zl = _local_z(beam, pt.z)
     zr = beam.rayleigh_range
-    den = zl * zl + zr * zr
+    zl = _local_z(beam, pt.z)
+    u = zl / zr
+    w = beam.waist_w0 * np.sqrt(1.0 + u * u)
     rho = np.asarray(pt.rho)
-    on_axis = rho <= AXIS_RHO
-    safe_rho = np.where(on_axis, 1.0, rho)
-    w = waist_at(beam, zl)
     arg = 2.0 * rho * rho / (w * w)
-    lag = laguerre_poly(beam.radial_p, l, arg)
-    lag_deriv = laguerre_poly(beam.radial_p - 1, l + 1, arg) if beam.radial_p > 0 else 0.0
-    pref = beam.amp_scale * beam.norm / np.sqrt(1.0 + (zl / zr) ** 2)
-    envelope = pref * (np.sqrt(2.0) * rho / w) ** l * np.exp(-0.5 * arg)
-    amplitude = envelope * lag
-    x_dr = envelope * ((0.5 * (l - arg)) * lag - arg * lag_deriv)
+    power = (_SQRT2 * rho / w) ** l
+    gauss = np.exp(-0.5 * arg)
+    scale = beam.amp_scale * beam.norm
+    # U takes the operations of mode_amplitude in the same order, so the two
+    # agree exactly
+    axial = np.sqrt(1.0 + u ** 2)
+    # envelope * slope is pref * x R'(x); for p = 0 the envelope is U itself
+    envelope = scale * (power * gauss) / axial
+    if p:
+        lag = laguerre_poly(p, l, arg)
+        amplitude = scale * (power * lag * gauss) / axial
+        slope = 0.5 * (l - arg) * lag - arg * laguerre_poly(p - 1, l + 1, arg)
+    else:
+        amplitude = envelope
+        slope = 0.5 * (l - arg)
+    x_dr = envelope * slope
+    den = zl * zl + zr * zr
+    off_axis = rho > AXIS_RHO
     shape = (3,) + np.broadcast(rho, np.asarray(pt.phi), zl).shape
     grad_amplitude = np.zeros(shape)
-    grad_amplitude[0] = np.where(on_axis, 0.0, 2.0 * x_dr / safe_rho)
+    np.divide(2.0 * x_dr, rho, out=grad_amplitude[0, ...], where=off_axis)
     grad_amplitude[2] = -beam.direction * zl * (amplitude + 2.0 * x_dr) / den
-    grad_phase = np.empty(shape)
-    grad_phase[0] = np.where(on_axis, 0.0, k * rho * zl / den)
-    grad_phase[1] = np.where(on_axis, 0.0, beam.azimuthal_sign * beam.winding_l / safe_rho)
-    grad_phase[2] = beam.direction * (k - (2.0 * beam.radial_p + l + 1.0) * zr / den
+    grad_phase = np.zeros(shape)
+    np.divide(k * rho * zl, den, out=grad_phase[0, ...], where=off_axis)
+    np.divide(beam.azimuthal_sign * beam.winding_l, rho, out=grad_phase[1, ...],
+              where=off_axis)
+    grad_phase[2] = beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
                                       + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den))
-    return grad_amplitude, grad_phase
+    return amplitude, _phase(beam, zl, pt, t), grad_amplitude, grad_phase
+
+
+def mode_gradient(beam, pt):
+    """Gradients ``(grad_amplitude, grad_phase)`` of the mode's amplitude and
+    phase, each stacked as [d/drho, (1/rho) d/dphi, d/dz] along axis 0; the
+    last two entries of ``mode_jet``, whose docstring gives the closed forms
+    and the on-axis convention."""
+    return mode_jet(beam, pt)[2:]
 
 
 def mode_field(beam, pt, t=0.0):

@@ -170,10 +170,12 @@ def _static_phases(pair, pt, t):
     delta_k * z + delta_omega * t of beam 2 avoids forming huge phases whose
     difference would lose precision.
     """
-    th1 = mode_phase(pair.beam1, pt)
-    th2 = mode_phase(pair.beam2, pt) + pair.delta_k * np.asarray(pt.z) \
-        + pair.delta_omega * t
-    return th1, th2
+    return mode_phase(pair.beam1, pt), _offset_phase(pair, pt, t, mode_phase(pair.beam2, pt))
+
+
+def _offset_phase(pair, pt, t, th2):
+    """Beam 2's static phase th2 plus its offsets delta_k * z + delta_omega * t."""
+    return th2 + pair.delta_k * np.asarray(pt.z) + pair.delta_omega * t
 
 
 def _pair_terms(pair, pt, t):

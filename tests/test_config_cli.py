@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from vortexlattice import cli
 from vortexlattice.cli import main
-from vortexlattice.config import SECTION_KEYS, RunConfig, parse_quantity
+from vortexlattice.config import MAX_GRID_POINTS, SECTION_KEYS, RunConfig, parse_quantity
 from vortexlattice.constants import AMU
 from vortexlattice.errors import ConfigError
 
@@ -188,9 +188,9 @@ def test_trajectory_flags_are_read():
     assert {f: getattr(integrator, f) for f in flags} == flags
 
 
-# every key but the grid sizes: a huge generated size would allocate the grid
-FUZZED_KEYS = [(section, key) for section, keys in SECTION_KEYS.items() for key in keys
-               if key not in ("n_rho", "n_z", "n")]
+# every key, the grid sizes included: MAX_GRID_POINTS bounds what a generated
+# size can allocate
+FUZZED_KEYS = [(section, key) for section, keys in SECTION_KEYS.items() for key in keys]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -205,6 +205,38 @@ def test_from_dict_accepts_or_raises_config_error(where, value):
     except ConfigError:
         return
     json.dumps(run.to_si_dict(), allow_nan=False)
+
+
+@pytest.mark.parametrize("section,sizes", [
+    ("grid", {"n_rho": MAX_GRID_POINTS + 1}),
+    ("grid", {"n_z": MAX_GRID_POINTS + 1}),
+    ("rings_grid", {"n_rho": 10_000, "n_z": MAX_GRID_POINTS // 10_000 + 1}),
+    ("rings_grid", {"n_rho": 10 ** 30, "n_z": 10 ** 30}),
+    ("xy_grid", {"n": 7072}),           # 7072^2 points
+    ("xy_grid", {"n": MAX_GRID_POINTS + 1})])
+def test_grid_sizes_are_bounded(tmp_path, section, sizes):
+    """A grid of more than MAX_GRID_POINTS points is a ConfigError (exit 2),
+    raised before any axis is allocated."""
+    cfg = full_config()
+    cfg[section].update(sizes)
+    with pytest.raises(ConfigError, match=str(MAX_GRID_POINTS)):
+        RunConfig.from_dict(cfg)
+    path = write_config(tmp_path, cfg)
+    assert run_cli(["field-map", "--config", path, "--out", tmp_path / "o"]) == 2
+
+
+def test_grid_sizes_at_the_bound_load():
+    cfg = full_config()
+    cfg["grid"].update(n_rho=10_000, n_z=MAX_GRID_POINTS // 10_000)
+    cfg["xy_grid"]["n"] = 7071
+    run = RunConfig.from_dict(cfg)
+    assert run.grid.axis1.size * run.grid.axis2.size == MAX_GRID_POINTS
+    assert all(g.axis1.size == 7071 for g in run.xy)
+    for section, key in (("grid", "n_rho"), ("rings_grid", "n_z"), ("xy_grid", "n")):
+        cfg = full_config()
+        cfg[section][key] = 1
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be >= 2"):
+            RunConfig.from_dict(cfg)
 
 
 def test_config_file_read_errors_are_config_errors(tmp_path):

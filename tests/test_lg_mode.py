@@ -74,6 +74,21 @@ def test_norm_constant_default_and_override():
     assert beam(l=80).norm > 0.0
 
 
+@pytest.mark.parametrize("p", [0, 1, 5, 10, 20, 40])
+@pytest.mark.parametrize("l", [0, 1, 7, 30, 80])
+def test_normalisation_up_to_large_p(l, p):
+    """Int 2 pi rho U^2 drho = pi w0^2 / 2 in the focal plane, to 1e-6, for p
+    up to 40 (the range laguerre_poly's docstring states).  Composite
+    Simpson over 4001 radii out to x = 2 rho^2 / w0^2 = 4p + 2|l| + 60,
+    where the integrand has fallen below 1e-9 of its peak."""
+    b = beam(l=-l, p=p, direction=-1, focal_z=2e-5)
+    rho = np.linspace(0.0, b.waist_w0 * math.sqrt(2.0 * p + l + 30.0), 4001)
+    f = 2.0 * np.pi * rho * mode_amplitude(b, CylPoint(rho=rho, phi=0.0, z=2e-5)) ** 2
+    h = rho[1] - rho[0]
+    integral = h / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum() + f[-1])
+    assert integral == pytest.approx(0.5 * np.pi * b.waist_w0 ** 2, rel=1e-6)
+
+
 def test_amplitude_on_axis():
     pt = CylPoint(rho=0.0, phi=0.4, z=1e-5)
     assert mode_amplitude(beam(l=1), pt) == 0.0
