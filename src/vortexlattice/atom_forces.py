@@ -221,11 +221,8 @@ def _force_prefactor(atom, omega, delta):
 
 
 def _single_scattering(atom, beam, pt, vel, mode, amp_ref):
-    if mode == _REDUCED:
-        u, grad = mode_amplitude(beam, pt), _beam_phase_gradient(beam, pt, mode)
-    else:
-        u, _, _, grad = mode_jet(beam, pt)
-    omega = rabi_at(atom, u, amp_ref)
+    omega = rabi_at(atom, mode_amplitude(beam, pt), amp_ref)
+    grad = _beam_phase_gradient(beam, pt, mode)
     pref = _force_prefactor(atom, omega, detuning_eff(atom, vel, grad))
     return ForceVec(pref * grad[0], pref * grad[1], pref * grad[2])
 

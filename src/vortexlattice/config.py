@@ -172,23 +172,16 @@ def _atom(raw):
         raise ConfigError(str(exc)) from exc
 
 
-def _check_grid(name, sizes, points):
-    """Each axis size in ``sizes`` (key -> samples) must be at least 2, and
-    the grid may hold at most MAX_GRID_POINTS points."""
-    for key, n in sizes.items():
-        if n < 2:
-            raise ConfigError(f"{name}.{key} must be >= 2")
-    if points > MAX_GRID_POINTS:
-        raise ConfigError(f"{name}: {points} grid points exceed the limit of {MAX_GRID_POINTS}")
-
-
 def _grid(raw, key):
     sec = _section(raw, key)
     if sec is None:
         return None
     n_rho = _get_int(sec, "n_rho", key, required=True)
     n_z = _get_int(sec, "n_z", key, required=True)
-    _check_grid(key, {"n_rho": n_rho, "n_z": n_z}, n_rho * n_z)
+    # each axis is bounded too: with the other size <= 0 the product says
+    # nothing, and the rho axis is allocated before the z axis is rejected
+    if max(n_rho, n_z, n_rho * n_z) > MAX_GRID_POINTS:
+        raise ConfigError(f"{key}: {n_rho} x {n_z} grid points exceed the limit of {MAX_GRID_POINTS}")
     try:
         return GridSpec.rho_z(
             rho_min=_get(sec, "rho_min", "length", key, default=0.0),
@@ -210,7 +203,10 @@ def _xy(raw):
         return ()
     half_width = _get(sec, "half_width", "length", "xy_grid", required=True)
     n = _get_int(sec, "n", "xy_grid", required=True)
-    _check_grid("xy_grid", {"n": n}, n * n)
+    if n < 2:
+        raise ConfigError("xy_grid.n must be >= 2")
+    if n * n > MAX_GRID_POINTS:
+        raise ConfigError(f"xy_grid: {n} x {n} grid points exceed the limit of {MAX_GRID_POINTS}")
     slices = sec.get("z_slices", [0.0])
     if not isinstance(slices, list) or not slices:
         raise ConfigError("xy_grid.z_slices must be a non-empty list")

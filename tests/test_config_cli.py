@@ -212,6 +212,7 @@ def test_from_dict_accepts_or_raises_config_error(where, value):
     ("grid", {"n_z": MAX_GRID_POINTS + 1}),
     ("rings_grid", {"n_rho": 10_000, "n_z": MAX_GRID_POINTS // 10_000 + 1}),
     ("rings_grid", {"n_rho": 10 ** 30, "n_z": 10 ** 30}),
+    ("grid", {"n_rho": 10 ** 12, "n_z": 0}),   # product 0, axis still bounded
     ("xy_grid", {"n": 7072}),           # 7072^2 points
     ("xy_grid", {"n": MAX_GRID_POINTS + 1})])
 def test_grid_sizes_are_bounded(tmp_path, section, sizes):
@@ -232,10 +233,12 @@ def test_grid_sizes_at_the_bound_load():
     run = RunConfig.from_dict(cfg)
     assert run.grid.axis1.size * run.grid.axis2.size == MAX_GRID_POINTS
     assert all(g.axis1.size == 7071 for g in run.xy)
-    for section, key in (("grid", "n_rho"), ("rings_grid", "n_z"), ("xy_grid", "n")):
+    for section, key, msg in (("grid", "n_rho", "axis1 must be a 1-D array of at least 2"),
+                              ("rings_grid", "n_z", "axis2 must be a 1-D array of at least 2"),
+                              ("xy_grid", "n", "xy_grid.n must be >= 2")):
         cfg = full_config()
         cfg[section][key] = 1
-        with pytest.raises(ConfigError, match=f"{section}.{key} must be >= 2"):
+        with pytest.raises(ConfigError, match=msg):
             RunConfig.from_dict(cfg)
 
 
