@@ -10,15 +10,14 @@ import math
 
 import numpy as np
 
-from vortexlattice.lg_mode import (BeamSpec, CylPoint, mode_amplitude,
-                                   mode_phase, rayleigh_range, waist_at)
+from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_phase, waist_at
 
 wavelength = 589.16e-9
 w0 = 8e-6
 l = 3
 
 beam = BeamSpec(wavelength=wavelength, waist_w0=w0, winding_l=l)
-zr = rayleigh_range(beam)
+zr = beam.rayleigh_range
 print(f"LG mode l={l}, p=0, waist {w0 * 1e6:.1f} um")
 print(f"Rayleigh range: {zr * 1e6:.1f} um")
 

@@ -14,17 +14,15 @@ from .dynamics import (IntegratorConfig, TrajectoryState, angular_momentum,
 from .errors import (ConfigError, DarkPointError, DegenerateGeometryError,
                      DivergenceError, ResolutionError, RingDetectionError,
                      StepSizeError, VortexLatticeError)
-from .lg_mode import (BeamSpec, CylPoint, FieldSample, laguerre_poly,
-                      mode_amplitude, mode_field, mode_gradient, mode_jet,
-                      mode_phase, rayleigh_range, waist_at, wrap_phase)
+from .lg_mode import (BeamSpec, CylPoint, laguerre_poly, mode_amplitude,
+                      mode_jet, mode_phase, waist_at, wrap_phase)
 from .ring_analysis import (RadialSplit, Ring, RingSet, RingSplit,
                             double_ring_radii, find_rings, measure_axial_drift,
                             measure_rotation_rate, radial_separation,
                             suggested_sample_dt)
 from .superpose import (FieldMap, GridSpec, PairSpec, PhaseDifference,
-                        amplitude_map, curvature_difference_closed_form,
-                        gouy_difference_closed_form, intensity_map, pair_complex,
-                        pair_field, phase_difference, total_amplitude,
+                        amplitude_map, gouy_difference_closed_form, intensity_map,
+                        pair_complex, phase_difference, total_amplitude,
                         total_phase)
 
 __version__ = "0.1.0"

@@ -123,7 +123,8 @@ def _pair_amp_ref(pair):
     if ref <= 0.0:
         ref = pair.beam2.amp_scale
     if ref <= 0.0:
-        raise ValueError("at least one beam must have a positive amp_scale")
+        raise DegenerateGeometryError("both beams have amp_scale 0, so no amplitude "
+                                      "sets the Rabi frequency")
     return ref
 
 

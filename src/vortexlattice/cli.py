@@ -2,7 +2,7 @@
 
 Subcommands: field-map, spring-sweep, rings, ferris, trajectory.  All take
 --config (JSON run configuration), --out (output directory) and --threads;
-trajectory also takes --mode, which overrides the config's mode.phase.  Exit
+trajectory also takes --mode, the force model ("reduced" by default).  Exit
 codes: 0 success, 2 configuration problems, 3 numerical or resolution
 failures, 4 I/O failures.
 """
@@ -83,17 +83,10 @@ def cmd_field_map(cfg, args, out, threads):
 
 def cmd_spring_sweep(cfg, args, out, threads):
     atom = _need_atom(cfg)
-    if args.d_min is not None and args.d_max is not None and args.steps is not None:
-        d_min, d_max, steps = args.d_min, args.d_max, args.steps
-    elif cfg.sweep is not None:
-        d_min, d_max, steps = cfg.sweep
-    else:
-        raise ConfigError("spring-sweep needs --d-min/--d-max/--steps or a "
-                          "'sweep' config section")
-    if steps < 2 or d_max <= d_min or d_min < 0.0:
-        raise ConfigError("invalid sweep range")
+    if cfg.sweep is None:
+        raise ConfigError("spring-sweep needs a 'sweep' config section")
     rows = []
-    for d in np.linspace(d_min, d_max, steps):
+    for d in np.linspace(*cfg.sweep):
         pair_d = _pair_with_d(cfg.pair, float(d))
         k0 = spring_constant_k0(atom, pair_d)
         numeric = -axial_force_slope(atom, pair_d, central_ring_radius(pair_d))
@@ -104,10 +97,9 @@ def cmd_spring_sweep(cfg, args, out, threads):
 
 
 def cmd_rings(cfg, args, out, threads):
-    region = cfg.rings_grid if cfg.rings_grid is not None else cfg.grid
-    if region is None:
-        raise ConfigError("rings needs a 'rings_grid' (or 'grid') section")
-    ringset = find_rings(cfg.pair, region, n_threads=threads)
+    if cfg.rings_grid is None:
+        raise ConfigError("rings needs a 'rings_grid' section")
+    ringset = find_rings(cfg.pair, cfg.rings_grid, n_threads=threads)
     json_path = out / "rings.json"
     ringset.write_json(json_path)
     written = [json_path]
@@ -269,9 +261,6 @@ def build_parser():
 
     p = sub.add_parser("spring-sweep", parents=[common],
                        help="axial spring constant vs focal-plane separation")
-    p.add_argument("--d-min", type=float, default=None, help="smallest d (m)")
-    p.add_argument("--d-max", type=float, default=None, help="largest d (m)")
-    p.add_argument("--steps", type=int, default=None, help="number of d samples")
     p.set_defaults(func=cmd_spring_sweep)
 
     p = sub.add_parser("rings", parents=[common],
@@ -285,7 +274,7 @@ def build_parser():
     p = sub.add_parser("trajectory", parents=[common],
                        help="integrate one atom trajectory")
     p.add_argument("--mode", choices=tuple(FORCE_MODELS), default=None,
-                   help="force model, overriding the config's mode.phase")
+                   help="force model (default: reduced)")
     p.set_defaults(func=cmd_trajectory)
     return parser
 

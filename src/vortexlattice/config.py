@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .atom_forces import AtomSpec, Velocity
 from .constants import AMU
-from .dynamics import FORCE_MODELS, IntegratorConfig, TrajectoryState
+from .dynamics import IntegratorConfig, TrajectoryState
 from .errors import ConfigError
 from .lg_mode import CylPoint
 from .superpose import GridSpec, PairSpec
@@ -47,7 +47,6 @@ SECTION_KEYS = {
     "beams": ("wavelength", "waist", "l1", "l2", "p", "amp1", "amp2", "azimuthal_sign2"),
     "pair": ("d", "delta_omega", "delta_k"),
     "atom": ("mass", "gamma", "delta0", "rabi"),
-    "mode": ("phase",),
     "grid": _GRID_KEYS,
     "rings_grid": _GRID_KEYS,
     "xy_grid": ("half_width", "n", "z_slices", "time"),
@@ -223,6 +222,8 @@ def _sweep(raw):
     if steps < 2:
         raise ConfigError("sweep.steps must be >= 2")
     d_min = _get(sec, "d_min", "length", "sweep", required=True)
+    if d_min < 0.0:
+        raise ConfigError("sweep.d_min must be >= 0")
     d_max = _get(sec, "d_max", "length", "sweep", required=True)
     if d_max <= d_min:
         raise ConfigError("sweep.d_max must exceed sweep.d_min")
@@ -239,7 +240,7 @@ def _ferris(raw):
     return tuple(parse_quantity(s, "time", "ferris.t_samples") for s in samples)
 
 
-def _trajectory(raw, force_model):
+def _trajectory(raw):
     """Initial state and integrator settings, or (None, None)."""
     sec = _section(raw, "trajectory")
     if sec is None:
@@ -254,7 +255,6 @@ def _trajectory(raw, force_model):
         integrator = IntegratorConfig(
             step=_get(sec, "step", "time", "trajectory", required=True),
             duration=_get(sec, "duration", "time", "trajectory", required=True),
-            force_model=force_model,
             velocity_coupling=_get_bool(sec, "velocity_coupling", "trajectory", False),
             include_scattering=_get_bool(sec, "include_scattering", "trajectory", True),
             include_dipole=_get_bool(sec, "include_dipole", "trajectory", False),
@@ -298,11 +298,7 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         _reject_unknown(raw, SECTION_KEYS, "config section(s)")
-        mode_sec = _section(raw, "mode") or {}
-        phase = mode_sec.get("phase", "reduced")
-        if not isinstance(phase, str) or phase not in FORCE_MODELS:
-            raise ConfigError("mode.phase must be 'reduced' or 'full'")
-        init, integrator = _trajectory(raw, phase)
+        init, integrator = _trajectory(raw)
         return cls(pair=_pair(raw), atom=_atom(raw),
                    grid=_grid(raw, "grid"), rings_grid=_grid(raw, "rings_grid"),
                    xy=_xy(raw), sweep=_sweep(raw), ferris_times=_ferris(raw),

@@ -22,15 +22,11 @@ _SQRT2 = math.sqrt(2.0)
 __all__ = [
     "BeamSpec",
     "CylPoint",
-    "FieldSample",
     "AXIS_RHO",
     "laguerre_poly",
     "mode_amplitude",
-    "mode_field",
-    "mode_gradient",
     "mode_jet",
     "mode_phase",
-    "rayleigh_range",
     "waist_at",
     "wrap_phase",
 ]
@@ -138,27 +134,6 @@ class CylPoint:
     @classmethod
     def from_cartesian(cls, x, y, z):
         return cls(rho=np.hypot(x, y), phi=np.arctan2(y, x), z=z)
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Field amplitude (>= 0) and phase at one point or grid of points."""
-
-    amplitude: float
-    phase: float
-
-    @property
-    def intensity(self):
-        return self.amplitude ** 2
-
-    @property
-    def complex_value(self):
-        return self.amplitude * np.exp(1j * self.phase)
-
-
-def rayleigh_range(beam):
-    """Rayleigh range pi * w0^2 / lambda of a beam (m)."""
-    return beam.rayleigh_range
 
 
 def waist_at(beam, z_local):
@@ -314,19 +289,3 @@ def mode_jet(beam, pt, t=0.0):
     grad_phase[2] = beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
                                       + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den))
     return amplitude, _phase(beam, zl, pt, t), grad_amplitude, grad_phase
-
-
-def mode_gradient(beam, pt):
-    """Gradients ``(grad_amplitude, grad_phase)`` of the mode's amplitude and
-    phase, each stacked as [d/drho, (1/rho) d/dphi, d/dz] along axis 0; the
-    last two entries of ``mode_jet``, whose docstring gives the closed forms
-    and the on-axis convention."""
-    return mode_jet(beam, pt)[2:]
-
-
-def mode_field(beam, pt, t=0.0):
-    """Amplitude and principal-value phase of the mode as a FieldSample."""
-    return FieldSample(
-        amplitude=mode_amplitude(beam, pt),
-        phase=wrap_phase(mode_phase(beam, pt, t=t)),
-    )

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .lg_mode import BeamSpec, CylPoint, FieldSample, mode_amplitude, mode_phase, wrap_phase
+from .lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_phase
 
 __all__ = [
     "BLOCK_POINTS",
@@ -21,11 +21,9 @@ __all__ = [
     "PairSpec",
     "PhaseDifference",
     "amplitude_map",
-    "curvature_difference_closed_form",
     "gouy_difference_closed_form",
     "intensity_map",
     "pair_complex",
-    "pair_field",
     "phase_difference",
     "total_amplitude",
     "total_phase",
@@ -123,43 +121,22 @@ def phase_difference(pair, pt):
     return PhaseDifference(plane, azimuthal, gouy, curvature)
 
 
-def gouy_difference_closed_form(pair, z, offset_subtracted=False):
-    """Single-arctangent form of the Gouy part of the phase difference, for
-    equal beams.
+def gouy_difference_closed_form(pair, z):
+    """Single-arctangent form -(|l| + 1) * atan2(2 z z_R, z_R^2 - z^2 + d^2/4)
+    of the Gouy part of the phase difference, for equal beams.
 
-    With ``offset_subtracted=False`` this evaluates
-    -(|l| + 1) * atan2(2 z z_R, z_R^2 - z^2 + d^2/4), which reproduces the
-    sum of the two per-beam arctangent terms exactly (two-argument form keeps
-    the branch right).  ``offset_subtracted=True`` instead groups the focal
-    offset with z^2 in the denominator, z_R^2 - (z^2 + d^2/4); that variant
-    fails the arctangent addition identity and is kept only as a diagnostic.
+    It reproduces the sum of the two per-beam arctangent terms exactly; the
+    two-argument form keeps the branch right.  By the arctangent subtraction
+    identity the denominator is z_R^2 plus the product (d/2 + z)(d/2 - z) of
+    the beams' local offsets, so d^2/4 enters with the sign opposite to z^2
+    and grouping it with z^2, as z_R^2 - (z^2 + d^2/4), is wrong.
     """
     b = pair.beam1
     l = abs(b.winding_l)
     zr = b.rayleigh_range
     d = pair.separation_d
     z = np.asarray(z)
-    if offset_subtracted:
-        den = zr * zr - (z * z + 0.25 * d * d)
-    else:
-        den = zr * zr - z * z + 0.25 * d * d
-    return -(l + 1.0) * np.arctan2(2.0 * z * zr, den)
-
-
-def curvature_difference_closed_form(pair, rho, z):
-    """Small-separation estimate k rho^2 d / (2 (z^2 + z_R^2)) of the
-    curvature part of the phase difference.
-
-    Diagnostic only: the exact curvature difference of the mirror-symmetric
-    pair is odd in z and vanishes at z = 0, while this expression is even in
-    z and proportional to d, so the two agree nowhere except at rho = 0.
-    Compare against ``phase_difference(...).curvature`` to see the gap.
-    """
-    b = pair.beam1
-    zr = b.rayleigh_range
-    z = np.asarray(z)
-    rho = np.asarray(rho)
-    return b.wavenumber * rho * rho * pair.separation_d / (2.0 * (z * z + zr * zr))
+    return -(l + 1.0) * np.arctan2(2.0 * z * zr, zr * zr - z * z + 0.25 * d * d)
 
 
 def _static_phases(pair, pt, t):
@@ -224,13 +201,6 @@ def total_phase(pair, pt, t=0.0):
     """Principal-value phase of the two-beam field; NaN at dark points
     (total amplitude <= DARK_FRACTION * max(U1, U2))."""
     return _phase_of(*_pair_terms(pair, pt, t))
-
-
-def pair_field(pair, pt, t=0.0):
-    """Total amplitude and phase as a FieldSample (phase NaN at dark points),
-    from one evaluation of each mode."""
-    terms = _pair_terms(pair, pt, t)
-    return FieldSample(amplitude=_amplitude_of(*terms), phase=_phase_of(*terms))
 
 
 @dataclass(frozen=True)
@@ -385,9 +355,9 @@ def intensity_map(pair, grid, n_threads=1):
     phase = np.empty((n2, n1))
 
     def fill(rows):
-        sample = pair_field(pair, _block_points(grid, rows), t=grid.time)
-        amplitude[rows] = sample.amplitude
-        phase[rows] = sample.phase
+        terms = _pair_terms(pair, _block_points(grid, rows), grid.time)
+        amplitude[rows] = _amplitude_of(*terms)
+        phase[rows] = _phase_of(*terms)
 
     _fill_blocks(grid, n_threads, fill)
     return FieldMap(grid=grid, amplitude=amplitude, phase=phase,

@@ -73,7 +73,7 @@ def test_reduced_gradient_per_beam():
 
 def full_gradient_analytic(beam, pt):
     """Closed-form gradient of the single-beam phase, written out here
-    independently of lg_mode.mode_gradient."""
+    independently of lg_mode.mode_jet."""
     k = beam.wavenumber
     zr = beam.rayleigh_range
     zl = beam.direction * (pt.z - beam.focal_z)

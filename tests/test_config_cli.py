@@ -119,10 +119,11 @@ def test_from_dict_validation():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"beams": {"wavelength": "589nm"}})  # no waist
     with pytest.raises(ConfigError):
-        RunConfig.from_dict(base_config(mode={"phase": "exotic"}))
-    with pytest.raises(ConfigError):
         RunConfig.from_dict(base_config(sweep={"d_min": 0.0, "d_max": "1um",
                                                "steps": 1}))
+    with pytest.raises(ConfigError, match="sweep.d_min"):
+        RunConfig.from_dict(base_config(sweep={"d_min": "-1um", "d_max": "1um",
+                                               "steps": 3}))
     with pytest.raises(ConfigError):
         RunConfig.from_dict(base_config(seed=True))
     cfg = base_config()
@@ -139,7 +140,7 @@ def full_config():
         beams={"wavelength": "589.16nm", "waist": "3um", "l1": 2, "l2": 2, "p": 0,
                "amp1": 1.0, "amp2": 1.0, "azimuthal_sign2": -1},
         pair={"d": "8um", "delta_omega": "1kHz", "delta_k": 0.0},
-        mode={"phase": "reduced"}, grid=grid, rings_grid=dict(grid),
+        grid=grid, rings_grid=dict(grid),
         xy_grid={"half_width": "6um", "n": 5, "z_slices": [0.0, "1um"], "time": 0.0},
         sweep={"d_min": 0.0, "d_max": "10um", "steps": 3},
         ferris={"t_samples": [0.0, "1us"]},
@@ -158,7 +159,7 @@ def test_full_config_sets_every_accepted_key():
 
 
 @pytest.mark.parametrize("section,key", [
-    (None, "seed"), (None, "grids"), ("mode", "combine"),
+    (None, "seed"), (None, "grids"), (None, "mode"),
     ("trajectory", "include_dipol"), ("beams", "wavelenght"), ("grid", "kind")])
 def test_unknown_keys_are_rejected(tmp_path, section, key):
     cfg = full_config()
@@ -287,6 +288,66 @@ def test_to_si_dict_echo():
     assert echo["atom"]["rabi"] == pytest.approx(TWO_PI * 10.01e6)
 
 
+LENGTH_UNITS = {"um": 1e-6, "nm": 1e-9}
+RATE_UNITS = {"Hz": TWO_PI, "MHz": TWO_PI * 1e6}
+TIME_UNITS = {"us": 1e-6, "ms": 1e-3}
+
+
+@st.composite
+def round_trip_configs(draw):
+    """Configs setting beams, pair, atom, sweep and ferris, each quantity a
+    bare SI number or a unit-suffixed string, optional keys left out at
+    random."""
+    def value(lo, hi):
+        return draw(st.floats(lo, hi, allow_subnormal=False))
+
+    def quantity(si, units):
+        suffix = draw(st.sampled_from(["", *units]))
+        return si if suffix == "" else f"{si / units[suffix]!r}{suffix}"
+
+    def maybe(section, key, make):
+        if draw(st.booleans()):
+            section[key] = make()
+
+    beams = {"wavelength": quantity(value(300e-9, 2e-6), LENGTH_UNITS),
+             "waist": quantity(value(1e-6, 1e-4), LENGTH_UNITS),
+             "l1": draw(st.integers(-80, 80))}
+    maybe(beams, "l2", lambda: draw(st.integers(-80, 80)))
+    maybe(beams, "p", lambda: draw(st.integers(0, 3)))
+    maybe(beams, "amp1", lambda: value(0.0, 3.0))
+    maybe(beams, "amp2", lambda: value(0.0, 3.0))
+    maybe(beams, "azimuthal_sign2", lambda: draw(st.sampled_from([1, -1])))
+    pair = {}
+    maybe(pair, "d", lambda: quantity(value(0.0, 1e-3), LENGTH_UNITS))
+    maybe(pair, "delta_omega", lambda: quantity(value(-1e8, 1e8), RATE_UNITS))
+    maybe(pair, "delta_k", lambda: value(-1e3, 1e3))
+    atom = {"mass": draw(st.sampled_from([3.8175e-26, "22.99amu", "1.44e-25kg"])),
+            "gamma": quantity(value(1e5, 1e9), RATE_UNITS),
+            "delta0": quantity(value(-1e9, 1e9), RATE_UNITS),
+            "rabi": quantity(value(0.0, 1e9), RATE_UNITS)}
+    d_min = value(0.0, 1e-3)
+    sweep = {"d_min": quantity(d_min, LENGTH_UNITS),
+             "d_max": quantity(d_min + value(1e-9, 1e-3), LENGTH_UNITS),
+             "steps": draw(st.integers(2, 500))}
+    ferris = {"t_samples": [quantity(value(0.0, 1e-2), TIME_UNITS)
+                            for _ in range(draw(st.integers(1, 4)))]}
+    return {"beams": beams, "pair": pair, "atom": atom, "sweep": sweep, "ferris": ferris}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw=round_trip_configs())
+def test_si_echo_round_trips(raw):
+    """The SI echo of a loaded config, written as JSON and loaded again,
+    rebuilds the same pair, atom, sweep range and ferris times."""
+    first = RunConfig.from_dict(raw)
+    echo = json.loads(json.dumps(first.to_si_dict(), allow_nan=False))
+    second = RunConfig.from_dict(echo)
+    assert second.pair == first.pair
+    assert second.atom == first.atom
+    assert second.sweep == first.sweep
+    assert second.ferris_times == first.ferris_times
+
+
 # ---------------------------------------------------------------------- cli
 
 def test_cli_import_does_not_load_scipy_signal():
@@ -337,13 +398,14 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
     assert blobs[1] == blobs[4]
 
 
-def test_cli_spring_sweep_flag_override(tmp_path):
-    path = write_config(tmp_path, base_config())
-    out = tmp_path / "sweep"
+def test_cli_spring_sweep_config_range(tmp_path):
+    """spring-sweep runs the config's sweep range; it has no flags to set
+    the range, and without a sweep section it is a configuration error."""
     zr = math.pi * (3e-6) ** 2 / 589.16e-9
-    code = run_cli(["spring-sweep", "--config", path, "--out", out,
-                    "--d-min", 0.0, "--d-max", 2.0 * zr, "--steps", 7])
-    assert code == 0
+    path = write_config(tmp_path, base_config(sweep={"d_min": 0.0, "d_max": 2.0 * zr,
+                                                     "steps": 7}))
+    out = tmp_path / "sweep"
+    assert run_cli(["spring-sweep", "--config", path, "--out", out]) == 0
     data = np.genfromtxt(out / "spring_sweep.csv", delimiter=",", names=True)
     assert data.shape[0] == 7
     assert data["d"][0] == 0.0 and data["K0_analytic"][0] == 0.0
@@ -351,6 +413,11 @@ def test_cli_spring_sweep_flag_override(tmp_path):
     rel = np.abs(data["K0_numeric"][pos] - data["K0_analytic"][pos])
     rel /= data["K0_analytic"][pos]
     assert np.max(rel) < 1e-6
+    for flag in ("--d-min", "--d-max", "--steps"):
+        assert cli_exit_code(["spring-sweep", "--config", path, "--out", out,
+                              flag, 3]) == 2
+    no_sweep = write_config(tmp_path, base_config(), "no_sweep.json")
+    assert run_cli(["spring-sweep", "--config", no_sweep, "--out", out]) == 2
 
 
 def test_cli_rings_small_case(tmp_path):
@@ -396,6 +463,17 @@ def test_cli_mode_override_recorded(tmp_path):
         "grid.json")
     assert cli_exit_code(["field-map", "--config", grid, "--out", tmp_path / "fm",
                           "--mode", "full"]) == 2
+
+
+def test_cli_dark_pair_is_a_numerical_error(tmp_path):
+    """With both beams off no amplitude sets the Rabi frequency: the force
+    commands exit 3 on both sample configs."""
+    for name, command in (("trajectory.json", "trajectory"),
+                          ("spring_sweep.json", "spring-sweep")):
+        cfg = json.loads((REPO / "configs" / name).read_text())
+        cfg["beams"].update(amp1=0.0, amp2=0.0)
+        path = write_config(tmp_path, cfg, name)
+        assert run_cli([command, "--config", path, "--out", tmp_path / command]) == 3
 
 
 def test_cli_exit_codes(tmp_path):

@@ -15,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 from vortexlattice.atom_forces import AtomSpec, phase_gradient, scattering_force
 from vortexlattice.constants import HBAR
 from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, laguerre_poly,
-                                   mode_amplitude, mode_gradient, mode_jet,
-                                   mode_phase, waist_at)
-from vortexlattice.superpose import PairSpec, pair_complex, total_amplitude
+                                   mode_amplitude, mode_jet, mode_phase, waist_at)
+from vortexlattice.errors import VortexLatticeError
+from vortexlattice.ring_analysis import find_rings
+from vortexlattice.superpose import (BLOCK_POINTS, GridSpec, PairSpec, amplitude_map,
+                                     intensity_map, pair_complex, total_amplitude)
 
 WAVELENGTH = 589.16e-9
 GAMMA = 2.0 * math.pi * 10.01e6
@@ -102,12 +104,12 @@ def pairs_and_points(draw, symmetric=False):
 @given(case=beams_and_points(), t=st.sampled_from([0.0, 3.3e-9]))
 def test_mode_jet_equals_separate_calls(case, t):
     """mode_jet's U and Theta are exactly mode_amplitude's and mode_phase's,
-    and its gradients exactly mode_gradient's."""
+    and its gradients are finite and do not depend on t."""
     b, pt = case
     u, theta, grad_u, grad_theta = mode_jet(b, pt, t)
     np.testing.assert_array_equal(u, mode_amplitude(b, pt), strict=True)
     np.testing.assert_array_equal(theta, mode_phase(b, pt, t=t), strict=True)
-    want_u, want_theta = mode_gradient(b, pt)
+    _, _, want_u, want_theta = mode_jet(b, pt)
     np.testing.assert_array_equal(grad_u, want_u, strict=True)
     np.testing.assert_array_equal(grad_theta, want_theta, strict=True)
     assert np.all(np.isfinite(grad_u)) and np.all(np.isfinite(grad_theta))
@@ -206,3 +208,55 @@ def test_axial_force_odd_in_z_for_symmetric_pairs(case):
         there = scattering_force(ATOM, pair, CylPoint(rho=pt.rho, phi=mirrored_phi, z=-z),
                                  mode=mode, combine=combine).f_z
         assert np.all(np.abs(here + there) <= scale)
+
+
+# ------------------------------------------------------------- maps
+
+@st.composite
+def lattices(draw):
+    """A pair with generated l, p, d and delta_omega, the rho_z region
+    find_rings accepts for it (between the foci, at its resolution limits)
+    and a map grid, rho_z or xy; each grid holds at least three row blocks
+    of BLOCK_POINTS points."""
+    w0 = draw(st.floats(3.0, 6.0)) * WAVELENGTH
+    l, p = draw(st.integers(-12, 12)), draw(st.integers(0, 2))
+    d = draw(st.floats(2.0, 30.0)) * WAVELENGTH
+    pair = PairSpec.counterpropagating(WAVELENGTH, w0, l1=l, separation_d=d,
+                                       radial_p=p, delta_omega=draw(st.floats(0.0, 1e7)))
+    z_half = 0.5 * d + WAVELENGTH
+    rho_max = (math.sqrt(0.5 * abs(l) + p) + 2.0) * waist_at(pair.beam1, d)
+    n_rho = math.ceil(rho_max / (w0 / 100.0)) + 1
+    n_z = max(math.ceil(2.0 * z_half / (WAVELENGTH / 20.0)) + 1, 3 * BLOCK_POINTS // n_rho + 1)
+    time = draw(st.floats(0.0, 1e-6))
+    region = GridSpec.rho_z(rho_max=rho_max, n_rho=n_rho, z_min=-z_half, z_max=z_half,
+                            n_z=n_z, phi=draw(st.floats(-math.pi, math.pi)), time=time)
+    if draw(st.booleans()):
+        grid = region
+    else:
+        grid = GridSpec.xy(half_width=rho_max, n=math.ceil(math.sqrt(3 * BLOCK_POINTS)) + 1,
+                           z=draw(st.floats(-1.0, 1.0)) * z_half, time=time)
+    return pair, region, grid
+
+
+def _rings_outcome(pair, region, n_threads):
+    """find_rings' result, or its error, in a form compared exactly (repr
+    keeps every float's bits, and NaN equals NaN)."""
+    try:
+        return repr(find_rings(pair, region, n_threads=n_threads))
+    except VortexLatticeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(case=lattices())
+def test_maps_and_rings_do_not_depend_on_thread_count(case):
+    pair, region, grid = case
+    for g in (region, grid):
+        assert g.axis2.size >= 3 * (BLOCK_POINTS // g.axis1.size)
+    assert np.array_equal(amplitude_map(pair, grid, n_threads=1),
+                          amplitude_map(pair, grid, n_threads=3))
+    one, three = intensity_map(pair, grid, n_threads=1), intensity_map(pair, grid, n_threads=3)
+    assert np.array_equal(one.amplitude, three.amplitude)
+    assert np.array_equal(one.phase, three.phase, equal_nan=True)
+    assert np.array_equal(one.intensity, three.intensity)
+    assert _rings_outcome(pair, region, 1) == _rings_outcome(pair, region, 3)
