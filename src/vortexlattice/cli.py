@@ -46,9 +46,12 @@ def _write_json(path, payload):
 
 def _metadata(out, command, cfg, threads, outputs):
     path = out / f"{command}_metadata.json"
-    _write_json(path, {"command": command, "threads": threads,
-                       "config": cfg.to_si_dict(),
-                       "outputs": [p.name for p in outputs]})
+    payload = {"command": command, "threads": threads, "config": cfg.to_si_dict(),
+               "outputs": [p.name for p in outputs]}
+    # the force model is a run setting (trajectory --mode), not a config key
+    if cfg.trajectory_config is not None:
+        payload["force_model"] = cfg.trajectory_config.force_model
+    _write_json(path, payload)
     return path
 
 

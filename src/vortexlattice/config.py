@@ -309,7 +309,11 @@ class RunConfig:
         return list(self.xy)
 
     def to_si_dict(self):
-        """SI echo of the resolved configuration, for run metadata."""
+        """SI echo of the resolved configuration, for run metadata: every
+        section ``from_dict`` reads, under its own keys and as bare SI
+        numbers, so loading the echo rebuilds this configuration.  Grid
+        endpoints are the axes' first and last samples, which
+        ``np.linspace`` returns exactly."""
         b1, b2 = self.pair.beam1, self.pair.beam2
         out = {
             "beams": {"wavelength": b1.wavelength, "waist": b1.waist_w0,
@@ -324,11 +328,32 @@ class RunConfig:
             out["atom"] = {"mass": self.atom.mass, "gamma": self.atom.gamma,
                            "delta0": self.atom.detuning0,
                            "rabi": self.atom.rabi_omega0}
+        for key in ("grid", "rings_grid"):
+            grid = getattr(self, key)
+            if grid is not None:
+                out[key] = {"rho_min": float(grid.axis1[0]), "rho_max": float(grid.axis1[-1]),
+                            "n_rho": grid.axis1.size,
+                            "z_min": float(grid.axis2[0]), "z_max": float(grid.axis2[-1]),
+                            "n_z": grid.axis2.size, "phi": grid.phi, "time": grid.time}
+        if self.xy:
+            first = self.xy[0]
+            out["xy_grid"] = {"half_width": float(first.axis1[-1]), "n": first.axis1.size,
+                              "z_slices": [g.z_slice for g in self.xy], "time": first.time}
         if self.sweep is not None:
             out["sweep"] = {"d_min": self.sweep[0], "d_max": self.sweep[1],
                             "steps": self.sweep[2]}
         if self.ferris_times:
             out["ferris"] = {"t_samples": list(self.ferris_times)}
-        if self.trajectory_config is not None:
-            out["trajectory"] = {"force_model": self.trajectory_config.force_model}
+        if self.trajectory_init is not None and self.trajectory_config is not None:
+            pos, vel = self.trajectory_init.position, self.trajectory_init.velocity
+            integ = self.trajectory_config
+            out["trajectory"] = {
+                "rho": pos.rho, "phi": pos.phi, "z": pos.z,
+                "v_rho": vel.v_rho, "v_phi": vel.v_phi, "v_z": vel.v_z,
+                "step": integ.step, "duration": integ.duration,
+                "velocity_coupling": integ.velocity_coupling,
+                "include_scattering": integ.include_scattering,
+                "include_dipole": integ.include_dipole,
+                "include_azimuthal": integ.include_azimuthal,
+                "sample_every": integ.sample_every}
         return out

@@ -97,6 +97,49 @@ def _parabolic_vertex(x0, h, y_minus, y0, y_plus):
     return x0 + dx, y0 - 0.125 * (y_minus - y_plus) ** 2 / den
 
 
+def _find_peaks(values, prominence=None, height=None):
+    """Indices, in increasing order, of the peaks of a finite 1-D array.
+
+    A peak is a strict local maximum; a flat plateau counts once, at its
+    middle index (rounded down), and a sample or plateau touching either
+    border is never a peak.  ``height`` keeps peaks whose value is
+    >= height.  ``prominence`` keeps peaks whose prominence is >= it: the
+    peak value minus the higher of its two bases, each base being the
+    minimum from the peak out to the nearest strictly higher sample on that
+    side, or to the border.
+    """
+    x = np.asarray(values, dtype=float)
+    step = np.diff(x)
+    if step.all():
+        peaks = np.flatnonzero((step[:-1] > 0.0) & (step[1:] < 0.0)) + 1
+    else:
+        # collapse each run of equal samples to one, then map back to the
+        # run's middle index
+        starts = np.flatnonzero(np.concatenate(([True], step != 0.0)))
+        level = x[starts]
+        runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+        peaks = (starts[runs] + starts[runs + 1] - 1) // 2
+    if height is not None:
+        peaks = peaks[x[peaks] >= height]
+    if prominence is None or peaks.size == 0:
+        return peaks
+    # a base reaches at least down to the valley between the peak and its
+    # neighbouring peak (or the border), so the prominence is at least the
+    # peak minus the higher of those two valleys; only a peak this lower
+    # bound does not clear needs the walk to the nearest higher sample
+    valley = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    keep = x[peaks] - np.maximum(valley[:-1], valley[1:]) >= prominence
+    for k in np.flatnonzero(~keep):
+        p = peaks[k]
+        top = x[p]
+        higher = np.flatnonzero(x[:p] > top)
+        left = x[higher[-1] + 1 if higher.size else 0:p + 1].min()
+        higher = np.flatnonzero(x[p:] > top)
+        right = x[p:p + higher[0] if higher.size else x.size].min()
+        keep[k] = top - max(left, right) >= prominence
+    return peaks[keep]
+
+
 def _refine_row(axis, values, idx):
     if idx <= 0 or idx >= values.size - 1:
         return axis[idx], values[idx]
@@ -128,10 +171,6 @@ def find_rings(pair, region, n_threads=1):
     Raises RingDetectionError when no interference maxima exist in the
     region.
     """
-    # scipy.signal takes about a second to import; only ring detection and
-    # drift tracking need it, so the CLI's other commands never load it
-    from scipy.signal import find_peaks
-
     b = pair.beam1
     if region.kind != "rho_z":
         raise ResolutionError("ring detection needs a rho_z region")
@@ -151,7 +190,7 @@ def find_rings(pair, region, n_threads=1):
     rows = np.arange(intensity.shape[0])
     ridge_val = intensity[rows, ridge_idx]
 
-    peak_rows, _ = find_peaks(ridge_val, prominence=RIDGE_PROMINENCE * ridge_val.max())
+    peak_rows = _find_peaks(ridge_val, prominence=RIDGE_PROMINENCE * ridge_val.max())
     if peak_rows.size == 0:
         raise RingDetectionError("no interference maxima found in the region")
 
@@ -189,8 +228,8 @@ def find_rings(pair, region, n_threads=1):
         if central:
             continue
         profile = intensity[j]
-        cand, _ = find_peaks(profile, prominence=SPLIT_PROMINENCE * profile.max(),
-                             height=SPLIT_HEIGHT * profile.max())
+        cand = _find_peaks(profile, prominence=SPLIT_PROMINENCE * profile.max(),
+                            height=SPLIT_HEIGHT * profile.max())
         if cand.size < 2:
             continue
         top = cand[np.argsort(profile[cand])[-2:]]
@@ -284,8 +323,6 @@ def measure_axial_drift(pair, rho, t0, t1, z_center=0.0, half_span=None, n_z=120
     between t0 and t1.  The displacement over t1 - t0 must stay well inside
     one fringe; ``suggested_sample_dt`` satisfies this.
     """
-    from scipy.signal import find_peaks
-
     if half_span is None:
         half_span = 1.5 * np.pi / pair.beam1.wavenumber
     z = np.linspace(z_center - half_span, z_center + half_span, int(n_z))
@@ -293,7 +330,7 @@ def measure_axial_drift(pair, rho, t0, t1, z_center=0.0, half_span=None, n_z=120
     def peak_near_center(t):
         amp = total_amplitude(pair, CylPoint(rho=rho, phi=0.0, z=z), t=t)
         intensity = amp * amp
-        cand, _ = find_peaks(intensity)
+        cand = _find_peaks(intensity)
         if cand.size == 0:
             raise RingDetectionError("no fringe maximum on the sampling line")
         j = cand[np.argmin(np.abs(z[cand] - z_center))]

@@ -291,13 +291,13 @@ def test_to_si_dict_echo():
 LENGTH_UNITS = {"um": 1e-6, "nm": 1e-9}
 RATE_UNITS = {"Hz": TWO_PI, "MHz": TWO_PI * 1e6}
 TIME_UNITS = {"us": 1e-6, "ms": 1e-3}
+SPEED_UNITS = {"mm/s": 1e-3}
 
 
 @st.composite
 def round_trip_configs(draw):
-    """Configs setting beams, pair, atom, sweep and ferris, each quantity a
-    bare SI number or a unit-suffixed string, optional keys left out at
-    random."""
+    """Configs setting every section, each quantity a bare SI number or a
+    unit-suffixed string, optional keys and sections left out at random."""
     def value(lo, hi):
         return draw(st.floats(lo, hi, allow_subnormal=False))
 
@@ -331,37 +331,118 @@ def round_trip_configs(draw):
              "steps": draw(st.integers(2, 500))}
     ferris = {"t_samples": [quantity(value(0.0, 1e-2), TIME_UNITS)
                             for _ in range(draw(st.integers(1, 4)))]}
-    return {"beams": beams, "pair": pair, "atom": atom, "sweep": sweep, "ferris": ferris}
+    raw = {"beams": beams, "pair": pair, "atom": atom, "sweep": sweep, "ferris": ferris}
+
+    def grid():
+        rho_min, z_min = value(0.0, 1e-4), value(-1e-3, 1e-3)
+        sec = {"rho_max": quantity(rho_min + value(1e-7, 1e-3), LENGTH_UNITS),
+               "n_rho": draw(st.integers(2, 400)),
+               "z_min": quantity(z_min, LENGTH_UNITS),
+               "z_max": quantity(z_min + value(1e-7, 1e-3), LENGTH_UNITS),
+               "n_z": draw(st.integers(2, 400))}
+        maybe(sec, "rho_min", lambda: quantity(rho_min, LENGTH_UNITS))
+        maybe(sec, "phi", lambda: value(-math.pi, math.pi))
+        maybe(sec, "time", lambda: quantity(value(0.0, 1e-3), TIME_UNITS))
+        return sec
+
+    def xy_grid():
+        sec = {"half_width": quantity(value(1e-7, 1e-3), LENGTH_UNITS),
+               "n": draw(st.integers(2, 300))}
+        maybe(sec, "z_slices", lambda: [quantity(value(-1e-3, 1e-3), LENGTH_UNITS)
+                                        for _ in range(draw(st.integers(1, 3)))])
+        maybe(sec, "time", lambda: quantity(value(0.0, 1e-3), TIME_UNITS))
+        return sec
+
+    def trajectory():
+        step = value(1e-9, 1e-6)
+        sec = {"rho": quantity(value(0.0, 1e-4), LENGTH_UNITS),
+               "z": quantity(value(-1e-3, 1e-3), LENGTH_UNITS),
+               "step": quantity(step, TIME_UNITS),
+               # at least two steps, whatever the units round to
+               "duration": quantity(step * value(2.0, 1e4), TIME_UNITS)}
+        maybe(sec, "phi", lambda: value(-math.pi, math.pi))
+        for key in ("v_rho", "v_phi", "v_z"):
+            maybe(sec, key, lambda: quantity(value(-1.0, 1.0), SPEED_UNITS))
+        for key in ("velocity_coupling", "include_scattering", "include_dipole",
+                    "include_azimuthal"):
+            maybe(sec, key, lambda: draw(st.booleans()))
+        maybe(sec, "sample_every", lambda: draw(st.integers(1, 10)))
+        return sec
+
+    for key, make in (("grid", grid), ("rings_grid", grid), ("xy_grid", xy_grid),
+                      ("trajectory", trajectory)):
+        maybe(raw, key, make)
+    return raw
+
+
+def assert_same_grids(first, second):
+    pairs = [(first.grid, second.grid), (first.rings_grid, second.rings_grid),
+             *zip(first.xy, second.xy)]
+    assert len(first.xy) == len(second.xy)
+    for a, b in pairs:
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a.axis1, b.axis1) and np.array_equal(a.axis2, b.axis2)
+            assert (a.kind, a.phi, a.z_slice, a.time) == (b.kind, b.phi, b.z_slice, b.time)
+
+
+def assert_echo_round_trips(first):
+    """The SI echo, written as JSON and loaded again, echoes itself and
+    rebuilds the same configuration, grid axes bit for bit."""
+    echo = json.loads(json.dumps(first.to_si_dict(), allow_nan=False))
+    second = RunConfig.from_dict(echo)
+    assert second.to_si_dict() == echo
+    assert second.pair == first.pair
+    assert second.atom == first.atom
+    assert second.sweep == first.sweep
+    assert second.ferris_times == first.ferris_times
+    assert second.trajectory_init == first.trajectory_init
+    assert second.trajectory_config == first.trajectory_config
+    assert_same_grids(first, second)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(raw=round_trip_configs())
 def test_si_echo_round_trips(raw):
-    """The SI echo of a loaded config, written as JSON and loaded again,
-    rebuilds the same pair, atom, sweep range and ferris times."""
-    first = RunConfig.from_dict(raw)
-    echo = json.loads(json.dumps(first.to_si_dict(), allow_nan=False))
-    second = RunConfig.from_dict(echo)
-    assert second.pair == first.pair
-    assert second.atom == first.atom
-    assert second.sweep == first.sweep
-    assert second.ferris_times == first.ferris_times
+    assert_echo_round_trips(RunConfig.from_dict(raw))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.json")))
+def test_shipped_config_echo_round_trips(name):
+    assert_echo_round_trips(RunConfig.from_file(REPO / "configs" / name))
 
 
 # ---------------------------------------------------------------------- cli
 
-def test_cli_import_does_not_load_scipy_signal():
-    """scipy.signal costs about a second to import and only ring detection
-    uses it, so importing the CLI must not pull it in."""
+def test_cli_rings_and_ferris_never_import_scipy(tmp_path):
+    """scipy is a test-only dependency: importing the CLI and running the
+    two commands that find peaks (rings and ferris) leave no scipy module
+    in sys.modules."""
     import vortexlattice
     src = str(Path(vortexlattice.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, vortexlattice.cli; print('scipy.signal' in sys.modules)"
+    rings = write_config(tmp_path, base_config(rings_grid={
+        "rho_max": "6um", "n_rho": 201, "z_min": "-4.5um", "z_max": "4.5um", "n_z": 401}),
+        "rings.json")
+    ferris = write_config(tmp_path, {
+        "beams": {"wavelength": "589.16nm", "waist": "11.7832um", "l1": 2},
+        "pair": {"delta_omega": "1kHz"}, "ferris": {"t_samples": [0.0, "125us"]},
+        "xy_grid": {"half_width": "18um", "n": 21}}, "ferris.json")
+    code = (
+        "import json, sys\n"
+        "from vortexlattice.cli import main\n"
+        f"codes = [main(['rings', '--config', {rings!r}, '--out', {str(tmp_path / 'r')!r}]),\n"
+        f"         main(['ferris', '--config', {ferris!r}, '--out', {str(tmp_path / 'f')!r}])]\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0], "scipy": []}
+    assert (tmp_path / "r" / "rings.json").is_file()
+    assert (tmp_path / "f" / "ferris_summary.json").is_file()
 
 
 def run_cli(args):
@@ -456,7 +537,9 @@ def test_cli_mode_override_recorded(tmp_path):
         out = tmp_path / mode
         assert run_cli(["trajectory", "--config", path, "--out", out, *args]) == 0
         meta = json.loads((out / "trajectory_metadata.json").read_text())
-        assert meta["config"]["trajectory"] == {"force_model": mode}
+        assert meta["force_model"] == mode
+        # the config echo holds config keys only, so it loads again
+        assert RunConfig.from_dict(meta["config"]).trajectory_config.force_model == "reduced"
     # --mode changes nothing a map computes, so only trajectory takes it
     grid = write_config(tmp_path, base_config(grid={
         "rho_max": "6um", "n_rho": 20, "z_min": "-5um", "z_max": "5um", "n_z": 21}),

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import find_peaks
 
 from vortexlattice import ring_analysis
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
@@ -13,6 +15,8 @@ from vortexlattice.ring_analysis import (double_ring_radii, find_rings,
                                          measure_rotation_rate,
                                          radial_separation, suggested_sample_dt)
 from vortexlattice.superpose import BLOCK_POINTS, GridSpec, PairSpec, intensity_map
+
+signs = st.sampled_from([1, -1])
 
 WAVELENGTH = 589.16e-9
 
@@ -244,3 +248,86 @@ def test_find_rings_thread_count_invariant():
     two = find_rings(p, region, n_threads=2)
     assert one == two
     assert len(one.rings) >= 10
+
+
+# ------------------------------------------- the peak finder against scipy
+
+def scipy_peaks(values, **kw):
+    return find_peaks(values, **kw)[0]
+
+
+@st.composite
+def peak_cases(draw):
+    """Up to 60 samples drawn from a few integer levels, so plateaus, ties
+    and maxima on the border are common, with the height and prominence
+    thresholds each absent or drawn from the same levels."""
+    level = st.integers(0, draw(st.integers(1, 5))).map(float)
+    values = np.array(draw(st.lists(level, max_size=60)), dtype=float)
+    threshold = st.none() | level
+    return values, {"prominence": draw(threshold), "height": draw(threshold)}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=peak_cases())
+def test_find_peaks_matches_scipy(case):
+    values, kw = case
+    got = ring_analysis._find_peaks(values, **kw)
+    assert np.array_equal(got, scipy_peaks(values, **kw))
+
+
+def _outcome(fn, *args):
+    """fn's result, or its error, in a form compared exactly."""
+    try:
+        return fn(*args)
+    except RingDetectionError as exc:
+        return f"RingDetectionError: {exc}"
+
+
+def _with_scipy_peaks(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring_analysis, "_find_peaks", scipy_peaks)
+        return _outcome(fn, *args)
+
+
+@st.composite
+def paper_lattices(draw):
+    """A pair in the paper's range (|l| from 20 to 80, w0 from 3 to 5
+    wavelengths, d from 6 to 10 waists) and the coarsest region find_rings
+    accepts for it: drho = w0/100 and dz = lambda/20 over a rho window
+    holding the rings between the foci, about 1e5 to 3e5 points."""
+    w0 = draw(st.floats(3.0, 5.0)) * WAVELENGTH
+    l = draw(st.integers(20, 80)) * draw(signs)
+    p = PairSpec.counterpropagating(WAVELENGTH, w0, l1=l,
+                                    separation_d=draw(st.floats(6.0, 10.0)) * w0)
+    d = p.separation_d
+    rho_lo = max(0.0, ring_radius_formula(p, 0.5 * d) - 0.7 * w0)
+    rho_hi = ring_radius_formula(p, -0.5 * d) + 0.7 * w0
+    z_half = 0.5 * d + WAVELENGTH / 20.0
+    region = GridSpec.rho_z(rho_min=rho_lo, rho_max=rho_hi,
+                            n_rho=math.ceil((rho_hi - rho_lo) / (w0 / 100.0)) + 1,
+                            z_min=-z_half, z_max=z_half,
+                            n_z=math.ceil(2.0 * z_half / (WAVELENGTH / 20.0)) + 1)
+    return p, region
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(case=paper_lattices())
+def test_find_rings_same_with_scipy_peaks(case):
+    p, region = case
+    ours = _outcome(lambda: find_rings(p, region).to_json_dict())
+    assert ours["rings"]
+    assert ours == _with_scipy_peaks(lambda: find_rings(p, region).to_json_dict())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(l=st.integers(1, 80), sign=signs, w0=st.floats(3.0, 20.0),
+       d=st.floats(0.0, 10.0), dw=st.floats(1e2, 1e6), rho=st.floats(0.5, 1.5),
+       t0=st.floats(0.0, 1e-3))
+def test_measure_axial_drift_same_with_scipy_peaks(l, sign, w0, d, dw, rho, t0):
+    p = PairSpec.counterpropagating(WAVELENGTH, w0 * WAVELENGTH, l1=sign * l,
+                                    separation_d=d * w0 * WAVELENGTH,
+                                    delta_omega=sign * dw)
+    rho_probe = rho * ring_radius_formula(p, 0.0)
+    t1 = t0 + suggested_sample_dt(p)
+    ours = _outcome(measure_axial_drift, p, rho_probe, t0, t1)
+    assert ours == _with_scipy_peaks(measure_axial_drift, p, rho_probe, t0, t1)
