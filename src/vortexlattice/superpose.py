@@ -6,11 +6,12 @@ and sampled intensity maps on half-plane (rho, z) or transverse (x, y) grids.
 """
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateGeometryError
 from .lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_phase
 
 __all__ = [
@@ -271,17 +272,53 @@ class GridSpec:
                                        self.z_slice)
 
 
+# Grid points in one row block of a map.  A block's temporaries stay small
+# enough for the cache, and the blocks are the units the --threads pool hands
+# out; every point is computed the same way in any block, so maps do not
+# depend on the thread count.  write_csv formats at most this many rows at
+# once, so its memory does not grow with the file.
+BLOCK_POINTS = 100_000
+
+
+def _column_values(col):
+    """Return (values, fmt): the column's cells and their field in the row
+    format.
+
+    A column of mostly distinct values (a field column) is passed as floats
+    under "%.17g".  A column whose values repeat (a tiled or repeated grid
+    axis) formats each distinct bit pattern once and is passed as strings
+    under "%s"; the bit pattern keeps -0.0 apart from 0.0.
+    """
+    bits = col.view(np.int64)
+    ordered = np.sort(bits)
+    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
+        return col.tolist(), "%.17g"
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = "\n".join(["%.17g"] * distinct.size) % tuple(distinct.view(np.float64).tolist())
+    return np.array(text.split("\n"), dtype=object)[inverse].tolist(), "%s"
+
+
 def write_csv(path, header, data):
     """Write a header line, then one row of ``data`` per line: "%.17g" values
     (doubles round-trip), comma-separated, LF newlines.  The bytes are those
-    np.savetxt writes with the same format, NaN included."""
+    np.savetxt writes with the same format, NaN included.
+
+    Each block of at most BLOCK_POINTS rows is formatted column by column
+    into one argument list and written with a single % operation; a column
+    of repeated values formats each distinct value once."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    fmt = ",".join(["%.17g"] * data.shape[1])
-    lines = [header]
-    lines.extend(fmt % tuple(row) for row in data.tolist())
+    n_cols = data.shape[1]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(header + "\n")
+        for start in range(0, data.shape[0], BLOCK_POINTS):
+            block = data[start:start + BLOCK_POINTS]
+            cells = [None] * block.size
+            formats = []
+            for j, col in enumerate(block.T):
+                values, fmt = _column_values(col)
+                cells[j::n_cols] = values
+                formats.append(fmt)
+            fh.write((",".join(formats) + "\n") * block.shape[0] % tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -302,13 +339,6 @@ class FieldMap:
         data = np.column_stack([c1, c2, self.amplitude.ravel(),
                                 self.phase.ravel(), self.intensity.ravel()])
         write_csv(path, "coord1,coord2,amplitude,phase,intensity", data)
-
-
-# Grid points in one row block of a map.  A block's temporaries stay small
-# enough for the cache, and the blocks are the units the --threads pool hands
-# out; every point is computed the same way in any block, so maps do not
-# depend on the thread count.
-BLOCK_POINTS = 100_000
 
 
 def _block_points(grid, rows):
@@ -334,14 +364,33 @@ def _fill_blocks(grid, n_threads, fill):
         list(pool.map(fill, blocks))
 
 
+def _require_finite(pair, grid, amplitude):
+    """Raise DegenerateGeometryError unless every amplitude of a map block is
+    finite.  At large |l| the mode envelope (sqrt(2) rho / w)^|l| e^(-rho^2/w^2)
+    overflows (inf, or inf * 0 = nan) on grids reaching far enough out."""
+    if np.isfinite(amplitude).all():
+        return
+    if grid.kind == "rho_z":
+        rho_max = grid.axis1[-1]
+    else:
+        rho_max = math.hypot(np.max(np.abs(grid.axis1)), np.max(np.abs(grid.axis2)))
+    raise DegenerateGeometryError(
+        f"map amplitude is not finite for |l1| = {abs(pair.beam1.winding_l)}, "
+        f"|l2| = {abs(pair.beam2.winding_l)} on the {grid.kind} grid, reaching "
+        f"rho = {rho_max:.6g} m ({rho_max / pair.beam1.waist_w0:.4g} w0): the mode "
+        f"envelope overflows at this |l| and extent")
+
+
 def amplitude_map(pair, grid, n_threads=1):
     """Total amplitude over a grid, indexed [axis2, axis1], without the
     phase a FieldMap also carries.  Equal to ``intensity_map(...).amplitude``
-    at less than half the cost."""
+    at less than half the cost.  Raises DegenerateGeometryError where the
+    amplitude is not finite."""
     amplitude = np.empty((grid.axis2.size, grid.axis1.size))
 
     def fill(rows):
         amplitude[rows] = total_amplitude(pair, _block_points(grid, rows), t=grid.time)
+        _require_finite(pair, grid, amplitude[rows])
 
     _fill_blocks(grid, n_threads, fill)
     return amplitude
@@ -349,7 +398,9 @@ def amplitude_map(pair, grid, n_threads=1):
 
 def intensity_map(pair, grid, n_threads=1):
     """Evaluate the pair field over a grid in row blocks, optionally spread
-    across worker threads.  Output is independent of n_threads."""
+    across worker threads.  Output is independent of n_threads.  Raises
+    DegenerateGeometryError where the amplitude is not finite; the phase is
+    NaN at dark points."""
     n2, n1 = grid.axis2.size, grid.axis1.size
     amplitude = np.empty((n2, n1))
     phase = np.empty((n2, n1))
@@ -357,6 +408,7 @@ def intensity_map(pair, grid, n_threads=1):
     def fill(rows):
         terms = _pair_terms(pair, _block_points(grid, rows), grid.time)
         amplitude[rows] = _amplitude_of(*terms)
+        _require_finite(pair, grid, amplitude[rows])
         phase[rows] = _phase_of(*terms)
 
     _fill_blocks(grid, n_threads, fill)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -557,6 +558,39 @@ def test_cli_dark_pair_is_a_numerical_error(tmp_path):
         cfg["beams"].update(amp1=0.0, amp2=0.0)
         path = write_config(tmp_path, cfg, name)
         assert run_cli([command, "--config", path, "--out", tmp_path / command]) == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_cli_overflowing_map_is_a_numerical_error(tmp_path):
+    """An xy map at l = 200 reaching 4 ring radii has non-finite amplitudes
+    (1200 of 1681 points); field-map exits 3 and writes no CSV."""
+    path = write_config(tmp_path, base_config(
+        beams={"wavelength": "589.16nm", "waist": "3um", "l1": 200},
+        xy_grid={"half_width": "120um", "n": 41}))
+    out = tmp_path / "out"
+    assert run_cli(["field-map", "--config", path, "--out", out]) == 3
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_csv_bytes_survive_a_savetxt_round_trip(tmp_path):
+    """Each CSV ferris writes, read back with np.loadtxt and written again
+    with np.savetxt("%.17g"), gives the same bytes (configs/ferris.json on a
+    smaller grid; the on-axis point has a NaN phase)."""
+    cfg = json.loads((REPO / "configs" / "ferris.json").read_text())
+    cfg["xy_grid"]["n"] = 41
+    out = tmp_path / "out"
+    assert run_cli(["ferris", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == len(cfg["ferris"]["t_samples"])
+    for path in csvs:
+        raw = path.read_bytes()
+        header = raw.split(b"\n", 1)[0].decode()
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert data.shape == (41 * 41, 5) and np.isnan(data[:, 3]).any()
+        again = io.BytesIO()
+        np.savetxt(again, data, fmt="%.17g", delimiter=",", header=header, comments="")
+        assert again.getvalue() == raw
 
 
 def test_cli_exit_codes(tmp_path):

@@ -1,10 +1,14 @@
 import io
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vortexlattice import superpose
+from vortexlattice.errors import DegenerateGeometryError
 from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_phase
 from vortexlattice.superpose import (BLOCK_POINTS, FieldMap, GridSpec, PairSpec,
                                      amplitude_map, gouy_difference_closed_form,
@@ -333,3 +337,104 @@ def test_write_csv_matches_savetxt(tmp_path):
     # rows given as a list of tuples, as the CLI passes them
     write_csv(path, header, [tuple(row) for row in data])
     assert path.read_bytes() == ref.getvalue().encode()
+
+
+def _savetxt_bytes(header, data):
+    ref = io.StringIO()
+    np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    return ref.getvalue().encode()
+
+
+def _bits(pattern):
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+# doubles whose "%.17g" text or bit pattern is easy to get wrong: both zeros,
+# NaN with either sign bit and with a payload, both infinities, subnormals
+SPECIAL_VALUES = [0.0, -0.0, math.nan, -math.nan, _bits(0x7FF8000000000001),
+                  _bits(0xFFF0000000000123), math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072009e-308, 1e-310, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 0.1, 1.0 / 3.0]
+csv_values = st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES))
+
+
+@st.composite
+def csv_columns(draw, n_rows):
+    """A column of n_rows doubles: arbitrary values, signed zeros, NaNs and
+    infinities mixed, a few values drawn repeatedly, or a grid axis tiled or
+    repeated as FieldMap.to_csv lays out coord1 and coord2."""
+    kind = draw(st.sampled_from(["free", "signed", "pool", "tiled", "repeated"]))
+    if kind == "free":
+        return draw(st.lists(csv_values, min_size=n_rows, max_size=n_rows))
+    if kind == "signed":
+        pool = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
+        return draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    pool = draw(st.lists(csv_values, min_size=1, max_size=5))
+    if kind == "pool":
+        return draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    reps = -(-n_rows // len(pool))
+    laid_out = np.tile(pool, reps) if kind == "tiled" else np.repeat(pool, reps)
+    return laid_out[:n_rows].tolist()
+
+
+@st.composite
+def csv_arrays(draw):
+    n_rows = draw(st.integers(1, 40))
+    n_cols = draw(st.integers(1, 6))
+    return np.array([draw(csv_columns(n_rows)) for _ in range(n_cols)]).T
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=csv_arrays(), block_points=st.sampled_from([1, 2, 5, BLOCK_POINTS]),
+       as_tuples=st.booleans())
+def test_write_csv_matches_savetxt_on_generated_arrays(tmp_path_factory, data, block_points,
+                                                       as_tuples):
+    """Byte for byte np.savetxt's output, for arrays or rows given as a list
+    of tuples (as the CLI passes them), across row-block boundaries."""
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    rows = [tuple(row) for row in data.tolist()] if as_tuples else data
+    with mock.patch.object(superpose, "BLOCK_POINTS", block_points):
+        write_csv(path, "h1,h2", rows)
+    assert path.read_bytes() == _savetxt_bytes("h1,h2", data)
+
+
+@pytest.mark.parametrize("kind", ["rho_z", "xy"])
+def test_field_map_csv_matches_savetxt(tmp_path, kind):
+    """FieldMap.to_csv writes np.savetxt's bytes of its column stack; its
+    coordinate columns repeat, and each grid has an on-axis NaN phase."""
+    pr = pair(l1=2)
+    if kind == "rho_z":
+        g = GridSpec.rho_z(rho_max=1.2e-5, n_rho=23, z_min=-3e-5, z_max=3e-5, n_z=17)
+    else:
+        g = GridSpec.xy(half_width=1.6e-5, n=33, z=1e-6)
+    fm = intensity_map(pr, g)
+    assert np.isnan(fm.phase).any()
+    path = tmp_path / "map.csv"
+    fm.to_csv(path)
+    n2, n1 = fm.amplitude.shape
+    data = np.column_stack([np.tile(g.axis1, n2), np.repeat(g.axis2, n1), fm.amplitude.ravel(),
+                            fm.phase.ravel(), fm.intensity.ravel()])
+    assert path.read_bytes() == _savetxt_bytes("coord1,coord2,amplitude,phase,intensity", data)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["rho_z", "xy"])
+def test_maps_raise_where_the_amplitude_overflows(kind):
+    """At l = 200 the mode envelope overflows (inf * 0) within 4 ring radii;
+    the maps raise rather than return non-finite amplitudes."""
+    w0 = 3e-6
+    pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=200, separation_d=8e-6)
+    reach = 4.0 * w0 * math.sqrt(100.0)
+    if kind == "rho_z":
+        g = GridSpec.rho_z(rho_max=reach, n_rho=41, z_min=-4e-6, z_max=4e-6, n_z=5)
+    else:
+        g = GridSpec.xy(half_width=reach / math.sqrt(2.0), n=41)
+    for n_threads in (1, 2):
+        for make_map in (amplitude_map, intensity_map):
+            with pytest.raises(DegenerateGeometryError) as err:
+                make_map(pr, g, n_threads=n_threads)
+            assert "|l1| = 200" in str(err.value)
+            assert "40 w0" in str(err.value)
+    inside = GridSpec(kind=g.kind, axis1=g.axis1 / 4.0, axis2=g.axis2 / 4.0)
+    assert np.isfinite(amplitude_map(pr, inside)).all()
