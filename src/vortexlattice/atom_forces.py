@@ -183,6 +183,12 @@ def _total_phase_gradient(e, grad_e, u_max):
     return slope
 
 
+def _checked_mode(mode):
+    if mode not in (_REDUCED, _FULL):
+        raise ValueError("mode must be 'reduced' or 'full'")
+    return mode
+
+
 def phase_gradient(field, pt, mode="reduced", t=0.0):
     """Gradient of the optical phase as an array [g_rho, g_phi, g_z].
 
@@ -194,8 +200,7 @@ def phase_gradient(field, pt, mode="reduced", t=0.0):
     ``mode="full"`` is meaningful there, and a DarkPointError is raised if
     any evaluation point is dark.
     """
-    if mode not in (_REDUCED, _FULL):
-        raise ValueError("mode must be 'reduced' or 'full'")
+    mode = _checked_mode(mode)
     if isinstance(field, BeamSpec):
         return _beam_phase_gradient(field, pt, mode)
     if mode == _REDUCED:
@@ -238,6 +243,7 @@ def scattering_force(atom, field, pt, vel=None, mode="reduced",
     ``mode``) or the force of the interfered total field, which always uses
     the full gradient Im(grad E / E) and is zero at dark points.
     """
+    mode = _checked_mode(mode)
     if isinstance(field, BeamSpec):
         return _single_scattering(atom, field, pt, vel, mode, field.amp_scale)
     ref = _pair_amp_ref(field)
@@ -279,6 +285,7 @@ def dipole_force(atom, field, pt, vel=None, mode="reduced",
     total field it is s^2 Re(E* grad E), which needs no division and is 0 at
     dark points.
     """
+    mode = _checked_mode(mode)
     if isinstance(field, BeamSpec):
         return _single_dipole(atom, field, pt, vel, mode, field.amp_scale)
     ref = _pair_amp_ref(field)
@@ -306,6 +313,8 @@ def dipole_potential(atom, field, pt, vel=None, mode="reduced",
     """Dipole potential (hbar Delta_eff / 2) ln(1 + (Omega^2/2) /
     (Delta_eff^2 + Gamma^2/4)); its negative gradient is the dipole force
     when the velocity is zero."""
+    mode = _checked_mode(mode)
+
     def beam_potential(beam, amp_ref):
         omega = rabi_at(atom, mode_amplitude(beam, pt), amp_ref)
         delta = atom.detuning0

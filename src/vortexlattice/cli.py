@@ -25,7 +25,7 @@ from .errors import ConfigError, DegenerateGeometryError, DivergenceError, \
     ResolutionError, RingDetectionError, StepSizeError, VortexLatticeError
 from .ring_analysis import double_ring_radii, find_rings, measure_axial_drift, \
     measure_rotation_rate, radial_separation, suggested_sample_dt
-from .superpose import GridSpec, PairSpec, intensity_map, write_csv
+from .superpose import PairSpec, intensity_map, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,7 +67,7 @@ def _pair_with_d(pair, d):
     return PairSpec(b1, b2, d, pair.delta_omega, pair.delta_k)
 
 
-def cmd_field_map(cfg, args, out, threads):
+def cmd_field_map(cfg, out, threads):
     written = []
     if cfg.grid is not None:
         fmap = intensity_map(cfg.pair, cfg.grid, n_threads=threads)
@@ -84,7 +84,7 @@ def cmd_field_map(cfg, args, out, threads):
     return written
 
 
-def cmd_spring_sweep(cfg, args, out, threads):
+def cmd_spring_sweep(cfg, out, threads):
     atom = _need_atom(cfg)
     if cfg.sweep is None:
         raise ConfigError("spring-sweep needs a 'sweep' config section")
@@ -99,7 +99,7 @@ def cmd_spring_sweep(cfg, args, out, threads):
     return [path]
 
 
-def cmd_rings(cfg, args, out, threads):
+def cmd_rings(cfg, out, threads):
     if cfg.rings_grid is None:
         raise ConfigError("rings needs a 'rings_grid' section")
     ringset = find_rings(cfg.pair, cfg.rings_grid, n_threads=threads)
@@ -158,7 +158,7 @@ def cmd_rings(cfg, args, out, threads):
     return written
 
 
-def cmd_ferris(cfg, args, out, threads):
+def cmd_ferris(cfg, out, threads):
     pair = cfg.pair
     if pair.delta_omega == 0.0:
         raise ConfigError("ferris needs pair.delta_omega != 0")
@@ -173,9 +173,7 @@ def cmd_ferris(cfg, args, out, threads):
     written = []
     for i, t in enumerate(cfg.ferris_times):
         for j, grid in enumerate(grids):
-            shifted = GridSpec(kind="xy", axis1=grid.axis1, axis2=grid.axis2,
-                               z_slice=grid.z_slice, time=t)
-            fmap = intensity_map(pair, shifted, n_threads=threads)
+            fmap = intensity_map(pair, dataclasses.replace(grid, time=t), n_threads=threads)
             path = out / f"ferris_xy_t{i}_z{j}.csv"
             fmap.to_csv(path)
             written.append(path)
@@ -205,7 +203,7 @@ def cmd_ferris(cfg, args, out, threads):
     return written
 
 
-def cmd_trajectory(cfg, args, out, threads):
+def cmd_trajectory(cfg, out, threads):
     atom = _need_atom(cfg)
     if cfg.trajectory_init is None or cfg.trajectory_config is None:
         raise ConfigError("trajectory needs a 'trajectory' config section")
@@ -294,7 +292,7 @@ def main(argv=None):
             raise ConfigError("thread count must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        written = args.func(cfg, args, out, args.threads)
+        written = args.func(cfg, out, args.threads)
         written.append(_metadata(out, args.command, cfg, args.threads, written))
         for path in written:
             print(path)

@@ -7,12 +7,17 @@ numbers in frequency slots are already rad/s.  Every quantity must resolve
 to a finite number, every flag must be a JSON boolean, and a section or key
 outside ``SECTION_KEYS`` is an error, so a misspelt key cannot be dropped
 silently.
+
+``SECTION_KEYS`` is the one schema.  A config is read into SI sections
+with every default filled in, and the run objects are built from those
+sections; ``RunConfig.to_si_dict`` echoes them back.
 """
 
+import copy
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .atom_forces import AtomSpec, Velocity
 from .constants import AMU
@@ -42,20 +47,43 @@ _UNITS = {
 # and a command holds several maps of its grid
 MAX_GRID_POINTS = 50_000_000
 
-_GRID_KEYS = ("rho_min", "rho_max", "n_rho", "z_min", "z_max", "n_z", "phi", "time")
+# Default of a key that a present section must set
+_REQUIRED = object()
+
+# Each section maps key -> (kind, default).  A kind is a parse_quantity kind,
+# "int", "flag" (a JSON boolean) or "<kind> list" (a non-empty list); a
+# default is an SI value or _REQUIRED.  beams.l2 defaults to beams.l1.
+_GRID_KEYS = {"rho_min": ("length", 0.0), "rho_max": ("length", _REQUIRED),
+              "n_rho": ("int", _REQUIRED), "z_min": ("length", _REQUIRED),
+              "z_max": ("length", _REQUIRED), "n_z": ("int", _REQUIRED),
+              "phi": ("plain", 0.0), "time": ("time", 0.0)}
 SECTION_KEYS = {
-    "beams": ("wavelength", "waist", "l1", "l2", "p", "amp1", "amp2", "azimuthal_sign2"),
-    "pair": ("d", "delta_omega", "delta_k"),
-    "atom": ("mass", "gamma", "delta0", "rabi"),
+    "beams": {"wavelength": ("length", _REQUIRED), "waist": ("length", _REQUIRED),
+              "l1": ("int", _REQUIRED), "l2": ("int", None), "p": ("int", 0),
+              "amp1": ("plain", 1.0), "amp2": ("plain", 1.0),
+              "azimuthal_sign2": ("int", -1)},
+    "pair": {"d": ("length", 0.0), "delta_omega": ("angular_frequency", 0.0),
+             "delta_k": ("wavenumber", 0.0)},
+    "atom": {"mass": ("mass", _REQUIRED), "gamma": ("angular_frequency", _REQUIRED),
+             "delta0": ("angular_frequency", _REQUIRED),
+             "rabi": ("angular_frequency", _REQUIRED)},
     "grid": _GRID_KEYS,
     "rings_grid": _GRID_KEYS,
-    "xy_grid": ("half_width", "n", "z_slices", "time"),
-    "sweep": ("d_min", "d_max", "steps"),
-    "ferris": ("t_samples",),
-    "trajectory": ("rho", "phi", "z", "v_rho", "v_phi", "v_z", "step", "duration",
-                   "velocity_coupling", "include_scattering", "include_dipole",
-                   "include_azimuthal", "sample_every"),
+    "xy_grid": {"half_width": ("length", _REQUIRED), "n": ("int", _REQUIRED),
+                "z_slices": ("length list", [0.0]), "time": ("time", 0.0)},
+    "sweep": {"d_min": ("length", _REQUIRED), "d_max": ("length", _REQUIRED),
+              "steps": ("int", _REQUIRED)},
+    "ferris": {"t_samples": ("time list", _REQUIRED)},
+    "trajectory": {"rho": ("length", _REQUIRED), "phi": ("plain", 0.0),
+                   "z": ("length", _REQUIRED), "v_rho": ("speed", 0.0),
+                   "v_phi": ("speed", 0.0), "v_z": ("speed", 0.0),
+                   "step": ("time", _REQUIRED), "duration": ("time", _REQUIRED),
+                   "velocity_coupling": ("flag", False),
+                   "include_scattering": ("flag", True),
+                   "include_dipole": ("flag", False), "include_azimuthal": ("flag", True),
+                   "sample_every": ("int", 1)},
 }
+_STATE_KEYS = ("rho", "phi", "z", "v_rho", "v_phi", "v_z")
 
 _QUANTITY_RE = re.compile(r"^\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*(\S*)\s*$")
 
@@ -87,188 +115,114 @@ def parse_quantity(value, kind, name="value"):
     return number
 
 
-def _section(raw, key, required=False):
-    sec = raw.get(key)
-    if sec is None:
-        if required:
-            raise ConfigError(f"missing required config section {key!r}")
-        return None
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {key!r} must be an object")
-    _reject_unknown(sec, SECTION_KEYS[key], f"key(s) in config section {key!r}")
-    return sec
-
-
 def _reject_unknown(keys, allowed, what):
     unknown = sorted(str(k) for k in set(keys) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {what}: {', '.join(unknown)}")
 
 
-def _get(sec, key, kind, name, default=None, required=False):
-    if key not in sec:
-        if required:
-            raise ConfigError(f"{name}: missing required key {key!r}")
-        return default
-    return parse_quantity(sec[key], kind, f"{name}.{key}")
+def _convert(value, kind, name):
+    """One config value of a schema kind, in SI."""
+    if kind.endswith(" list"):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list")
+        return [_convert(v, kind[:-len(" list")], name) for v in value]
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer")
+        return value
+    if kind == "flag":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false")
+        return value
+    return parse_quantity(value, kind, name)
 
 
-def _get_int(sec, key, name, default=None, required=False):
-    if key not in sec:
-        if required:
-            raise ConfigError(f"{name}: missing required key {key!r}")
-        return default
-    v = sec[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{name}.{key} must be an integer")
-    return v
+def _read(raw):
+    """Every present section in SI, defaults filled in.  ``beams`` is
+    required; ``pair`` is always read, since each of its keys has a default."""
+    _reject_unknown(raw, SECTION_KEYS, "config section(s)")
+    si = {}
+    for name, schema in SECTION_KEYS.items():
+        sec = raw.get(name)
+        if sec is None:
+            if name == "beams":
+                raise ConfigError("missing required config section 'beams'")
+            if name != "pair":
+                continue
+            sec = {}
+        if not isinstance(sec, dict):
+            raise ConfigError(f"config section {name!r} must be an object")
+        _reject_unknown(sec, schema, f"key(s) in config section {name!r}")
+        out = si[name] = {}
+        for key, (kind, default) in schema.items():
+            if key in sec:
+                out[key] = _convert(sec[key], kind, f"{name}.{key}")
+            elif default is _REQUIRED:
+                raise ConfigError(f"{name}: missing required key {key!r}")
+            else:
+                out[key] = default
+    if si["beams"]["l2"] is None:
+        si["beams"]["l2"] = si["beams"]["l1"]
+    return si
 
 
-def _get_bool(sec, key, name, default):
-    v = sec.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{name}.{key} must be true or false")
-    return v
-
-
-def _pair(raw):
-    beams = _section(raw, "beams", required=True)
-    pair_sec = _section(raw, "pair") or {}
-    d = _get(pair_sec, "d", "length", "pair", default=0.0)
-    if d < 0.0:
+def _pair(beams, pair):
+    if pair["d"] < 0.0:
         raise ConfigError("pair.d must be >= 0")
-    try:
-        return PairSpec.counterpropagating(
-            wavelength=_get(beams, "wavelength", "length", "beams", required=True),
-            waist=_get(beams, "waist", "length", "beams", required=True),
-            l1=_get_int(beams, "l1", "beams", required=True),
-            l2=_get_int(beams, "l2", "beams"),
-            separation_d=d,
-            delta_omega=_get(pair_sec, "delta_omega", "angular_frequency", "pair",
-                             default=0.0),
-            delta_k=_get(pair_sec, "delta_k", "wavenumber", "pair", default=0.0),
-            radial_p=_get_int(beams, "p", "beams", default=0),
-            amp1=_get(beams, "amp1", "plain", "beams", default=1.0),
-            amp2=_get(beams, "amp2", "plain", "beams", default=1.0),
-            azimuthal_sign2=_get_int(beams, "azimuthal_sign2", "beams", default=-1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PairSpec.counterpropagating(
+        wavelength=beams["wavelength"], waist=beams["waist"], l1=beams["l1"],
+        l2=beams["l2"], separation_d=pair["d"], delta_omega=pair["delta_omega"],
+        delta_k=pair["delta_k"], radial_p=beams["p"], amp1=beams["amp1"],
+        amp2=beams["amp2"], azimuthal_sign2=beams["azimuthal_sign2"])
 
 
-def _atom(raw):
-    sec = _section(raw, "atom")
-    if sec is None:
-        return None
-    try:
-        return AtomSpec(
-            mass=_get(sec, "mass", "mass", "atom", required=True),
-            gamma=_get(sec, "gamma", "angular_frequency", "atom", required=True),
-            detuning0=_get(sec, "delta0", "angular_frequency", "atom", required=True),
-            rabi_omega0=_get(sec, "rabi", "angular_frequency", "atom", required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _atom(atom):
+    return AtomSpec(mass=atom["mass"], gamma=atom["gamma"], detuning0=atom["delta0"],
+                    rabi_omega0=atom["rabi"])
 
 
-def _grid(raw, key):
-    sec = _section(raw, key)
-    if sec is None:
-        return None
-    n_rho = _get_int(sec, "n_rho", key, required=True)
-    n_z = _get_int(sec, "n_z", key, required=True)
+def _grid(grid, name):
+    n_rho, n_z = grid["n_rho"], grid["n_z"]
     # each axis is bounded too: with the other size <= 0 the product says
     # nothing, and the rho axis is allocated before the z axis is rejected
     if max(n_rho, n_z, n_rho * n_z) > MAX_GRID_POINTS:
-        raise ConfigError(f"{key}: {n_rho} x {n_z} grid points exceed the limit of {MAX_GRID_POINTS}")
-    try:
-        return GridSpec.rho_z(
-            rho_min=_get(sec, "rho_min", "length", key, default=0.0),
-            rho_max=_get(sec, "rho_max", "length", key, required=True),
-            n_rho=n_rho,
-            z_min=_get(sec, "z_min", "length", key, required=True),
-            z_max=_get(sec, "z_max", "length", key, required=True),
-            n_z=n_z,
-            phi=_get(sec, "phi", "plain", key, default=0.0),
-            time=_get(sec, "time", "time", key, default=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{name}: {n_rho} x {n_z} grid points exceed the limit of {MAX_GRID_POINTS}")
+    return GridSpec.rho_z(**grid)
 
 
-def _xy(raw):
-    sec = _section(raw, "xy_grid")
-    if sec is None:
-        return ()
-    half_width = _get(sec, "half_width", "length", "xy_grid", required=True)
-    n = _get_int(sec, "n", "xy_grid", required=True)
+def _xy(xy):
+    n = xy["n"]
     if n < 2:
         raise ConfigError("xy_grid.n must be >= 2")
     if n * n > MAX_GRID_POINTS:
         raise ConfigError(f"xy_grid: {n} x {n} grid points exceed the limit of {MAX_GRID_POINTS}")
-    slices = sec.get("z_slices", [0.0])
-    if not isinstance(slices, list) or not slices:
-        raise ConfigError("xy_grid.z_slices must be a non-empty list")
-    time = _get(sec, "time", "time", "xy_grid", default=0.0)
-    return tuple(GridSpec.xy(half_width, n, z=parse_quantity(z, "length", "xy_grid.z_slices"),
-                             time=time) for z in slices)
+    return tuple(GridSpec.xy(xy["half_width"], n, z=z, time=xy["time"])
+                 for z in xy["z_slices"])
 
 
-def _sweep(raw):
-    sec = _section(raw, "sweep")
-    if sec is None:
-        return None
-    steps = _get_int(sec, "steps", "sweep", required=True)
-    if steps < 2:
+def _sweep(sweep):
+    if sweep["steps"] < 2:
         raise ConfigError("sweep.steps must be >= 2")
-    d_min = _get(sec, "d_min", "length", "sweep", required=True)
-    if d_min < 0.0:
+    if sweep["d_min"] < 0.0:
         raise ConfigError("sweep.d_min must be >= 0")
-    d_max = _get(sec, "d_max", "length", "sweep", required=True)
-    if d_max <= d_min:
+    if sweep["d_max"] <= sweep["d_min"]:
         raise ConfigError("sweep.d_max must exceed sweep.d_min")
-    return d_min, d_max, steps
+    return sweep["d_min"], sweep["d_max"], sweep["steps"]
 
 
-def _ferris(raw):
-    sec = _section(raw, "ferris")
-    if sec is None:
-        return ()
-    samples = sec.get("t_samples")
-    if not isinstance(samples, list) or len(samples) < 1:
-        raise ConfigError("ferris.t_samples must be a non-empty list")
-    return tuple(parse_quantity(s, "time", "ferris.t_samples") for s in samples)
-
-
-def _trajectory(raw):
-    """Initial state and integrator settings, or (None, None)."""
-    sec = _section(raw, "trajectory")
-    if sec is None:
-        return None, None
-    try:
-        pos = CylPoint(rho=_get(sec, "rho", "length", "trajectory", required=True),
-                       phi=_get(sec, "phi", "plain", "trajectory", default=0.0),
-                       z=_get(sec, "z", "length", "trajectory", required=True))
-        vel = Velocity(v_rho=_get(sec, "v_rho", "speed", "trajectory", default=0.0),
-                       v_phi=_get(sec, "v_phi", "speed", "trajectory", default=0.0),
-                       v_z=_get(sec, "v_z", "speed", "trajectory", default=0.0))
-        integrator = IntegratorConfig(
-            step=_get(sec, "step", "time", "trajectory", required=True),
-            duration=_get(sec, "duration", "time", "trajectory", required=True),
-            velocity_coupling=_get_bool(sec, "velocity_coupling", "trajectory", False),
-            include_scattering=_get_bool(sec, "include_scattering", "trajectory", True),
-            include_dipole=_get_bool(sec, "include_dipole", "trajectory", False),
-            include_azimuthal=_get_bool(sec, "include_azimuthal", "trajectory", True),
-            sample_every=_get_int(sec, "sample_every", "trajectory", default=1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return TrajectoryState(position=pos, velocity=vel, time=0.0), integrator
+def _trajectory(traj):
+    """Initial state and integrator settings."""
+    rho, phi, z, v_rho, v_phi, v_z = (traj[k] for k in _STATE_KEYS)
+    state = TrajectoryState(position=CylPoint(rho=rho, phi=phi, z=z),
+                            velocity=Velocity(v_rho=v_rho, v_phi=v_phi, v_z=v_z), time=0.0)
+    return state, IntegratorConfig(**{k: v for k, v in traj.items() if k not in _STATE_KEYS})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration resolved to SI quantities."""
+    """Validated run configuration resolved to SI quantities, and the SI
+    sections it was built from."""
 
     pair: PairSpec
     atom: AtomSpec = None
@@ -279,6 +233,7 @@ class RunConfig:
     ferris_times: tuple = ()
     trajectory_init: TrajectoryState = None
     trajectory_config: IntegratorConfig = None
+    si_sections: dict = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_file(cls, path):
@@ -297,63 +252,28 @@ class RunConfig:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        _reject_unknown(raw, SECTION_KEYS, "config section(s)")
-        init, integrator = _trajectory(raw)
-        return cls(pair=_pair(raw), atom=_atom(raw),
-                   grid=_grid(raw, "grid"), rings_grid=_grid(raw, "rings_grid"),
-                   xy=_xy(raw), sweep=_sweep(raw), ferris_times=_ferris(raw),
-                   trajectory_init=init, trajectory_config=integrator)
+        si = _read(raw)
+
+        def build(name, make, absent=None):
+            return make(si[name]) if name in si else absent
+
+        try:
+            init, integrator = build("trajectory", _trajectory, (None, None))
+            return cls(pair=_pair(si["beams"], si["pair"]), atom=build("atom", _atom),
+                       grid=build("grid", lambda g: _grid(g, "grid")),
+                       rings_grid=build("rings_grid", lambda g: _grid(g, "rings_grid")),
+                       xy=build("xy_grid", _xy, ()), sweep=build("sweep", _sweep),
+                       ferris_times=build("ferris", lambda f: tuple(f["t_samples"]), ()),
+                       trajectory_init=init, trajectory_config=integrator, si_sections=si)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def xy_grids(self):
         """One GridSpec per configured xy z slice."""
         return list(self.xy)
 
     def to_si_dict(self):
-        """SI echo of the resolved configuration, for run metadata: every
-        section ``from_dict`` reads, under its own keys and as bare SI
-        numbers, so loading the echo rebuilds this configuration.  Grid
-        endpoints are the axes' first and last samples, which
-        ``np.linspace`` returns exactly."""
-        b1, b2 = self.pair.beam1, self.pair.beam2
-        out = {
-            "beams": {"wavelength": b1.wavelength, "waist": b1.waist_w0,
-                      "l1": b1.winding_l, "l2": b2.winding_l, "p": b1.radial_p,
-                      "amp1": b1.amp_scale, "amp2": b2.amp_scale,
-                      "azimuthal_sign2": b2.azimuthal_sign},
-            "pair": {"d": self.pair.separation_d,
-                     "delta_omega": self.pair.delta_omega,
-                     "delta_k": self.pair.delta_k},
-        }
-        if self.atom is not None:
-            out["atom"] = {"mass": self.atom.mass, "gamma": self.atom.gamma,
-                           "delta0": self.atom.detuning0,
-                           "rabi": self.atom.rabi_omega0}
-        for key in ("grid", "rings_grid"):
-            grid = getattr(self, key)
-            if grid is not None:
-                out[key] = {"rho_min": float(grid.axis1[0]), "rho_max": float(grid.axis1[-1]),
-                            "n_rho": grid.axis1.size,
-                            "z_min": float(grid.axis2[0]), "z_max": float(grid.axis2[-1]),
-                            "n_z": grid.axis2.size, "phi": grid.phi, "time": grid.time}
-        if self.xy:
-            first = self.xy[0]
-            out["xy_grid"] = {"half_width": float(first.axis1[-1]), "n": first.axis1.size,
-                              "z_slices": [g.z_slice for g in self.xy], "time": first.time}
-        if self.sweep is not None:
-            out["sweep"] = {"d_min": self.sweep[0], "d_max": self.sweep[1],
-                            "steps": self.sweep[2]}
-        if self.ferris_times:
-            out["ferris"] = {"t_samples": list(self.ferris_times)}
-        if self.trajectory_init is not None and self.trajectory_config is not None:
-            pos, vel = self.trajectory_init.position, self.trajectory_init.velocity
-            integ = self.trajectory_config
-            out["trajectory"] = {
-                "rho": pos.rho, "phi": pos.phi, "z": pos.z,
-                "v_rho": vel.v_rho, "v_phi": vel.v_phi, "v_z": vel.v_z,
-                "step": integ.step, "duration": integ.duration,
-                "velocity_coupling": integ.velocity_coupling,
-                "include_scattering": integ.include_scattering,
-                "include_dipole": integ.include_dipole,
-                "include_azimuthal": integ.include_azimuthal,
-                "sample_every": integ.sample_every}
-        return out
+        """SI echo of the configuration, for run metadata: each section
+        ``from_dict`` read, as bare SI numbers with every default filled in,
+        so loading the echo rebuilds this configuration."""
+        return copy.deepcopy(self.si_sections)

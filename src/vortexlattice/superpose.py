@@ -6,6 +6,7 @@ and sampled intensity maps on half-plane (rho, z) or transverse (x, y) grids.
 """
 
 import concurrent.futures
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -305,8 +306,10 @@ def write_csv(path, header, data):
 
     Each block of at most BLOCK_POINTS rows is formatted column by column
     into one argument list and written with a single % operation; a column
-    of repeated values formats each distinct value once."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    of repeated values formats each distinct value once.  1-D data is one
+    column, as np.savetxt writes it."""
+    data = np.asarray(data, dtype=float)
+    data = data[:, None] if data.ndim == 1 else np.atleast_2d(data)
     n_cols = data.shape[1]
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
@@ -355,13 +358,15 @@ def _block_points(grid, rows):
 
 def _fill_blocks(grid, n_threads, fill):
     """Call fill(rows) for row blocks of about BLOCK_POINTS points, on a pool
-    of n_threads workers."""
+    of n_threads workers.  Each block runs in a copy of the caller's context,
+    so context-local state such as np.errstate reaches the workers."""
     n2 = grid.axis2.size
     step = max(1, BLOCK_POINTS // grid.axis1.size)
     blocks = [slice(a, min(a + step, n2)) for a in range(0, n2, step)]
     n_threads = min(max(1, int(n_threads)), len(blocks))
     with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(fill, blocks))
+        ctx = contextvars.copy_context()
+        list(pool.map(lambda rows: ctx.copy().run(fill, rows), blocks))
 
 
 def _require_finite(pair, grid, amplitude):

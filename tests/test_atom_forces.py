@@ -108,6 +108,22 @@ def test_pair_gradient_requires_full_mode():
     assert np.all(np.isfinite(g))
 
 
+@pytest.mark.parametrize("mode", ["Reduced", "FULL", "bogus"])
+@pytest.mark.parametrize("force", [scattering_force, dipole_force, dipole_potential])
+def test_unknown_force_mode_is_rejected(force, mode):
+    """A misspelt mode raises ValueError, as a misspelt combine does, for one
+    beam and for a pair either way combined; it never means "full"."""
+    p = pair(l1=2)
+    pt = CylPoint(rho=3e-6, phi=0.2, z=1e-6)
+    for field, combine in ((p.beam1, "sum-of-beams"), (p, "sum-of-beams"),
+                           (p, "total-field")):
+        with pytest.raises(ValueError, match="mode must be"):
+            force(sodium(), field, pt, mode=mode, combine=combine)
+    for field in (p.beam1, p):
+        with pytest.raises(ValueError, match="mode must be"):
+            phase_gradient(field, pt, mode=mode)
+
+
 def test_pair_gradient_dark_point_raises():
     p = pair(l1=1, d_frac=0.0)
     dark = CylPoint(rho=p.beam1.waist_w0 / math.sqrt(2.0), phi=math.pi / 2.0, z=0.0)

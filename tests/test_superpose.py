@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -379,7 +380,10 @@ def csv_columns(draw, n_rows):
 
 @st.composite
 def csv_arrays(draw):
+    """A 2-D array, or a 1-D one, which np.savetxt writes as one column."""
     n_rows = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return np.array(draw(csv_columns(n_rows)))
     n_cols = draw(st.integers(1, 6))
     return np.array([draw(csv_columns(n_rows)) for _ in range(n_cols)]).T
 
@@ -392,7 +396,9 @@ def test_write_csv_matches_savetxt_on_generated_arrays(tmp_path_factory, data, b
     """Byte for byte np.savetxt's output, for arrays or rows given as a list
     of tuples (as the CLI passes them), across row-block boundaries."""
     path = tmp_path_factory.mktemp("csv") / "data.csv"
-    rows = [tuple(row) for row in data.tolist()] if as_tuples else data
+    rows = data
+    if as_tuples:
+        rows = data.tolist() if data.ndim == 1 else [tuple(row) for row in data.tolist()]
     with mock.patch.object(superpose, "BLOCK_POINTS", block_points):
         write_csv(path, "h1,h2", rows)
     assert path.read_bytes() == _savetxt_bytes("h1,h2", data)
@@ -438,3 +444,20 @@ def test_maps_raise_where_the_amplitude_overflows(kind):
             assert "40 w0" in str(err.value)
     inside = GridSpec(kind=g.kind, axis1=g.axis1 / 4.0, axis2=g.axis2 / 4.0)
     assert np.isfinite(amplitude_map(pr, inside)).all()
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_map_workers_keep_the_callers_errstate(n_threads):
+    """np.errstate is context-local state: each map block runs in the
+    caller's context, so under errstate(all="ignore") the overflowing l = 200
+    map warns nothing, with warnings turned into errors, and raises only
+    DegenerateGeometryError (seven row blocks, so two workers share them)."""
+    w0 = 3e-6
+    pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=200, separation_d=8e-6)
+    g = GridSpec.xy(half_width=4.0 * w0 * math.sqrt(50.0), n=41)
+    with mock.patch.object(superpose, "BLOCK_POINTS", 41 * 6), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            for make_map in (amplitude_map, intensity_map):
+                with pytest.raises(DegenerateGeometryError):
+                    make_map(pr, g, n_threads=n_threads)
