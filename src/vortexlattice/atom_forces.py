@@ -5,15 +5,17 @@ two-level model, plus the closed-form trap quantities of the near-resonant
 counter-propagating pair: saturation factors, the axial spring constant and
 its value on the central ring, the ring radius, and the axial torque.
 
-Two evaluation modes exist for the phase gradient.  "reduced" keeps only the
-dominant slopes each beam imposes in its own frame, exactly
-(0, l / rho, direction * k); "full" differentiates the complete phase.  Two
-combination rules exist for a pair: "sum-of-beams" adds the two single-beam
-forces, "total-field" applies the force formulas to the interfered field.
+One name, ``mode``, picks the model.  For a beam it picks the phase
+gradient: "reduced" keeps only the dominant slopes the beam imposes in its
+own frame, exactly (0, l / rho, direction * k); "full" differentiates the
+complete phase.  For a pair, "reduced" adds the two beams' forces, each with
+its reduced gradient, and "full" applies the force formulas to the
+interfered field at time t.
 
 Every gradient is in closed form.  ``lg_mode.mode_jet`` gives U, Theta,
-grad(U) and grad(Theta) of each mode in one pass, called once per beam per
-force; the total field E = sum_j U_j e^{i Theta_j}
+grad(U) and grad(Theta) of each mode in one pass.  ``_forces`` returns the
+scattering and dipole forces together and evaluates each beam's mode once
+for both; the total field E = sum_j U_j e^{i Theta_j}
 has grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), from
 which Omega grad(Omega) = s^2 Re(E* grad E) and
 grad(arg E) = Im(grad E / E), with s = rabi_omega0 / (reference amplitude).
@@ -56,6 +58,7 @@ __all__ = [
 
 _REDUCED, _FULL = "reduced", "full"
 _SUM, _TOTAL = "sum-of-beams", "total-field"
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -161,26 +164,23 @@ def _pair_gradient(pair, pt, t):
     return e, grad_e, np.maximum(np.abs(u1), np.abs(u2))
 
 
-def _phase_slope(e, grad_e, u_max):
+def _phase_slope(e, grad_e, u_max, strict=False):
     """grad(arg E) = Im(grad E / E), set to 0 at dark points, and the dark
-    mask |E| <= DARK_FRACTION * max(|U1|, |U2|).
+    mask |E| <= DARK_FRACTION * max(|U1|, |U2|); ``strict`` raises
+    DarkPointError instead if any point is dark.
 
     Magnitudes set the threshold: the signed amplitudes are negative where
     the radial polynomial is (radial_p > 0).  Dividing E and grad E by
     max(|U1|, |U2|) first keeps the quotient finite in the far field, where
-    |E|^2 underflows.
+    |E|^2 underflows.  The divisor is at least the smallest normal float:
+    complex division by a subnormal overflows its reciprocal.
     """
     dark = np.abs(e) <= DARK_FRACTION * u_max
-    scale = np.where(dark, 1.0, u_max)
+    if strict and np.any(dark):
+        raise DarkPointError("total phase undefined at a dark point")
+    scale = np.where(dark, 1.0, np.maximum(u_max, _TINY))
     e_scaled = np.where(dark, 1.0, e / scale)
     return np.where(dark, 0.0, (grad_e / scale / e_scaled).imag), dark
-
-
-def _total_phase_gradient(e, grad_e, u_max):
-    slope, dark = _phase_slope(e, grad_e, u_max)
-    if np.any(dark):
-        raise DarkPointError("total phase undefined at a dark point")
-    return slope
 
 
 def _checked_mode(mode):
@@ -205,7 +205,7 @@ def phase_gradient(field, pt, mode="reduced", t=0.0):
         return _beam_phase_gradient(field, pt, mode)
     if mode == _REDUCED:
         raise ValueError("a pair has no single reduced gradient; evaluate per beam")
-    return _total_phase_gradient(*_pair_gradient(field, pt, t))
+    return _phase_slope(*_pair_gradient(field, pt, t), strict=True)[0]
 
 
 def detuning_eff(atom, vel, grad):
@@ -221,86 +221,87 @@ def _sums_beams(combine):
     return combine == _SUM
 
 
-def _force_prefactor(atom, omega, delta):
-    return 0.25 * HBAR * atom.gamma * omega * omega \
-        / (delta * delta + 0.5 * omega * omega + 0.25 * atom.gamma ** 2)
+def _beam_terms(beam, pt, mode, jet):
+    """U, the phase gradient and U grad(U) (None unless ``jet``) of one beam
+    from one mode evaluation; ``mode_jet``'s U equals ``mode_amplitude``."""
+    if jet or mode == _FULL:
+        u, _, grad_u, grad = mode_jet(beam, pt)
+    else:
+        u = mode_amplitude(beam, pt)
+    if mode == _REDUCED:
+        grad = _beam_phase_gradient(beam, pt, mode)
+    return u, grad, u * grad_u if jet else None
 
 
-def _single_scattering(atom, beam, pt, vel, mode, amp_ref):
-    omega = rabi_at(atom, mode_amplitude(beam, pt), amp_ref)
-    grad = _beam_phase_gradient(beam, pt, mode)
-    pref = _force_prefactor(atom, omega, detuning_eff(atom, vel, grad))
-    return ForceVec(pref * grad[0], pref * grad[1], pref * grad[2])
+def _field_terms(pair, pt, vel, t, scattering, dipole):
+    """|E|, grad(arg E) and Re(E* grad E) of the interfered field from one
+    ``_pair_gradient``.  The slope is 0 at a dark point, unless the dipole
+    force's Doppler shift needs it there: that raises DarkPointError."""
+    e, grad_e, u_max = _pair_gradient(pair, pt, t)
+    grad = None
+    if scattering or vel is not None:
+        grad = _phase_slope(e, grad_e, u_max, strict=dipole and vel is not None)[0]
+    return np.abs(e), grad, (np.conj(e) * grad_e).real if dipole else None
 
 
-def scattering_force(atom, field, pt, vel=None, mode="reduced",
-                     combine="sum-of-beams", t=0.0):
-    """Scattering force (hbar Gamma / 4) Omega^2 grad(Theta) /
-    (Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4).
-
-    ``field`` is a BeamSpec or a PairSpec.  For a pair, ``combine`` picks the
-    sum of the two single-beam forces (each beam's phase gradient taken in
-    ``mode``) or the force of the interfered total field, which always uses
-    the full gradient Im(grad E / E) and is zero at dark points.
+def _forces(atom, field, pt, vel, mode, t, scattering, dipole):
+    """Scattering and dipole forces of a beam or a pair at time t, each a
+    ForceVec (zero when not asked for), from one evaluation of each beam's
+    mode.  For a beam ``mode`` picks the phase gradient; for a pair it is the
+    model (see the module docstring).  Points are scalars or broadcastable
+    arrays, as in ``lg_mode``.
     """
     mode = _checked_mode(mode)
     if isinstance(field, BeamSpec):
-        return _single_scattering(atom, field, pt, vel, mode, field.amp_scale)
-    ref = _pair_amp_ref(field)
-    if _sums_beams(combine):
-        return _single_scattering(atom, field.beam1, pt, vel, mode, ref) \
-            + _single_scattering(atom, field.beam2, pt, vel, mode, ref)
-    e, grad_e, u_max = _pair_gradient(field, pt, t)
-    grad, _ = _phase_slope(e, grad_e, u_max)
-    omega = rabi_at(atom, np.abs(e), ref)
-    pref = _force_prefactor(atom, omega, detuning_eff(atom, vel, grad))
-    return ForceVec(pref * grad[0], pref * grad[1], pref * grad[2])
+        ref, terms = field.amp_scale, [_beam_terms(field, pt, mode, dipole)]
+    elif mode == _REDUCED:
+        ref = _pair_amp_ref(field)
+        terms = [_beam_terms(b, pt, mode, dipole) for b in (field.beam1, field.beam2)]
+    else:
+        ref = _pair_amp_ref(field)
+        terms = [_field_terms(field, pt, vel, t, scattering, dipole)]
+    quarter_gamma_sq = 0.25 * atom.gamma ** 2
+    fs, fd = [], []
+    for amp, grad, amp_grad_amp in terms:
+        delta = detuning_eff(atom, vel, grad)
+        if scattering:
+            omega = rabi_at(atom, amp, ref)
+            pref = 0.25 * HBAR * atom.gamma * omega * omega \
+                / (delta * delta + 0.5 * omega * omega + quarter_gamma_sq)
+            fs.append(ForceVec(pref * grad[0], pref * grad[1], pref * grad[2]))
+        if dipole:
+            s = atom.rabi_omega0 / ref
+            omega, omega_grad_omega = s * amp, s * s * amp_grad_amp
+            scale = -0.5 * HBAR * delta / (delta * delta + 0.5 * omega * omega + quarter_gamma_sq)
+            fd.append(ForceVec(scale * omega_grad_omega[0], scale * omega_grad_omega[1],
+                               scale * omega_grad_omega[2]))
+    return (sum(fs[1:], fs[0]) if fs else ForceVec(0.0, 0.0, 0.0),
+            sum(fd[1:], fd[0]) if fd else ForceVec(0.0, 0.0, 0.0))
 
 
-def _dipole_from_amp(atom, omega, omega_grad_omega, delta):
-    den = delta * delta + 0.5 * omega * omega + 0.25 * atom.gamma ** 2
-    scale = -0.5 * HBAR * delta / den
-    return ForceVec(scale * omega_grad_omega[0], scale * omega_grad_omega[1],
-                    scale * omega_grad_omega[2])
+def scattering_force(atom, field, pt, vel=None, mode="reduced", t=0.0):
+    """Scattering force (hbar Gamma / 4) Omega^2 grad(Theta) /
+    (Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4).
+
+    ``field`` is a BeamSpec or a PairSpec.  For a pair, ``mode="reduced"``
+    adds the two single-beam forces, each with its reduced phase gradient,
+    and ``mode="full"`` is the force of the interfered total field, with the
+    gradient Im(grad E / E); it is zero at dark points.
+    """
+    return _forces(atom, field, pt, vel, mode, t, True, False)[0]
 
 
-def _single_dipole(atom, beam, pt, vel, mode, amp_ref):
-    scale = atom.rabi_omega0 / amp_ref
-    u, _, grad_u, grad_phase = mode_jet(beam, pt)
-    delta = atom.detuning0
-    if vel is not None:
-        if mode == _REDUCED:
-            grad_phase = _beam_phase_gradient(beam, pt, mode)
-        delta = detuning_eff(atom, vel, grad_phase)
-    return _dipole_from_amp(atom, scale * u, scale * scale * u * grad_u, delta)
-
-
-def dipole_force(atom, field, pt, vel=None, mode="reduced",
-                 combine="sum-of-beams", t=0.0):
+def dipole_force(atom, field, pt, vel=None, mode="reduced", t=0.0):
     """Dipole force -(hbar / 2) Omega grad(Omega) Delta_eff /
     (Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4), in closed form.
 
     For one beam Omega grad(Omega) = s^2 U grad(U), with s = rabi_omega0 over
-    the reference amplitude and U, grad(U) from one ``mode_jet``.  For the
-    total field it is s^2 Re(E* grad E), which needs no division and is 0 at
-    dark points.
+    the reference amplitude and U, grad(U) from one ``mode_jet``.  A pair
+    takes ``mode`` as ``scattering_force`` does; for the total field it is
+    s^2 Re(E* grad E), and velocity coupling raises DarkPointError at a
+    dark point.
     """
-    mode = _checked_mode(mode)
-    if isinstance(field, BeamSpec):
-        return _single_dipole(atom, field, pt, vel, mode, field.amp_scale)
-    ref = _pair_amp_ref(field)
-    if _sums_beams(combine):
-        return _single_dipole(atom, field.beam1, pt, vel, mode, ref) \
-            + _single_dipole(atom, field.beam2, pt, vel, mode, ref)
-    if vel is not None and mode != _FULL:
-        raise ValueError("velocity coupling with the total field needs mode='full'")
-    scale = atom.rabi_omega0 / ref
-    e, grad_e, u_max = _pair_gradient(field, pt, t)
-    delta = atom.detuning0
-    if vel is not None:
-        delta = detuning_eff(atom, vel, _total_phase_gradient(e, grad_e, u_max))
-    return _dipole_from_amp(atom, scale * np.abs(e),
-                            scale * scale * (np.conj(e) * grad_e).real, delta)
+    return _forces(atom, field, pt, vel, mode, t, False, True)[1]
 
 
 def _potential(atom, omega, delta):
@@ -316,22 +317,17 @@ def dipole_potential(atom, field, pt, vel=None, mode="reduced",
     mode = _checked_mode(mode)
 
     def beam_potential(beam, amp_ref):
-        omega = rabi_at(atom, mode_amplitude(beam, pt), amp_ref)
-        delta = atom.detuning0
-        if vel is not None:
-            delta = detuning_eff(atom, vel, _beam_phase_gradient(beam, pt, mode))
-        return _potential(atom, omega, delta)
+        u, grad, _ = _beam_terms(beam, pt, mode, False)
+        return _potential(atom, rabi_at(atom, u, amp_ref), detuning_eff(atom, vel, grad))
 
     if isinstance(field, BeamSpec):
         return beam_potential(field, field.amp_scale)
     ref = _pair_amp_ref(field)
     if _sums_beams(combine):
         return beam_potential(field.beam1, ref) + beam_potential(field.beam2, ref)
+    grad = None if vel is None else phase_gradient(field, pt, mode=_FULL, t=t)
     omega = rabi_at(atom, total_amplitude(field, pt, t=t), ref)
-    delta = atom.detuning0
-    if vel is not None:
-        delta = detuning_eff(atom, vel, phase_gradient(field, pt, mode=_FULL, t=t))
-    return _potential(atom, omega, delta)
+    return _potential(atom, omega, detuning_eff(atom, vel, grad))
 
 
 def _sat_q(atom, omega_sq):
@@ -416,8 +412,7 @@ def axial_force_slope(atom, pair, rho, z=0.0, h=None):
         h = 0.01 * b.rayleigh_range
 
     def fz(zz):
-        f = scattering_force(atom, pair, CylPoint(rho=rho, phi=0.0, z=zz),
-                             mode=_REDUCED, combine=_SUM)
+        f = scattering_force(atom, pair, CylPoint(rho=rho, phi=0.0, z=zz), mode=_REDUCED)
         return f.f_z
 
     return (8.0 * (fz(z + h) - fz(z - h)) - (fz(z + 2.0 * h) - fz(z - 2.0 * h))) / (12.0 * h)

@@ -2,10 +2,11 @@
 
 A classic fixed-step fourth-order Runge-Kutta integrator advances the atom in
 Cartesian coordinates (the cylindrical frame is singular on the axis); forces
-are evaluated in the local cylindrical frame at every substage.  The force
-model is either the reduced sum-of-beams scattering picture or the full
-total-field one, with optional dipole contribution and optional velocity
-coupling in the detuning.
+are evaluated in the local cylindrical frame at every substage's absolute
+time, so the pattern of a frequency-offset pair turns and crawls under the
+atom.  The force model is "reduced" (the beams' forces added) or "full" (the
+interfered field); the scattering and dipole forces toggle independently and
+share each substage's mode evaluations, with optional velocity coupling.
 """
 
 import math
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom_forces import (ForceVec, Velocity, central_ring_radius, dipole_force,
-                          scattering_force, spring_constant_k0)
+from .atom_forces import ForceVec, Velocity, _forces, central_ring_radius, spring_constant_k0
+# scattering_force and dipole_force are not called here; they stay module
+# attributes because perfbench/spans.py traces calls by rebinding these names
+from .atom_forces import dipole_force, scattering_force
 from .errors import DegenerateGeometryError, DivergenceError, StepSizeError
 from .lg_mode import CylPoint, waist_at
 from .superpose import PairSpec
@@ -28,12 +31,12 @@ __all__ = [
     "trap_frequency",
 ]
 
-FORCE_MODELS = {"reduced": ("reduced", "sum-of-beams"), "full": ("full", "total-field")}
+FORCE_MODELS = ("reduced", "full")
 
 # Trajectories further out than this multiple of the beam extent abort
 DIVERGENCE_FACTOR = 10.0
 
-# Minimum resolution of one trap period, in steps
+# Minimum resolution of one trap period or pattern period, in steps
 MIN_STEPS_PER_PERIOD = 50
 
 
@@ -74,7 +77,7 @@ class IntegratorConfig:
         if self.duration < self.step:
             raise ValueError("duration must be at least one step")
         if self.force_model not in FORCE_MODELS:
-            raise ValueError(f"force_model must be one of {tuple(FORCE_MODELS)}")
+            raise ValueError(f"force_model must be one of {FORCE_MODELS}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
 
@@ -92,7 +95,7 @@ def angular_momentum(atom, state):
     return atom.mass * state.position.rho * state.velocity.v_phi
 
 
-def _force_cartesian(atom, pair, cfg, mode, combine, x, y, z, vx, vy, vz):
+def _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz):
     rho = math.hypot(x, y)
     phi = math.atan2(y, x)
     c, s = math.cos(phi), math.sin(phi)
@@ -100,14 +103,11 @@ def _force_cartesian(atom, pair, cfg, mode, combine, x, y, z, vx, vy, vz):
     vel = None
     if cfg.velocity_coupling:
         vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz)
-    f = ForceVec(0.0, 0.0, 0.0)
-    if cfg.include_scattering:
-        fs = scattering_force(atom, pair, pt, vel=vel, mode=mode, combine=combine)
-        if not cfg.include_azimuthal:
-            fs = ForceVec(fs.f_rho, 0.0, fs.f_z)
-        f = f + fs
-    if cfg.include_dipole:
-        f = f + dipole_force(atom, pair, pt, vel=vel, mode=mode, combine=combine)
+    fs, fd = _forces(atom, pair, pt, vel, cfg.force_model, t,
+                     cfg.include_scattering, cfg.include_dipole)
+    if cfg.include_scattering and not cfg.include_azimuthal:
+        fs = ForceVec(fs.f_rho, 0.0, fs.f_z)
+    f = fs + fd
     fx = f.f_rho * c - f.f_phi * s
     fy = f.f_rho * s + f.f_phi * c
     return fx, fy, f.f_z
@@ -125,19 +125,22 @@ def integrate(atom, pair, init, cfg):
     """Advance a TrajectoryState through the pair's force field.
 
     Returns the sampled states, always including the initial and final ones.
-    Raises StepSizeError when the step resolves the axial trap period with
-    fewer than MIN_STEPS_PER_PERIOD points, and DivergenceError if the atom
-    leaves DIVERGENCE_FACTOR times the beam extent or its state stops being
-    finite.
+    Each RK4 substage sees the force at its absolute time, counted from
+    ``init.time``.  Raises StepSizeError when the step resolves the axial
+    trap period, or the pattern period 2 pi / |delta_omega| of a
+    frequency-offset pair, with fewer than MIN_STEPS_PER_PERIOD points, and
+    DivergenceError if the atom leaves DIVERGENCE_FACTOR times the beam
+    extent or its state stops being finite.
     """
-    if pair.separation_d > 0.0:
-        k0 = spring_constant_k0(atom, pair)
-        if k0 > 0.0:
-            period = 2.0 * math.pi / math.sqrt(k0 / atom.mass)
-            if cfg.step > period / MIN_STEPS_PER_PERIOD:
-                raise StepSizeError(
-                    f"step {cfg.step:.3e} s too coarse for trap period {period:.3e} s; "
-                    f"need <= {period / MIN_STEPS_PER_PERIOD:.3e} s")
+    k0 = spring_constant_k0(atom, pair)
+    periods = [("trap", 2.0 * math.pi / math.sqrt(k0 / atom.mass))] if k0 > 0.0 else []
+    if pair.delta_omega != 0.0:
+        periods.append(("pattern", 2.0 * math.pi / abs(pair.delta_omega)))
+    for name, period in periods:
+        if cfg.step > period / MIN_STEPS_PER_PERIOD:
+            raise StepSizeError(
+                f"step {cfg.step:.3e} s too coarse for {name} period {period:.3e} s; "
+                f"need <= {period / MIN_STEPS_PER_PERIOD:.3e} s")
 
     radial_max, axial_max = _extents(pair)
     radial_max *= DIVERGENCE_FACTOR
@@ -148,10 +151,9 @@ def integrate(atom, pair, init, cfg):
     y = np.array([p.rho * c, p.rho * s, p.z,
                   v.v_rho * c - v.v_phi * s, v.v_rho * s + v.v_phi * c, v.v_z])
     inv_m = 1.0 / atom.mass
-    mode, combine = FORCE_MODELS[cfg.force_model]
 
-    def deriv(state):
-        fx, fy, fz = _force_cartesian(atom, pair, cfg, mode, combine, *state)
+    def deriv(state, t):
+        fx, fy, fz = _force_cartesian(atom, pair, cfg, t, *state)
         return np.array([state[3], state[4], state[5],
                          fx * inv_m, fy * inv_m, fz * inv_m])
 
@@ -170,10 +172,11 @@ def integrate(atom, pair, init, cfg):
     h = cfg.step
     samples = [snapshot(y, init.time)]
     for n in range(1, n_steps + 1):
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * h * k1)
-        k3 = deriv(y + 0.5 * h * k2)
-        k4 = deriv(y + h * k3)
+        t = init.time + (n - 1) * h
+        k1 = deriv(y, t)
+        k2 = deriv(y + 0.5 * h * k1, t + 0.5 * h)
+        k3 = deriv(y + 0.5 * h * k2, t + 0.5 * h)
+        k4 = deriv(y + h * k3, t + h)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # every comparison with NaN is False, so the region test alone would
         # let a NaN state through; the sum is NaN or infinite when any entry

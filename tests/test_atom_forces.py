@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from vortexlattice.atom_forces import (AtomSpec, ForceVec, Velocity,
+from vortexlattice.atom_forces import (AtomSpec, ForceVec, Velocity, _forces,
                                        axial_force_slope, central_ring_radius,
                                        detuning_eff, dipole_force,
                                        dipole_potential, ferris_rate,
@@ -111,14 +111,16 @@ def test_pair_gradient_requires_full_mode():
 @pytest.mark.parametrize("mode", ["Reduced", "FULL", "bogus"])
 @pytest.mark.parametrize("force", [scattering_force, dipole_force, dipole_potential])
 def test_unknown_force_mode_is_rejected(force, mode):
-    """A misspelt mode raises ValueError, as a misspelt combine does, for one
-    beam and for a pair either way combined; it never means "full"."""
+    """A misspelt mode raises ValueError for one beam and for a pair (and for
+    the potential's pair either way combined); it never means "full"."""
     p = pair(l1=2)
     pt = CylPoint(rho=3e-6, phi=0.2, z=1e-6)
-    for field, combine in ((p.beam1, "sum-of-beams"), (p, "sum-of-beams"),
-                           (p, "total-field")):
+    calls = [(p.beam1, {}), (p, {})]
+    if force is dipole_potential:
+        calls.append((p, {"combine": "total-field"}))
+    for field, kwargs in calls:
         with pytest.raises(ValueError, match="mode must be"):
-            force(sodium(), field, pt, mode=mode, combine=combine)
+            force(sodium(), field, pt, mode=mode, **kwargs)
     for field in (p.beam1, p):
         with pytest.raises(ValueError, match="mode must be"):
             phase_gradient(field, pt, mode=mode)
@@ -179,8 +181,7 @@ def test_axial_force_vanishes_on_midplane_ring():
     atom = sodium()
     p = pair(l1=1)
     rho0 = central_ring_radius(p)
-    f = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=0.0),
-                         mode="reduced", combine="sum-of-beams")
+    f = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=0.0), mode="reduced")
     assert f.f_z == 0.0
     assert f.f_phi > 0.0
 
@@ -190,14 +191,11 @@ def test_axial_force_odd_in_z():
     p = pair(l1=1)
     rho0 = central_ring_radius(p)
     for z in (1e-5, 5e-5, 2e-4):
-        up = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=z),
-                              mode="reduced", combine="sum-of-beams")
-        dn = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=-z),
-                              mode="reduced", combine="sum-of-beams")
+        up = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=z), mode="reduced")
+        dn = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=-z), mode="reduced")
         assert up.f_z == -dn.f_z
     # restoring: force points back toward the midplane
-    probe = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=1e-5),
-                             mode="reduced", combine="sum-of-beams")
+    probe = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=1e-5), mode="reduced")
     assert probe.f_z < 0.0
 
 
@@ -267,7 +265,7 @@ def test_dipole_force_is_potential_gradient_sum():
     rho = rho0 * rng.uniform(0.5, 1.5, n)
     phi = rng.uniform(-np.pi, np.pi, n)
     z = rng.uniform(-0.5, 0.5, n) * p.beam1.rayleigh_range
-    f = dipole_force(atom, p, CylPoint(rho=rho, phi=phi, z=z), combine="sum-of-beams")
+    f = dipole_force(atom, p, CylPoint(rho=rho, phi=phi, z=z), mode="reduced")
     h = WAVELENGTH / 400.0
 
     def v(rr, pp, zz):
@@ -294,7 +292,7 @@ def test_dipole_force_total_field_consistency():
     rho = rho0 * rng.uniform(0.6, 1.4, 400)
     phi = rng.uniform(-np.pi, np.pi, 400)
     z = rng.uniform(-0.5, 0.5, 400) * p.beam1.rayleigh_range
-    f = dipole_force(atom, p, CylPoint(rho=rho, phi=phi, z=z), combine="total-field")
+    f = dipole_force(atom, p, CylPoint(rho=rho, phi=phi, z=z), mode="full")
     h = WAVELENGTH / 400.0
 
     def v(rr, pp, zz):
@@ -363,7 +361,7 @@ def test_scattering_force_total_field_matches_stencil():
     pref = 0.25 * HBAR * atom.gamma * omega ** 2 \
         / (delta ** 2 + 0.5 * omega ** 2 + 0.25 * atom.gamma ** 2)
     want = pref * grad
-    f = scattering_force(atom, p, pts, vel=vel, mode="full", combine="total-field", t=t)
+    f = scattering_force(atom, p, pts, vel=vel, mode="full", t=t)
     got = np.stack([f.f_rho, f.f_phi, f.f_z])
     rel = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
     assert np.max(rel) < 1e-6
@@ -372,7 +370,9 @@ def test_scattering_force_total_field_matches_stencil():
 def test_pair_dark_point_with_negative_amplitudes():
     """radial_p = 1 makes both amplitudes negative outside the inner node;
     where the two beams cancel the total phase is undefined, so the phase
-    gradient raises and the total-field scattering force is 0."""
+    gradient raises and the total-field scattering force is 0.  Under
+    velocity coupling the scattering force still takes the slope as 0, while
+    the dipole force, whose detuning needs the slope, raises."""
     p = PairSpec.counterpropagating(WAVELENGTH, 8e-6, l1=1, separation_d=0.0, radial_p=1)
     rho = 1.5 * p.beam1.waist_w0
     z = brentq(lambda zz: phase_difference(p, CylPoint(rho, 0.0, zz)).total - math.pi,
@@ -382,8 +382,15 @@ def test_pair_dark_point_with_negative_amplitudes():
     assert np.isnan(total_phase(p, pt))
     with pytest.raises(DarkPointError):
         phase_gradient(p, pt, mode="full")
-    f = scattering_force(sodium(), p, pt, mode="full", combine="total-field")
+    f = scattering_force(sodium(), p, pt, mode="full")
     np.testing.assert_array_equal(f.as_array(), [0.0, 0.0, 0.0])
+    vel = Velocity(0.3, -0.2, 0.5)
+    f = scattering_force(sodium(), p, pt, vel=vel, mode="full")
+    np.testing.assert_array_equal(f.as_array(), [0.0, 0.0, 0.0])
+    with pytest.raises(DarkPointError):
+        dipole_force(sodium(), p, pt, vel=vel, mode="full")
+    with pytest.raises(DarkPointError):
+        _forces(sodium(), p, pt, vel, "full", 0.0, True, True)
 
 
 def test_total_field_far_from_beam_is_finite():
@@ -397,8 +404,27 @@ def test_total_field_far_from_beam_is_finite():
     assert np.all(np.isfinite(g)) and g[2] != 0.0
     vel = Velocity(0.0, 0.0, 0.2)
     for force in (scattering_force, dipole_force):
-        f = force(atom, p, pt, vel=vel, mode="full", combine="total-field")
+        f = force(atom, p, pt, vel=vel, mode="full")
         assert np.all(np.isfinite(f.as_array()))
+
+
+def test_total_field_with_subnormal_amplitudes_is_finite():
+    """Next to the axis of a high-winding pair both amplitudes are
+    subnormal, where dividing by max(|U1|, |U2|) as a complex number would
+    overflow; the phase gradient and the forces stay finite there."""
+    atom = sodium()
+    w0 = 2.0 * WAVELENGTH
+    zr = math.pi * w0 ** 2 / WAVELENGTH
+    p = PairSpec.counterpropagating(WAVELENGTH, w0, l1=31, l2=30, separation_d=zr)
+    pt = CylPoint(rho=5e-16, phi=0.0, z=-2.5 * zr)
+    u_max = max(abs(mode_amplitude(p.beam1, pt)), abs(mode_amplitude(p.beam2, pt)))
+    assert 0.0 < u_max < np.finfo(float).tiny
+    g = phase_gradient(p, pt, mode="full")
+    assert np.all(np.isfinite(g)) and g[2] != 0.0
+    for vel in (None, Velocity(0.0, 0.0, 0.2)):
+        for force in (scattering_force, dipole_force):
+            f = force(atom, p, pt, vel=vel, mode="full")
+            assert np.all(np.isfinite(f.as_array()))
 
 
 def test_dipole_potential_sign():
@@ -416,8 +442,7 @@ def test_torque_matches_azimuthal_force():
     atom = sodium()
     p = pair(l1=2)
     rho0 = central_ring_radius(p)
-    f = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=0.0),
-                         mode="reduced", combine="sum-of-beams")
+    f = scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=0.0), mode="reduced")
     assert torque_axial(atom, p) == pytest.approx(rho0 * f.f_phi, rel=1e-12)
     assert torque_axial(atom, pair(l1=0)) == 0.0
     # negative winding spins the other way
@@ -449,9 +474,8 @@ def test_forces_vectorize():
     rho0 = central_ring_radius(p)
     z = np.linspace(-1e-5, 1e-5, 7)
     pts = CylPoint(rho=np.full_like(z, rho0), phi=np.zeros_like(z), z=z)
-    f = scattering_force(atom, p, pts, mode="reduced", combine="sum-of-beams")
+    f = scattering_force(atom, p, pts, mode="reduced")
     assert np.shape(f.f_z) == (7,)
-    singles = [scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=zz),
-                                mode="reduced", combine="sum-of-beams").f_z
+    singles = [scattering_force(atom, p, CylPoint(rho=rho0, phi=0.0, z=zz), mode="reduced").f_z
                for zz in z]
     np.testing.assert_allclose(f.f_z, singles, rtol=1e-12, atol=1e-300)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from vortexlattice import dynamics
+from vortexlattice import atom_forces, dynamics
 from vortexlattice.atom_forces import (AtomSpec, ForceVec, Velocity,
-                                       central_ring_radius, dipole_potential,
-                                       spring_constant_k0, torque_axial)
+                                       central_ring_radius, dipole_force,
+                                       dipole_potential, spring_constant_k0,
+                                       torque_axial)
 from vortexlattice.dynamics import (IntegratorConfig, TrajectoryState,
                                     angular_momentum, estimate_frequency,
                                     integrate, trap_frequency)
@@ -215,8 +216,107 @@ def test_divergence_guard_catches_non_finite_state(monkeypatch, bad):
     atom = sodium()
     p = trap_pair()
     period = 2.0 * math.pi / trap_frequency(atom, p)
-    monkeypatch.setattr(dynamics, "scattering_force",
-                        lambda *args, **kwargs: ForceVec(bad, bad, bad))
+    monkeypatch.setattr(dynamics, "_forces",
+                        lambda *args, **kwargs: (ForceVec(bad, bad, bad),
+                                                 ForceVec(0.0, 0.0, 0.0)))
     cfg = IntegratorConfig(step=period / 400, duration=period)
     with pytest.raises(DivergenceError, match="non-finite"):
         integrate(atom, p, on_ring_state(p), cfg)
+
+
+def ferris_pair(delta_omega):
+    """l = 2, d = 0 and w0 = 6 wavelengths: the spokes of the total field
+    turn at delta_omega / 4, and with d = 0 no axial trap sets a step bound."""
+    return PairSpec.counterpropagating(WAVELENGTH, 6.0 * WAVELENGTH, l1=2,
+                                       delta_omega=delta_omega)
+
+
+def red_atom():
+    return AtomSpec(mass=NA_MASS, gamma=GAMMA, detuning0=-2.0 * GAMMA, rabi_omega0=GAMMA)
+
+
+def dipole_full(step, duration):
+    return IntegratorConfig(step=step, duration=duration, force_model="full",
+                            include_scattering=False, include_dipole=True,
+                            sample_every=10 ** 9)
+
+
+def test_trajectory_sees_the_turning_pattern():
+    """A frequency offset turns the interference pattern under the atom, so
+    the final state of a full-model trajectory depends on it."""
+    atom = red_atom()
+    finals = []
+    for dw in (0.0, 2.0 * math.pi * 1e5):
+        p = ferris_pair(dw)
+        init = TrajectoryState(CylPoint(rho=central_ring_radius(p), phi=0.0, z=0.0),
+                               Velocity(), time=0.0)
+        finals.append(cartesian_state(integrate(atom, p, init, dipole_full(1e-7, 2e-5))[-1]))
+    assert not np.array_equal(finals[0], finals[1])
+    assert abs(finals[1][5]) > 1e-3          # the conveyor has pushed the atom along z
+
+
+def test_first_stage_force_is_taken_at_the_initial_time(monkeypatch):
+    atom = red_atom()
+    p = ferris_pair(2.0 * math.pi * 1e5)
+    init = TrajectoryState(CylPoint(rho=central_ring_radius(p), phi=0.3, z=1e-7),
+                           Velocity(), time=1.3e-6)
+    calls = []
+    forces = dynamics._forces
+
+    def recording(*args):
+        result = forces(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(dynamics, "_forces", recording)
+    integrate(atom, p, init, dipole_full(1e-7, 1e-7))
+    assert len(calls) == 4
+    args, (_, fd) = calls[0]
+    pt, t = args[2], args[5]
+    assert t == init.time
+    want = dipole_force(atom, p, pt, mode="full", t=init.time)
+    np.testing.assert_array_equal(fd.as_array(), want.as_array())
+    assert not np.array_equal(want.as_array(),
+                              dipole_force(atom, p, pt, mode="full").as_array())
+
+
+@pytest.mark.parametrize("factor, raises", [(1.001, True), (0.999, False)])
+def test_pattern_period_step_gate(factor, raises):
+    """A frequency-offset pair needs MIN_STEPS_PER_PERIOD steps per pattern
+    period 2 pi / |delta_omega|, here 10 us."""
+    atom = red_atom()
+    dw = -2.0 * math.pi * 1e5
+    p = ferris_pair(dw)
+    step = factor * 2.0 * math.pi / abs(dw) / dynamics.MIN_STEPS_PER_PERIOD
+    init = TrajectoryState(CylPoint(rho=central_ring_radius(p), phi=0.0, z=0.0),
+                           Velocity(), time=0.0)
+    cfg = dipole_full(step, step)
+    if raises:
+        with pytest.raises(StepSizeError, match="pattern period"):
+            integrate(atom, p, init, cfg)
+    else:
+        assert len(integrate(atom, p, init, cfg)) == 2
+
+
+@pytest.mark.parametrize("model, scattering, dipole, jets, amplitudes",
+                         [("full", True, True, 2, 0), ("reduced", True, False, 0, 2)])
+def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dipole,
+                                             jets, amplitudes):
+    """The scattering and dipole forces of a stage share each beam's mode
+    evaluation: a jet when the stage needs gradients, else an amplitude."""
+    atom = sodium()
+    p = trap_pair()
+    period = 2.0 * math.pi / trap_frequency(atom, p)
+    counts = {"mode_jet": 0, "mode_amplitude": 0}
+    for name in counts:
+        def counting(*args, _fn=getattr(atom_forces, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(atom_forces, name, counting)
+    cfg = IntegratorConfig(step=period / 400, duration=period, force_model=model,
+                           velocity_coupling=True, include_scattering=scattering,
+                           include_dipole=dipole)
+    _, _, fz = dynamics._force_cartesian(atom, p, cfg, 0.0,
+                                         *cartesian_state(on_ring_state(p, v_z=0.01)))
+    assert counts == {"mode_jet": jets, "mode_amplitude": amplitudes}
+    assert fz != 0.0

@@ -10,13 +10,15 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlattice.atom_forces import AtomSpec, phase_gradient, scattering_force
+from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces, dipole_force,
+                                       phase_gradient, scattering_force)
 from vortexlattice.constants import HBAR
 from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, laguerre_poly,
                                    mode_amplitude, mode_jet, mode_phase, waist_at)
-from vortexlattice.errors import VortexLatticeError
+from vortexlattice.errors import DarkPointError, VortexLatticeError
 from vortexlattice.ring_analysis import find_rings
 from vortexlattice.superpose import (BLOCK_POINTS, GridSpec, PairSpec, amplitude_map,
                                      intensity_map, pair_complex, total_amplitude)
@@ -201,13 +203,47 @@ def test_axial_force_odd_in_z_for_symmetric_pairs(case):
     pair, pt, _ = case
     phi, z = np.asarray(pt.phi), np.asarray(pt.z)
     scale = 1e-12 * HBAR * GAMMA * pair.beam1.wavenumber
-    for mode, combine, mirrored_phi in (("reduced", "sum-of-beams", phi),
-                                        ("reduced", "sum-of-beams", -phi),
-                                        ("full", "total-field", -phi)):
-        here = scattering_force(ATOM, pair, pt, mode=mode, combine=combine).f_z
+    for mode, mirrored_phi in (("reduced", phi), ("reduced", -phi), ("full", -phi)):
+        here = scattering_force(ATOM, pair, pt, mode=mode).f_z
         there = scattering_force(ATOM, pair, CylPoint(rho=pt.rho, phi=mirrored_phi, z=-z),
-                                 mode=mode, combine=combine).f_z
+                                 mode=mode).f_z
         assert np.all(np.abs(here + there) <= scale)
+
+
+speeds = st.floats(-2.0, 2.0)
+velocities = st.none() | st.builds(Velocity, speeds, speeds, speeds)
+
+
+@SETTINGS
+@given(case=pairs_and_points(), vel=velocities, model=st.sampled_from(["reduced", "full"]))
+def test_shared_forces_equal_scalar_calls_and_wrappers(case, vel, model):
+    """_forces on broadcast points equals its scalar calls point by point, to
+    1e-12 of each force's magnitude (a component that cancels down to
+    rounding, such as f_phi of a pair with l1 = 0, differs in that noise),
+    and its two outputs are scattering_force's and dipole_force's.  Under
+    velocity coupling a dark point (the axis, the far field) makes the full
+    model's dipole force raise, while its scattering force is still given."""
+    pair, pt, t = case
+    both = [scattering_force, dipole_force]
+    try:
+        got = _forces(ATOM, pair, pt, vel, model, t, True, True)
+    except DarkPointError:
+        assert model == "full" and vel is not None
+        with pytest.raises(DarkPointError):
+            dipole_force(ATOM, pair, pt, vel=vel, mode=model, t=t)
+        both = [scattering_force]
+        got = (_forces(ATOM, pair, pt, vel, model, t, True, False)[0],)
+    for force, f in zip(both, got):
+        np.testing.assert_array_equal(
+            f.as_array(), force(ATOM, pair, pt, vel=vel, mode=model, t=t).as_array(),
+            strict=True)
+    rho, phi, z = np.broadcast_arrays(pt.rho, pt.phi, pt.z)
+    for idx in np.ndindex(rho.shape):
+        one = CylPoint(rho=float(rho[idx]), phi=float(phi[idx]), z=float(z[idx]))
+        for force, f in zip(both, got):
+            want = force(ATOM, pair, one, vel=vel, mode=model, t=t).as_array()
+            here = np.broadcast_to(f.as_array(), (3,) + rho.shape)[(slice(None),) + idx]
+            assert np.all(np.abs(here - want) <= 1e-12 * np.linalg.norm(want))
 
 
 # ------------------------------------------------------------- maps
