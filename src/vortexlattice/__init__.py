@@ -15,7 +15,7 @@ from .errors import (ConfigError, DarkPointError, DegenerateGeometryError,
                      DivergenceError, ResolutionError, RingDetectionError,
                      StepSizeError, VortexLatticeError)
 from .lg_mode import (BeamSpec, CylPoint, laguerre_poly, mode_amplitude,
-                      mode_jet, mode_phase, waist_at, wrap_phase)
+                      mode_jet, mode_phase, waist_at)
 from .ring_analysis import (RadialSplit, Ring, RingSet, RingSplit,
                             double_ring_radii, find_rings, measure_axial_drift,
                             measure_rotation_rate, radial_separation,

@@ -10,7 +10,8 @@ gradient: "reduced" keeps only the dominant slopes the beam imposes in its
 own frame, exactly (0, l / rho, direction * k); "full" differentiates the
 complete phase.  For a pair, "reduced" adds the two beams' forces, each with
 its reduced gradient, and "full" applies the force formulas to the
-interfered field at time t.
+interfered field at time t; the potential of an atom at rest takes its
+amplitude.
 
 Every gradient is in closed form.  ``lg_mode.mode_jet`` gives U, Theta,
 grad(U) and grad(Theta) of each mode in one pass.  ``_forces`` returns the
@@ -304,30 +305,30 @@ def dipole_force(atom, field, pt, vel=None, mode="reduced", t=0.0):
     return _forces(atom, field, pt, vel, mode, t, False, True)[1]
 
 
-def _potential(atom, omega, delta):
+def _potential(atom, amplitude, amp_ref):
+    omega = rabi_at(atom, amplitude, amp_ref)
+    delta = atom.detuning0
     sat = 0.5 * omega * omega / (delta * delta + 0.25 * atom.gamma ** 2)
     return 0.5 * HBAR * delta * np.log1p(sat)
 
 
-def dipole_potential(atom, field, pt, vel=None, mode="reduced",
-                     combine="sum-of-beams", t=0.0):
-    """Dipole potential (hbar Delta_eff / 2) ln(1 + (Omega^2/2) /
-    (Delta_eff^2 + Gamma^2/4)); its negative gradient is the dipole force
-    when the velocity is zero."""
+def dipole_potential(atom, field, pt, mode="reduced", combine=None):
+    """Dipole potential (hbar Delta0 / 2) ln(1 + (Omega^2/2) /
+    (Delta0^2 + Gamma^2/4)) of an atom at rest, from the mode amplitudes: for
+    a pair "reduced" adds the beams' potentials and "full" is the interfered
+    field's.  -grad V is ``dipole_force`` of the same ``mode`` at zero
+    velocity.  ``combine`` ("sum-of-beams" or "total-field") is an optional
+    alias of the mode; one that disagrees with ``mode`` raises ValueError."""
     mode = _checked_mode(mode)
-
-    def beam_potential(beam, amp_ref):
-        u, grad, _ = _beam_terms(beam, pt, mode, False)
-        return _potential(atom, rabi_at(atom, u, amp_ref), detuning_eff(atom, vel, grad))
-
+    if combine is not None and _sums_beams(combine) != (mode == _REDUCED):
+        raise ValueError(f"combine={combine!r} disagrees with mode={mode!r}")
     if isinstance(field, BeamSpec):
-        return beam_potential(field, field.amp_scale)
+        return _potential(atom, mode_amplitude(field, pt), field.amp_scale)
     ref = _pair_amp_ref(field)
-    if _sums_beams(combine):
-        return beam_potential(field.beam1, ref) + beam_potential(field.beam2, ref)
-    grad = None if vel is None else phase_gradient(field, pt, mode=_FULL, t=t)
-    omega = rabi_at(atom, total_amplitude(field, pt, t=t), ref)
-    return _potential(atom, omega, detuning_eff(atom, vel, grad))
+    if mode == _REDUCED:
+        return _potential(atom, mode_amplitude(field.beam1, pt), ref) \
+            + _potential(atom, mode_amplitude(field.beam2, pt), ref)
+    return _potential(atom, total_amplitude(field, pt), ref)
 
 
 def _sat_q(atom, omega_sq):
@@ -404,18 +405,17 @@ def harmonic_potential_v0(atom, pair, z):
     return 0.5 * spring_constant_k0(atom, pair) * np.asarray(z) ** 2
 
 
-def axial_force_slope(atom, pair, rho, z=0.0, h=None):
-    """dF_z/dz of the reduced sum-of-beams scattering force by five-point
-    central differences; -slope at z = 0 is the numeric spring constant."""
-    b = pair.beam1
-    if h is None:
-        h = 0.01 * b.rayleigh_range
+def axial_force_slope(atom, pair, rho):
+    """dF_z/dz at z = 0 of the reduced sum-of-beams scattering force, by
+    five-point central differences with step z_R / 100; -slope is the numeric
+    spring constant."""
+    h = 0.01 * pair.beam1.rayleigh_range
 
     def fz(zz):
         f = scattering_force(atom, pair, CylPoint(rho=rho, phi=0.0, z=zz), mode=_REDUCED)
         return f.f_z
 
-    return (8.0 * (fz(z + h) - fz(z - h)) - (fz(z + 2.0 * h) - fz(z - 2.0 * h))) / (12.0 * h)
+    return (8.0 * (fz(h) - fz(-h)) - (fz(2.0 * h) - fz(-2.0 * h))) / (12.0 * h)
 
 
 def torque_axial(atom, pair):

@@ -3,8 +3,8 @@
 Subcommands: field-map, spring-sweep, rings, ferris, trajectory.  All take
 --config (JSON run configuration), --out (output directory) and --threads;
 trajectory also takes --mode, the force model ("reduced" by default).  Exit
-codes: 0 success, 2 configuration problems, 3 numerical or resolution
-failures, 4 I/O failures.
+codes: 0 success, 2 configuration problems, 3 any other package error
+(numerical, resolution or geometry failures), 4 I/O failures.
 """
 
 import argparse
@@ -21,8 +21,7 @@ from .atom_forces import central_ring_radius, ferris_rate, lift_speed, \
 from .config import RunConfig
 from .dynamics import FORCE_MODELS, angular_momentum, estimate_frequency, integrate, \
     trap_frequency
-from .errors import ConfigError, DegenerateGeometryError, DivergenceError, \
-    ResolutionError, RingDetectionError, StepSizeError, VortexLatticeError
+from .errors import ConfigError, DegenerateGeometryError, VortexLatticeError
 from .ring_analysis import double_ring_radii, find_rings, measure_axial_drift, \
     measure_rotation_rate, radial_separation, suggested_sample_dt
 from .superpose import PairSpec, intensity_map, write_csv
@@ -31,9 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-_NUMERICAL_ERRORS = (ResolutionError, RingDetectionError, StepSizeError,
-                     DivergenceError, DegenerateGeometryError)
 
 
 def _write_json(path, payload):
@@ -300,7 +296,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except VortexLatticeError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

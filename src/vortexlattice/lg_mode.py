@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT
-
 # Radius below which the radial and azimuthal gradient components are 0 (m)
 AXIS_RHO = 1e-15
 
@@ -28,14 +26,7 @@ __all__ = [
     "mode_jet",
     "mode_phase",
     "waist_at",
-    "wrap_phase",
 ]
-
-
-def wrap_phase(theta):
-    """Reduce an angle (or array of angles) to the interval (-pi, pi]."""
-    m = np.mod(theta, 2.0 * np.pi)
-    return m - 2.0 * np.pi * (m > np.pi)
 
 
 @dataclass(frozen=True)
@@ -64,8 +55,6 @@ class BeamSpec:
         viewed from its own propagation axis always carries +l*phi; a
         counter-propagating partner appears with the opposite handedness
         in shared lab coordinates, hence the explicit sign.
-    norm_constant : float or None
-        Mode normalisation constant; None selects sqrt(p! / (p + |l|)!).
 
     ``wavenumber``, ``rayleigh_range`` and ``norm`` are computed once per
     instance; the spec is frozen, and ``dataclasses.replace`` builds a new
@@ -80,7 +69,6 @@ class BeamSpec:
     focal_z: float = 0.0
     amp_scale: float = 1.0
     azimuthal_sign: int = 1
-    norm_constant: float = None
 
     def __post_init__(self):
         if self.wavelength <= 0.0:
@@ -104,15 +92,9 @@ class BeamSpec:
     def rayleigh_range(self):
         return np.pi * self.waist_w0 ** 2 / self.wavelength
 
-    @property
-    def omega(self):
-        return C_LIGHT * self.wavenumber
-
     @functools.cached_property
     def norm(self):
-        """Resolved normalisation constant C_{lp}."""
-        if self.norm_constant is not None:
-            return self.norm_constant
+        """Normalisation constant C_{lp} = sqrt(p! / (p + |l|)!)."""
         l, p = abs(self.winding_l), self.radial_p
         # lgamma keeps the ratio finite for large |l| where p! / (p+|l|)!
         # underflows if the factorials are formed separately
@@ -198,8 +180,9 @@ def mode_amplitude(beam, pt):
     return beam.amp_scale * beam.norm * radial / np.sqrt(1.0 + u ** 2)
 
 
-def _phase(beam, zl, pt, t):
-    """Unwrapped phase of ``mode_phase`` at local axial offset zl."""
+def _phase_parts(beam, zl, pt):
+    """Plane-wave, azimuthal, Gouy and curvature terms of the phase at local
+    axial offset zl."""
     k = beam.wavenumber
     zr = beam.rayleigh_range
     rho = np.asarray(pt.rho)
@@ -207,34 +190,32 @@ def _phase(beam, zl, pt, t):
     azimuthal = beam.azimuthal_sign * beam.winding_l * np.asarray(pt.phi)
     gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * np.arctan(zl / zr)
     curvature = k * rho * rho * zl / (2.0 * (zl * zl + zr * zr))
-    theta = plane + azimuthal + gouy + curvature
-    if t != 0.0:
-        theta = theta + beam.omega * t
-    return theta
+    return plane, azimuthal, gouy, curvature
 
 
-def mode_phase(beam, pt, t=0.0, principal=False):
-    """Phase of the mode at a point and time.
+def _phase(beam, zl, pt):
+    """Unwrapped phase of ``mode_phase`` at local axial offset zl."""
+    plane, azimuthal, gouy, curvature = _phase_parts(beam, zl, pt)
+    return plane + azimuthal + gouy + curvature
+
+
+def mode_phase(beam, pt):
+    """Unwrapped phase of the mode at a point.
 
     The phase is the sum of the plane-wave term direction * k * (z - focal_z),
     the azimuthal term azimuthal_sign * l * phi, the Gouy term
-    -(2p + |l| + 1) * arctan(z_local / z_R), the wavefront-curvature term
-    k * rho^2 * z_local / (2 (z_local^2 + z_R^2)), and omega * t.
-
-    Set ``principal=True`` to wrap the result into (-pi, pi].  The unwrapped
-    value is exact and is the form finite differences should act on.
+    -(2p + |l| + 1) * arctan(z_local / z_R) and the wavefront-curvature term
+    k * rho^2 * z_local / (2 (z_local^2 + z_R^2)).  The optical carrier
+    omega * t is left out: every beam of a pair shares it.
     """
-    theta = _phase(beam, _local_z(beam, pt.z), pt, t)
-    if principal:
-        theta = wrap_phase(theta)
-    return theta
+    return _phase(beam, _local_z(beam, pt.z), pt)
 
 
-def mode_jet(beam, pt, t=0.0):
+def mode_jet(beam, pt):
     """Amplitude, unwrapped phase and both gradients of the mode in one pass.
 
     Returns ``(U, Theta, grad_U, grad_Theta)``.  U and Theta equal
-    ``mode_amplitude(beam, pt)`` and ``mode_phase(beam, pt, t)`` exactly;
+    ``mode_amplitude(beam, pt)`` and ``mode_phase(beam, pt)`` exactly;
     each gradient is stacked as [d/drho, (1/rho) d/dphi, d/dz] along axis 0.
 
     With x = 2 rho^2 / w^2 the amplitude is pref * R(x),
@@ -244,7 +225,7 @@ def mode_jet(beam, pt, t=0.0):
     Both w(z) and the (1 + z^2/z_R^2)^(-1/2) prefactor carry the axial
     dependence, so dU/dz_local = -z_local (U + 2 pref x R') / (z_local^2 + z_R^2).
     The phase gradient differentiates the plane-wave, azimuthal, Gouy and
-    curvature terms of ``mode_phase``; omega * t has no spatial gradient.
+    curvature terms of ``mode_phase``.
 
     On the axis (rho <= AXIS_RHO) the rho and phi entries are 0, the values
     a central difference of the mode extended evenly in rho gives: the
@@ -288,4 +269,4 @@ def mode_jet(beam, pt, t=0.0):
               where=off_axis)
     grad_phase[2] = beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
                                       + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den))
-    return amplitude, _phase(beam, zl, pt, t), grad_amplitude, grad_phase
+    return amplitude, _phase(beam, zl, pt), grad_amplitude, grad_phase

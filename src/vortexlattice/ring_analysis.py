@@ -290,19 +290,19 @@ def suggested_sample_dt(pair):
     return 0.25 * math.pi / abs(pair.delta_omega)
 
 
-def measure_rotation_rate(pair, rho, z, t0, t1, n_phi=None):
+def measure_rotation_rate(pair, rho, z, t0, t1):
     """Angular velocity of the spoke pattern from the phase of its azimuthal
     harmonic.
 
-    Samples the intensity on the circle (rho, z) at t0 and t1, reads the
-    phase of the harmonic l1 + l2 from an FFT, and converts the phase advance
-    into a rotation rate.  |delta_omega| * (t1 - t0) must stay below pi so
-    the advance is unambiguous.
+    Samples the intensity at max(8 |l1 + l2|, 64) angles on the circle
+    (rho, z) at t0 and t1, reads the phase of the harmonic l1 + l2 from an
+    FFT, and converts its advance into a rotation rate, which is unambiguous
+    while |delta_omega| * (t1 - t0) < pi.
     """
     m = pair.azimuthal_order
     if m == 0:
         raise DegenerateGeometryError("no azimuthal spokes to track")
-    n = int(n_phi) if n_phi else max(8 * abs(m), 64)
+    n = max(8 * abs(m), 64)
     phi = 2.0 * np.pi * np.arange(n) / n
 
     def harmonic_phase(t):
@@ -316,16 +316,15 @@ def measure_rotation_rate(pair, rho, z, t0, t1, n_phi=None):
     return -dpsi / (m * (t1 - t0))
 
 
-def measure_axial_drift(pair, rho, t0, t1, z_center=0.0, half_span=None, n_z=1201):
+def measure_axial_drift(pair, rho, t0, t1):
     """Axial crawl speed of the fringe lattice from peak tracking.
 
-    Follows the fringe maximum nearest ``z_center`` on the line (rho, phi=0)
-    between t0 and t1.  The displacement over t1 - t0 must stay well inside
-    one fringe; ``suggested_sample_dt`` satisfies this.
+    Follows the fringe maximum nearest z = 0 between t0 and t1, on 1201
+    points of the line (rho, phi=0) spanning 1.5 fringes either side.  The
+    displacement must stay well inside one fringe (``suggested_sample_dt``).
     """
-    if half_span is None:
-        half_span = 1.5 * np.pi / pair.beam1.wavenumber
-    z = np.linspace(z_center - half_span, z_center + half_span, int(n_z))
+    half_span = 1.5 * np.pi / pair.beam1.wavenumber
+    z = np.linspace(-half_span, half_span, 1201)
 
     def peak_near_center(t):
         amp = total_amplitude(pair, CylPoint(rho=rho, phi=0.0, z=z), t=t)
@@ -333,7 +332,7 @@ def measure_axial_drift(pair, rho, t0, t1, z_center=0.0, half_span=None, n_z=120
         cand = _find_peaks(intensity)
         if cand.size == 0:
             raise RingDetectionError("no fringe maximum on the sampling line")
-        j = cand[np.argmin(np.abs(z[cand] - z_center))]
+        j = cand[np.argmin(np.abs(z[cand]))]
         z_ref, _ = _refine_row(z, intensity, j)
         return z_ref
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError
-from .lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_phase
+from .lg_mode import BeamSpec, CylPoint, _local_z, _phase_parts, mode_amplitude, mode_phase
 
 __all__ = [
     "BLOCK_POINTS",
@@ -102,25 +102,13 @@ def phase_difference(pair, pt):
     """Split Theta1 - Theta2 (at equal frequencies, time terms cancelling)
     into plane, azimuthal, Gouy and curvature parts.
 
-    Each part is the exact difference of the per-beam closed-form terms; the
+    Each part is beam 2's closed-form term subtracted from beam 1's; the
     parts sum to mode_phase(beam1) - mode_phase(beam2) up to float rounding.
     """
     b1, b2 = pair.beam1, pair.beam2
-    z = np.asarray(pt.z)
-    rho = np.asarray(pt.rho)
-    z1 = b1.direction * (z - b1.focal_z)
-    z2 = b2.direction * (z - b2.focal_z)
-    zr1, zr2 = b1.rayleigh_range, b2.rayleigh_range
-    plane = b1.direction * b1.wavenumber * (z - b1.focal_z) \
-        - b2.direction * b2.wavenumber * (z - b2.focal_z)
-    azimuthal = (b1.azimuthal_sign * b1.winding_l - b2.azimuthal_sign * b2.winding_l) \
-        * np.asarray(pt.phi)
-    n1 = 2.0 * b1.radial_p + abs(b1.winding_l) + 1.0
-    n2 = 2.0 * b2.radial_p + abs(b2.winding_l) + 1.0
-    gouy = -n1 * np.arctan(z1 / zr1) + n2 * np.arctan(z2 / zr2)
-    curvature = b1.wavenumber * rho * rho * z1 / (2.0 * (z1 * z1 + zr1 * zr1)) \
-        - b2.wavenumber * rho * rho * z2 / (2.0 * (z2 * z2 + zr2 * zr2))
-    return PhaseDifference(plane, azimuthal, gouy, curvature)
+    parts1 = _phase_parts(b1, _local_z(b1, pt.z), pt)
+    parts2 = _phase_parts(b2, _local_z(b2, pt.z), pt)
+    return PhaseDifference(*(a - b for a, b in zip(parts1, parts2)))
 
 
 def gouy_difference_closed_form(pair, z):
@@ -145,9 +133,9 @@ def _static_phases(pair, pt, t):
     """Per-beam phases with the common optical-frequency term dropped.
 
     The two beams share omega, so omega * t cancels identically in any
-    interference quantity; evaluating at t = 0 and adding only the offsets
-    delta_k * z + delta_omega * t of beam 2 avoids forming huge phases whose
-    difference would lose precision.
+    interference quantity; ``mode_phase`` leaves it out, and only beam 2's
+    offsets delta_k * z + delta_omega * t are added, so no huge phase is
+    formed whose difference would lose precision.
     """
     return mode_phase(pair.beam1, pt), _offset_phase(pair, pt, t, mode_phase(pair.beam2, pt))
 
@@ -260,17 +248,14 @@ class GridSpec:
     def spacing2(self):
         return (self.axis2[-1] - self.axis2[0]) / (self.axis2.size - 1)
 
-    def point_block(self, rows=None):
-        """CylPoint broadcasting to shape (len(axis2 slice), len(axis1))."""
-        sel = slice(None) if rows is None else rows
-        a2 = self.axis2[sel][:, None]
-        a1 = self.axis1[None, :]
+    def point_block(self):
+        """CylPoint of every grid point, shaped (len(axis2), len(axis1))."""
+        shape = (self.axis2.size, self.axis1.size)
+        a1 = np.broadcast_to(self.axis1[None, :], shape)
+        a2 = np.broadcast_to(self.axis2[:, None], shape)
         if self.kind == "rho_z":
-            return CylPoint(rho=np.broadcast_to(a1, (a2.shape[0], a1.shape[1])),
-                            phi=self.phi, z=np.broadcast_to(a2, (a2.shape[0], a1.shape[1])))
-        return CylPoint.from_cartesian(np.broadcast_to(a1, (a2.shape[0], a1.shape[1])),
-                                       np.broadcast_to(a2, (a2.shape[0], a1.shape[1])),
-                                       self.z_slice)
+            return CylPoint(rho=a1, phi=self.phi, z=a2)
+        return CylPoint.from_cartesian(a1, a2, self.z_slice)
 
 
 # Grid points in one row block of a map.  A block's temporaries stay small

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from vortexlattice import atom_forces
 from vortexlattice.atom_forces import (AtomSpec, ForceVec, Velocity, _forces,
                                        axial_force_slope, central_ring_radius,
                                        detuning_eff, dipole_force,
@@ -297,7 +298,7 @@ def test_dipole_force_total_field_consistency():
 
     def v(rr, pp, zz):
         return dipole_potential(atom, p, CylPoint(rho=np.abs(rr), phi=pp, z=zz),
-                                combine="total-field")
+                                mode="full", combine="total-field")
 
     want = -np.stack([grad5(lambda s: v(rho + s, phi, z), h),
                       grad5(lambda s: v(rho, phi + s, z), h / rho) / rho,
@@ -306,6 +307,46 @@ def test_dipole_force_total_field_consistency():
     rel = np.linalg.norm(got - want, axis=0) \
         / np.maximum(np.linalg.norm(got, axis=0), np.linalg.norm(want, axis=0))
     assert np.max(rel) < 1e-6
+
+
+def test_dipole_potential_needs_amplitudes_only(monkeypatch):
+    """The potential of an atom at rest takes mode amplitudes alone: no mode
+    jet, phase gradient or Doppler-corrected detuning, for a beam and for a
+    pair in either model."""
+    calls = []
+    for name in ("mode_jet", "phase_gradient", "detuning_eff"):
+        def counted(*args, _name=name, _fn=getattr(atom_forces, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(atom_forces, name, counted)
+    p = pair(l1=2, amp2=0.7)
+    pt = CylPoint(rho=np.array([2e-6, 7e-6]), phi=0.4, z=np.array([-1e-6, 3e-6]))
+    for field in (p.beam1, p):
+        for mode in ("reduced", "full"):
+            assert np.all(np.isfinite(dipole_potential(sodium(), field, pt, mode=mode)))
+    assert calls == []
+
+
+def test_dipole_potential_combine_is_an_agreeing_alias():
+    """combine names the model a second time: agreeing, it returns exactly
+    what mode alone returns; disagreeing or unknown, it raises ValueError.
+    mode="full" alone gives the interfered field's potential."""
+    atom = sodium(delta0=-2.0 * GAMMA)
+    p = pair(l1=2, amp2=0.7)
+    pt = CylPoint(rho=np.array([2e-6, 7e-6]), phi=0.4, z=np.array([-1e-6, 3e-6]))
+    for mode, combine in (("reduced", "sum-of-beams"), ("full", "total-field")):
+        alone = dipole_potential(atom, p, pt, mode=mode)
+        np.testing.assert_array_equal(dipole_potential(atom, p, pt, mode=mode, combine=combine),
+                                      alone, strict=True)
+    for mode, combine in (("reduced", "total-field"), ("full", "sum-of-beams"),
+                          ("full", "total")):
+        with pytest.raises(ValueError, match="combine"):
+            dipole_potential(atom, p, pt, mode=mode, combine=combine)
+    ref = p.beam1.amp_scale
+    omega = atom.rabi_omega0 * total_amplitude(p, pt) / ref
+    want = 0.5 * HBAR * atom.detuning0 * np.log1p(
+        0.5 * omega ** 2 / (atom.detuning0 ** 2 + 0.25 * GAMMA ** 2))
+    np.testing.assert_allclose(dipole_potential(atom, p, pt, mode="full"), want, rtol=1e-14)
 
 
 def arg_gradient_stencil(p, rho, phi, z, t, h):

@@ -560,6 +560,19 @@ def test_cli_dark_pair_is_a_numerical_error(tmp_path):
         assert run_cli([command, "--config", path, "--out", tmp_path / command]) == 3
 
 
+def test_cli_dark_start_is_a_numerical_error(tmp_path, capsys):
+    """The full-model dipole force with velocity coupling needs the total
+    phase, which is undefined on the dark axis of an l = 1 pair: a trajectory
+    started at rho = 0 exits 3 with a message, not a traceback."""
+    cfg = json.loads((REPO / "configs" / "trajectory.json").read_text())
+    cfg["atom"]["delta0"] = "-20.02MHz"           # -2 Gamma
+    cfg["trajectory"].update(rho="0um", velocity_coupling=True, include_dipole=True)
+    path = write_config(tmp_path, cfg)
+    assert run_cli(["trajectory", "--config", path, "--out", tmp_path / "out",
+                    "--mode", "full"]) == 3
+    assert "numerical error: total phase undefined at a dark point" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_cli_overflowing_map_is_a_numerical_error(tmp_path):
