@@ -1,17 +1,17 @@
-"""Radiation forces of one or two Laguerre-Gaussian beams on a two-level atom.
+"""Radiation forces of a pair of Laguerre-Gaussian beams on a two-level atom.
 
 Scattering (dissipative) and dipole (reactive) forces in the steady-state
 two-level model, plus the closed-form trap quantities of the near-resonant
 counter-propagating pair: saturation factors, the axial spring constant and
 its value on the central ring, the ring radius, and the axial torque.
 
-One name, ``mode``, picks the model.  For a beam it picks the phase
-gradient: "reduced" keeps only the dominant slopes the beam imposes in its
-own frame, exactly (0, l / rho, direction * k); "full" differentiates the
-complete phase.  For a pair, "reduced" adds the two beams' forces, each with
-its reduced gradient, and "full" applies the force formulas to the
+Every force takes a ``PairSpec``, and one name, ``mode``, picks the model
+(``FORCE_MODELS``): "reduced" adds the two beams' forces, each with the
+reduced phase gradient (0, l / rho, direction * k), the dominant slopes the
+beam imposes in its own frame; "full" applies the force formulas to the
 interfered field at time t; the potential of an atom at rest takes its
-amplitude.
+amplitude.  One beam's force is the reduced force of a pair whose beam 2 has
+amp_scale 0; one beam's complete phase gradient is ``mode_jet(beam, pt)[3]``.
 
 Every gradient is in closed form.  ``lg_mode.mode_jet`` gives U, Theta,
 grad(U) and grad(Theta) of each mode in one pass.  ``_forces`` returns the
@@ -30,12 +30,13 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DarkPointError, DegenerateGeometryError
-from .lg_mode import AXIS_RHO, BeamSpec, CylPoint, mode_amplitude, mode_jet, mode_phase
+from .lg_mode import AXIS_RHO, CylPoint, mode_amplitude, mode_jet, mode_phase
 # mode_phase and pair_complex are not called here; they stay module attributes
 # because perfbench/spans.py traces calls by rebinding these names
 from .superpose import DARK_FRACTION, PairSpec, _offset_phase, pair_complex, total_amplitude
 
 __all__ = [
+    "FORCE_MODELS",
     "AtomSpec",
     "ForceVec",
     "Velocity",
@@ -57,7 +58,9 @@ __all__ = [
     "torque_axial",
 ]
 
-_REDUCED, _FULL = "reduced", "full"
+# The force models a ``mode`` names: the beams' forces added, or the interfered field's
+FORCE_MODELS = ("reduced", "full")
+_REDUCED = FORCE_MODELS[0]
 _SUM, _TOTAL = "sum-of-beams", "total-field"
 _TINY = np.finfo(float).tiny
 
@@ -132,19 +135,16 @@ def _pair_amp_ref(pair):
     return ref
 
 
-def _beam_phase_gradient(beam, pt, mode):
-    """Phase gradient of one beam; the reduced one is (0, l / rho,
-    direction * k), shaped (3,) + shape(rho), with the azimuthal entry 0 for
-    rho <= AXIS_RHO."""
-    if mode == _REDUCED:
-        rho = np.asarray(pt.rho)
-        grad = np.zeros((3,) + rho.shape)
-        # own-frame azimuthal slope l / rho: every beam advances its phase in
-        # its own handedness, so no lab-frame azimuthal_sign appears here
-        np.divide(beam.winding_l, rho, out=grad[1, ...], where=rho > AXIS_RHO)
-        grad[2] = beam.direction * beam.wavenumber
-        return grad
-    return mode_jet(beam, pt)[3]
+def _reduced_gradient(beam, pt):
+    """Reduced phase gradient (0, l / rho, direction * k) of one beam,
+    shaped (3,) + shape(rho), with the azimuthal entry 0 for rho <= AXIS_RHO."""
+    rho = np.asarray(pt.rho)
+    grad = np.zeros((3,) + rho.shape)
+    # own-frame azimuthal slope l / rho: every beam advances its phase in
+    # its own handedness, so no lab-frame azimuthal_sign appears here
+    np.divide(beam.winding_l, rho, out=grad[1, ...], where=rho > AXIS_RHO)
+    grad[2] = beam.direction * beam.wavenumber
+    return grad
 
 
 def _pair_gradient(pair, pt, t):
@@ -184,29 +184,24 @@ def _phase_slope(e, grad_e, u_max, strict=False):
     return np.where(dark, 0.0, (grad_e / scale / e_scaled).imag), dark
 
 
-def _checked_mode(mode):
-    if mode not in (_REDUCED, _FULL):
-        raise ValueError("mode must be 'reduced' or 'full'")
+def _checked(pair, mode=_REDUCED):
+    """``mode`` once ``pair`` is known to be a PairSpec and ``mode`` one of
+    FORCE_MODELS."""
+    if not isinstance(pair, PairSpec):
+        raise TypeError(f"expected a PairSpec, got {type(pair).__name__}; one beam is "
+                        "a pair whose beam 2 has amp_scale 0")
+    if mode not in FORCE_MODELS:
+        raise ValueError(f"mode must be one of {FORCE_MODELS}")
     return mode
 
 
-def phase_gradient(field, pt, mode="reduced", t=0.0):
-    """Gradient of the optical phase as an array [g_rho, g_phi, g_z].
-
-    For a BeamSpec, ``mode="reduced"`` returns exactly
-    (0, l / rho, direction * k) with the azimuthal entry zeroed on the axis;
-    ``mode="full"`` differentiates the closed-form phase (``mode_jet``).
-    For a PairSpec the gradient of the total-field phase is Im(grad E / E),
-    with grad E formed from the two modes' closed-form gradients; only
-    ``mode="full"`` is meaningful there, and a DarkPointError is raised if
-    any evaluation point is dark.
+def phase_gradient(pair, pt, t=0.0):
+    """Gradient [g_rho, g_phi, g_z] of the total-field phase at time t,
+    Im(grad E / E), with grad E formed from the two modes' closed-form
+    gradients; a DarkPointError is raised if any evaluation point is dark.
     """
-    mode = _checked_mode(mode)
-    if isinstance(field, BeamSpec):
-        return _beam_phase_gradient(field, pt, mode)
-    if mode == _REDUCED:
-        raise ValueError("a pair has no single reduced gradient; evaluate per beam")
-    return _phase_slope(*_pair_gradient(field, pt, t), strict=True)[0]
+    _checked(pair)
+    return _phase_slope(*_pair_gradient(pair, pt, t), strict=True)[0]
 
 
 def detuning_eff(atom, vel, grad):
@@ -222,16 +217,15 @@ def _sums_beams(combine):
     return combine == _SUM
 
 
-def _beam_terms(beam, pt, mode, jet):
-    """U, the phase gradient and U grad(U) (None unless ``jet``) of one beam
-    from one mode evaluation; ``mode_jet``'s U equals ``mode_amplitude``."""
-    if jet or mode == _FULL:
-        u, _, grad_u, grad = mode_jet(beam, pt)
+def _beam_terms(beam, pt, jet):
+    """U, the reduced phase gradient and U grad(U) (None unless ``jet``) of
+    one beam from one mode evaluation; ``mode_jet``'s U equals
+    ``mode_amplitude``."""
+    if jet:
+        u, _, grad_u, _ = mode_jet(beam, pt)
     else:
         u = mode_amplitude(beam, pt)
-    if mode == _REDUCED:
-        grad = _beam_phase_gradient(beam, pt, mode)
-    return u, grad, u * grad_u if jet else None
+    return u, _reduced_gradient(beam, pt), u * grad_u if jet else None
 
 
 def _field_terms(pair, pt, vel, t, scattering, dipole):
@@ -245,22 +239,18 @@ def _field_terms(pair, pt, vel, t, scattering, dipole):
     return np.abs(e), grad, (np.conj(e) * grad_e).real if dipole else None
 
 
-def _forces(atom, field, pt, vel, mode, t, scattering, dipole):
-    """Scattering and dipole forces of a beam or a pair at time t, each a
-    ForceVec (zero when not asked for), from one evaluation of each beam's
-    mode.  For a beam ``mode`` picks the phase gradient; for a pair it is the
-    model (see the module docstring).  Points are scalars or broadcastable
-    arrays, as in ``lg_mode``.
+def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
+    """Scattering and dipole forces of a pair at time t in the model
+    ``mode``, each a ForceVec (zero when not asked for), from one evaluation
+    of each beam's mode.  Points are scalars or broadcastable arrays, as in
+    ``lg_mode``.
     """
-    mode = _checked_mode(mode)
-    if isinstance(field, BeamSpec):
-        ref, terms = field.amp_scale, [_beam_terms(field, pt, mode, dipole)]
-    elif mode == _REDUCED:
-        ref = _pair_amp_ref(field)
-        terms = [_beam_terms(b, pt, mode, dipole) for b in (field.beam1, field.beam2)]
+    mode = _checked(pair, mode)
+    ref = _pair_amp_ref(pair)
+    if mode == _REDUCED:
+        terms = [_beam_terms(b, pt, dipole) for b in (pair.beam1, pair.beam2)]
     else:
-        ref = _pair_amp_ref(field)
-        terms = [_field_terms(field, pt, vel, t, scattering, dipole)]
+        terms = [_field_terms(pair, pt, vel, t, scattering, dipole)]
     quarter_gamma_sq = 0.25 * atom.gamma ** 2
     fs, fd = [], []
     for amp, grad, amp_grad_amp in terms:
@@ -280,29 +270,29 @@ def _forces(atom, field, pt, vel, mode, t, scattering, dipole):
             sum(fd[1:], fd[0]) if fd else ForceVec(0.0, 0.0, 0.0))
 
 
-def scattering_force(atom, field, pt, vel=None, mode="reduced", t=0.0):
+def scattering_force(atom, pair, pt, vel=None, mode="reduced", t=0.0):
     """Scattering force (hbar Gamma / 4) Omega^2 grad(Theta) /
     (Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4).
 
-    ``field`` is a BeamSpec or a PairSpec.  For a pair, ``mode="reduced"``
-    adds the two single-beam forces, each with its reduced phase gradient,
-    and ``mode="full"`` is the force of the interfered total field, with the
-    gradient Im(grad E / E); it is zero at dark points.
+    ``mode="reduced"`` adds the two single-beam forces, each with its
+    reduced phase gradient, and ``mode="full"`` is the force of the
+    interfered total field, with the gradient Im(grad E / E); it is zero at
+    dark points.
     """
-    return _forces(atom, field, pt, vel, mode, t, True, False)[0]
+    return _forces(atom, pair, pt, vel, mode, t, True, False)[0]
 
 
-def dipole_force(atom, field, pt, vel=None, mode="reduced", t=0.0):
+def dipole_force(atom, pair, pt, vel=None, mode="reduced", t=0.0):
     """Dipole force -(hbar / 2) Omega grad(Omega) Delta_eff /
     (Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4), in closed form.
 
-    For one beam Omega grad(Omega) = s^2 U grad(U), with s = rabi_omega0 over
-    the reference amplitude and U, grad(U) from one ``mode_jet``.  A pair
-    takes ``mode`` as ``scattering_force`` does; for the total field it is
-    s^2 Re(E* grad E), and velocity coupling raises DarkPointError at a
-    dark point.
+    ``mode`` is as for ``scattering_force``.  Per beam
+    Omega grad(Omega) = s^2 U grad(U), with s = rabi_omega0 over the
+    reference amplitude and U, grad(U) from one ``mode_jet``; for the total
+    field it is s^2 Re(E* grad E), and velocity coupling raises
+    DarkPointError at a dark point.
     """
-    return _forces(atom, field, pt, vel, mode, t, False, True)[1]
+    return _forces(atom, pair, pt, vel, mode, t, False, True)[1]
 
 
 def _potential(atom, amplitude, amp_ref):
@@ -312,23 +302,27 @@ def _potential(atom, amplitude, amp_ref):
     return 0.5 * HBAR * delta * np.log1p(sat)
 
 
-def dipole_potential(atom, field, pt, mode="reduced", combine=None):
+def dipole_potential(atom, pair, pt, mode="reduced", combine=None):
     """Dipole potential (hbar Delta0 / 2) ln(1 + (Omega^2/2) /
-    (Delta0^2 + Gamma^2/4)) of an atom at rest, from the mode amplitudes: for
-    a pair "reduced" adds the beams' potentials and "full" is the interfered
+    (Delta0^2 + Gamma^2/4)) of an atom at rest, from the mode amplitudes:
+    "reduced" adds the beams' potentials and "full" is the interfered
     field's.  -grad V is ``dipole_force`` of the same ``mode`` at zero
     velocity.  ``combine`` ("sum-of-beams" or "total-field") is an optional
     alias of the mode; one that disagrees with ``mode`` raises ValueError."""
-    mode = _checked_mode(mode)
+    mode = _checked(pair, mode)
     if combine is not None and _sums_beams(combine) != (mode == _REDUCED):
         raise ValueError(f"combine={combine!r} disagrees with mode={mode!r}")
-    if isinstance(field, BeamSpec):
-        return _potential(atom, mode_amplitude(field, pt), field.amp_scale)
-    ref = _pair_amp_ref(field)
+    ref = _pair_amp_ref(pair)
     if mode == _REDUCED:
-        return _potential(atom, mode_amplitude(field.beam1, pt), ref) \
-            + _potential(atom, mode_amplitude(field.beam2, pt), ref)
-    return _potential(atom, total_amplitude(field, pt), ref)
+        return _potential(atom, mode_amplitude(pair.beam1, pt), ref) \
+            + _potential(atom, mode_amplitude(pair.beam2, pt), ref)
+    return _potential(atom, total_amplitude(pair, pt), ref)
+
+
+def _omega_sq(atom, pair, beam, pt):
+    """Omega^2 of one beam of the pair at pt."""
+    omega = rabi_at(atom, mode_amplitude(beam, pt), _pair_amp_ref(pair))
+    return omega * omega
 
 
 def _sat_q(atom, omega_sq):
@@ -339,14 +333,12 @@ def q_plus(atom, pair, pt):
     """Saturation factor of the co-propagating beam (beam 1):
     Omega1^2 / (Delta0^2 + Gamma^2/4 + Omega1^2/2).  Monotone in Omega1^2 and
     bounded above by 2."""
-    omega = rabi_at(atom, mode_amplitude(pair.beam1, pt), _pair_amp_ref(pair))
-    return _sat_q(atom, omega * omega)
+    return _sat_q(atom, _omega_sq(atom, pair, pair.beam1, pt))
 
 
 def q_minus(atom, pair, pt):
     """Saturation factor of the counter-propagating beam (beam 2)."""
-    omega = rabi_at(atom, mode_amplitude(pair.beam2, pt), _pair_amp_ref(pair))
-    return _sat_q(atom, omega * omega)
+    return _sat_q(atom, _omega_sq(atom, pair, pair.beam2, pt))
 
 
 def central_ring_radius(pair):
@@ -358,12 +350,6 @@ def central_ring_radius(pair):
         return 0.0
     u = 0.5 * pair.separation_d / b.rayleigh_range
     return b.waist_w0 * np.sqrt(0.5 * l) * np.sqrt(1.0 + u * u)
-
-
-def _omega_sq_midplane(atom, pair, rho):
-    pt = CylPoint(rho=rho, phi=0.0, z=0.0)
-    omega = rabi_at(atom, mode_amplitude(pair.beam1, pt), _pair_amp_ref(pair))
-    return omega * omega
 
 
 def spring_constant(atom, pair, rho):
@@ -380,7 +366,7 @@ def spring_constant(atom, pair, rho):
     d = pair.separation_d
     zr = b.rayleigh_range
     dd = atom.detuning0 ** 2 + 0.25 * atom.gamma ** 2
-    x = _omega_sq_midplane(atom, pair, rho)
+    x = _omega_sq(atom, pair, b, CylPoint(rho=rho, phi=0.0, z=0.0))
     a2 = zr * zr + 0.25 * d * d
     bracket = (abs(b.winding_l) + 1.0) * a2 - 2.0 * np.asarray(rho) ** 2 * zr * zr / b.waist_w0 ** 2
     return 0.5 * HBAR * atom.gamma * b.wavenumber * d * dd * x \
@@ -395,7 +381,7 @@ def spring_constant_k0(atom, pair):
     d = pair.separation_d
     zr = b.rayleigh_range
     dd = atom.detuning0 ** 2 + 0.25 * atom.gamma ** 2
-    x0 = _omega_sq_midplane(atom, pair, central_ring_radius(pair))
+    x0 = _omega_sq(atom, pair, b, CylPoint(rho=central_ring_radius(pair), phi=0.0, z=0.0))
     return 0.5 * HBAR * atom.gamma * b.wavenumber * d * dd * x0 \
         / (dd + 0.5 * x0) ** 2 / (zr * zr + 0.25 * d * d)
 

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .atom_forces import central_ring_radius, ferris_rate, lift_speed, \
+from .atom_forces import FORCE_MODELS, central_ring_radius, ferris_rate, lift_speed, \
     axial_force_slope, spring_constant_k0
 from .config import RunConfig
-from .dynamics import FORCE_MODELS, angular_momentum, estimate_frequency, integrate, \
+from .dynamics import angular_momentum, estimate_frequency, integrate, \
     trap_frequency
 from .errors import ConfigError, DegenerateGeometryError, VortexLatticeError
 from .ring_analysis import double_ring_radii, find_rings, measure_axial_drift, \
@@ -134,8 +134,7 @@ def cmd_rings(cfg, out, threads):
     if rows:
         # compare the two readings of the offset delta in the double-ring
         # radii: distance from the midplane vs distance from a focal plane
-        z0, r_in, r_out = rows[0][0], rows[0][1], rows[0][2]
-        w1_mid, w2_mid = double_ring_radii(pair, abs(z0))
+        z0, r_in, r_out, w1_mid, w2_mid = rows[0][:5]
         err_mid = abs(w1_mid - r_in) / r_in + abs(w2_mid - r_out) / r_out
         summary["delta_reading"] = {"midplane_offset_err": err_mid}
         alt = half_d - abs(z0)
@@ -270,7 +269,7 @@ def build_parser():
 
     p = sub.add_parser("trajectory", parents=[common],
                        help="integrate one atom trajectory")
-    p.add_argument("--mode", choices=tuple(FORCE_MODELS), default=None,
+    p.add_argument("--mode", choices=FORCE_MODELS, default=None,
                    help="force model (default: reduced)")
     p.set_defaults(func=cmd_trajectory)
     return parser

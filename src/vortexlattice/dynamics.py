@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom_forces import ForceVec, Velocity, _forces, central_ring_radius, spring_constant_k0
+from .atom_forces import FORCE_MODELS, ForceVec, Velocity, _forces, central_ring_radius, \
+    spring_constant_k0
 # scattering_force and dipole_force are not called here; they stay module
 # attributes because perfbench/spans.py traces calls by rebinding these names
 from .atom_forces import dipole_force, scattering_force
@@ -30,8 +31,6 @@ __all__ = [
     "integrate",
     "trap_frequency",
 ]
-
-FORCE_MODELS = ("reduced", "full")
 
 # Trajectories further out than this multiple of the beam extent abort
 DIVERGENCE_FACTOR = 10.0

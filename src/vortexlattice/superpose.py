@@ -129,17 +129,6 @@ def gouy_difference_closed_form(pair, z):
     return -(l + 1.0) * np.arctan2(2.0 * z * zr, zr * zr - z * z + 0.25 * d * d)
 
 
-def _static_phases(pair, pt, t):
-    """Per-beam phases with the common optical-frequency term dropped.
-
-    The two beams share omega, so omega * t cancels identically in any
-    interference quantity; ``mode_phase`` leaves it out, and only beam 2's
-    offsets delta_k * z + delta_omega * t are added, so no huge phase is
-    formed whose difference would lose precision.
-    """
-    return mode_phase(pair.beam1, pt), _offset_phase(pair, pt, t, mode_phase(pair.beam2, pt))
-
-
 def _offset_phase(pair, pt, t, th2):
     """Beam 2's static phase th2 plus its offsets delta_k * z + delta_omega * t."""
     return th2 + pair.delta_k * np.asarray(pt.z) + pair.delta_omega * t
@@ -147,11 +136,14 @@ def _offset_phase(pair, pt, t, th2):
 
 def _pair_terms(pair, pt, t):
     """Amplitudes and static phases (U1, U2, Theta1, Theta2) of both beams,
-    each mode evaluated once."""
+    each mode evaluated once.  The beams share omega, so omega * t cancels
+    identically in any interference quantity: ``mode_phase`` leaves it out,
+    and only beam 2's offsets delta_k * z + delta_omega * t are added, so no
+    huge phase is formed whose difference would lose precision."""
     u1 = mode_amplitude(pair.beam1, pt)
     u2 = mode_amplitude(pair.beam2, pt)
-    th1, th2 = _static_phases(pair, pt, t)
-    return u1, u2, th1, th2
+    th1 = mode_phase(pair.beam1, pt)
+    return u1, u2, th1, _offset_phase(pair, pt, t, mode_phase(pair.beam2, pt))
 
 
 def _amplitude_of(u1, u2, th1, th2):

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from vortexlattice import atom_forces
 from vortexlattice.atom_forces import (AtomSpec, ForceVec, Velocity, _forces,
-                                       axial_force_slope, central_ring_radius,
+                                       _reduced_gradient, axial_force_slope, central_ring_radius,
                                        detuning_eff, dipole_force,
                                        dipole_potential, ferris_rate,
                                        harmonic_potential_v0, lift_speed,
@@ -15,7 +15,7 @@ from vortexlattice.atom_forces import (AtomSpec, ForceVec, Velocity, _forces,
                                        spring_constant_k0, torque_axial)
 from vortexlattice.constants import HBAR
 from vortexlattice.errors import DarkPointError, DegenerateGeometryError
-from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude
+from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_jet
 from vortexlattice.superpose import (PairSpec, pair_complex, phase_difference,
                                      total_amplitude, total_phase)
 
@@ -63,12 +63,12 @@ def test_rabi_scaling():
 def test_reduced_gradient_per_beam():
     b1 = pair(l1=3).beam1
     pt = CylPoint(rho=5e-6, phi=0.4, z=2e-5)
-    g = phase_gradient(b1, pt, mode="reduced")
+    g = _reduced_gradient(b1, pt)
     np.testing.assert_allclose(g, [0.0, 3.0 / 5e-6, b1.wavenumber], rtol=1e-12)
     b2 = pair(l1=3).beam2
-    g2 = phase_gradient(b2, pt, mode="reduced")
+    g2 = _reduced_gradient(b2, pt)
     np.testing.assert_allclose(g2, [0.0, 3.0 / 5e-6, -b2.wavenumber], rtol=1e-12)
-    on_axis = phase_gradient(b1, CylPoint(rho=0.0, phi=0.0, z=0.0), mode="reduced")
+    on_axis = _reduced_gradient(b1, CylPoint(rho=0.0, phi=0.0, z=0.0))
     assert on_axis[1] == 0.0
 
 
@@ -89,49 +89,69 @@ def full_gradient_analytic(beam, pt):
 def test_full_gradient_single_beam():
     for b in (pair(l1=2).beam1, pair(l1=2).beam2, pair(l1=-5).beam1):
         pt = CylPoint(rho=6.5e-6, phi=0.3, z=4e-5)
-        got = phase_gradient(b, pt, mode="full")
+        got = mode_jet(b, pt)[3]
         np.testing.assert_allclose(got, full_gradient_analytic(b, pt), rtol=1e-8)
 
 
 def test_full_gradient_on_axis_gaussian():
     b = BeamSpec(WAVELENGTH, 8e-6, winding_l=0)
-    g = phase_gradient(b, CylPoint(rho=0.0, phi=0.0, z=0.0), mode="full")
+    g = mode_jet(b, CylPoint(rho=0.0, phi=0.0, z=0.0))[3]
     want_z = b.wavenumber - 1.0 / b.rayleigh_range
     np.testing.assert_allclose(g, [0.0, 0.0, want_z], rtol=1e-9, atol=1e-9 * abs(want_z))
 
 
-def test_pair_gradient_requires_full_mode():
+def test_pair_gradient_is_finite_off_dark_points():
     p = pair()
     pt = CylPoint(rho=7e-6, phi=0.0, z=0.0)
-    with pytest.raises(ValueError):
-        phase_gradient(p, pt, mode="reduced")
-    g = phase_gradient(p, pt, mode="full")
+    g = phase_gradient(p, pt)
     assert np.all(np.isfinite(g))
 
 
 @pytest.mark.parametrize("mode", ["Reduced", "FULL", "bogus"])
 @pytest.mark.parametrize("force", [scattering_force, dipole_force, dipole_potential])
 def test_unknown_force_mode_is_rejected(force, mode):
-    """A misspelt mode raises ValueError for one beam and for a pair (and for
-    the potential's pair either way combined); it never means "full"."""
+    """A misspelt mode raises ValueError (for the potential also with a
+    combine given); it never means "full"."""
     p = pair(l1=2)
     pt = CylPoint(rho=3e-6, phi=0.2, z=1e-6)
-    calls = [(p.beam1, {}), (p, {})]
+    calls = [{}]
     if force is dipole_potential:
-        calls.append((p, {"combine": "total-field"}))
-    for field, kwargs in calls:
+        calls.append({"combine": "total-field"})
+    for kwargs in calls:
         with pytest.raises(ValueError, match="mode must be"):
-            force(sodium(), field, pt, mode=mode, **kwargs)
-    for field in (p.beam1, p):
-        with pytest.raises(ValueError, match="mode must be"):
-            phase_gradient(field, pt, mode=mode)
+            force(sodium(), p, pt, mode=mode, **kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b, pt: scattering_force(sodium(), b, pt),
+    lambda b, pt: dipole_force(sodium(), b, pt, mode="full"),
+    lambda b, pt: dipole_potential(sodium(), b, pt),
+    lambda b, pt: phase_gradient(b, pt),
+], ids=["scattering_force", "dipole_force", "dipole_potential", "phase_gradient"])
+def test_beam_field_raises_type_error(call):
+    """The forces, the potential and the phase gradient take a pair; a lone
+    beam is a TypeError that names PairSpec, for a dark beam as well."""
+    pt = CylPoint(rho=3e-6, phi=0.2, z=1e-6)
+    for amp in (1.0, 0.0):
+        with pytest.raises(TypeError, match="PairSpec"):
+            call(BeamSpec(WAVELENGTH, 8e-6, 1, amp_scale=amp), pt)
+
+
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+@pytest.mark.parametrize("force", [scattering_force, dipole_force, dipole_potential])
+def test_dark_pair_raises_degenerate_geometry(force, mode):
+    """With both beams at amp_scale 0 no amplitude sets the Rabi frequency."""
+    p = pair(l1=1, amp1=0.0, amp2=0.0)
+    pt = CylPoint(rho=np.array([3e-6, 7e-6]), phi=0.2, z=1e-6)
+    with pytest.raises(DegenerateGeometryError, match="amp_scale 0"):
+        force(sodium(), p, pt, mode=mode)
 
 
 def test_pair_gradient_dark_point_raises():
     p = pair(l1=1, d_frac=0.0)
     dark = CylPoint(rho=p.beam1.waist_w0 / math.sqrt(2.0), phi=math.pi / 2.0, z=0.0)
     with pytest.raises(DarkPointError):
-        phase_gradient(p, dark, mode="full")
+        phase_gradient(p, dark)
 
 
 def test_detuning_eff():
@@ -143,19 +163,21 @@ def test_detuning_eff():
 
 def test_scattering_force_single_beam_oracle():
     atom = sodium()
-    b = pair(l1=2).beam1
+    p = pair(l1=2, amp2=0.0)
+    b = p.beam1
     pt = CylPoint(rho=6e-6, phi=0.1, z=1e-5)
     omega = rabi_at(atom, mode_amplitude(b, pt), b.amp_scale)
     den = atom.detuning0 ** 2 + 0.5 * omega ** 2 + 0.25 * atom.gamma ** 2
     pref = HBAR * 0.25 * atom.gamma * omega ** 2 / den
     grad = np.array([0.0, 2.0 / 6e-6, b.wavenumber])
-    f = scattering_force(atom, b, pt, mode="reduced")
+    f = scattering_force(atom, p, pt, mode="reduced")
     np.testing.assert_allclose(f.as_array(), pref * grad, rtol=1e-12)
 
 
 def test_scattering_force_velocity_coupling():
     atom = sodium()
-    b = pair(l1=2).beam1
+    p = pair(l1=2, amp2=0.0)
+    b = p.beam1
     pt = CylPoint(rho=6e-6, phi=0.1, z=1e-5)
     vel = Velocity(0.0, 0.0, 2.0)
     grad = np.array([0.0, 2.0 / 6e-6, b.wavenumber])
@@ -163,16 +185,17 @@ def test_scattering_force_velocity_coupling():
     omega = rabi_at(atom, mode_amplitude(b, pt), b.amp_scale)
     den = delta ** 2 + 0.5 * omega ** 2 + 0.25 * atom.gamma ** 2
     want = HBAR * 0.25 * atom.gamma * omega ** 2 / den * grad
-    got = scattering_force(atom, b, pt, vel=vel, mode="reduced")
+    got = scattering_force(atom, p, pt, vel=vel, mode="reduced")
     np.testing.assert_allclose(got.as_array(), want, rtol=1e-12)
 
 
 def test_scattering_saturation_bound():
     """|F| stays below hbar |grad Theta| Gamma / 2 however strong the drive."""
     atom = sodium(rabi=200.0 * GAMMA)
-    b = pair(l1=1).beam1
+    p = pair(l1=1, amp2=0.0)
+    b = p.beam1
     pt = CylPoint(rho=b.waist_w0 / math.sqrt(2.0), phi=0.0, z=-2.5e-4)
-    f = scattering_force(atom, b, pt, mode="reduced")
+    f = scattering_force(atom, p, pt, mode="reduced")
     grad = np.array([0.0, 1.0 / pt.rho, b.wavenumber])
     bound = HBAR * 0.5 * atom.gamma * np.linalg.norm(grad)
     assert np.linalg.norm(f.as_array()) < bound
@@ -311,8 +334,7 @@ def test_dipole_force_total_field_consistency():
 
 def test_dipole_potential_needs_amplitudes_only(monkeypatch):
     """The potential of an atom at rest takes mode amplitudes alone: no mode
-    jet, phase gradient or Doppler-corrected detuning, for a beam and for a
-    pair in either model."""
+    jet, phase gradient or Doppler-corrected detuning, in either model."""
     calls = []
     for name in ("mode_jet", "phase_gradient", "detuning_eff"):
         def counted(*args, _name=name, _fn=getattr(atom_forces, name), **kwargs):
@@ -321,9 +343,8 @@ def test_dipole_potential_needs_amplitudes_only(monkeypatch):
         monkeypatch.setattr(atom_forces, name, counted)
     p = pair(l1=2, amp2=0.7)
     pt = CylPoint(rho=np.array([2e-6, 7e-6]), phi=0.4, z=np.array([-1e-6, 3e-6]))
-    for field in (p.beam1, p):
-        for mode in ("reduced", "full"):
-            assert np.all(np.isfinite(dipole_potential(sodium(), field, pt, mode=mode)))
+    for mode in ("reduced", "full"):
+        assert np.all(np.isfinite(dipole_potential(sodium(), p, pt, mode=mode)))
     assert calls == []
 
 
@@ -382,7 +403,7 @@ def test_pair_phase_gradient_matches_stencil():
     near dark fringes."""
     p, rho, phi, z = offset_pair_points()
     t = 3e-5
-    got = phase_gradient(p, CylPoint(rho=rho, phi=phi, z=z), mode="full", t=t)
+    got = phase_gradient(p, CylPoint(rho=rho, phi=phi, z=z), t=t)
     want = arg_gradient_stencil(p, rho, phi, z, t, WAVELENGTH / 20000.0)
     rel = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
     assert np.max(rel) < 1e-6
@@ -422,7 +443,7 @@ def test_pair_dark_point_with_negative_amplitudes():
     assert mode_amplitude(p.beam1, pt) < 0.0 and mode_amplitude(p.beam2, pt) < 0.0
     assert np.isnan(total_phase(p, pt))
     with pytest.raises(DarkPointError):
-        phase_gradient(p, pt, mode="full")
+        phase_gradient(p, pt)
     f = scattering_force(sodium(), p, pt, mode="full")
     np.testing.assert_array_equal(f.as_array(), [0.0, 0.0, 0.0])
     vel = Velocity(0.3, -0.2, 0.5)
@@ -441,7 +462,7 @@ def test_total_field_far_from_beam_is_finite():
     p = pair(l1=1, d_frac=1.4)
     pt = CylPoint(rho=2.259e-4, phi=0.0, z=-1.2277e-4)
     assert 0.0 < abs(pair_complex(p, pt)) < 1e-154
-    g = phase_gradient(p, pt, mode="full")
+    g = phase_gradient(p, pt)
     assert np.all(np.isfinite(g)) and g[2] != 0.0
     vel = Velocity(0.0, 0.0, 0.2)
     for force in (scattering_force, dipole_force):
@@ -460,7 +481,7 @@ def test_total_field_with_subnormal_amplitudes_is_finite():
     pt = CylPoint(rho=5e-16, phi=0.0, z=-2.5 * zr)
     u_max = max(abs(mode_amplitude(p.beam1, pt)), abs(mode_amplitude(p.beam2, pt)))
     assert 0.0 < u_max < np.finfo(float).tiny
-    g = phase_gradient(p, pt, mode="full")
+    g = phase_gradient(p, pt)
     assert np.all(np.isfinite(g)) and g[2] != 0.0
     for vel in (None, Velocity(0.0, 0.0, 0.2)):
         for force in (scattering_force, dipole_force):

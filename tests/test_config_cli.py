@@ -16,6 +16,7 @@ from vortexlattice.cli import main
 from vortexlattice.config import MAX_GRID_POINTS, SECTION_KEYS, RunConfig, parse_quantity
 from vortexlattice.constants import AMU
 from vortexlattice.errors import ConfigError
+from vortexlattice.superpose import BLOCK_POINTS
 
 REPO = Path(__file__).resolve().parents[1]
 TWO_PI = 2.0 * math.pi
@@ -466,8 +467,12 @@ def test_cli_field_map_writes_outputs(tmp_path):
 
 
 def test_cli_thread_count_does_not_change_bytes(tmp_path):
-    cfg = base_config(grid={"rho_max": "6um", "n_rho": 33,
-                            "z_min": "-9um", "z_max": "9um", "n_z": 41})
+    """The grid holds three row blocks of about BLOCK_POINTS points, so
+    --threads 4 runs the map on three workers."""
+    n_rho, n_z = 401, 747
+    cfg = base_config(grid={"rho_max": "6um", "n_rho": n_rho,
+                            "z_min": "-9um", "z_max": "9um", "n_z": n_z})
+    assert n_z >= 3 * (BLOCK_POINTS // n_rho)
     path = write_config(tmp_path, cfg)
     blobs = {}
     for threads in (1, 4):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces, dipole_force,
-                                       dipole_potential, phase_gradient, scattering_force)
+from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces, _reduced_gradient,
+                                       dipole_force, dipole_potential, scattering_force)
 from vortexlattice.constants import HBAR
 from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, laguerre_poly,
                                    mode_amplitude, mode_jet, mode_phase, waist_at)
@@ -142,7 +142,7 @@ def test_reduced_phase_gradient_closed_form(case):
     g_phi = np.where(on_axis, 0.0, b.winding_l / np.where(on_axis, 1.0, rho))
     g_z = np.broadcast_to(float(b.direction) * b.wavenumber, g_phi.shape)
     want = np.stack(np.broadcast_arrays(np.zeros_like(g_phi), g_phi, g_z))
-    np.testing.assert_array_equal(phase_gradient(b, pt, mode="reduced"), want, strict=True)
+    np.testing.assert_array_equal(_reduced_gradient(b, pt), want, strict=True)
 
 
 @SETTINGS
@@ -241,6 +241,87 @@ def test_shared_forces_equal_scalar_calls_and_wrappers(case, vel, model):
             want = force(ATOM, pair, one, vel=vel, mode=model, t=t).as_array()
             here = np.broadcast_to(f.as_array(), (3,) + rho.shape)[(slice(None),) + idx]
             assert np.all(np.abs(here - want) <= 1e-12 * np.linalg.norm(want))
+
+
+@st.composite
+def dark_partner_pairs(draw):
+    """A pair whose beam 1 or beam 2 has amp_scale 0, the lit beam, points
+    spanning its ring stack, a time and a velocity (or None)."""
+    pair, pt, t = draw(pairs_and_points())
+    dark = draw(st.sampled_from(["beam1", "beam2"]))
+    pair = dataclasses.replace(pair, **{dark: dataclasses.replace(getattr(pair, dark),
+                                                                  amp_scale=0.0)})
+    lit = pair.beam2 if dark == "beam1" else pair.beam1
+    return pair, lit, pt, t, draw(velocities)
+
+
+def _single_beam_forces(beam, pt, vel, grad):
+    """Scattering force, dipole force and potential of one beam alone, whose
+    amp_scale sets the Rabi frequency, with the phase gradient ``grad``:
+    F_sc = (hbar Gamma / 4) Omega^2 grad / D,
+    F_dip = -(hbar / 2) Delta s^2 U grad(U) / D and
+    V = (hbar Delta0 / 2) ln(1 + (Omega^2 / 2) / (Delta0^2 + Gamma^2 / 4)),
+    with s = rabi_omega0 / amp_scale, Omega = s U,
+    Delta = Delta0 - v . grad and D = Delta^2 + Omega^2 / 2 + Gamma^2 / 4."""
+    u, _, grad_u, _ = mode_jet(beam, pt)
+    s = ATOM.rabi_omega0 / beam.amp_scale
+    omega_sq = (s * u) ** 2
+    delta = ATOM.detuning0
+    if vel is not None:
+        delta = delta - (vel.v_rho * grad[0] + vel.v_phi * grad[1] + vel.v_z * grad[2])
+    den = delta ** 2 + 0.5 * omega_sq + 0.25 * GAMMA ** 2
+    f_sc = 0.25 * HBAR * GAMMA * omega_sq / den * grad
+    f_dip = -0.5 * HBAR * delta / den * s * s * u * grad_u
+    v = 0.5 * HBAR * ATOM.detuning0 * np.log1p(
+        0.5 * omega_sq / (ATOM.detuning0 ** 2 + 0.25 * GAMMA ** 2))
+    return f_sc, f_dip, v
+
+
+def _assert_close(got, want, rtol, vector=True):
+    """max |got - want| <= rtol max |want| per point, the maxima over the
+    components along axis 0 of a vector; unlike the 2-norm, the maximum does
+    not underflow for forces near 1e-160 N."""
+    err, size = np.abs(np.subtract(*np.broadcast_arrays(got, want))), np.abs(want)
+    if vector:
+        err, size = np.max(err, axis=0), np.max(size, axis=0)
+    assert np.all(err <= rtol * size)
+
+
+@SETTINGS
+@given(case=dark_partner_pairs())
+def test_dark_partner_pair_is_one_beam(case):
+    """A pair whose partner beam is dark acts as its lit beam alone.  The
+    reduced forces and potential are the single-beam closed forms with the
+    reduced gradient (0, l / rho, direction * k), to 1e-12; the full model's
+    are the same forms with mode_jet's phase gradient, plus delta_k along z
+    when the lit beam is beam 2, to 1e-11.  Under velocity coupling the full
+    dipole force raises DarkPointError where the lit beam's amplitude is 0.
+
+    The full model is checked at least 1% of a waist off the axis.  Its
+    slope Im(grad E / E) rounds by about eps |grad U / U| = eps |l| / rho
+    there, which next to the axis exceeds 1e-11 of the force: 3.7e-11 at
+    rho = 2e-15 m for l = 1."""
+    pair, lit, pt, t, vel = case
+    rho = np.asarray(pt.rho)
+    g_phi = np.where(rho > AXIS_RHO, lit.winding_l / np.where(rho > AXIS_RHO, rho, 1.0), 0.0)
+    reduced = np.stack(np.broadcast_arrays(0.0, g_phi, float(lit.direction) * lit.wavenumber))
+    off_axis = dataclasses.replace(pt, rho=np.maximum(rho, 0.01 * lit.waist_w0))
+    full = mode_jet(lit, off_axis)[3]
+    if lit is pair.beam2:
+        full[2] += pair.delta_k
+    for model, pt, grad, rtol in (("reduced", pt, reduced, 1e-12),
+                                  ("full", off_axis, full, 1e-11)):
+        f_sc, f_dip, v = _single_beam_forces(lit, pt, vel, grad)
+        _assert_close(scattering_force(ATOM, pair, pt, vel=vel, mode=model, t=t).as_array(),
+                      f_sc, rtol)
+        _assert_close(dipole_potential(ATOM, pair, pt, mode=model), v, rtol, vector=False)
+        try:
+            got = dipole_force(ATOM, pair, pt, vel=vel, mode=model, t=t)
+        except DarkPointError:
+            assert model == "full" and vel is not None
+            assert np.any(mode_amplitude(lit, pt) == 0.0)
+            continue
+        _assert_close(got.as_array(), f_dip, rtol)
 
 
 @st.composite
