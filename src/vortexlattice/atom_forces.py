@@ -14,11 +14,13 @@ amplitude.  One beam's force is the reduced force of a pair whose beam 2 has
 amp_scale 0; one beam's complete phase gradient is ``mode_jet(beam, pt)[3]``.
 
 Every gradient is in closed form.  ``lg_mode.mode_jet`` gives U, Theta,
-grad(U) and grad(Theta) of each mode in one pass.  ``_forces`` returns the
-scattering and dipole forces together and evaluates each beam's mode once
-for both; the total field E = sum_j U_j e^{i Theta_j}
-has grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), from
-which Omega grad(Omega) = s^2 Re(E* grad E) and
+grad(U) and grad(Theta) of each mode in one pass.  Forces, like gradients,
+are arrays stacked [rho, phi, z] on axis 0, with the points' broadcast shape
+after it.  ``_forces`` returns the scattering and dipole forces together and
+evaluates each beam's mode once for both; the total field
+E = sum_j U_j e^{i Theta_j} has
+grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), from which
+Omega grad(Omega) = s^2 Re(E* grad E) and
 grad(arg E) = Im(grad E / E), with s = rabi_omega0 / (reference amplitude).
 Only ``axial_force_slope`` differentiates numerically: it is the numeric leg
 of the spring-constant check.
@@ -38,7 +40,6 @@ from .superpose import DARK_FRACTION, PairSpec, _offset_phase, pair_complex, tot
 __all__ = [
     "FORCE_MODELS",
     "AtomSpec",
-    "ForceVec",
     "Velocity",
     "axial_force_slope",
     "central_ring_radius",
@@ -95,26 +96,6 @@ class Velocity:
     v_phi: float = 0.0
     v_z: float = 0.0
 
-    def as_array(self):
-        return np.array([self.v_rho, self.v_phi, self.v_z])
-
-
-@dataclass(frozen=True)
-class ForceVec:
-    """Force components along (rho^, phi^, z^) at the evaluation point (N)."""
-
-    f_rho: float
-    f_phi: float
-    f_z: float
-
-    def as_array(self):
-        return np.array([self.f_rho, self.f_phi, self.f_z])
-
-    def __add__(self, other):
-        return ForceVec(self.f_rho + other.f_rho,
-                        self.f_phi + other.f_phi,
-                        self.f_z + other.f_z)
-
 
 def rabi_at(atom, amplitude, amp_scale_ref):
     """Local Rabi frequency: rabi_omega0 scaled by amplitude / amp_scale_ref."""
@@ -137,9 +118,9 @@ def _pair_amp_ref(pair):
 
 def _reduced_gradient(beam, pt):
     """Reduced phase gradient (0, l / rho, direction * k) of one beam,
-    shaped (3,) + shape(rho), with the azimuthal entry 0 for rho <= AXIS_RHO."""
+    shaped (3,) + pt.shape, with the azimuthal entry 0 for rho <= AXIS_RHO."""
     rho = np.asarray(pt.rho)
-    grad = np.zeros((3,) + rho.shape)
+    grad = np.zeros((3,) + pt.shape)
     # own-frame azimuthal slope l / rho: every beam advances its phase in
     # its own handedness, so no lab-frame azimuthal_sign appears here
     np.divide(beam.winding_l, rho, out=grad[1, ...], where=rho > AXIS_RHO)
@@ -241,9 +222,9 @@ def _field_terms(pair, pt, vel, t, scattering, dipole):
 
 def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
     """Scattering and dipole forces of a pair at time t in the model
-    ``mode``, each a ForceVec (zero when not asked for), from one evaluation
-    of each beam's mode.  Points are scalars or broadcastable arrays, as in
-    ``lg_mode``.
+    ``mode``, from one evaluation of each beam's mode.  Points are scalars or
+    broadcastable arrays, as in ``lg_mode``; each force is an array of shape
+    (3,) + pt.shape stacked [rho, phi, z], zeros when not asked for.
     """
     mode = _checked(pair, mode)
     ref = _pair_amp_ref(pair)
@@ -259,15 +240,14 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
             omega = rabi_at(atom, amp, ref)
             pref = 0.25 * HBAR * atom.gamma * omega * omega \
                 / (delta * delta + 0.5 * omega * omega + quarter_gamma_sq)
-            fs.append(ForceVec(pref * grad[0], pref * grad[1], pref * grad[2]))
+            fs.append(pref * grad)
         if dipole:
             s = atom.rabi_omega0 / ref
             omega, omega_grad_omega = s * amp, s * s * amp_grad_amp
             scale = -0.5 * HBAR * delta / (delta * delta + 0.5 * omega * omega + quarter_gamma_sq)
-            fd.append(ForceVec(scale * omega_grad_omega[0], scale * omega_grad_omega[1],
-                               scale * omega_grad_omega[2]))
-    return (sum(fs[1:], fs[0]) if fs else ForceVec(0.0, 0.0, 0.0),
-            sum(fd[1:], fd[0]) if fd else ForceVec(0.0, 0.0, 0.0))
+            fd.append(scale * omega_grad_omega)
+    return (sum(fs[1:], fs[0]) if fs else np.zeros((3,) + pt.shape),
+            sum(fd[1:], fd[0]) if fd else np.zeros((3,) + pt.shape))
 
 
 def scattering_force(atom, pair, pt, vel=None, mode="reduced", t=0.0):
@@ -398,8 +378,7 @@ def axial_force_slope(atom, pair, rho):
     h = 0.01 * pair.beam1.rayleigh_range
 
     def fz(zz):
-        f = scattering_force(atom, pair, CylPoint(rho=rho, phi=0.0, z=zz), mode=_REDUCED)
-        return f.f_z
+        return scattering_force(atom, pair, CylPoint(rho=rho, phi=0.0, z=zz), mode=_REDUCED)[2]
 
     return (8.0 * (fz(h) - fz(-h)) - (fz(2.0 * h) - fz(-2.0 * h))) / (12.0 * h)
 

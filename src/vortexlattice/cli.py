@@ -100,7 +100,7 @@ def cmd_rings(cfg, out, threads):
         raise ConfigError("rings needs a 'rings_grid' section")
     ringset = find_rings(cfg.pair, cfg.rings_grid, n_threads=threads)
     json_path = out / "rings.json"
-    ringset.write_json(json_path)
+    _write_json(json_path, ringset.to_json_dict())
     written = [json_path]
 
     pair = cfg.pair

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom_forces import FORCE_MODELS, ForceVec, Velocity, _forces, central_ring_radius, \
+from .atom_forces import FORCE_MODELS, Velocity, _forces, central_ring_radius, \
     spring_constant_k0
 # scattering_force and dipole_force are not called here; they stay module
 # attributes because perfbench/spans.py traces calls by rebinding these names
@@ -104,12 +104,10 @@ def _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz):
         vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz)
     fs, fd = _forces(atom, pair, pt, vel, cfg.force_model, t,
                      cfg.include_scattering, cfg.include_dipole)
-    if cfg.include_scattering and not cfg.include_azimuthal:
-        fs = ForceVec(fs.f_rho, 0.0, fs.f_z)
-    f = fs + fd
-    fx = f.f_rho * c - f.f_phi * s
-    fy = f.f_rho * s + f.f_phi * c
-    return fx, fy, f.f_z
+    if not cfg.include_azimuthal:
+        fs[1] = 0.0
+    f_rho, f_phi, f_z = (fs + fd).tolist()
+    return f_rho * c - f_phi * s, f_rho * s + f_phi * c, f_z
 
 
 def _extents(pair):

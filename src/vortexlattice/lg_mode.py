@@ -113,6 +113,11 @@ class CylPoint:
         if (np.asarray(self.rho) < 0.0).any():
             raise ValueError("rho must be >= 0")
 
+    @functools.cached_property
+    def shape(self):
+        """Broadcast shape of rho, phi and z."""
+        return np.broadcast(self.rho, self.phi, self.z).shape
+
     @classmethod
     def from_cartesian(cls, x, y, z):
         return cls(rho=np.hypot(x, y), phi=np.arctan2(y, x), z=z)
@@ -150,6 +155,32 @@ def _local_z(beam, z):
     return beam.direction * (np.asarray(z) - beam.focal_z)
 
 
+def _amplitude(beam, pt, envelope=False):
+    """U of ``mode_amplitude`` with what it is built from:
+    ``(U, z_local, rho, x, L_p^|l|(x), env)``, x = 2 rho^2 / w^2.  For p = 0
+    the Laguerre factor is None and env is U; otherwise env, the envelope
+    pref x^(|l|/2) e^(-x/2), is formed only when ``envelope`` asks for it."""
+    l = abs(beam.winding_l)
+    zl = _local_z(beam, pt.z)
+    u = zl / beam.rayleigh_range
+    w = beam.waist_w0 * np.sqrt(1.0 + u * u)
+    rho = np.asarray(pt.rho)
+    x = 2.0 * rho * rho / (w * w)
+    power = (_SQRT2 * rho / w) ** l
+    gauss = np.exp(-0.5 * x)
+    scale = beam.amp_scale * beam.norm
+    # the prefactor keeps 1 + u ** 2 rather than reusing sqrt(1 + u * u) from
+    # w: on numpy scalars u ** 2 and u * u can differ in the last bit, which
+    # would move the bytes of single-point outputs such as trajectories
+    axial = np.sqrt(1.0 + u ** 2)
+    if not beam.radial_p:
+        amplitude = scale * (power * gauss) / axial
+        return amplitude, zl, rho, x, None, amplitude
+    lag = laguerre_poly(beam.radial_p, l, x)
+    env = scale * (power * gauss) / axial if envelope else None
+    return scale * (power * lag * gauss) / axial, zl, rho, x, lag, env
+
+
 def mode_amplitude(beam, pt):
     """Field amplitude of the mode at a point.
 
@@ -165,19 +196,7 @@ def mode_amplitude(beam, pt):
         * L_p^|l|(2 rho^2 / w^2) * exp(-rho^2 / w^2), with w = w(z) and z
         the local axial offset.  L_0 = 1 is not formed.
     """
-    l = abs(beam.winding_l)
-    u = _local_z(beam, pt.z) / beam.rayleigh_range
-    w = beam.waist_w0 * np.sqrt(1.0 + u * u)
-    rho = np.asarray(pt.rho)
-    arg = 2.0 * rho * rho / (w * w)
-    radial = (_SQRT2 * rho / w) ** l
-    if beam.radial_p:
-        radial = radial * laguerre_poly(beam.radial_p, l, arg)
-    radial = radial * np.exp(-0.5 * arg)
-    # the prefactor keeps 1 + u ** 2 rather than reusing sqrt(1 + u * u) from
-    # w: on numpy scalars u ** 2 and u * u can differ in the last bit, which
-    # would move the bytes of single-point outputs such as trajectories
-    return beam.amp_scale * beam.norm * radial / np.sqrt(1.0 + u ** 2)
+    return _amplitude(beam, pt)[0]
 
 
 def _phase_parts(beam, zl, pt):
@@ -236,30 +255,15 @@ def mode_jet(beam, pt):
     p = beam.radial_p
     k = beam.wavenumber
     zr = beam.rayleigh_range
-    zl = _local_z(beam, pt.z)
-    u = zl / zr
-    w = beam.waist_w0 * np.sqrt(1.0 + u * u)
-    rho = np.asarray(pt.rho)
-    arg = 2.0 * rho * rho / (w * w)
-    power = (_SQRT2 * rho / w) ** l
-    gauss = np.exp(-0.5 * arg)
-    scale = beam.amp_scale * beam.norm
-    # U takes the operations of mode_amplitude in the same order, so the two
-    # agree exactly
-    axial = np.sqrt(1.0 + u ** 2)
-    # envelope * slope is pref * x R'(x); for p = 0 the envelope is U itself
-    envelope = scale * (power * gauss) / axial
+    amplitude, zl, rho, x, lag, envelope = _amplitude(beam, pt, envelope=True)
+    # envelope * slope is pref * x R'(x)
+    slope = 0.5 * (l - x)
     if p:
-        lag = laguerre_poly(p, l, arg)
-        amplitude = scale * (power * lag * gauss) / axial
-        slope = 0.5 * (l - arg) * lag - arg * laguerre_poly(p - 1, l + 1, arg)
-    else:
-        amplitude = envelope
-        slope = 0.5 * (l - arg)
+        slope = slope * lag - x * laguerre_poly(p - 1, l + 1, x)
     x_dr = envelope * slope
     den = zl * zl + zr * zr
     off_axis = rho > AXIS_RHO
-    shape = (3,) + np.broadcast(rho, np.asarray(pt.phi), zl).shape
+    shape = (3,) + pt.shape
     grad_amplitude = np.zeros(shape)
     np.divide(2.0 * x_dr, rho, out=grad_amplitude[0, ...], where=off_axis)
     grad_amplitude[2] = -beam.direction * zl * (amplitude + 2.0 * x_dr) / den

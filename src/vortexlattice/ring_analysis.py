@@ -6,7 +6,6 @@ the off-centre double rings.  Also provides the closed-form double-ring radii
 and the rotation/drift measurements for frequency-offset pairs.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -80,11 +79,6 @@ class RingSet:
             "splittings": [{"z": s.z_pos, "delta_rho": s.delta_rho}
                            for s in self.splittings],
         }
-
-    def write_json(self, path):
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
 
 
 def _parabolic_vertex(x0, h, y_minus, y0, y_plus):

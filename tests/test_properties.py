@@ -1,9 +1,10 @@
 """Properties checked over generated beams, pairs and points.
 
 Beams cover |l| <= 80, p <= 3, both directions and focal planes off the
-origin; points come as Python floats, as 1-D arrays and as the separable
-(1, n) rho row and (m, 1) z column the map kernel passes, and include points
-on and next to the axis (rho <= AXIS_RHO).
+origin; points come as Python floats, as 1-D arrays, as the separable
+(1, n) rho row and (m, 1) z column the map kernel passes, and as a line
+(scalar rho and phi, 1-D z), and include points on and next to the axis
+(rho <= AXIS_RHO).
 """
 
 import dataclasses
@@ -51,14 +52,18 @@ def beams(draw):
 @st.composite
 def points(draw, rho_max, z_lo, z_hi):
     """A CylPoint with rho in [0, rho_max] and z in [z_lo, z_hi]; scalar,
-    1-D, or separable (rho a (1, n) row, z an (m, 1) column)."""
+    1-D, separable (rho a (1, n) row, z an (m, 1) column) or a line (scalar
+    rho and phi, z 1-D)."""
     rho = unit.map(lambda f: f * rho_max) | axis_rho
     phi = st.floats(-math.pi, math.pi)
     z = unit.map(lambda f: z_lo + f * (z_hi - z_lo))
-    form = draw(st.sampled_from(["scalar", "array", "separable"]))
+    form = draw(st.sampled_from(["scalar", "array", "separable", "line"]))
     if form == "scalar":
         return CylPoint(rho=draw(rho), phi=draw(phi), z=draw(z))
     n = draw(st.integers(1, 6))
+    if form == "line":
+        return CylPoint(rho=draw(rho), phi=draw(phi),
+                        z=np.array(draw(st.lists(z, min_size=n, max_size=n))))
     rhos = np.array(draw(st.lists(rho, min_size=n, max_size=n)))
     if form == "array":
         return CylPoint(rho=rhos, phi=np.array(draw(st.lists(phi, min_size=n, max_size=n))),
@@ -135,13 +140,15 @@ def test_mode_amplitude_equals_product_formula(case):
 @given(case=beams_and_points())
 def test_reduced_phase_gradient_closed_form(case):
     """The reduced gradient is exactly (0, l / rho, direction * k) stacked to
-    (3,) + shape(rho), with the azimuthal entry 0 for rho <= AXIS_RHO."""
+    (3,) + the broadcast shape of (rho, phi, z), with the azimuthal entry 0
+    for rho <= AXIS_RHO."""
     b, pt = case
-    rho = np.asarray(pt.rho)
+    shape = np.broadcast(pt.rho, pt.phi, pt.z).shape
+    rho = np.broadcast_to(pt.rho, shape)
     on_axis = rho <= AXIS_RHO
     g_phi = np.where(on_axis, 0.0, b.winding_l / np.where(on_axis, 1.0, rho))
-    g_z = np.broadcast_to(float(b.direction) * b.wavenumber, g_phi.shape)
-    want = np.stack(np.broadcast_arrays(np.zeros_like(g_phi), g_phi, g_z))
+    g_z = np.full(shape, float(b.direction) * b.wavenumber)
+    want = np.stack([np.zeros(shape), g_phi, g_z])
     np.testing.assert_array_equal(_reduced_gradient(b, pt), want, strict=True)
 
 
@@ -201,9 +208,9 @@ def test_axial_force_odd_in_z_for_symmetric_pairs(case):
     phi, z = np.asarray(pt.phi), np.asarray(pt.z)
     scale = 1e-12 * HBAR * GAMMA * pair.beam1.wavenumber
     for mode, mirrored_phi in (("reduced", phi), ("reduced", -phi), ("full", -phi)):
-        here = scattering_force(ATOM, pair, pt, mode=mode).f_z
+        here = scattering_force(ATOM, pair, pt, mode=mode)[2]
         there = scattering_force(ATOM, pair, CylPoint(rho=pt.rho, phi=mirrored_phi, z=-z),
-                                 mode=mode).f_z
+                                 mode=mode)[2]
         assert np.all(np.abs(here + there) <= scale)
 
 
@@ -215,9 +222,10 @@ velocities = st.none() | st.builds(Velocity, speeds, speeds, speeds)
 @given(case=pairs_and_points(), vel=velocities, model=st.sampled_from(["reduced", "full"]))
 def test_shared_forces_equal_scalar_calls_and_wrappers(case, vel, model):
     """_forces on broadcast points equals its scalar calls point by point, to
-    1e-12 of each force's magnitude (a component that cancels down to
-    rounding, such as f_phi of a pair with l1 = 0, differs in that noise),
-    and its two outputs are scattering_force's and dipole_force's.  Under
+    1e-12 of each force's largest component (a component that cancels down
+    to rounding, such as f_phi of a pair with l1 = 0, differs in that noise),
+    and its two outputs, shaped (3,) + the points' broadcast shape, are
+    scattering_force's and dipole_force's.  Under
     velocity coupling a dark point (the axis, the far field) makes the full
     model's dipole force raise, while its scattering force is still given."""
     pair, pt, t = case
@@ -230,17 +238,16 @@ def test_shared_forces_equal_scalar_calls_and_wrappers(case, vel, model):
             dipole_force(ATOM, pair, pt, vel=vel, mode=model, t=t)
         both = [scattering_force]
         got = (_forces(ATOM, pair, pt, vel, model, t, True, False)[0],)
-    for force, f in zip(both, got):
-        np.testing.assert_array_equal(
-            f.as_array(), force(ATOM, pair, pt, vel=vel, mode=model, t=t).as_array(),
-            strict=True)
     rho, phi, z = np.broadcast_arrays(pt.rho, pt.phi, pt.z)
+    for force, f in zip(both, got):
+        assert f.shape == (3,) + rho.shape
+        np.testing.assert_array_equal(f, force(ATOM, pair, pt, vel=vel, mode=model, t=t),
+                                      strict=True)
     for idx in np.ndindex(rho.shape):
         one = CylPoint(rho=float(rho[idx]), phi=float(phi[idx]), z=float(z[idx]))
         for force, f in zip(both, got):
-            want = force(ATOM, pair, one, vel=vel, mode=model, t=t).as_array()
-            here = np.broadcast_to(f.as_array(), (3,) + rho.shape)[(slice(None),) + idx]
-            assert np.all(np.abs(here - want) <= 1e-12 * np.linalg.norm(want))
+            want = force(ATOM, pair, one, vel=vel, mode=model, t=t)
+            _assert_close(f[(slice(None),) + idx], want, 1e-12)
 
 
 @st.composite
@@ -302,7 +309,7 @@ def test_dark_partner_pair_is_one_beam(case):
     there, which next to the axis exceeds 1e-11 of the force: 3.7e-11 at
     rho = 2e-15 m for l = 1."""
     pair, lit, pt, t, vel = case
-    rho = np.asarray(pt.rho)
+    rho = np.broadcast_to(pt.rho, np.broadcast(pt.rho, pt.phi, pt.z).shape)
     g_phi = np.where(rho > AXIS_RHO, lit.winding_l / np.where(rho > AXIS_RHO, rho, 1.0), 0.0)
     reduced = np.stack(np.broadcast_arrays(0.0, g_phi, float(lit.direction) * lit.wavenumber))
     off_axis = dataclasses.replace(pt, rho=np.maximum(rho, 0.01 * lit.waist_w0))
@@ -312,7 +319,7 @@ def test_dark_partner_pair_is_one_beam(case):
     for model, pt, grad, rtol in (("reduced", pt, reduced, 1e-12),
                                   ("full", off_axis, full, 1e-11)):
         f_sc, f_dip, v = _single_beam_forces(lit, pt, vel, grad)
-        _assert_close(scattering_force(ATOM, pair, pt, vel=vel, mode=model, t=t).as_array(),
+        _assert_close(scattering_force(ATOM, pair, pt, vel=vel, mode=model, t=t),
                       f_sc, rtol)
         _assert_close(dipole_potential(ATOM, pair, pt, mode=model), v, rtol, vector=False)
         try:
@@ -321,7 +328,7 @@ def test_dark_partner_pair_is_one_beam(case):
             assert model == "full" and vel is not None
             assert np.any(mode_amplitude(lit, pt) == 0.0)
             continue
-        _assert_close(got.as_array(), f_dip, rtol)
+        _assert_close(got, f_dip, rtol)
 
 
 @st.composite
@@ -376,7 +383,7 @@ def test_dipole_force_is_minus_potential_gradient(case, model):
     want = -np.stack([grad(lambda s: v(rho + s, phi, z), h),
                       grad(lambda s: v(rho, phi + s, z), h / rho) / rho,
                       grad(lambda s: v(rho, phi, z + s), h)])
-    got = dipole_force(atom, pair, pt, mode=model).as_array()
+    got = dipole_force(atom, pair, pt, mode=model)
     err = np.linalg.norm(got - want, axis=0)
     larger = np.maximum(np.linalg.norm(got, axis=0), np.linalg.norm(want, axis=0))
     floor = 2.0 * np.finfo(float).eps * np.abs(v(rho, phi, z)) / h

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from vortexlattice import ring_analysis
+from vortexlattice.cli import _write_json
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
                                   RingDetectionError)
 from vortexlattice.lg_mode import waist_at
@@ -189,7 +190,7 @@ def test_ring_set_json_schema(tmp_path):
     p = split_pair()
     rings = find_rings(p, split_region())
     path = tmp_path / "rings.json"
-    rings.write_json(path)
+    _write_json(path, rings.to_json_dict())
     loaded = json.loads(path.read_text())
     assert set(loaded) == {"fringe_delta", "rings", "splittings"}
     assert isinstance(loaded["fringe_delta"], float)
@@ -198,7 +199,7 @@ def test_ring_set_json_schema(tmp_path):
     # NaN spacing serializes as null, not as bare NaN
     single = find_rings(pair(amp2=0.0), lattice_region(p, z_half=24.0, n_z=961))
     path2 = tmp_path / "single.json"
-    single.write_json(path2)
+    _write_json(path2, single.to_json_dict())
     assert json.loads(path2.read_text())["fringe_delta"] is None
 
 
