@@ -12,12 +12,10 @@ import math
 
 import numpy as np
 
-from vortexlattice.atom_forces import (AtomSpec, Velocity, central_ring_radius,
-                                       torque_axial)
+from vortexlattice.atom_forces import AtomSpec, central_ring_radius, torque_axial
 from vortexlattice.dynamics import (IntegratorConfig, TrajectoryState,
-                                    estimate_frequency, integrate,
-                                    trap_frequency)
-from vortexlattice.lg_mode import CylPoint
+                                    angular_momentum, estimate_frequency,
+                                    integrate, trap_frequency)
 from vortexlattice.superpose import PairSpec
 
 wavelength = 589.16e-9
@@ -35,8 +33,8 @@ rho0 = central_ring_radius(pair)
 print(f"trap frequency {omega / (2 * math.pi) * 1e-3:.3f} kHz "
       f"(period {period * 1e6:.1f} us), ring at {rho0 * 1e6:.3f} um")
 
-init = TrajectoryState(position=CylPoint(rho=rho0, phi=0.0, z=0.01 * zr),
-                       velocity=Velocity(0.0, 0.0, 0.0), time=0.0)
+# at rest on the ring at phi = 0, so x = rho0 and y = 0
+init = TrajectoryState(time=0.0, x=rho0, y=0.0, z=0.01 * zr, vx=0.0, vy=0.0, vz=0.0)
 
 # leg 1: axial oscillation, azimuthal push off
 cfg = IntegratorConfig(step=period / 400, duration=4.0 * period,
@@ -45,12 +43,11 @@ states = integrate(atom, pair, init, cfg)
 print("\naxial breathing about the midplane:")
 print("   t/us     z/um    rho/um")
 for s in states[:: len(states) // 10]:
-    print(f"  {s.time * 1e6:6.1f}  {s.position.z * 1e6:+7.3f}  "
-          f"{s.position.rho * 1e6:8.3f}")
+    print(f"  {s.time * 1e6:6.1f}  {s.z * 1e6:+7.3f}  "
+          f"{math.hypot(s.x, s.y) * 1e6:8.3f}")
 
-ts = np.array([s.time for s in states])
-zs = np.array([s.position.z for s in states])
-measured = estimate_frequency(ts, zs)
+traj = np.array(states)
+measured = estimate_frequency(traj[:, 0], traj[:, 3])
 print(f"measured {measured:.1f} rad/s vs sqrt(K0/m) = {omega:.1f} rad/s "
       f"({abs(measured - omega) / omega:.2%} apart)")
 
@@ -58,9 +55,10 @@ print(f"measured {measured:.1f} rad/s vs sqrt(K0/m) = {omega:.1f} rad/s "
 short = IntegratorConfig(step=period / 1000, duration=0.1 * period,
                          sample_every=10 ** 9)
 final = integrate(atom, pair, init, short)[-1]
+v_phi = angular_momentum(atom, final) / (atom.mass * math.hypot(final.x, final.y))
 want = torque_axial(atom, pair) / (atom.mass * rho0) * final.time
 print(f"\nazimuthal spin-up after {final.time * 1e6:.1f} us: "
-      f"v_phi = {final.velocity.v_phi * 1e3:.4f} mm/s "
+      f"v_phi = {v_phi * 1e3:.4f} mm/s "
       f"(torque/(m rho0) * t = {want * 1e3:.4f} mm/s)")
 print("left running, the spun-up atom slides radially off the ring: the "
       "reduced scattering force confines z but not rho")

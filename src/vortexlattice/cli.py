@@ -203,20 +203,15 @@ def cmd_trajectory(cfg, out, threads):
     if cfg.trajectory_init is None or cfg.trajectory_config is None:
         raise ConfigError("trajectory needs a 'trajectory' config section")
     states = integrate(atom, cfg.pair, cfg.trajectory_init, cfg.trajectory_config)
-    rows = []
-    for st in states:
-        p, v = st.position, st.velocity
-        c, s = math.cos(p.phi), math.sin(p.phi)
-        rows.append((st.time, p.rho * c, p.rho * s, p.z,
-                     v.v_rho * c - v.v_phi * s, v.v_rho * s + v.v_phi * c, v.v_z,
-                     p.rho, p.phi))
+    # math, not numpy: np.hypot and np.arctan2 differ in the last bit on some samples
+    rho = [math.hypot(st.x, st.y) for st in states]
+    phi = [math.atan2(st.y, st.x) for st in states]
+    rows = np.column_stack((np.array(states), rho, phi))
     path = out / "trajectory.csv"
     write_csv(path, "t,x,y,z,vx,vy,vz,rho,phi", rows)
 
-    times = [st.time for st in states]
-    z_vals = [st.position.z for st in states]
     lz = [angular_momentum(atom, st) for st in states]
-    omega = estimate_frequency(times, z_vals)
+    omega = estimate_frequency(rows[:, 0], rows[:, 3])
     summary = {
         "n_samples": len(states),
         # NaN (fewer than three crossings) is written as null
@@ -225,8 +220,7 @@ def cmd_trajectory(cfg, out, threads):
         "lz_final": lz[-1],
         "lz_monotone_nondecreasing": bool(np.all(np.diff(lz) >= -1e-12 * max(
             1e-60, float(np.max(np.abs(lz)))))),
-        "final": {"rho": states[-1].position.rho, "phi": states[-1].position.phi,
-                  "z": states[-1].position.z},
+        "final": {"rho": rho[-1], "phi": phi[-1], "z": states[-1].z},
     }
     try:
         summary["oscillation_omega_analytic"] = trap_frequency(atom, cfg.pair)

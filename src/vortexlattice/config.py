@@ -19,11 +19,10 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .atom_forces import AtomSpec, Velocity
+from .atom_forces import AtomSpec
 from .constants import AMU
 from .dynamics import IntegratorConfig, TrajectoryState
 from .errors import ConfigError
-from .lg_mode import CylPoint
 from .superpose import GridSpec, PairSpec
 
 __all__ = ["MAX_GRID_POINTS", "RunConfig", "parse_quantity"]
@@ -212,10 +211,13 @@ def _sweep(sweep):
 
 
 def _trajectory(traj):
-    """Initial state and integrator settings."""
+    """Cartesian initial state, from the cylindrical keys, and integrator settings."""
     rho, phi, z, v_rho, v_phi, v_z = (traj[k] for k in _STATE_KEYS)
-    state = TrajectoryState(position=CylPoint(rho=rho, phi=phi, z=z),
-                            velocity=Velocity(v_rho=v_rho, v_phi=v_phi, v_z=v_z), time=0.0)
+    if rho < 0.0:
+        raise ConfigError("trajectory.rho must be >= 0")
+    c, s = math.cos(phi), math.sin(phi)
+    state = TrajectoryState(0.0, rho * c, rho * s, z,
+                            v_rho * c - v_phi * s, v_rho * s + v_phi * c, v_z)
     return state, IntegratorConfig(**{k: v for k, v in traj.items() if k not in _STATE_KEYS})
 
 

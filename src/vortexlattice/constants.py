@@ -8,8 +8,3 @@ C_LIGHT = 299792458.0
 
 # Atomic mass unit, kg
 AMU = 1.66053906660e-27
-
-# Sodium D2 values, convenient defaults for demos and configs
-NA_MASS = 3.8175e-26                 # kg
-NA_WAVELENGTH = 589.16e-9            # m
-NA_GAMMA = 2.0 * 3.141592653589793 * 10.01e6   # rad / s

@@ -1,7 +1,9 @@
 """Semiclassical point-particle trajectories in the two-beam force field.
 
 A classic fixed-step fourth-order Runge-Kutta integrator advances the atom in
-Cartesian coordinates (the cylindrical frame is singular on the axis); forces
+Cartesian coordinates (the cylindrical frame is singular on the axis), and
+each sample is that state itself, a ``TrajectoryState`` tuple
+(time, x, y, z, vx, vy, vz); ``np.array(states)`` is the trajectory.  Forces
 are evaluated in the local cylindrical frame at every substage's absolute
 time, so the pattern of a frequency-offset pair turns and crawls under the
 atom.  The force model is "reduced" (the beams' forces added) or "full" (the
@@ -11,6 +13,7 @@ share each substage's mode evaluations, with optional velocity coupling.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,14 +42,16 @@ DIVERGENCE_FACTOR = 10.0
 MIN_STEPS_PER_PERIOD = 50
 
 
-@dataclass(frozen=True)
-class TrajectoryState:
-    """Snapshot of the atom: cylindrical position, cylindrical velocity and
-    the elapsed time."""
+class TrajectoryState(NamedTuple):
+    """Sample of the atom: the time, then its Cartesian position and velocity."""
 
-    position: CylPoint
-    velocity: Velocity
     time: float
+    x: float
+    y: float
+    z: float
+    vx: float
+    vy: float
+    vz: float
 
 
 @dataclass(frozen=True)
@@ -90,8 +95,8 @@ def trap_frequency(atom, pair):
 
 
 def angular_momentum(atom, state):
-    """Axial angular momentum m rho v_phi of a trajectory state."""
-    return atom.mass * state.position.rho * state.velocity.v_phi
+    """Axial angular momentum m (x v_y - y v_x) of a trajectory state."""
+    return atom.mass * (state.x * state.vy - state.y * state.vx)
 
 
 def _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz):
@@ -121,7 +126,7 @@ def _extents(pair):
 def integrate(atom, pair, init, cfg):
     """Advance a TrajectoryState through the pair's force field.
 
-    Returns the sampled states, always including the initial and final ones.
+    Returns ``init`` and every ``sample_every``-th state, always the last one.
     Each RK4 substage sees the force at its absolute time, counted from
     ``init.time``.  Raises StepSizeError when the step resolves the axial
     trap period, or the pattern period 2 pi / |delta_omega| of a
@@ -143,10 +148,7 @@ def integrate(atom, pair, init, cfg):
     radial_max *= DIVERGENCE_FACTOR
     axial_max *= DIVERGENCE_FACTOR
 
-    p, v = init.position, init.velocity
-    c, s = math.cos(p.phi), math.sin(p.phi)
-    y = np.array([p.rho * c, p.rho * s, p.z,
-                  v.v_rho * c - v.v_phi * s, v.v_rho * s + v.v_phi * c, v.v_z])
+    y = np.array(init[1:], dtype=float)
     inv_m = 1.0 / atom.mass
 
     def deriv(state, t):
@@ -154,20 +156,9 @@ def integrate(atom, pair, init, cfg):
         return np.array([state[3], state[4], state[5],
                          fx * inv_m, fy * inv_m, fz * inv_m])
 
-    def snapshot(state, time):
-        rho = math.hypot(state[0], state[1])
-        phi = math.atan2(state[1], state[0])
-        cc, ss = math.cos(phi), math.sin(phi)
-        return TrajectoryState(
-            position=CylPoint(rho=rho, phi=phi, z=state[2]),
-            velocity=Velocity(v_rho=state[3] * cc + state[4] * ss,
-                              v_phi=state[4] * cc - state[3] * ss,
-                              v_z=state[5]),
-            time=time)
-
     n_steps = max(1, round(cfg.duration / cfg.step))
     h = cfg.step
-    samples = [snapshot(y, init.time)]
+    samples = [init]
     for n in range(1, n_steps + 1):
         t = init.time + (n - 1) * h
         k1 = deriv(y, t)
@@ -183,7 +174,7 @@ def integrate(atom, pair, init, cfg):
         if math.hypot(y[0], y[1]) > radial_max or abs(y[2]) > axial_max:
             raise DivergenceError(f"trajectory left the beam region at step {n}")
         if n % cfg.sample_every == 0 or n == n_steps:
-            samples.append(snapshot(y, init.time + n * h))
+            samples.append(TrajectoryState(init.time + n * h, *y.tolist()))
     return samples
 
 

@@ -156,7 +156,8 @@ def find_rings(pair, region, n_threads=1):
     ResolutionError is raised.  Along each z row the radial maximum is
     refined by a parabolic fit; local maxima of that ridge along z give the
     rings, again refined parabolically.  The fringe spacing is the median
-    gap between adjacent rings near the midplane (|z| <= d/4 when d > 0).
+    gap between adjacent rings near the midplane (|z| <= d/4), or between
+    all rings when no two adjacent ones lie there (always at d = 0).
     The ring nearest z = 0 is classified "central" when it sits within half
     a fringe of the midplane; every other ring belongs to a double-ring pair
     and its radial splitting is recorded where a second radial maximum is
@@ -199,13 +200,8 @@ def find_rings(pair, region, n_threads=1):
     z_vals = np.array([item[0] for item in raw])
     if z_vals.size >= 2:
         gaps = np.diff(z_vals)
-        if pair.separation_d > 0.0:
-            near = (np.abs(z_vals[:-1]) <= 0.25 * pair.separation_d) \
-                & (np.abs(z_vals[1:]) <= 0.25 * pair.separation_d)
-            fringe_delta = float(np.median(gaps[near])) if np.any(near) \
-                else float(np.median(gaps))
-        else:
-            fringe_delta = float(np.median(gaps))
+        near = (np.abs(z_vals[:-1]) <= 0.5 * half_d) & (np.abs(z_vals[1:]) <= 0.5 * half_d)
+        fringe_delta = float(np.median(gaps[near] if np.any(near) else gaps))
     else:
         fringe_delta = float("nan")
 

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from vortexlattice.atom_forces import (AtomSpec, Velocity, axial_force_slope,
+from vortexlattice.atom_forces import (AtomSpec, axial_force_slope,
                                        central_ring_radius, dipole_force,
                                        dipole_potential, ferris_rate,
                                        lift_speed, spring_constant,
@@ -307,22 +307,19 @@ def test_criterion_7_trap_dynamics():
                                             / atom.mass), rel=1e-12)
     period = 2.0 * math.pi / omega
     rho0 = central_ring_radius(pr)
-    init = TrajectoryState(position=CylPoint(rho=rho0, phi=0.0, z=0.01 * zr),
-                           velocity=Velocity(0.0, 0.0, 0.0), time=0.0)
+    init = TrajectoryState(0.0, rho0, 0.0, 0.01 * zr, 0.0, 0.0, 0.0)
 
     cfg = IntegratorConfig(step=period / 400, duration=5.0 * period,
                            include_azimuthal=False)
     states = integrate(atom, pr, init, cfg)
     ts = np.array([s.time for s in states])
-    zs = np.array([s.position.z for s in states])
+    zs = np.array([s.z for s in states])
     freq_err = abs(estimate_frequency(ts, zs) - omega) / omega
 
     def final_state(n):
         c = IntegratorConfig(step=period / n, duration=period,
                              include_azimuthal=False, sample_every=10 ** 9)
-        s = integrate(atom, pr, init, c)[-1]
-        return np.array([s.position.rho, s.position.z,
-                         s.velocity.v_rho, s.velocity.v_z])
+        return np.array(integrate(atom, pr, init, c)[-1][1:])
 
     ref = final_state(3200)
     errs = [np.linalg.norm(final_state(n) - ref) for n in (100, 200, 400)]
@@ -331,17 +328,15 @@ def test_criterion_7_trap_dynamics():
 
     # conservative leg: oscillation in the radial dipole well of the ring
     cons_atom = sodium(delta0=-2.0 * GAMMA)
-    well = TrajectoryState(position=CylPoint(rho=1.08 * rho0, phi=0.0, z=0.0),
-                           velocity=Velocity(0.0, 0.0, 0.0), time=0.0)
+    well = TrajectoryState(0.0, 1.08 * rho0, 0.0, 0.0, 0.0, 0.0, 0.0)
     cons = IntegratorConfig(step=period / 400, duration=3.0 * period,
                             include_scattering=False, include_dipole=True,
                             sample_every=10)
     cstates = integrate(cons_atom, pr, well, cons)
 
     def energy(s):
-        vel = s.velocity
-        ke = 0.5 * atom.mass * (vel.v_rho ** 2 + vel.v_phi ** 2 + vel.v_z ** 2)
-        return ke + float(dipole_potential(cons_atom, pr, s.position))
+        ke = 0.5 * atom.mass * (s.vx ** 2 + s.vy ** 2 + s.vz ** 2)
+        return ke + float(dipole_potential(cons_atom, pr, CylPoint.from_cartesian(*s[1:4])))
 
     e = np.array([energy(s) for s in cstates])
     drift = float(np.max(np.abs(e - e[0])) / abs(e[0]) / 3.0)

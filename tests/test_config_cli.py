@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from vortexlattice import cli
 from vortexlattice.cli import main
 from vortexlattice.config import MAX_GRID_POINTS, SECTION_KEYS, RunConfig, parse_quantity
 from vortexlattice.constants import AMU
+from vortexlattice.dynamics import angular_momentum, integrate
 from vortexlattice.errors import ConfigError
 from vortexlattice.superpose import BLOCK_POINTS
 
@@ -658,3 +660,49 @@ def test_cli_json_writer_rejects_non_finite(tmp_path):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             cli._write_json(tmp_path / "bad.json", {"value": bad})
+
+
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_cli_trajectory_csv_is_the_integrated_state(tmp_path, mode):
+    """Off phi = 0, with the azimuthal push and velocity coupling on, the
+    first seven columns of trajectory.csv are the integrator's samples bit
+    for bit, rho and phi are math.hypot and math.atan2 of each sample, and
+    L_z = m (x v_y - y v_x) equals m rho v_phi in the cylindrical frame."""
+    cfg = json.loads((REPO / "configs" / "trajectory.json").read_text())
+    cfg["trajectory"].update(phi=0.7, v_phi="1mm/s", include_azimuthal=True,
+                             velocity_coupling=True, duration="600us")
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / mode
+    assert run_cli(["trajectory", "--config", path, "--out", out, "--mode", mode]) == 0
+
+    run = RunConfig.from_file(path)
+    integrator = dataclasses.replace(run.trajectory_config, force_model=mode)
+    states = integrate(run.atom, run.pair, run.trajectory_init, integrator)
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, :7], np.array(states))
+    np.testing.assert_array_equal(rows[:, 7], [math.hypot(s.x, s.y) for s in states])
+    np.testing.assert_array_equal(rows[:, 8], [math.atan2(s.y, s.x) for s in states])
+    assert np.ptp(rows[:, 8]) > 0.0           # the atom turns about the axis
+
+    for s in states:
+        phi = math.atan2(s.y, s.x)
+        v_phi = s.vy * math.cos(phi) - s.vx * math.sin(phi)
+        assert angular_momentum(run.atom, s) == pytest.approx(
+            run.atom.mass * math.hypot(s.x, s.y) * v_phi, rel=1e-12)
+    summary = json.loads((out / "trajectory_summary.json").read_text())
+    assert summary["lz_final"] == angular_momentum(run.atom, states[-1])
+    assert summary["final"] == {"rho": rows[-1, 7], "phi": rows[-1, 8], "z": states[-1].z}
+
+
+def test_trajectory_start_is_cartesian_and_rho_must_not_be_negative():
+    traj = {"rho": "2um", "phi": 0.5, "z": "0.1um", "v_rho": "1mm/s", "v_phi": "2mm/s",
+            "step": "0.1us", "duration": "1us"}
+    init = RunConfig.from_dict(base_config(trajectory=traj)).trajectory_init
+    assert init.time == 0.0
+    assert math.hypot(init.x, init.y) == pytest.approx(2e-6, rel=1e-15)
+    assert math.atan2(init.y, init.x) == pytest.approx(0.5, rel=1e-15)
+    assert (init.vx, init.vy) == pytest.approx(
+        (1e-3 * math.cos(0.5) - 2e-3 * math.sin(0.5),
+         1e-3 * math.sin(0.5) + 2e-3 * math.cos(0.5)), rel=1e-15)
+    with pytest.raises(ConfigError, match="rho must be >= 0"):
+        RunConfig.from_dict(base_config(trajectory=dict(traj, rho="-2um")))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from vortexlattice import atom_forces, dynamics
-from vortexlattice.atom_forces import (AtomSpec, Velocity,
-                                       central_ring_radius, dipole_force,
+from vortexlattice.atom_forces import (AtomSpec, central_ring_radius, dipole_force,
                                        dipole_potential, spring_constant_k0,
                                        torque_axial)
 from vortexlattice.dynamics import (IntegratorConfig, TrajectoryState,
@@ -32,19 +31,10 @@ def trap_pair(d_frac=1.4):
     return PairSpec.counterpropagating(WAVELENGTH, w0, l1=1, separation_d=d_frac * zr)
 
 
-def on_ring_state(pair, z_frac=0.01, **vel):
-    zr = pair.beam1.rayleigh_range
-    v = Velocity(vel.get("v_rho", 0.0), vel.get("v_phi", 0.0), vel.get("v_z", 0.0))
-    return TrajectoryState(position=CylPoint(rho=central_ring_radius(pair), phi=0.0,
-                                             z=z_frac * zr),
-                           velocity=v, time=0.0)
-
-
-def cartesian_state(state):
-    p, v = state.position, state.velocity
-    c, s = math.cos(p.phi), math.sin(p.phi)
-    return np.array([p.rho * c, p.rho * s, p.z,
-                     v.v_rho * c - v.v_phi * s, v.v_rho * s + v.v_phi * c, v.v_z])
+def on_ring_state(pair, z_frac=0.01, v_z=0.0):
+    """At rest on the central ring at phi = 0 (so x = rho), or moving along z."""
+    return TrajectoryState(0.0, central_ring_radius(pair), 0.0,
+                           z_frac * pair.beam1.rayleigh_range, 0.0, 0.0, v_z)
 
 
 def test_config_validation():
@@ -77,9 +67,9 @@ def test_force_free_motion_is_ballistic():
                            sample_every=10 ** 9)
     final = integrate(atom, p, init, cfg)[-1]
     n_steps = round(cfg.duration / cfg.step)
-    want_z = init.position.z + 0.005 * n_steps * cfg.step
-    assert final.position.z == pytest.approx(want_z, rel=1e-12)
-    assert final.position.rho == pytest.approx(init.position.rho, rel=1e-12)
+    want_z = init.z + 0.005 * n_steps * cfg.step
+    assert final.z == pytest.approx(want_z, rel=1e-12)
+    assert math.hypot(final.x, final.y) == pytest.approx(init.x, rel=1e-12)
 
 
 def test_axial_oscillation_frequency():
@@ -91,11 +81,11 @@ def test_axial_oscillation_frequency():
                            include_azimuthal=False)
     states = integrate(atom, p, on_ring_state(p), cfg)
     ts = np.array([s.time for s in states])
-    zs = np.array([s.position.z for s in states])
+    zs = np.array([s.z for s in states])
     measured = estimate_frequency(ts, zs)
     assert measured == pytest.approx(omega, rel=2e-2)
     # small-amplitude start stays near the midplane
-    assert np.max(np.abs(zs)) < 1.5 * states[0].position.z
+    assert np.max(np.abs(zs)) < 1.5 * states[0].z
 
 
 def test_azimuthal_spin_up_rate():
@@ -111,7 +101,8 @@ def test_azimuthal_spin_up_rate():
     final = integrate(atom, p, init, cfg)[-1]
     n_steps = round(cfg.duration / cfg.step)
     want_v_phi = torque_axial(atom, p) / (atom.mass * rho0) * (n_steps * cfg.step)
-    assert final.velocity.v_phi == pytest.approx(want_v_phi, rel=1e-2)
+    v_phi = angular_momentum(atom, final) / (atom.mass * math.hypot(final.x, final.y))
+    assert v_phi == pytest.approx(want_v_phi, rel=1e-2)
     assert angular_momentum(atom, final) > angular_momentum(atom, init)
 
 
@@ -135,20 +126,11 @@ def test_energy_conservation_dipole_only():
     cfg = IntegratorConfig(step=period / 400, duration=3.0 * period,
                            include_scattering=False, include_dipole=True,
                            sample_every=10)
-    well = TrajectoryState(
-        position=CylPoint(rho=1.08 * central_ring_radius(p), phi=0.0, z=0.0),
-        velocity=Velocity(0.0, 0.0, 0.0), time=0.0)
+    well = TrajectoryState(0.0, 1.08 * central_ring_radius(p), 0.0, 0.0, 0.0, 0.0, 0.0)
     states = integrate(atom, p, well, cfg)
-
-    def energy(s):
-        v = s.velocity
-        ke = 0.5 * atom.mass * (v.v_rho ** 2 + v.v_phi ** 2 + v.v_z ** 2)
-        return ke + float(dipole_potential(atom, p, s.position))
-
-    e = np.array([energy(s) for s in states])
-    ke = np.array([0.5 * atom.mass * (s.velocity.v_rho ** 2
-                                      + s.velocity.v_phi ** 2
-                                      + s.velocity.v_z ** 2) for s in states])
+    ke = np.array([0.5 * atom.mass * (s.vx ** 2 + s.vy ** 2 + s.vz ** 2) for s in states])
+    e = ke + np.array([float(dipole_potential(atom, p, CylPoint.from_cartesian(*s[1:4])))
+                       for s in states])
     assert np.max(ke) > 5e-3 * abs(e[0])       # the atom really oscillates
     drift_per_period = np.max(np.abs(e - e[0])) / abs(e[0]) / 3.0
     assert drift_per_period < 1e-8
@@ -163,7 +145,7 @@ def test_fourth_order_convergence():
     def final(n):
         cfg = IntegratorConfig(step=period / n, duration=period,
                                include_azimuthal=False, sample_every=10 ** 9)
-        return cartesian_state(integrate(atom, p, init, cfg)[-1])
+        return np.array(integrate(atom, p, init, cfg)[-1][1:])
 
     ref = final(3200)
     errs = [np.linalg.norm(final(n) - ref) for n in (100, 200, 400)]
@@ -196,9 +178,10 @@ def test_sampling_layout():
     p = trap_pair()
     period = 2.0 * math.pi / trap_frequency(atom, p)
     cfg = IntegratorConfig(step=period / 100, duration=period, sample_every=10)
-    states = integrate(atom, p, on_ring_state(p), cfg)
+    init = on_ring_state(p)
+    states = integrate(atom, p, init, cfg)
     assert len(states) == 11
-    assert states[0].time == 0.0
+    assert states[0] is init
     assert states[-1].time == pytest.approx(100 * cfg.step, rel=1e-12)
 
 
@@ -247,18 +230,18 @@ def test_trajectory_sees_the_turning_pattern():
     finals = []
     for dw in (0.0, 2.0 * math.pi * 1e5):
         p = ferris_pair(dw)
-        init = TrajectoryState(CylPoint(rho=central_ring_radius(p), phi=0.0, z=0.0),
-                               Velocity(), time=0.0)
-        finals.append(cartesian_state(integrate(atom, p, init, dipole_full(1e-7, 2e-5))[-1]))
-    assert not np.array_equal(finals[0], finals[1])
-    assert abs(finals[1][5]) > 1e-3          # the conveyor has pushed the atom along z
+        init = on_ring_state(p, z_frac=0.0)
+        finals.append(integrate(atom, p, init, dipole_full(1e-7, 2e-5))[-1])
+    assert finals[0][1:] != finals[1][1:]
+    assert abs(finals[1].vz) > 1e-3          # the conveyor has pushed the atom along z
 
 
 def test_first_stage_force_is_taken_at_the_initial_time(monkeypatch):
     atom = red_atom()
     p = ferris_pair(2.0 * math.pi * 1e5)
-    init = TrajectoryState(CylPoint(rho=central_ring_radius(p), phi=0.3, z=1e-7),
-                           Velocity(), time=1.3e-6)
+    rho = central_ring_radius(p)
+    init = TrajectoryState(1.3e-6, rho * math.cos(0.3), rho * math.sin(0.3), 1e-7,
+                           0.0, 0.0, 0.0)
     calls = []
     forces = dynamics._forces
 
@@ -286,8 +269,7 @@ def test_pattern_period_step_gate(factor, raises):
     dw = -2.0 * math.pi * 1e5
     p = ferris_pair(dw)
     step = factor * 2.0 * math.pi / abs(dw) / dynamics.MIN_STEPS_PER_PERIOD
-    init = TrajectoryState(CylPoint(rho=central_ring_radius(p), phi=0.0, z=0.0),
-                           Velocity(), time=0.0)
+    init = on_ring_state(p, z_frac=0.0)
     cfg = dipole_full(step, step)
     if raises:
         with pytest.raises(StepSizeError, match="pattern period"):
@@ -315,6 +297,6 @@ def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dip
                            velocity_coupling=True, include_scattering=scattering,
                            include_dipole=dipole)
     _, _, fz = dynamics._force_cartesian(atom, p, cfg, 0.0,
-                                         *cartesian_state(on_ring_state(p, v_z=0.01)))
+                                         *on_ring_state(p, v_z=0.01)[1:])
     assert counts == {"mode_jet": jets, "mode_amplitude": amplitudes}
     assert fz != 0.0

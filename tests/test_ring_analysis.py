@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from vortexlattice import ring_analysis
+from vortexlattice.atom_forces import lift_speed
 from vortexlattice.cli import _write_json
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
                                   RingDetectionError)
@@ -232,6 +233,23 @@ def test_measure_axial_drift():
     drift = measure_axial_drift(p, p.beam1.waist_w0, 0.0, dt)
     want = dw / (2.0 * p.beam1.wavenumber)
     assert drift == pytest.approx(want, rel=1e-3)
+
+
+@pytest.mark.parametrize("l1", [1, 2, 3])
+def test_measure_axial_drift_follows_the_phase_slope(l1):
+    """The tracked fringe crawls at delta_omega / Phi'(0), with
+    Phi'(0) = 2k - 2(|l| + 1)/z_R + k rho^2/z_R^2 at d = 0 on the probe
+    radius: the Gouy and curvature slopes are physics, not tracker error, so
+    the reading sits more than 1e-4 away from lift_speed's delta_omega / 2k."""
+    dw = 2.0 * math.pi * 1000.0
+    p = pair(l1=l1, w0_factor=20.0, d_factor=0.0, delta_omega=dw)
+    b = p.beam1
+    k, zr = b.wavenumber, b.rayleigh_range
+    rho = b.waist_w0 * math.sqrt(l1 / 2.0)
+    slope = 2.0 * k - 2.0 * (l1 + 1.0) / zr + k * rho ** 2 / zr ** 2
+    drift = measure_axial_drift(p, rho, 0.0, suggested_sample_dt(p))
+    assert drift == pytest.approx(dw / slope, rel=1e-6)
+    assert abs(drift / lift_speed(p) - 1.0) > 1e-4
 
 
 def test_find_rings_intensity_skips_the_phase_but_matches_the_map():
