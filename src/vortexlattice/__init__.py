@@ -7,7 +7,7 @@ from .atom_forces import (AtomSpec, Velocity, axial_force_slope, central_ring_ra
                           q_plus, rabi_at, scattering_force, spring_constant,
                           spring_constant_k0, torque_axial)
 from .config import RunConfig, parse_quantity
-from .constants import AMU, C_LIGHT, HBAR
+from .constants import AMU, HBAR
 from .dynamics import (IntegratorConfig, TrajectoryState, angular_momentum,
                        estimate_frequency, integrate, trap_frequency)
 from .errors import (ConfigError, DarkPointError, DegenerateGeometryError,

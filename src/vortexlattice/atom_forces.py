@@ -62,7 +62,6 @@ __all__ = [
 # The force models a ``mode`` names: the beams' forces added, or the interfered field's
 FORCE_MODELS = ("reduced", "full")
 _REDUCED = FORCE_MODELS[0]
-_SUM, _TOTAL = "sum-of-beams", "total-field"
 _TINY = np.finfo(float).tiny
 
 
@@ -192,12 +191,6 @@ def detuning_eff(atom, vel, grad):
     return atom.detuning0 - (vel.v_rho * grad[0] + vel.v_phi * grad[1] + vel.v_z * grad[2])
 
 
-def _sums_beams(combine):
-    if combine not in (_SUM, _TOTAL):
-        raise ValueError("combine must be 'sum-of-beams' or 'total-field'")
-    return combine == _SUM
-
-
 def _beam_terms(beam, pt, jet):
     """U, the reduced phase gradient and U grad(U) (None unless ``jet``) of
     one beam from one mode evaluation; ``mode_jet``'s U equals
@@ -233,19 +226,16 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
     else:
         terms = [_field_terms(pair, pt, vel, t, scattering, dipole)]
     quarter_gamma_sq = 0.25 * atom.gamma ** 2
+    s = atom.rabi_omega0 / ref
     fs, fd = [], []
     for amp, grad, amp_grad_amp in terms:
         delta = detuning_eff(atom, vel, grad)
+        omega = atom.rabi_omega0 * amp / ref
+        den = delta * delta + 0.5 * omega * omega + quarter_gamma_sq
         if scattering:
-            omega = rabi_at(atom, amp, ref)
-            pref = 0.25 * HBAR * atom.gamma * omega * omega \
-                / (delta * delta + 0.5 * omega * omega + quarter_gamma_sq)
-            fs.append(pref * grad)
+            fs.append(0.25 * HBAR * atom.gamma * omega * omega / den * grad)
         if dipole:
-            s = atom.rabi_omega0 / ref
-            omega, omega_grad_omega = s * amp, s * s * amp_grad_amp
-            scale = -0.5 * HBAR * delta / (delta * delta + 0.5 * omega * omega + quarter_gamma_sq)
-            fd.append(scale * omega_grad_omega)
+            fd.append(-0.5 * HBAR * delta / den * (s * s * amp_grad_amp))
     return (sum(fs[1:], fs[0]) if fs else np.zeros((3,) + pt.shape),
             sum(fd[1:], fd[0]) if fd else np.zeros((3,) + pt.shape))
 
@@ -290,7 +280,7 @@ def dipole_potential(atom, pair, pt, mode="reduced", combine=None):
     velocity.  ``combine`` ("sum-of-beams" or "total-field") is an optional
     alias of the mode; one that disagrees with ``mode`` raises ValueError."""
     mode = _checked(pair, mode)
-    if combine is not None and _sums_beams(combine) != (mode == _REDUCED):
+    if combine not in (None, "sum-of-beams" if mode == _REDUCED else "total-field"):
         raise ValueError(f"combine={combine!r} disagrees with mode={mode!r}")
     ref = _pair_amp_ref(pair)
     if mode == _REDUCED:
@@ -332,6 +322,15 @@ def central_ring_radius(pair):
     return b.waist_w0 * np.sqrt(0.5 * l) * np.sqrt(1.0 + u * u)
 
 
+def _spring_prefactor(atom, pair, rho):
+    """(hbar Gamma k / 2) d D X / (D + X/2)^2 of the spring constants, with
+    D = Delta0^2 + Gamma^2/4 and X = Omega^2 of beam 1 at (rho, 0, 0)."""
+    dd = atom.detuning0 ** 2 + 0.25 * atom.gamma ** 2
+    x = _omega_sq(atom, pair, pair.beam1, CylPoint(rho=rho, phi=0.0, z=0.0))
+    return 0.5 * HBAR * atom.gamma * pair.beam1.wavenumber * pair.separation_d * dd * x \
+        / (dd + 0.5 * x) ** 2
+
+
 def spring_constant(atom, pair, rho):
     """Axial spring constant -dF_z/dz at z = 0 of the reduced sum-of-beams
     scattering force, at radius rho (N/m).
@@ -345,25 +344,18 @@ def spring_constant(atom, pair, rho):
     b = pair.beam1
     d = pair.separation_d
     zr = b.rayleigh_range
-    dd = atom.detuning0 ** 2 + 0.25 * atom.gamma ** 2
-    x = _omega_sq(atom, pair, b, CylPoint(rho=rho, phi=0.0, z=0.0))
     a2 = zr * zr + 0.25 * d * d
     bracket = (abs(b.winding_l) + 1.0) * a2 - 2.0 * np.asarray(rho) ** 2 * zr * zr / b.waist_w0 ** 2
-    return 0.5 * HBAR * atom.gamma * b.wavenumber * d * dd * x \
-        / (dd + 0.5 * x) ** 2 * bracket / (a2 * a2)
+    return _spring_prefactor(atom, pair, rho) * bracket / (a2 * a2)
 
 
 def spring_constant_k0(atom, pair):
     """Spring constant on the central ring, where the radial bracket of
     spring_constant collapses:
     K0 = (hbar Gamma k / 2) d D X0 / (D + X0/2)^2 / (z_R^2 + d^2/4)."""
-    b = pair.beam1
     d = pair.separation_d
-    zr = b.rayleigh_range
-    dd = atom.detuning0 ** 2 + 0.25 * atom.gamma ** 2
-    x0 = _omega_sq(atom, pair, b, CylPoint(rho=central_ring_radius(pair), phi=0.0, z=0.0))
-    return 0.5 * HBAR * atom.gamma * b.wavenumber * d * dd * x0 \
-        / (dd + 0.5 * x0) ** 2 / (zr * zr + 0.25 * d * d)
+    zr = pair.beam1.rayleigh_range
+    return _spring_prefactor(atom, pair, central_ring_radius(pair)) / (zr * zr + 0.25 * d * d)
 
 
 def harmonic_potential_v0(atom, pair, z):

@@ -155,11 +155,11 @@ def _local_z(beam, z):
     return beam.direction * (np.asarray(z) - beam.focal_z)
 
 
-def _amplitude(beam, pt, envelope=False):
+def _amplitude(beam, pt):
     """U of ``mode_amplitude`` with what it is built from:
-    ``(U, z_local, rho, x, L_p^|l|(x), env)``, x = 2 rho^2 / w^2.  For p = 0
-    the Laguerre factor is None and env is U; otherwise env, the envelope
-    pref x^(|l|/2) e^(-x/2), is formed only when ``envelope`` asks for it."""
+    ``(U, z_local, rho, x, L_p^|l|(x), env)``, x = 2 rho^2 / w^2 and env the
+    envelope pref x^(|l|/2) e^(-x/2).  For p = 0 the Laguerre factor is None
+    and env is U."""
     l = abs(beam.winding_l)
     zl = _local_z(beam, pt.z)
     u = zl / beam.rayleigh_range
@@ -173,11 +173,10 @@ def _amplitude(beam, pt, envelope=False):
     # w: on numpy scalars u ** 2 and u * u can differ in the last bit, which
     # would move the bytes of single-point outputs such as trajectories
     axial = np.sqrt(1.0 + u ** 2)
+    env = scale * (power * gauss) / axial
     if not beam.radial_p:
-        amplitude = scale * (power * gauss) / axial
-        return amplitude, zl, rho, x, None, amplitude
+        return env, zl, rho, x, None, env
     lag = laguerre_poly(beam.radial_p, l, x)
-    env = scale * (power * gauss) / axial if envelope else None
     return scale * (power * lag * gauss) / axial, zl, rho, x, lag, env
 
 
@@ -255,7 +254,7 @@ def mode_jet(beam, pt):
     p = beam.radial_p
     k = beam.wavenumber
     zr = beam.rayleigh_range
-    amplitude, zl, rho, x, lag, envelope = _amplitude(beam, pt, envelope=True)
+    amplitude, zl, rho, x, lag, envelope = _amplitude(beam, pt)
     # envelope * slope is pref * x R'(x)
     slope = 0.5 * (l - x)
     if p:

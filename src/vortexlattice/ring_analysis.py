@@ -81,16 +81,6 @@ class RingSet:
         }
 
 
-def _parabolic_vertex(x0, h, y_minus, y0, y_plus):
-    """Vertex of the parabola through three equally spaced samples; falls
-    back to the middle sample when the triple is degenerate."""
-    den = y_minus - 2.0 * y0 + y_plus
-    if den >= 0.0:
-        return x0, y0
-    dx = 0.5 * h * (y_minus - y_plus) / den
-    return x0 + dx, y0 - 0.125 * (y_minus - y_plus) ** 2 / den
-
-
 def _find_peaks(values, prominence=None, height=None):
     """Indices, in increasing order, of the peaks of a finite 1-D array.
 
@@ -135,17 +125,15 @@ def _find_peaks(values, prominence=None, height=None):
 
 
 def _refine_row(axis, values, idx):
-    if idx <= 0 or idx >= values.size - 1:
-        return axis[idx], values[idx]
-    h = axis[idx + 1] - axis[idx]
-    return _parabolic_vertex(axis[idx], h, values[idx - 1], values[idx], values[idx + 1])
-
-
-def _ring_intensity(pair, region, n_threads):
-    """Intensity map of the region.  Ring detection reads only the
-    intensity, so the phase map is never computed."""
-    intensity = amplitude_map(pair, region, n_threads=n_threads)
-    return np.square(intensity, out=intensity)
+    """(position, value) of the vertex of the parabola through the samples
+    idx - 1, idx, idx + 1 on the equally spaced ``axis``, within half a cell of
+    axis[idx] at a local maximum; the sample idx at a border or if not concave."""
+    x0, y0 = axis[idx], values[idx]
+    den = values[idx - 1] - 2.0 * y0 + values[idx + 1] if 0 < idx < values.size - 1 else 0.0
+    if den >= 0.0:
+        return x0, y0
+    diff = values[idx - 1] - values[idx + 1]
+    return x0 + 0.5 * (axis[idx + 1] - x0) * diff / den, y0 - 0.125 * diff ** 2 / den
 
 
 def find_rings(pair, region, n_threads=1):
@@ -180,7 +168,9 @@ def find_rings(pair, region, n_threads=1):
     if region.axis2[0] > -half_d + dz or region.axis2[-1] < half_d - dz:
         raise ResolutionError("region must cover |z| <= d/2 between the foci")
 
-    intensity = _ring_intensity(pair, region, n_threads)
+    # no phase map; squared in place, so only one map-sized array is alive
+    intensity = amplitude_map(pair, region, n_threads=n_threads)
+    np.square(intensity, out=intensity)
     ridge_idx = np.argmax(intensity, axis=1)
     rows = np.arange(intensity.shape[0])
     ridge_val = intensity[rows, ridge_idx]
@@ -195,7 +185,7 @@ def find_rings(pair, region, n_threads=1):
         z_ref, i_ref = _refine_row(z_axis, ridge_val, j)
         rho_ref, _ = _refine_row(rho_axis, intensity[j], ridge_idx[j])
         raw.append((z_ref, rho_ref, i_ref, j))
-    raw.sort(key=lambda item: item[0])
+    # peak rows ascend two or more apart, so the refined z ascend too
 
     z_vals = np.array([item[0] for item in raw])
     if z_vals.size >= 2:

@@ -153,12 +153,14 @@ def _amplitude_of(u1, u2, th1, th2):
     return np.clip(np.sqrt(np.maximum(radicand, 0.0)), np.abs(a1 - a2), a1 + a2)
 
 
+def _complex_of(u1, u2, th1, th2):
+    return u1 * np.exp(1j * th1) + u2 * np.exp(1j * th2)
+
+
 def _phase_of(u1, u2, th1, th2):
-    re = u1 * np.cos(th1) + u2 * np.cos(th2)
-    im = u1 * np.sin(th1) + u2 * np.sin(th2)
-    dark = np.hypot(re, im) <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
-    phase = np.arctan2(im, re)
-    return np.where(dark, np.nan, phase)
+    e = _complex_of(u1, u2, th1, th2)
+    dark = np.abs(e) <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
+    return np.where(dark, np.nan, np.angle(e))
 
 
 def total_amplitude(pair, pt, t=0.0):
@@ -175,8 +177,7 @@ def total_amplitude(pair, pt, t=0.0):
 def pair_complex(pair, pt, t=0.0):
     """Complex field U1 e^{i Theta1} + U2 e^{i (Theta2 + dk z + dw t)} with the
     common optical carrier divided out."""
-    u1, u2, th1, th2 = _pair_terms(pair, pt, t)
-    return u1 * np.exp(1j * th1) + u2 * np.exp(1j * th2)
+    return _complex_of(*_pair_terms(pair, pt, t))
 
 
 def total_phase(pair, pt, t=0.0):
@@ -239,15 +240,6 @@ class GridSpec:
     @property
     def spacing2(self):
         return (self.axis2[-1] - self.axis2[0]) / (self.axis2.size - 1)
-
-    def point_block(self):
-        """CylPoint of every grid point, shaped (len(axis2), len(axis1))."""
-        shape = (self.axis2.size, self.axis1.size)
-        a1 = np.broadcast_to(self.axis1[None, :], shape)
-        a2 = np.broadcast_to(self.axis2[:, None], shape)
-        if self.kind == "rho_z":
-            return CylPoint(rho=a1, phi=self.phi, z=a2)
-        return CylPoint.from_cartesian(a1, a2, self.z_slice)
 
 
 # Grid points in one row block of a map.  A block's temporaries stay small

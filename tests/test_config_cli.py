@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vortexlattice import cli
+from vortexlattice.atom_forces import lift_speed
 from vortexlattice.cli import main
 from vortexlattice.config import MAX_GRID_POINTS, SECTION_KEYS, RunConfig, parse_quantity
 from vortexlattice.constants import AMU
@@ -611,6 +612,30 @@ def test_cli_csv_bytes_survive_a_savetxt_round_trip(tmp_path):
         again = io.BytesIO()
         np.savetxt(again, data, fmt="%.17g", delimiter=",", header=header, comments="")
         assert again.getvalue() == raw
+
+
+def test_cli_ferris_drift_error_is_against_the_phase_slope(tmp_path):
+    """ferris_summary.json measures drift_rel_err against the fringe speed
+    delta_omega / Phi'(0) of the probe line, Phi'(0) = 2k - 2(|l| + 1)/z_R
+    + k rho^2/z_R^2 at d = 0, and keeps lift_speed's delta_omega / 2k as
+    drift_speed_analytic (configs/ferris.json on a smaller grid)."""
+    cfg = json.loads((REPO / "configs" / "ferris.json").read_text())
+    cfg["xy_grid"]["n"] = 21
+    out = tmp_path / "out"
+    assert run_cli(["ferris", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+    summary = json.loads((out / "ferris_summary.json").read_text())
+    pair = RunConfig.from_file(write_config(tmp_path, cfg)).pair
+    b = pair.beam1
+    k, zr, l = b.wavenumber, b.rayleigh_range, abs(b.winding_l)
+    rho = summary["probe_radius"]
+    slope = 2.0 * k - 2.0 * (l + 1.0) / zr + k * rho ** 2 / zr ** 2
+    assert summary["drift_speed_phase_slope"] == pytest.approx(pair.delta_omega / slope,
+                                                               rel=1e-12)
+    assert summary["drift_speed_analytic"] == lift_speed(pair)
+    assert summary["drift_rel_err"] < 1e-6
+    assert summary["drift_rel_err"] == abs(
+        summary["drift_speed_measured"] - summary["drift_speed_phase_slope"]) \
+        / summary["drift_speed_phase_slope"]
 
 
 def test_cli_exit_codes(tmp_path):

@@ -21,8 +21,9 @@ from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, laguerre_poly,
                                    mode_amplitude, mode_jet, mode_phase, waist_at)
 from vortexlattice.errors import DarkPointError, VortexLatticeError
 from vortexlattice.ring_analysis import find_rings
-from vortexlattice.superpose import (BLOCK_POINTS, GridSpec, PairSpec, amplitude_map,
-                                     intensity_map, pair_complex, total_amplitude)
+from vortexlattice.superpose import (BLOCK_POINTS, DARK_FRACTION, GridSpec, PairSpec,
+                                     amplitude_map, intensity_map, pair_complex,
+                                     total_amplitude, total_phase)
 
 WAVELENGTH = 589.16e-9
 GAMMA = 2.0 * math.pi * 10.01e6
@@ -184,6 +185,21 @@ def test_pair_complex_matches_total_amplitude(case):
     err = np.abs(np.abs(pair_complex(pair, pt, t=t)) ** 2 - amp ** 2)
     assert np.all(np.isfinite(amp))
     assert np.all(err <= 1e-12 * scale ** 2)
+
+
+@SETTINGS
+@given(case=pairs_and_points())
+def test_total_phase_is_the_angle_of_pair_complex(case):
+    """total_phase is np.angle(pair_complex) bit for bit, and NaN exactly at
+    the dark points |E| <= DARK_FRACTION * max(|U1|, |U2|)."""
+    pair, pt, t = case
+    e = pair_complex(pair, pt, t=t)
+    u_max = np.maximum(np.abs(mode_amplitude(pair.beam1, pt)),
+                       np.abs(mode_amplitude(pair.beam2, pt)))
+    dark = np.abs(e) <= DARK_FRACTION * u_max
+    phase = np.asarray(total_phase(pair, pt, t=t))
+    assert np.array_equal(np.isnan(phase), dark)
+    assert np.array_equal(phase[~dark], np.angle(e)[~dark])
 
 
 @SETTINGS
@@ -425,6 +441,22 @@ def _rings_outcome(pair, region, n_threads):
         return repr(find_rings(pair, region, n_threads=n_threads))
     except VortexLatticeError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(case=lattices())
+def test_rings_strictly_increase_in_z(case):
+    """Ring z positions come out strictly increasing without a sort: the
+    ridge peaks are at least two rows apart, and each parabolic vertex lies
+    within half a row of its peak row."""
+    pair, region, _ = case
+    try:
+        found = find_rings(pair, region)
+    except VortexLatticeError:
+        return
+    z = [ring.z_pos for ring in found.rings]
+    assert np.all(np.diff(z) > 0.0)
+    assert [s.z_pos for s in found.splittings] == sorted(s.z_pos for s in found.splittings)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

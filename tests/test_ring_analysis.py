@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
-from vortexlattice import ring_analysis
+from vortexlattice import ring_analysis, superpose
 from vortexlattice.atom_forces import lift_speed
 from vortexlattice.cli import _write_json
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
@@ -16,7 +16,8 @@ from vortexlattice.ring_analysis import (double_ring_radii, find_rings,
                                          measure_axial_drift,
                                          measure_rotation_rate,
                                          radial_separation, suggested_sample_dt)
-from vortexlattice.superpose import BLOCK_POINTS, GridSpec, PairSpec, intensity_map
+from vortexlattice.superpose import (BLOCK_POINTS, GridSpec, PairSpec, amplitude_map,
+                                     intensity_map)
 
 signs = st.sampled_from([1, -1])
 
@@ -252,12 +253,30 @@ def test_measure_axial_drift_follows_the_phase_slope(l1):
     assert abs(drift / lift_speed(p) - 1.0) > 1e-4
 
 
-def test_find_rings_intensity_skips_the_phase_but_matches_the_map():
+def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
+    """find_rings never maps the phase: it takes one amplitude_map, the
+    amplitude intensity_map gives, and squares that array in place into the
+    intensity intensity_map gives."""
     p = pair()
     region = lattice_region(p)
     assert region.axis1.size * region.axis2.size > BLOCK_POINTS
-    got = ring_analysis._ring_intensity(p, region, 2)
-    assert np.array_equal(got, intensity_map(p, region).intensity)
+    want = intensity_map(p, region)
+    maps = []
+
+    def recorded(*args, **kwargs):
+        amplitude = amplitude_map(*args, **kwargs)
+        maps.append((amplitude, amplitude.copy()))
+        return amplitude
+
+    def no_phase(*args):
+        raise AssertionError("find_rings mapped the phase")
+
+    monkeypatch.setattr(ring_analysis, "amplitude_map", recorded)
+    monkeypatch.setattr(superpose, "_phase_of", no_phase)
+    find_rings(p, region, n_threads=2)
+    [(squared, amplitude)] = maps
+    assert np.array_equal(amplitude, want.amplitude)
+    assert np.array_equal(squared, want.intensity)
 
 
 def test_find_rings_thread_count_invariant():

@@ -229,11 +229,10 @@ def test_grid_spacing_and_points():
                        z_max=2e-5, n_z=21)
     assert g.spacing1 == pytest.approx(1e-6, rel=1e-12)
     assert g.spacing2 == pytest.approx(2e-6, rel=1e-12)
-    block = g.point_block()
-    assert np.shape(block.rho) == (21, 10)
-    assert np.shape(block.z) == (21, 10)
-    np.testing.assert_allclose(block.rho[0], g.axis1)
-    np.testing.assert_allclose(block.z[:, 0], g.axis2)
+    block = superpose._block_points(g, slice(None))
+    assert block.shape == (21, 10)
+    np.testing.assert_array_equal(block.rho[0], g.axis1)
+    np.testing.assert_array_equal(block.z[:, 0], g.axis2)
 
 
 def test_intensity_map_values_and_threads():
@@ -308,15 +307,26 @@ def test_blocked_maps_do_not_depend_on_thread_count(kind):
     assert np.array_equal(amps[1], maps[1].amplitude)
 
 
+def full_grid_points(grid):
+    """CylPoint of every grid point as full (len(axis2), len(axis1)) arrays:
+    the reference the separable row blocks are checked against."""
+    shape = (grid.axis2.size, grid.axis1.size)
+    a1 = np.broadcast_to(grid.axis1[None, :], shape)
+    a2 = np.broadcast_to(grid.axis2[:, None], shape)
+    if grid.kind == "rho_z":
+        return CylPoint(rho=a1, phi=grid.phi, z=a2)
+    return CylPoint.from_cartesian(a1, a2, grid.z_slice)
+
+
 @pytest.mark.parametrize("kind", [0, 1], ids=["rho_z", "xy"])
-def test_separable_blocks_equal_full_point_block(kind):
+def test_separable_blocks_equal_full_grid_points(kind):
     """The kernel's separable (1, n1) x (rows, 1) operands give exactly the
-    values of the full-size broadcast point block."""
+    values of every grid point as full-size broadcast arrays."""
     pr = pair(l1=2, radial_p=1, delta_omega=1e3)
     g = _multi_block_grids()[kind]
     g = GridSpec(kind=g.kind, axis1=g.axis1, axis2=g.axis2, phi=0.7,
                  z_slice=g.z_slice, time=3e-4)
-    block = g.point_block()
+    block = full_grid_points(g)
     fm = intensity_map(pr, g, n_threads=2)
     assert np.array_equal(amplitude_map(pr, g),
                           total_amplitude(pr, block, t=g.time))

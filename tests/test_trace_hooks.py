@@ -10,16 +10,22 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from vortexlattice.atom_forces import dipole_potential
+from vortexlattice.atom_forces import AtomSpec, dipole_potential
 from vortexlattice.config import RunConfig
-from vortexlattice.superpose import intensity_map
+from vortexlattice.lg_mode import CylPoint
+from vortexlattice.superpose import PairSpec, intensity_map
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
-# Package functions the benchmark calls, by the name it calls them under;
-# a method is called on an instance, so its first parameter is bound first
-CALLED = {"dipole_potential": (dipole_potential, 0),
+# Package functions and classes the benchmark calls, by the name it calls
+# them under; a method is called on an instance, so its first parameter is
+# bound first.  perfbench/run.py defines its own main, so main is not here.
+CALLED = {"AtomSpec": (AtomSpec, 0),
+          "CylPoint": (CylPoint, 0),
+          "counterpropagating": (PairSpec.counterpropagating, 0),
+          "dipole_potential": (dipole_potential, 0),
+          "from_file": (RunConfig.from_file, 0),
           "intensity_map": (intensity_map, 0),
           "xy_grids": (RunConfig.xy_grids, 1)}
 
