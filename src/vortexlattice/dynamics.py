@@ -24,7 +24,6 @@ from .atom_forces import FORCE_MODELS, Velocity, _forces, central_ring_radius, \
 from .atom_forces import dipole_force, scattering_force
 from .errors import DegenerateGeometryError, DivergenceError, StepSizeError
 from .lg_mode import CylPoint, waist_at
-from .superpose import PairSpec
 
 __all__ = [
     "IntegratorConfig",

@@ -16,7 +16,7 @@ from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
 from .lg_mode import CylPoint
 # intensity_map is not called here; it stays a module attribute because
 # perfbench/spans.py traces calls by rebinding this name
-from .superpose import GridSpec, amplitude_map, intensity_map, total_amplitude
+from .superpose import amplitude_map, intensity_map, total_amplitude
 
 __all__ = [
     "RadialSplit",

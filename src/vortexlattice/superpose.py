@@ -8,7 +8,7 @@ and sampled intensity maps on half-plane (rho, z) or transverse (x, y) grids.
 import concurrent.futures
 import contextvars
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,10 +147,31 @@ def _pair_terms(pair, pt, t):
 
 
 def _amplitude_of(u1, u2, th1, th2):
-    radicand = u1 * u1 + u2 * u2 + 2.0 * u1 * u2 * np.cos(th1 - th2)
+    """sqrt(U1^2 + U2^2 + 2 U1 U2 cos(Theta1 - Theta2)) clamped into
+    [||U1| - |U2||, |U1| + |U2|].
+
+    Worked in place in two buffers of the broadcast shape of all four
+    operands (U and Theta may differ in shape, as for scalar rho and z with
+    an array of phi): on a map block each fresh block-sized temporary costs
+    more than the arithmetic done in it.  The sum is formed in the order
+    (U1^2 + U2^2) + 2 U1 U2 cos(...), and np.clip(x, lo, hi) is
+    minimum(maximum(x, lo), hi) for lo <= hi."""
+    shape = np.broadcast(u1, u2, th1, th2).shape
+    amplitude = np.subtract(th1, th2, out=np.empty(shape))
+    np.cos(amplitude, out=amplitude)
+    work = np.multiply(2.0, u1, out=np.empty(shape))
+    work *= u2
+    amplitude *= work
+    np.multiply(u1, u1, out=work)
+    work += u2 * u2
+    amplitude += work
+    np.maximum(amplitude, 0.0, out=amplitude)
+    np.sqrt(amplitude, out=amplitude)
     a1 = np.abs(u1)
     a2 = np.abs(u2)
-    return np.clip(np.sqrt(np.maximum(radicand, 0.0)), np.abs(a1 - a2), a1 + a2)
+    np.maximum(amplitude, np.abs(np.subtract(a1, a2, out=work), out=work), out=amplitude)
+    np.minimum(amplitude, np.add(a1, a2, out=work), out=amplitude)
+    return amplitude[()]
 
 
 def _complex_of(u1, u2, th1, th2):
@@ -340,8 +361,9 @@ def _fill_blocks(grid, n_threads, fill):
 
 def _require_finite(pair, grid, amplitude):
     """Raise DegenerateGeometryError unless every amplitude of a map block is
-    finite.  At large |l| the mode envelope (sqrt(2) rho / w)^|l| e^(-rho^2/w^2)
-    overflows (inf, or inf * 0 = nan) on grids reaching far enough out."""
+    finite.  The mode amplitude is built in log space and is finite for
+    |l| <= 1000 and p <= 10; at large p the Laguerre factor L_p^|l|(x)
+    overflows on grids reaching far enough out (p = 200 at 100 w0)."""
     if np.isfinite(amplitude).all():
         return
     if grid.kind == "rho_z":
@@ -350,9 +372,10 @@ def _require_finite(pair, grid, amplitude):
         rho_max = math.hypot(np.max(np.abs(grid.axis1)), np.max(np.abs(grid.axis2)))
     raise DegenerateGeometryError(
         f"map amplitude is not finite for |l1| = {abs(pair.beam1.winding_l)}, "
-        f"|l2| = {abs(pair.beam2.winding_l)} on the {grid.kind} grid, reaching "
-        f"rho = {rho_max:.6g} m ({rho_max / pair.beam1.waist_w0:.4g} w0): the mode "
-        f"envelope overflows at this |l| and extent")
+        f"|l2| = {abs(pair.beam2.winding_l)}, p = {pair.beam1.radial_p} on the "
+        f"{grid.kind} grid, reaching rho = {rho_max:.6g} m "
+        f"({rho_max / pair.beam1.waist_w0:.4g} w0): the mode amplitude overflows "
+        f"at this l, p and extent")
 
 
 def amplitude_map(pair, grid, n_threads=1):

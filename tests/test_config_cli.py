@@ -581,17 +581,18 @@ def test_cli_dark_start_is_a_numerical_error(tmp_path, capsys):
     assert "numerical error: total phase undefined at a dark point" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_cli_overflowing_map_is_a_numerical_error(tmp_path):
-    """An xy map at l = 200 reaching 4 ring radii has non-finite amplitudes
-    (1200 of 1681 points); field-map exits 3 and writes no CSV."""
+def test_cli_map_at_large_l_is_finite(tmp_path):
+    """An xy map at l = 200 reaching 4 ring radii, where the power form of
+    the envelope was inf * 0 at 1200 of 1681 points, is finite: field-map
+    exits 0 and writes every amplitude finite."""
     path = write_config(tmp_path, base_config(
         beams={"wavelength": "589.16nm", "waist": "3um", "l1": 200},
         xy_grid={"half_width": "120um", "n": 41}))
     out = tmp_path / "out"
-    assert run_cli(["field-map", "--config", path, "--out", out]) == 3
-    assert not list(out.glob("*.csv"))
+    assert run_cli(["field-map", "--config", path, "--out", out]) == 0
+    data = np.loadtxt(out / "field_map_xy_0.csv", delimiter=",", skiprows=1)
+    assert data.shape == (41 * 41, 5)
+    assert np.isfinite(data[:, 2]).all() and data[:, 2].max() > 0.0
 
 
 def test_cli_csv_bytes_survive_a_savetxt_round_trip(tmp_path):

@@ -4,12 +4,14 @@ Beams cover |l| <= 80, p <= 3, both directions and focal planes off the
 origin; points come as Python floats, as 1-D arrays, as the separable
 (1, n) rho row and (m, 1) z column the map kernel passes, and as a line
 (scalar rho and phi, 1-D z), and include points on and next to the axis
-(rho <= AXIS_RHO).
+(rho <= AXIS_RHO).  The mode is also checked against its product formula
+evaluated by mpmath at 50 digits, for |l| up to 1000 and p up to 10.
 """
 
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces, _reduced_gradient,
                                        dipole_force, dipole_potential, scattering_force)
 from vortexlattice.constants import HBAR
-from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, laguerre_poly,
+from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint,
                                    mode_amplitude, mode_jet, mode_phase, waist_at)
 from vortexlattice.errors import DarkPointError, VortexLatticeError
 from vortexlattice.ring_analysis import find_rings
@@ -120,21 +122,125 @@ def test_mode_jet_equals_separate_calls(case):
     assert np.all(np.isfinite(grad_u)) and np.all(np.isfinite(grad_theta))
 
 
+def mp_mode(b, rho, z):
+    """(U, dU/drho, dU/dz) of the product formula
+    amp_scale C_lp (1 + u^2)^(-1/2) x^(|l|/2) L_p^|l|(x) e^(-x/2),
+    x = 2 rho^2 / w^2, at 50 digits from the beam's float constants, as
+    floats; the derivatives by mpmath.diff, dU/drho only off the axis."""
+    l, p = abs(b.winding_l), b.radial_p
+    with mpmath.workdps(50):
+        w0, zr, f = (mpmath.mpf(v) for v in (b.waist_w0, b.rayleigh_range, b.focal_z))
+        c = b.amp_scale * mpmath.sqrt(mpmath.factorial(p) / mpmath.factorial(p + l))
+
+        def u(r, zz):
+            a = 1 + (b.direction * (zz - f) / zr) ** 2
+            x = 2 * r * r / (w0 * w0 * a)
+            return c / mpmath.sqrt(a) * mpmath.sqrt(x) ** l * mpmath.laguerre(p, l, x) \
+                * mpmath.exp(-x / 2)
+
+        r, zz = mpmath.mpf(rho), mpmath.mpf(z)
+        d_rho = mpmath.diff(lambda t: u(t, zz), r) if rho else mpmath.mpf(0)
+        return float(u(r, zz)), float(d_rho), float(mpmath.diff(lambda t: u(r, t), zz))
+
+
+def assert_oracle_close(got, want, size):
+    """|got - want| <= 1e-12 max(size, 1e-290): relative to size where the
+    value is a normal double, absolute below that."""
+    assert abs(got - want) <= 1e-12 * max(size, 1e-290), (got, want, size)
+
+
 @SETTINGS
 @given(case=beams_and_points())
 def test_mode_amplitude_equals_product_formula(case):
-    """The amplitude is exactly the product formula with w from waist_at and
-    L_p^|l| multiplied in, also for p = 0 where L_0 = 1 is not formed."""
+    """The amplitude is the product formula with L_p^|l| multiplied in
+    (also for p = 0, where L_0 = 1 is not formed) to 1e-12, the formula
+    evaluated by mpmath at 50 digits."""
     b, pt = case
-    l = abs(b.winding_l)
-    zl = b.direction * (np.asarray(pt.z) - b.focal_z)
-    w = waist_at(b, zl)
-    rho = np.asarray(pt.rho)
-    arg = 2.0 * rho * rho / (w * w)
-    radial = (np.sqrt(2.0) * rho / w) ** l * laguerre_poly(b.radial_p, l, arg) \
-        * np.exp(-0.5 * arg)
-    want = b.amp_scale * b.norm * radial / np.sqrt(1.0 + (zl / b.rayleigh_range) ** 2)
-    np.testing.assert_array_equal(mode_amplitude(b, pt), want, strict=True)
+    shape = np.broadcast(pt.rho, pt.phi, pt.z).shape
+    got = np.broadcast_to(mode_amplitude(b, pt), shape)
+    for i, (rho, z) in enumerate(zip(np.broadcast_to(pt.rho, shape).flat,
+                                     np.broadcast_to(pt.z, shape).flat)):
+        want = mp_mode(b, rho, z)[0]
+        assert_oracle_close(got.flat[i], want, abs(want))
+
+
+# oracle radii, in ring radii w(z) sqrt(max(|l|, 1) / 2)
+ORACLE_RADII = np.array([0.0, 0.5, 1.0, 1.5, 3.0, 10.0])
+
+
+@pytest.mark.parametrize("p", [0, 3, 10])
+@pytest.mark.parametrize("l", [0, 1, 80, 250, 600, 1000])
+def test_mode_and_jet_match_the_mpmath_oracle(l, p):
+    """mode_amplitude and mode_jet's U and grad U against mp_mode, from the
+    axis to 10 ring radii, in the focal plane and 0.7 z_R from it, for both
+    directions.  U is within 1e-12 of the oracle where |U| > 1e-290 and
+    exactly 0 on the axis for l != 0; the jet's U is mode_amplitude's.
+
+    Each gradient component is a sum of terms of size |U| (|l| + x + 1) / rho
+    (radial) and |U| (|l| + x + 1) |z_local| / (z_local^2 + z_R^2) (axial),
+    x = 2 rho^2 / w^2, which cancel where the component has a zero, as on
+    the ring; its error is measured against the component plus that size."""
+    for sign in (1, -1):
+        b = BeamSpec(wavelength=WAVELENGTH, waist_w0=3e-6, winding_l=sign * l, radial_p=p,
+                     direction=sign, focal_z=-2e-6 * sign, amp_scale=1.7,
+                     azimuthal_sign=sign)
+        zr = b.rayleigh_range
+        for zeta in (0.0, 0.7):
+            zl = zeta * zr
+            z = b.focal_z + b.direction * zl
+            w2 = b.waist_w0 ** 2 * (1.0 + zeta * zeta)
+            rho = math.sqrt(0.5 * max(l, 1) * w2) * ORACLE_RADII
+            pt = CylPoint(rho=rho, phi=0.3, z=z)
+            u = mode_amplitude(b, pt)
+            u_jet, _, grad, _ = mode_jet(b, pt)
+            np.testing.assert_array_equal(u_jet, u, strict=True)
+            for i, r in enumerate(rho):
+                want, d_rho, d_z = mp_mode(b, r, z)
+                if l and not r:
+                    assert u[i] == 0.0 and grad[2, i] == 0.0
+                    continue
+                assert_oracle_close(u[i], want, abs(want))
+                terms = abs(want) * (l + 2.0 * r * r / w2 + 1.0)
+                if r:
+                    assert_oracle_close(grad[0, i], d_rho, abs(d_rho) + terms / r)
+                assert_oracle_close(grad[2, i], d_z,
+                                    abs(d_z) + terms * zl / (zl * zl + zr * zr))
+
+
+@st.composite
+def wide_pairs_and_points(draw):
+    """A pair with |l1|, |l2| <= 1000 and p <= 10, either beam possibly
+    dark (amp_scale 0), and points from the axis out to 0.5-20 ring radii,
+    within 3 z_R of either focus."""
+    w0 = draw(st.floats(2.0, 12.0)) * WAVELENGTH
+    zr = math.pi * w0 ** 2 / WAVELENGTH
+    l1, l2 = draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))
+    p = draw(st.integers(0, 10))
+    amps = st.just(0.0) | st.floats(0.1, 3.0)
+    d = draw(st.floats(0.0, 3.0)) * zr
+    pair = PairSpec.counterpropagating(WAVELENGTH, w0, l1=l1, l2=l2, separation_d=d,
+                                       radial_p=p, amp1=draw(amps), amp2=draw(amps))
+    z_hi = 0.5 * d + 3.0 * zr
+    ring = math.sqrt(0.5 * max(abs(l1), abs(l2), 1) + p) * waist_at(pair.beam1, d + 3.0 * zr)
+    pt = draw(points(draw(st.floats(0.5, 20.0)) * ring, -z_hi, z_hi))
+    return pair, pt, draw(st.floats(0.0, 1e-6))
+
+
+@SETTINGS
+@given(case=wide_pairs_and_points())
+def test_amplitude_jet_and_total_amplitude_are_finite_to_l_1000(case):
+    """For every |l| <= 1000 and p <= 10 the amplitude, every part of the
+    jet and the total amplitude are finite, and nothing warns (warnings are
+    errors): the log-space envelope neither overflows nor forms inf * 0.
+    A dark beam (amp_scale 0) gives exactly 0, with no log(0)."""
+    pair, pt, t = case
+    for b in (pair.beam1, pair.beam2):
+        u = mode_amplitude(b, pt)
+        assert np.all(np.isfinite(u))
+        assert b.amp_scale or not np.any(u)
+        for part in mode_jet(b, pt):
+            assert np.all(np.isfinite(part))
+    assert np.all(np.isfinite(total_amplitude(pair, pt, t=t)))
 
 
 @SETTINGS

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vortexlattice import superpose
-from vortexlattice.errors import DegenerateGeometryError
 from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_phase
 from vortexlattice.superpose import (BLOCK_POINTS, FieldMap, GridSpec, PairSpec,
                                      amplitude_map, gouy_difference_closed_form,
@@ -433,12 +432,11 @@ def test_field_map_csv_matches_savetxt(tmp_path, kind):
     assert path.read_bytes() == _savetxt_bytes("coord1,coord2,amplitude,phase,intensity", data)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["rho_z", "xy"])
-def test_maps_raise_where_the_amplitude_overflows(kind):
-    """At l = 200 the mode envelope overflows (inf * 0) within 4 ring radii;
-    the maps raise rather than return non-finite amplitudes."""
+def test_maps_are_finite_at_large_l(kind):
+    """At l = 200 a map reaching 4 ring radii, where the power form of the
+    envelope was inf * 0, is finite and warns nothing; it does not depend on
+    the thread count and equals total_amplitude at every grid point."""
     w0 = 3e-6
     pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=200, separation_d=8e-6)
     reach = 4.0 * w0 * math.sqrt(100.0)
@@ -446,28 +444,30 @@ def test_maps_raise_where_the_amplitude_overflows(kind):
         g = GridSpec.rho_z(rho_max=reach, n_rho=41, z_min=-4e-6, z_max=4e-6, n_z=5)
     else:
         g = GridSpec.xy(half_width=reach / math.sqrt(2.0), n=41)
+    amp = amplitude_map(pr, g)
+    assert np.isfinite(amp).all() and amp.max() > 0.0
+    np.testing.assert_array_equal(amp, total_amplitude(pr, full_grid_points(g)))
     for n_threads in (1, 2):
-        for make_map in (amplitude_map, intensity_map):
-            with pytest.raises(DegenerateGeometryError) as err:
-                make_map(pr, g, n_threads=n_threads)
-            assert "|l1| = 200" in str(err.value)
-            assert "40 w0" in str(err.value)
-    inside = GridSpec(kind=g.kind, axis1=g.axis1 / 4.0, axis2=g.axis2 / 4.0)
-    assert np.isfinite(amplitude_map(pr, inside)).all()
+        np.testing.assert_array_equal(amplitude_map(pr, g, n_threads=n_threads), amp)
+        np.testing.assert_array_equal(intensity_map(pr, g, n_threads=n_threads).amplitude, amp)
 
 
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_map_workers_keep_the_callers_errstate(n_threads):
     """np.errstate is context-local state: each map block runs in the
-    caller's context, so under errstate(all="ignore") the overflowing l = 200
-    map warns nothing, with warnings turned into errors, and raises only
-    DegenerateGeometryError (seven row blocks, so two workers share them)."""
+    caller's context.  Far out on an l = 200 grid the envelope underflows to
+    0, which numpy ignores by default, so under errstate(under="raise") the
+    maps raise FloatingPointError from their workers, and without it they
+    are finite and warn nothing, with warnings turned into errors (seven row
+    blocks, so two workers share them)."""
     w0 = 3e-6
     pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=200, separation_d=8e-6)
     g = GridSpec.xy(half_width=4.0 * w0 * math.sqrt(50.0), n=41)
     with mock.patch.object(superpose, "BLOCK_POINTS", 41 * 6), warnings.catch_warnings():
         warnings.simplefilter("error")
-        with np.errstate(all="ignore"):
-            for make_map in (amplitude_map, intensity_map):
-                with pytest.raises(DegenerateGeometryError):
+        for make_map in (amplitude_map, intensity_map):
+            with np.errstate(under="raise"):
+                with pytest.raises(FloatingPointError):
                     make_map(pr, g, n_threads=n_threads)
+        assert np.isfinite(amplitude_map(pr, g, n_threads=n_threads)).all()
+        assert np.isfinite(intensity_map(pr, g, n_threads=n_threads).amplitude).all()
