@@ -19,7 +19,7 @@ w0 = 4.0 * wavelength
 l = 20
 d = 65.0 * wavelength
 
-pair = PairSpec.counterpropagating(wavelength, w0, l1=l, separation_d=d)
+pair = PairSpec(wavelength, w0, l1=l, separation_d=d)
 zr = pair.beam1.rayleigh_range
 print(f"l={l}, w0={w0 * 1e6:.2f} um, focal separation d={d * 1e6:.2f} um "
       f"({d / zr:.2f} zR)")

@@ -31,7 +31,7 @@ print("  d/zR    ring/um    K0 analytic      K0 numeric      trap f/kHz")
 best = (0.0, 0.0)
 for frac in np.linspace(0.0, 3.0, 16):
     d = float(frac) * zr
-    pair = PairSpec.counterpropagating(wavelength, w0, l1=1, separation_d=d)
+    pair = PairSpec(wavelength, w0, l1=1, separation_d=d)
     rho0 = central_ring_radius(pair)
     k0 = spring_constant_k0(atom, pair)
     numeric = -axial_force_slope(atom, pair, rho0)
@@ -42,8 +42,7 @@ for frac in np.linspace(0.0, 3.0, 16):
         best = (frac, k0)
 
 print(f"\nstiffest trap near d = {best[0]:.1f} zR")
-pair = PairSpec.counterpropagating(wavelength, w0, l1=1,
-                                   separation_d=best[0] * zr)
+pair = PairSpec(wavelength, w0, l1=1, separation_d=best[0] * zr)
 v0 = harmonic_potential_v0(atom, pair, 1e-6)
 print(f"harmonic well depth over a 1 um axial excursion there: "
       f"{v0:.3e} J ({v0 / 1.380649e-23 * 1e6:.2f} uK)")

@@ -23,8 +23,7 @@ w0 = 20.0 * wavelength
 l = 2
 delta_omega = 2.0 * math.pi * 1e3        # 1 kHz beat
 
-pair = PairSpec.counterpropagating(wavelength, w0, l1=l,
-                                   delta_omega=delta_omega)
+pair = PairSpec(wavelength, w0, l1=l, delta_omega=delta_omega)
 ring = w0 * math.sqrt(l / 2.0)
 print(f"l={l} pair, {pair.azimuthal_order} spokes on the ring at "
       f"{ring * 1e6:.2f} um, beat {delta_omega / (2 * math.pi):.0f} Hz")

@@ -25,7 +25,7 @@ atom = AtomSpec(mass=3.8175e-26, gamma=gamma, detuning0=0.5 * gamma,
 
 w0 = 8e-6
 zr = math.pi * w0 ** 2 / wavelength
-pair = PairSpec.counterpropagating(wavelength, w0, l1=1, separation_d=1.4 * zr)
+pair = PairSpec(wavelength, w0, l1=1, separation_d=1.4 * zr)
 
 omega = trap_frequency(atom, pair)
 period = 2.0 * math.pi / omega

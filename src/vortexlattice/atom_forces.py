@@ -121,7 +121,8 @@ def _reduced_gradient(beam, pt):
     rho = np.asarray(pt.rho)
     grad = np.zeros((3,) + pt.shape)
     # own-frame azimuthal slope l / rho: every beam advances its phase in
-    # its own handedness, so no lab-frame azimuthal_sign appears here
+    # its own handedness, so beam 2's slope is +l2 / rho here while its lab
+    # phase, direction * l * phi, has -l2 / rho
     np.divide(beam.winding_l, rho, out=grad[1, ...], where=rho > AXIS_RHO)
     grad[2] = beam.direction * beam.wavenumber
     return grad

@@ -25,7 +25,7 @@ from .errors import ConfigError, DegenerateGeometryError, VortexLatticeError
 from .lg_mode import CylPoint, mode_jet
 from .ring_analysis import double_ring_radii, find_rings, measure_axial_drift, \
     measure_rotation_rate, radial_separation, suggested_sample_dt
-from .superpose import PairSpec, intensity_map, write_csv
+from .superpose import intensity_map, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,12 +58,6 @@ def _need_atom(cfg):
     return cfg.atom
 
 
-def _pair_with_d(pair, d):
-    b1 = dataclasses.replace(pair.beam1, focal_z=-0.5 * d)
-    b2 = dataclasses.replace(pair.beam2, focal_z=+0.5 * d)
-    return PairSpec(b1, b2, d, pair.delta_omega, pair.delta_k)
-
-
 def cmd_field_map(cfg, out, threads):
     written = []
     if cfg.grid is not None:
@@ -87,7 +81,7 @@ def cmd_spring_sweep(cfg, out, threads):
         raise ConfigError("spring-sweep needs a 'sweep' config section")
     rows = []
     for d in np.linspace(*cfg.sweep):
-        pair_d = _pair_with_d(cfg.pair, float(d))
+        pair_d = dataclasses.replace(cfg.pair, separation_d=float(d))
         k0 = spring_constant_k0(atom, pair_d)
         numeric = -axial_force_slope(atom, pair_d, central_ring_radius(pair_d))
         rows.append((d, k0, numeric))

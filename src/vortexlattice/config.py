@@ -59,8 +59,7 @@ _GRID_KEYS = {"rho_min": ("length", 0.0), "rho_max": ("length", _REQUIRED),
 SECTION_KEYS = {
     "beams": {"wavelength": ("length", _REQUIRED), "waist": ("length", _REQUIRED),
               "l1": ("int", _REQUIRED), "l2": ("int", None), "p": ("int", 0),
-              "amp1": ("plain", 1.0), "amp2": ("plain", 1.0),
-              "azimuthal_sign2": ("int", -1)},
+              "amp1": ("plain", 1.0), "amp2": ("plain", 1.0)},
     "pair": {"d": ("length", 0.0), "delta_omega": ("angular_frequency", 0.0),
              "delta_k": ("wavenumber", 0.0)},
     "atom": {"mass": ("mass", _REQUIRED), "gamma": ("angular_frequency", _REQUIRED),
@@ -169,11 +168,11 @@ def _read(raw):
 def _pair(beams, pair):
     if pair["d"] < 0.0:
         raise ConfigError("pair.d must be >= 0")
-    return PairSpec.counterpropagating(
+    return PairSpec(
         wavelength=beams["wavelength"], waist=beams["waist"], l1=beams["l1"],
         l2=beams["l2"], separation_d=pair["d"], delta_omega=pair["delta_omega"],
         delta_k=pair["delta_k"], radial_p=beams["p"], amp1=beams["amp1"],
-        amp2=beams["amp2"], azimuthal_sign2=beams["azimuthal_sign2"])
+        amp2=beams["amp2"])
 
 
 def _atom(atom):

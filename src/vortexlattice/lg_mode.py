@@ -48,11 +48,11 @@ class BeamSpec:
     amp_scale : float
         Overall amplitude scale (the plane-wave amplitude the normalisation
         constant multiplies).
-    azimuthal_sign : int
-        Sign of the azimuthal phase term l*phi in the lab frame.  A beam
-        viewed from its own propagation axis always carries +l*phi; a
-        counter-propagating partner appears with the opposite handedness
-        in shared lab coordinates, hence the explicit sign.
+
+    A beam carries +l*phi about its own propagation axis, so in the lab
+    frame its azimuthal phase is direction * l * phi: a -z beam of winding l
+    has the opposite handedness of a +z beam of winding l.  radial_p is at
+    most 40, the range ``laguerre_poly`` is tested for.
 
     ``wavenumber``, ``rayleigh_range``, ``norm``, ``log_norm`` and
     ``log_scale`` are computed once per instance; the spec is frozen, and
@@ -66,19 +66,16 @@ class BeamSpec:
     direction: int = 1
     focal_z: float = 0.0
     amp_scale: float = 1.0
-    azimuthal_sign: int = 1
 
     def __post_init__(self):
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
         if self.waist_w0 <= 0.0:
             raise ValueError("waist_w0 must be positive")
-        if self.radial_p < 0:
-            raise ValueError("radial_p must be >= 0")
+        if not 0 <= self.radial_p <= 40:
+            raise ValueError("radial_p must lie in [0, 40]")
         if self.direction not in (-1, 1):
             raise ValueError("direction must be +1 or -1")
-        if self.azimuthal_sign not in (-1, 1):
-            raise ValueError("azimuthal_sign must be +1 or -1")
         if self.amp_scale < 0.0:
             raise ValueError("amp_scale must be >= 0")
 
@@ -236,7 +233,7 @@ def mode_amplitude(beam, pt):
         * L_p^|l|(2 rho^2 / w^2) * exp(-rho^2 / w^2), with w = w(z) and z
         the local axial offset.  L_0 = 1 is not formed.  The product is
         formed in log space with one exp, so no factor overflows (tested to
-        |l| = 1000, p = 10); it underflows to 0 only where U itself is
+        |l| = 1000, p = 40); it underflows to 0 only where U itself is
         below the smallest double.
     """
     return _amplitude(beam, pt)[0]
@@ -249,7 +246,7 @@ def _phase_parts(beam, zl, pt):
     zr = beam.rayleigh_range
     rho = np.asarray(pt.rho)
     plane = beam.direction * k * (np.asarray(pt.z) - beam.focal_z)
-    azimuthal = beam.azimuthal_sign * beam.winding_l * np.asarray(pt.phi)
+    azimuthal = beam.direction * beam.winding_l * np.asarray(pt.phi)
     gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * np.arctan(zl / zr)
     curvature = k * rho * rho * zl / (2.0 * (zl * zl + zr * zr))
     return plane, azimuthal, gouy, curvature
@@ -265,7 +262,7 @@ def mode_phase(beam, pt):
     """Unwrapped phase of the mode at a point.
 
     The phase is the sum of the plane-wave term direction * k * (z - focal_z),
-    the azimuthal term azimuthal_sign * l * phi, the Gouy term
+    the azimuthal term direction * l * phi, the Gouy term
     -(2p + |l| + 1) * arctan(z_local / z_R) and the wavefront-curvature term
     k * rho^2 * z_local / (2 (z_local^2 + z_R^2)).  The optical carrier
     omega * t is left out: every beam of a pair shares it.
@@ -319,8 +316,7 @@ def mode_jet(beam, pt):
     grad_amplitude[2] = -beam.direction * zl * (amplitude + 2.0 * x_dr) / den
     grad_phase = np.zeros(shape)
     np.divide(k * rho * zl, den, out=grad_phase[0, ...], where=off_axis)
-    np.divide(beam.azimuthal_sign * beam.winding_l, rho, out=grad_phase[1, ...],
-              where=off_axis)
+    np.divide(beam.direction * beam.winding_l, rho, out=grad_phase[1, ...], where=off_axis)
     grad_phase[2] = beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
                                       + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den))
     return amplitude, _phase(beam, zl, pt), grad_amplitude, grad_phase

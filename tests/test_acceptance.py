@@ -68,7 +68,7 @@ def test_criterion_1_complex_sum_equivalence():
         w0 = float(rng.uniform(2.0, 10.0)) * WAVELENGTH
         zr = math.pi * w0 ** 2 / WAVELENGTH
         d = float(rng.uniform(0.0, 2.0)) * zr
-        pr = PairSpec.counterpropagating(
+        pr = PairSpec(
             WAVELENGTH, w0, l1=l1, l2=l2, separation_d=d, radial_p=p,
             amp2=float(rng.uniform(0.3, 1.0)),
             delta_omega=float(rng.uniform(0.0, 1e5)),
@@ -107,8 +107,7 @@ def test_criterion_2_dipole_force_matches_gradient():
     atom = sodium(delta0=-2.0 * GAMMA, rabi=0.5 * GAMMA)
     w0 = 8e-6
     zr = math.pi * w0 ** 2 / WAVELENGTH
-    pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=2,
-                                     separation_d=0.8 * zr, amp2=0.7)
+    pr = PairSpec(WAVELENGTH, w0, l1=2, separation_d=0.8 * zr, amp2=0.7)
     rho0 = central_ring_radius(pr)
     rng = np.random.default_rng(7)
     n = 1000
@@ -144,8 +143,7 @@ def test_criterion_3_spring_constant_triangle():
     k_analytic = np.empty(50)
     worst = 0.0
     for i, d in enumerate(ds):
-        pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=1,
-                                         separation_d=float(d))
+        pr = PairSpec(WAVELENGTH, w0, l1=1, separation_d=float(d))
         rho0 = central_ring_radius(pr)
         k0 = spring_constant_k0(atom, pr)
         k_at_ring = spring_constant(atom, pr, rho0)
@@ -171,8 +169,7 @@ def test_criterion_3_spring_constant_triangle():
 
 def ring_lattice_pair():
     w0 = 6.0 * WAVELENGTH
-    return PairSpec.counterpropagating(WAVELENGTH, w0, l1=80,
-                                       separation_d=24.0 * w0)
+    return PairSpec(WAVELENGTH, w0, l1=80, separation_d=24.0 * w0)
 
 
 def ring_lattice_region():
@@ -255,7 +252,7 @@ def test_criterion_5_double_ring_formulas():
     zr = math.pi * w0 ** 2 / WAVELENGTH
     errs = []
     for d in (0.8 * zr, 0.4 * zr, 0.2 * zr, 0.1 * zr):
-        p = PairSpec.counterpropagating(WAVELENGTH, w0, l1=2, separation_d=d)
+        p = PairSpec(WAVELENGTH, w0, l1=2, separation_d=d)
         s = radial_separation(p, 0.25 * d)
         errs.append(abs(s.approx - s.exact) / s.exact)
     halves = all(small <= 0.55 * big for big, small in zip(errs, errs[1:]))
@@ -274,8 +271,7 @@ def test_criterion_6_ferris_wheel_rates():
     t_start = time.perf_counter()
     w0 = 20.0 * WAVELENGTH
     delta_omega = 2.0 * math.pi * 1e3
-    pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=2,
-                                     delta_omega=delta_omega)
+    pr = PairSpec(WAVELENGTH, w0, l1=2, delta_omega=delta_omega)
     ring = w0 * math.sqrt(2.0 / 2.0)
     want_rot = delta_omega / 4.0
     got_rot = measure_rotation_rate(pr, ring, 0.0, 0.0, 1.25e-4)
@@ -300,8 +296,7 @@ def test_criterion_7_trap_dynamics():
     atom = sodium()
     w0 = 8e-6
     zr = math.pi * w0 ** 2 / WAVELENGTH
-    pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=1,
-                                     separation_d=1.4 * zr)
+    pr = PairSpec(WAVELENGTH, w0, l1=1, separation_d=1.4 * zr)
     omega = trap_frequency(atom, pr)
     assert omega == pytest.approx(math.sqrt(spring_constant_k0(atom, pr)
                                             / atom.mass), rel=1e-12)

@@ -30,8 +30,7 @@ def sodium(delta0=0.5 * GAMMA, rabi=GAMMA):
 
 def pair(l1=1, w0=8e-6, d_frac=1.4, **kw):
     zr = math.pi * w0 ** 2 / WAVELENGTH
-    return PairSpec.counterpropagating(WAVELENGTH, w0, l1=l1,
-                                       separation_d=d_frac * zr, **kw)
+    return PairSpec(WAVELENGTH, w0, l1=l1, separation_d=d_frac * zr, **kw)
 
 
 def grad5(f, h):
@@ -79,7 +78,7 @@ def full_gradient_analytic(beam, pt):
     zl = beam.direction * (pt.z - beam.focal_z)
     den = zl * zl + zr * zr
     g_rho = k * pt.rho * zl / den
-    g_phi = beam.azimuthal_sign * beam.winding_l / pt.rho
+    g_phi = beam.direction * beam.winding_l / pt.rho
     n = 2.0 * beam.radial_p + abs(beam.winding_l) + 1.0
     dz_local = k - n * zr / den + 0.5 * k * pt.rho ** 2 * (zr * zr - zl * zl) / den ** 2
     return np.array([g_rho, g_phi, beam.direction * dz_local])
@@ -431,7 +430,7 @@ def test_pair_dark_point_with_negative_amplitudes():
     gradient raises and the total-field scattering force is 0.  Under
     velocity coupling the scattering force still takes the slope as 0, while
     the dipole force, whose detuning needs the slope, raises."""
-    p = PairSpec.counterpropagating(WAVELENGTH, 8e-6, l1=1, separation_d=0.0, radial_p=1)
+    p = PairSpec(WAVELENGTH, 8e-6, l1=1, separation_d=0.0, radial_p=1)
     rho = 1.5 * p.beam1.waist_w0
     z = brentq(lambda zz: phase_difference(p, CylPoint(rho, 0.0, zz)).total - math.pi,
                1e-12, 0.6 * WAVELENGTH, xtol=1e-30)
@@ -473,7 +472,7 @@ def test_total_field_with_subnormal_amplitudes_is_finite():
     atom = sodium()
     w0 = 2.0 * WAVELENGTH
     zr = math.pi * w0 ** 2 / WAVELENGTH
-    p = PairSpec.counterpropagating(WAVELENGTH, w0, l1=31, l2=30, separation_d=zr)
+    p = PairSpec(WAVELENGTH, w0, l1=31, l2=30, separation_d=zr)
     pt = CylPoint(rho=5e-16, phi=0.0, z=-2.5 * zr)
     u_max = max(abs(mode_amplitude(p.beam1, pt)), abs(mode_amplitude(p.beam2, pt)))
     assert 0.0 < u_max < np.finfo(float).tiny

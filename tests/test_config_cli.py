@@ -135,6 +135,10 @@ def test_from_dict_validation():
     cfg["pair"]["d"] = "-1um"
     with pytest.raises(ConfigError):
         RunConfig.from_dict(cfg)
+    cfg = base_config()
+    cfg["beams"]["p"] = 41      # beyond the range laguerre_poly is tested for
+    with pytest.raises(ConfigError, match="radial_p"):
+        RunConfig.from_dict(cfg)
 
 
 def full_config():
@@ -143,7 +147,7 @@ def full_config():
             "z_max": "5um", "n_z": 5, "phi": 0.0, "time": 0.0}
     return base_config(
         beams={"wavelength": "589.16nm", "waist": "3um", "l1": 2, "l2": 2, "p": 0,
-               "amp1": 1.0, "amp2": 1.0, "azimuthal_sign2": -1},
+               "amp1": 1.0, "amp2": 1.0},
         pair={"d": "8um", "delta_omega": "1kHz", "delta_k": 0.0},
         grid=grid, rings_grid=dict(grid),
         xy_grid={"half_width": "6um", "n": 5, "z_slices": [0.0, "1um"], "time": 0.0},
@@ -321,7 +325,6 @@ def round_trip_configs(draw):
     maybe(beams, "p", lambda: draw(st.integers(0, 3)))
     maybe(beams, "amp1", lambda: value(0.0, 3.0))
     maybe(beams, "amp2", lambda: value(0.0, 3.0))
-    maybe(beams, "azimuthal_sign2", lambda: draw(st.sampled_from([1, -1])))
     pair = {}
     maybe(pair, "d", lambda: quantity(value(0.0, 1e-3), LENGTH_UNITS))
     maybe(pair, "delta_omega", lambda: quantity(value(-1e8, 1e8), RATE_UNITS))

@@ -28,7 +28,7 @@ def sodium():
 def trap_pair(d_frac=1.4):
     w0 = 8e-6
     zr = math.pi * w0 ** 2 / WAVELENGTH
-    return PairSpec.counterpropagating(WAVELENGTH, w0, l1=1, separation_d=d_frac * zr)
+    return PairSpec(WAVELENGTH, w0, l1=1, separation_d=d_frac * zr)
 
 
 def on_ring_state(pair, z_frac=0.01, v_z=0.0):
@@ -209,8 +209,7 @@ def test_divergence_guard_catches_non_finite_state(monkeypatch, bad):
 def ferris_pair(delta_omega):
     """l = 2, d = 0 and w0 = 6 wavelengths: the spokes of the total field
     turn at delta_omega / 4, and with d = 0 no axial trap sets a step bound."""
-    return PairSpec.counterpropagating(WAVELENGTH, 6.0 * WAVELENGTH, l1=2,
-                                       delta_omega=delta_omega)
+    return PairSpec(WAVELENGTH, 6.0 * WAVELENGTH, l1=2, delta_omega=delta_omega)
 
 
 def red_atom():

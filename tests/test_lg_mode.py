@@ -121,7 +121,7 @@ def test_phase_at_focus_is_azimuthal_only():
     for phi in (-2.0, 0.0, 0.9):
         pt = CylPoint(rho=5e-6, phi=phi, z=0.0)
         assert mode_phase(b, pt) == pytest.approx(3.0 * phi, abs=1e-12)
-    b2 = beam(l=3, azimuthal_sign=-1)
+    b2 = beam(l=-3)
     pt = CylPoint(rho=5e-6, phi=0.9, z=0.0)
     assert mode_phase(b2, pt) == pytest.approx(-2.7, rel=1e-12)
 
@@ -138,7 +138,7 @@ def test_phase_on_axis_plane_plus_gouy():
 def test_phase_counterpropagating_frame():
     """A -z beam accrues phase along its own travel direction."""
     d = 1e-4
-    b = beam(l=2, direction=-1, focal_z=0.5 * d, azimuthal_sign=-1)
+    b = beam(l=2, direction=-1, focal_z=0.5 * d)
     zr = b.rayleigh_range
     z = 0.5 * d - zr          # one Rayleigh range downstream for this beam
     pt = CylPoint(rho=0.0, phi=0.0, z=z)
@@ -172,9 +172,19 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BeamSpec(wavelength=WAVELENGTH, waist_w0=8e-6, winding_l=1, direction=2)
     with pytest.raises(ValueError):
-        BeamSpec(wavelength=WAVELENGTH, waist_w0=8e-6, winding_l=1, azimuthal_sign=0)
-    with pytest.raises(ValueError):
         CylPoint(rho=-1e-9, phi=0.0, z=0.0)
+
+
+@pytest.mark.parametrize("p", [41, 120, 150, 200])
+def test_radial_index_beyond_40_is_rejected(p):
+    """laguerre_poly is tested for p <= 40.  Beyond it its recurrence
+    overflowed far out, and l = 1, w0 = 3 um, rho = 100 w0 gave a nan mode
+    amplitude for p = 120, 150 and 200; the beam is now refused.  At p = 40
+    that point is finite."""
+    pt = CylPoint(rho=100.0 * 3e-6, phi=0.0, z=0.0)
+    assert np.isfinite(mode_amplitude(beam(l=1, w0=3e-6, p=40), pt))
+    with pytest.raises(ValueError, match="radial_p"):
+        beam(l=1, w0=3e-6, p=p)
 
 
 def envelope_residual(b, n_rho=201, n_z=81):
@@ -235,9 +245,8 @@ def test_mode_gradient_matches_stencil(l, p):
     w0 = 6.0 * WAVELENGTH
     rng = np.random.default_rng(10 * l + p)
     for direction in (1, -1):
-        b = beam(l=direction * l, w0=w0, p=p, direction=direction,
-                 focal_z=0.4 * direction * ZR_6LAM, amp_scale=1.3,
-                 azimuthal_sign=-direction)
+        b = beam(l=-direction * l, w0=w0, p=p, direction=direction,
+                 focal_z=0.4 * direction * ZR_6LAM, amp_scale=1.3)
         z = b.focal_z + rng.uniform(-1.5, 1.5, 200) * ZR_6LAM
         w = waist_at(b, z - b.focal_z)
         rho = w * np.maximum(0.05, math.sqrt(0.5 * l + p) + rng.uniform(-2.0, 2.0, 200))

@@ -26,8 +26,8 @@ WAVELENGTH = 589.16e-9
 
 def pair(l1=4, w0_factor=4.0, d_factor=40.0, **kw):
     """Small, quick-to-scan lattice: waists and separation in wavelengths."""
-    return PairSpec.counterpropagating(WAVELENGTH, w0_factor * WAVELENGTH, l1=l1,
-                                       separation_d=d_factor * WAVELENGTH, **kw)
+    return PairSpec(WAVELENGTH, w0_factor * WAVELENGTH, l1=l1,
+                    separation_d=d_factor * WAVELENGTH, **kw)
 
 
 def lattice_region(p, rho_lo=3.0, rho_hi=9.0, z_half=22.0, n_rho=151, n_z=881):
@@ -70,7 +70,7 @@ def test_double_ring_radii_domain():
 def test_radial_separation_against_exact():
     w0 = 8e-6
     zr = math.pi * w0 ** 2 / WAVELENGTH
-    p = PairSpec.counterpropagating(WAVELENGTH, w0, l1=2, separation_d=0.2 * zr)
+    p = PairSpec(WAVELENGTH, w0, l1=2, separation_d=0.2 * zr)
     delta = 0.05 * zr
     split = radial_separation(p, delta)
     r_inner, r_outer = double_ring_radii(p, delta)
@@ -88,7 +88,7 @@ def test_radial_separation_error_halves_with_d():
     zr = math.pi * w0 ** 2 / WAVELENGTH
     errs = []
     for d in (0.8 * zr, 0.4 * zr, 0.2 * zr, 0.1 * zr):
-        p = PairSpec.counterpropagating(WAVELENGTH, w0, l1=2, separation_d=d)
+        p = PairSpec(WAVELENGTH, w0, l1=2, separation_d=d)
         split = radial_separation(p, 0.25 * d)
         errs.append(abs(split.approx - split.exact) / split.exact)
     for bigger, smaller in zip(errs, errs[1:]):
@@ -126,8 +126,7 @@ def test_find_rings_lattice_structure():
 def split_pair():
     """Strong focusing and high winding number so the double rings separate
     beyond the doughnut ring width and both radial maxima resolve."""
-    return PairSpec.counterpropagating(WAVELENGTH, 4.0 * WAVELENGTH, l1=20,
-                                       separation_d=65.0 * WAVELENGTH)
+    return PairSpec(WAVELENGTH, 4.0 * WAVELENGTH, l1=20, separation_d=65.0 * WAVELENGTH)
 
 
 def split_region():
@@ -335,8 +334,7 @@ def paper_lattices(draw):
     holding the rings between the foci, about 1e5 to 3e5 points."""
     w0 = draw(st.floats(3.0, 5.0)) * WAVELENGTH
     l = draw(st.integers(20, 80)) * draw(signs)
-    p = PairSpec.counterpropagating(WAVELENGTH, w0, l1=l,
-                                    separation_d=draw(st.floats(6.0, 10.0)) * w0)
+    p = PairSpec(WAVELENGTH, w0, l1=l, separation_d=draw(st.floats(6.0, 10.0)) * w0)
     d = p.separation_d
     rho_lo = max(0.0, ring_radius_formula(p, 0.5 * d) - 0.7 * w0)
     rho_hi = ring_radius_formula(p, -0.5 * d) + 0.7 * w0
@@ -362,9 +360,9 @@ def test_find_rings_same_with_scipy_peaks(case):
        d=st.floats(0.0, 10.0), dw=st.floats(1e2, 1e6), rho=st.floats(0.5, 1.5),
        t0=st.floats(0.0, 1e-3))
 def test_measure_axial_drift_same_with_scipy_peaks(l, sign, w0, d, dw, rho, t0):
-    p = PairSpec.counterpropagating(WAVELENGTH, w0 * WAVELENGTH, l1=sign * l,
-                                    separation_d=d * w0 * WAVELENGTH,
-                                    delta_omega=sign * dw)
+    p = PairSpec(WAVELENGTH, w0 * WAVELENGTH, l1=sign * l,
+                 separation_d=d * w0 * WAVELENGTH,
+                 delta_omega=sign * dw)
     rho_probe = rho * ring_radius_formula(p, 0.0)
     t1 = t0 + suggested_sample_dt(p)
     ours = _outcome(measure_axial_drift, p, rho_probe, t0, t1)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vortexlattice import superpose
-from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_phase
+from vortexlattice.lg_mode import CylPoint, mode_amplitude, mode_jet, mode_phase
 from vortexlattice.superpose import (BLOCK_POINTS, FieldMap, GridSpec, PairSpec,
                                      amplitude_map, gouy_difference_closed_form,
                                      intensity_map,
@@ -23,8 +24,7 @@ def pair(l1=2, l2=None, w0=8e-6, d=None, **kw):
     zr = math.pi * w0 ** 2 / WAVELENGTH
     if d is None:
         d = 0.8 * zr
-    return PairSpec.counterpropagating(WAVELENGTH, w0, l1=l1, l2=l2,
-                                       separation_d=d, **kw)
+    return PairSpec(WAVELENGTH, w0, l1=l1, l2=l2, separation_d=d, **kw)
 
 
 def random_points(pr, n, seed=0, z_span=1.0):
@@ -36,29 +36,62 @@ def random_points(pr, n, seed=0, z_span=1.0):
                     z=rng.uniform(-z_span, z_span, n) * b.rayleigh_range)
 
 
+def lab_winding(beam):
+    """The phi coefficient of the beam's lab-frame phase, from its
+    azimuthal phase slope times rho."""
+    rho = beam.waist_w0
+    return mode_jet(beam, CylPoint(rho=rho, phi=0.4, z=0.0))[3][1] * rho
+
+
 def test_counterpropagating_layout():
     p = pair(l1=3, d=1e-4)
     assert p.beam1.direction == 1
     assert p.beam2.direction == -1
     assert p.beam1.focal_z == -5e-5
     assert p.beam2.focal_z == +5e-5
-    assert p.beam1.azimuthal_sign == 1
-    assert p.beam2.azimuthal_sign == -1
+    assert lab_winding(p.beam1) == pytest.approx(3.0, rel=1e-15)
+    assert lab_winding(p.beam2) == pytest.approx(-3.0, rel=1e-15)
     assert p.azimuthal_order == 6
     assert pair(l1=3, l2=-3).azimuthal_order == 0
-    assert pair(l1=2, l2=1, azimuthal_sign2=1).azimuthal_order == 1
+    assert pair(l1=2, l2=-1).azimuthal_order == 1
 
 
 def test_pair_validation():
     with pytest.raises(ValueError):
         pair(d=-1e-6)
-    b1 = BeamSpec(WAVELENGTH, 8e-6, 1, direction=1, focal_z=0.0)
-    b2 = BeamSpec(WAVELENGTH, 8e-6, 1, direction=1, focal_z=0.0)
-    with pytest.raises(ValueError):
-        PairSpec(b1, b2, 0.0)
-    b2 = BeamSpec(WAVELENGTH, 8e-6, 1, direction=-1, focal_z=0.0)
-    with pytest.raises(ValueError):
-        PairSpec(b1, b2, 1e-4)      # foci not at -d/2, +d/2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(wavelength=st.floats(300e-9, 2e-6), waist=st.floats(1e-6, 1e-4),
+       l1=st.integers(-1000, 1000), l2=st.none() | st.integers(-1000, 1000),
+       d=st.floats(0.0, 1e-3), new_d=st.floats(0.0, 1e-3), p=st.integers(0, 40),
+       amp1=st.floats(0.0, 3.0), amp2=st.floats(0.0, 3.0),
+       delta_omega=st.floats(-1e8, 1e8), delta_k=st.floats(-1e3, 1e3))
+def test_pair_builds_its_beams(wavelength, waist, l1, l2, d, new_d, p, amp1, amp2,
+                               delta_omega, delta_k):
+    """A pair's beams share its wavelength, waist and p; beam 1 travels
+    along +z with its focus at -d/2 and lab winding l1, beam 2 along -z with
+    its focus at +d/2 and lab winding -l2 (l2 defaulting to l1), so the
+    pattern has l1 + l2 spokes.  Replacing d gives the pair built afresh
+    with that d, beams included."""
+    pr = PairSpec(wavelength, waist, l1, l2, separation_d=d, delta_omega=delta_omega,
+                  delta_k=delta_k, radial_p=p, amp1=amp1, amp2=amp2)
+    l2 = l1 if l2 is None else l2
+    assert pr.l2 == l2
+    b1, b2 = pr.beam1, pr.beam2
+    assert (b1.direction, b2.direction) == (1, -1)
+    assert (b1.focal_z, b2.focal_z) == (-0.5 * d, 0.5 * d)
+    for b in (b1, b2):
+        assert (b.wavelength, b.waist_w0, b.radial_p) == (wavelength, waist, p)
+    assert (b1.amp_scale, b2.amp_scale) == (amp1, amp2)
+    assert (b1.winding_l, b2.winding_l) == (l1, l2)
+    assert lab_winding(b1) == pytest.approx(l1, rel=1e-15)
+    assert lab_winding(b2) == pytest.approx(-l2, rel=1e-15)
+    assert pr.azimuthal_order == l1 + l2
+    moved = dataclasses.replace(pr, separation_d=new_d)
+    fresh = PairSpec(wavelength, waist, l1, l2, new_d, delta_omega, delta_k, p, amp1, amp2)
+    assert moved == fresh
+    assert (moved.beam1, moved.beam2) == (fresh.beam1, fresh.beam2)
 
 
 def test_phase_difference_matches_beam_phases():
@@ -438,7 +471,7 @@ def test_maps_are_finite_at_large_l(kind):
     envelope was inf * 0, is finite and warns nothing; it does not depend on
     the thread count and equals total_amplitude at every grid point."""
     w0 = 3e-6
-    pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=200, separation_d=8e-6)
+    pr = PairSpec(WAVELENGTH, w0, l1=200, separation_d=8e-6)
     reach = 4.0 * w0 * math.sqrt(100.0)
     if kind == "rho_z":
         g = GridSpec.rho_z(rho_max=reach, n_rho=41, z_min=-4e-6, z_max=4e-6, n_z=5)
@@ -461,7 +494,7 @@ def test_map_workers_keep_the_callers_errstate(n_threads):
     are finite and warn nothing, with warnings turned into errors (seven row
     blocks, so two workers share them)."""
     w0 = 3e-6
-    pr = PairSpec.counterpropagating(WAVELENGTH, w0, l1=200, separation_d=8e-6)
+    pr = PairSpec(WAVELENGTH, w0, l1=200, separation_d=8e-6)
     g = GridSpec.xy(half_width=4.0 * w0 * math.sqrt(50.0), n=41)
     with mock.patch.object(superpose, "BLOCK_POINTS", 41 * 6), warnings.catch_warnings():
         warnings.simplefilter("error")
