@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DarkPointError, DegenerateGeometryError
-from .lg_mode import AXIS_RHO, CylPoint, mode_amplitude, mode_jet, mode_phase
+from .lg_mode import CylPoint, _off_axis, mode_amplitude, mode_jet, mode_phase
 # mode_phase and pair_complex are not called here; they stay module attributes
 # because perfbench/spans.py traces calls by rebinding these names
 from .superpose import DARK_FRACTION, PairSpec, _offset_phase, pair_complex, total_amplitude
@@ -118,12 +118,12 @@ def _pair_amp_ref(pair):
 def _reduced_gradient(beam, pt):
     """Reduced phase gradient (0, l / rho, direction * k) of one beam,
     shaped (3,) + pt.shape, with the azimuthal entry 0 for rho <= AXIS_RHO."""
-    rho = np.asarray(pt.rho)
+    rho = np.asarray(pt.rho)[()]
     grad = np.zeros((3,) + pt.shape)
     # own-frame azimuthal slope l / rho: every beam advances its phase in
     # its own handedness, so beam 2's slope is +l2 / rho here while its lab
     # phase, direction * l * phi, has -l2 / rho
-    np.divide(beam.winding_l, rho, out=grad[1, ...], where=rho > AXIS_RHO)
+    grad[1] = _off_axis(beam.winding_l, rho, rho)
     grad[2] = beam.direction * beam.wavenumber
     return grad
 
@@ -192,17 +192,6 @@ def detuning_eff(atom, vel, grad):
     return atom.detuning0 - (vel.v_rho * grad[0] + vel.v_phi * grad[1] + vel.v_z * grad[2])
 
 
-def _beam_terms(beam, pt, jet):
-    """U, the reduced phase gradient and U grad(U) (None unless ``jet``) of
-    one beam from one mode evaluation; ``mode_jet``'s U equals
-    ``mode_amplitude``."""
-    if jet:
-        u, _, grad_u, _ = mode_jet(beam, pt)
-    else:
-        u = mode_amplitude(beam, pt)
-    return u, _reduced_gradient(beam, pt), u * grad_u if jet else None
-
-
 def _field_terms(pair, pt, vel, t, scattering, dipole):
     """|E|, grad(arg E) and Re(E* grad E) of the interfered field from one
     ``_pair_gradient``.  The slope is 0 at a dark point, unless the dipole
@@ -214,31 +203,61 @@ def _field_terms(pair, pt, vel, t, scattering, dipole):
     return np.abs(e), grad, (np.conj(e) * grad_e).real if dipole else None
 
 
+def _coefficients(atom, vel, amp, grad, ref):
+    """Scattering and dipole coefficients of a field of amplitude ``amp``
+    and phase gradient ``grad``: F_sc = c_sc grad(Theta) and
+    F_dip = c_dip Omega grad(Omega), with c_sc = (hbar Gamma / 4) Omega^2 / D,
+    c_dip = -(hbar / 2) Delta_eff / D and
+    D = Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4."""
+    delta = detuning_eff(atom, vel, grad)
+    omega = atom.rabi_omega0 * amp / ref
+    den = delta * delta + 0.5 * omega * omega + 0.25 * atom.gamma ** 2
+    return 0.25 * HBAR * atom.gamma * omega * omega / den, -0.5 * HBAR * delta / den
+
+
 def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
     """Scattering and dipole forces of a pair at time t in the model
     ``mode``, from one evaluation of each beam's mode.  Points are scalars or
     broadcastable arrays, as in ``lg_mode``; each force is an array of shape
     (3,) + pt.shape stacked [rho, phi, z], zeros when not asked for.
+
+    In the reduced model each beam's mode is a jet when the dipole force
+    needs grad(U), else its amplitude, and the forces add beam by beam.
+    The reduced gradient's rho entry is 0, so each beam's scattering
+    coefficient goes straight into F_phi and F_z.
     """
     mode = _checked(pair, mode)
     ref = _pair_amp_ref(pair)
-    if mode == _REDUCED:
-        terms = [_beam_terms(b, pt, dipole) for b in (pair.beam1, pair.beam2)]
-    else:
-        terms = [_field_terms(pair, pt, vel, t, scattering, dipole)]
-    quarter_gamma_sq = 0.25 * atom.gamma ** 2
     s = atom.rabi_omega0 / ref
-    fs, fd = [], []
-    for amp, grad, amp_grad_amp in terms:
-        delta = detuning_eff(atom, vel, grad)
-        omega = atom.rabi_omega0 * amp / ref
-        den = delta * delta + 0.5 * omega * omega + quarter_gamma_sq
+    fs = np.zeros((3,) + pt.shape)
+    fd = np.zeros((3,) + pt.shape)
+    if mode == _REDUCED:
+        f_phi, f_z, f_dip = [], [], []
+        for beam in (pair.beam1, pair.beam2):
+            if dipole:
+                u, _, grad_u, _ = mode_jet(beam, pt)
+            else:
+                u = mode_amplitude(beam, pt)
+            grad = _reduced_gradient(beam, pt)
+            c_sc, c_dip = _coefficients(atom, vel, u, grad, ref)
+            if scattering:
+                f_phi.append(c_sc * grad[1])
+                f_z.append(c_sc * grad[2])
+            if dipole:
+                f_dip.append(c_dip * (s * s * (u * grad_u)))
         if scattering:
-            fs.append(0.25 * HBAR * atom.gamma * omega * omega / den * grad)
+            fs[1] = f_phi[0] + f_phi[1]
+            fs[2] = f_z[0] + f_z[1]
         if dipole:
-            fd.append(-0.5 * HBAR * delta / den * (s * s * amp_grad_amp))
-    return (sum(fs[1:], fs[0]) if fs else np.zeros((3,) + pt.shape),
-            sum(fd[1:], fd[0]) if fd else np.zeros((3,) + pt.shape))
+            fd = f_dip[0] + f_dip[1]
+    else:
+        amp, grad, amp_grad_amp = _field_terms(pair, pt, vel, t, scattering, dipole)
+        c_sc, c_dip = _coefficients(atom, vel, amp, grad, ref)
+        if scattering:
+            fs = c_sc * grad
+        if dipole:
+            fd = c_dip * (s * s * amp_grad_amp)
+    return fs, fd
 
 
 def scattering_force(atom, pair, pt, vel=None, mode="reduced", t=0.0):

@@ -19,7 +19,7 @@ import numpy as np
 from .atom_forces import FORCE_MODELS, central_ring_radius, ferris_rate, lift_speed, \
     axial_force_slope, spring_constant_k0
 from .config import RunConfig
-from .dynamics import angular_momentum, estimate_frequency, integrate, \
+from .dynamics import _extents, angular_momentum, estimate_frequency, integrate, \
     trap_frequency
 from .errors import ConfigError, DegenerateGeometryError, VortexLatticeError
 from .lg_mode import CylPoint, mode_jet
@@ -222,6 +222,13 @@ def cmd_trajectory(cfg, out, threads):
             1e-60, float(np.max(np.abs(lz)))))),
         "final": {"rho": rho[-1], "phi": phi[-1], "z": states[-1].z},
     }
+    # the farthest the atom got, against the beam extent itself (the
+    # divergence guard allows DIVERGENCE_FACTOR times it)
+    radial, axial = _extents(cfg.pair)
+    summary["max_rho"] = float(np.max(rows[:, 7]))
+    summary["max_abs_z"] = float(np.max(np.abs(rows[:, 3])))
+    summary["left_beam_extent"] = bool(summary["max_rho"] > radial
+                                       or summary["max_abs_z"] > axial)
     try:
         summary["oscillation_omega_analytic"] = trap_frequency(atom, cfg.pair)
     except DegenerateGeometryError:

@@ -115,6 +115,9 @@ def _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz):
 
 
 def _extents(pair):
+    """Radial and axial extent of the beam region: the central ring radius
+    plus four beam radii at the far focus, and half the focal separation
+    plus two Rayleigh ranges."""
     b = pair.beam1
     w_far = waist_at(b, pair.separation_d)
     radial = central_ring_radius(pair) + 4.0 * w_far
@@ -147,33 +150,39 @@ def integrate(atom, pair, init, cfg):
     radial_max *= DIVERGENCE_FACTOR
     axial_max *= DIVERGENCE_FACTOR
 
-    y = np.array(init[1:], dtype=float)
+    # the state is a tuple of floats: on (6,) arrays each stage's update
+    # costs more numpy calls than the force's arithmetic.  The updates keep
+    # the array form's operation order, y + (h / 2) k and
+    # y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), so the samples are the same
+    y = tuple(float(v) for v in init[1:])
     inv_m = 1.0 / atom.mass
 
-    def deriv(state, t):
-        fx, fy, fz = _force_cartesian(atom, pair, cfg, t, *state)
-        return np.array([state[3], state[4], state[5],
-                         fx * inv_m, fy * inv_m, fz * inv_m])
+    def deriv(t, x, y, z, vx, vy, vz):
+        fx, fy, fz = _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz)
+        return vx, vy, vz, fx * inv_m, fy * inv_m, fz * inv_m
 
     n_steps = max(1, round(cfg.duration / cfg.step))
     h = cfg.step
+    half = 0.5 * h
+    sixth = h / 6.0
     samples = [init]
     for n in range(1, n_steps + 1):
         t = init.time + (n - 1) * h
-        k1 = deriv(y, t)
-        k2 = deriv(y + 0.5 * h * k1, t + 0.5 * h)
-        k3 = deriv(y + 0.5 * h * k2, t + 0.5 * h)
-        k4 = deriv(y + h * k3, t + h)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = deriv(t, *y)
+        k2 = deriv(t + half, *[a + half * b for a, b in zip(y, k1)])
+        k3 = deriv(t + half, *[a + half * b for a, b in zip(y, k2)])
+        k4 = deriv(t + h, *[a + h * b for a, b in zip(y, k3)])
+        y = tuple(a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
         # every comparison with NaN is False, so the region test alone would
-        # let a NaN state through; the sum is NaN or infinite when any entry
-        # is (and cheaper per step than np.isfinite on six entries)
-        if not math.isfinite(sum(y.tolist())):
+        # let a NaN state through; the sum of the six floats is NaN or
+        # infinite when any of them is
+        if not math.isfinite(sum(y)):
             raise DivergenceError(f"trajectory state became non-finite at step {n}")
         if math.hypot(y[0], y[1]) > radial_max or abs(y[2]) > axial_max:
             raise DivergenceError(f"trajectory left the beam region at step {n}")
         if n % cfg.sample_every == 0 or n == n_steps:
-            samples.append(TrajectoryState(init.time + n * h, *y.tolist()))
+            samples.append(TrajectoryState(init.time + n * h, *y))
     return samples
 
 

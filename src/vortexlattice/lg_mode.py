@@ -123,7 +123,11 @@ class CylPoint:
     z: float
 
     def __post_init__(self):
-        if (np.asarray(self.rho) < 0.0).any():
+        # a float rho takes one comparison: single-point callers build
+        # thousands of points, and the array test costs a few microseconds
+        rho = self.rho
+        negative = rho < 0.0 if isinstance(rho, float) else (np.asarray(rho) < 0.0).any()
+        if negative:
             raise ValueError("rho must be >= 0")
 
     @functools.cached_property
@@ -164,8 +168,22 @@ def laguerre_poly(p, alpha, x):
 
 def _local_z(beam, z):
     """Axial offset from the focal plane, measured along the propagation
-    direction (positive downstream)."""
-    return beam.direction * (np.asarray(z) - beam.focal_z)
+    direction (positive downstream); a scalar z is taken as a numpy scalar,
+    as ``_amplitude`` takes rho."""
+    return beam.direction * (np.asarray(z)[()] - beam.focal_z)
+
+
+def _off_axis(num, den, rho):
+    """num / den where rho > AXIS_RHO, else 0: the rho and phi entries of a
+    gradient, which are 0 on the axis.  Besides CylPoint's check, this is
+    the one place that tells a scalar rho from an array: a scalar takes one
+    comparison and at most one division, an array one masked np.divide into
+    zeros of the broadcast shape of num, den and rho."""
+    if not isinstance(rho, np.ndarray):
+        return num / den if rho > AXIS_RHO else 0.0
+    out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den), rho.shape))
+    np.divide(num, den, out=out, where=rho > AXIS_RHO)
+    return out
 
 
 def _times_exp(factor, log_env):
@@ -244,9 +262,9 @@ def _phase_parts(beam, zl, pt):
     axial offset zl."""
     k = beam.wavenumber
     zr = beam.rayleigh_range
-    rho = np.asarray(pt.rho)
-    plane = beam.direction * k * (np.asarray(pt.z) - beam.focal_z)
-    azimuthal = beam.direction * beam.winding_l * np.asarray(pt.phi)
+    rho = np.asarray(pt.rho)[()]
+    plane = beam.direction * k * (np.asarray(pt.z)[()] - beam.focal_z)
+    azimuthal = beam.direction * beam.winding_l * np.asarray(pt.phi)[()]
     gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * np.arctan(zl / zr)
     curvature = k * rho * rho * zl / (2.0 * (zl * zl + zr * zr))
     return plane, azimuthal, gouy, curvature
@@ -309,14 +327,13 @@ def mode_jet(beam, pt):
     else:
         x_dr = amplitude * slope
     den = zl * zl + zr * zr
-    off_axis = rho > AXIS_RHO
     shape = (3,) + pt.shape
     grad_amplitude = np.zeros(shape)
-    np.divide(2.0 * x_dr, rho, out=grad_amplitude[0, ...], where=off_axis)
+    grad_amplitude[0] = _off_axis(2.0 * x_dr, rho, rho)
     grad_amplitude[2] = -beam.direction * zl * (amplitude + 2.0 * x_dr) / den
     grad_phase = np.zeros(shape)
-    np.divide(k * rho * zl, den, out=grad_phase[0, ...], where=off_axis)
-    np.divide(beam.direction * beam.winding_l, rho, out=grad_phase[1, ...], where=off_axis)
+    grad_phase[0] = _off_axis(k * rho * zl, den, rho)
+    grad_phase[1] = _off_axis(beam.direction * beam.winding_l, rho, rho)
     grad_phase[2] = beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
                                       + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den))
     return amplitude, _phase(beam, zl, pt), grad_amplitude, grad_phase

@@ -17,7 +17,7 @@ from vortexlattice.atom_forces import lift_speed
 from vortexlattice.cli import main
 from vortexlattice.config import MAX_GRID_POINTS, SECTION_KEYS, RunConfig, parse_quantity
 from vortexlattice.constants import AMU
-from vortexlattice.dynamics import angular_momentum, integrate
+from vortexlattice.dynamics import _extents, angular_momentum, integrate
 from vortexlattice.errors import ConfigError
 from vortexlattice.superpose import BLOCK_POINTS
 
@@ -721,6 +721,27 @@ def test_cli_trajectory_csv_is_the_integrated_state(tmp_path, mode):
     summary = json.loads((out / "trajectory_summary.json").read_text())
     assert summary["lz_final"] == angular_momentum(run.atom, states[-1])
     assert summary["final"] == {"rho": rows[-1, 7], "phi": rows[-1, 8], "z": states[-1].z}
+
+
+@pytest.mark.parametrize("mode, left", [("reduced", False), ("full", True)])
+def test_cli_trajectory_summary_reports_the_farthest_sample(tmp_path, mode, left):
+    """max_rho and max_abs_z are the largest rho and |z| in trajectory.csv,
+    and left_beam_extent compares them with the beam extent itself, not
+    DIVERGENCE_FACTOR times it.  On configs/trajectory.json the reduced
+    model holds the atom on the ring; the interfered field pushes it out to
+    rho = 272 um, past the 62 um radial extent, and the run still exits 0."""
+    path = REPO / "configs" / "trajectory.json"
+    out = tmp_path / mode
+    assert run_cli(["trajectory", "--config", path, "--out", out, "--mode", mode]) == 0
+    summary = json.loads((out / "trajectory_summary.json").read_text())
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert summary["max_rho"] == np.max(rows[:, 7])
+    assert summary["max_abs_z"] == np.max(np.abs(rows[:, 3]))
+    assert summary["left_beam_extent"] is left
+    radial, axial = _extents(RunConfig.from_file(path).pair)
+    assert bool(summary["max_rho"] > radial or summary["max_abs_z"] > axial) is left
+    if left:
+        assert summary["max_rho"] > 2.7e-4 and 6.1e-5 < radial < 6.3e-5
 
 
 def test_trajectory_start_is_cartesian_and_rho_must_not_be_negative():

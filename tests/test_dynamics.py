@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortexlattice import atom_forces, dynamics
-from vortexlattice.atom_forces import (AtomSpec, central_ring_radius, dipole_force,
-                                       dipole_potential, spring_constant_k0,
-                                       torque_axial)
+from vortexlattice.atom_forces import (AtomSpec, Velocity, central_ring_radius,
+                                       detuning_eff, dipole_force, dipole_potential,
+                                       spring_constant_k0, torque_axial)
+from vortexlattice.constants import HBAR
 from vortexlattice.dynamics import (IntegratorConfig, TrajectoryState,
                                     angular_momentum, estimate_frequency,
                                     integrate, trap_frequency)
-from vortexlattice.errors import (DegenerateGeometryError, DivergenceError,
-                                  StepSizeError)
-from vortexlattice.lg_mode import CylPoint
+from vortexlattice.errors import (DarkPointError, DegenerateGeometryError,
+                                  DivergenceError, StepSizeError)
+from vortexlattice.lg_mode import AXIS_RHO, CylPoint, mode_amplitude, mode_jet
 from vortexlattice.superpose import PairSpec
 
 WAVELENGTH = 589.16e-9
@@ -299,3 +301,150 @@ def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dip
                                          *on_ring_state(p, v_z=0.01)[1:])
     assert counts == {"mode_jet": jets, "mode_amplitude": amplitudes}
     assert fz != 0.0
+
+
+# ------------------------------------------------- bit-for-bit reference
+# The force and RK4 loop as they were on arrays: each reduced beam built a
+# (3,) gradient, scaled it and the beams' forces were summed, and the state
+# was a (6,) array.  The package's scalar path must give the same bits.
+
+def _reference_forces(atom, pair, pt, vel, mode, t, scattering, dipole):
+    ref = atom_forces._pair_amp_ref(pair)
+    if mode == "reduced":
+        terms = []
+        for beam in (pair.beam1, pair.beam2):
+            if dipole:
+                u, _, grad_u, _ = mode_jet(beam, pt)
+            else:
+                u = mode_amplitude(beam, pt)
+            rho = np.asarray(pt.rho)
+            grad = np.zeros((3,) + pt.shape)
+            np.divide(beam.winding_l, rho, out=grad[1, ...], where=rho > AXIS_RHO)
+            grad[2] = beam.direction * beam.wavenumber
+            terms.append((u, grad, u * grad_u if dipole else None))
+    else:
+        terms = [atom_forces._field_terms(pair, pt, vel, t, scattering, dipole)]
+    quarter_gamma_sq = 0.25 * atom.gamma ** 2
+    s = atom.rabi_omega0 / ref
+    fs, fd = [], []
+    for amp, grad, amp_grad_amp in terms:
+        delta = detuning_eff(atom, vel, grad)
+        omega = atom.rabi_omega0 * amp / ref
+        den = delta * delta + 0.5 * omega * omega + quarter_gamma_sq
+        if scattering:
+            fs.append(0.25 * HBAR * atom.gamma * omega * omega / den * grad)
+        if dipole:
+            fd.append(-0.5 * HBAR * delta / den * (s * s * amp_grad_amp))
+    return (sum(fs[1:], fs[0]) if fs else np.zeros((3,) + pt.shape),
+            sum(fd[1:], fd[0]) if fd else np.zeros((3,) + pt.shape))
+
+
+def _reference_integrate(atom, pair, init, cfg):
+    inv_m = 1.0 / atom.mass
+
+    def deriv(state, t):
+        x, y, z, vx, vy, vz = state
+        rho = math.hypot(x, y)
+        phi = math.atan2(y, x)
+        c, s = math.cos(phi), math.sin(phi)
+        vel = None
+        if cfg.velocity_coupling:
+            vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz)
+        fs, fd = _reference_forces(atom, pair, CylPoint(rho=rho, phi=phi, z=z), vel,
+                                   cfg.force_model, t, cfg.include_scattering,
+                                   cfg.include_dipole)
+        if not cfg.include_azimuthal:
+            fs[1] = 0.0
+        f_rho, f_phi, f_z = (fs + fd).tolist()
+        return np.array([state[3], state[4], state[5], (f_rho * c - f_phi * s) * inv_m,
+                         (f_rho * s + f_phi * c) * inv_m, f_z * inv_m])
+
+    y = np.array(init[1:], dtype=float)
+    n_steps = max(1, round(cfg.duration / cfg.step))
+    h = cfg.step
+    samples = [init]
+    for n in range(1, n_steps + 1):
+        t = init.time + (n - 1) * h
+        k1 = deriv(y, t)
+        k2 = deriv(y + 0.5 * h * k1, t + 0.5 * h)
+        k3 = deriv(y + 0.5 * h * k2, t + 0.5 * h)
+        k4 = deriv(y + h * k3, t + h)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if n % cfg.sample_every == 0 or n == n_steps:
+            samples.append(TrajectoryState(init.time + n * h, *y.tolist()))
+    return samples
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the package error it raises."""
+    try:
+        return fn(*args)
+    except DarkPointError as exc:
+        return type(exc)
+
+
+def _same(got, want):
+    if isinstance(want, type):
+        return got is want
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@st.composite
+def reference_runs(draw):
+    """A pair with l1 != l2 allowed, p <= 3, any d, a frequency offset or
+    none and possibly one dark beam; an atom; a start near the ring; and an
+    integrator with every toggle drawn, its step well inside both step gates."""
+    w0 = draw(st.floats(4.0, 14.0)) * WAVELENGTH
+    zr = math.pi * w0 ** 2 / WAVELENGTH
+    amp1, amp2 = draw(st.sampled_from([(1.0, 1.0), (0.6, 1.3), (0.0, 1.0), (1.0, 0.0)]))
+    pair = PairSpec(WAVELENGTH, w0, l1=draw(st.integers(-4, 4)), l2=draw(st.integers(-4, 4)),
+                    radial_p=draw(st.integers(0, 3)),
+                    separation_d=draw(st.floats(0.0, 2.0)) * zr,
+                    delta_omega=draw(st.sampled_from([0.0, 2.0 * math.pi * 1e4,
+                                                      -2.0 * math.pi * 3e5])),
+                    delta_k=draw(st.sampled_from([0.0, 30.0])), amp1=amp1, amp2=amp2)
+    atom = AtomSpec(mass=NA_MASS, gamma=GAMMA, detuning0=draw(st.sampled_from([0.5, -2.0])) * GAMMA,
+                    rabi_omega0=GAMMA)
+    periods = [2.0 * math.pi / abs(pair.delta_omega)] if pair.delta_omega else [1e-4]
+    k0 = spring_constant_k0(atom, pair)
+    if k0 > 0.0:
+        periods.append(2.0 * math.pi / math.sqrt(k0 / atom.mass))
+    step = min(periods) / 400.0
+    cfg = IntegratorConfig(step=step, duration=draw(st.integers(1, 10)) * step,
+                           force_model=draw(st.sampled_from(atom_forces.FORCE_MODELS)),
+                           velocity_coupling=draw(st.booleans()),
+                           include_scattering=draw(st.booleans()),
+                           include_dipole=draw(st.booleans()),
+                           include_azimuthal=draw(st.booleans()),
+                           sample_every=draw(st.integers(1, 3)))
+    rho = draw(st.floats(0.05, 2.0)) * w0 * math.sqrt(0.5 * max(abs(pair.l1), 1))
+    phi = draw(st.floats(-math.pi, math.pi))
+    v = [draw(st.floats(-0.05, 0.05)) for _ in range(3)]
+    init = TrajectoryState(draw(st.floats(0.0, 1e-6)), rho * math.cos(phi), rho * math.sin(phi),
+                           draw(st.floats(-0.5, 0.5)) * zr, *v)
+    return atom, pair, init, cfg
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(run=reference_runs())
+def test_scalar_path_is_bit_identical_to_the_array_reference(run):
+    """integrate's samples, and the scalar and array forces of both models
+    with every toggle, equal the array-state reference under np.array_equal:
+    the float RK4 state and the per-component reduced sum keep each
+    product's association, so no tolerance is needed."""
+    atom, pair, init, cfg = run
+    got = _outcome(integrate, atom, pair, init, cfg)
+    want = _outcome(_reference_integrate, atom, pair, init, cfg)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert np.array_equal(np.array(got), np.array(want))
+    rho = math.hypot(init.x, init.y)
+    for pt in (CylPoint(rho=rho, phi=math.atan2(init.y, init.x), z=init.z),
+               CylPoint(rho=np.array([0.0, rho, 2.0 * rho]), phi=0.3, z=init.z)):
+        for vel in (None, Velocity(init.vx, init.vy, init.vz)):
+            for mode in atom_forces.FORCE_MODELS:
+                for scattering, dipole in ((True, False), (False, True), (True, True)):
+                    args = (atom, pair, pt, vel, mode, init.time, scattering, dipole)
+                    assert _same(_outcome(atom_forces._forces, *args),
+                                 _outcome(_reference_forces, *args)), (mode, scattering, dipole)

@@ -162,6 +162,23 @@ def test_from_cartesian_round_trip():
     assert pt.z == 1.0e-5
 
 
+@pytest.mark.parametrize("rho", [-1e-9, -math.inf, -2, np.float64(-1e-9), np.array(-1e-9),
+                                 np.array([1e-6, -1e-9, 0.0])],
+                         ids=["float", "-inf", "int", "float64", "0-d", "array"])
+def test_point_rejects_negative_rho(rho):
+    """A float rho takes one comparison and anything else the array test;
+    both refuse a negative value, and an array with one negative entry."""
+    with pytest.raises(ValueError, match="rho must be >= 0"):
+        CylPoint(rho=rho, phi=0.0, z=0.0)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.0, math.nan, 0, np.float64(-0.0), np.float64(math.nan),
+                                 np.array(-0.0), np.array([0.0, -0.0, math.nan, 1e-6])])
+def test_point_accepts_zero_signed_zero_and_nan(rho):
+    """-0.0 compares equal to 0, and NaN fails every comparison."""
+    assert CylPoint(rho=rho, phi=0.0, z=0.0).rho is rho
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         BeamSpec(wavelength=-1.0, waist_w0=8e-6, winding_l=1)

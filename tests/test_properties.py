@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces, _reduced_gradient,
-                                       dipole_force, dipole_potential, scattering_force)
+                                       dipole_force, dipole_potential, scattering_force,
+                                       spring_constant_k0)
 from vortexlattice.constants import HBAR
 from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint,
                                    mode_amplitude, mode_jet, mode_phase, waist_at)
-from vortexlattice.errors import DarkPointError, VortexLatticeError
+from vortexlattice.errors import DarkPointError, DegenerateGeometryError, VortexLatticeError
 from vortexlattice.ring_analysis import find_rings
 from vortexlattice.superpose import (BLOCK_POINTS, DARK_FRACTION, GridSpec, PairSpec,
                                      amplitude_map, intensity_map, pair_complex,
@@ -239,6 +240,35 @@ def test_amplitude_jet_and_total_amplitude_are_finite_to_l_1000(case):
         for part in mode_jet(b, pt):
             assert np.all(np.isfinite(part))
     assert np.all(np.isfinite(total_amplitude(pair, pt, t=t)))
+
+
+@SETTINGS
+@given(case=wide_pairs_and_points(), vel=st.none() | st.builds(
+    Velocity, *[st.floats(-10.0, 10.0)] * 3), dipole_atom=st.booleans())
+def test_forces_and_spring_constant_are_finite_to_l_1000(case, vel, dipole_atom):
+    """Over the same pairs and points, both force models give finite
+    scattering and dipole forces, for scalar and array points and with and
+    without velocity coupling, and spring_constant_k0 is finite.  The only
+    refusals are typed: both beams dark (DegenerateGeometryError) and the
+    full model's Doppler-shifted dipole force at a dark point
+    (DarkPointError)."""
+    pair, pt, t = case
+    atom = dataclasses.replace(ATOM, detuning0=-2.0 * GAMMA) if dipole_atom else ATOM
+    if not (pair.amp1 or pair.amp2):
+        with pytest.raises(DegenerateGeometryError):
+            _forces(atom, pair, pt, vel, "reduced", t, True, True)
+        with pytest.raises(DegenerateGeometryError):
+            spring_constant_k0(atom, pair)
+        return
+    assert math.isfinite(spring_constant_k0(atom, pair))
+    for model in ("reduced", "full"):
+        try:
+            forces = _forces(atom, pair, pt, vel, model, t, True, True)
+        except DarkPointError:
+            assert model == "full" and vel is not None
+            forces = _forces(atom, pair, pt, vel, model, t, True, False)
+        for f in forces:
+            assert np.all(np.isfinite(f))
 
 
 @SETTINGS
