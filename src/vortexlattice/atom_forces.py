@@ -118,12 +118,11 @@ def _pair_amp_ref(pair):
 def _reduced_gradient(beam, pt):
     """Reduced phase gradient (0, l / rho, direction * k) of one beam,
     shaped (3,) + pt.shape, with the azimuthal entry 0 for rho <= AXIS_RHO."""
-    rho = np.asarray(pt.rho)[()]
     grad = np.zeros((3,) + pt.shape)
     # own-frame azimuthal slope l / rho: every beam advances its phase in
     # its own handedness, so beam 2's slope is +l2 / rho here while its lab
     # phase, direction * l * phi, has -l2 / rho
-    grad[1] = _off_axis(beam.winding_l, rho, rho)
+    grad[1] = _off_axis(beam.winding_l, pt.rho, pt.rho)
     grad[2] = beam.direction * beam.wavenumber
     return grad
 

@@ -8,7 +8,7 @@ routine accepts scalars or broadcastable numpy arrays.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,24 +116,30 @@ class BeamSpec:
 
 @dataclass(frozen=True)
 class CylPoint:
-    """Cylindrical coordinates (rho, phi, z); fields may be numpy arrays."""
+    """Cylindrical coordinates (rho, phi, z), each stored once as a numpy
+    scalar or as an ndarray of ndim >= 1 (the caller's own, if it is one):
+    arithmetic on a 0-d array costs a full ufunc call, and single-point
+    callers build thousands of points.  ``shape`` is the broadcast shape,
+    () when no coordinate is an array."""
 
     rho: float
     phi: float
     z: float
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a float rho takes one comparison: single-point callers build
-        # thousands of points, and the array test costs a few microseconds
+        arrays = ()
+        for name in ("rho", "phi", "z"):
+            value = getattr(self, name)
+            if not isinstance(value, np.ndarray) or not value.ndim:
+                value = np.asarray(value)[()]
+                object.__setattr__(self, name, value)
+            if isinstance(value, np.ndarray):
+                arrays += (value,)
         rho = self.rho
-        negative = rho < 0.0 if isinstance(rho, float) else (np.asarray(rho) < 0.0).any()
-        if negative:
+        if (rho < 0.0).any() if isinstance(rho, np.ndarray) else rho < 0.0:
             raise ValueError("rho must be >= 0")
-
-    @functools.cached_property
-    def shape(self):
-        """Broadcast shape of rho, phi and z."""
-        return np.broadcast(self.rho, self.phi, self.z).shape
+        object.__setattr__(self, "shape", np.broadcast(*arrays).shape if arrays else ())
 
     @classmethod
     def from_cartesian(cls, x, y, z):
@@ -168,15 +174,14 @@ def laguerre_poly(p, alpha, x):
 
 def _local_z(beam, z):
     """Axial offset from the focal plane, measured along the propagation
-    direction (positive downstream); a scalar z is taken as a numpy scalar,
-    as ``_amplitude`` takes rho."""
-    return beam.direction * (np.asarray(z)[()] - beam.focal_z)
+    direction (positive downstream)."""
+    return beam.direction * (z - beam.focal_z)
 
 
 def _off_axis(num, den, rho):
     """num / den where rho > AXIS_RHO, else 0: the rho and phi entries of a
-    gradient, which are 0 on the axis.  Besides CylPoint's check, this is
-    the one place that tells a scalar rho from an array: a scalar takes one
+    gradient, which are 0 on the axis.  Besides CylPoint, this is the one
+    place that tells a scalar rho from an array: a scalar takes one
     comparison and at most one division, an array one masked np.divide into
     zeros of the broadcast shape of num, den and rho."""
     if not isinstance(rho, np.ndarray):
@@ -216,9 +221,7 @@ def _amplitude(beam, pt):
     u = zl / beam.rayleigh_range
     axial = 1.0 + u * u
     w2 = beam.waist_w0 * beam.waist_w0 * axial
-    # a scalar rho as a numpy scalar: arithmetic on a 0-d array costs a
-    # full ufunc call, and single-point callers make thousands of these
-    rho = np.asarray(pt.rho)[()]
+    rho = pt.rho
     # -rho^2 / w^2 first: numpy then adds the other terms into that
     # temporary, which has the broadcast shape of rho and z, in place
     log_env = rho * rho / -w2 + (beam.log_scale - 0.5 * (l + 1.0) * np.log(axial))
@@ -262,11 +265,10 @@ def _phase_parts(beam, zl, pt):
     axial offset zl."""
     k = beam.wavenumber
     zr = beam.rayleigh_range
-    rho = np.asarray(pt.rho)[()]
-    plane = beam.direction * k * (np.asarray(pt.z)[()] - beam.focal_z)
-    azimuthal = beam.direction * beam.winding_l * np.asarray(pt.phi)[()]
+    plane = k * zl
+    azimuthal = beam.direction * beam.winding_l * pt.phi
     gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * np.arctan(zl / zr)
-    curvature = k * rho * rho * zl / (2.0 * (zl * zl + zr * zr))
+    curvature = k * pt.rho * pt.rho * zl / (2.0 * (zl * zl + zr * zr))
     return plane, azimuthal, gouy, curvature
 
 

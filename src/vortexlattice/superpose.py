@@ -133,9 +133,8 @@ def gouy_difference_closed_form(pair, z):
 
 
 def _offset_phase(pair, pt, t, th2):
-    """Beam 2's static phase th2 plus its offsets delta_k * z + delta_omega * t;
-    a scalar z is taken as a numpy scalar, as in ``lg_mode``."""
-    return th2 + pair.delta_k * np.asarray(pt.z)[()] + pair.delta_omega * t
+    """Beam 2's static phase th2 plus its offsets delta_k * z + delta_omega * t."""
+    return th2 + pair.delta_k * pt.z + pair.delta_omega * t
 
 
 def _pair_terms(pair, pt, t):

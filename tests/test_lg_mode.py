@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ WAVELENGTH = 589.16e-9
 # throughout: w0 = 8 um and w0 = 6 lambda.
 ZR_8UM = 3.4126880615e-4
 ZR_6LAM = 6.66324262e-5
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vortexlattice"
 
 
 def laguerre_series(p, alpha, x):
@@ -175,8 +179,45 @@ def test_point_rejects_negative_rho(rho):
 @pytest.mark.parametrize("rho", [0.0, -0.0, math.nan, 0, np.float64(-0.0), np.float64(math.nan),
                                  np.array(-0.0), np.array([0.0, -0.0, math.nan, 1e-6])])
 def test_point_accepts_zero_signed_zero_and_nan(rho):
-    """-0.0 compares equal to 0, and NaN fails every comparison."""
-    assert CylPoint(rho=rho, phi=0.0, z=0.0).rho is rho
+    """-0.0 compares equal to 0, and NaN fails every comparison.  The point
+    keeps the value and its sign bit, a scalar or 0-d rho as a numpy scalar
+    and an array rho as an array of the same ndim."""
+    stored = CylPoint(rho=rho, phi=0.0, z=0.0).rho
+    np.testing.assert_array_equal(stored, rho)
+    np.testing.assert_array_equal(np.signbit(stored), np.signbit(rho))
+    if np.ndim(rho):
+        assert isinstance(stored, np.ndarray) and stored.ndim == np.ndim(rho)
+    else:
+        assert isinstance(stored, np.generic)
+
+
+def _is_scalar_conversion(node):
+    """True for np.asarray(...)[()]."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+            and not node.slice.elts and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", None) == "asarray")
+
+
+def test_only_the_point_turns_a_coordinate_into_a_numpy_scalar():
+    """Every np.asarray(...)[()] in the package sits in
+    CylPoint.__post_init__: the point stores each coordinate once, so no
+    evaluation routine converts one per call."""
+    stray, owned = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "CylPoint":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                        allowed.update(map(id, ast.walk(fn)))
+        for node in ast.walk(tree):
+            if _is_scalar_conversion(node):
+                if id(node) in allowed:
+                    owned += 1
+                else:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == [] and owned == 1, stray
 
 
 def test_spec_validation():

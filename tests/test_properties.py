@@ -108,6 +108,45 @@ def pairs_and_points(draw, symmetric=False):
     return pair, draw(points(rho_max, -z_hi, z_hi)), draw(st.floats(0.0, 1e-6))
 
 
+# ------------------------------------------------------------- the point
+
+@st.composite
+def coordinates(draw, lo, n, m):
+    """A coordinate in [lo, 10] as a Python float, an int, an np.float64, a
+    0-d array, or a 1-D (n,) or 2-D (m, n) or (m, 1) array."""
+    value = st.floats(lo, 10.0)
+    form = draw(st.sampled_from(["float", "int", "float64", "0-d", "1-D", "2-D", "column"]))
+    if form == "int":
+        return draw(st.integers(int(lo), 10))
+    if form in ("float", "float64", "0-d"):
+        return {"float": float, "float64": np.float64, "0-d": np.array}[form](draw(value))
+    shape = {"1-D": (n,), "2-D": (m, n), "column": (m, 1)}[form]
+    size = math.prod(shape)
+    return np.array(draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(2, 3))
+def test_point_stores_each_coordinate_once(data, n, m, k):
+    """Each coordinate is stored as a numpy scalar, or as the caller's own
+    ndarray when it has ndim >= 1, with its values kept; shape is their
+    broadcast shape, () for a point of scalars, and follows a replaced
+    coordinate."""
+    rho, phi, z = (data.draw(coordinates(lo, n, m)) for lo in (0.0, -10.0, -10.0))
+    pt = CylPoint(rho, phi, z)
+    assert pt.shape == np.broadcast(rho, phi, z).shape
+    if not any(np.ndim(c) for c in (rho, phi, z)):
+        assert pt.shape == ()
+    for given_value, stored in zip((rho, phi, z), (pt.rho, pt.phi, pt.z)):
+        if isinstance(given_value, np.ndarray) and given_value.ndim:
+            assert stored is given_value
+        else:
+            assert isinstance(stored, np.generic)
+        np.testing.assert_array_equal(stored, given_value)
+    new_z = np.zeros((k, 1, 1))
+    assert dataclasses.replace(pt, z=new_z).shape == np.broadcast(rho, phi, new_z).shape
+
+
 # ------------------------------------------------------------- one mode
 
 @SETTINGS
