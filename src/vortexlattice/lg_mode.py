@@ -260,16 +260,25 @@ def mode_amplitude(beam, pt):
     return _amplitude(beam, pt)[0]
 
 
-def _phase_parts(beam, zl, pt):
-    """Plane-wave, azimuthal, Gouy and curvature terms of the phase at local
-    axial offset zl."""
+def _row_phase(beam, zl, phi):
+    """Everything of the phase at local axial offset zl and angle phi but
+    rho: the plane-wave, azimuthal and Gouy terms and the curvature
+    kappa = k zl / (2 (zl^2 + z_R^2)), which times rho^2 is the
+    wavefront-curvature term.  On a separable block each is per row."""
     k = beam.wavenumber
     zr = beam.rayleigh_range
     plane = k * zl
-    azimuthal = beam.direction * beam.winding_l * pt.phi
+    azimuthal = beam.direction * beam.winding_l * phi
     gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * np.arctan(zl / zr)
-    curvature = k * pt.rho * pt.rho * zl / (2.0 * (zl * zl + zr * zr))
-    return plane, azimuthal, gouy, curvature
+    kappa = k * zl / (2.0 * (zl * zl + zr * zr))
+    return plane, azimuthal, gouy, kappa
+
+
+def _phase_parts(beam, zl, pt):
+    """Plane-wave, azimuthal, Gouy and curvature terms of the phase at local
+    axial offset zl; the curvature term is rho * rho * kappa."""
+    plane, azimuthal, gouy, kappa = _row_phase(beam, zl, pt.phi)
+    return plane, azimuthal, gouy, pt.rho * pt.rho * kappa
 
 
 def _phase(beam, zl, pt):

@@ -16,7 +16,7 @@ from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
 from .lg_mode import CylPoint
 # intensity_map is not called here; it stays a module attribute because
 # perfbench/spans.py traces calls by rebinding this name
-from .superpose import amplitude_map, intensity_map, total_amplitude
+from .superpose import _pair_intensity_map, intensity_map, total_amplitude
 
 __all__ = [
     "RadialSplit",
@@ -141,11 +141,15 @@ def find_rings(pair, region, n_threads=1):
 
     ``region`` must be a "rho_z" GridSpec covering |z| <= d/2 with axial
     spacing <= lambda/20 and radial spacing <= w0/100, otherwise a
-    ResolutionError is raised.  Along each z row the radial maximum is
-    refined by a parabolic fit; local maxima of that ridge along z give the
-    rings, again refined parabolically.  The fringe spacing is the median
-    gap between adjacent rings near the midplane (|z| <= d/4), or between
-    all rings when no two adjacent ones lie there (always at d = 0).
+    ResolutionError is raised.  The intensity is mapped without the phase
+    or the amplitude: one kernel writes each row block of the one map-sized
+    array in place as (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2), with Delta a
+    per-row term plus rho^2 times a per-row curvature difference.  Along
+    each z row the radial maximum is refined by a parabolic fit; local
+    maxima of that ridge along z give the rings, again refined
+    parabolically.  The fringe spacing is the median gap between adjacent
+    rings near the midplane (|z| <= d/4), or between all rings when no two
+    adjacent ones lie there (always at d = 0).
     The ring nearest z = 0 is classified "central" when it sits within half
     a fringe of the midplane; every other ring belongs to a double-ring pair
     and its radial splitting is recorded where a second radial maximum is
@@ -168,9 +172,7 @@ def find_rings(pair, region, n_threads=1):
     if region.axis2[0] > -half_d + dz or region.axis2[-1] < half_d - dz:
         raise ResolutionError("region must cover |z| <= d/2 between the foci")
 
-    # no phase map; squared in place, so only one map-sized array is alive
-    intensity = amplitude_map(pair, region, n_threads=n_threads)
-    np.square(intensity, out=intensity)
+    intensity = _pair_intensity_map(pair, region, n_threads=n_threads)
     ridge_idx = np.argmax(intensity, axis=1)
     rows = np.arange(intensity.shape[0])
     ridge_val = intensity[rows, ridge_idx]

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError
-from .lg_mode import BeamSpec, CylPoint, _local_z, _phase_parts, mode_amplitude, mode_phase
+from .lg_mode import (BeamSpec, CylPoint, _local_z, _phase_parts, _row_phase, mode_amplitude,
+                      mode_phase)
 
 __all__ = [
     "BLOCK_POINTS",
@@ -175,6 +176,38 @@ def _amplitude_of(u1, u2, th1, th2):
     np.maximum(amplitude, np.abs(np.subtract(a1, a2, out=work), out=work), out=amplitude)
     np.minimum(amplitude, np.add(a1, a2, out=work), out=amplitude)
     return amplitude[()]
+
+
+def _pair_intensity(pair, pt, t, out=None):
+    """|E|^2 = (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2) at the points, into
+    ``out`` (of shape pt.shape) if given; no phase and no square root.
+
+    Delta, the phase difference with beam 2's offsets, is built as
+    r + rho^2 (kappa1 - kappa2): r holds the plane, azimuthal and Gouy
+    differences and delta_k z + delta_omega t, and kappa is each beam's
+    curvature from ``_row_phase``.  On a separable rho_z block r and kappa
+    are per row, so Delta / 2 costs two full-block passes (halving is
+    exact).  The form is non-negative up to rounding.  Delta is rounded
+    apart from the Theta1 - Theta2 that total_amplitude and the maps keep,
+    so the two intensities differ by up to a few eps max|Theta| times
+    2 |U1 U2|, plus a few eps (|U1| + |U2|)^2."""
+    b1, b2 = pair.beam1, pair.beam2
+    u1 = mode_amplitude(b1, pt)
+    u2 = mode_amplitude(b2, pt)
+    plane1, azimuthal1, gouy1, kappa1 = _row_phase(b1, _local_z(b1, pt.z), pt.phi)
+    plane2, azimuthal2, gouy2, kappa2 = _row_phase(b2, _local_z(b2, pt.z), pt.phi)
+    row = (plane1 + azimuthal1 + gouy1) - _offset_phase(pair, pt, t, plane2 + azimuthal2 + gouy2)
+    cross = np.multiply(pt.rho * pt.rho, 0.5 * (kappa1 - kappa2), out=np.empty(pt.shape))
+    cross += 0.5 * row
+    np.cos(cross, out=cross)
+    cross *= cross
+    cross *= u1
+    cross *= u2
+    cross *= 4.0
+    out = np.subtract(u1, u2, out=np.empty(pt.shape) if out is None else out)
+    out *= out
+    out += cross
+    return out[()]
 
 
 def _complex_of(u1, u2, th1, th2):
@@ -362,13 +395,13 @@ def _fill_blocks(grid, n_threads, fill):
         list(pool.map(lambda rows: ctx.copy().run(fill, rows), blocks))
 
 
-def _require_finite(pair, grid, amplitude):
-    """Raise DegenerateGeometryError unless every amplitude of a map block is
-    finite.  The mode amplitude is built in log space and is finite for
-    |l| <= 1000 and every p a BeamSpec accepts (p <= 40) out to 1e4 w0;
-    farther out the Laguerre factor L_p^|l|(x) overflows (from about
-    2e4 w0 at p = 40)."""
-    if np.isfinite(amplitude).all():
+def _require_finite(pair, grid, values):
+    """Raise DegenerateGeometryError unless every value (an amplitude or an
+    intensity) of a map block is finite.  The mode amplitude is built in log
+    space and is finite for |l| <= 1000 and every p a BeamSpec accepts
+    (p <= 40) out to 1e4 w0; farther out the Laguerre factor L_p^|l|(x)
+    overflows (from about 2e4 w0 at p = 40)."""
+    if np.isfinite(values).all():
         return
     if grid.kind == "rho_z":
         rho_max = grid.axis1[-1]
@@ -395,6 +428,22 @@ def amplitude_map(pair, grid, n_threads=1):
 
     _fill_blocks(grid, n_threads, fill)
     return amplitude
+
+
+def _pair_intensity_map(pair, grid, n_threads=1):
+    """|E|^2 over a grid, indexed [axis2, axis1], for the ring finder:
+    ``_pair_intensity`` writes each row block in place into the one
+    map-sized array, and neither the amplitude nor the phase is mapped.
+    Output is independent of n_threads.  Raises DegenerateGeometryError
+    where the intensity is not finite."""
+    intensity = np.empty((grid.axis2.size, grid.axis1.size))
+
+    def fill(rows):
+        _pair_intensity(pair, _block_points(grid, rows), grid.time, out=intensity[rows])
+        _require_finite(pair, grid, intensity[rows])
+
+    _fill_blocks(grid, n_threads, fill)
+    return intensity
 
 
 def intensity_map(pair, grid, n_threads=1):

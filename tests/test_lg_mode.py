@@ -170,8 +170,10 @@ def test_from_cartesian_round_trip():
                                  np.array([1e-6, -1e-9, 0.0])],
                          ids=["float", "-inf", "int", "float64", "0-d", "array"])
 def test_point_rejects_negative_rho(rho):
-    """A float rho takes one comparison and anything else the array test;
-    both refuse a negative value, and an array with one negative entry."""
+    """Every scalar rho (a float, an int, a numpy scalar or a 0-d array)
+    takes the one comparison, and only an ndarray with ndim >= 1 the array
+    test; both refuse a negative value, and an array with one negative
+    entry."""
     with pytest.raises(ValueError, match="rho must be >= 0"):
         CylPoint(rho=rho, phi=0.0, z=0.0)
 

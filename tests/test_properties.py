@@ -10,6 +10,7 @@ evaluated by mpmath at 50 digits, for |l| up to 1000 and p up to 10.
 
 import dataclasses
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -19,8 +20,10 @@ from hypothesis import given, settings, strategies as st
 from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces, _reduced_gradient,
                                        dipole_force, dipole_potential, scattering_force,
                                        spring_constant_k0)
+from test_superpose import full_grid_points
+from vortexlattice import superpose
 from vortexlattice.constants import HBAR
-from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint,
+from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, _local_z, _phase_parts,
                                    mode_amplitude, mode_jet, mode_phase, waist_at)
 from vortexlattice.errors import DarkPointError, DegenerateGeometryError, VortexLatticeError
 from vortexlattice.ring_analysis import find_rings
@@ -86,9 +89,10 @@ def beams_and_points(draw):
 
 
 @st.composite
-def pairs_and_points(draw, symmetric=False):
-    """A counter-propagating pair and points spanning its ring stack; a
-    symmetric pair has l2 = l1, equal amplitudes and no offsets."""
+def pairs(draw, symmetric=False):
+    """(pair, rho_max, z_hi): a counter-propagating pair and the extent of
+    its ring stack, rho <= rho_max and |z| <= z_hi; a symmetric pair has
+    l2 = l1, equal amplitudes and no offsets."""
     w0 = draw(st.floats(2.0, 12.0)) * WAVELENGTH
     zr = math.pi * w0 ** 2 / WAVELENGTH
     l1 = draw(st.integers(-80, 80))
@@ -105,6 +109,13 @@ def pairs_and_points(draw, symmetric=False):
     z_hi = 0.5 * d + 2.0 * zr
     w_far = w0 * math.sqrt(1.0 + (z_hi / zr) ** 2)
     rho_max = (math.sqrt(0.5 * max(abs(l1), abs(l2)) + pair.beam1.radial_p) + 3.0) * w_far
+    return pair, rho_max, z_hi
+
+
+@st.composite
+def pairs_and_points(draw, symmetric=False):
+    """A pair from ``pairs``, points spanning its ring stack and a time."""
+    pair, rho_max, z_hi = draw(pairs(symmetric))
     return pair, draw(points(rho_max, -z_hi, z_hi)), draw(st.floats(0.0, 1e-6))
 
 
@@ -386,6 +397,46 @@ def test_total_amplitude_within_envelope(case):
     assert np.all(amp >= np.abs(u1 - u2))
 
 
+def intensity_bound(pair, pt, t):
+    """(bound, resolved): how far two roundings of the pair intensity
+    I = U1^2 + U2^2 + 2 U1 U2 cos(Delta) from the same U1 and U2 may differ,
+    and the points where that bound holds.
+
+    Phase: A is the sum of |part| over the plane, azimuthal, Gouy and
+    curvature parts of both beams and beam 2's offsets delta_k z and
+    delta_omega t, so every intermediate of Delta (or of Theta1 and Theta2)
+    is at most A.  Each side forms its phase in at most eight roundings of
+    at most eps/2 * A, so the two phase differences part by at most 8 eps A,
+    and |dI/dDelta| = 2 |U1 U2 sin Delta| <= 2 |U1 U2| makes that
+    16 eps |U1 U2| A.  Magnitude: each side rounds its products, squares and
+    sums at most eight times, by at most eps/2 * S, S = (|U1| + |U2|)^2,
+    which is 8 eps S for both.  Where S <= 1e-250 the squares leave the
+    normal range, and a bound relative to S does not hold."""
+    eps = np.finfo(float).eps
+    u1 = mode_amplitude(pair.beam1, pt)
+    u2 = mode_amplitude(pair.beam2, pt)
+    phase_scale = np.abs(pair.delta_k * pt.z) + abs(pair.delta_omega * t)
+    for beam in (pair.beam1, pair.beam2):
+        for part in _phase_parts(beam, _local_z(beam, pt.z), pt):
+            phase_scale = phase_scale + np.abs(part)
+    s = (np.abs(u1) + np.abs(u2)) ** 2
+    return 16.0 * eps * np.abs(u1 * u2) * phase_scale + 8.0 * eps * s, s > 1e-250
+
+
+@SETTINGS
+@given(case=pairs_and_points())
+def test_pair_intensity_is_the_square_of_pair_complex(case):
+    """The ring finder's kernel, (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2) with
+    Delta built apart from Theta1 - Theta2, is |pair_complex|^2 within
+    intensity_bound at points of every shape, the scalar point included."""
+    pair, pt, t = case
+    got = superpose._pair_intensity(pair, pt, t)
+    bound, resolved = intensity_bound(pair, pt, t)
+    err = np.abs(got - np.abs(pair_complex(pair, pt, t=t)) ** 2)
+    assert np.shape(got) == pt.shape
+    assert np.all(err[resolved] <= bound[resolved])
+
+
 @SETTINGS
 @given(case=pairs_and_points(symmetric=True))
 def test_axial_force_odd_in_z_for_symmetric_pairs(case):
@@ -620,6 +671,38 @@ def lattices(draw):
         grid = GridSpec.xy(half_width=rho_max, n=math.ceil(math.sqrt(3 * BLOCK_POINTS)) + 1,
                            z=draw(st.floats(-1.0, 1.0)) * z_half, time=time)
     return pair, region, grid
+
+
+@st.composite
+def intensity_grids(draw):
+    """A pair from ``pairs`` and a small rho_z or xy grid over its ring
+    stack at a non-zero time."""
+    pair, rho_max, z_hi = draw(pairs())
+    n1, time = draw(st.integers(2, 12)), draw(st.floats(1e-9, 1e-6))
+    if draw(st.booleans()):
+        return pair, GridSpec.rho_z(rho_max=rho_max, n_rho=n1, z_min=-z_hi, z_max=z_hi,
+                                    n_z=draw(st.integers(2, 9)),
+                                    phi=draw(st.floats(-math.pi, math.pi)), time=time)
+    return pair, GridSpec.xy(half_width=rho_max, n=n1, z=draw(unit) * z_hi, time=time)
+
+
+@SETTINGS
+@given(case=intensity_grids())
+def test_intensity_kernel_blocks_threads_and_complex_field(case):
+    """The ring finder's map, run in row blocks of two rows: the separable
+    blocks give exactly the kernel's values on the same points as full-size
+    arrays, 1 and 2 threads give the same bytes, and the intensity is
+    |pair_complex|^2 within intensity_bound."""
+    pair, grid = case
+    full = full_grid_points(grid)
+    with mock.patch.object(superpose, "BLOCK_POINTS", 2 * grid.axis1.size):
+        one = superpose._pair_intensity_map(pair, grid, n_threads=1)
+        two = superpose._pair_intensity_map(pair, grid, n_threads=2)
+    assert one.tobytes() == two.tobytes()
+    assert np.array_equal(one, superpose._pair_intensity(pair, full, grid.time))
+    bound, resolved = intensity_bound(pair, full, grid.time)
+    err = np.abs(one - np.abs(pair_complex(pair, full, t=grid.time)) ** 2)
+    assert np.all(err[resolved] <= bound[resolved])
 
 
 def _rings_outcome(pair, region, n_threads):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
+from test_properties import intensity_bound
+from test_superpose import full_grid_points
 from vortexlattice import ring_analysis, superpose
 from vortexlattice.atom_forces import lift_speed
 from vortexlattice.cli import _write_json
@@ -253,9 +255,13 @@ def test_measure_axial_drift_follows_the_phase_slope(l1):
 
 
 def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
-    """find_rings never maps the phase: it takes one amplitude_map, the
-    amplitude intensity_map gives, and squares that array in place into the
-    intensity intensity_map gives."""
+    """find_rings never maps the phase: it takes one _pair_intensity_map,
+    whose intensity is intensity_map's within intensity_bound.  Both are
+    U1^2 + U2^2 + 2 U1 U2 cos(Delta) from the same U1 and U2: the kernel
+    rounds Delta as a row term plus rho^2 (kappa1 - kappa2), the map as
+    Theta1 - Theta2, each off by at most 4 eps A for the phase scale A, and
+    the sum, square root and square of the map round by eps-sized parts of
+    (|U1| + |U2|)^2."""
     p = pair()
     region = lattice_region(p)
     assert region.axis1.size * region.axis2.size > BLOCK_POINTS
@@ -263,19 +269,20 @@ def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
     maps = []
 
     def recorded(*args, **kwargs):
-        amplitude = amplitude_map(*args, **kwargs)
-        maps.append((amplitude, amplitude.copy()))
-        return amplitude
+        intensity = superpose._pair_intensity_map(*args, **kwargs)
+        maps.append(intensity.copy())
+        return intensity
 
     def no_phase(*args):
         raise AssertionError("find_rings mapped the phase")
 
-    monkeypatch.setattr(ring_analysis, "amplitude_map", recorded)
+    monkeypatch.setattr(ring_analysis, "_pair_intensity_map", recorded)
     monkeypatch.setattr(superpose, "_phase_of", no_phase)
     find_rings(p, region, n_threads=2)
-    [(squared, amplitude)] = maps
-    assert np.array_equal(amplitude, want.amplitude)
-    assert np.array_equal(squared, want.intensity)
+    [intensity] = maps
+    bound, resolved = intensity_bound(p, full_grid_points(region), region.time)
+    assert resolved.all()
+    assert np.all(np.abs(intensity - want.intensity) <= bound)
 
 
 def test_find_rings_thread_count_invariant():
@@ -285,6 +292,74 @@ def test_find_rings_thread_count_invariant():
     two = find_rings(p, region, n_threads=2)
     assert one == two
     assert len(one.rings) >= 10
+
+
+# ------------------------------------ the finder on the amplitude map squared
+
+def amplitude_squared(pair, region, n_threads=1):
+    """The finder's map before the intensity kernel: amplitude_map squared
+    in place."""
+    intensity = amplitude_map(pair, region, n_threads=n_threads)
+    return np.square(intensity, out=intensity)
+
+
+def rings_and_rows(p, region, intensity_map_fn):
+    """find_rings with its map made by intensity_map_fn, that map's ridge,
+    the rows of the ridge peaks, found as find_rings finds them, and the
+    indices of the rings with a splitting."""
+    maps = []
+
+    def recorded(*args, **kwargs):
+        maps.append(intensity_map_fn(*args, **kwargs))
+        return maps[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring_analysis, "_pair_intensity_map", recorded)
+        rings = find_rings(p, region)
+    [intensity] = maps
+    ridge = intensity.max(axis=1)
+    rows = ring_analysis._find_peaks(ridge, prominence=ring_analysis.RIDGE_PROMINENCE * ridge.max())
+    assert rows.size == len(rings.rings)
+    split_z = {s.z_pos for s in rings.splittings}
+    return rings, ridge, rows, [n for n, r in enumerate(rings.rings) if r.z_pos in split_z]
+
+
+def close(a, b):
+    """a equals b within 1e-12 of b's largest |value|."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    return a.shape == b.shape and np.all(np.abs(a - b) <= 1e-12 * np.max(np.abs(b), initial=0.0))
+
+
+def assert_same_rings(p, region):
+    """find_rings and the same finder on the amplitude map squared give the
+    same peak rows, ring classes and splitting rows, and every value within
+    1e-12 of its column's largest |value|.  A peak between two ridge rows
+    that tie to rounding, as the central ring of a grid symmetric about
+    z = 0 with an even row count, may sit on either row."""
+    got, _, got_rows, got_split = rings_and_rows(p, region, superpose._pair_intensity_map)
+    want, ridge, want_rows, want_split = rings_and_rows(p, region, amplitude_squared)
+    assert want.rings
+    assert got_rows.size == want_rows.size
+    moved = got_rows != want_rows
+    assert np.all(np.abs(got_rows - want_rows)[moved] == 1)
+    assert close(ridge[got_rows[moved]], ridge[want_rows[moved]])
+    assert [r.classification for r in got.rings] == [r.classification for r in want.rings]
+    assert got_split == want_split
+    for name in ("z_pos", "radius", "peak_intensity"):
+        assert close([getattr(r, name) for r in got.rings], [getattr(r, name) for r in want.rings])
+    for name in ("z_pos", "delta_rho", "r_inner", "r_outer"):
+        assert close([getattr(s, name) for s in got.splittings],
+                     [getattr(s, name) for s in want.splittings])
+    assert close([got.fringe_delta], [want.fringe_delta])
+
+
+@pytest.mark.parametrize("case", ["lattice", "split"])
+def test_find_rings_matches_the_amplitude_map_squared(case):
+    """Multi-block lattices, one without and one with resolved splittings."""
+    p = pair() if case == "lattice" else split_pair()
+    region = lattice_region(p) if case == "lattice" else split_region()
+    assert region.axis1.size * region.axis2.size > BLOCK_POINTS
+    assert_same_rings(p, region)
 
 
 # ------------------------------------------- the peak finder against scipy
@@ -353,6 +428,12 @@ def test_find_rings_same_with_scipy_peaks(case):
     ours = _outcome(lambda: find_rings(p, region).to_json_dict())
     assert ours["rings"]
     assert ours == _with_scipy_peaks(lambda: find_rings(p, region).to_json_dict())
+
+
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(case=paper_lattices())
+def test_find_rings_matches_the_amplitude_map_squared_on_paper_lattices(case):
+    assert_same_rings(*case)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
