@@ -20,8 +20,7 @@ from .ring_analysis import (RadialSplit, Ring, RingSet, RingSplit,
                             measure_rotation_rate, radial_separation,
                             suggested_sample_dt)
 from .superpose import (FieldMap, GridSpec, PairSpec, PhaseDifference,
-                        amplitude_map, gouy_difference_closed_form, intensity_map,
-                        pair_complex, phase_difference, total_amplitude,
-                        total_phase)
+                        gouy_difference_closed_form, intensity_map, pair_complex,
+                        phase_difference, total_amplitude, total_phase)
 
 __version__ = "0.1.0"

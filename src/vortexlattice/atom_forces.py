@@ -146,9 +146,9 @@ def _pair_gradient(pair, pt, t):
 
 
 def _phase_slope(e, grad_e, u_max, strict=False):
-    """grad(arg E) = Im(grad E / E), set to 0 at dark points, and the dark
-    mask |E| <= DARK_FRACTION * max(|U1|, |U2|); ``strict`` raises
-    DarkPointError instead if any point is dark.
+    """grad(arg E) = Im(grad E / E), set to 0 at dark points, where
+    |E| <= DARK_FRACTION * max(|U1|, |U2|); ``strict`` raises DarkPointError
+    instead if any point is dark.
 
     Magnitudes set the threshold: the signed amplitudes are negative where
     the radial polynomial is (radial_p > 0).  Dividing E and grad E by
@@ -161,7 +161,7 @@ def _phase_slope(e, grad_e, u_max, strict=False):
         raise DarkPointError("total phase undefined at a dark point")
     scale = np.where(dark, 1.0, np.maximum(u_max, _TINY))
     e_scaled = np.where(dark, 1.0, e / scale)
-    return np.where(dark, 0.0, (grad_e / scale / e_scaled).imag), dark
+    return np.where(dark, 0.0, (grad_e / scale / e_scaled).imag)
 
 
 def _checked(pair, mode=_REDUCED):
@@ -181,7 +181,7 @@ def phase_gradient(pair, pt, t=0.0):
     gradients; a DarkPointError is raised if any evaluation point is dark.
     """
     _checked(pair)
-    return _phase_slope(*_pair_gradient(pair, pt, t), strict=True)[0]
+    return _phase_slope(*_pair_gradient(pair, pt, t), strict=True)
 
 
 def detuning_eff(atom, vel, grad):
@@ -198,7 +198,7 @@ def _field_terms(pair, pt, vel, t, scattering, dipole):
     e, grad_e, u_max = _pair_gradient(pair, pt, t)
     grad = None
     if scattering or vel is not None:
-        grad = _phase_slope(e, grad_e, u_max, strict=dipole and vel is not None)[0]
+        grad = _phase_slope(e, grad_e, u_max, strict=dipole and vel is not None)
     return np.abs(e), grad, (np.conj(e) * grad_e).real if dipole else None
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "GridSpec",
     "PairSpec",
     "PhaseDifference",
-    "amplitude_map",
     "gouy_difference_closed_form",
     "intensity_map",
     "pair_complex",
@@ -152,30 +151,13 @@ def _pair_terms(pair, pt, t):
 
 def _amplitude_of(u1, u2, th1, th2):
     """sqrt(U1^2 + U2^2 + 2 U1 U2 cos(Theta1 - Theta2)) clamped into
-    [||U1| - |U2||, |U1| + |U2|].
-
-    Worked in place in two buffers of the broadcast shape of all four
-    operands (U and Theta may differ in shape, as for scalar rho and z with
-    an array of phi): on a map block each fresh block-sized temporary costs
-    more than the arithmetic done in it.  The sum is formed in the order
-    (U1^2 + U2^2) + 2 U1 U2 cos(...), and np.clip(x, lo, hi) is
-    minimum(maximum(x, lo), hi) for lo <= hi."""
-    shape = np.broadcast(u1, u2, th1, th2).shape
-    amplitude = np.subtract(th1, th2, out=np.empty(shape))
-    np.cos(amplitude, out=amplitude)
-    work = np.multiply(2.0, u1, out=np.empty(shape))
-    work *= u2
-    amplitude *= work
-    np.multiply(u1, u1, out=work)
-    work += u2 * u2
-    amplitude += work
-    np.maximum(amplitude, 0.0, out=amplitude)
-    np.sqrt(amplitude, out=amplitude)
+    [||U1| - |U2||, |U1| + |U2|]; U and Theta may differ in shape, as for
+    scalar rho and z with an array of phi."""
+    radicand = (u1 * u1 + u2 * u2) + 2.0 * u1 * u2 * np.cos(th1 - th2)
+    amplitude = np.sqrt(np.maximum(radicand, 0.0))
     a1 = np.abs(u1)
     a2 = np.abs(u2)
-    np.maximum(amplitude, np.abs(np.subtract(a1, a2, out=work), out=work), out=amplitude)
-    np.minimum(amplitude, np.add(a1, a2, out=work), out=amplitude)
-    return amplitude[()]
+    return np.minimum(np.maximum(amplitude, np.abs(a1 - a2)), a1 + a2)[()]
 
 
 def _pair_intensity(pair, pt, t, out=None):
@@ -188,7 +170,7 @@ def _pair_intensity(pair, pt, t, out=None):
     curvature from ``_row_phase``.  On a separable rho_z block r and kappa
     are per row, so Delta / 2 costs two full-block passes (halving is
     exact).  The form is non-negative up to rounding.  Delta is rounded
-    apart from the Theta1 - Theta2 that total_amplitude and the maps keep,
+    apart from the Theta1 - Theta2 that total_amplitude and intensity_map keep,
     so the two intensities differ by up to a few eps max|Theta| times
     2 |U1 U2|, plus a few eps (|U1| + |U2|)^2."""
     b1, b2 = pair.beam1, pair.beam2
@@ -413,21 +395,6 @@ def _require_finite(pair, grid, values):
         f"{grid.kind} grid, reaching rho = {rho_max:.6g} m "
         f"({rho_max / pair.beam1.waist_w0:.4g} w0): the mode amplitude overflows "
         f"at this l, p and extent")
-
-
-def amplitude_map(pair, grid, n_threads=1):
-    """Total amplitude over a grid, indexed [axis2, axis1], without the
-    phase a FieldMap also carries.  Equal to ``intensity_map(...).amplitude``
-    at less than half the cost.  Raises DegenerateGeometryError where the
-    amplitude is not finite."""
-    amplitude = np.empty((grid.axis2.size, grid.axis1.size))
-
-    def fill(rows):
-        amplitude[rows] = total_amplitude(pair, _block_points(grid, rows), t=grid.time)
-        _require_finite(pair, grid, amplitude[rows])
-
-    _fill_blocks(grid, n_threads, fill)
-    return amplitude
 
 
 def _pair_intensity_map(pair, grid, n_threads=1):

@@ -1,8 +1,12 @@
+import ast
 import dataclasses
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vortexlattice
 from vortexlattice import cli
 from vortexlattice.atom_forces import lift_speed
 from vortexlattice.cli import main
@@ -279,6 +284,30 @@ def test_readme_schema_table_matches_accepted_keys():
             for section in re.findall(r"`([^`]+)`", cells[1]):
                 documented[section] = set(re.findall(r"`([^`]+)`", cells[2]))
     assert documented == {s: set(keys) for s, keys in SECTION_KEYS.items()}
+
+
+def test_public_names_are_exported():
+    """Every name in a module's __all__ exists; every class or function in
+    one is importable from vortexlattice; and every name the package's
+    __init__ imports from a module with an __all__ is in it (upper-case
+    constants exempt)."""
+    for info in pkgutil.iter_modules(vortexlattice.__path__):
+        module = importlib.import_module(f"vortexlattice.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.__all__ names a missing {name}"
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert getattr(vortexlattice, name, None) is obj, \
+                    f"{info.name}.{name} is not importable from vortexlattice"
+    init = Path(vortexlattice.__file__).read_text()
+    for node in ast.parse(init).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            public = getattr(importlib.import_module(f"vortexlattice.{node.module}"),
+                             "__all__", None)
+            if public is not None:
+                names = [alias.name for alias in node.names]
+                assert [n for n in names if not n.isupper() and n not in public] == [], \
+                    f"vortexlattice imports names missing from {node.module}.__all__"
 
 
 def test_xy_grids_fixture():

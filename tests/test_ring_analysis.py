@@ -18,8 +18,7 @@ from vortexlattice.ring_analysis import (double_ring_radii, find_rings,
                                          measure_axial_drift,
                                          measure_rotation_rate,
                                          radial_separation, suggested_sample_dt)
-from vortexlattice.superpose import (BLOCK_POINTS, GridSpec, PairSpec, amplitude_map,
-                                     intensity_map)
+from vortexlattice.superpose import BLOCK_POINTS, GridSpec, PairSpec, intensity_map
 
 signs = st.sampled_from([1, -1])
 
@@ -297,10 +296,9 @@ def test_find_rings_thread_count_invariant():
 # ------------------------------------ the finder on the amplitude map squared
 
 def amplitude_squared(pair, region, n_threads=1):
-    """The finder's map before the intensity kernel: amplitude_map squared
-    in place."""
-    intensity = amplitude_map(pair, region, n_threads=n_threads)
-    return np.square(intensity, out=intensity)
+    """The finder's map before the intensity kernel: the total amplitude
+    squared."""
+    return intensity_map(pair, region, n_threads=n_threads).intensity
 
 
 def rings_and_rows(p, region, intensity_map_fn):

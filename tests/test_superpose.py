@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from vortexlattice import superpose
 from vortexlattice.lg_mode import CylPoint, mode_amplitude, mode_jet, mode_phase
 from vortexlattice.superpose import (BLOCK_POINTS, FieldMap, GridSpec, PairSpec,
-                                     amplitude_map, gouy_difference_closed_form,
-                                     intensity_map,
+                                     gouy_difference_closed_form, intensity_map,
                                      pair_complex, phase_difference,
                                      total_amplitude, total_phase, write_csv)
 
@@ -330,13 +329,10 @@ def test_blocked_maps_do_not_depend_on_thread_count(kind):
     g = GridSpec(kind=g.kind, axis1=g.axis1, axis2=g.axis2, phi=0.3,
                  z_slice=g.z_slice, time=1e-4)
     maps = {n: intensity_map(pr, g, n_threads=n) for n in (1, 2, 3)}
-    amps = {n: amplitude_map(pr, g, n_threads=n) for n in (1, 2, 3)}
     for n in (2, 3):
         assert np.array_equal(maps[n].amplitude, maps[1].amplitude)
         assert np.array_equal(maps[n].phase, maps[1].phase, equal_nan=True)
         assert np.array_equal(maps[n].intensity, maps[1].intensity)
-        assert np.array_equal(amps[n], amps[1])
-    assert np.array_equal(amps[1], maps[1].amplitude)
 
 
 def full_grid_points(grid):
@@ -360,8 +356,6 @@ def test_separable_blocks_equal_full_grid_points(kind):
                  z_slice=g.z_slice, time=3e-4)
     block = full_grid_points(g)
     fm = intensity_map(pr, g, n_threads=2)
-    assert np.array_equal(amplitude_map(pr, g),
-                          total_amplitude(pr, block, t=g.time))
     assert np.array_equal(fm.amplitude, total_amplitude(pr, block, t=g.time))
     assert np.array_equal(fm.phase, total_phase(pr, block, t=g.time), equal_nan=True)
 
@@ -477,11 +471,9 @@ def test_maps_are_finite_at_large_l(kind):
         g = GridSpec.rho_z(rho_max=reach, n_rho=41, z_min=-4e-6, z_max=4e-6, n_z=5)
     else:
         g = GridSpec.xy(half_width=reach / math.sqrt(2.0), n=41)
-    amp = amplitude_map(pr, g)
+    amp = total_amplitude(pr, full_grid_points(g))
     assert np.isfinite(amp).all() and amp.max() > 0.0
-    np.testing.assert_array_equal(amp, total_amplitude(pr, full_grid_points(g)))
     for n_threads in (1, 2):
-        np.testing.assert_array_equal(amplitude_map(pr, g, n_threads=n_threads), amp)
         np.testing.assert_array_equal(intensity_map(pr, g, n_threads=n_threads).amplitude, amp)
 
 
@@ -498,9 +490,9 @@ def test_map_workers_keep_the_callers_errstate(n_threads):
     g = GridSpec.xy(half_width=4.0 * w0 * math.sqrt(50.0), n=41)
     with mock.patch.object(superpose, "BLOCK_POINTS", 41 * 6), warnings.catch_warnings():
         warnings.simplefilter("error")
-        for make_map in (amplitude_map, intensity_map):
+        for make_map in (superpose._pair_intensity_map, intensity_map):
             with np.errstate(under="raise"):
                 with pytest.raises(FloatingPointError):
                     make_map(pr, g, n_threads=n_threads)
-        assert np.isfinite(amplitude_map(pr, g, n_threads=n_threads)).all()
+        assert np.isfinite(superpose._pair_intensity_map(pr, g, n_threads=n_threads)).all()
         assert np.isfinite(intensity_map(pr, g, n_threads=n_threads).amplitude).all()
