@@ -26,13 +26,14 @@ Only ``axial_force_slope`` differentiates numerically: it is the numeric leg
 of the spring-constant check.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR
 from .errors import DarkPointError, DegenerateGeometryError
-from .lg_mode import CylPoint, _off_axis, mode_amplitude, mode_jet, mode_phase
+from .lg_mode import CylPoint, _off_axis, _stacked, mode_amplitude, mode_jet, mode_phase
 # mode_phase and pair_complex are not called here; they stay module attributes
 # because perfbench/spans.py traces calls by rebinding these names
 from .superpose import DARK_FRACTION, PairSpec, _offset_phase, pair_complex, total_amplitude
@@ -77,6 +78,12 @@ class AtomSpec:
     detuning0: float
     rabi_omega0: float
 
+    @functools.cached_property
+    def _force_constants(self):
+        """(Gamma^2 / 4, hbar Gamma / 4), the atom's factors of
+        ``_coefficients``."""
+        return 0.25 * self.gamma ** 2, 0.25 * HBAR * self.gamma
+
     def __post_init__(self):
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
@@ -116,15 +123,14 @@ def _pair_amp_ref(pair):
 
 
 def _reduced_gradient(beam, pt):
-    """Reduced phase gradient (0, l / rho, direction * k) of one beam,
-    shaped (3,) + pt.shape, with the azimuthal entry 0 for rho <= AXIS_RHO."""
-    grad = np.zeros((3,) + pt.shape)
+    """Reduced phase gradient of one beam as the triple
+    (0.0, l / rho, direction * k), with the azimuthal entry 0 for
+    rho <= AXIS_RHO and an array of rho's shape for an array rho; the
+    entries broadcast against pt.shape."""
     # own-frame azimuthal slope l / rho: every beam advances its phase in
     # its own handedness, so beam 2's slope is +l2 / rho here while its lab
     # phase, direction * l * phi, has -l2 / rho
-    grad[1] = _off_axis(beam.winding_l, pt.rho, pt.rho)
-    grad[2] = beam.direction * beam.wavenumber
-    return grad
+    return 0.0, _off_axis(beam.winding_l, pt.rho, pt.rho), beam.direction * beam.wavenumber
 
 
 def _pair_gradient(pair, pt, t):
@@ -156,6 +162,15 @@ def _phase_slope(e, grad_e, u_max, strict=False):
     |E|^2 underflows.  The divisor is at least the smallest normal float:
     complex division by a subnormal overflows its reciprocal.
     """
+    if not isinstance(e, np.ndarray):
+        # a point of scalars: one comparison, and no 0-d arrays
+        if abs(e) <= DARK_FRACTION * u_max:
+            if strict:
+                raise DarkPointError("total phase undefined at a dark point")
+            return np.zeros(grad_e.shape)
+        # np.maximum(u_max, _TINY), NaN included
+        scale = _TINY if u_max < _TINY else u_max
+        return (grad_e / scale / (e / scale)).imag
     dark = np.abs(e) <= DARK_FRACTION * u_max
     if strict and np.any(dark):
         raise DarkPointError("total phase undefined at a dark point")
@@ -208,10 +223,11 @@ def _coefficients(atom, vel, amp, grad, ref):
     F_dip = c_dip Omega grad(Omega), with c_sc = (hbar Gamma / 4) Omega^2 / D,
     c_dip = -(hbar / 2) Delta_eff / D and
     D = Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4."""
+    quarter_gamma_sq, quarter_hbar_gamma = atom._force_constants
     delta = detuning_eff(atom, vel, grad)
     omega = atom.rabi_omega0 * amp / ref
-    den = delta * delta + 0.5 * omega * omega + 0.25 * atom.gamma ** 2
-    return 0.25 * HBAR * atom.gamma * omega * omega / den, -0.5 * HBAR * delta / den
+    den = delta * delta + 0.5 * omega * omega + quarter_gamma_sq
+    return quarter_hbar_gamma * omega * omega / den, -0.5 * HBAR * delta / den
 
 
 def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
@@ -228,8 +244,7 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
     mode = _checked(pair, mode)
     ref = _pair_amp_ref(pair)
     s = atom.rabi_omega0 / ref
-    fs = np.zeros((3,) + pt.shape)
-    fd = np.zeros((3,) + pt.shape)
+    fs = fd = None
     if mode == _REDUCED:
         f_phi, f_z, f_dip = [], [], []
         for beam in (pair.beam1, pair.beam2):
@@ -245,8 +260,7 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
             if dipole:
                 f_dip.append(c_dip * (s * s * (u * grad_u)))
         if scattering:
-            fs[1] = f_phi[0] + f_phi[1]
-            fs[2] = f_z[0] + f_z[1]
+            fs = _stacked(pt.shape, 0.0, f_phi[0] + f_phi[1], f_z[0] + f_z[1])
         if dipole:
             fd = f_dip[0] + f_dip[1]
     else:
@@ -256,7 +270,8 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
             fs = c_sc * grad
         if dipole:
             fd = c_dip * (s * s * amp_grad_amp)
-    return fs, fd
+    return (np.zeros((3,) + pt.shape) if fs is None else fs,
+            np.zeros((3,) + pt.shape) if fd is None else fd)
 
 
 def scattering_force(atom, pair, pt, vel=None, mode="reduced", t=0.0):

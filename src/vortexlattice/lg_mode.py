@@ -54,8 +54,9 @@ class BeamSpec:
     has the opposite handedness of a +z beam of winding l.  radial_p is at
     most 40, the range ``laguerre_poly`` is tested for.
 
-    ``wavenumber``, ``rayleigh_range``, ``norm``, ``log_norm`` and
-    ``log_scale`` are computed once per instance; the spec is frozen, and
+    ``wavenumber``, ``rayleigh_range``, ``norm``, ``log_norm``,
+    ``log_scale`` and the envelope's w0^2 and sqrt(2 / |l|) / w0 are
+    computed once per instance; the spec is frozen, and
     ``dataclasses.replace`` builds a new instance with its own values.
     """
 
@@ -100,6 +101,18 @@ class BeamSpec:
         return math.exp(self.log_norm)
 
     @functools.cached_property
+    def _w0_sq(self):
+        """w0^2, the envelope's w^2 at the focal plane."""
+        return self.waist_w0 * self.waist_w0
+
+    @functools.cached_property
+    def _rho_scale(self):
+        """sqrt(2 / |l|) / w0, the factor of rho in the envelope's log term;
+        0 for l = 0, which has no such term."""
+        l = abs(self.winding_l)
+        return math.sqrt(2.0 / l) / self.waist_w0 if l else 0.0
+
+    @functools.cached_property
     def log_scale(self):
         """log(amp_scale C_lp |l|^(|l|/2)), the constant term of the
         log-space amplitude; -inf for a dark beam (amp_scale = 0).
@@ -128,18 +141,27 @@ class CylPoint:
     shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arrays = ()
-        for name in ("rho", "phi", "z"):
-            value = getattr(self, name)
-            if not isinstance(value, np.ndarray) or not value.ndim:
-                value = np.asarray(value)[()]
-                object.__setattr__(self, name, value)
-            if isinstance(value, np.ndarray):
-                arrays += (value,)
-        rho = self.rho
-        if (rho < 0.0).any() if isinstance(rho, np.ndarray) else rho < 0.0:
+        rho, phi, z = self.rho, self.phi, self.z
+        if type(rho) is float and type(phi) is float and type(z) is float:
+            # three Python floats, as a single atom's force call passes them:
+            # stored directly, without the per-coordinate walk below
+            self.__dict__.update(rho=np.float64(rho), phi=np.float64(phi), z=np.float64(z),
+                                 shape=())
+            negative = rho < 0.0
+        else:
+            arrays = ()
+            for name in ("rho", "phi", "z"):
+                value = getattr(self, name)
+                if not isinstance(value, np.ndarray) or not value.ndim:
+                    value = np.asarray(value)[()]
+                    object.__setattr__(self, name, value)
+                if isinstance(value, np.ndarray):
+                    arrays += (value,)
+            rho = self.rho
+            negative = (rho < 0.0).any() if isinstance(rho, np.ndarray) else rho < 0.0
+            object.__setattr__(self, "shape", np.broadcast(*arrays).shape if arrays else ())
+        if negative:
             raise ValueError("rho must be >= 0")
-        object.__setattr__(self, "shape", np.broadcast(*arrays).shape if arrays else ())
 
     @classmethod
     def from_cartesian(cls, x, y, z):
@@ -180,14 +202,26 @@ def _local_z(beam, z):
 
 def _off_axis(num, den, rho):
     """num / den where rho > AXIS_RHO, else 0: the rho and phi entries of a
-    gradient, which are 0 on the axis.  Besides CylPoint, this is the one
-    place that tells a scalar rho from an array: a scalar takes one
-    comparison and at most one division, an array one masked np.divide into
-    zeros of the broadcast shape of num, den and rho."""
+    gradient, which are 0 on the axis.  This is the one division that gives
+    0 on the axis: a scalar rho takes one comparison and at most one
+    division, an array one masked np.divide into zeros of the broadcast
+    shape of num, den and rho."""
     if not isinstance(rho, np.ndarray):
         return num / den if rho > AXIS_RHO else 0.0
     out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den), rho.shape))
     np.divide(num, den, out=out, where=rho > AXIS_RHO)
+    return out
+
+
+def _stacked(shape, *entries):
+    """The entries stacked along a new axis 0, each broadcast to ``shape``:
+    one np.array of floats for a point of scalars (shape ()), else one
+    array filled entry by entry."""
+    if not shape:
+        return np.array(entries, dtype=float)
+    out = np.empty((len(entries),) + shape)
+    for i, entry in enumerate(entries):
+        out[i] = entry
     return out
 
 
@@ -213,29 +247,45 @@ def _amplitude(beam, pt):
     on z alone, so on a separable block only rho^2 / w^2, two sums and the
     exp are full-block work.  No power of rho / w overflows, and U
     underflows only where it is below the smallest double.  On the axis U
-    is exactly 0 for l != 0: the log's argument is 1 there and the rho > 0
-    mask zeroes the result, so no log(0) is formed.
+    is exactly 0 for l != 0, and no log(0) is formed: a scalar rho that is
+    not > 0 skips the rho term and zeroes U (NaN stays NaN); an array rho
+    that holds such a point takes 1 as the log's argument there, and the
+    rho > 0 mask zeroes the result.  An array with no such point skips the
+    mask, since multiplying by 1 is exact.
     """
     l = abs(beam.winding_l)
     zl = _local_z(beam, pt.z)
     u = zl / beam.rayleigh_range
     axial = 1.0 + u * u
-    w2 = beam.waist_w0 * beam.waist_w0 * axial
+    w2 = beam._w0_sq * axial
     rho = pt.rho
     # -rho^2 / w^2 first: numpy then adds the other terms into that
     # temporary, which has the broadcast shape of rho and z, in place
     log_env = rho * rho / -w2 + (beam.log_scale - 0.5 * (l + 1.0) * np.log(axial))
+    # the factor that zeroes U on the axis: False for a scalar rho that is
+    # not > 0, the rho > 0 mask for an array rho that holds such a point,
+    # else None
+    mask = None
     if l:
-        off_axis = rho > 0.0
-        log_env += l * np.log(rho * (math.sqrt(2.0 / l) / beam.waist_w0) + ~off_axis)
+        if isinstance(rho, np.ndarray):
+            scaled = rho * beam._rho_scale
+            off_axis = rho > 0.0
+            if not off_axis.all():
+                scaled += ~off_axis
+                mask = off_axis
+            log_env += l * np.log(scaled)
+        elif rho > 0.0:
+            log_env += l * np.log(rho * beam._rho_scale)
+        else:
+            mask = False
     if beam.radial_p:
         lag = laguerre_poly(beam.radial_p, l, 2.0 * rho * rho / w2)
         amplitude = _times_exp(lag, log_env)
     else:
         lag = None
         amplitude = np.exp(log_env)
-    if l:
-        amplitude *= off_axis
+    if mask is not None:
+        amplitude *= mask
     return amplitude, zl, rho, w2, lag, log_env
 
 
@@ -338,13 +388,11 @@ def mode_jet(beam, pt):
     else:
         x_dr = amplitude * slope
     den = zl * zl + zr * zr
-    shape = (3,) + pt.shape
-    grad_amplitude = np.zeros(shape)
-    grad_amplitude[0] = _off_axis(2.0 * x_dr, rho, rho)
-    grad_amplitude[2] = -beam.direction * zl * (amplitude + 2.0 * x_dr) / den
-    grad_phase = np.zeros(shape)
-    grad_phase[0] = _off_axis(k * rho * zl, den, rho)
-    grad_phase[1] = _off_axis(beam.direction * beam.winding_l, rho, rho)
-    grad_phase[2] = beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
-                                      + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den))
+    grad_amplitude = _stacked(pt.shape, _off_axis(2.0 * x_dr, rho, rho), 0.0,
+                              -beam.direction * zl * (amplitude + 2.0 * x_dr) / den)
+    grad_phase = _stacked(pt.shape, _off_axis(k * rho * zl, den, rho),
+                          _off_axis(beam.direction * beam.winding_l, rho, rho),
+                          beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
+                                            + 0.5 * k * rho * rho * (zr * zr - zl * zl)
+                                            / (den * den)))
     return amplitude, _phase(beam, zl, pt), grad_amplitude, grad_phase

@@ -61,13 +61,15 @@ def test_rabi_scaling():
 def test_reduced_gradient_per_beam():
     b1 = pair(l1=3).beam1
     pt = CylPoint(rho=5e-6, phi=0.4, z=2e-5)
-    g = _reduced_gradient(b1, pt)
-    np.testing.assert_allclose(g, [0.0, 3.0 / 5e-6, b1.wavenumber], rtol=1e-12)
+    g_rho, g_phi, g_z = _reduced_gradient(b1, pt)
+    np.testing.assert_allclose([g_rho, g_phi, g_z], [0.0, 3.0 / 5e-6, b1.wavenumber],
+                               rtol=1e-12)
     b2 = pair(l1=3).beam2
-    g2 = _reduced_gradient(b2, pt)
-    np.testing.assert_allclose(g2, [0.0, 3.0 / 5e-6, -b2.wavenumber], rtol=1e-12)
-    on_axis = _reduced_gradient(b1, CylPoint(rho=0.0, phi=0.0, z=0.0))
-    assert on_axis[1] == 0.0
+    g_rho, g_phi, g_z = _reduced_gradient(b2, pt)
+    np.testing.assert_allclose([g_rho, g_phi, g_z], [0.0, 3.0 / 5e-6, -b2.wavenumber],
+                               rtol=1e-12)
+    _, on_axis, _ = _reduced_gradient(b1, CylPoint(rho=0.0, phi=0.0, z=0.0))
+    assert on_axis == 0.0
 
 
 def full_gradient_analytic(beam, pt):

@@ -15,7 +15,7 @@ from vortexlattice.dynamics import (IntegratorConfig, TrajectoryState,
 from vortexlattice.errors import (DarkPointError, DegenerateGeometryError,
                                   DivergenceError, StepSizeError)
 from vortexlattice.lg_mode import AXIS_RHO, CylPoint, mode_amplitude, mode_jet
-from vortexlattice.superpose import PairSpec
+from vortexlattice.superpose import DARK_FRACTION, PairSpec
 
 WAVELENGTH = 589.16e-9
 GAMMA = 2.0 * math.pi * 10.01e6
@@ -305,8 +305,32 @@ def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dip
 
 # ------------------------------------------------- bit-for-bit reference
 # The force and RK4 loop as they were on arrays: each reduced beam built a
-# (3,) gradient, scaled it and the beams' forces were summed, and the state
-# was a (6,) array.  The package's scalar path must give the same bits.
+# (3,) gradient, scaled it and the beams' forces were summed, the full
+# model's phase slope was np.where on any shape, and the state was a (6,)
+# array.  The package's scalar path must give the same bits.
+
+def _reference_field_terms(pair, pt, vel, t, scattering, dipole):
+    """|E|, grad(arg E) and Re(E* grad E) of the interfered field, with the
+    slope Im(grad E / E) masked by np.where at dark points."""
+    u1, th1, gu1, gth1 = mode_jet(pair.beam1, pt)
+    u2, th2, gu2, gth2 = mode_jet(pair.beam2, pt)
+    th2 = th2 + pair.delta_k * pt.z + pair.delta_omega * t
+    gth2[2] += pair.delta_k
+    c1 = np.exp(1j * th1)
+    c2 = np.exp(1j * th2)
+    e = u1 * c1 + u2 * c2
+    grad_e = c1 * (gu1 + 1j * u1 * gth1) + c2 * (gu2 + 1j * u2 * gth2)
+    grad = None
+    if scattering or vel is not None:
+        u_max = np.maximum(np.abs(u1), np.abs(u2))
+        dark = np.abs(e) <= DARK_FRACTION * u_max
+        if dipole and vel is not None and np.any(dark):
+            raise DarkPointError("dark")
+        scale = np.where(dark, 1.0, np.maximum(u_max, np.finfo(float).tiny))
+        e_scaled = np.where(dark, 1.0, e / scale)
+        grad = np.where(dark, 0.0, (grad_e / scale / e_scaled).imag)
+    return np.abs(e), grad, (np.conj(e) * grad_e).real if dipole else None
+
 
 def _reference_forces(atom, pair, pt, vel, mode, t, scattering, dipole):
     ref = atom_forces._pair_amp_ref(pair)
@@ -323,7 +347,7 @@ def _reference_forces(atom, pair, pt, vel, mode, t, scattering, dipole):
             grad[2] = beam.direction * beam.wavenumber
             terms.append((u, grad, u * grad_u if dipole else None))
     else:
-        terms = [atom_forces._field_terms(pair, pt, vel, t, scattering, dipole)]
+        terms = [_reference_field_terms(pair, pt, vel, t, scattering, dipole)]
     quarter_gamma_sq = 0.25 * atom.gamma ** 2
     s = atom.rabi_omega0 / ref
     fs, fd = [], []

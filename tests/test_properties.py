@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces, _reduced_gradient,
+from vortexlattice.atom_forces import (FORCE_MODELS, AtomSpec, Velocity, _forces,
+                                       _pair_gradient, _phase_slope, _reduced_gradient,
                                        dipole_force, dipole_potential, scattering_force,
                                        spring_constant_k0)
 from test_superpose import full_grid_points
@@ -324,9 +325,9 @@ def test_forces_and_spring_constant_are_finite_to_l_1000(case, vel, dipole_atom)
 @SETTINGS
 @given(case=beams_and_points())
 def test_reduced_phase_gradient_closed_form(case):
-    """The reduced gradient is exactly (0, l / rho, direction * k) stacked to
-    (3,) + the broadcast shape of (rho, phi, z), with the azimuthal entry 0
-    for rho <= AXIS_RHO."""
+    """The reduced gradient is exactly the triple (0, l / rho, direction * k),
+    which broadcasts to the shape of (rho, phi, z), with the azimuthal entry
+    0 for rho <= AXIS_RHO."""
     b, pt = case
     shape = np.broadcast(pt.rho, pt.phi, pt.z).shape
     rho = np.broadcast_to(pt.rho, shape)
@@ -334,7 +335,10 @@ def test_reduced_phase_gradient_closed_form(case):
     g_phi = np.where(on_axis, 0.0, b.winding_l / np.where(on_axis, 1.0, rho))
     g_z = np.full(shape, float(b.direction) * b.wavenumber)
     want = np.stack([np.zeros(shape), g_phi, g_z])
-    np.testing.assert_array_equal(_reduced_gradient(b, pt), want, strict=True)
+    got = _reduced_gradient(b, pt)
+    assert len(got) == 3
+    np.testing.assert_array_equal(np.stack([np.broadcast_to(g, shape) for g in got]), want,
+                                  strict=True)
 
 
 @SETTINGS
@@ -810,3 +814,69 @@ def test_maps_and_rings_do_not_depend_on_thread_count(case):
     assert np.array_equal(one.phase, three.phase, equal_nan=True)
     assert np.array_equal(one.intensity, three.intensity)
     assert _rings_outcome(pair, region, 1) == _rings_outcome(pair, region, 3)
+
+
+# ------------------------------------------- a scalar point, a one-point array
+
+@st.composite
+def scalar_cases(draw):
+    """A pair with |l| <= 4 (0 included), p <= 3, possibly one dark beam and
+    offsets; a point whose rho may be 0.0, -0.0 or AXIS_RHO, given as three
+    Python floats; a time; no velocity or one."""
+    w0 = draw(st.floats(2.0, 12.0)) * WAVELENGTH
+    zr = math.pi * w0 ** 2 / WAVELENGTH
+    amp1, amp2 = draw(st.sampled_from([(1.0, 1.0), (0.6, 1.3), (0.0, 1.0), (1.0, 0.0)]))
+    pair = PairSpec(WAVELENGTH, w0, l1=draw(st.integers(-4, 4)), l2=draw(st.integers(-4, 4)),
+                    radial_p=draw(st.integers(0, 3)),
+                    separation_d=draw(st.floats(0.0, 2.0)) * zr,
+                    delta_omega=draw(st.sampled_from([0.0, 2.0 * math.pi * 1e4])),
+                    delta_k=draw(st.sampled_from([0.0, 30.0])), amp1=amp1, amp2=amp2)
+    rho = draw(st.sampled_from([0.0, -0.0, AXIS_RHO, 0.5 * AXIS_RHO])
+               | unit.map(lambda f: f * 3.0 * w0))
+    point = (rho, draw(st.floats(-math.pi, math.pi)), draw(st.floats(-2.0, 2.0)) * zr)
+    vel = draw(st.none() | st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(lambda v: Velocity(*v)))
+    return pair, point, draw(st.sampled_from([0.0, 1e-7])), vel
+
+
+def _one_point_bits(scalar, array):
+    """The result at a scalar point equals the result at the same point as
+    shape-(1,) arrays, signs of zero and NaNs included."""
+    want = np.asarray(array)[..., 0]
+    return (np.shape(scalar) == want.shape and np.array_equal(scalar, want, equal_nan=True)
+            and np.array_equal(np.signbit(scalar), np.signbit(want)))
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DarkPointError:
+        return DarkPointError
+
+
+@SETTINGS
+@given(case=scalar_cases())
+def test_a_scalar_point_gives_the_bits_of_a_one_point_array(case):
+    """The scalar branches (the point's float path, the envelope's rho test,
+    the force stack and the phase slope) give exactly what the array code
+    gives for the same point: mode_amplitude, mode_jet, both models' _forces
+    with every toggle, and _phase_slope, strict or not."""
+    pair, (rho, phi, z), t, vel = case
+    array = CylPoint(rho=np.array([rho]), phi=np.array([phi]), z=np.array([z]))
+    for scalar in (CylPoint(rho=rho, phi=phi, z=z),
+                   CylPoint(rho=np.float64(rho), phi=np.float64(phi), z=np.float64(z))):
+        for beam in (pair.beam1, pair.beam2):
+            assert _one_point_bits(mode_amplitude(beam, scalar), mode_amplitude(beam, array))
+            for got, want in zip(mode_jet(beam, scalar), mode_jet(beam, array), strict=True):
+                assert _one_point_bits(got, want)
+        for mode in FORCE_MODELS:
+            for scattering, dipole in ((True, False), (False, True), (True, True)):
+                got, want = (_result_or_error(_forces, ATOM, pair, pt, vel, mode, t,
+                                              scattering, dipole) for pt in (scalar, array))
+                if want is DarkPointError:
+                    assert got is DarkPointError, (mode, scattering, dipole)
+                else:
+                    assert all(map(_one_point_bits, got, want)), (mode, scattering, dipole)
+        for strict in (False, True):
+            got = _result_or_error(_phase_slope, *_pair_gradient(pair, scalar, t), strict)
+            want = _result_or_error(_phase_slope, *_pair_gradient(pair, array, t), strict)
+            assert got is want if want is DarkPointError else _one_point_bits(got, want)

@@ -352,7 +352,7 @@ def assert_same_rings(p, region):
 
 
 @pytest.mark.parametrize("case", ["lattice", "split"])
-def test_find_rings_matches_the_amplitude_map_squared(case):
+def test_find_rings_matches_the_amplitude_squared(case):
     """Multi-block lattices, one without and one with resolved splittings."""
     p = pair() if case == "lattice" else split_pair()
     region = lattice_region(p) if case == "lattice" else split_region()
@@ -430,7 +430,7 @@ def test_find_rings_same_with_scipy_peaks(case):
 
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
 @given(case=paper_lattices())
-def test_find_rings_matches_the_amplitude_map_squared_on_paper_lattices(case):
+def test_find_rings_matches_the_amplitude_squared_on_paper_lattices(case):
     assert_same_rings(*case)
 
 
