@@ -36,9 +36,9 @@ EXIT_IO = 4
 def _write_json(path, payload):
     # NaN and Infinity are not JSON; a value that can be undefined is written
     # as null by its producer, so a non-finite float here raises
+    # one write: json.dump would write each of its small pieces separately
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _metadata(out, command, cfg, threads, outputs):

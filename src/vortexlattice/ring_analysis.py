@@ -6,6 +6,8 @@ the off-centre double rings.  Also provides the closed-form double-ring radii
 and the rotation/drift measurements for frequency-offset pairs.
 """
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -13,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
-from .lg_mode import CylPoint
+from .lg_mode import CylPoint, _local_z, _row_phase
 # intensity_map is not called here; it stays a module attribute because
 # perfbench/spans.py traces calls by rebinding this name
-from .superpose import _pair_intensity_map, intensity_map, total_amplitude
+from .superpose import _pair_intensity_at, _pair_intensity_map, intensity_map, total_amplitude
 
 __all__ = [
     "RadialSplit",
@@ -39,6 +41,11 @@ RIDGE_PROMINENCE = 1e-6
 # count as a resolved double-ring partner
 SPLIT_PROMINENCE = 0.05
 SPLIT_HEIGHT = 0.10
+
+# A coarse local maximum of a row gets a fine window when it reaches this
+# fraction of the row's coarse maximum; the lobe holding the row maximum is
+# sampled at nearly its top (see find_rings), far above it
+LOBE = 0.5
 
 
 @dataclass(frozen=True)
@@ -136,24 +143,68 @@ def _refine_row(axis, values, idx):
     return x0 + 0.5 * (axis[idx + 1] - x0) * diff / den, y0 - 0.125 * diff ** 2 / den
 
 
+def _coarse_stride(pair, region):
+    """Column stride s of find_rings' coarse scan: the most radial cells
+    that keep the coarse spacing h within both bounds below, at least 1 and
+    less than the column count.
+
+    Along a row (fixed z) the intensity is U1^2 + U2^2 + 2 U1 U2 cos(Delta),
+    and two things vary with rho.  Each amplitude is a radial oscillator
+    eigenfunction of order 2p + |l| + 1 in rho sqrt(2) / w, whose local
+    radial wavenumber is at most 2 sqrt(2p + 1) / w, so a radial lobe of
+    U^2 is about pi w / (2 sqrt(2p + 1)) wide (no less than 0.9 of that for
+    p <= 40); with w >= w0, h <= w0 / 10 and h <= pi w0 / (16 sqrt(2p + 1))
+    put about 8 coarse cells across each lobe.  Half the phase difference,
+    Delta / 2, is a row term plus rho^2 (kappa1 - kappa2) / 2, so it turns
+    by rho |kappa1 - kappa2| h per coarse cell; h <= (pi / 8) / (rho_max
+    max |kappa1 - kappa2|) keeps that turn within pi / 8 in every row, so
+    each period pi of cos^2(Delta / 2) spans at least 8 coarse cells too."""
+    b1, b2 = pair.beam1, pair.beam2
+    w0 = b1.waist_w0
+    h = min(0.1 * w0, math.pi * w0 / (16.0 * math.sqrt(2.0 * b1.radial_p + 1.0)))
+    kappa1 = _row_phase(b1, _local_z(b1, region.axis2), region.phi)[3]
+    kappa2 = _row_phase(b2, _local_z(b2, region.axis2), region.phi)[3]
+    turn = region.axis1[-1] * np.max(np.abs(kappa1 - kappa2))
+    if turn > 0.0:
+        h = min(h, 0.125 * math.pi / turn)
+    return max(1, min(int(h / region.spacing1), region.axis1.size - 1))
+
+
 def find_rings(pair, region, n_threads=1):
     """Detect the bright rings of the pair's interference pattern.
 
     ``region`` must be a "rho_z" GridSpec covering |z| <= d/2 with axial
     spacing <= lambda/20 and radial spacing <= w0/100, otherwise a
-    ResolutionError is raised.  The intensity is mapped without the phase
-    or the amplitude: one kernel writes each row block of the one map-sized
-    array in place as (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2), with Delta a
-    per-row term plus rho^2 times a per-row curvature difference.  Along
-    each z row the radial maximum is refined by a parabolic fit; local
-    maxima of that ridge along z give the rings, again refined
+    ResolutionError is raised.  The intensity is the one kernel of
+    ``_pair_intensity_map``, (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2), but it
+    is evaluated only where a ring can be, in three stages on the region's
+    own grid points:
+
+    1. a coarse scan: every row at every s-th column (the first and the last
+       always included), s from ``_coarse_stride``, on n_threads;
+    2. fine windows: in each row, each coarse local maximum that reaches
+       LOBE of the coarse row maximum gets the fine columns of its two
+       neighbouring coarse cells;
+    3. peak rows: each row that holds a ring, in full.
+
+    The stride puts about 8 coarse cells across every radial lobe of the
+    row profile.  A row's highest lobe is then sampled within half a cell of
+    its top, at nearly the top's value and so above LOBE of the coarse row
+    maximum, and the coarse samples rise towards the top from both sides:
+    the higher of the two coarse samples around the top is a coarse local
+    maximum, and its window holds the top.  The ridge (each row's maximum)
+    is therefore the full map's, bit for bit, and so is everything read
+    from it: along each z row the radial maximum is refined by a parabolic
+    fit; local maxima of that ridge along z give the rings, again refined
     parabolically.  The fringe spacing is the median gap between adjacent
     rings near the midplane (|z| <= d/4), or between all rings when no two
     adjacent ones lie there (always at d = 0).
     The ring nearest z = 0 is classified "central" when it sits within half
     a fringe of the midplane; every other ring belongs to a double-ring pair
     and its radial splitting is recorded where a second radial maximum is
-    resolved.
+    resolved.  The scan holds each row's last column, where x = 2 rho^2 / w^2
+    and any overflow of the Laguerre factor are largest, so a map that is not
+    finite raises DegenerateGeometryError as the full map would.
 
     Raises RingDetectionError when no interference maxima exist in the
     region.
@@ -172,21 +223,42 @@ def find_rings(pair, region, n_threads=1):
     if region.axis2[0] > -half_d + dz or region.axis2[-1] < half_d - dz:
         raise ResolutionError("region must cover |z| <= d/2 between the foci")
 
-    intensity = _pair_intensity_map(pair, region, n_threads=n_threads)
-    ridge_idx = np.argmax(intensity, axis=1)
-    rows = np.arange(intensity.shape[0])
-    ridge_val = intensity[rows, ridge_idx]
+    z_axis, rho_axis = region.axis2, region.axis1
+    n1 = rho_axis.size
+    s = _coarse_stride(pair, region)
+    cols = np.arange(0, n1 + s - 1, s)
+    cols[-1] = n1 - 1
+    coarse = _pair_intensity_map(pair, dataclasses.replace(region, axis1=rho_axis[cols]),
+                                 n_threads=n_threads)
+    ridge_val = coarse.max(axis=1)
+    # coarse local maxima reaching LOBE of their row's coarse maximum; a
+    # window spans the coarse cells on both sides of its maximum, so cell c,
+    # between columns cols[c] and cols[c + 1], is refined where either end
+    # is such a maximum
+    lobe = coarse >= LOBE * ridge_val[:, None]
+    lobe[:, 1:] &= coarse[:, 1:] >= coarse[:, :-1]
+    lobe[:, :-1] &= coarse[:, :-1] >= coarse[:, 1:]
+    cell_rows, cells = np.divmod(np.flatnonzero(lobe[:, :-1] | lobe[:, 1:]), cols.size - 1)
+    if s > 1 and cells.size:
+        # the s - 1 fine columns inside each cell, shifted left where the
+        # last cell is narrower
+        first = np.minimum(cols[cells] + 1, n1 - s + 1)
+        fine = _pair_intensity_at(pair, region, rho_axis[first[:, None] + np.arange(s - 1)],
+                                  z_axis[cell_rows, None], n_threads=n_threads)
+        # column by column: numpy reduces a short last axis slowly
+        np.maximum.at(ridge_val, cell_rows, functools.reduce(np.maximum, fine.T))
 
     peak_rows = _find_peaks(ridge_val, prominence=RIDGE_PROMINENCE * ridge_val.max())
     if peak_rows.size == 0:
         raise RingDetectionError("no interference maxima found in the region")
+    profiles = _pair_intensity_at(pair, region, rho_axis[None, :], z_axis[peak_rows, None],
+                                  n_threads=n_threads)
 
-    z_axis, rho_axis = region.axis2, region.axis1
     raw = []
-    for j in peak_rows:
+    for j, profile in zip(peak_rows, profiles):
         z_ref, i_ref = _refine_row(z_axis, ridge_val, j)
-        rho_ref, _ = _refine_row(rho_axis, intensity[j], ridge_idx[j])
-        raw.append((z_ref, rho_ref, i_ref, j))
+        rho_ref, _ = _refine_row(rho_axis, profile, np.argmax(profile))
+        raw.append((z_ref, rho_ref, i_ref, profile))
     # peak rows ascend two or more apart, so the refined z ascend too
 
     z_vals = np.array([item[0] for item in raw])
@@ -202,14 +274,13 @@ def find_rings(pair, region, n_threads=1):
     nearest = int(np.argmin(np.abs(z_vals)))
 
     rings, splittings = [], []
-    for n, (z_ref, rho_ref, i_ref, j) in enumerate(raw):
+    for n, (z_ref, rho_ref, i_ref, profile) in enumerate(raw):
         central = (n == nearest) and abs(z_ref) <= central_tol
         rings.append(Ring(z_pos=float(z_ref), radius=float(rho_ref),
                           peak_intensity=float(i_ref),
                           classification="central" if central else "double"))
         if central:
             continue
-        profile = intensity[j]
         cand = _find_peaks(profile, prominence=SPLIT_PROMINENCE * profile.max(),
                             height=SPLIT_HEIGHT * profile.max())
         if cand.size < 2:

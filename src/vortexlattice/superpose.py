@@ -364,12 +364,12 @@ def _block_points(grid, rows):
     return CylPoint.from_cartesian(a1, a2, grid.z_slice)
 
 
-def _fill_blocks(grid, n_threads, fill):
-    """Call fill(rows) for row blocks of about BLOCK_POINTS points, on a pool
-    of n_threads workers.  Each block runs in a copy of the caller's context,
-    so context-local state such as np.errstate reaches the workers."""
-    n2 = grid.axis2.size
-    step = max(1, BLOCK_POINTS // grid.axis1.size)
+def _fill_blocks(n2, n1, n_threads, fill):
+    """Call fill(rows) for blocks of rows of an (n2, n1) array, about
+    BLOCK_POINTS points each, on a pool of n_threads workers.  Each block
+    runs in a copy of the caller's context, so context-local state such as
+    np.errstate reaches the workers."""
+    step = max(1, BLOCK_POINTS // n1)
     blocks = [slice(a, min(a + step, n2)) for a in range(0, n2, step)]
     n_threads = min(max(1, int(n_threads)), len(blocks))
     with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -409,7 +409,25 @@ def _pair_intensity_map(pair, grid, n_threads=1):
         _pair_intensity(pair, _block_points(grid, rows), grid.time, out=intensity[rows])
         _require_finite(pair, grid, intensity[rows])
 
-    _fill_blocks(grid, n_threads, fill)
+    _fill_blocks(*intensity.shape, n_threads, fill)
+    return intensity
+
+
+def _pair_intensity_at(pair, grid, rho, z, n_threads=1):
+    """|E|^2 of ``_pair_intensity_map`` at chosen points of a rho_z grid, rho
+    of shape (R, W) or (1, W) and z of shape (R, 1), as an (R, W) array:
+    ``_pair_intensity`` writes each block of rows in place, on n_threads.
+    Each value has the bits of the map at the same point, as every point is
+    computed the same way in any block.  Raises DegenerateGeometryError, as
+    the map would, where a value is not finite."""
+    intensity = np.empty((z.shape[0], rho.shape[1]))
+
+    def fill(rows):
+        pt = CylPoint(rho=rho[rows] if rho.shape[0] > 1 else rho, phi=grid.phi, z=z[rows])
+        _pair_intensity(pair, pt, grid.time, out=intensity[rows])
+        _require_finite(pair, grid, intensity[rows])
+
+    _fill_blocks(*intensity.shape, n_threads, fill)
     return intensity
 
 
@@ -428,6 +446,6 @@ def intensity_map(pair, grid, n_threads=1):
         _require_finite(pair, grid, amplitude[rows])
         phase[rows] = _phase_of(*terms)
 
-    _fill_blocks(grid, n_threads, fill)
+    _fill_blocks(n2, n1, n_threads, fill)
     return FieldMap(grid=grid, amplitude=amplitude, phase=phase,
                     intensity=amplitude ** 2)

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
-from test_properties import intensity_bound
+from test_config_cli import REPO
+from test_properties import intensity_bound, lattices
 from test_superpose import full_grid_points
-from vortexlattice import ring_analysis, superpose
+from vortexlattice import cli, ring_analysis, superpose
 from vortexlattice.atom_forces import lift_speed
-from vortexlattice.cli import _write_json
+from vortexlattice.cli import _write_json, main
+from vortexlattice.config import RunConfig
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
-                                  RingDetectionError)
+                                  RingDetectionError, VortexLatticeError)
 from vortexlattice.lg_mode import waist_at
 from vortexlattice.ring_analysis import (double_ring_radii, find_rings,
                                          measure_axial_drift,
@@ -254,8 +256,10 @@ def test_measure_axial_drift_follows_the_phase_slope(l1):
 
 
 def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
-    """find_rings never maps the phase: it takes one _pair_intensity_map,
-    whose intensity is intensity_map's within intensity_bound.  Both are
+    """find_rings never maps the phase: it takes one _pair_intensity_map of
+    the coarse columns and evaluates the windows and the peak rows with
+    _pair_intensity_at, and each value it evaluates is intensity_map's at
+    the same grid point within intensity_bound.  Both are
     U1^2 + U2^2 + 2 U1 U2 cos(Delta) from the same U1 and U2: the kernel
     rounds Delta as a row term plus rho^2 (kappa1 - kappa2), the map as
     Theta1 - Theta2, each off by at most 4 eps A for the phase scale A, and
@@ -265,23 +269,19 @@ def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
     region = lattice_region(p)
     assert region.axis1.size * region.axis2.size > BLOCK_POINTS
     want = intensity_map(p, region)
-    maps = []
-
-    def recorded(*args, **kwargs):
-        intensity = superpose._pair_intensity_map(*args, **kwargs)
-        maps.append(intensity.copy())
-        return intensity
+    bound, resolved = intensity_bound(p, full_grid_points(region), region.time)
+    assert resolved.all()
 
     def no_phase(*args):
         raise AssertionError("find_rings mapped the phase")
 
-    monkeypatch.setattr(ring_analysis, "_pair_intensity_map", recorded)
-    monkeypatch.setattr(superpose, "_phase_of", no_phase)
-    find_rings(p, region, n_threads=2)
-    [intensity] = maps
-    bound, resolved = intensity_bound(p, full_grid_points(region), region.time)
-    assert resolved.all()
-    assert np.all(np.abs(intensity - want.intensity) <= bound)
+    with monkeypatch.context() as mp:
+        mp.setattr(superpose, "_phase_of", no_phase)
+        outcome, seen = finder_evaluations(p, region, n_threads=2)
+    assert outcome.startswith("RingSet(")
+    assert len(seen) == 3
+    for intensity, rows, cols in seen:
+        assert np.all(np.abs(intensity - want.intensity[rows, cols]) <= bound[rows, cols])
 
 
 def test_find_rings_thread_count_invariant():
@@ -293,6 +293,127 @@ def test_find_rings_thread_count_invariant():
     assert len(one.rings) >= 10
 
 
+# ------------------------------------------ the full-map finder, as an oracle
+
+def full_map_find_rings(pair, region, n_threads=1, map_fn=None):
+    """find_rings as it was before the coarse scan: one map of the whole
+    region (by map_fn, superpose._pair_intensity_map by default), its ridge
+    and first argmax in every row, then the same peak, refinement and
+    splitting steps.  The package's finder must give its repr, errors
+    included."""
+    b = pair.beam1
+    if region.kind != "rho_z":
+        raise ResolutionError("ring detection needs a rho_z region")
+    dz_max = b.wavelength / 20.0
+    drho_max = b.waist_w0 / 100.0
+    dz, drho = region.spacing2, region.spacing1
+    if dz > dz_max * (1.0 + 1e-9) or drho > drho_max * (1.0 + 1e-9):
+        raise ResolutionError(
+            f"grid spacing (drho={drho:.3e} m, dz={dz:.3e} m) too coarse; "
+            f"need drho <= {drho_max:.3e} m and dz <= {dz_max:.3e} m")
+    half_d = 0.5 * pair.separation_d
+    if region.axis2[0] > -half_d + dz or region.axis2[-1] < half_d - dz:
+        raise ResolutionError("region must cover |z| <= d/2 between the foci")
+
+    intensity = (map_fn or superpose._pair_intensity_map)(pair, region, n_threads=n_threads)
+    ridge_idx = np.argmax(intensity, axis=1)
+    rows = np.arange(intensity.shape[0])
+    ridge_val = intensity[rows, ridge_idx]
+
+    find_peaks_ = ring_analysis._find_peaks
+    refine = ring_analysis._refine_row
+    peak_rows = find_peaks_(ridge_val, prominence=ring_analysis.RIDGE_PROMINENCE * ridge_val.max())
+    if peak_rows.size == 0:
+        raise RingDetectionError("no interference maxima found in the region")
+
+    z_axis, rho_axis = region.axis2, region.axis1
+    raw = []
+    for j in peak_rows:
+        z_ref, i_ref = refine(z_axis, ridge_val, j)
+        rho_ref, _ = refine(rho_axis, intensity[j], ridge_idx[j])
+        raw.append((z_ref, rho_ref, i_ref, j))
+
+    z_vals = np.array([item[0] for item in raw])
+    if z_vals.size >= 2:
+        gaps = np.diff(z_vals)
+        near = (np.abs(z_vals[:-1]) <= 0.5 * half_d) & (np.abs(z_vals[1:]) <= 0.5 * half_d)
+        fringe_delta = float(np.median(gaps[near] if np.any(near) else gaps))
+    else:
+        fringe_delta = float("nan")
+
+    central_tol = max(1.5 * dz, 0.51 * fringe_delta) if math.isfinite(fringe_delta) \
+        else 1.5 * dz
+    nearest = int(np.argmin(np.abs(z_vals)))
+
+    rings, splittings = [], []
+    for n, (z_ref, rho_ref, i_ref, j) in enumerate(raw):
+        central = (n == nearest) and abs(z_ref) <= central_tol
+        rings.append(ring_analysis.Ring(z_pos=float(z_ref), radius=float(rho_ref),
+                                        peak_intensity=float(i_ref),
+                                        classification="central" if central else "double"))
+        if central:
+            continue
+        profile = intensity[j]
+        cand = find_peaks_(profile, prominence=ring_analysis.SPLIT_PROMINENCE * profile.max(),
+                           height=ring_analysis.SPLIT_HEIGHT * profile.max())
+        if cand.size < 2:
+            continue
+        top = cand[np.argsort(profile[cand])[-2:]]
+        radii = sorted(refine(rho_axis, profile, i)[0] for i in top)
+        splittings.append(ring_analysis.RingSplit(
+            z_pos=float(z_ref), delta_rho=float(radii[1] - radii[0]),
+            r_inner=float(radii[0]), r_outer=float(radii[1])))
+
+    return ring_analysis.RingSet(rings=rings, fringe_delta=fringe_delta, splittings=splittings)
+
+
+def rings_repr(finder, p, region, n_threads=1):
+    """The finder's RingSet as its repr (every float's bits, NaN equal to
+    NaN), or its error as type and text."""
+    try:
+        return repr(finder(p, region, n_threads=n_threads))
+    except VortexLatticeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_finder_is_the_oracle(p, region, n_threads=1):
+    got = rings_repr(find_rings, p, region, n_threads)
+    assert got == rings_repr(full_map_find_rings, p, region, n_threads)
+    return got
+
+
+def finder_evaluations(p, region, n_threads=1):
+    """find_rings' outcome (as rings_repr) and every evaluation it made, as
+    (values, row indices, column indices) of region's grid: one
+    _pair_intensity_map of a column subset of the region, then
+    _pair_intensity_at on points of the region."""
+    seen = []
+
+    def recorded_map(pair_, grid, n_threads=1):
+        assert grid.kind == region.kind and np.array_equal(grid.axis2, region.axis2)
+        assert (grid.phi, grid.time) == (region.phi, region.time)
+        intensity = superpose._pair_intensity_map(pair_, grid, n_threads=n_threads)
+        seen.append((intensity, grid.axis1[None, :], grid.axis2[:, None]))
+        return intensity
+
+    def recorded_points(pair_, grid, rho, z, n_threads=1):
+        assert grid is region
+        intensity = superpose._pair_intensity_at(pair_, grid, rho, z, n_threads=n_threads)
+        seen.append((intensity, rho, z))
+        return intensity
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring_analysis, "_pair_intensity_map", recorded_map)
+        mp.setattr(ring_analysis, "_pair_intensity_at", recorded_points)
+        outcome = rings_repr(find_rings, p, region, n_threads)
+    indexed = []
+    for intensity, rho, z in seen:
+        rows, cols = np.searchsorted(region.axis2, z), np.searchsorted(region.axis1, rho)
+        assert np.array_equal(region.axis2[rows], z) and np.array_equal(region.axis1[cols], rho)
+        indexed.append((intensity, rows, cols))
+    return outcome, indexed
+
+
 # ------------------------------------ the finder on the amplitude map squared
 
 def amplitude_squared(pair, region, n_threads=1):
@@ -302,18 +423,16 @@ def amplitude_squared(pair, region, n_threads=1):
 
 
 def rings_and_rows(p, region, intensity_map_fn):
-    """find_rings with its map made by intensity_map_fn, that map's ridge,
-    the rows of the ridge peaks, found as find_rings finds them, and the
-    indices of the rings with a splitting."""
+    """The full-map finder with its map made by intensity_map_fn, that map's
+    ridge, the rows of the ridge peaks, found as the finder finds them, and
+    the indices of the rings with a splitting."""
     maps = []
 
     def recorded(*args, **kwargs):
         maps.append(intensity_map_fn(*args, **kwargs))
         return maps[-1]
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring_analysis, "_pair_intensity_map", recorded)
-        rings = find_rings(p, region)
+    rings = full_map_find_rings(p, region, map_fn=recorded)
     [intensity] = maps
     ridge = intensity.max(axis=1)
     rows = ring_analysis._find_peaks(ridge, prominence=ring_analysis.RIDGE_PROMINENCE * ridge.max())
@@ -329,12 +448,14 @@ def close(a, b):
 
 
 def assert_same_rings(p, region):
-    """find_rings and the same finder on the amplitude map squared give the
-    same peak rows, ring classes and splitting rows, and every value within
-    1e-12 of its column's largest |value|.  A peak between two ridge rows
-    that tie to rounding, as the central ring of a grid symmetric about
-    z = 0 with an even row count, may sit on either row."""
+    """find_rings, which is the full-map finder on the intensity kernel, and
+    the same finder on the amplitude map squared give the same peak rows,
+    ring classes and splitting rows, and every value within 1e-12 of its
+    column's largest |value|.  A peak between two ridge rows that tie to
+    rounding, as the central ring of a grid symmetric about z = 0 with an
+    even row count, may sit on either row."""
     got, _, got_rows, got_split = rings_and_rows(p, region, superpose._pair_intensity_map)
+    assert repr(got) == repr(find_rings(p, region))
     want, ridge, want_rows, want_split = rings_and_rows(p, region, amplitude_squared)
     assert want.rings
     assert got_rows.size == want_rows.size
@@ -446,3 +567,91 @@ def test_measure_axial_drift_same_with_scipy_peaks(l, sign, w0, d, dw, rho, t0):
     t1 = t0 + suggested_sample_dt(p)
     ours = _outcome(measure_axial_drift, p, rho_probe, t0, t1)
     assert ours == _with_scipy_peaks(measure_axial_drift, p, rho_probe, t0, t1)
+
+
+# --------------------------------- the finder against the full-map oracle
+
+def fixture_case(case):
+    if case == "ring_lattice":
+        cfg = RunConfig.from_file(REPO / "configs" / "ring_lattice.json")
+        return cfg.pair, cfg.rings_grid
+    if case == "split":
+        return split_pair(), split_region()
+    p = {"lattice": pair(), "single": pair(amp2=0.0), "dark": pair(amp1=0.0, amp2=0.0)}[case]
+    if case == "single":
+        return p, lattice_region(p, z_half=24.0, n_z=961)
+    return p, lattice_region(p)
+
+
+@pytest.mark.parametrize("case", ["ring_lattice", "lattice", "split", "single", "dark"])
+def test_find_rings_is_the_full_map_finder(case):
+    """configs/ring_lattice.json's 420 x 6000 rings_grid and the fixtures:
+    the lattice, the resolved splittings, one beam switched off (one ring,
+    no fringe spacing) and both off (every row 0), at 1 and 2 threads."""
+    p, region = fixture_case(case)
+    got = assert_finder_is_the_oracle(p, region)
+    assert got.startswith("RingDetectionError: " if case == "dark" else "RingSet(")
+    assert assert_finder_is_the_oracle(p, region, n_threads=2) == got
+    if case == "split":
+        assert "RingSplit(" in got
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=lattices())
+def test_find_rings_is_the_full_map_finder_on_generated_lattices(case):
+    """Generated l, p <= 2, d, delta_omega, phi and time, each region at the
+    finder's resolution limits."""
+    p, region, _ = case
+    assert_finder_is_the_oracle(p, region)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=paper_lattices())
+def test_find_rings_is_the_full_map_finder_on_paper_lattices(case):
+    assert_finder_is_the_oracle(*case)
+
+
+def test_find_rings_raises_where_the_far_field_is_not_finite():
+    """A thin region around 19122 w0 at p = 40 and d = 0, where the
+    Laguerre factor overflows in the outer quarter (from about 19122.24 w0
+    on): the finder, which scans each row's last column, where
+    x = 2 rho^2 / w^2 is largest, raises the full map's
+    DegenerateGeometryError with the same text.  Numpy's overflow warnings
+    are silenced; as errors they would come first."""
+    p = PairSpec(WAVELENGTH, 3e-6, l1=1, radial_p=40)
+    w0 = p.beam1.waist_w0
+    region = GridSpec.rho_z(rho_min=19121.5 * w0, rho_max=19122.5 * w0, n_rho=1001,
+                            z_min=0.0, z_max=WAVELENGTH / 400.0, n_z=2)
+    assert ring_analysis._coarse_stride(p, region) > 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = assert_finder_is_the_oracle(p, region)
+    assert got.startswith("DegenerateGeometryError: map amplitude is not finite")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=lattices())
+def test_windows_and_coarse_grid_give_the_maps_bits(case):
+    """Every value find_rings evaluates (the coarse grid of a column
+    subset, the banded windows, the peak rows) has the bits of the full
+    _pair_intensity_map at the same grid point: this is what makes the
+    finder exact."""
+    p, region, _ = case
+    full = superpose._pair_intensity_map(p, region)
+    outcome, seen = finder_evaluations(p, region)
+    assert outcome.startswith("RingSet(") and len(seen) == 3
+    for intensity, rows, cols in seen:
+        assert np.array_equal(intensity, full[rows, cols])
+
+
+def test_rings_command_writes_the_full_map_finders_bytes(tmp_path, monkeypatch):
+    """`rings` on configs/ring_lattice.json writes the same rings.json,
+    ring_comparison.csv and rings_summary.json with the package's finder as
+    with the full-map oracle in its place."""
+    config = str(REPO / "configs" / "ring_lattice.json")
+    assert main(["rings", "--config", config, "--out", str(tmp_path / "finder")]) == 0
+    monkeypatch.setattr(cli, "find_rings", full_map_find_rings)
+    assert main(["rings", "--config", config, "--out", str(tmp_path / "oracle")]) == 0
+    for name in ("rings.json", "ring_comparison.csv", "rings_summary.json"):
+        got = (tmp_path / "finder" / name).read_bytes()
+        assert got
+        assert got == (tmp_path / "oracle" / name).read_bytes()
