@@ -16,9 +16,9 @@ from .errors import (ConfigError, DarkPointError, DegenerateGeometryError,
 from .lg_mode import (BeamSpec, CylPoint, laguerre_poly, mode_amplitude,
                       mode_jet, mode_phase, waist_at)
 from .ring_analysis import (RadialSplit, Ring, RingSet, RingSplit,
-                            double_ring_radii, find_rings, measure_axial_drift,
-                            measure_rotation_rate, radial_separation,
-                            suggested_sample_dt)
+                            double_ring_radii, find_rings, fringe_drift_speed,
+                            measure_axial_drift, measure_rotation_rate,
+                            radial_separation, suggested_sample_dt)
 from .superpose import (FieldMap, GridSpec, PairSpec, PhaseDifference,
                         gouy_difference_closed_form, intensity_map, pair_complex,
                         phase_difference, total_amplitude, total_phase)

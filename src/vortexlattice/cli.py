@@ -22,9 +22,8 @@ from .config import RunConfig
 from .dynamics import _extents, angular_momentum, estimate_frequency, integrate, \
     trap_frequency
 from .errors import ConfigError, DegenerateGeometryError, VortexLatticeError
-from .lg_mode import CylPoint, mode_jet
-from .ring_analysis import double_ring_radii, find_rings, measure_axial_drift, \
-    measure_rotation_rate, radial_separation, suggested_sample_dt
+from .ring_analysis import double_ring_radii, find_rings, fringe_drift_speed, \
+    measure_axial_drift, measure_rotation_rate, radial_separation, suggested_sample_dt
 from .superpose import intensity_map, write_csv
 
 EXIT_OK = 0
@@ -176,11 +175,7 @@ def cmd_ferris(cfg, out, threads):
     rot = measure_rotation_rate(pair, rho_probe, grids[0].z_slice, t0, t0 + dt)
     drift = measure_axial_drift(pair, rho_probe, t0, t0 + dt)
     rot_ref = ferris_rate(pair)
-    # the fringe crawls at delta_omega / Phi'(0), Phi = Theta1 - Theta2 - delta_k z on the
-    # probe line; lift_speed's delta_omega / 2k leaves out the Gouy and curvature slopes
-    probe = CylPoint(rho=rho_probe, phi=0.0, z=0.0)
-    slope = mode_jet(pair.beam1, probe)[3][2] - mode_jet(pair.beam2, probe)[3][2] - pair.delta_k
-    drift_ref = pair.delta_omega / slope
+    drift_ref = fringe_drift_speed(pair, rho_probe)
     summary = {
         "rotation_rate_measured": rot,
         "rotation_rate_analytic": rot_ref,

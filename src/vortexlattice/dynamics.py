@@ -106,11 +106,12 @@ def _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz):
     vel = None
     if cfg.velocity_coupling:
         vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz)
-    fs, fd = _forces(atom, pair, pt, vel, cfg.force_model, t,
-                     cfg.include_scattering, cfg.include_dipole)
+    scattering, dipole = cfg.include_scattering, cfg.include_dipole
+    fs, fd = _forces(atom, pair, pt, vel, cfg.force_model, t, scattering, dipole)
     if not cfg.include_azimuthal:
         fs[1] = 0.0
-    f_rho, f_phi, f_z = (fs + fd).tolist()
+    # the force not asked for is zeros, so a lone force is used as it is
+    f_rho, f_phi, f_z = (fs + fd if scattering and dipole else fs if scattering else fd).tolist()
     return f_rho * c - f_phi * s, f_rho * s + f_phi * c, f_z
 
 

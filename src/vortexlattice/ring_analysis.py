@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
-from .lg_mode import CylPoint, _local_z, _row_phase
+from .lg_mode import CylPoint, _local_z, _row_phase, mode_jet
 # intensity_map is not called here; it stays a module attribute because
 # perfbench/spans.py traces calls by rebinding this name
 from .superpose import _pair_intensity_at, _pair_intensity_map, intensity_map, total_amplitude
@@ -27,6 +27,7 @@ __all__ = [
     "RingSplit",
     "double_ring_radii",
     "find_rings",
+    "fringe_drift_speed",
     "measure_axial_drift",
     "measure_rotation_rate",
     "radial_separation",
@@ -367,6 +368,16 @@ def measure_rotation_rate(pair, rho, z, t0, t1):
     dpsi = harmonic_phase(t1) - harmonic_phase(t0)
     dpsi = (dpsi + np.pi) % (2.0 * np.pi) - np.pi
     return -dpsi / (m * (t1 - t0))
+
+
+def fringe_drift_speed(pair, rho):
+    """Axial speed Delta_omega / Phi'(0) at which the fringes crawl on the
+    line (rho, phi=0), where Phi = Theta1 - Theta2 - delta_k z is the phase
+    difference there (m/s).  lift_speed's Delta_omega / 2k leaves out the
+    Gouy and curvature slopes; measure_axial_drift tracks this speed."""
+    probe = CylPoint(rho=rho, phi=0.0, z=0.0)
+    slope = mode_jet(pair.beam1, probe)[3][2] - mode_jet(pair.beam2, probe)[3][2] - pair.delta_k
+    return pair.delta_omega / slope
 
 
 def measure_axial_drift(pair, rho, t0, t1):

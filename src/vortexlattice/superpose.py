@@ -7,6 +7,7 @@ and sampled intensity maps on half-plane (rho, z) or transverse (x, y) grids.
 
 import concurrent.futures
 import contextvars
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -289,22 +290,139 @@ class GridSpec:
 BLOCK_POINTS = 100_000
 
 
-def _column_values(col):
-    """Return (values, fmt): the column's cells and their field in the row
-    format.
+# Values formatted per numpy pass of write_csv.  A pass's largest arrays (30
+# bytes a value) stay below the 128 KiB at which glibc's malloc maps fresh
+# pages: 16384 values took about 11 000 minor page faults per ferris map.
+_CHUNK_VALUES = 4096
+# Decimal exponents the numpy path formats: |x| in [1e-280, 1e280] keeps every
+# scaled product below and its error terms well above the float64 range limits.
+_E_MIN, _E_MAX = -281, 280
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
+# How close to a rounding tie the 17th digit may fall before Python formats it
+_TIE_WINDOW = 1e-6
 
-    A column of mostly distinct values (a field column) is passed as floats
-    under "%.17g".  A column whose values repeat (a tiled or repeated grid
-    axis) formats each distinct bit pattern once and is passed as strings
-    under "%s"; the bit pattern keeps -0.0 apart from 0.0.
+
+@functools.cache
+def _decimal_tables():
+    """Per decimal exponent E from _E_MIN to _E_MAX (column E - _E_MIN):
+
+    - scale (4, n_E) float64: Dekker's halves of hi, hi, lo, where hi is
+      10^(16 - E) correctly rounded and lo the correctly rounded remainder
+      10^(16 - E) - hi, both from exact integers;
+    - layout (12, n_E) uint8: the %g prefix "0.000"[:1 - E] of fixed
+      notation below 1 (-4 <= E < 0), the exponent "e+dd" or "e-ddd" of
+      scientific notation (E < -4 or E >= 17), each left-aligned and padded
+      with 0 bytes; the count of digits before the point (0 below 1); and
+      the mantissa slot of the point (18: none in the mantissa).
+    Built on first use, not at import."""
+    hi, lo, layout = [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        if e <= 16:
+            h = float(10 ** (16 - e))
+            hi.append(h)
+            lo.append(float(10 ** (16 - e) - int(h)))
+        else:
+            d = 10 ** (e - 16)
+            num, den = (1 / d).as_integer_ratio()
+            hi.append(num / den)
+            lo.append((den - num * d) / (den * d))
+        if -4 <= e < 0:
+            text, n_int, point = "0.000"[:1 - e].ljust(10, "\0"), 0, 18
+        elif 0 <= e < 17:
+            text, n_int, point = "\0" * 10, e + 1, e + 1
+        else:
+            text, n_int, point = ("\0" * 5 + "e%+03d" % e).ljust(10, "\0"), 1, 1
+        layout.append(list(text.encode()) + [n_int, point])
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    return (np.stack([hi_hi, hi - hi_hi, hi, np.array(lo)]),
+            np.array(layout, dtype=np.uint8).T.copy())
+
+
+def _format_rows(block):
+    """ASCII bytes of a 2-D block as write_csv writes its rows: each value
+    "%.17g", followed by "," or, at the end of a row, "\n".
+
+    Each value gets 30 byte slots (sign, the prefix "0.000", 18 mantissa
+    characters, the exponent "e-ddd", the separator), unused ones 0; the
+    planes of the block are transposed to value order and the 0 bytes
+    dropped.  For a finite x with 1e-280 <= |x| <= 1e280:
+
+    - E = floor(log10|x|), and m = |x| * 10^(16 - E) is formed as p + e:
+      p = fl(|x| * hi), and e the product's exact rounding error (Dekker's
+      two-product) plus |x| * lo, so p + e is m to about 1e-14;
+    - p >= 2^53 is an integer, so N = p + floor(e + 1/2) is m rounded half
+      up, exactly unless m + 1/2 lies within _TIE_WINDOW of an integer;
+    - log10 may misplace E by one next to a power of ten; then N <= 10^16
+      or N >= 10^17, so N is the 17-digit significand only strictly
+      between those bounds (N = 10^17 is also the carry into E + 1).
+
+    Zeros, NaN, infinities, |x| out of range, rows near a tie (which Python
+    rounds half to even) and rows on or past the bounds are formatted by
+    Python's "%.17g" in one % operation and written into their slots.
     """
-    bits = col.view(np.int64)
-    ordered = np.sort(bits)
-    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
-        return col.tolist(), "%.17g"
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = "\n".join(["%.17g"] * distinct.size) % tuple(distinct.view(np.float64).tolist())
-    return np.array(text.split("\n"), dtype=object)[inverse].tolist(), "%s"
+    values = block.ravel()
+    n = values.size
+    scale, layout = _decimal_tables()
+    a = np.abs(values)
+    fallback = ~((a >= 1e-280) & (a <= 1e280))
+    a[fallback] = 1.5
+    col = np.floor(np.log10(a)).astype(np.intp)
+    col -= _E_MIN
+    hi_hi, hi_lo, hi, lo = np.take(scale, col, axis=1)
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * hi
+    e = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+    e += 0.5
+    r = np.floor(e)
+    e -= r
+    fallback |= np.abs(e - 0.5) > 0.5 - _TIE_WINDOW
+    sig = p.astype(np.int64)
+    sig += r.astype(np.int64)
+    fallback |= (sig <= 10 ** 16) | (sig >= 10 ** 17)
+
+    # digits: rows 0-17 hold the 18 digits of sig (row 0 is 0), two 9-digit
+    # halves at once by uint32 divmod by 10; row 18 stays 0
+    halves = np.empty((2, n), dtype=np.uint32)
+    np.divmod(sig, 10 ** 9, out=(halves[0], halves[1]), casting="unsafe")
+    digits = np.zeros((19, n), dtype=np.uint8)
+    ten = np.uint32(10)
+    for i in range(8, -1, -1):
+        q = halves // ten
+        np.subtract(halves, q * ten, out=digits[i:18:9], casting="unsafe")
+        halves = q
+    sig_digits = digits[1:18]
+    slots = np.arange(18, dtype=np.uint8)[:, None]
+    n_sig = ((sig_digits != 0) * slots[1:]).max(axis=0)
+    lay = np.take(layout, col, axis=1)
+    n_int, point = lay[10], lay[11]
+    sig_digits += np.uint8(48)
+    sig_digits *= slots[:17] < np.maximum(n_int, n_sig)
+
+    planes = np.empty((30, n), dtype=np.uint8)
+    planes[0] = np.signbit(values) * np.uint8(45)
+    planes[1:6] = lay[:5]
+    # mantissa slot s holds digit s before the point and digit s - 1 after
+    # it; the point goes in where digits follow it
+    mantissa = planes[6:24]
+    np.subtract(digits[:18], digits[1:], out=mantissa)
+    point[n_sig <= n_int] = 18
+    mantissa *= slots > point
+    mantissa += digits[1:]
+    cols = np.flatnonzero(point < 18)
+    mantissa[point[cols], cols] = 46
+    planes[24:29] = lay[5:10]
+    planes[29] = 44
+    planes[29, block.shape[1] - 1::block.shape[1]] = 10
+    rows = np.flatnonzero(fallback)
+    if rows.size:
+        text = ("%.17g\n" * rows.size % tuple(values[rows].tolist())).split("\n")[:-1]
+        planes[:29, rows] = np.array(text, dtype="S29").view(np.uint8).reshape(-1, 29).T
+    out = planes.T.copy()
+    return out[out != 0]
 
 
 def write_csv(path, header, data):
@@ -312,24 +430,18 @@ def write_csv(path, header, data):
     (doubles round-trip), comma-separated, LF newlines.  The bytes are those
     np.savetxt writes with the same format, NaN included.
 
-    Each block of at most BLOCK_POINTS rows is formatted column by column
-    into one argument list and written with a single % operation; a column
-    of repeated values formats each distinct value once.  1-D data is one
-    column, as np.savetxt writes it."""
+    Rows are formatted in numpy (``_format_rows``), at most BLOCK_POINTS rows
+    and about _CHUNK_VALUES values at a time.  1-D data is one column, as
+    np.savetxt writes it."""
     data = np.asarray(data, dtype=float)
     data = data[:, None] if data.ndim == 1 else np.atleast_2d(data)
-    n_cols = data.shape[1]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, data.shape[0], BLOCK_POINTS):
-            block = data[start:start + BLOCK_POINTS]
-            cells = [None] * block.size
-            formats = []
-            for j, col in enumerate(block.T):
-                values, fmt = _column_values(col)
-                cells[j::n_cols] = values
-                formats.append(fmt)
-            fh.write((",".join(formats) + "\n") * block.shape[0] % tuple(cells))
+    step = max(1, min(BLOCK_POINTS, _CHUNK_VALUES // max(1, data.shape[1])))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, data.shape[0], step):
+            block = data[start:start + step]
+            # rows of no columns are empty lines, as np.savetxt writes them
+            fh.write(_format_rows(block) if block.size else b"\n" * len(block))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vortexlattice
-from vortexlattice import cli
+from vortexlattice import cli, superpose
 from vortexlattice.atom_forces import lift_speed
 from vortexlattice.cli import main
 from vortexlattice.config import MAX_GRID_POINTS, SECTION_KEYS, RunConfig, parse_quantity
 from vortexlattice.constants import AMU
 from vortexlattice.dynamics import _extents, angular_momentum, integrate
 from vortexlattice.errors import ConfigError
+from vortexlattice.ring_analysis import fringe_drift_speed
 from vortexlattice.superpose import BLOCK_POINTS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -647,6 +648,63 @@ def test_cli_csv_bytes_survive_a_savetxt_round_trip(tmp_path):
         assert again.getvalue() == raw
 
 
+def _column_values(col):
+    """Return (values, fmt): the column's cells and their field in the row
+    format.  A column of mostly distinct values is passed as floats under
+    "%.17g"; a column whose values repeat formats each distinct bit pattern
+    once and is passed as strings under "%s" (-0.0 stays apart from 0.0)."""
+    bits = col.view(np.int64)
+    ordered = np.sort(bits)
+    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
+        return col.tolist(), "%.17g"
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = "\n".join(["%.17g"] * distinct.size) % tuple(distinct.view(np.float64).tolist())
+    return np.array(text.split("\n"), dtype=object)[inverse].tolist(), "%s"
+
+
+def percent_write_csv(path, header, data):
+    """The package's former CSV writer, kept as the oracle of write_csv: each
+    block of at most BLOCK_POINTS rows is formatted column by column into
+    one argument list and written with a single % operation."""
+    data = np.asarray(data, dtype=float)
+    data = data[:, None] if data.ndim == 1 else np.atleast_2d(data)
+    n_cols = data.shape[1]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, data.shape[0], BLOCK_POINTS):
+            block = data[start:start + BLOCK_POINTS]
+            cells = [None] * block.size
+            formats = []
+            for j, col in enumerate(block.T):
+                values, fmt = _column_values(col)
+                cells[j::n_cols] = values
+                formats.append(fmt)
+            fh.write((",".join(formats) + "\n") * block.shape[0] % tuple(cells))
+
+
+def test_csv_commands_write_the_percent_writers_bytes(tmp_path, monkeypatch):
+    """ferris, field-map on the xy and the rho-z lattice configs, and
+    trajectory write the same files, byte for byte, with write_csv as with
+    the former % writer bound in its place."""
+    runs = [["ferris", "--config", REPO / "configs" / "ferris.json"],
+            ["field-map", "--config", REPO / "configs" / "ring_lattice_xy.json"],
+            ["field-map", "--config", REPO / "configs" / "ring_lattice.json"],
+            ["trajectory", "--config", REPO / "configs" / "trajectory.json"]]
+    for side in ("writer", "oracle"):
+        if side == "oracle":
+            monkeypatch.setattr(cli, "write_csv", percent_write_csv)
+            monkeypatch.setattr(superpose, "write_csv", percent_write_csv)
+        for i, args in enumerate(runs):
+            assert run_cli(args + ["--out", tmp_path / side / str(i)]) == 0
+    for i in range(len(runs)):
+        names = sorted(p.name for p in (tmp_path / "writer" / str(i)).iterdir())
+        assert any(name.endswith(".csv") for name in names)
+        assert names == sorted(p.name for p in (tmp_path / "oracle" / str(i)).iterdir())
+        for name in names:
+            assert (tmp_path / "writer" / str(i) / name).read_bytes() \
+                == (tmp_path / "oracle" / str(i) / name).read_bytes()
+
+
 def test_cli_ferris_drift_error_is_against_the_phase_slope(tmp_path):
     """ferris_summary.json measures drift_rel_err against the fringe speed
     delta_omega / Phi'(0) of the probe line, Phi'(0) = 2k - 2(|l| + 1)/z_R
@@ -664,6 +722,7 @@ def test_cli_ferris_drift_error_is_against_the_phase_slope(tmp_path):
     slope = 2.0 * k - 2.0 * (l + 1.0) / zr + k * rho ** 2 / zr ** 2
     assert summary["drift_speed_phase_slope"] == pytest.approx(pair.delta_omega / slope,
                                                                rel=1e-12)
+    assert summary["drift_speed_phase_slope"] == fringe_drift_speed(pair, rho)
     assert summary["drift_speed_analytic"] == lift_speed(pair)
     assert summary["drift_rel_err"] < 1e-6
     assert summary["drift_rel_err"] == abs(

@@ -17,7 +17,7 @@ from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
                                   RingDetectionError, VortexLatticeError)
 from vortexlattice.lg_mode import waist_at
 from vortexlattice.ring_analysis import (double_ring_radii, find_rings,
-                                         measure_axial_drift,
+                                         fringe_drift_speed, measure_axial_drift,
                                          measure_rotation_rate,
                                          radial_separation, suggested_sample_dt)
 from vortexlattice.superpose import BLOCK_POINTS, GridSpec, PairSpec, intensity_map
@@ -240,8 +240,8 @@ def test_measure_axial_drift():
 
 @pytest.mark.parametrize("l1", [1, 2, 3])
 def test_measure_axial_drift_follows_the_phase_slope(l1):
-    """The tracked fringe crawls at delta_omega / Phi'(0), with
-    Phi'(0) = 2k - 2(|l| + 1)/z_R + k rho^2/z_R^2 at d = 0 on the probe
+    """The tracked fringe crawls at fringe_drift_speed's delta_omega / Phi'(0),
+    with Phi'(0) = 2k - 2(|l| + 1)/z_R + k rho^2/z_R^2 at d = 0 on the probe
     radius: the Gouy and curvature slopes are physics, not tracker error, so
     the reading sits more than 1e-4 away from lift_speed's delta_omega / 2k."""
     dw = 2.0 * math.pi * 1000.0
@@ -252,6 +252,7 @@ def test_measure_axial_drift_follows_the_phase_slope(l1):
     slope = 2.0 * k - 2.0 * (l1 + 1.0) / zr + k * rho ** 2 / zr ** 2
     drift = measure_axial_drift(p, rho, 0.0, suggested_sample_dt(p))
     assert drift == pytest.approx(dw / slope, rel=1e-6)
+    assert fringe_drift_speed(p, rho) == pytest.approx(dw / slope, rel=1e-12)
     assert abs(drift / lift_speed(p) - 1.0) > 1e-4
 
 

@@ -459,6 +459,55 @@ def test_field_map_csv_matches_savetxt(tmp_path, kind):
     assert path.read_bytes() == _savetxt_bytes("coord1,coord2,amplitude,phase,intensity", data)
 
 
+def _neighbours(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+def _write_column_bytes(tmp_path, values):
+    path = tmp_path / "column.csv"
+    write_csv(path, "x", np.array(values, dtype=float))
+    return path.read_bytes()
+
+
+# every power of ten a double can be near, with both neighbours and signs; the
+# %g switch between fixed and scientific notation; subnormals; NaN with a sign
+# or a payload; and exact ties of the 17th digit, which round half to even
+EDGE_VALUES = ([s * y for k in range(-323, 309) for y in _neighbours(float(f"1e{k}"))
+                for s in (1.0, -1.0)]
+               + [s * y for x in (1e-5, 1e-4, 1e16, 1e17) for y in _neighbours(x)
+                  for s in (1.0, -1.0)]
+               + [_bits(b) for b in (0x1, 0x2, 0x000FFFFFFFFFFFFF, 0x0008000000000001,
+                                     0x800FFFFFFFFFFFFF, 0x8000000000000001)]
+               + SPECIAL_VALUES + [1000000000000000.25, 1000000000000000.75, -2.5e-5])
+
+
+def test_write_csv_formats_edge_values_as_percent_17g(tmp_path):
+    """write_csv's numpy formatter writes Python's "%.17g" byte for byte at
+    every value where scaling, rounding or the %g layout could slip."""
+    assert _write_column_bytes(tmp_path, EDGE_VALUES) \
+        == ("x\n" + "".join("%.17g\n" % x for x in EDGE_VALUES)).encode()
+    assert _write_column_bytes(tmp_path, [1000000000000000.25, 1000000000000000.75]) \
+        == b"x\n1000000000000000.2\n1000000000000000.8\n"
+
+
+def test_write_csv_writes_rows_of_no_columns_as_savetxt(tmp_path):
+    """Rows of no columns are empty lines, as np.savetxt writes them."""
+    path = tmp_path / "empty.csv"
+    for data in (np.zeros((3, 0)), np.zeros((0, 4))):
+        write_csv(path, "h", data)
+        assert path.read_bytes() == _savetxt_bytes("h", data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_write_csv_formats_raw_bit_patterns_as_percent_17g(tmp_path_factory, patterns):
+    """Any 64-bit pattern viewed as a double: NaNs, infinities, subnormals and
+    normals of both signs come out as Python's "%.17g"."""
+    values = np.array(patterns, dtype=np.uint64).view(np.float64).tolist()
+    assert _write_column_bytes(tmp_path_factory.mktemp("csv"), values) \
+        == ("x\n" + "".join("%.17g\n" % x for x in values)).encode()
+
+
 @pytest.mark.parametrize("kind", ["rho_z", "xy"])
 def test_maps_are_finite_at_large_l(kind):
     """At l = 200 a map reaching 4 ring radii, where the power form of the
