@@ -285,14 +285,17 @@ class GridSpec:
 # Grid points in one row block of a map.  A block's temporaries stay small
 # enough for the cache, and the blocks are the units the --threads pool hands
 # out; every point is computed the same way in any block, so maps do not
-# depend on the thread count.  write_csv formats at most this many rows at
-# once, so its memory does not grow with the file.
+# depend on the thread count.  The CSV writer fills at most this many rows
+# at once, so its row buffer does not grow with the file.
 BLOCK_POINTS = 100_000
 
 
-# Values formatted per numpy pass of write_csv.  A pass's largest arrays (30
-# bytes a value) stay below the 128 KiB at which glibc's malloc maps fresh
-# pages: 16384 values took about 11 000 minor page faults per ferris map.
+# Values formatted per numpy pass of the CSV writer.  A pass's largest arrays,
+# its slot planes (29 bytes a value), stay below the 128 KiB at which glibc's
+# malloc maps fresh pages: 16384 values took about 11 000 minor page faults
+# per ferris map.  The row buffer (30 bytes a value, axis text included) is
+# made once per file and reused by every pass, so a warm map's to_csv takes
+# no minor page fault.
 _CHUNK_VALUES = 4096
 # Decimal exponents the numpy path formats: |x| in [1e-280, 1e280] keeps every
 # scaled product below and its error terms well above the float64 range limits.
@@ -340,14 +343,12 @@ def _decimal_tables():
             np.array(layout, dtype=np.uint8).T.copy())
 
 
-def _format_rows(block):
-    """ASCII bytes of a 2-D block as write_csv writes its rows: each value
-    "%.17g", followed by "," or, at the end of a row, "\n".
+def _slots(values):
+    """The "%.17g" text of each value of a 1-D float64 array, as (29, n)
+    uint8 planes: slot 0 the sign, 1-5 the prefix "0.000", 6-23 the
+    mantissa, 24-28 the exponent "e-ddd"; unused slots are 0.
 
-    Each value gets 30 byte slots (sign, the prefix "0.000", 18 mantissa
-    characters, the exponent "e-ddd", the separator), unused ones 0; the
-    planes of the block are transposed to value order and the 0 bytes
-    dropped.  For a finite x with 1e-280 <= |x| <= 1e280:
+    For a finite x with 1e-280 <= |x| <= 1e280:
 
     - E = floor(log10|x|), and m = |x| * 10^(16 - E) is formed as p + e:
       p = fl(|x| * hi), and e the product's exact rounding error (Dekker's
@@ -358,11 +359,10 @@ def _format_rows(block):
       or N >= 10^17, so N is the 17-digit significand only strictly
       between those bounds (N = 10^17 is also the carry into E + 1).
 
-    Zeros, NaN, infinities, |x| out of range, rows near a tie (which Python
-    rounds half to even) and rows on or past the bounds are formatted by
+    Zeros, NaN, infinities, |x| out of range, values near a tie (which Python
+    rounds half to even) and values on or past the bounds are formatted by
     Python's "%.17g" in one % operation and written into their slots.
     """
-    values = block.ravel()
     n = values.size
     scale, layout = _decimal_tables()
     a = np.abs(values)
@@ -402,7 +402,7 @@ def _format_rows(block):
     sig_digits += np.uint8(48)
     sig_digits *= slots[:17] < np.maximum(n_int, n_sig)
 
-    planes = np.empty((30, n), dtype=np.uint8)
+    planes = np.empty((29, n), dtype=np.uint8)
     planes[0] = np.signbit(values) * np.uint8(45)
     planes[1:6] = lay[:5]
     # mantissa slot s holds digit s before the point and digit s - 1 after
@@ -415,14 +415,43 @@ def _format_rows(block):
     cols = np.flatnonzero(point < 18)
     mantissa[point[cols], cols] = 46
     planes[24:29] = lay[5:10]
-    planes[29] = 44
-    planes[29, block.shape[1] - 1::block.shape[1]] = 10
     rows = np.flatnonzero(fallback)
     if rows.size:
         text = ("%.17g\n" * rows.size % tuple(values[rows].tolist())).split("\n")[:-1]
-        planes[:29, rows] = np.array(text, dtype="S29").view(np.uint8).reshape(-1, 29).T
-    out = planes.T.copy()
-    return out[out != 0]
+        planes[:, rows] = np.array(text, dtype="S29").view(np.uint8).reshape(-1, 29).T
+    return planes
+
+
+def _write_rows(path, header, data, axes=()):
+    """Write a header line, then one line per row i of the 2-D float64
+    ``data``: the value of each axis at grid point i (the first axis varying
+    fastest), then the row's values; "%.17g", comma-separated, LF newlines.
+
+    Each axis is formatted once and its text gathered per row, so rows
+    format only ``data``: at most BLOCK_POINTS rows and about _CHUNK_VALUES
+    of its values at a time.  A row's values go into a (rows, columns, 30)
+    uint8 buffer, made once per file: 29 slots of text from ``_slots``, then
+    "," or, at the end of the row, "\n"; the 0 bytes are dropped."""
+    n_rows, n_cols = data.shape[0], len(axes) + data.shape[1]
+    step = max(1, min(BLOCK_POINTS, _CHUNK_VALUES // max(1, data.shape[1])))
+    texts = [_slots(axis).T.copy() for axis in axes]
+    buf = np.empty((min(step, n_rows), n_cols, 30), dtype=np.uint8)
+    buf[:, :, 29] = 44
+    buf[:, -1:, 29] = 10
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, n_rows, step):
+            rows = buf[:min(step, n_rows - start)]
+            point = np.arange(start, start + len(rows))
+            for j, text in enumerate(texts):
+                point, index = np.divmod(point, len(text))
+                rows[:, j, :29] = np.take(text, index, axis=0)
+            block = data[start:start + len(rows)]
+            rows[:, len(axes):, :29] = _slots(block.ravel()).reshape(
+                29, *block.shape).transpose(1, 2, 0)
+            # rows of no columns are empty lines, as np.savetxt writes them
+            fh.write(rows.tobytes().translate(None, b"\0") if n_cols
+                     else b"\n" * len(rows))
 
 
 def write_csv(path, header, data):
@@ -430,18 +459,10 @@ def write_csv(path, header, data):
     (doubles round-trip), comma-separated, LF newlines.  The bytes are those
     np.savetxt writes with the same format, NaN included.
 
-    Rows are formatted in numpy (``_format_rows``), at most BLOCK_POINTS rows
-    and about _CHUNK_VALUES values at a time.  1-D data is one column, as
-    np.savetxt writes it."""
+    Rows are formatted in numpy (``_write_rows``).  1-D data is one column,
+    as np.savetxt writes it."""
     data = np.asarray(data, dtype=float)
-    data = data[:, None] if data.ndim == 1 else np.atleast_2d(data)
-    step = max(1, min(BLOCK_POINTS, _CHUNK_VALUES // max(1, data.shape[1])))
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for start in range(0, data.shape[0], step):
-            block = data[start:start + step]
-            # rows of no columns are empty lines, as np.savetxt writes them
-            fh.write(_format_rows(block) if block.size else b"\n" * len(block))
+    _write_rows(path, header, data[:, None] if data.ndim == 1 else np.atleast_2d(data))
 
 
 @dataclass(frozen=True)
@@ -455,13 +476,12 @@ class FieldMap:
 
     def to_csv(self, path):
         """Write rows (coord1, coord2, amplitude, phase, intensity), one per
-        grid point, axis2-major; 17 significant digits, LF newlines."""
-        n2, n1 = self.amplitude.shape
-        c1 = np.tile(self.grid.axis1, n2)
-        c2 = np.repeat(self.grid.axis2, n1)
-        data = np.column_stack([c1, c2, self.amplitude.ravel(),
-                                self.phase.ravel(), self.intensity.ravel()])
-        write_csv(path, "coord1,coord2,amplitude,phase,intensity", data)
+        grid point, axis2-major; 17 significant digits, LF newlines, the
+        bytes np.savetxt writes.  Each axis is formatted once."""
+        data = np.column_stack([self.amplitude.ravel(), self.phase.ravel(),
+                                self.intensity.ravel()])
+        _write_rows(path, "coord1,coord2,amplitude,phase,intensity", data,
+                    (self.grid.axis1, self.grid.axis2))
 
 
 def _block_points(grid, rows):

@@ -682,10 +682,22 @@ def percent_write_csv(path, header, data):
             fh.write((",".join(formats) + "\n") * block.shape[0] % tuple(cells))
 
 
+def percent_to_csv(fmap, path):
+    """The package's former FieldMap.to_csv, kept as the oracle of to_csv: the
+    column stack of the tiled axis1, the repeated axis2 and the three field
+    columns, written by percent_write_csv."""
+    n2, n1 = fmap.amplitude.shape
+    data = np.column_stack([np.tile(fmap.grid.axis1, n2), np.repeat(fmap.grid.axis2, n1),
+                            fmap.amplitude.ravel(), fmap.phase.ravel(),
+                            fmap.intensity.ravel()])
+    percent_write_csv(path, "coord1,coord2,amplitude,phase,intensity", data)
+
+
 def test_csv_commands_write_the_percent_writers_bytes(tmp_path, monkeypatch):
     """ferris, field-map on the xy and the rho-z lattice configs, and
-    trajectory write the same files, byte for byte, with write_csv as with
-    the former % writer bound in its place."""
+    trajectory write the same files, byte for byte, with write_csv and
+    FieldMap.to_csv as with the former % writer and map writer bound in
+    their place."""
     runs = [["ferris", "--config", REPO / "configs" / "ferris.json"],
             ["field-map", "--config", REPO / "configs" / "ring_lattice_xy.json"],
             ["field-map", "--config", REPO / "configs" / "ring_lattice.json"],
@@ -693,7 +705,7 @@ def test_csv_commands_write_the_percent_writers_bytes(tmp_path, monkeypatch):
     for side in ("writer", "oracle"):
         if side == "oracle":
             monkeypatch.setattr(cli, "write_csv", percent_write_csv)
-            monkeypatch.setattr(superpose, "write_csv", percent_write_csv)
+            monkeypatch.setattr(superpose.FieldMap, "to_csv", percent_to_csv)
         for i, args in enumerate(runs):
             assert run_cli(args + ["--out", tmp_path / side / str(i)]) == 0
     for i in range(len(runs)):

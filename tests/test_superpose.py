@@ -382,6 +382,15 @@ def _savetxt_bytes(header, data):
     return ref.getvalue().encode()
 
 
+def _savetxt_map_bytes(fm):
+    """np.savetxt's bytes of a map's column stack: axis1 tiled, axis2
+    repeated, then amplitude, phase and intensity."""
+    n2, n1 = fm.amplitude.shape
+    data = np.column_stack([np.tile(fm.grid.axis1, n2), np.repeat(fm.grid.axis2, n1),
+                            fm.amplitude.ravel(), fm.phase.ravel(), fm.intensity.ravel()])
+    return _savetxt_bytes("coord1,coord2,amplitude,phase,intensity", data)
+
+
 def _bits(pattern):
     return float(np.array(pattern, dtype=np.uint64).view(np.float64))
 
@@ -398,8 +407,8 @@ csv_values = st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES))
 @st.composite
 def csv_columns(draw, n_rows):
     """A column of n_rows doubles: arbitrary values, signed zeros, NaNs and
-    infinities mixed, a few values drawn repeatedly, or a grid axis tiled or
-    repeated as FieldMap.to_csv lays out coord1 and coord2."""
+    infinities mixed, a few values drawn repeatedly, or a few values tiled or
+    repeated, as a map's coordinate columns repeat its axes."""
     kind = draw(st.sampled_from(["free", "signed", "pool", "tiled", "repeated"]))
     if kind == "free":
         return draw(st.lists(csv_values, min_size=n_rows, max_size=n_rows))
@@ -453,10 +462,53 @@ def test_field_map_csv_matches_savetxt(tmp_path, kind):
     assert np.isnan(fm.phase).any()
     path = tmp_path / "map.csv"
     fm.to_csv(path)
-    n2, n1 = fm.amplitude.shape
-    data = np.column_stack([np.tile(g.axis1, n2), np.repeat(g.axis2, n1), fm.amplitude.ravel(),
-                            fm.phase.ravel(), fm.intensity.ravel()])
-    assert path.read_bytes() == _savetxt_bytes("coord1,coord2,amplitude,phase,intensity", data)
+    assert path.read_bytes() == _savetxt_map_bytes(fm)
+
+
+# axis samples the formatter's Python fallback writes (below 1e-280 or above
+# 1e280 in magnitude, subnormals among them) and some it writes in numpy
+FALLBACK_AXIS_VALUES = [5e-324, -5e-324, 1e-310, -1e-300, 1e281, -1e300, -2.5e-5,
+                        1000000000000000.25, 1.0 / 3.0]
+
+
+@st.composite
+def map_axes(draw):
+    """A strictly increasing axis: integer multiples of a drawn spacing,
+    negative ones and an exact 0.0 among them, joined by drawn values."""
+    spacing = draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e285]) | st.floats(1e-12, 1e3))
+    below, above = draw(st.integers(0, 36)), draw(st.integers(2, 36))
+    extra = draw(st.lists(st.sampled_from(FALLBACK_AXIS_VALUES)
+                          | st.floats(-1e300, 1e300).filter(bool), max_size=4))
+    return np.unique(np.concatenate([spacing * np.arange(-below, above), extra]))
+
+
+def _map_values(rng, shape):
+    """Field columns for a map: values of every decimal exponent, exact zeros
+    in all three columns and NaN phases, at the zeros and elsewhere."""
+    amplitude, phase, intensity = (rng.standard_normal(shape)
+                                   * 10.0 ** rng.integers(-310, 300, shape)
+                                   for _ in range(3))
+    zeros = rng.random(shape) < 0.2
+    amplitude[zeros] = intensity[zeros] = 0.0
+    phase[zeros | (rng.random(shape) < 0.1)] = np.nan
+    return amplitude, phase, intensity
+
+
+@pytest.mark.parametrize("chunk_values", [7, 64, superpose._CHUNK_VALUES])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(axis1=map_axes(), axis2=map_axes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_field_map_csv_matches_savetxt_on_generated_grids(tmp_path_factory, chunk_values,
+                                                          axis1, axis2, seed):
+    """FieldMap.to_csv, which formats each axis once, writes np.savetxt's
+    bytes of its column stack on generated axes and field values, over maps
+    of one chunk or several, the last one partial, at the package's chunk
+    size and at small ones."""
+    g = GridSpec(kind="xy", axis1=axis1, axis2=axis2)
+    fm = FieldMap(g, *_map_values(np.random.default_rng(seed), (axis2.size, axis1.size)))
+    path = tmp_path_factory.mktemp("map") / "map.csv"
+    with mock.patch.object(superpose, "_CHUNK_VALUES", chunk_values):
+        fm.to_csv(path)
+    assert path.read_bytes() == _savetxt_map_bytes(fm)
 
 
 def _neighbours(x):
