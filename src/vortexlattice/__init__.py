@@ -19,8 +19,7 @@ from .ring_analysis import (RadialSplit, Ring, RingSet, RingSplit,
                             double_ring_radii, find_rings, fringe_drift_speed,
                             measure_axial_drift, measure_rotation_rate,
                             radial_separation, suggested_sample_dt)
-from .superpose import (FieldMap, GridSpec, PairSpec, PhaseDifference,
-                        gouy_difference_closed_form, intensity_map, pair_complex,
-                        phase_difference, total_amplitude, total_phase)
+from .superpose import (FieldMap, GridSpec, PairSpec, PhaseDifference, intensity_map,
+                        pair_complex, phase_difference, total_amplitude, total_phase)
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: field-map, spring-sweep, rings, ferris, trajectory.  All take
---config (JSON run configuration), --out (output directory) and --threads;
-trajectory also takes --mode, the force model ("reduced" by default).  Exit
+--config (JSON run configuration) and --out (output directory); trajectory
+also takes --mode, the force model ("reduced" by default).  --threads is
+accepted and checked but ignored: everything runs on one thread.  Exit
 codes: 0 success, 2 configuration problems, 3 any other package error
 (numerical, resolution or geometry failures), 4 I/O failures.
 """
@@ -40,9 +41,9 @@ def _write_json(path, payload):
         fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _metadata(out, command, cfg, threads, outputs):
+def _metadata(out, command, cfg, outputs):
     path = out / f"{command}_metadata.json"
-    payload = {"command": command, "threads": threads, "config": cfg.to_si_dict(),
+    payload = {"command": command, "config": cfg.to_si_dict(),
                "outputs": [p.name for p in outputs]}
     # the force model is a run setting (trajectory --mode), not a config key
     if cfg.trajectory_config is not None:
@@ -57,15 +58,15 @@ def _need_atom(cfg):
     return cfg.atom
 
 
-def cmd_field_map(cfg, out, threads):
+def cmd_field_map(cfg, out):
     written = []
     if cfg.grid is not None:
-        fmap = intensity_map(cfg.pair, cfg.grid, n_threads=threads)
+        fmap = intensity_map(cfg.pair, cfg.grid)
         path = out / "field_map_rho_z.csv"
         fmap.to_csv(path)
         written.append(path)
     for j, grid in enumerate(cfg.xy_grids()):
-        fmap = intensity_map(cfg.pair, grid, n_threads=threads)
+        fmap = intensity_map(cfg.pair, grid)
         path = out / f"field_map_xy_{j}.csv"
         fmap.to_csv(path)
         written.append(path)
@@ -74,7 +75,7 @@ def cmd_field_map(cfg, out, threads):
     return written
 
 
-def cmd_spring_sweep(cfg, out, threads):
+def cmd_spring_sweep(cfg, out):
     atom = _need_atom(cfg)
     if cfg.sweep is None:
         raise ConfigError("spring-sweep needs a 'sweep' config section")
@@ -89,10 +90,10 @@ def cmd_spring_sweep(cfg, out, threads):
     return [path]
 
 
-def cmd_rings(cfg, out, threads):
+def cmd_rings(cfg, out):
     if cfg.rings_grid is None:
         raise ConfigError("rings needs a 'rings_grid' section")
-    ringset = find_rings(cfg.pair, cfg.rings_grid, n_threads=threads)
+    ringset = find_rings(cfg.pair, cfg.rings_grid)
     json_path = out / "rings.json"
     _write_json(json_path, ringset.to_json_dict())
     written = [json_path]
@@ -147,7 +148,7 @@ def cmd_rings(cfg, out, threads):
     return written
 
 
-def cmd_ferris(cfg, out, threads):
+def cmd_ferris(cfg, out):
     pair = cfg.pair
     if pair.delta_omega == 0.0:
         raise ConfigError("ferris needs pair.delta_omega != 0")
@@ -162,7 +163,7 @@ def cmd_ferris(cfg, out, threads):
     written = []
     for i, t in enumerate(cfg.ferris_times):
         for j, grid in enumerate(grids):
-            fmap = intensity_map(pair, dataclasses.replace(grid, time=t), n_threads=threads)
+            fmap = intensity_map(pair, dataclasses.replace(grid, time=t))
             path = out / f"ferris_xy_t{i}_z{j}.csv"
             fmap.to_csv(path)
             written.append(path)
@@ -193,7 +194,7 @@ def cmd_ferris(cfg, out, threads):
     return written
 
 
-def cmd_trajectory(cfg, out, threads):
+def cmd_trajectory(cfg, out):
     atom = _need_atom(cfg)
     if cfg.trajectory_init is None or cfg.trajectory_config is None:
         raise ConfigError("trajectory needs a 'trajectory' config section")
@@ -238,7 +239,8 @@ def build_parser():
     common.add_argument("--config", required=True, help="JSON run configuration")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for map evaluation")
+                        help="ignored (must be >= 1): maps run on one thread; "
+                             "kept so existing scripts and the benchmark still parse")
 
     parser = argparse.ArgumentParser(
         prog="vortexlattice",
@@ -283,8 +285,8 @@ def main(argv=None):
             raise ConfigError("thread count must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        written = args.func(cfg, out, args.threads)
-        written.append(_metadata(out, args.command, cfg, args.threads, written))
+        written = args.func(cfg, out)
+        written.append(_metadata(out, args.command, cfg, written))
         for path in written:
             print(path)
         return EXIT_OK

@@ -6,7 +6,6 @@ the off-centre double rings.  Also provides the closed-form double-ring radii
 and the rotation/drift measurements for frequency-offset pairs.
 """
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
 from .lg_mode import CylPoint, _local_z, _row_phase, mode_jet
 # intensity_map is not called here; it stays a module attribute because
 # perfbench/spans.py traces calls by rebinding this name
-from .superpose import _pair_intensity_at, _pair_intensity_map, intensity_map, total_amplitude
+from .superpose import _pair_intensity_at, intensity_map, total_amplitude
 
 __all__ = [
     "RadialSplit",
@@ -171,18 +170,18 @@ def _coarse_stride(pair, region):
     return max(1, min(int(h / region.spacing1), region.axis1.size - 1))
 
 
-def find_rings(pair, region, n_threads=1):
+def find_rings(pair, region):
     """Detect the bright rings of the pair's interference pattern.
 
     ``region`` must be a "rho_z" GridSpec covering |z| <= d/2 with axial
     spacing <= lambda/20 and radial spacing <= w0/100, otherwise a
-    ResolutionError is raised.  The intensity is the one kernel of
-    ``_pair_intensity_map``, (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2), but it
-    is evaluated only where a ring can be, in three stages on the region's
-    own grid points:
+    ResolutionError is raised.  The intensity is that of the one kernel
+    entry ``_pair_intensity_at``, (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2),
+    evaluated only where a ring can be, in three stages on the region's own
+    grid points:
 
     1. a coarse scan: every row at every s-th column (the first and the last
-       always included), s from ``_coarse_stride``, on n_threads;
+       always included), s from ``_coarse_stride``;
     2. fine windows: in each row, each coarse local maximum that reaches
        LOBE of the coarse row maximum gets the fine columns of its two
        neighbouring coarse cells;
@@ -229,8 +228,7 @@ def find_rings(pair, region, n_threads=1):
     s = _coarse_stride(pair, region)
     cols = np.arange(0, n1 + s - 1, s)
     cols[-1] = n1 - 1
-    coarse = _pair_intensity_map(pair, dataclasses.replace(region, axis1=rho_axis[cols]),
-                                 n_threads=n_threads)
+    coarse = _pair_intensity_at(pair, region, rho_axis[None, cols], z_axis[:, None])
     ridge_val = coarse.max(axis=1)
     # coarse local maxima reaching LOBE of their row's coarse maximum; a
     # window spans the coarse cells on both sides of its maximum, so cell c,
@@ -240,20 +238,22 @@ def find_rings(pair, region, n_threads=1):
     lobe[:, 1:] &= coarse[:, 1:] >= coarse[:, :-1]
     lobe[:, :-1] &= coarse[:, :-1] >= coarse[:, 1:]
     cell_rows, cells = np.divmod(np.flatnonzero(lobe[:, :-1] | lobe[:, 1:]), cols.size - 1)
+    # the coarse map, the finder's largest array, is freed before the
+    # windows are made, so they reuse its memory (see BLOCK_POINTS)
+    del coarse, lobe
     if s > 1 and cells.size:
         # the s - 1 fine columns inside each cell, shifted left where the
         # last cell is narrower
-        first = np.minimum(cols[cells] + 1, n1 - s + 1)
-        fine = _pair_intensity_at(pair, region, rho_axis[first[:, None] + np.arange(s - 1)],
-                                  z_axis[cell_rows, None], n_threads=n_threads)
+        first = np.minimum(cols[:-1] + 1, n1 - s + 1)
+        cell_rho = rho_axis[first[:, None] + np.arange(s - 1)]
+        fine = _pair_intensity_at(pair, region, cell_rho[cells], z_axis[cell_rows, None])
         # column by column: numpy reduces a short last axis slowly
         np.maximum.at(ridge_val, cell_rows, functools.reduce(np.maximum, fine.T))
 
     peak_rows = _find_peaks(ridge_val, prominence=RIDGE_PROMINENCE * ridge_val.max())
     if peak_rows.size == 0:
         raise RingDetectionError("no interference maxima found in the region")
-    profiles = _pair_intensity_at(pair, region, rho_axis[None, :], z_axis[peak_rows, None],
-                                  n_threads=n_threads)
+    profiles = _pair_intensity_at(pair, region, rho_axis[None, :], z_axis[peak_rows, None])
 
     raw = []
     for j, profile in zip(peak_rows, profiles):

@@ -5,8 +5,6 @@ total amplitude/phase, the phase difference split into its physical parts,
 and sampled intensity maps on half-plane (rho, z) or transverse (x, y) grids.
 """
 
-import concurrent.futures
-import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +22,6 @@ __all__ = [
     "GridSpec",
     "PairSpec",
     "PhaseDifference",
-    "gouy_difference_closed_form",
     "intensity_map",
     "pair_complex",
     "phase_difference",
@@ -113,24 +110,6 @@ def phase_difference(pair, pt):
     parts1 = _phase_parts(b1, _local_z(b1, pt.z), pt)
     parts2 = _phase_parts(b2, _local_z(b2, pt.z), pt)
     return PhaseDifference(*(a - b for a, b in zip(parts1, parts2)))
-
-
-def gouy_difference_closed_form(pair, z):
-    """Single-arctangent form -(|l| + 1) * atan2(2 z z_R, z_R^2 - z^2 + d^2/4)
-    of the Gouy part of the phase difference, for equal beams.
-
-    It reproduces the sum of the two per-beam arctangent terms exactly; the
-    two-argument form keeps the branch right.  By the arctangent subtraction
-    identity the denominator is z_R^2 plus the product (d/2 + z)(d/2 - z) of
-    the beams' local offsets, so d^2/4 enters with the sign opposite to z^2
-    and grouping it with z^2, as z_R^2 - (z^2 + d^2/4), is wrong.
-    """
-    b = pair.beam1
-    l = abs(b.winding_l)
-    zr = b.rayleigh_range
-    d = pair.separation_d
-    z = np.asarray(z)
-    return -(l + 1.0) * np.arctan2(2.0 * z * zr, zr * zr - z * z + 0.25 * d * d)
 
 
 def _offset_phase(pair, pt, t, th2):
@@ -282,12 +261,14 @@ class GridSpec:
         return (self.axis2[-1] - self.axis2[0]) / (self.axis2.size - 1)
 
 
-# Grid points in one row block of a map.  A block's temporaries stay small
-# enough for the cache, and the blocks are the units the --threads pool hands
-# out; every point is computed the same way in any block, so maps do not
-# depend on the thread count.  The CSV writer fills at most this many rows
-# at once, so its row buffer does not grow with the file.
-BLOCK_POINTS = 100_000
+# Grid points in one row block of a map; every point is computed the same
+# way in any block.  A block's five to seven temporaries each stay under the
+# 128 KiB at which glibc's malloc maps fresh pages, and the ring finder's
+# peak heap use stays within 1.6 times its coarse map.  glibc trims its heap
+# only past twice the largest chunk it has mapped and freed, such as that
+# map, so a warm rings op takes no fresh pages.  The CSV writer fills at
+# most this many rows at once.
+BLOCK_POINTS = 16_000
 
 
 # Values formatted per numpy pass of the CSV writer.  A pass's largest arrays,
@@ -496,17 +477,12 @@ def _block_points(grid, rows):
     return CylPoint.from_cartesian(a1, a2, grid.z_slice)
 
 
-def _fill_blocks(n2, n1, n_threads, fill):
+def _fill_blocks(n2, n1, fill):
     """Call fill(rows) for blocks of rows of an (n2, n1) array, about
-    BLOCK_POINTS points each, on a pool of n_threads workers.  Each block
-    runs in a copy of the caller's context, so context-local state such as
-    np.errstate reaches the workers."""
+    BLOCK_POINTS points each."""
     step = max(1, BLOCK_POINTS // n1)
-    blocks = [slice(a, min(a + step, n2)) for a in range(0, n2, step)]
-    n_threads = min(max(1, int(n_threads)), len(blocks))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-        ctx = contextvars.copy_context()
-        list(pool.map(lambda rows: ctx.copy().run(fill, rows), blocks))
+    for a in range(0, n2, step):
+        fill(slice(a, min(a + step, n2)))
 
 
 def _require_finite(pair, grid, values):
@@ -529,29 +505,13 @@ def _require_finite(pair, grid, values):
         f"at this l, p and extent")
 
 
-def _pair_intensity_map(pair, grid, n_threads=1):
-    """|E|^2 over a grid, indexed [axis2, axis1], for the ring finder:
-    ``_pair_intensity`` writes each row block in place into the one
-    map-sized array, and neither the amplitude nor the phase is mapped.
-    Output is independent of n_threads.  Raises DegenerateGeometryError
-    where the intensity is not finite."""
-    intensity = np.empty((grid.axis2.size, grid.axis1.size))
-
-    def fill(rows):
-        _pair_intensity(pair, _block_points(grid, rows), grid.time, out=intensity[rows])
-        _require_finite(pair, grid, intensity[rows])
-
-    _fill_blocks(*intensity.shape, n_threads, fill)
-    return intensity
-
-
-def _pair_intensity_at(pair, grid, rho, z, n_threads=1):
-    """|E|^2 of ``_pair_intensity_map`` at chosen points of a rho_z grid, rho
-    of shape (R, W) or (1, W) and z of shape (R, 1), as an (R, W) array:
-    ``_pair_intensity`` writes each block of rows in place, on n_threads.
-    Each value has the bits of the map at the same point, as every point is
-    computed the same way in any block.  Raises DegenerateGeometryError, as
-    the map would, where a value is not finite."""
+def _pair_intensity_at(pair, grid, rho, z):
+    """|E|^2 of the pair at chosen points of a rho_z grid, rho of shape
+    (R, W) or (1, W) and z of shape (R, 1), as an (R, W) array, for the ring
+    finder: ``_pair_intensity`` writes each block of rows in place, and
+    neither the amplitude nor the phase is formed.  A value depends only on
+    its point, not on the block or the shape it is evaluated in.  Raises
+    DegenerateGeometryError where a value is not finite."""
     intensity = np.empty((z.shape[0], rho.shape[1]))
 
     def fill(rows):
@@ -559,15 +519,15 @@ def _pair_intensity_at(pair, grid, rho, z, n_threads=1):
         _pair_intensity(pair, pt, grid.time, out=intensity[rows])
         _require_finite(pair, grid, intensity[rows])
 
-    _fill_blocks(*intensity.shape, n_threads, fill)
+    _fill_blocks(*intensity.shape, fill)
     return intensity
 
 
 def intensity_map(pair, grid, n_threads=1):
-    """Evaluate the pair field over a grid in row blocks, optionally spread
-    across worker threads.  Output is independent of n_threads.  Raises
-    DegenerateGeometryError where the amplitude is not finite; the phase is
-    NaN at dark points."""
+    """Evaluate the pair field over a grid in row blocks.  ``n_threads`` is
+    ignored: maps run on the calling thread, and the parameter stays only
+    because the benchmark still passes it.  Raises DegenerateGeometryError
+    where the amplitude is not finite; the phase is NaN at dark points."""
     n2, n1 = grid.axis2.size, grid.axis1.size
     amplitude = np.empty((n2, n1))
     phase = np.empty((n2, n1))
@@ -578,6 +538,6 @@ def intensity_map(pair, grid, n_threads=1):
         _require_finite(pair, grid, amplitude[rows])
         phase[rows] = _phase_of(*terms)
 
-    _fill_blocks(n2, n1, n_threads, fill)
+    _fill_blocks(n2, n1, fill)
     return FieldMap(grid=grid, amplitude=amplitude, phase=phase,
                     intensity=amplitude ** 2)

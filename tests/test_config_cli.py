@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -496,29 +497,40 @@ def test_cli_field_map_writes_outputs(tmp_path):
     assert (out / "field_map_rho_z.csv").is_file()
     meta = json.loads((out / "field-map_metadata.json").read_text())
     assert meta["command"] == "field-map"
-    assert meta["threads"] == 1
+    assert "threads" not in meta
     assert "field_map_rho_z.csv" in meta["outputs"]
     header = (out / "field_map_rho_z.csv").read_text().splitlines()[0]
     assert header == "coord1,coord2,amplitude,phase,intensity"
 
 
-def test_cli_thread_count_does_not_change_bytes(tmp_path):
-    """The grid holds three row blocks of about BLOCK_POINTS points, so
-    --threads 4 runs the map on three workers."""
+def test_cli_starts_no_thread(tmp_path, monkeypatch):
+    """--threads is accepted and ignored: with Thread.start made to raise,
+    field-map (on a grid of several row blocks), rings and ferris exit 0
+    and write with --threads 2 the bytes they write without the flag, and
+    their metadata records no thread count."""
+    def refuse(thread):
+        raise AssertionError(f"a thread was started: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     n_rho, n_z = 401, 747
-    cfg = base_config(grid={"rho_max": "6um", "n_rho": n_rho,
-                            "z_min": "-9um", "z_max": "9um", "n_z": n_z})
     assert n_z >= 3 * (BLOCK_POINTS // n_rho)
-    path = write_config(tmp_path, cfg)
-    blobs = {}
-    for threads in (1, 4):
-        out = tmp_path / f"t{threads}"
-        assert run_cli(["field-map", "--config", path, "--out", out,
-                        "--threads", threads]) == 0
-        blobs[threads] = (out / "field_map_rho_z.csv").read_bytes()
-        meta = json.loads((out / "field-map_metadata.json").read_text())
-        assert meta["threads"] == threads
-    assert blobs[1] == blobs[4]
+    runs = [["field-map", "--config", write_config(tmp_path, base_config(grid={
+                "rho_max": "6um", "n_rho": n_rho, "z_min": "-9um", "z_max": "9um",
+                "n_z": n_z}), "field_map.json")],
+            ["rings", "--config", write_config(tmp_path, base_config(rings_grid={
+                "rho_max": "6um", "n_rho": 201, "z_min": "-4.5um", "z_max": "4.5um",
+                "n_z": 401}), "rings.json")],
+            ["ferris", "--config", REPO / "configs" / "ferris.json"]]
+    for i, args in enumerate(runs):
+        plain, flagged = tmp_path / f"{i}_plain", tmp_path / f"{i}_flagged"
+        assert run_cli(args + ["--out", plain]) == 0
+        assert run_cli(args + ["--out", flagged, "--threads", 2]) == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in flagged.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (flagged / name).read_bytes()
+        meta = json.loads((plain / f"{args[0]}_metadata.json").read_text())
+        assert meta["command"] == args[0] and "threads" not in meta
 
 
 def test_cli_spring_sweep_config_range(tmp_path):

@@ -29,8 +29,7 @@ from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, _local_z, _phas
 from vortexlattice.errors import DarkPointError, DegenerateGeometryError, VortexLatticeError
 from vortexlattice.ring_analysis import find_rings
 from vortexlattice.superpose import (BLOCK_POINTS, DARK_FRACTION, GridSpec, PairSpec,
-                                     intensity_map, pair_complex, total_amplitude,
-                                     total_phase)
+                                     pair_complex, total_amplitude, total_phase)
 
 WAVELENGTH = 589.16e-9
 GAMMA = 2.0 * math.pi * 10.01e6
@@ -723,9 +722,8 @@ def test_dipole_force_is_minus_potential_gradient(case, model):
 @st.composite
 def lattices(draw):
     """A pair with generated l, p, d and delta_omega, the rho_z region
-    find_rings accepts for it (between the foci, at its resolution limits)
-    and a map grid, rho_z or xy; each grid holds at least three row blocks
-    of BLOCK_POINTS points."""
+    find_rings accepts for it (between the foci, at its resolution limits),
+    at least three row blocks of BLOCK_POINTS points."""
     w0 = draw(st.floats(3.0, 6.0)) * WAVELENGTH
     l, p = draw(st.integers(-12, 12)), draw(st.integers(0, 2))
     d = draw(st.floats(2.0, 30.0)) * WAVELENGTH
@@ -735,56 +733,38 @@ def lattices(draw):
     rho_max = (math.sqrt(0.5 * abs(l) + p) + 2.0) * waist_at(pair.beam1, d)
     n_rho = math.ceil(rho_max / (w0 / 100.0)) + 1
     n_z = max(math.ceil(2.0 * z_half / (WAVELENGTH / 20.0)) + 1, 3 * BLOCK_POINTS // n_rho + 1)
-    time = draw(st.floats(0.0, 1e-6))
     region = GridSpec.rho_z(rho_max=rho_max, n_rho=n_rho, z_min=-z_half, z_max=z_half,
-                            n_z=n_z, phi=draw(st.floats(-math.pi, math.pi)), time=time)
-    if draw(st.booleans()):
-        grid = region
-    else:
-        grid = GridSpec.xy(half_width=rho_max, n=math.ceil(math.sqrt(3 * BLOCK_POINTS)) + 1,
-                           z=draw(st.floats(-1.0, 1.0)) * z_half, time=time)
-    return pair, region, grid
+                            n_z=n_z, phi=draw(st.floats(-math.pi, math.pi)),
+                            time=draw(st.floats(0.0, 1e-6)))
+    return pair, region
 
 
 @st.composite
 def intensity_grids(draw):
-    """A pair from ``pairs`` and a small rho_z or xy grid over its ring
-    stack at a non-zero time."""
+    """A pair from ``pairs`` and a small rho_z grid over its ring stack at a
+    non-zero time: the grids the ring finder's kernel runs on."""
     pair, rho_max, z_hi = draw(pairs())
-    n1, time = draw(st.integers(2, 12)), draw(st.floats(1e-9, 1e-6))
-    if draw(st.booleans()):
-        return pair, GridSpec.rho_z(rho_max=rho_max, n_rho=n1, z_min=-z_hi, z_max=z_hi,
-                                    n_z=draw(st.integers(2, 9)),
-                                    phi=draw(st.floats(-math.pi, math.pi)), time=time)
-    return pair, GridSpec.xy(half_width=rho_max, n=n1, z=draw(unit) * z_hi, time=time)
+    return pair, GridSpec.rho_z(rho_max=rho_max, n_rho=draw(st.integers(2, 12)),
+                                z_min=-z_hi, z_max=z_hi, n_z=draw(st.integers(2, 9)),
+                                phi=draw(st.floats(-math.pi, math.pi)),
+                                time=draw(st.floats(1e-9, 1e-6)))
 
 
 @SETTINGS
 @given(case=intensity_grids())
 def test_intensity_kernel_blocks_threads_and_complex_field(case):
-    """The ring finder's map, run in row blocks of two rows: the separable
-    blocks give exactly the kernel's values on the same points as full-size
-    arrays, 1 and 2 threads give the same bytes, and the intensity is
-    |pair_complex|^2 within intensity_bound."""
+    """The ring finder's kernel over a whole grid, run in row blocks of two
+    rows: the separable blocks give exactly the kernel's values on the same
+    points as full-size arrays, and the intensity is |pair_complex|^2 within
+    intensity_bound."""
     pair, grid = case
     full = full_grid_points(grid)
     with mock.patch.object(superpose, "BLOCK_POINTS", 2 * grid.axis1.size):
-        one = superpose._pair_intensity_map(pair, grid, n_threads=1)
-        two = superpose._pair_intensity_map(pair, grid, n_threads=2)
-    assert one.tobytes() == two.tobytes()
+        one = superpose._pair_intensity_at(pair, grid, grid.axis1[None, :], grid.axis2[:, None])
     assert np.array_equal(one, superpose._pair_intensity(pair, full, grid.time))
     bound, resolved = intensity_bound(pair, full, grid.time)
     err = np.abs(one - np.abs(pair_complex(pair, full, t=grid.time)) ** 2)
     assert np.all(err[resolved] <= bound[resolved])
-
-
-def _rings_outcome(pair, region, n_threads):
-    """find_rings' result, or its error, in a form compared exactly (repr
-    keeps every float's bits, and NaN equals NaN)."""
-    try:
-        return repr(find_rings(pair, region, n_threads=n_threads))
-    except VortexLatticeError as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -793,7 +773,7 @@ def test_rings_strictly_increase_in_z(case):
     """Ring z positions come out strictly increasing without a sort: the
     ridge peaks are at least two rows apart, and each parabolic vertex lies
     within half a row of its peak row."""
-    pair, region, _ = case
+    pair, region = case
     try:
         found = find_rings(pair, region)
     except VortexLatticeError:
@@ -801,19 +781,6 @@ def test_rings_strictly_increase_in_z(case):
     z = [ring.z_pos for ring in found.rings]
     assert np.all(np.diff(z) > 0.0)
     assert [s.z_pos for s in found.splittings] == sorted(s.z_pos for s in found.splittings)
-
-
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(case=lattices())
-def test_maps_and_rings_do_not_depend_on_thread_count(case):
-    pair, region, grid = case
-    for g in (region, grid):
-        assert g.axis2.size >= 3 * (BLOCK_POINTS // g.axis1.size)
-    one, three = intensity_map(pair, grid, n_threads=1), intensity_map(pair, grid, n_threads=3)
-    assert np.array_equal(one.amplitude, three.amplitude)
-    assert np.array_equal(one.phase, three.phase, equal_nan=True)
-    assert np.array_equal(one.intensity, three.intensity)
-    assert _rings_outcome(pair, region, 1) == _rings_outcome(pair, region, 3)
 
 
 # ------------------------------------------- a scalar point, a one-point array

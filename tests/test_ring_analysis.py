@@ -257,10 +257,10 @@ def test_measure_axial_drift_follows_the_phase_slope(l1):
 
 
 def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
-    """find_rings never maps the phase: it takes one _pair_intensity_map of
-    the coarse columns and evaluates the windows and the peak rows with
-    _pair_intensity_at, and each value it evaluates is intensity_map's at
-    the same grid point within intensity_bound.  Both are
+    """find_rings never maps the phase: it evaluates the coarse columns, the
+    windows and the peak rows with _pair_intensity_at, and each value it
+    evaluates is intensity_map's at the same grid point within
+    intensity_bound.  Both are
     U1^2 + U2^2 + 2 U1 U2 cos(Delta) from the same U1 and U2: the kernel
     rounds Delta as a row term plus rho^2 (kappa1 - kappa2), the map as
     Theta1 - Theta2, each off by at most 4 eps A for the phase scale A, and
@@ -278,29 +278,26 @@ def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(superpose, "_phase_of", no_phase)
-        outcome, seen = finder_evaluations(p, region, n_threads=2)
+        outcome, seen = finder_evaluations(p, region)
     assert outcome.startswith("RingSet(")
     assert len(seen) == 3
     for intensity, rows, cols in seen:
         assert np.all(np.abs(intensity - want.intensity[rows, cols]) <= bound[rows, cols])
 
 
-def test_find_rings_thread_count_invariant():
-    p = pair()
-    region = lattice_region(p)
-    one = find_rings(p, region, n_threads=1)
-    two = find_rings(p, region, n_threads=2)
-    assert one == two
-    assert len(one.rings) >= 10
-
-
 # ------------------------------------------ the full-map finder, as an oracle
 
-def full_map_find_rings(pair, region, n_threads=1, map_fn=None):
+def full_intensity(pair, region):
+    """The finder's kernel, _pair_intensity_at, on every point of the region."""
+    return superpose._pair_intensity_at(pair, region, region.axis1[None, :],
+                                        region.axis2[:, None])
+
+
+def full_map_find_rings(pair, region, map_fn=full_intensity):
     """find_rings as it was before the coarse scan: one map of the whole
-    region (by map_fn, superpose._pair_intensity_map by default), its ridge
-    and first argmax in every row, then the same peak, refinement and
-    splitting steps.  The package's finder must give its repr, errors
+    region (by map_fn, full_intensity by default), its ridge and first
+    argmax in every row, then the same peak, refinement and splitting
+    steps.  The package's finder must give its repr, errors
     included."""
     b = pair.beam1
     if region.kind != "rho_z":
@@ -316,7 +313,7 @@ def full_map_find_rings(pair, region, n_threads=1, map_fn=None):
     if region.axis2[0] > -half_d + dz or region.axis2[-1] < half_d - dz:
         raise ResolutionError("region must cover |z| <= d/2 between the foci")
 
-    intensity = (map_fn or superpose._pair_intensity_map)(pair, region, n_threads=n_threads)
+    intensity = map_fn(pair, region)
     ridge_idx = np.argmax(intensity, axis=1)
     rows = np.arange(intensity.shape[0])
     ridge_val = intensity[rows, ridge_idx]
@@ -368,45 +365,37 @@ def full_map_find_rings(pair, region, n_threads=1, map_fn=None):
     return ring_analysis.RingSet(rings=rings, fringe_delta=fringe_delta, splittings=splittings)
 
 
-def rings_repr(finder, p, region, n_threads=1):
+def rings_repr(finder, p, region):
     """The finder's RingSet as its repr (every float's bits, NaN equal to
     NaN), or its error as type and text."""
     try:
-        return repr(finder(p, region, n_threads=n_threads))
+        return repr(finder(p, region))
     except VortexLatticeError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def assert_finder_is_the_oracle(p, region, n_threads=1):
-    got = rings_repr(find_rings, p, region, n_threads)
-    assert got == rings_repr(full_map_find_rings, p, region, n_threads)
+def assert_finder_is_the_oracle(p, region):
+    got = rings_repr(find_rings, p, region)
+    assert got == rings_repr(full_map_find_rings, p, region)
     return got
 
 
-def finder_evaluations(p, region, n_threads=1):
-    """find_rings' outcome (as rings_repr) and every evaluation it made, as
-    (values, row indices, column indices) of region's grid: one
-    _pair_intensity_map of a column subset of the region, then
-    _pair_intensity_at on points of the region."""
+def finder_evaluations(p, region):
+    """find_rings' outcome (as rings_repr) and every evaluation it made
+    with _pair_intensity_at, as (values, row indices, column indices) of
+    region's grid: the coarse columns of every row, the windows, the peak
+    rows."""
     seen = []
 
-    def recorded_map(pair_, grid, n_threads=1):
-        assert grid.kind == region.kind and np.array_equal(grid.axis2, region.axis2)
-        assert (grid.phi, grid.time) == (region.phi, region.time)
-        intensity = superpose._pair_intensity_map(pair_, grid, n_threads=n_threads)
-        seen.append((intensity, grid.axis1[None, :], grid.axis2[:, None]))
-        return intensity
-
-    def recorded_points(pair_, grid, rho, z, n_threads=1):
+    def recorded_points(pair_, grid, rho, z):
         assert grid is region
-        intensity = superpose._pair_intensity_at(pair_, grid, rho, z, n_threads=n_threads)
+        intensity = superpose._pair_intensity_at(pair_, grid, rho, z)
         seen.append((intensity, rho, z))
         return intensity
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring_analysis, "_pair_intensity_map", recorded_map)
         mp.setattr(ring_analysis, "_pair_intensity_at", recorded_points)
-        outcome = rings_repr(find_rings, p, region, n_threads)
+        outcome = rings_repr(find_rings, p, region)
     indexed = []
     for intensity, rho, z in seen:
         rows, cols = np.searchsorted(region.axis2, z), np.searchsorted(region.axis1, rho)
@@ -417,10 +406,10 @@ def finder_evaluations(p, region, n_threads=1):
 
 # ------------------------------------ the finder on the amplitude map squared
 
-def amplitude_squared(pair, region, n_threads=1):
+def amplitude_squared(pair, region):
     """The finder's map before the intensity kernel: the total amplitude
     squared."""
-    return intensity_map(pair, region, n_threads=n_threads).intensity
+    return intensity_map(pair, region).intensity
 
 
 def rings_and_rows(p, region, intensity_map_fn):
@@ -455,7 +444,7 @@ def assert_same_rings(p, region):
     column's largest |value|.  A peak between two ridge rows that tie to
     rounding, as the central ring of a grid symmetric about z = 0 with an
     even row count, may sit on either row."""
-    got, _, got_rows, got_split = rings_and_rows(p, region, superpose._pair_intensity_map)
+    got, _, got_rows, got_split = rings_and_rows(p, region, full_intensity)
     assert repr(got) == repr(find_rings(p, region))
     want, ridge, want_rows, want_split = rings_and_rows(p, region, amplitude_squared)
     assert want.rings
@@ -588,11 +577,10 @@ def fixture_case(case):
 def test_find_rings_is_the_full_map_finder(case):
     """configs/ring_lattice.json's 420 x 6000 rings_grid and the fixtures:
     the lattice, the resolved splittings, one beam switched off (one ring,
-    no fringe spacing) and both off (every row 0), at 1 and 2 threads."""
+    no fringe spacing) and both off (every row 0)."""
     p, region = fixture_case(case)
     got = assert_finder_is_the_oracle(p, region)
     assert got.startswith("RingDetectionError: " if case == "dark" else "RingSet(")
-    assert assert_finder_is_the_oracle(p, region, n_threads=2) == got
     if case == "split":
         assert "RingSplit(" in got
 
@@ -602,7 +590,7 @@ def test_find_rings_is_the_full_map_finder(case):
 def test_find_rings_is_the_full_map_finder_on_generated_lattices(case):
     """Generated l, p <= 2, d, delta_omega, phi and time, each region at the
     finder's resolution limits."""
-    p, region, _ = case
+    p, region = case
     assert_finder_is_the_oracle(p, region)
 
 
@@ -633,11 +621,11 @@ def test_find_rings_raises_where_the_far_field_is_not_finite():
 @given(case=lattices())
 def test_windows_and_coarse_grid_give_the_maps_bits(case):
     """Every value find_rings evaluates (the coarse grid of a column
-    subset, the banded windows, the peak rows) has the bits of the full
-    _pair_intensity_map at the same grid point: this is what makes the
-    finder exact."""
-    p, region, _ = case
-    full = superpose._pair_intensity_map(p, region)
+    subset, the banded windows, the peak rows) has the bits of the kernel
+    on the full grid at the same grid point: this is what makes the finder
+    exact."""
+    p, region = case
+    full = full_intensity(p, region)
     outcome, seen = finder_evaluations(p, region)
     assert outcome.startswith("RingSet(") and len(seen) == 3
     for intensity, rows, cols in seen:

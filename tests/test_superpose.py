@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from vortexlattice import superpose
 from vortexlattice.lg_mode import CylPoint, mode_amplitude, mode_jet, mode_phase
-from vortexlattice.superpose import (BLOCK_POINTS, FieldMap, GridSpec, PairSpec,
-                                     gouy_difference_closed_form, intensity_map,
+from vortexlattice.superpose import (BLOCK_POINTS, FieldMap, GridSpec, PairSpec, intensity_map,
                                      pair_complex, phase_difference,
                                      total_amplitude, total_phase, write_csv)
 
@@ -112,6 +111,25 @@ def test_phase_difference_parts():
     # azimuthal part carries l1 + l2 for the standard pair
     d36 = phase_difference(pair(l1=3, l2=6), pt)
     assert d36.azimuthal == pytest.approx(9.0 * 0.7, rel=1e-12)
+
+
+def gouy_difference_closed_form(pair, z):
+    """Single-arctangent form -(|l| + 1) * atan2(2 z z_R, z_R^2 - z^2 + d^2/4)
+    of the Gouy part of the phase difference, for equal beams: the oracle
+    the package's two per-beam arctangent terms are checked against.
+
+    It reproduces the sum of the two per-beam arctangent terms exactly; the
+    two-argument form keeps the branch right.  By the arctangent subtraction
+    identity the denominator is z_R^2 plus the product (d/2 + z)(d/2 - z) of
+    the beams' local offsets, so d^2/4 enters with the sign opposite to z^2
+    and grouping it with z^2, as z_R^2 - (z^2 + d^2/4), is wrong.
+    """
+    b = pair.beam1
+    l = abs(b.winding_l)
+    zr = b.rayleigh_range
+    d = pair.separation_d
+    z = np.asarray(z)
+    return -(l + 1.0) * np.arctan2(2.0 * z * zr, zr * zr - z * z + 0.25 * d * d)
 
 
 def test_gouy_closed_form_exact():
@@ -270,13 +288,10 @@ def test_intensity_map_values_and_threads():
     pr = pair(l1=2)
     g = GridSpec.rho_z(rho_min=0.0, rho_max=1.6e-5, n_rho=64, z_min=-1e-4,
                        z_max=1e-4, n_z=48)
-    fm1 = intensity_map(pr, g, n_threads=1)
-    fm3 = intensity_map(pr, g, n_threads=3)
-    np.testing.assert_array_equal(fm1.intensity, fm3.intensity)
-    np.testing.assert_array_equal(fm1.phase, fm3.phase)
+    fm = intensity_map(pr, g)
     pt = CylPoint(rho=g.axis1[17], phi=g.phi, z=g.axis2[5])
-    assert fm1.amplitude[5, 17] == pytest.approx(total_amplitude(pr, pt), rel=1e-12)
-    assert fm1.intensity[5, 17] == pytest.approx(total_amplitude(pr, pt) ** 2, rel=1e-12)
+    assert fm.amplitude[5, 17] == pytest.approx(total_amplitude(pr, pt), rel=1e-12)
+    assert fm.intensity[5, 17] == pytest.approx(total_amplitude(pr, pt) ** 2, rel=1e-12)
 
 
 def test_xy_map_matches_cylindrical_evaluation():
@@ -322,19 +337,6 @@ def _multi_block_grids():
     return grids
 
 
-@pytest.mark.parametrize("kind", [0, 1], ids=["rho_z", "xy"])
-def test_blocked_maps_do_not_depend_on_thread_count(kind):
-    pr = pair(l1=3, delta_omega=2e3, delta_k=1e3)
-    g = _multi_block_grids()[kind]
-    g = GridSpec(kind=g.kind, axis1=g.axis1, axis2=g.axis2, phi=0.3,
-                 z_slice=g.z_slice, time=1e-4)
-    maps = {n: intensity_map(pr, g, n_threads=n) for n in (1, 2, 3)}
-    for n in (2, 3):
-        assert np.array_equal(maps[n].amplitude, maps[1].amplitude)
-        assert np.array_equal(maps[n].phase, maps[1].phase, equal_nan=True)
-        assert np.array_equal(maps[n].intensity, maps[1].intensity)
-
-
 def full_grid_points(grid):
     """CylPoint of every grid point as full (len(axis2), len(axis1)) arrays:
     the reference the separable row blocks are checked against."""
@@ -355,7 +357,7 @@ def test_separable_blocks_equal_full_grid_points(kind):
     g = GridSpec(kind=g.kind, axis1=g.axis1, axis2=g.axis2, phi=0.7,
                  z_slice=g.z_slice, time=3e-4)
     block = full_grid_points(g)
-    fm = intensity_map(pr, g, n_threads=2)
+    fm = intensity_map(pr, g)
     assert np.array_equal(fm.amplitude, total_amplitude(pr, block, t=g.time))
     assert np.array_equal(fm.phase, total_phase(pr, block, t=g.time), equal_nan=True)
 
@@ -563,8 +565,8 @@ def test_write_csv_formats_raw_bit_patterns_as_percent_17g(tmp_path_factory, pat
 @pytest.mark.parametrize("kind", ["rho_z", "xy"])
 def test_maps_are_finite_at_large_l(kind):
     """At l = 200 a map reaching 4 ring radii, where the power form of the
-    envelope was inf * 0, is finite and warns nothing; it does not depend on
-    the thread count and equals total_amplitude at every grid point."""
+    envelope was inf * 0, is finite and warns nothing, and equals
+    total_amplitude at every grid point."""
     w0 = 3e-6
     pr = PairSpec(WAVELENGTH, w0, l1=200, separation_d=8e-6)
     reach = 4.0 * w0 * math.sqrt(100.0)
@@ -574,26 +576,43 @@ def test_maps_are_finite_at_large_l(kind):
         g = GridSpec.xy(half_width=reach / math.sqrt(2.0), n=41)
     amp = total_amplitude(pr, full_grid_points(g))
     assert np.isfinite(amp).all() and amp.max() > 0.0
-    for n_threads in (1, 2):
-        np.testing.assert_array_equal(intensity_map(pr, g, n_threads=n_threads).amplitude, amp)
+    np.testing.assert_array_equal(intensity_map(pr, g).amplitude, amp)
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
-def test_map_workers_keep_the_callers_errstate(n_threads):
-    """np.errstate is context-local state: each map block runs in the
-    caller's context.  Far out on an l = 200 grid the envelope underflows to
-    0, which numpy ignores by default, so under errstate(under="raise") the
-    maps raise FloatingPointError from their workers, and without it they
-    are finite and warn nothing, with warnings turned into errors (seven row
-    blocks, so two workers share them)."""
+def test_errstate_reaches_every_map_block(monkeypatch):
+    """The caller's np.errstate holds in every row block of a map, for both
+    the finder's kernel and intensity_map.  Far out on an l = 200 grid the
+    envelope underflows to 0, which numpy ignores by default: under
+    errstate(under="raise") both maps raise FloatingPointError; under
+    errstate(under="call") each of the seven row blocks runs with that
+    setting and reports underflows; with no errstate the maps are finite and
+    warn nothing, with warnings turned into errors."""
     w0 = 3e-6
     pr = PairSpec(WAVELENGTH, w0, l1=200, separation_d=8e-6)
-    g = GridSpec.xy(half_width=4.0 * w0 * math.sqrt(50.0), n=41)
-    with mock.patch.object(superpose, "BLOCK_POINTS", 41 * 6), warnings.catch_warnings():
+    g = GridSpec.rho_z(rho_max=4.0 * w0 * math.sqrt(100.0), n_rho=41,
+                       z_min=-4e-6, z_max=4e-6, n_z=41)
+    settings_seen = []
+
+    def recorded(kernel):
+        def block(*args, **kwargs):
+            settings_seen.append(np.geterr()["under"])
+            return kernel(*args, **kwargs)
+        return block
+
+    monkeypatch.setattr(superpose, "BLOCK_POINTS", 41 * 6)
+    for name in ("_pair_intensity", "_pair_terms"):
+        monkeypatch.setattr(superpose, name, recorded(getattr(superpose, name)))
+    maps = (lambda: superpose._pair_intensity_at(pr, g, g.axis1[None, :], g.axis2[:, None]),
+            lambda: intensity_map(pr, g).amplitude)
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for make_map in (superpose._pair_intensity_map, intensity_map):
+        for make_map in maps:
             with np.errstate(under="raise"):
                 with pytest.raises(FloatingPointError):
-                    make_map(pr, g, n_threads=n_threads)
-        assert np.isfinite(superpose._pair_intensity_map(pr, g, n_threads=n_threads)).all()
-        assert np.isfinite(intensity_map(pr, g, n_threads=n_threads).amplitude).all()
+                    make_map()
+            settings_seen.clear()
+            underflows = []
+            with np.errstate(under="call", call=lambda *args: underflows.append(args)):
+                make_map()
+            assert settings_seen == ["call"] * 7 and underflows
+            assert np.isfinite(make_map()).all()
