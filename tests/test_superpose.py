@@ -579,10 +579,12 @@ def test_maps_are_finite_at_large_l(kind):
     np.testing.assert_array_equal(intensity_map(pr, g).amplitude, amp)
 
 
-def test_errstate_reaches_every_map_block(monkeypatch):
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_map_workers_keep_the_callers_errstate(monkeypatch, n_threads):
     """The caller's np.errstate holds in every row block of a map, for both
-    the finder's kernel and intensity_map.  Far out on an l = 200 grid the
-    envelope underflows to 0, which numpy ignores by default: under
+    the finder's kernel and intensity_map, whatever the ignored n_threads
+    intensity_map is given.  Far out on an l = 200 grid the envelope
+    underflows to 0, which numpy ignores by default: under
     errstate(under="raise") both maps raise FloatingPointError; under
     errstate(under="call") each of the seven row blocks runs with that
     setting and reports underflows; with no errstate the maps are finite and
@@ -603,7 +605,7 @@ def test_errstate_reaches_every_map_block(monkeypatch):
     for name in ("_pair_intensity", "_pair_terms"):
         monkeypatch.setattr(superpose, name, recorded(getattr(superpose, name)))
     maps = (lambda: superpose._pair_intensity_at(pr, g, g.axis1[None, :], g.axis2[:, None]),
-            lambda: intensity_map(pr, g).amplitude)
+            lambda: intensity_map(pr, g, n_threads=n_threads).amplitude)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for make_map in maps:
