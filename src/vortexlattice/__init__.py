@@ -3,9 +3,9 @@ the scattering/dipole traps they impose on two-level atoms."""
 
 from .atom_forces import (AtomSpec, Velocity, axial_force_slope, central_ring_radius,
                           detuning_eff, dipole_force, dipole_potential, ferris_rate,
-                          harmonic_potential_v0, lift_speed, phase_gradient, q_minus,
-                          q_plus, rabi_at, scattering_force, spring_constant,
-                          spring_constant_k0, torque_axial)
+                          harmonic_potential_v0, lift_speed, phase_gradient, q_plus,
+                          rabi_at, scattering_force, spring_constant, spring_constant_k0,
+                          torque_axial)
 from .config import RunConfig, parse_quantity
 from .constants import AMU, HBAR
 from .dynamics import (IntegratorConfig, TrajectoryState, angular_momentum,

@@ -50,7 +50,6 @@ __all__ = [
     "ferris_rate",
     "lift_speed",
     "phase_gradient",
-    "q_minus",
     "q_plus",
     "rabi_at",
     "scattering_force",
@@ -338,11 +337,6 @@ def q_plus(atom, pair, pt):
     Omega1^2 / (Delta0^2 + Gamma^2/4 + Omega1^2/2).  Monotone in Omega1^2 and
     bounded above by 2."""
     return _sat_q(atom, _omega_sq(atom, pair, pair.beam1, pt))
-
-
-def q_minus(atom, pair, pt):
-    """Saturation factor of the counter-propagating beam (beam 2)."""
-    return _sat_q(atom, _omega_sq(atom, pair, pair.beam2, pt))
 
 
 def central_ring_radius(pair):

@@ -89,58 +89,83 @@ class RingSet:
 
 
 def _find_peaks(values, prominence=None, height=None):
-    """Indices, in increasing order, of the peaks of a finite 1-D array.
+    """Peaks of each row of a finite (rows, n) array, as the (row, column)
+    index arrays of the kept peaks in row-major order; for a 1-D array, the
+    columns of the one row.
 
     A peak is a strict local maximum; a flat plateau counts once, at its
     middle index (rounded down), and a sample or plateau touching either
-    border is never a peak.  ``height`` keeps peaks whose value is
-    >= height.  ``prominence`` keeps peaks whose prominence is >= it: the
-    peak value minus the higher of its two bases, each base being the
-    minimum from the peak out to the nearest strictly higher sample on that
-    side, or to the border.
+    end of its row is never a peak.  ``height`` and ``prominence`` are None,
+    one threshold, or one per row (-inf keeps every peak).  ``height`` keeps
+    peaks whose value is >= it.  ``prominence`` keeps peaks whose
+    prominence is >= it: the peak value minus the higher of its two bases,
+    each base being the minimum from the peak out to the nearest strictly
+    higher sample on that side, or to the row's end.
     """
     x = np.asarray(values, dtype=float)
-    step = np.diff(x)
-    if step.all():
-        peaks = np.flatnonzero((step[:-1] > 0.0) & (step[1:] < 0.0)) + 1
-    else:
+    one_row = x.ndim == 1
+    x = np.atleast_2d(x)
+    # inner[r, c] marks a peak at column c + 1 of row r; boolean masks
+    # only, as a map-sized float temporary would grow the heap
+    inner = x[:, 1:-1] > x[:, :-2]
+    inner &= x[:, 1:-1] > x[:, 2:]
+    for r in np.flatnonzero((x[:, 1:] == x[:, :-1]).any(axis=1)):
         # collapse each run of equal samples to one, then map back to the
         # run's middle index
-        starts = np.flatnonzero(np.concatenate(([True], step != 0.0)))
-        level = x[starts]
+        starts = np.flatnonzero(np.concatenate(([True], x[r, 1:] != x[r, :-1])))
+        level = x[r, starts]
         runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
-        peaks = (starts[runs] + starts[runs + 1] - 1) // 2
+        inner[r] = False
+        inner[r, (starts[runs] + starts[runs + 1] - 1) // 2 - 1] = True
+    rows, cols = np.divmod(np.flatnonzero(inner), max(inner.shape[1], 1))
+    cols += 1
+    top = x[rows, cols]
     if height is not None:
-        peaks = peaks[x[peaks] >= height]
-    if prominence is None or peaks.size == 0:
-        return peaks
-    # a base reaches at least down to the valley between the peak and its
-    # neighbouring peak (or the border), so the prominence is at least the
-    # peak minus the higher of those two valleys; only a peak this lower
-    # bound does not clear needs the walk to the nearest higher sample
-    valley = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
-    keep = x[peaks] - np.maximum(valley[:-1], valley[1:]) >= prominence
-    for k in np.flatnonzero(~keep):
-        p = peaks[k]
-        top = x[p]
-        higher = np.flatnonzero(x[:p] > top)
-        left = x[higher[-1] + 1 if higher.size else 0:p + 1].min()
-        higher = np.flatnonzero(x[p:] > top)
-        right = x[p:p + higher[0] if higher.size else x.size].min()
-        keep[k] = top - max(left, right) >= prominence
-    return peaks[keep]
+        keep = top >= np.broadcast_to(height, x.shape[:1])[rows]
+        rows, cols, top = rows[keep], cols[keep], top[keep]
+    if prominence is not None and rows.size:
+        prominence = np.broadcast_to(prominence, x.shape[:1])[rows]
+        # a base reaches at least down to the valley between the peak and
+        # its neighbouring peak (or its row's end), so the prominence is at
+        # least the peak minus the higher of those two valleys; one segment
+        # starts at each row start and at each peak, so peak k's valleys are
+        # segments k + rows[k] and the one after.  Only a peak this lower
+        # bound does not clear needs the walk to the nearest higher sample
+        n = x.shape[1]
+        valley = np.minimum.reduceat(
+            x.ravel(), np.sort(np.concatenate((np.arange(x.shape[0]) * n, rows * n + cols))))
+        left = np.arange(rows.size) + rows
+        keep = top - np.maximum(valley[left], valley[left + 1]) >= prominence
+        for k in np.flatnonzero(~keep):
+            row, p = x[rows[k]], cols[k]
+            higher = np.flatnonzero(row[:p] > top[k])
+            base_l = row[higher[-1] + 1 if higher.size else 0:p + 1].min()
+            higher = np.flatnonzero(row[p:] > top[k])
+            base_r = row[p:p + higher[0] if higher.size else n].min()
+            keep[k] = top[k] - max(base_l, base_r) >= prominence[k]
+        rows, cols = rows[keep], cols[keep]
+    return cols if one_row else (rows, cols)
 
 
-def _refine_row(axis, values, idx):
-    """(position, value) of the vertex of the parabola through the samples
-    idx - 1, idx, idx + 1 on the equally spaced ``axis``, within half a cell of
-    axis[idx] at a local maximum; the sample idx at a border or if not concave."""
-    x0, y0 = axis[idx], values[idx]
-    den = values[idx - 1] - 2.0 * y0 + values[idx + 1] if 0 < idx < values.size - 1 else 0.0
-    if den >= 0.0:
-        return x0, y0
-    diff = values[idx - 1] - values[idx + 1]
-    return x0 + 0.5 * (axis[idx + 1] - x0) * diff / den, y0 - 0.125 * diff ** 2 / den
+def _refine_row(axis, values, *idx):
+    """(positions, values) of the vertices of the parabolas through the
+    samples c - 1, c, c + 1 of ``values`` along its last axis, which lies on
+    the equally spaced ``axis``, at the index arrays ``idx`` (one per axis
+    of values; c is the last): within half a cell of axis[c] at a local
+    maximum, and the sample itself at either end or where not concave."""
+    col = idx[-1]
+    n = values.shape[-1]
+    lo, hi = np.maximum(col - 1, 0), np.minimum(col + 1, n - 1)
+    x0, y0 = axis[col], values[idx]
+    y_lo, y_hi = values[idx[:-1] + (lo,)], values[idx[:-1] + (hi,)]
+    den = y_lo - 2.0 * y0 + y_hi
+    fit = (col > 0) & (col < n - 1) & (den < 0.0)
+    den = np.where(fit, den, -1.0)
+    diff = y_lo - y_hi
+    # float_power, like the ** of a numpy scalar, rounds libm's pow; an
+    # array's ** 2 multiplies, which differs in the last bit now and then
+    return (np.where(fit, x0 + 0.5 * (axis[hi] - x0) * diff / den, x0),
+            np.where(fit, y0 - 0.125 * np.float_power(diff, 2) / den, y0))
 
 
 def _coarse_stride(pair, region):
@@ -202,7 +227,8 @@ def find_rings(pair, region):
     The ring nearest z = 0 is classified "central" when it sits within half
     a fringe of the midplane; every other ring belongs to a double-ring pair
     and its radial splitting is recorded where a second radial maximum is
-    resolved.  The scan holds each row's last column, where x = 2 rho^2 / w^2
+    resolved; both searches and every refinement run on all peak rows at
+    once.  The scan holds each row's last column, where x = 2 rho^2 / w^2
     and any overflow of the Laguerre factor are largest, so a map that is not
     finite raises DegenerateGeometryError as the full map would.
 
@@ -254,15 +280,11 @@ def find_rings(pair, region):
     if peak_rows.size == 0:
         raise RingDetectionError("no interference maxima found in the region")
     profiles = _pair_intensity_at(pair, region, rho_axis[None, :], z_axis[peak_rows, None])
-
-    raw = []
-    for j, profile in zip(peak_rows, profiles):
-        z_ref, i_ref = _refine_row(z_axis, ridge_val, j)
-        rho_ref, _ = _refine_row(rho_axis, profile, np.argmax(profile))
-        raw.append((z_ref, rho_ref, i_ref, profile))
+    ring = np.arange(peak_rows.size)
+    z_vals, i_vals = _refine_row(z_axis, ridge_val, peak_rows)
+    rho_vals, _ = _refine_row(rho_axis, profiles, ring, np.argmax(profiles, axis=1))
     # peak rows ascend two or more apart, so the refined z ascend too
 
-    z_vals = np.array([item[0] for item in raw])
     if z_vals.size >= 2:
         gaps = np.diff(z_vals)
         near = (np.abs(z_vals[:-1]) <= 0.5 * half_d) & (np.abs(z_vals[1:]) <= 0.5 * half_d)
@@ -273,24 +295,36 @@ def find_rings(pair, region):
     central_tol = max(1.5 * dz, 0.51 * fringe_delta) if math.isfinite(fringe_delta) \
         else 1.5 * dz
     nearest = int(np.argmin(np.abs(z_vals)))
+    central = nearest if abs(z_vals[nearest]) <= central_tol else -1
+    rings = [Ring(z_pos=z, radius=rho, peak_intensity=i,
+                  classification="central" if n == central else "double")
+             for n, (z, rho, i) in enumerate(zip(z_vals.tolist(), rho_vals.tolist(),
+                                                 i_vals.tolist()))]
 
-    rings, splittings = [], []
-    for n, (z_ref, rho_ref, i_ref, profile) in enumerate(raw):
-        central = (n == nearest) and abs(z_ref) <= central_tol
-        rings.append(Ring(z_pos=float(z_ref), radius=float(rho_ref),
-                          peak_intensity=float(i_ref),
-                          classification="central" if central else "double"))
-        if central:
-            continue
-        cand = _find_peaks(profile, prominence=SPLIT_PROMINENCE * profile.max(),
-                            height=SPLIT_HEIGHT * profile.max())
-        if cand.size < 2:
-            continue
-        top = cand[np.argsort(profile[cand])[-2:]]
-        radii = sorted(_refine_row(rho_axis, profile, i)[0] for i in top)
-        splittings.append(RingSplit(z_pos=float(z_ref),
-                                    delta_rho=float(radii[1] - radii[0]),
-                                    r_inner=float(radii[0]), r_outer=float(radii[1])))
+    # the two highest radial maxima of every other row with two or more;
+    # sorted by row, then value, each row's top two end its run
+    top = profiles.max(axis=1)
+    rows, cols = _find_peaks(profiles, prominence=SPLIT_PROMINENCE * top,
+                             height=SPLIT_HEIGHT * top)
+    keep = rows != central
+    rows, cols = rows[keep], cols[keep]
+    vals = profiles[rows, cols]
+    order = np.lexsort((vals, rows))
+    cols, vals = cols[order], vals[order]
+    count = np.bincount(rows, minlength=ring.size)
+    split = np.flatnonzero(count >= 2)
+    end = np.cumsum(count)[split]
+    pick = cols[end[:, None] - [2, 1]]
+    # where the second value ties the third, which two win is up to how
+    # np.argsort orders equal values, and that varies with the platform's
+    # sort kernel, so those rows are ranked by np.argsort itself
+    tied = (count[split] >= 3) & (vals[end - 2] == vals[end - 3])
+    for k in np.flatnonzero(tied):
+        cand = np.sort(cols[end[k] - count[split[k]]:end[k]])
+        pick[k] = cand[np.argsort(profiles[split[k], cand])[-2:]]
+    radii = np.sort(_refine_row(rho_axis, profiles, split[:, None], pick)[0], axis=1)
+    splittings = [RingSplit(z_pos=z, delta_rho=outer - inner, r_inner=inner, r_outer=outer)
+                  for z, (inner, outer) in zip(z_vals[split].tolist(), radii.tolist())]
 
     return RingSet(rings=rings, fringe_delta=fringe_delta, splittings=splittings)
 

@@ -10,7 +10,7 @@ from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces,
                                        detuning_eff, dipole_force,
                                        dipole_potential, ferris_rate,
                                        harmonic_potential_v0, lift_speed,
-                                       phase_gradient, q_minus, q_plus, rabi_at,
+                                       phase_gradient, q_plus, rabi_at,
                                        scattering_force, spring_constant,
                                        spring_constant_k0, torque_axial)
 from vortexlattice.constants import HBAR
@@ -260,6 +260,12 @@ def test_harmonic_potential():
     z = np.array([0.0, 1e-5, -2e-5])
     np.testing.assert_allclose(harmonic_potential_v0(atom, p, z),
                                0.5 * k0 * z ** 2, rtol=1e-12)
+
+
+def q_minus(atom, pair, pt):
+    """Saturation factor of the counter-propagating beam (beam 2), the twin
+    of q_plus; nothing in the package needs it."""
+    return atom_forces._sat_q(atom, atom_forces._omega_sq(atom, pair, pair.beam2, pt))
 
 
 def test_saturation_factors():

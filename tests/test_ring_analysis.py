@@ -287,6 +287,49 @@ def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
 
 # ------------------------------------------ the full-map finder, as an oracle
 
+def oracle_find_peaks(values, prominence=None, height=None):
+    """The package's former 1-D peak finder, kept as the oracle of the
+    row-wise _find_peaks: indices, in increasing order, of the peaks of a
+    finite 1-D array, as scipy.signal.find_peaks defines them."""
+    x = np.asarray(values, dtype=float)
+    step = np.diff(x)
+    if step.all():
+        peaks = np.flatnonzero((step[:-1] > 0.0) & (step[1:] < 0.0)) + 1
+    else:
+        starts = np.flatnonzero(np.concatenate(([True], step != 0.0)))
+        level = x[starts]
+        runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+        peaks = (starts[runs] + starts[runs + 1] - 1) // 2
+    if height is not None:
+        peaks = peaks[x[peaks] >= height]
+    if prominence is None or peaks.size == 0:
+        return peaks
+    valley = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    keep = x[peaks] - np.maximum(valley[:-1], valley[1:]) >= prominence
+    for k in np.flatnonzero(~keep):
+        p = peaks[k]
+        top = x[p]
+        higher = np.flatnonzero(x[:p] > top)
+        left = x[higher[-1] + 1 if higher.size else 0:p + 1].min()
+        higher = np.flatnonzero(x[p:] > top)
+        right = x[p:p + higher[0] if higher.size else x.size].min()
+        keep[k] = top - max(left, right) >= prominence
+    return peaks[keep]
+
+
+def oracle_refine_row(axis, values, idx):
+    """The package's former scalar parabolic refinement, kept as the oracle
+    of the array _refine_row: (position, value) of the vertex through the
+    samples idx - 1, idx, idx + 1, or the sample at a border or if not
+    concave."""
+    x0, y0 = axis[idx], values[idx]
+    den = values[idx - 1] - 2.0 * y0 + values[idx + 1] if 0 < idx < values.size - 1 else 0.0
+    if den >= 0.0:
+        return x0, y0
+    diff = values[idx - 1] - values[idx + 1]
+    return x0 + 0.5 * (axis[idx + 1] - x0) * diff / den, y0 - 0.125 * diff ** 2 / den
+
+
 def full_intensity(pair, region):
     """The finder's kernel, _pair_intensity_at, on every point of the region."""
     return superpose._pair_intensity_at(pair, region, region.axis1[None, :],
@@ -297,7 +340,8 @@ def full_map_find_rings(pair, region, map_fn=full_intensity):
     """find_rings as it was before the coarse scan: one map of the whole
     region (by map_fn, full_intensity by default), its ridge and first
     argmax in every row, then the same peak, refinement and splitting
-    steps.  The package's finder must give its repr, errors
+    steps, one ring at a time with the frozen 1-D peak finder and scalar
+    refinement.  The package's finder must give its repr, errors
     included."""
     b = pair.beam1
     if region.kind != "rho_z":
@@ -318,8 +362,8 @@ def full_map_find_rings(pair, region, map_fn=full_intensity):
     rows = np.arange(intensity.shape[0])
     ridge_val = intensity[rows, ridge_idx]
 
-    find_peaks_ = ring_analysis._find_peaks
-    refine = ring_analysis._refine_row
+    find_peaks_ = oracle_find_peaks
+    refine = oracle_refine_row
     peak_rows = find_peaks_(ridge_val, prominence=ring_analysis.RIDGE_PROMINENCE * ridge_val.max())
     if peak_rows.size == 0:
         raise RingDetectionError("no interference maxima found in the region")
@@ -425,7 +469,7 @@ def rings_and_rows(p, region, intensity_map_fn):
     rings = full_map_find_rings(p, region, map_fn=recorded)
     [intensity] = maps
     ridge = intensity.max(axis=1)
-    rows = ring_analysis._find_peaks(ridge, prominence=ring_analysis.RIDGE_PROMINENCE * ridge.max())
+    rows = oracle_find_peaks(ridge, prominence=ring_analysis.RIDGE_PROMINENCE * ridge.max())
     assert rows.size == len(rings.rings)
     split_z = {s.z_pos for s in rings.splittings}
     return rings, ridge, rows, [n for n, r in enumerate(rings.rings) if r.z_pos in split_z]
@@ -496,6 +540,55 @@ def test_find_peaks_matches_scipy(case):
     assert np.array_equal(got, scipy_peaks(values, **kw))
 
 
+@st.composite
+def peak_row_cases(draw):
+    """Up to 6 rows of up to 40 samples, all drawn from a few integer
+    levels, and for each row a prominence and a height threshold, each
+    absent or drawn from the same levels."""
+    level = st.integers(0, draw(st.integers(1, 5))).map(float)
+    n_rows, n = draw(st.integers(1, 6)), draw(st.integers(0, 40))
+    row = st.lists(level, min_size=n, max_size=n)
+    values = np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows)),
+                      dtype=float).reshape(n_rows, n)
+    thresholds = st.lists(st.none() | level, min_size=n_rows, max_size=n_rows)
+    return values, draw(thresholds), draw(thresholds)
+
+
+def per_row(thresholds):
+    """The row-wise form of one threshold per row: None when every row has
+    none, else an array with -inf, which keeps every peak, for a None."""
+    if all(t is None for t in thresholds):
+        return None
+    return np.array([-np.inf if t is None else t for t in thresholds])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=peak_row_cases())
+def test_find_peaks_row_wise_matches_scipy(case):
+    """Each row of the row-wise search is scipy's search on that row alone,
+    with that row's thresholds, and the peaks come in row-major order."""
+    values, prominence, height = case
+    rows, cols = ring_analysis._find_peaks(values, prominence=per_row(prominence),
+                                           height=per_row(height))
+    assert np.all(np.diff(rows) >= 0)
+    for r, row in enumerate(values):
+        want = scipy_peaks(row, prominence=prominence[r], height=height[r])
+        assert np.array_equal(cols[rows == r], want)
+
+
+def scipy_row_peaks(values, prominence=None, height=None):
+    """_find_peaks' contract, 1-D and row-wise, by scipy.signal.find_peaks
+    on each row."""
+    x = np.atleast_2d(np.asarray(values, dtype=float))
+    limits = [[None] * len(x) if t is None else np.broadcast_to(t, x.shape[:1])
+              for t in (prominence, height)]
+    found = [scipy_peaks(row, prominence=prom, height=h) for row, prom, h in zip(x, *limits)]
+    if np.ndim(values) == 1:
+        return found[0]
+    rows = np.repeat(np.arange(len(x)), [f.size for f in found])
+    return rows, np.concatenate(found).astype(int)
+
+
 def _outcome(fn, *args):
     """fn's result, or its error, in a form compared exactly."""
     try:
@@ -505,9 +598,17 @@ def _outcome(fn, *args):
 
 
 def _with_scipy_peaks(fn, *args):
+    """fn's outcome with every peak search made by scipy, and the number of
+    dimensions of each searched array, in call order."""
+    searched = []
+
+    def recorded(values, **kw):
+        searched.append(np.ndim(values))
+        return scipy_row_peaks(values, **kw)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring_analysis, "_find_peaks", scipy_peaks)
-        return _outcome(fn, *args)
+        mp.setattr(ring_analysis, "_find_peaks", recorded)
+        return _outcome(fn, *args), searched
 
 
 @st.composite
@@ -536,7 +637,10 @@ def test_find_rings_same_with_scipy_peaks(case):
     p, region = case
     ours = _outcome(lambda: find_rings(p, region).to_json_dict())
     assert ours["rings"]
-    assert ours == _with_scipy_peaks(lambda: find_rings(p, region).to_json_dict())
+    theirs, searched = _with_scipy_peaks(lambda: find_rings(p, region).to_json_dict())
+    assert ours == theirs
+    # the ridge, then the profiles of all peak rows at once
+    assert searched == [1, 2]
 
 
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
@@ -556,7 +660,10 @@ def test_measure_axial_drift_same_with_scipy_peaks(l, sign, w0, d, dw, rho, t0):
     rho_probe = rho * ring_radius_formula(p, 0.0)
     t1 = t0 + suggested_sample_dt(p)
     ours = _outcome(measure_axial_drift, p, rho_probe, t0, t1)
-    assert ours == _with_scipy_peaks(measure_axial_drift, p, rho_probe, t0, t1)
+    theirs, searched = _with_scipy_peaks(measure_axial_drift, p, rho_probe, t0, t1)
+    assert ours == theirs
+    # one line search at each time, or the first only if it found nothing
+    assert searched == ([1] if isinstance(ours, str) else [1, 1])
 
 
 # --------------------------------- the finder against the full-map oracle
@@ -644,3 +751,127 @@ def test_rings_command_writes_the_full_map_finders_bytes(tmp_path, monkeypatch):
         got = (tmp_path / "finder" / name).read_bytes()
         assert got
         assert got == (tmp_path / "oracle" / name).read_bytes()
+
+
+# ------------------------- the batched refinement and split choice, exactly
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.lists(st.integers(0, 3).map(float) | st.floats(0.0, 1e3),
+                                min_size=5, max_size=5), min_size=1, max_size=4),
+       scale=st.floats(1e-9, 1e3))
+def test_refine_row_is_the_scalar_refinement(values, scale):
+    """At every index of every row, borders and flat or convex triples
+    included, the array refinement gives the frozen scalar one's bits, for
+    a 1-D array and row-wise alike."""
+    values = np.array(values)
+    axis = scale * np.arange(values.shape[1])
+    rows, cols = np.indices(values.shape)
+    got = ring_analysis._refine_row(axis, values, rows, cols)
+    want = [[oracle_refine_row(axis, row, c) for c in range(row.size)] for row in values]
+    assert np.stack(got, axis=-1).tobytes() == np.array(want).tobytes()
+    got = ring_analysis._refine_row(axis, values[0], cols[0])
+    assert np.stack(got, axis=-1).tobytes() == np.array(want[0]).tobytes()
+
+
+def test_refine_row_squares_as_numpy_scalars_do():
+    """The vertex value squares the slope difference with libm's pow, as **
+    did on the numpy scalars of the scalar refinement; an array's ** 2
+    multiplies, which differs in the last bit for about 1 in 1200 random
+    values, so 20000 concave rows of random samples tell the two apart."""
+    values = np.random.default_rng(29).random((20000, 3)) + [0.0, 1.0, 0.0]
+    axis = np.arange(3.0)
+    got = ring_analysis._refine_row(axis, values, np.arange(len(values)), 1)
+    want = [oracle_refine_row(axis, row, 1) for row in values]
+    assert np.stack(got, axis=-1).tobytes() == np.array(want).tobytes()
+
+
+def synthetic_finder_case(profiles):
+    """A pair and region that pass find_rings' gates, with one ring per
+    profile, and a map of that region in which every fourth row from row 2
+    (the middle one at z = 0) is a ridge peak holding the next profile,
+    scaled so that the ridge reads 3 at the peaks, 1 half-way and 2 between.
+    Each other row holds its nearest peak row's profile, scaled likewise."""
+    p = pair(d_factor=1.0)
+    n_rings, n_rho = len(profiles), len(profiles[0])
+    dz, drho = WAVELENGTH / 20.0, p.beam1.waist_w0 / 100.0
+    region = GridSpec.rho_z(rho_min=WAVELENGTH, rho_max=WAVELENGTH + (n_rho - 1) * drho,
+                            n_rho=n_rho, z_min=-2 * n_rings * dz, z_max=2 * n_rings * dz,
+                            n_z=4 * n_rings + 1)
+    rows = np.arange(region.axis2.size)
+    ridge = 2.0 + np.cos(0.5 * np.pi * (rows - 2))
+    nearest = np.minimum(rows // 4, n_rings - 1)
+    shape = np.array(profiles, dtype=float)
+    intensity = shape[nearest] * (ridge / shape.max(axis=1)[nearest])[:, None]
+    return p, region, intensity
+
+
+def finder_on_map(p, region, intensity):
+    """find_rings with its kernel reading the given map and its coarse
+    stride 1, so that its ridge is the map's; its RingSet, which must be the
+    full-map oracle's on the same map."""
+    def lookup(pair_, grid, rho, z):
+        return intensity[np.searchsorted(grid.axis2, z), np.searchsorted(grid.axis1, rho)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring_analysis, "_pair_intensity_at", lookup)
+        mp.setattr(ring_analysis, "_coarse_stride", lambda pair_, region_: 1)
+        got = find_rings(p, region)
+    assert repr(got) == repr(full_map_find_rings(p, region, lambda *_: intensity))
+    return got
+
+
+def bumps(*tops, width=40):
+    """A profile of `width` samples: 0, then each top followed by 0."""
+    out = np.zeros(width)
+    out[1:2 * len(tops):2] = tops
+    return out
+
+
+SPLIT_EDGE_CASES = {
+    "equal_top_two": bumps(0, 5, 0, 5),
+    "one_candidate": np.array([0.0, 1, 3, 6, 3, 1] + [0] * 34),
+    "no_candidate_max_at_the_end": np.arange(40.0),
+    "max_at_column_0": np.array([9.0, 8, 6, 3, 1, 2, 1] + [0] * 33),
+    "central": bumps(8, 7),
+    # numpy's argsort ranks these candidates [4, 1, 3, 2, 0] on AVX-512
+    # hosts and the stable sort [4, 1, 2, 3, 0]: their top two differ
+    "tie_at_the_cut": bumps(20, 10, 10, 10, 3),
+    "plateau_candidate": np.array([0.0, 2, 9, 9, 9, 2, 0, 3, 6, 3] + [0] * 30),
+    "18_candidates_tied_at_the_cut": bumps(30, *[10] * 17),
+    "18_candidates": bumps(*np.random.default_rng(29).permutation(18) + 10.0),
+}
+
+
+def test_split_choice_edge_cases_are_the_oracles():
+    """One ring per case of SPLIT_EDGE_CASES, the central one in the middle:
+    equal top candidates, rows with one and with no candidate, a row maximum
+    in the first or the last column, where the refinement falls back to the
+    sample, a flat-topped candidate, ties at the cut, which np.argsort
+    decides, and rows with more than 16 candidates."""
+    p, region, intensity = synthetic_finder_case(list(SPLIT_EDGE_CASES.values()))
+    rings = finder_on_map(p, region, intensity)
+    names = list(SPLIT_EDGE_CASES)
+    assert [r.classification == "central" for r in rings.rings] == \
+        [name == "central" for name in names]
+    split = {r.z_pos for r in rings.rings} & {s.z_pos for s in rings.splittings}
+    assert [r.z_pos in split for r in rings.rings] == \
+        [name in ("equal_top_two", "tie_at_the_cut", "plateau_candidate",
+                  "18_candidates_tied_at_the_cut", "18_candidates") for name in names]
+    assert rings.rings[names.index("max_at_column_0")].radius == region.axis1[0]
+    assert rings.rings[names.index("no_candidate_max_at_the_end")].radius == region.axis1[-1]
+
+
+@st.composite
+def synthetic_profiles(draw):
+    """Five profiles of 3 to 40 samples from a few integer levels, so that
+    ties, plateaus, maxima at either end and flat rows are common."""
+    level = st.integers(0, draw(st.integers(1, 6))).map(float)
+    n = draw(st.integers(3, 40))
+    profiles = draw(st.lists(st.lists(level, min_size=n, max_size=n), min_size=5, max_size=5))
+    return [row if max(row) > 0.0 else [1.0] + row[1:] for row in profiles]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(profiles=synthetic_profiles())
+def test_split_choice_is_the_oracles_on_integer_profiles(profiles):
+    assert len(finder_on_map(*synthetic_finder_case(profiles)).rings) == 5
