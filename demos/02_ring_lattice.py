@@ -10,8 +10,7 @@ separation outgrows the ring thickness.
 
 import math
 
-from vortexlattice.ring_analysis import (double_ring_radii, find_rings,
-                                         radial_separation)
+from vortexlattice.ring_analysis import compare_rings, find_rings
 from vortexlattice.superpose import GridSpec, PairSpec
 
 wavelength = 589.16e-9
@@ -28,38 +27,40 @@ region = GridSpec.rho_z(rho_min=11 * wavelength, rho_max=23 * wavelength,
                         n_rho=301, z_min=-36 * wavelength,
                         z_max=36 * wavelength, n_z=1441)
 rings = find_rings(pair, region)
+# the comparison the rings command writes: ring_comparison.csv and rings_summary.json
+rows, summary = compare_rings(pair, rings)
 
-central = [r for r in rings.rings if r.classification == "central"]
-print(f"\n{len(rings.rings)} bright rings between the foci")
-print(f"central ring: z = {central[0].z_pos * 1e9:+.1f} nm, "
-      f"radius {central[0].radius * 1e6:.3f} um")
+rho0 = summary["central_radius_formula"]
+print(f"\n{summary['n_rings']} bright rings between the foci")
+print(f"central ring: z = {summary['central_z'] * 1e9:+.1f} nm, "
+      f"radius {summary['central_radius'] * 1e6:.3f} um "
+      f"(w(d/2) sqrt(l/2) = {rho0 * 1e6:.3f} um)")
 # the lattice's axial period is 2 pi / Phi'(0), the slope of the phase
 # difference Theta1 - Theta2 along the midplane ring at rho0
 k = pair.beam1.wavenumber
 u = 0.5 * d / zr
-rho0 = w0 * math.sqrt(l / 2.0) * math.sqrt(1.0 + u * u)
 gouy = 2.0 * (l + 1.0) / (zr * (1.0 + u * u))
 curvature = k * rho0 ** 2 * (zr * zr - 0.25 * d * d) / (0.25 * d * d + zr * zr) ** 2
 spacing = 2.0 * math.pi / (2.0 * k - gouy + curvature)
-print(f"axial fringe spacing: {rings.fringe_delta * 1e9:.1f} nm "
+print(f"axial fringe spacing: {summary['fringe_delta'] * 1e9:.1f} nm "
       f"(2 pi/Phi'(0) = {spacing * 1e9:.1f} nm, "
-      f"pi/k = {math.pi / k * 1e9:.1f} nm)")
+      f"pi/k = {summary['half_wavelength'] * 1e9:.1f} nm)")
 print(f"  the Gouy phase slows the phase difference by {gouy / (2.0 * k):.1%} "
       f"of 2k and wavefront curvature speeds it by "
       f"{curvature / (2.0 * k):.1%}, stretching the fringes beyond pi/k")
 
-print(f"\n{len(rings.splittings)} rings resolve a radial split; "
+print(f"\n{len(rows)} rings between the foci resolve a radial split; "
       "farther from the midplane the split widens:")
 print("   z/um    measured pair/um     w1, w2 formula/um    alpha")
-for split in rings.splittings[:: max(1, len(rings.splittings) // 8)]:
-    delta = abs(split.z_pos)
-    if not 0.0 < delta < 0.5 * d:
-        continue
-    w1, w2 = double_ring_radii(pair, delta)
-    alpha = radial_separation(pair, delta).alpha
-    print(f"  {split.z_pos * 1e6:+6.2f}   {split.r_inner * 1e6:.3f}, "
-          f"{split.r_outer * 1e6:.3f}        {w1 * 1e6:.3f}, {w2 * 1e6:.3f}"
-          f"      {alpha:.2f}")
+for z, r_inner, r_outer, w1, w2, *_, alpha in rows[:: max(1, len(rows) // 8)]:
+    print(f"  {z * 1e6:+6.2f}   {r_inner * 1e6:.3f}, {r_outer * 1e6:.3f}"
+          f"        {w1 * 1e6:.3f}, {w2 * 1e6:.3f}      {alpha:.2f}")
 
-print("\nalpha = sqrt(2 l) d delta / zR^2 tracks how far the pair has "
+reading = summary["delta_reading"]
+print(f"\non the first split the formula radii are off by "
+      f"{reading['midplane_offset_err']:.1e} (summed relative error) with delta "
+      f"read from the midplane and by {reading['focal_plane_offset_err']:.1e} "
+      f"read from a focal plane: the {reading['matching'].replace('_', ' ')} "
+      f"reading matches.")
+print("alpha = sqrt(2 l) d delta / zR^2 tracks how far the pair has "
       "separated; rings merge optically for small alpha.")

@@ -27,7 +27,7 @@ of the spring-constant check.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "scattering_force",
     "spring_constant",
     "spring_constant_k0",
+    "spring_sweep",
     "harmonic_potential_v0",
     "torque_axial",
 ]
@@ -401,6 +402,18 @@ def axial_force_slope(atom, pair, rho):
         return scattering_force(atom, pair, CylPoint(rho=rho, phi=0.0, z=zz), mode=_REDUCED)[2]
 
     return (8.0 * (fz(h) - fz(-h)) - (fz(2.0 * h) - fz(-2.0 * h))) / (12.0 * h)
+
+
+def spring_sweep(atom, pair, d_values):
+    """The central ring's spring constant over focal separations: an (n, 3)
+    array of rows (d, ``spring_constant_k0``, -``axial_force_slope`` on the
+    central ring), one per d of ``d_values``, with the pair otherwise as it is."""
+    rows = []
+    for d in d_values:
+        pair_d = replace(pair, separation_d=float(d))
+        rows.append((d, spring_constant_k0(atom, pair_d),
+                     -axial_force_slope(atom, pair_d, central_ring_radius(pair_d))))
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 def torque_axial(atom, pair):

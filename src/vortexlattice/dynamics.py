@@ -31,6 +31,7 @@ __all__ = [
     "angular_momentum",
     "estimate_frequency",
     "integrate",
+    "summarize_trajectory",
     "trap_frequency",
 ]
 
@@ -206,3 +207,41 @@ def estimate_frequency(times, values):
     crossings = t_nz[idx] - x_nz[idx] * (t_nz[idx + 1] - t_nz[idx]) \
         / (x_nz[idx + 1] - x_nz[idx])
     return math.pi / float(np.mean(np.diff(crossings)))
+
+
+def summarize_trajectory(atom, pair, states):
+    """A trajectory's samples as rows, and what they show: (rows, summary).
+
+    ``rows`` is (n, 9): each sample, then its rho and phi (math.hypot and
+    math.atan2; numpy's differ in the last bit on some samples).  ``summary``
+    gives the axial frequency measured from z beside sqrt(K0/m) (each None
+    where undefined), L_z at both ends and whether it never decreases, the
+    last position, and the farthest rho and |z| against the beam extent
+    itself, which the divergence guard allows DIVERGENCE_FACTOR times."""
+    rho = [math.hypot(st.x, st.y) for st in states]
+    phi = [math.atan2(st.y, st.x) for st in states]
+    rows = np.column_stack((np.array(states), rho, phi))
+    lz = [angular_momentum(atom, st) for st in states]
+    omega = estimate_frequency(rows[:, 0], rows[:, 3])
+    try:
+        omega_ref = trap_frequency(atom, pair)
+    except DegenerateGeometryError:
+        omega_ref = None
+    radial, axial = _extents(pair)
+    max_rho = float(np.max(rows[:, 7]))
+    max_abs_z = float(np.max(np.abs(rows[:, 3])))
+    summary = {
+        "n_samples": len(states),
+        # NaN (fewer than three crossings) is written as null
+        "oscillation_omega_measured": None if math.isnan(omega) else omega,
+        "oscillation_omega_analytic": omega_ref,
+        "lz_initial": lz[0],
+        "lz_final": lz[-1],
+        "lz_monotone_nondecreasing": bool(np.all(np.diff(lz) >= -1e-12 * max(
+            1e-60, float(np.max(np.abs(lz)))))),
+        "final": {"rho": rho[-1], "phi": phi[-1], "z": states[-1].z},
+        "max_rho": max_rho,
+        "max_abs_z": max_abs_z,
+        "left_beam_extent": bool(max_rho > radial or max_abs_z > axial),
+    }
+    return rows, summary

@@ -2,8 +2,9 @@
 
 Locates intensity maxima on a half-plane (rho, z) map, measures the axial
 fringe spacing, classifies the central ring, and measures the splitting of
-the off-centre double rings.  Also provides the closed-form double-ring radii
-and the rotation/drift measurements for frequency-offset pairs.
+the off-centre double rings.  Also provides the closed-form double-ring radii,
+the comparison of detected rings with them, and the rotation/drift
+measurements for frequency-offset pairs.
 """
 
 import functools
@@ -13,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .atom_forces import central_ring_radius
 from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
 from .lg_mode import CylPoint, _local_z, _row_phase, mode_jet
 # intensity_map is not called here; it stays a module attribute because
@@ -24,6 +26,7 @@ __all__ = [
     "Ring",
     "RingSet",
     "RingSplit",
+    "compare_rings",
     "double_ring_radii",
     "find_rings",
     "fringe_drift_speed",
@@ -368,6 +371,54 @@ def radial_separation(pair, delta):
     alpha = math.sqrt(2.0 * abs(b.winding_l)) * pair.separation_d * delta \
         / b.rayleigh_range ** 2
     return RadialSplit(exact=float(w2 - w1), approx=0.5 * b.waist_w0 * alpha, alpha=alpha)
+
+
+def compare_rings(pair, ringset):
+    """Detected rings against the closed forms: (rows, summary).
+
+    ``rows`` is (n, 9), one row per splitting with 0 < |z| < d/2: z, r_inner,
+    r_outer, ``double_ring_radii`` at delta = |z|, delta_rho, and
+    ``radial_separation`` (exact, approx, alpha).  ``summary`` gives the ring
+    count, the fringe spacing beside pi/k, the central ring beside
+    ``central_ring_radius`` and, from the first row, its alpha and which
+    reading of delta, |z| from the midplane or d/2 - |z| from a focal plane,
+    puts the closed-form radii nearer the measured ones."""
+    half_d = 0.5 * pair.separation_d
+    rows = []
+    for split in ringset.splittings:
+        delta = abs(split.z_pos)
+        if not 0.0 < delta < half_d:
+            continue
+        w1, w2 = double_ring_radii(pair, delta)
+        sep = radial_separation(pair, delta)
+        rows.append((split.z_pos, split.r_inner, split.r_outer, w1, w2,
+                     split.delta_rho, sep.exact, sep.approx, sep.alpha))
+
+    summary = {
+        "n_rings": len(ringset.rings),
+        "fringe_delta": None if math.isnan(ringset.fringe_delta) else ringset.fringe_delta,
+        "half_wavelength": math.pi / pair.beam1.wavenumber,
+        "central_radius_formula": central_ring_radius(pair),
+    }
+    central = [r for r in ringset.rings if r.classification == "central"]
+    if central:
+        summary["central_z"] = central[0].z_pos
+        summary["central_radius"] = central[0].radius
+    if rows:
+        z0, r_in, r_out, w1, w2 = rows[0][:5]
+
+        def err(w1, w2):    # the two radii's relative errors, summed
+            return abs(w1 - r_in) / r_in + abs(w2 - r_out) / r_out
+
+        err_mid = err(w1, w2)
+        summary["delta_reading"] = reading = {"midplane_offset_err": err_mid}
+        alt = half_d - abs(z0)
+        if 0.0 < alt < half_d:
+            reading["focal_plane_offset_err"] = err_alt = err(*double_ring_radii(pair, alt))
+            reading["matching"] = "midplane_offset" if err_mid <= err_alt else "focal_plane_offset"
+        summary["alpha_first_split"] = rows[0][8]
+        summary["alpha_lt_1"] = bool(rows[0][8] < 1.0)
+    return np.array(rows, dtype=float).reshape(-1, 9), summary
 
 
 def suggested_sample_dt(pair):

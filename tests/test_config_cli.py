@@ -800,7 +800,7 @@ def test_cli_trajectory_too_short_to_oscillate_writes_null(tmp_path):
 def test_cli_json_writer_rejects_non_finite(tmp_path):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            cli._write_json(tmp_path / "bad.json", {"value": bad})
+            cli._write(tmp_path / "bad.json", {"value": bad})
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])

@@ -11,7 +11,7 @@ from test_properties import intensity_bound, lattices
 from test_superpose import full_grid_points
 from vortexlattice import cli, ring_analysis, superpose
 from vortexlattice.atom_forces import lift_speed
-from vortexlattice.cli import _write_json, main
+from vortexlattice.cli import _write, main
 from vortexlattice.config import RunConfig
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
                                   RingDetectionError, VortexLatticeError)
@@ -194,7 +194,7 @@ def test_ring_set_json_schema(tmp_path):
     p = split_pair()
     rings = find_rings(p, split_region())
     path = tmp_path / "rings.json"
-    _write_json(path, rings.to_json_dict())
+    _write(path, rings.to_json_dict())
     loaded = json.loads(path.read_text())
     assert set(loaded) == {"fringe_delta", "rings", "splittings"}
     assert isinstance(loaded["fringe_delta"], float)
@@ -203,7 +203,7 @@ def test_ring_set_json_schema(tmp_path):
     # NaN spacing serializes as null, not as bare NaN
     single = find_rings(pair(amp2=0.0), lattice_region(p, z_half=24.0, n_z=961))
     path2 = tmp_path / "single.json"
-    _write_json(path2, single.to_json_dict())
+    _write(path2, single.to_json_dict())
     assert json.loads(path2.read_text())["fringe_delta"] is None
 
 
