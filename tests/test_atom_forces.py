@@ -12,7 +12,7 @@ from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces,
                                        harmonic_potential_v0, lift_speed,
                                        phase_gradient, q_plus, rabi_at,
                                        scattering_force, spring_constant,
-                                       spring_constant_k0, torque_axial)
+                                       spring_constant_k0, spring_sweep, torque_axial)
 from vortexlattice.constants import HBAR
 from vortexlattice.errors import DarkPointError, DegenerateGeometryError
 from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_jet
@@ -550,3 +550,20 @@ def test_forces_vectorize():
     for model in ("reduced", "full"):
         assert [np.shape(g) for g in _forces(atom, p, line, None, model, 0.0, True, False)] \
             == [(3, 3), (3, 3)]
+
+
+def test_spring_sweep_is_the_per_d_calls():
+    """Each row of spring_sweep is d, spring_constant_k0 and
+    -axial_force_slope on the central ring of the pair at that d, bit for
+    bit; the pair's other settings (here l2 and amp2) carry over."""
+    atom = sodium()
+    base = pair(l1=2, l2=3, amp2=0.8)
+    d_values = np.linspace(0.0, 3.0 * base.beam1.rayleigh_range, 7)
+    want = []
+    for d in d_values:
+        p = PairSpec(WAVELENGTH, 8e-6, l1=2, l2=3, amp2=0.8, separation_d=float(d))
+        want.append((d, spring_constant_k0(atom, p),
+                     -axial_force_slope(atom, p, central_ring_radius(p))))
+    rows = spring_sweep(atom, base, d_values)
+    assert rows.shape == (7, 3)
+    assert rows.tobytes() == np.array(want).tobytes()

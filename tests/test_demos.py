@@ -10,7 +10,7 @@ import pytest
 
 import vortexlattice
 from vortexlattice.atom_forces import lift_speed
-from vortexlattice.ring_analysis import fringe_drift_speed
+from vortexlattice.ring_analysis import compare_rings, fringe_drift_speed
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -41,3 +41,17 @@ def test_ferris_demo_prints_the_summarys_drift_reference(capsys):
     assert f"delta_omega/Phi'(0) = {ref * 1e3:.6f} mm/s" in out
     assert f"delta_omega/(2k)    = {lift_speed(pair) * 1e3:.6f} mm/s" in out
     assert abs(run["drift"] - ref) < 1e-6 * abs(ref)
+
+
+def test_ring_demo_prints_compare_rings(capsys):
+    """Demo 02 prints its double-ring table from compare_rings' rows, the
+    ones ring_comparison.csv holds, and the offset reading its summary says
+    matches."""
+    run = runpy.run_path(str(REPO / "demos" / "02_ring_lattice.py"))
+    out = capsys.readouterr().out
+    rows, summary = compare_rings(run["pair"], run["rings"])
+    assert f"{len(rows)} rings between the foci resolve a radial split" in out
+    for z, r_inner, r_outer, *_ in rows[:: max(1, len(rows) // 8)]:
+        assert f"{z * 1e6:+6.2f}   {r_inner * 1e6:.3f}, {r_outer * 1e6:.3f}" in out
+    matching = summary["delta_reading"]["matching"]
+    assert f"the {matching.replace('_', ' ')} reading matches" in out

@@ -11,7 +11,7 @@ from vortexlattice.atom_forces import (AtomSpec, Velocity, central_ring_radius,
 from vortexlattice.constants import HBAR
 from vortexlattice.dynamics import (IntegratorConfig, TrajectoryState,
                                     angular_momentum, estimate_frequency,
-                                    integrate, trap_frequency)
+                                    integrate, summarize_trajectory, trap_frequency)
 from vortexlattice.errors import (DarkPointError, DegenerateGeometryError,
                                   DivergenceError, StepSizeError)
 from vortexlattice.lg_mode import AXIS_RHO, CylPoint, mode_amplitude, mode_jet
@@ -472,3 +472,34 @@ def test_scalar_path_is_bit_identical_to_the_array_reference(run):
                     args = (atom, pair, pt, vel, mode, init.time, scattering, dipole)
                     assert _same(_outcome(atom_forces._forces, *args),
                                  _outcome(_reference_forces, *args)), (mode, scattering, dipole)
+
+
+def spinning_states(spins):
+    """Samples on the x axis with v_y = spin (a given L_z), z oscillating."""
+    return [TrajectoryState(1e-6 * n, 5e-6, 0.0, 1e-7 * math.cos(0.7 * n), 0.0, spin, 0.0)
+            for n, spin in enumerate(spins)]
+
+
+def test_summarize_trajectory_without_a_trap_has_no_analytic_frequency():
+    """At d = 0, K0 = 0 and trap_frequency raises: the summary gives None,
+    while a trapping pair gives sqrt(K0/m)."""
+    atom, states = sodium(), spinning_states([0.0] * 40)
+    _, summary = summarize_trajectory(atom, trap_pair(d_frac=0.0), states)
+    assert summary["oscillation_omega_analytic"] is None
+    assert isinstance(summary["oscillation_omega_measured"], float)
+    _, summary = summarize_trajectory(atom, trap_pair(), states)
+    assert summary["oscillation_omega_analytic"] == trap_frequency(atom, trap_pair())
+
+
+@pytest.mark.parametrize("spins, monotone", [(np.linspace(1e-3, 0.0, 20), False),
+                                             (np.linspace(0.0, 1e-3, 20), True)])
+def test_summarize_trajectory_lz_monotone_flags_a_spin_down(spins, monotone):
+    """lz_monotone_nondecreasing is false once L_z falls (a spun-down
+    series) and true while it rises; lz_initial and lz_final are
+    angular_momentum at the ends, and rows are the samples, rho and phi."""
+    atom, states = sodium(), spinning_states(spins)
+    rows, summary = summarize_trajectory(atom, trap_pair(), states)
+    assert summary["lz_monotone_nondecreasing"] is monotone
+    assert (summary["lz_initial"], summary["lz_final"]) == (
+        angular_momentum(atom, states[0]), angular_momentum(atom, states[-1]))
+    assert rows.tobytes() == np.column_stack((np.array(states), [5e-6] * 20, [0.0] * 20)).tobytes()

@@ -10,13 +10,14 @@ from test_config_cli import REPO
 from test_properties import intensity_bound, lattices
 from test_superpose import full_grid_points
 from vortexlattice import cli, ring_analysis, superpose
-from vortexlattice.atom_forces import lift_speed
+from vortexlattice.atom_forces import central_ring_radius, lift_speed
 from vortexlattice.cli import _write, main
 from vortexlattice.config import RunConfig
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
                                   RingDetectionError, VortexLatticeError)
 from vortexlattice.lg_mode import waist_at
-from vortexlattice.ring_analysis import (double_ring_radii, find_rings,
+from vortexlattice.ring_analysis import (Ring, RingSet, RingSplit, compare_rings,
+                                         double_ring_radii, find_rings,
                                          fringe_drift_speed, measure_axial_drift,
                                          measure_rotation_rate,
                                          radial_separation, suggested_sample_dt)
@@ -875,3 +876,102 @@ def synthetic_profiles(draw):
 @given(profiles=synthetic_profiles())
 def test_split_choice_is_the_oracles_on_integer_profiles(profiles):
     assert len(finder_on_map(*synthetic_finder_case(profiles)).rings) == 5
+
+
+# ------------------------------------------ compare_rings on hand-built sets
+
+def split_at(p, z, reading="midplane"):
+    """A splitting at z whose radii are double_ring_radii's, with delta read
+    from the midplane (|z|) or from a focal plane (d/2 - |z|)."""
+    delta = abs(z) if reading == "midplane" else 0.5 * p.separation_d - abs(z)
+    r_inner, r_outer = double_ring_radii(p, delta)
+    return RingSplit(z_pos=z, delta_rho=r_outer - r_inner, r_inner=r_inner, r_outer=r_outer)
+
+
+def ring_set(*splittings, rings=()):
+    return RingSet(rings=list(rings), fringe_delta=float("nan"), splittings=list(splittings))
+
+
+def test_compare_rings_keeps_splittings_strictly_between_midplane_and_foci():
+    """Splittings at z = 0 and at |z| >= d/2 have no closed form and give no
+    row; each other gives z, its radii, double_ring_radii, its delta_rho and
+    radial_separation, in order."""
+    p = pair()
+    half_d = 0.5 * p.separation_d
+    kept = [split_at(p, -3.0 * WAVELENGTH), split_at(p, 7.0 * WAVELENGTH)]
+    dropped = [RingSplit(z, 1e-7, 1e-6, 1.1e-6) for z in (0.0, half_d, -half_d, 1.5 * half_d)]
+    rows, _ = compare_rings(p, ring_set(dropped[0], kept[0], *dropped[1:], kept[1]))
+    want = []
+    for split in kept:
+        delta = abs(split.z_pos)
+        want.append((split.z_pos, split.r_inner, split.r_outer, *double_ring_radii(p, delta),
+                     split.delta_rho, *radial_separation(p, delta)))
+    assert rows.shape == (2, 9)
+    assert rows.tobytes() == np.array(want).tobytes()
+
+
+def test_compare_rings_without_rows_reads_no_offset():
+    """With no splitting between midplane and foci (and no central ring)
+    the summary holds the ring count, the spacings and the formula radius
+    only: no delta_reading, alpha_* or central_* keys."""
+    p = pair()
+    rows, summary = compare_rings(p, ring_set(RingSplit(0.0, 1e-7, 1e-6, 1.1e-6),
+                                              rings=[Ring(1e-6, 5e-6, 1.0, "double")]))
+    assert rows.shape == (0, 9)
+    assert summary == {"n_rings": 1, "fringe_delta": None,
+                       "half_wavelength": math.pi / p.beam1.wavenumber,
+                       "central_radius_formula": central_ring_radius(p)}
+
+
+def test_rings_command_without_rows_writes_no_comparison(tmp_path, monkeypatch, capsys):
+    """rings writes ring_comparison.csv only when there are rows; without
+    it the metadata and the printed paths leave it out too."""
+    central = Ring(0.0, 2.6e-5, 1.0, "central")
+    monkeypatch.setattr(cli, "find_rings", lambda pair_, region: ring_set(rings=[central]))
+    out = tmp_path / "out"
+    assert main(["rings", "--config", str(REPO / "configs" / "ring_lattice.json"),
+                 "--out", str(out)]) == 0
+    names = ["rings.json", "rings_summary.json", "rings_metadata.json"]
+    assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+    assert json.loads((out / "rings_metadata.json").read_text())["outputs"] == names[:2]
+    summary = json.loads((out / "rings_summary.json").read_text())
+    assert (summary["central_z"], summary["central_radius"]) == (0.0, 2.6e-5)
+    assert not {"delta_reading", "alpha_first_split", "alpha_lt_1"} & set(summary)
+
+
+@pytest.mark.parametrize("reading, matching", [("midplane", "midplane_offset"),
+                                               ("focal", "focal_plane_offset")])
+def test_compare_rings_reads_delta_the_way_the_first_split_matches(reading, matching):
+    """The first row's radii are compared with double_ring_radii at |z| and
+    at d/2 - |z|; the verdict names the reading that matches (the later
+    rows do not count)."""
+    p = pair()
+    first = split_at(p, -5.0 * WAVELENGTH, reading)
+    _, summary = compare_rings(p, ring_set(first, split_at(p, 9.0 * WAVELENGTH)))
+    got = summary["delta_reading"]
+    assert got["matching"] == matching
+    errs = {"midplane": got["midplane_offset_err"], "focal": got["focal_plane_offset_err"]}
+    assert errs.pop(reading) == 0.0
+    assert errs.popitem()[1] > 0.1
+
+
+def test_compare_rings_has_no_focal_reading_where_it_rounds_onto_the_focus():
+    """So near the midplane that d/2 - |z| rounds to d/2, the focal-plane
+    reading is outside double_ring_radii's domain: the midplane reading
+    stands alone, with no verdict."""
+    p = pair()
+    _, summary = compare_rings(p, ring_set(split_at(p, 1e-30)))
+    assert 0.5 * p.separation_d - 1e-30 == 0.5 * p.separation_d
+    assert summary["delta_reading"] == {"midplane_offset_err": 0.0}
+
+
+@pytest.mark.parametrize("l1, lt_1", [(4, True), (80, False)])
+def test_compare_rings_alpha_is_the_first_splits(l1, lt_1):
+    """alpha_first_split is radial_separation's alpha at the first row's
+    |z|, and alpha_lt_1 says whether those rings merge optically."""
+    p = pair(l1=l1)
+    z = 10.0 * WAVELENGTH
+    rows, summary = compare_rings(p, ring_set(split_at(p, z), split_at(p, 1.5 * z)))
+    assert summary["alpha_first_split"] == rows[0, 8] == radial_separation(p, z).alpha
+    assert summary["alpha_lt_1"] is lt_1
