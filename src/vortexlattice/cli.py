@@ -5,13 +5,13 @@ Subcommands: field-map, spring-sweep, rings, ferris, trajectory.  All take
 also takes --mode, the force model ("reduced" by default).  --threads is
 accepted and checked but ignored: everything runs on one thread.  Exit
 codes: 0 success, 2 configuration problems, 3 any other package error
-(numerical, resolution or geometry failures), 4 I/O failures.  Each command
-returns its outputs in order, as (file name, content) pairs computed by the
-module that owns its physics; ``main`` writes them all with ``_write``.
+(numerical, resolution or geometry failures, or an output that is not
+finite), 4 I/O failures.  Each command returns its outputs in order, as
+(file name, content) pairs computed by the module that owns its physics;
+``main`` writes them all with ``output.write_outputs``, which checks each.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,25 +25,12 @@ from .config import RunConfig
 # attributes because perfbench/spans.py traces calls by rebinding these names
 from .dynamics import estimate_frequency, integrate, summarize_trajectory, trap_frequency
 from .errors import ConfigError, VortexLatticeError
+from .output import write_outputs
 from .ring_analysis import compare_rings, find_rings, fringe_drift_speed, \
     measure_axial_drift, measure_rotation_rate, suggested_sample_dt
-from .superpose import FieldMap, intensity_map, write_csv
+from .superpose import intensity_map
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 2, 3, 4
-
-
-def _write(path, content):
-    """Write one output: a dict as JSON, a FieldMap with its to_csv, and a
-    (header, rows) table with write_csv."""
-    if isinstance(content, dict):
-        # NaN is not JSON: a value that can be undefined is None, so a
-        # non-finite float raises.  One write, not json.dump's many pieces
-        with open(path, "w", newline="\n") as fh:
-            fh.write(json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    elif isinstance(content, FieldMap):
-        content.to_csv(path)
-    else:
-        write_csv(path, *content)
 
 
 def _need_atom(cfg):
@@ -180,8 +167,7 @@ def main(argv=None):
         if cfg.trajectory_config is not None:   # a run setting (--mode), not a config key
             meta["force_model"] = cfg.trajectory_config.force_model
         outputs.append((f"{args.command}_metadata.json", meta))
-        for name, content in outputs:
-            _write(out / name, content)
+        write_outputs(out, outputs)
         for name, _ in outputs:
             print(out / name)
         return EXIT_OK

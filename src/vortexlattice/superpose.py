@@ -5,7 +5,6 @@ total amplitude/phase, the phase difference split into its physical parts,
 and sampled intensity maps on half-plane (rho, z) or transverse (x, y) grids.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -266,184 +265,8 @@ class GridSpec:
 # 128 KiB at which glibc's malloc maps fresh pages, and the ring finder's
 # peak heap use stays within 1.6 times its coarse map.  glibc trims its heap
 # only past twice the largest chunk it has mapped and freed, such as that
-# map, so a warm rings op takes no fresh pages.  The CSV writer fills at
-# most this many rows at once.
+# map, so a warm rings op takes no fresh pages.
 BLOCK_POINTS = 16_000
-
-
-# Values formatted per numpy pass of the CSV writer.  A pass's largest arrays,
-# its slot planes (29 bytes a value), stay below the 128 KiB at which glibc's
-# malloc maps fresh pages: 16384 values took about 11 000 minor page faults
-# per ferris map.  The row buffer (30 bytes a value, axis text included) is
-# made once per file and reused by every pass, so a warm map's to_csv takes
-# no minor page fault.
-_CHUNK_VALUES = 4096
-# Decimal exponents the numpy path formats: |x| in [1e-280, 1e280] keeps every
-# scaled product below and its error terms well above the float64 range limits.
-_E_MIN, _E_MAX = -281, 280
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
-# How close to a rounding tie the 17th digit may fall before Python formats it
-_TIE_WINDOW = 1e-6
-
-
-@functools.cache
-def _decimal_tables():
-    """Per decimal exponent E from _E_MIN to _E_MAX (column E - _E_MIN):
-
-    - scale (4, n_E) float64: Dekker's halves of hi, hi, lo, where hi is
-      10^(16 - E) correctly rounded and lo the correctly rounded remainder
-      10^(16 - E) - hi, both from exact integers;
-    - layout (12, n_E) uint8: the %g prefix "0.000"[:1 - E] of fixed
-      notation below 1 (-4 <= E < 0), the exponent "e+dd" or "e-ddd" of
-      scientific notation (E < -4 or E >= 17), each left-aligned and padded
-      with 0 bytes; the count of digits before the point (0 below 1); and
-      the mantissa slot of the point (18: none in the mantissa).
-    Built on first use, not at import."""
-    hi, lo, layout = [], [], []
-    for e in range(_E_MIN, _E_MAX + 1):
-        if e <= 16:
-            h = float(10 ** (16 - e))
-            hi.append(h)
-            lo.append(float(10 ** (16 - e) - int(h)))
-        else:
-            d = 10 ** (e - 16)
-            num, den = (1 / d).as_integer_ratio()
-            hi.append(num / den)
-            lo.append((den - num * d) / (den * d))
-        if -4 <= e < 0:
-            text, n_int, point = "0.000"[:1 - e].ljust(10, "\0"), 0, 18
-        elif 0 <= e < 17:
-            text, n_int, point = "\0" * 10, e + 1, e + 1
-        else:
-            text, n_int, point = ("\0" * 5 + "e%+03d" % e).ljust(10, "\0"), 1, 1
-        layout.append(list(text.encode()) + [n_int, point])
-    hi = np.array(hi)
-    c = _SPLIT * hi
-    hi_hi = c - (c - hi)
-    return (np.stack([hi_hi, hi - hi_hi, hi, np.array(lo)]),
-            np.array(layout, dtype=np.uint8).T.copy())
-
-
-def _slots(values):
-    """The "%.17g" text of each value of a 1-D float64 array, as (29, n)
-    uint8 planes: slot 0 the sign, 1-5 the prefix "0.000", 6-23 the
-    mantissa, 24-28 the exponent "e-ddd"; unused slots are 0.
-
-    For a finite x with 1e-280 <= |x| <= 1e280:
-
-    - E = floor(log10|x|), and m = |x| * 10^(16 - E) is formed as p + e:
-      p = fl(|x| * hi), and e the product's exact rounding error (Dekker's
-      two-product) plus |x| * lo, so p + e is m to about 1e-14;
-    - p >= 2^53 is an integer, so N = p + floor(e + 1/2) is m rounded half
-      up, exactly unless m + 1/2 lies within _TIE_WINDOW of an integer;
-    - log10 may misplace E by one next to a power of ten; then N <= 10^16
-      or N >= 10^17, so N is the 17-digit significand only strictly
-      between those bounds (N = 10^17 is also the carry into E + 1).
-
-    Zeros, NaN, infinities, |x| out of range, values near a tie (which Python
-    rounds half to even) and values on or past the bounds are formatted by
-    Python's "%.17g" in one % operation and written into their slots.
-    """
-    n = values.size
-    scale, layout = _decimal_tables()
-    a = np.abs(values)
-    fallback = ~((a >= 1e-280) & (a <= 1e280))
-    a[fallback] = 1.5
-    col = np.floor(np.log10(a)).astype(np.intp)
-    col -= _E_MIN
-    hi_hi, hi_lo, hi, lo = np.take(scale, col, axis=1)
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    p = a * hi
-    e = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
-    e += 0.5
-    r = np.floor(e)
-    e -= r
-    fallback |= np.abs(e - 0.5) > 0.5 - _TIE_WINDOW
-    sig = p.astype(np.int64)
-    sig += r.astype(np.int64)
-    fallback |= (sig <= 10 ** 16) | (sig >= 10 ** 17)
-
-    # digits: rows 0-17 hold the 18 digits of sig (row 0 is 0), two 9-digit
-    # halves at once by uint32 divmod by 10; row 18 stays 0
-    halves = np.empty((2, n), dtype=np.uint32)
-    np.divmod(sig, 10 ** 9, out=(halves[0], halves[1]), casting="unsafe")
-    digits = np.zeros((19, n), dtype=np.uint8)
-    ten = np.uint32(10)
-    for i in range(8, -1, -1):
-        q = halves // ten
-        np.subtract(halves, q * ten, out=digits[i:18:9], casting="unsafe")
-        halves = q
-    sig_digits = digits[1:18]
-    slots = np.arange(18, dtype=np.uint8)[:, None]
-    n_sig = ((sig_digits != 0) * slots[1:]).max(axis=0)
-    lay = np.take(layout, col, axis=1)
-    n_int, point = lay[10], lay[11]
-    sig_digits += np.uint8(48)
-    sig_digits *= slots[:17] < np.maximum(n_int, n_sig)
-
-    planes = np.empty((29, n), dtype=np.uint8)
-    planes[0] = np.signbit(values) * np.uint8(45)
-    planes[1:6] = lay[:5]
-    # mantissa slot s holds digit s before the point and digit s - 1 after
-    # it; the point goes in where digits follow it
-    mantissa = planes[6:24]
-    np.subtract(digits[:18], digits[1:], out=mantissa)
-    point[n_sig <= n_int] = 18
-    mantissa *= slots > point
-    mantissa += digits[1:]
-    cols = np.flatnonzero(point < 18)
-    mantissa[point[cols], cols] = 46
-    planes[24:29] = lay[5:10]
-    rows = np.flatnonzero(fallback)
-    if rows.size:
-        text = ("%.17g\n" * rows.size % tuple(values[rows].tolist())).split("\n")[:-1]
-        planes[:, rows] = np.array(text, dtype="S29").view(np.uint8).reshape(-1, 29).T
-    return planes
-
-
-def _write_rows(path, header, data, axes=()):
-    """Write a header line, then one line per row i of the 2-D float64
-    ``data``: the value of each axis at grid point i (the first axis varying
-    fastest), then the row's values; "%.17g", comma-separated, LF newlines.
-
-    Each axis is formatted once and its text gathered per row, so rows
-    format only ``data``: at most BLOCK_POINTS rows and about _CHUNK_VALUES
-    of its values at a time.  A row's values go into a (rows, columns, 30)
-    uint8 buffer, made once per file: 29 slots of text from ``_slots``, then
-    "," or, at the end of the row, "\n"; the 0 bytes are dropped."""
-    n_rows, n_cols = data.shape[0], len(axes) + data.shape[1]
-    step = max(1, min(BLOCK_POINTS, _CHUNK_VALUES // max(1, data.shape[1])))
-    texts = [_slots(axis).T.copy() for axis in axes]
-    buf = np.empty((min(step, n_rows), n_cols, 30), dtype=np.uint8)
-    buf[:, :, 29] = 44
-    buf[:, -1:, 29] = 10
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for start in range(0, n_rows, step):
-            rows = buf[:min(step, n_rows - start)]
-            point = np.arange(start, start + len(rows))
-            for j, text in enumerate(texts):
-                point, index = np.divmod(point, len(text))
-                rows[:, j, :29] = np.take(text, index, axis=0)
-            block = data[start:start + len(rows)]
-            rows[:, len(axes):, :29] = _slots(block.ravel()).reshape(
-                29, *block.shape).transpose(1, 2, 0)
-            # rows of no columns are empty lines, as np.savetxt writes them
-            fh.write(rows.tobytes().translate(None, b"\0") if n_cols
-                     else b"\n" * len(rows))
-
-
-def write_csv(path, header, data):
-    """Write a header line, then one row of ``data`` per line: "%.17g" values
-    (doubles round-trip), comma-separated, LF newlines.  The bytes are those
-    np.savetxt writes with the same format, NaN included.
-
-    Rows are formatted in numpy (``_write_rows``).  1-D data is one column,
-    as np.savetxt writes it."""
-    data = np.asarray(data, dtype=float)
-    _write_rows(path, header, data[:, None] if data.ndim == 1 else np.atleast_2d(data))
 
 
 @dataclass(frozen=True)
@@ -454,15 +277,6 @@ class FieldMap:
     amplitude: np.ndarray
     phase: np.ndarray
     intensity: np.ndarray
-
-    def to_csv(self, path):
-        """Write rows (coord1, coord2, amplitude, phase, intensity), one per
-        grid point, axis2-major; 17 significant digits, LF newlines, the
-        bytes np.savetxt writes.  Each axis is formatted once."""
-        data = np.column_stack([self.amplitude.ravel(), self.phase.ravel(),
-                                self.intensity.ravel()])
-        _write_rows(path, "coord1,coord2,amplitude,phase,intensity", data,
-                    (self.grid.axis1, self.grid.axis2))
 
 
 def _block_points(grid, rows):
@@ -486,23 +300,20 @@ def _fill_blocks(n2, n1, fill):
 
 
 def _require_finite(pair, grid, values):
-    """Raise DegenerateGeometryError unless every value (an amplitude or an
-    intensity) of a map block is finite.  The mode amplitude is built in log
-    space and is finite for |l| <= 1000 and every p a BeamSpec accepts
-    (p <= 40) out to 1e4 w0; farther out the Laguerre factor L_p^|l|(x)
-    overflows (from about 2e4 w0 at p = 40)."""
+    """Raise DegenerateGeometryError unless every intensity of a map block is
+    finite.  The mode amplitude is built in log space and is finite for
+    |l| <= 1000 and every p a BeamSpec accepts (p <= 40) out to 1e4 w0;
+    farther out the Laguerre factor L_p^|l|(x) overflows (from about 2e4 w0
+    at p = 40).  Amplitude scales near 1e154 and above overflow the square."""
     if np.isfinite(values).all():
         return
-    if grid.kind == "rho_z":
-        rho_max = grid.axis1[-1]
-    else:
-        rho_max = math.hypot(np.max(np.abs(grid.axis1)), np.max(np.abs(grid.axis2)))
+    rho_max = grid.axis1[-1] if grid.kind == "rho_z" else math.hypot(
+        np.max(np.abs(grid.axis1)), np.max(np.abs(grid.axis2)))
     raise DegenerateGeometryError(
-        f"map amplitude is not finite for |l1| = {abs(pair.beam1.winding_l)}, "
-        f"|l2| = {abs(pair.beam2.winding_l)}, p = {pair.beam1.radial_p} on the "
-        f"{grid.kind} grid, reaching rho = {rho_max:.6g} m "
-        f"({rho_max / pair.beam1.waist_w0:.4g} w0): the mode amplitude overflows "
-        f"at this l, p and extent")
+        f"map intensity is not finite for |l1| = {abs(pair.beam1.winding_l)}, |l2| = "
+        f"{abs(pair.beam2.winding_l)}, p = {pair.beam1.radial_p} on the {grid.kind} grid, "
+        f"reaching rho = {rho_max:.6g} m ({rho_max / pair.beam1.waist_w0:.4g} w0): the mode "
+        f"amplitude or its square overflows at this l, p, amplitude scale and extent")
 
 
 def _pair_intensity_at(pair, grid, rho, z):
@@ -527,17 +338,17 @@ def intensity_map(pair, grid, n_threads=1):
     """Evaluate the pair field over a grid in row blocks.  ``n_threads`` is
     ignored: maps run on the calling thread, and the parameter stays only
     because the benchmark still passes it.  Raises DegenerateGeometryError
-    where the amplitude is not finite; the phase is NaN at dark points."""
+    where the intensity is not finite, as where an amplitude's radicand
+    overflowed (the clamp leaves it finite); the phase is NaN at dark points."""
     n2, n1 = grid.axis2.size, grid.axis1.size
-    amplitude = np.empty((n2, n1))
-    phase = np.empty((n2, n1))
+    amplitude, phase, intensity = (np.empty((n2, n1)) for _ in range(3))
 
     def fill(rows):
         terms = _pair_terms(pair, _block_points(grid, rows), grid.time)
         amplitude[rows] = _amplitude_of(*terms)
-        _require_finite(pair, grid, amplitude[rows])
+        np.square(amplitude[rows], out=intensity[rows])
+        _require_finite(pair, grid, intensity[rows])
         phase[rows] = _phase_of(*terms)
 
     _fill_blocks(n2, n1, fill)
-    return FieldMap(grid=grid, amplitude=amplitude, phase=phase,
-                    intensity=amplitude ** 2)
+    return FieldMap(grid=grid, amplitude=amplitude, phase=phase, intensity=intensity)

@@ -18,13 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vortexlattice
-from vortexlattice import cli, superpose
+from vortexlattice import cli
 from vortexlattice.atom_forces import lift_speed
 from vortexlattice.cli import main
 from vortexlattice.config import MAX_GRID_POINTS, SECTION_KEYS, RunConfig, parse_quantity
 from vortexlattice.constants import AMU
 from vortexlattice.dynamics import _extents, angular_momentum, integrate
-from vortexlattice.errors import ConfigError
+from vortexlattice.errors import ConfigError, DegenerateGeometryError
+from vortexlattice.output import write_outputs
 from vortexlattice.ring_analysis import fringe_drift_speed
 from vortexlattice.superpose import BLOCK_POINTS
 
@@ -660,75 +661,6 @@ def test_cli_csv_bytes_survive_a_savetxt_round_trip(tmp_path):
         assert again.getvalue() == raw
 
 
-def _column_values(col):
-    """Return (values, fmt): the column's cells and their field in the row
-    format.  A column of mostly distinct values is passed as floats under
-    "%.17g"; a column whose values repeat formats each distinct bit pattern
-    once and is passed as strings under "%s" (-0.0 stays apart from 0.0)."""
-    bits = col.view(np.int64)
-    ordered = np.sort(bits)
-    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
-        return col.tolist(), "%.17g"
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = "\n".join(["%.17g"] * distinct.size) % tuple(distinct.view(np.float64).tolist())
-    return np.array(text.split("\n"), dtype=object)[inverse].tolist(), "%s"
-
-
-def percent_write_csv(path, header, data):
-    """The package's former CSV writer, kept as the oracle of write_csv: each
-    block of at most BLOCK_POINTS rows is formatted column by column into
-    one argument list and written with a single % operation."""
-    data = np.asarray(data, dtype=float)
-    data = data[:, None] if data.ndim == 1 else np.atleast_2d(data)
-    n_cols = data.shape[1]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, data.shape[0], BLOCK_POINTS):
-            block = data[start:start + BLOCK_POINTS]
-            cells = [None] * block.size
-            formats = []
-            for j, col in enumerate(block.T):
-                values, fmt = _column_values(col)
-                cells[j::n_cols] = values
-                formats.append(fmt)
-            fh.write((",".join(formats) + "\n") * block.shape[0] % tuple(cells))
-
-
-def percent_to_csv(fmap, path):
-    """The package's former FieldMap.to_csv, kept as the oracle of to_csv: the
-    column stack of the tiled axis1, the repeated axis2 and the three field
-    columns, written by percent_write_csv."""
-    n2, n1 = fmap.amplitude.shape
-    data = np.column_stack([np.tile(fmap.grid.axis1, n2), np.repeat(fmap.grid.axis2, n1),
-                            fmap.amplitude.ravel(), fmap.phase.ravel(),
-                            fmap.intensity.ravel()])
-    percent_write_csv(path, "coord1,coord2,amplitude,phase,intensity", data)
-
-
-def test_csv_commands_write_the_percent_writers_bytes(tmp_path, monkeypatch):
-    """ferris, field-map on the xy and the rho-z lattice configs, and
-    trajectory write the same files, byte for byte, with write_csv and
-    FieldMap.to_csv as with the former % writer and map writer bound in
-    their place."""
-    runs = [["ferris", "--config", REPO / "configs" / "ferris.json"],
-            ["field-map", "--config", REPO / "configs" / "ring_lattice_xy.json"],
-            ["field-map", "--config", REPO / "configs" / "ring_lattice.json"],
-            ["trajectory", "--config", REPO / "configs" / "trajectory.json"]]
-    for side in ("writer", "oracle"):
-        if side == "oracle":
-            monkeypatch.setattr(cli, "write_csv", percent_write_csv)
-            monkeypatch.setattr(superpose.FieldMap, "to_csv", percent_to_csv)
-        for i, args in enumerate(runs):
-            assert run_cli(args + ["--out", tmp_path / side / str(i)]) == 0
-    for i in range(len(runs)):
-        names = sorted(p.name for p in (tmp_path / "writer" / str(i)).iterdir())
-        assert any(name.endswith(".csv") for name in names)
-        assert names == sorted(p.name for p in (tmp_path / "oracle" / str(i)).iterdir())
-        for name in names:
-            assert (tmp_path / "writer" / str(i) / name).read_bytes() \
-                == (tmp_path / "oracle" / str(i) / name).read_bytes()
-
-
 def test_cli_ferris_drift_error_is_against_the_phase_slope(tmp_path):
     """ferris_summary.json measures drift_rel_err against the fringe speed
     delta_omega / Phi'(0) of the probe line, Phi'(0) = 2k - 2(|l| + 1)/z_R
@@ -798,9 +730,42 @@ def test_cli_trajectory_too_short_to_oscillate_writes_null(tmp_path):
 
 
 def test_cli_json_writer_rejects_non_finite(tmp_path):
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            cli._write(tmp_path / "bad.json", {"value": bad})
+    """The JSON writer refuses NaN and both infinities, nested too, with the
+    package's error, which the CLI maps to exit 3, and opens no file."""
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for content in ({"value": bad}, {"outer": {"values": [1.0, bad]}}):
+            with pytest.raises(DegenerateGeometryError, match="bad.json"):
+                write_outputs(tmp_path, [("bad.json", content)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_refused_output_exits_3_and_writes_nothing(tmp_path, monkeypatch):
+    """A command whose JSON summary holds NaN, after a map that is fine,
+    exits 3 with no file written: every output is checked first."""
+    def nan_summary(cfg):
+        return cli.cmd_field_map(cfg) + [("summary.json", {"value": float("nan")})]
+
+    monkeypatch.setitem(cli.COMMANDS, "field-map", (nan_summary, "field-map with a NaN"))
+    good = write_config(tmp_path, base_config(
+        grid={"rho_max": "6um", "n_rho": 20, "z_min": "-5um", "z_max": "5um", "n_z": 21}))
+    out = tmp_path / "out"
+    assert run_cli(["field-map", "--config", good, "--out", out]) == 3
+    assert list(out.iterdir()) == []
+
+
+def test_cli_field_map_exits_3_where_the_intensity_overflows(tmp_path):
+    """beams.amp1 = amp2 = 1e200 is accepted, but the intensity does not fit
+    a double: field-map exits 3 and writes nothing, where it wrote inf in 12
+    of the 15 intensities.  Numpy's overflow warnings come first."""
+    cfg = base_config(grid={"rho_max": "6um", "n_rho": 5, "z_min": "-5um",
+                            "z_max": "5um", "n_z": 3})
+    cfg["beams"].update(amp1=1e200, amp2=1e200)
+    cfg["pair"]["d"] = "20um"
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run_cli(["field-map", "--config", write_config(tmp_path, cfg),
+                        "--out", out]) == 3
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])

@@ -11,11 +11,12 @@ from test_properties import intensity_bound, lattices
 from test_superpose import full_grid_points
 from vortexlattice import cli, ring_analysis, superpose
 from vortexlattice.atom_forces import central_ring_radius, lift_speed
-from vortexlattice.cli import _write, main
+from vortexlattice.cli import main
 from vortexlattice.config import RunConfig
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
                                   RingDetectionError, VortexLatticeError)
 from vortexlattice.lg_mode import waist_at
+from vortexlattice.output import write_outputs
 from vortexlattice.ring_analysis import (Ring, RingSet, RingSplit, compare_rings,
                                          double_ring_radii, find_rings,
                                          fringe_drift_speed, measure_axial_drift,
@@ -195,7 +196,7 @@ def test_ring_set_json_schema(tmp_path):
     p = split_pair()
     rings = find_rings(p, split_region())
     path = tmp_path / "rings.json"
-    _write(path, rings.to_json_dict())
+    write_outputs(tmp_path, [(path.name, rings.to_json_dict())])
     loaded = json.loads(path.read_text())
     assert set(loaded) == {"fringe_delta", "rings", "splittings"}
     assert isinstance(loaded["fringe_delta"], float)
@@ -204,7 +205,7 @@ def test_ring_set_json_schema(tmp_path):
     # NaN spacing serializes as null, not as bare NaN
     single = find_rings(pair(amp2=0.0), lattice_region(p, z_half=24.0, n_z=961))
     path2 = tmp_path / "single.json"
-    _write(path2, single.to_json_dict())
+    write_outputs(tmp_path, [(path2.name, single.to_json_dict())])
     assert json.loads(path2.read_text())["fringe_delta"] is None
 
 
@@ -722,7 +723,7 @@ def test_find_rings_raises_where_the_far_field_is_not_finite():
     assert ring_analysis._coarse_stride(p, region) > 1
     with np.errstate(over="ignore", invalid="ignore"):
         got = assert_finder_is_the_oracle(p, region)
-    assert got.startswith("DegenerateGeometryError: map amplitude is not finite")
+    assert got.startswith("DegenerateGeometryError: map intensity is not finite")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlattice import superpose
+from vortexlattice import output, superpose
+from vortexlattice.errors import DegenerateGeometryError
 from vortexlattice.lg_mode import CylPoint, mode_amplitude, mode_jet, mode_phase
+from vortexlattice.output import write_outputs, write_rows
 from vortexlattice.superpose import (BLOCK_POINTS, FieldMap, GridSpec, PairSpec, intensity_map,
                                      pair_complex, phase_difference,
-                                     total_amplitude, total_phase, write_csv)
+                                     total_amplitude, total_phase)
 
 WAVELENGTH = 589.16e-9
 
@@ -309,7 +311,7 @@ def test_field_map_csv_round_trip(tmp_path):
                        z_max=3e-5, n_z=9)
     fm = intensity_map(pr, g)
     path = tmp_path / "map.csv"
-    fm.to_csv(path)
+    write_outputs(tmp_path, [(path.name, fm)])
     raw = path.read_bytes()
     assert b"\r" not in raw
     header = raw.splitlines()[0].decode()
@@ -369,12 +371,9 @@ def test_write_csv_matches_savetxt(tmp_path):
                      [123456789.0, -1e-300, 0.1]])
     header = "a,b,c"
     path = tmp_path / "data.csv"
-    write_csv(path, header, data)
+    write_rows(path, header, data)
     ref = io.StringIO()
     np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=header, comments="")
-    assert path.read_bytes() == ref.getvalue().encode()
-    # rows given as a list of tuples, as the CLI passes them
-    write_csv(path, header, [tuple(row) for row in data])
     assert path.read_bytes() == ref.getvalue().encode()
 
 
@@ -436,24 +435,20 @@ def csv_arrays(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=csv_arrays(), block_points=st.sampled_from([1, 2, 5, BLOCK_POINTS]),
-       as_tuples=st.booleans())
-def test_write_csv_matches_savetxt_on_generated_arrays(tmp_path_factory, data, block_points,
-                                                       as_tuples):
-    """Byte for byte np.savetxt's output, for arrays or rows given as a list
-    of tuples (as the CLI passes them), across row-block boundaries."""
+@given(data=csv_arrays(), chunk_values=st.sampled_from([1, 2, 5, 7, output._CHUNK_VALUES]))
+def test_write_csv_matches_savetxt_on_generated_arrays(tmp_path_factory, data, chunk_values):
+    """Byte for byte np.savetxt's output (a 1-D array is one column, as
+    np.savetxt writes it), across row-block boundaries: chunks of as few as
+    one row."""
     path = tmp_path_factory.mktemp("csv") / "data.csv"
-    rows = data
-    if as_tuples:
-        rows = data.tolist() if data.ndim == 1 else [tuple(row) for row in data.tolist()]
-    with mock.patch.object(superpose, "BLOCK_POINTS", block_points):
-        write_csv(path, "h1,h2", rows)
+    with mock.patch.object(output, "_CHUNK_VALUES", chunk_values):
+        write_rows(path, "h1,h2", data[:, None] if data.ndim == 1 else data)
     assert path.read_bytes() == _savetxt_bytes("h1,h2", data)
 
 
 @pytest.mark.parametrize("kind", ["rho_z", "xy"])
 def test_field_map_csv_matches_savetxt(tmp_path, kind):
-    """FieldMap.to_csv writes np.savetxt's bytes of its column stack; its
+    """A FieldMap is written as np.savetxt's bytes of its column stack; its
     coordinate columns repeat, and each grid has an on-axis NaN phase."""
     pr = pair(l1=2)
     if kind == "rho_z":
@@ -462,9 +457,8 @@ def test_field_map_csv_matches_savetxt(tmp_path, kind):
         g = GridSpec.xy(half_width=1.6e-5, n=33, z=1e-6)
     fm = intensity_map(pr, g)
     assert np.isnan(fm.phase).any()
-    path = tmp_path / "map.csv"
-    fm.to_csv(path)
-    assert path.read_bytes() == _savetxt_map_bytes(fm)
+    write_outputs(tmp_path, [("map.csv", fm)])
+    assert (tmp_path / "map.csv").read_bytes() == _savetxt_map_bytes(fm)
 
 
 # axis samples the formatter's Python fallback writes (below 1e-280 or above
@@ -496,21 +490,21 @@ def _map_values(rng, shape):
     return amplitude, phase, intensity
 
 
-@pytest.mark.parametrize("chunk_values", [7, 64, superpose._CHUNK_VALUES])
+@pytest.mark.parametrize("chunk_values", [7, 64, output._CHUNK_VALUES])
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(axis1=map_axes(), axis2=map_axes(), seed=st.integers(0, 2 ** 32 - 1))
 def test_field_map_csv_matches_savetxt_on_generated_grids(tmp_path_factory, chunk_values,
                                                           axis1, axis2, seed):
-    """FieldMap.to_csv, which formats each axis once, writes np.savetxt's
+    """A FieldMap's write, which formats each axis once, gives np.savetxt's
     bytes of its column stack on generated axes and field values, over maps
     of one chunk or several, the last one partial, at the package's chunk
     size and at small ones."""
     g = GridSpec(kind="xy", axis1=axis1, axis2=axis2)
     fm = FieldMap(g, *_map_values(np.random.default_rng(seed), (axis2.size, axis1.size)))
-    path = tmp_path_factory.mktemp("map") / "map.csv"
-    with mock.patch.object(superpose, "_CHUNK_VALUES", chunk_values):
-        fm.to_csv(path)
-    assert path.read_bytes() == _savetxt_map_bytes(fm)
+    directory = tmp_path_factory.mktemp("map")
+    with mock.patch.object(output, "_CHUNK_VALUES", chunk_values):
+        write_outputs(directory, [("map.csv", fm)])
+    assert (directory / "map.csv").read_bytes() == _savetxt_map_bytes(fm)
 
 
 def _neighbours(x):
@@ -519,7 +513,7 @@ def _neighbours(x):
 
 def _write_column_bytes(tmp_path, values):
     path = tmp_path / "column.csv"
-    write_csv(path, "x", np.array(values, dtype=float))
+    write_rows(path, "x", np.array(values, dtype=float)[:, None])
     return path.read_bytes()
 
 
@@ -536,7 +530,7 @@ EDGE_VALUES = ([s * y for k in range(-323, 309) for y in _neighbours(float(f"1e{
 
 
 def test_write_csv_formats_edge_values_as_percent_17g(tmp_path):
-    """write_csv's numpy formatter writes Python's "%.17g" byte for byte at
+    """write_rows' numpy formatter writes Python's "%.17g" byte for byte at
     every value where scaling, rounding or the %g layout could slip."""
     assert _write_column_bytes(tmp_path, EDGE_VALUES) \
         == ("x\n" + "".join("%.17g\n" % x for x in EDGE_VALUES)).encode()
@@ -548,7 +542,7 @@ def test_write_csv_writes_rows_of_no_columns_as_savetxt(tmp_path):
     """Rows of no columns are empty lines, as np.savetxt writes them."""
     path = tmp_path / "empty.csv"
     for data in (np.zeros((3, 0)), np.zeros((0, 4))):
-        write_csv(path, "h", data)
+        write_rows(path, "h", data)
         assert path.read_bytes() == _savetxt_bytes("h", data)
 
 
@@ -560,6 +554,18 @@ def test_write_csv_formats_raw_bit_patterns_as_percent_17g(tmp_path_factory, pat
     values = np.array(patterns, dtype=np.uint64).view(np.float64).tolist()
     assert _write_column_bytes(tmp_path_factory.mktemp("csv"), values) \
         == ("x\n" + "".join("%.17g\n" % x for x in values)).encode()
+
+
+def test_map_raises_where_the_intensity_overflows():
+    """At amplitude scales of 1e200 the radicand overflows and the clamp
+    leaves the amplitude finite (|U1| + |U2|, without its fringes), but its
+    square does not fit a double: intensity_map raises rather than return
+    inf intensities.  Numpy's overflow warnings come first and are caught."""
+    pr = pair(l1=2, w0=3e-6, d=20e-6, amp1=1e200, amp2=1e200)
+    g = GridSpec.rho_z(rho_max=6e-6, n_rho=5, z_min=-5e-6, z_max=5e-6, n_z=3)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DegenerateGeometryError, match="map intensity is not finite"):
+            intensity_map(pr, g)
 
 
 @pytest.mark.parametrize("kind", ["rho_z", "xy"])
