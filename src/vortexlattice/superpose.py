@@ -128,17 +128,6 @@ def _pair_terms(pair, pt, t):
     return u1, u2, th1, _offset_phase(pair, pt, t, mode_phase(pair.beam2, pt))
 
 
-def _amplitude_of(u1, u2, th1, th2):
-    """sqrt(U1^2 + U2^2 + 2 U1 U2 cos(Theta1 - Theta2)) clamped into
-    [||U1| - |U2||, |U1| + |U2|]; U and Theta may differ in shape, as for
-    scalar rho and z with an array of phi."""
-    radicand = (u1 * u1 + u2 * u2) + 2.0 * u1 * u2 * np.cos(th1 - th2)
-    amplitude = np.sqrt(np.maximum(radicand, 0.0))
-    a1 = np.abs(u1)
-    a2 = np.abs(u2)
-    return np.minimum(np.maximum(amplitude, np.abs(a1 - a2)), a1 + a2)[()]
-
-
 def _pair_intensity(pair, pt, t, out=None):
     """|E|^2 = (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2) at the points, into
     ``out`` (of shape pt.shape) if given; no phase and no square root.
@@ -149,9 +138,9 @@ def _pair_intensity(pair, pt, t, out=None):
     curvature from ``_row_phase``.  On a separable rho_z block r and kappa
     are per row, so Delta / 2 costs two full-block passes (halving is
     exact).  The form is non-negative up to rounding.  Delta is rounded
-    apart from the Theta1 - Theta2 that total_amplitude and intensity_map keep,
-    so the two intensities differ by up to a few eps max|Theta| times
-    2 |U1 U2|, plus a few eps (|U1| + |U2|)^2."""
+    apart from the Theta1 and Theta2 that the complex field E of
+    intensity_map reads, so the two intensities differ by up to a few
+    eps max|Theta| times 2 |U1 U2|, plus a few eps (|U1| + |U2|)^2."""
     b1, b2 = pair.beam1, pair.beam2
     u1 = mode_amplitude(b1, pt)
     u2 = mode_amplitude(b2, pt)
@@ -171,37 +160,44 @@ def _pair_intensity(pair, pt, t, out=None):
     return out[()]
 
 
-def _complex_of(u1, u2, th1, th2):
-    return u1 * np.exp(1j * th1) + u2 * np.exp(1j * th2)
+def _field(pair, pt, t):
+    """(E, U1, U2): the one complex field E = U1 e^{i Theta1} + U2 e^{i Theta2}
+    and the signed amplitudes its envelope and dark rule read."""
+    u1, u2, th1, th2 = _pair_terms(pair, pt, t)
+    return u1 * np.exp(1j * th1) + u2 * np.exp(1j * th2), u1, u2
 
 
-def _phase_of(u1, u2, th1, th2):
-    e = _complex_of(u1, u2, th1, th2)
+def _amplitude_of(e, u1, u2):
+    """|E| clamped into [||U1| - |U2||, |U1| + |U2|]; U may be a scalar where
+    E is an array, as for scalar rho and z with an array of phi."""
+    a1, a2 = np.abs(u1), np.abs(u2)
+    return np.minimum(np.maximum(np.abs(e), np.abs(a1 - a2)), a1 + a2)[()]
+
+
+def _phase_of(e, u1, u2):
     dark = np.abs(e) <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
     return np.where(dark, np.nan, np.angle(e))
 
 
 def total_amplitude(pair, pt, t=0.0):
-    """Amplitude of the two-beam field:
-    sqrt(U1^2 + U2^2 + 2 U1 U2 cos(Theta1 - Theta2)).
-
-    Clamped into the exact envelope [||U1| - |U2||, |U1| + |U2|].  The signed
-    amplitudes can be negative where the radial polynomial oscillates
-    (radial_p > 0), so the envelope is built from magnitudes.
-    """
-    return _amplitude_of(*_pair_terms(pair, pt, t))
+    """Amplitude |E| of the two-beam field, the modulus of ``pair_complex``,
+    clamped into the exact envelope [||U1| - |U2||, |U1| + |U2|] that
+    rounding can leave by a few eps (|U1| + |U2|).  The signed amplitudes
+    are negative where the radial polynomial is (radial_p > 0), so the
+    envelope is built from magnitudes.  Finite wherever U1 and U2 are."""
+    return _amplitude_of(*_field(pair, pt, t))
 
 
 def pair_complex(pair, pt, t=0.0):
     """Complex field U1 e^{i Theta1} + U2 e^{i (Theta2 + dk z + dw t)} with the
     common optical carrier divided out."""
-    return _complex_of(*_pair_terms(pair, pt, t))
+    return _field(pair, pt, t)[0]
 
 
 def total_phase(pair, pt, t=0.0):
-    """Principal-value phase of the two-beam field; NaN at dark points
-    (total amplitude <= DARK_FRACTION * max(U1, U2))."""
-    return _phase_of(*_pair_terms(pair, pt, t))
+    """Principal-value phase angle(E) of the two-beam field; NaN at dark
+    points (|E| <= DARK_FRACTION * max(|U1|, |U2|))."""
+    return _phase_of(*_field(pair, pt, t))
 
 
 @dataclass(frozen=True)
@@ -304,7 +300,8 @@ def _require_finite(pair, grid, values):
     finite.  The mode amplitude is built in log space and is finite for
     |l| <= 1000 and every p a BeamSpec accepts (p <= 40) out to 1e4 w0;
     farther out the Laguerre factor L_p^|l|(x) overflows (from about 2e4 w0
-    at p = 40).  Amplitude scales near 1e154 and above overflow the square."""
+    at p = 40).  The amplitude |E| is finite at any amplitude scale, but
+    where it exceeds about 1.3e154 its square, the intensity, overflows."""
     if np.isfinite(values).all():
         return
     rho_max = grid.axis1[-1] if grid.kind == "rho_z" else math.hypot(
@@ -335,20 +332,21 @@ def _pair_intensity_at(pair, grid, rho, z):
 
 
 def intensity_map(pair, grid, n_threads=1):
-    """Evaluate the pair field over a grid in row blocks.  ``n_threads`` is
-    ignored: maps run on the calling thread, and the parameter stays only
+    """Evaluate the pair field over a grid in row blocks, each forming E once:
+    the amplitude is total_amplitude's clamped |E|, the intensity its square
+    and the phase total_phase's angle(E), NaN at dark points.  ``n_threads``
+    is ignored: maps run on the calling thread, and the parameter stays only
     because the benchmark still passes it.  Raises DegenerateGeometryError
-    where the intensity is not finite, as where an amplitude's radicand
-    overflowed (the clamp leaves it finite); the phase is NaN at dark points."""
+    where the intensity is not finite, as for amplitudes above about 1.3e154."""
     n2, n1 = grid.axis2.size, grid.axis1.size
     amplitude, phase, intensity = (np.empty((n2, n1)) for _ in range(3))
 
     def fill(rows):
-        terms = _pair_terms(pair, _block_points(grid, rows), grid.time)
-        amplitude[rows] = _amplitude_of(*terms)
+        e, u1, u2 = _field(pair, _block_points(grid, rows), grid.time)
+        amplitude[rows] = _amplitude_of(e, u1, u2)
         np.square(amplitude[rows], out=intensity[rows])
         _require_finite(pair, grid, intensity[rows])
-        phase[rows] = _phase_of(*terms)
+        phase[rows] = _phase_of(e, u1, u2)
 
     _fill_blocks(n2, n1, fill)
     return FieldMap(grid=grid, amplitude=amplitude, phase=phase, intensity=intensity)

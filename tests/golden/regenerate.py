@@ -11,6 +11,11 @@ A change that moves any output must regenerate these files in the same
 commit and say by how much each column moved.  From the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+Before it overwrites a golden file, it prints for each output whose sha256
+changed how far each column's digest moved: the largest move of a sampled
+value, and the moves of max |value| and of the sum, in units of the
+recorded max |value|.
 """
 
 import contextlib
@@ -117,11 +122,52 @@ def golden_record(argv):
                 "files": {name: file_record(out / name) for name in printed}}
 
 
+def column_move(new, old):
+    """How far a column's digest moved from the recorded one: the largest
+    move of its sampled values, and the moves of max_abs and sum, each in
+    units of the recorded max_abs (absolute where that is 0); what else
+    differs where they cannot be compared; None where nothing moved."""
+    if "values" in new or "values" in old:
+        return None if new == old else "values differ"
+    counts = [f"{key} {old[key]} -> {new[key]}" for key in ("rows", "every", "nan")
+              if new[key] != old[key]]
+    if counts:
+        return ", ".join(counts)
+    if [v is None for v in new["sample"]] != [v is None for v in old["sample"]]:
+        return "sampled NaN positions differ"
+    moves = {"sample": max((abs(a - b) for a, b in zip(new["sample"], old["sample"])
+                            if a is not None), default=0.0),
+             "max_abs": abs(new["max_abs"] - old["max_abs"]),
+             "sum": abs(new["sum"] - old["sum"])}
+    if not any(moves.values()):
+        return None
+    unit = old["max_abs"] or 1.0
+    return ", ".join(f"{key} {move / unit:.3g}" for key, move in moves.items())
+
+
+def print_moves(old, new):
+    """Print each column's move (``column_move``) in every output whose
+    sha256 differs between the recorded golden record ``old`` and ``new``."""
+    for name, record in new["files"].items():
+        recorded = old["files"].get(name)
+        if recorded is None:
+            print(f"  {name}: new output")
+        elif recorded["sha256"] != record["sha256"]:
+            print(f"  {name}: sha256 changed; moves in units of the recorded max_abs")
+            for column, digest in record["columns"].items():
+                move = column_move(digest, recorded["columns"].get(column, {"values": None}))
+                if move:
+                    print(f"    {column}: {move}")
+
+
 def main():
     for name, argv in COMMANDS.items():
-        text = json.dumps(golden_record(argv), indent=1, allow_nan=False)
-        (GOLDEN / f"{name}.json").write_text(text + "\n")
-        print(GOLDEN / f"{name}.json")
+        path = GOLDEN / f"{name}.json"
+        record = golden_record(argv)
+        if path.exists():
+            print_moves(json.loads(path.read_text()), record)
+        path.write_text(json.dumps(record, indent=1, allow_nan=False) + "\n")
+        print(path)
 
 
 if __name__ == "__main__":

@@ -361,11 +361,8 @@ def test_cached_beam_constants_follow_replace(old, new):
 @SETTINGS
 @given(case=pairs_and_points())
 def test_pair_complex_matches_total_amplitude(case):
-    """|pair_complex|^2 equals total_amplitude^2 to 1e-12 of (|U1| + |U2|)^2.
-
-    The squares are compared because total_amplitude takes a square root of
-    U1^2 + U2^2 + 2 U1 U2 cos(Theta1 - Theta2): near a dark point a rounding
-    error of eps * S^2 in that sum becomes sqrt(eps) * S in the amplitude."""
+    """|pair_complex|^2 equals total_amplitude^2 to 1e-12 of (|U1| + |U2|)^2,
+    and the amplitude is finite."""
     pair, pt, t = case
     amp = total_amplitude(pair, pt, t=t)
     scale = np.abs(mode_amplitude(pair.beam1, pt)) + np.abs(mode_amplitude(pair.beam2, pt))
@@ -398,28 +395,6 @@ def test_total_amplitude_within_envelope(case):
     amp = total_amplitude(pair, pt, t=t)
     assert np.all(amp <= u1 + u2)
     assert np.all(amp >= np.abs(u1 - u2))
-
-
-def two_buffer_amplitude_of(u1, u2, th1, th2):
-    """The amplitude combine worked in place in two buffers of the broadcast
-    shape: the reference that pins superpose._amplitude_of's operation
-    order, and so its bits."""
-    shape = np.broadcast(u1, u2, th1, th2).shape
-    amplitude = np.subtract(th1, th2, out=np.empty(shape))
-    np.cos(amplitude, out=amplitude)
-    work = np.multiply(2.0, u1, out=np.empty(shape))
-    work *= u2
-    amplitude *= work
-    np.multiply(u1, u1, out=work)
-    work += u2 * u2
-    amplitude += work
-    np.maximum(amplitude, 0.0, out=amplitude)
-    np.sqrt(amplitude, out=amplitude)
-    a1 = np.abs(u1)
-    a2 = np.abs(u2)
-    np.maximum(amplitude, np.abs(np.subtract(a1, a2, out=work), out=work), out=amplitude)
-    np.minimum(amplitude, np.add(a1, a2, out=work), out=amplitude)
-    return amplitude[()]
 
 
 @st.composite
@@ -455,18 +430,56 @@ def combine_cases(draw):
     return pair, pt, draw(st.floats(1e-9, 1e-6))
 
 
+def clamped_modulus(pair, pt, e):
+    """|e| clamped into the envelope [||U1| - |U2||, |U1| + |U2|] of the
+    pair's amplitudes at pt, in the order total_amplitude clamps."""
+    a1 = np.abs(mode_amplitude(pair.beam1, pt))
+    a2 = np.abs(mode_amplitude(pair.beam2, pt))
+    return np.minimum(np.maximum(np.abs(e), np.abs(a1 - a2)), a1 + a2)[()]
+
+
 @SETTINGS
 @given(case=combine_cases())
-def test_amplitude_combine_matches_the_two_buffer_form(case):
-    """The plain-expression _amplitude_of gives the two-buffer combine's
-    value, shape and type bit for bit."""
+def test_amplitude_combine_is_the_clamped_modulus_of_pair_complex(case):
+    """total_amplitude is the clamped |pair_complex| bit for bit, with that
+    value's type and the shape of the points."""
     pair, pt, t = case
-    terms = superpose._pair_terms(pair, pt, t)
-    got = superpose._amplitude_of(*terms)
-    want = two_buffer_amplitude_of(*terms)
+    got = total_amplitude(pair, pt, t=t)
+    want = clamped_modulus(pair, pt, pair_complex(pair, pt, t=t))
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want) == pt.shape
     assert np.array_equal(got, want)
+
+
+@SETTINGS
+@given(case=combine_cases())
+def test_total_amplitude_is_the_modulus_the_force_model_reads(case):
+    """The full force model's field, E from _pair_gradient, gives
+    total_amplitude bit for bit once clamped: the full-model dipole
+    potential and force read one field."""
+    pair, pt, t = case
+    e = _pair_gradient(pair, pt, t)[0]
+    assert np.array_equal(total_amplitude(pair, pt, t=t), clamped_modulus(pair, pt, e))
+
+
+@SETTINGS
+@given(case=combine_cases())
+def test_total_amplitude_matches_the_mpmath_modulus(case):
+    """total_amplitude is within 4 eps (|U1| + |U2|) of
+    |U1 e^{i Theta1} + U2 e^{i Theta2}| evaluated by mpmath at 50 digits
+    from the same doubles U1, U2, Theta1 and Theta2, dark points included:
+    the complex sum rounds each term by about eps |U|, and no cancellation
+    of squares next to a dark point magnifies that."""
+    pair, pt, t = case
+    terms = np.broadcast_arrays(*superpose._pair_terms(pair, pt, t))
+    got = np.broadcast_to(total_amplitude(pair, pt, t=t), terms[0].shape)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for idx in np.ndindex(got.shape):
+            u1, u2, th1, th2 = (mpmath.mpf(float(x[idx])) for x in terms)
+            want = float(abs(u1 * mpmath.expj(th1) + u2 * mpmath.expj(th2)))
+            scale = abs(float(terms[0][idx])) + abs(float(terms[1][idx]))
+            assert abs(got[idx] - want) <= 4.0 * eps * scale, (idx, got[idx], want)
 
 
 def intensity_bound(pair, pt, t):

@@ -263,11 +263,11 @@ def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
     windows and the peak rows with _pair_intensity_at, and each value it
     evaluates is intensity_map's at the same grid point within
     intensity_bound.  Both are
-    U1^2 + U2^2 + 2 U1 U2 cos(Delta) from the same U1 and U2: the kernel
-    rounds Delta as a row term plus rho^2 (kappa1 - kappa2), the map as
-    Theta1 - Theta2, each off by at most 4 eps A for the phase scale A, and
-    the sum, square root and square of the map round by eps-sized parts of
-    (|U1| + |U2|)^2."""
+    |U1 e^{i Theta1} + U2 e^{i Theta2}|^2 from the same U1 and U2: the
+    kernel rounds the phase difference Delta as a row term plus
+    rho^2 (kappa1 - kappa2), the map Theta1 and Theta2 apart, each off by
+    at most 4 eps A for the phase scale A, and the complex sum, modulus and
+    square of the map round by eps-sized parts of (|U1| + |U2|)^2."""
     p = pair()
     region = lattice_region(p)
     assert region.axis1.size * region.axis2.size > BLOCK_POINTS
