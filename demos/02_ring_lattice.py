@@ -49,7 +49,8 @@ print(f"  the Gouy phase slows the phase difference by {gouy / (2.0 * k):.1%} "
       f"of 2k and wavefront curvature speeds it by "
       f"{curvature / (2.0 * k):.1%}, stretching the fringes beyond pi/k")
 
-print(f"\n{len(rows)} rings between the foci resolve a radial split; "
+past_focus = sum(abs(z) >= 0.5 * d for z in rows[:, 0])
+print(f"\n{len(rows)} rings resolve a radial split, {past_focus} of them past a focus; "
       "farther from the midplane the split widens:")
 print("   z/um    measured pair/um     w1, w2 formula/um    alpha")
 for z, r_inner, r_outer, w1, w2, *_, alpha in rows[:: max(1, len(rows) // 8)]:

@@ -230,20 +230,49 @@ def _coefficients(atom, vel, amp, grad, ref):
     return quarter_hbar_gamma * omega * omega / den, -0.5 * HBAR * delta / den
 
 
-def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
+def _run_constants(atom, pair, mode):
+    """(mode, ref, s) of ``_forces``: ``mode`` once ``_checked``, the
+    reference amplitude of ``_pair_amp_ref`` and s = rabi_omega0 / ref.
+    They depend on the atom, the pair and the model alone, so a trajectory
+    forms them once per run, not once per stage."""
+    mode = _checked(pair, mode)
+    ref = _pair_amp_ref(pair)
+    return mode, ref, atom.rabi_omega0 / ref
+
+
+def _as_force(f, shape, triple=False):
+    """A force of ``_forces`` from its (rho, phi, z) triple of entries or its
+    stacked array ``f``, zeros for None: with ``triple`` at a point of
+    scalars (shape ()) the triple of floats, else an array of shape
+    (3,) + shape."""
+    if triple and not shape:
+        if f is None:
+            return 0.0, 0.0, 0.0
+        return f if type(f) is tuple else tuple(f.tolist())
+    if f is None:
+        return np.zeros((3,) + shape)
+    return _stacked(shape, *f) if type(f) is tuple else f
+
+
+def _forces(atom, pair, pt, vel, mode, t, scattering, dipole, run=None, triples=False):
     """Scattering and dipole forces of a pair at time t in the model
     ``mode``, from one evaluation of each beam's mode.  Points are scalars or
     broadcastable arrays, as in ``lg_mode``; each force is an array of shape
-    (3,) + pt.shape stacked [rho, phi, z], zeros when not asked for.
+    (3,) + pt.shape stacked [rho, phi, z], zeros when not asked for.  With
+    ``triples``, at a point of scalars each force is instead its
+    (rho, phi, z) triple of floats, as one RK4 stage reads it.  ``run`` is
+    ``_run_constants(atom, pair, mode)`` when the caller formed it once for
+    many calls.
 
     In the reduced model each beam's mode is a jet when the dipole force
     needs grad(U), else its amplitude, and the forces add beam by beam.
     The reduced gradient's rho entry is 0, so each beam's scattering
-    coefficient goes straight into F_phi and F_z.
+    coefficient goes straight into F_phi and F_z.  The full model combines
+    the two jets on stacked (3,) arrays at a point of scalars too: numpy's
+    complex array multiply may fuse a multiply and an add, so complex
+    scalar products would not give the array's bits.
     """
-    mode = _checked(pair, mode)
-    ref = _pair_amp_ref(pair)
-    s = atom.rabi_omega0 / ref
+    mode, ref, s = _run_constants(atom, pair, mode) if run is None else run
     fs = fd = None
     if mode == _REDUCED:
         f_phi, f_z, f_dip = [], [], []
@@ -260,7 +289,7 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
             if dipole:
                 f_dip.append(c_dip * (s * s * (u * grad_u)))
         if scattering:
-            fs = _stacked(pt.shape, 0.0, f_phi[0] + f_phi[1], f_z[0] + f_z[1])
+            fs = (0.0, f_phi[0] + f_phi[1], f_z[0] + f_z[1])
         if dipole:
             fd = f_dip[0] + f_dip[1]
     else:
@@ -270,8 +299,7 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
             fs = c_sc * grad
         if dipole:
             fd = c_dip * (s * s * amp_grad_amp)
-    return (np.zeros((3,) + pt.shape) if fs is None else fs,
-            np.zeros((3,) + pt.shape) if fd is None else fd)
+    return _as_force(fs, pt.shape, triples), _as_force(fd, pt.shape, triples)
 
 
 def scattering_force(atom, pair, pt, vel=None, mode="reduced", t=0.0):

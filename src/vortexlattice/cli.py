@@ -12,6 +12,7 @@ finite), 4 I/O failures.  Each command returns its outputs in order, as
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -126,7 +127,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused: building it
+    costs about ten times as much as a parse.  It names the commands of
+    COMMANDS, and ``main`` looks each up there at call time."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON run configuration")
     common.add_argument("--out", default=".", help="output directory")
@@ -142,7 +147,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, text) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=text)
-        p.set_defaults(func=func)
         if func is cmd_trajectory:      # the one command that computes a force
             p.add_argument("--mode", choices=FORCE_MODELS, default=None,
                            help="force model (default: reduced)")
@@ -150,8 +154,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
         if args.mode is not None and cfg.trajectory_config is not None:
@@ -161,7 +164,7 @@ def main(argv=None):
             raise ConfigError("thread count must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        outputs = args.func(cfg)
+        outputs = COMMANDS[args.command][0](cfg)
         meta = {"command": args.command, "config": cfg.to_si_dict(),
                 "outputs": [name for name, _ in outputs]}
         if cfg.trajectory_config is not None:   # a run setting (--mode), not a config key

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atom_forces import FORCE_MODELS, Velocity, _forces, central_ring_radius, \
-    spring_constant_k0
+from .atom_forces import FORCE_MODELS, Velocity, _as_force, _forces, _run_constants, \
+    central_ring_radius, spring_constant_k0
 # scattering_force and dipole_force are not called here; they stay module
 # attributes because perfbench/spans.py traces calls by rebinding these names
 from .atom_forces import dipole_force, scattering_force
@@ -99,7 +99,10 @@ def angular_momentum(atom, state):
     return atom.mass * (state.x * state.vy - state.y * state.vx)
 
 
-def _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz):
+def _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz, run=None):
+    """The Cartesian force (fx, fy, fz) as floats at time t on an atom at
+    (x, y, z) with velocity (vx, vy, vz), from the cylindrical forces of
+    ``_forces`` (``run`` as there)."""
     rho = math.hypot(x, y)
     phi = math.atan2(y, x)
     c, s = math.cos(phi), math.sin(phi)
@@ -108,11 +111,18 @@ def _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz):
     if cfg.velocity_coupling:
         vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz)
     scattering, dipole = cfg.include_scattering, cfg.include_dipole
-    fs, fd = _forces(atom, pair, pt, vel, cfg.force_model, t, scattering, dipole)
-    if not cfg.include_azimuthal:
-        fs[1] = 0.0
+    # each force as its (rho, phi, z) triple of floats
+    fs, fd = _forces(atom, pair, pt, vel, cfg.force_model, t, scattering, dipole, run, True)
     # the force not asked for is zeros, so a lone force is used as it is
-    f_rho, f_phi, f_z = (fs + fd if scattering and dipole else fs if scattering else fd).tolist()
+    # (0.0 + -0.0 would lose a sign of zero); a force given as a stacked
+    # array reads as floats too
+    f_rho, f_phi, f_z = _as_force(fs if scattering else fd, (), True)
+    if scattering:
+        if not cfg.include_azimuthal:
+            f_phi = 0.0
+        if dipole:
+            d_rho, d_phi, d_z = _as_force(fd, (), True)
+            f_rho, f_phi, f_z = f_rho + d_rho, f_phi + d_phi, f_z + d_z
     return f_rho * c - f_phi * s, f_rho * s + f_phi * c, f_z
 
 
@@ -152,16 +162,20 @@ def integrate(atom, pair, init, cfg):
     radial_max *= DIVERGENCE_FACTOR
     axial_max *= DIVERGENCE_FACTOR
 
-    # the state is a tuple of floats: on (6,) arrays each stage's update
-    # costs more numpy calls than the force's arithmetic.  The updates keep
-    # the array form's operation order, y + (h / 2) k and
-    # y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), so the samples are the same
-    y = tuple(float(v) for v in init[1:])
+    # the state is six floats: on (6,) arrays each stage's update costs more
+    # numpy calls than the force's arithmetic, and on tuples the packing and
+    # unpacking cost about as much again, so the stages are written out per
+    # component.  The position's slope is the velocity, so a stage evaluates
+    # only the acceleration.  The updates keep the array form's operation
+    # order, y + (h / 2) k and y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), so
+    # the samples are the same
+    x, y, z, vx, vy, vz = (float(v) for v in init[1:])
     inv_m = 1.0 / atom.mass
+    run = _run_constants(atom, pair, cfg.force_model)
 
-    def deriv(t, x, y, z, vx, vy, vz):
-        fx, fy, fz = _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz)
-        return vx, vy, vz, fx * inv_m, fy * inv_m, fz * inv_m
+    def accel(t, x, y, z, vx, vy, vz):
+        fx, fy, fz = _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz, run)
+        return fx * inv_m, fy * inv_m, fz * inv_m
 
     n_steps = max(1, round(cfg.duration / cfg.step))
     h = cfg.step
@@ -170,21 +184,30 @@ def integrate(atom, pair, init, cfg):
     samples = [init]
     for n in range(1, n_steps + 1):
         t = init.time + (n - 1) * h
-        k1 = deriv(t, *y)
-        k2 = deriv(t + half, *[a + half * b for a, b in zip(y, k1)])
-        k3 = deriv(t + half, *[a + half * b for a, b in zip(y, k2)])
-        k4 = deriv(t + h, *[a + h * b for a, b in zip(y, k3)])
-        y = tuple(a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+        ax1, ay1, az1 = accel(t, x, y, z, vx, vy, vz)
+        vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
+        ax2, ay2, az2 = accel(t + half, x + half * vx, y + half * vy, z + half * vz,
+                              vx2, vy2, vz2)
+        vx3, vy3, vz3 = vx + half * ax2, vy + half * ay2, vz + half * az2
+        ax3, ay3, az3 = accel(t + half, x + half * vx2, y + half * vy2, z + half * vz2,
+                              vx3, vy3, vz3)
+        vx4, vy4, vz4 = vx + h * ax3, vy + h * ay3, vz + h * az3
+        ax4, ay4, az4 = accel(t + h, x + h * vx3, y + h * vy3, z + h * vz3, vx4, vy4, vz4)
+        x, y, z, vx, vy, vz = (x + sixth * (((vx + 2.0 * vx2) + 2.0 * vx3) + vx4),
+                               y + sixth * (((vy + 2.0 * vy2) + 2.0 * vy3) + vy4),
+                               z + sixth * (((vz + 2.0 * vz2) + 2.0 * vz3) + vz4),
+                               vx + sixth * (((ax1 + 2.0 * ax2) + 2.0 * ax3) + ax4),
+                               vy + sixth * (((ay1 + 2.0 * ay2) + 2.0 * ay3) + ay4),
+                               vz + sixth * (((az1 + 2.0 * az2) + 2.0 * az3) + az4))
         # every comparison with NaN is False, so the region test alone would
         # let a NaN state through; the sum of the six floats is NaN or
         # infinite when any of them is
-        if not math.isfinite(sum(y)):
+        if not math.isfinite(x + y + z + vx + vy + vz):
             raise DivergenceError(f"trajectory state became non-finite at step {n}")
-        if math.hypot(y[0], y[1]) > radial_max or abs(y[2]) > axial_max:
+        if math.hypot(x, y) > radial_max or abs(z) > axial_max:
             raise DivergenceError(f"trajectory left the beam region at step {n}")
         if n % cfg.sample_every == 0 or n == n_steps:
-            samples.append(TrajectoryState(init.time + n * h, *y))
+            samples.append(TrajectoryState(init.time + n * h, x, y, z, vx, vy, vz))
     return samples
 
 

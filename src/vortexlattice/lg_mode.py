@@ -127,41 +127,44 @@ class BeamSpec:
         return math.log(self.amp_scale) + self.log_norm + (0.5 * l * math.log(l) if l else 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CylPoint:
-    """Cylindrical coordinates (rho, phi, z), each stored once as a numpy
-    scalar or as an ndarray of ndim >= 1 (the caller's own, if it is one):
-    arithmetic on a 0-d array costs a full ufunc call, and single-point
-    callers build thousands of points.  ``shape`` is the broadcast shape,
-    () when no coordinate is an array."""
+    """Cylindrical coordinates (rho, phi, z), each stored once as a Python
+    float or as an ndarray of ndim >= 1 (the caller's own, if it is one):
+    arithmetic on a numpy scalar or a 0-d array costs a ufunc call, and
+    single-point callers build thousands of points and do a few dozen
+    operations on each.  A scalar or 0-d coordinate keeps its value, its
+    sign bit and NaN.  ``shape`` is the broadcast shape, () when no
+    coordinate is an array."""
 
     rho: float
     phi: float
     z: float
     shape: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        rho, phi, z = self.rho, self.phi, self.z
+    def __init__(self, rho, phi, z):
         if type(rho) is float and type(phi) is float and type(z) is float:
             # three Python floats, as a single atom's force call passes them:
-            # stored directly, without the per-coordinate walk below
-            self.__dict__.update(rho=np.float64(rho), phi=np.float64(phi), z=np.float64(z),
-                                 shape=())
+            # stored as they are, without the per-coordinate walk below
+            shape = ()
             negative = rho < 0.0
         else:
-            arrays = ()
-            for name in ("rho", "phi", "z"):
-                value = getattr(self, name)
-                if not isinstance(value, np.ndarray) or not value.ndim:
-                    value = np.asarray(value)[()]
-                    object.__setattr__(self, name, value)
-                if isinstance(value, np.ndarray):
-                    arrays += (value,)
-            rho = self.rho
+            coords, arrays = [], []
+            for value in (rho, phi, z):
+                if not isinstance(value, np.ndarray):
+                    value = np.asarray(value)
+                if value.ndim:
+                    arrays.append(value)
+                else:
+                    value = float(value)
+                coords.append(value)
+            rho, phi, z = coords
+            shape = np.broadcast(*arrays).shape if arrays else ()
             negative = (rho < 0.0).any() if isinstance(rho, np.ndarray) else rho < 0.0
-            object.__setattr__(self, "shape", np.broadcast(*arrays).shape if arrays else ())
         if negative:
             raise ValueError("rho must be >= 0")
+        # the dataclass is frozen: its own attributes are set through __dict__
+        self.__dict__.update(rho=rho, phi=phi, z=z, shape=shape)
 
     @classmethod
     def from_cartesian(cls, x, y, z):
@@ -180,14 +183,16 @@ def laguerre_poly(p, alpha, x):
     upward recurrence in the degree.
 
     Tested for p up to 40, where the mode it builds still integrates to
-    its normalisation to 1e-6; x may be an array.
+    its normalisation to 1e-6; x may be an array, and a float x gives a
+    float.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
+    if type(x) is not float:
+        x = np.asarray(x, dtype=float)
     if p == 0:
-        return prev
+        return 1.0 if type(x) is float else np.ones_like(x)
+    prev = 1.0
     cur = 1.0 + alpha - x
     for n in range(1, p):
         prev, cur = cur, ((2.0 * n + 1.0 + alpha - x) * cur - (n + alpha) * prev) / (n + 1.0)
@@ -225,11 +230,20 @@ def _stacked(shape, *entries):
     return out
 
 
+def _at(ufunc, x):
+    """ufunc(x), as a Python float for a float x.  numpy stays the one source
+    of the exponential, logarithm and arctangent, since math.exp, math.log
+    and math.atan differ from it in the last bit on some inputs; at a point
+    of scalars the arithmetic on the result then stays on floats, where an
+    operation is not a ufunc call."""
+    return float(ufunc(x)) if type(x) is float else ufunc(x)
+
+
 def _times_exp(factor, log_env):
     """factor * exp(log_env) as sign(factor) exp(log_env + log|factor|), so
     that a large factor is not lost when exp(log_env) alone underflows;
     exactly 0 where factor is 0."""
-    return np.sign(factor) * np.exp(log_env + np.log(np.abs(factor) + (factor == 0.0)))
+    return _at(np.sign, factor) * _at(np.exp, log_env + _at(np.log, abs(factor) + (factor == 0.0)))
 
 
 def _amplitude(beam, pt):
@@ -261,7 +275,7 @@ def _amplitude(beam, pt):
     rho = pt.rho
     # -rho^2 / w^2 first: numpy then adds the other terms into that
     # temporary, which has the broadcast shape of rho and z, in place
-    log_env = rho * rho / -w2 + (beam.log_scale - 0.5 * (l + 1.0) * np.log(axial))
+    log_env = rho * rho / -w2 + (beam.log_scale - 0.5 * (l + 1.0) * _at(np.log, axial))
     # the factor that zeroes U on the axis: False for a scalar rho that is
     # not > 0, the rho > 0 mask for an array rho that holds such a point,
     # else None
@@ -275,7 +289,7 @@ def _amplitude(beam, pt):
                 mask = off_axis
             log_env += l * np.log(scaled)
         elif rho > 0.0:
-            log_env += l * np.log(rho * beam._rho_scale)
+            log_env += l * _at(np.log, rho * beam._rho_scale)
         else:
             mask = False
     if beam.radial_p:
@@ -283,7 +297,7 @@ def _amplitude(beam, pt):
         amplitude = _times_exp(lag, log_env)
     else:
         lag = None
-        amplitude = np.exp(log_env)
+        amplitude = _at(np.exp, log_env)
     if mask is not None:
         amplitude *= mask
     return amplitude, zl, rho, w2, lag, log_env
@@ -319,7 +333,7 @@ def _row_phase(beam, zl, phi):
     zr = beam.rayleigh_range
     plane = k * zl
     azimuthal = beam.direction * beam.winding_l * phi
-    gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * np.arctan(zl / zr)
+    gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * _at(np.arctan, zl / zr)
     kappa = k * zl / (2.0 * (zl * zl + zr * zr))
     return plane, azimuthal, gouy, kappa
 

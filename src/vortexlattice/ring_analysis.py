@@ -335,11 +335,12 @@ def find_rings(pair, region):
 def double_ring_radii(pair, delta):
     """Radii (w1, w2) of the two rings crossing the plane a distance
     ``delta`` from the midplane: each beam's ring radius at axial distances
-    d/2 -+ delta from its focus.  Requires 0 <= delta < d/2."""
+    d/2 -+ delta from its focus.  Any delta >= 0: the radius is even in
+    d/2 - delta, so the form holds past a focus (delta >= d/2) too."""
     b = pair.beam1
     d = pair.separation_d
-    if not 0.0 <= delta < 0.5 * d:
-        raise DegenerateGeometryError("delta must lie in [0, d/2)")
+    if not delta >= 0.0:
+        raise DegenerateGeometryError("delta must be >= 0")
     l = abs(b.winding_l)
     zr = b.rayleigh_range
     base = b.waist_w0 * np.sqrt(0.5 * l)
@@ -376,19 +377,23 @@ def radial_separation(pair, delta):
 def compare_rings(pair, ringset):
     """Detected rings against the closed forms: (rows, summary).
 
-    ``rows`` is (n, 9), one row per splitting with 0 < |z| < d/2: z, r_inner,
-    r_outer, ``double_ring_radii`` at delta = |z|, delta_rho, and
-    ``radial_separation`` (exact, approx, alpha).  ``summary`` gives the ring
-    count, the fringe spacing beside pi/k, the central ring beside
-    ``central_ring_radius`` and, from the first row, its alpha and which
-    reading of delta, |z| from the midplane or d/2 - |z| from a focal plane,
-    puts the closed-form radii nearer the measured ones."""
+    ``rows`` is (n, 9), one row per splitting off the midplane (|z| > 0),
+    past a focus too: z, r_inner, r_outer, ``double_ring_radii`` at
+    delta = |z|, delta_rho, and ``radial_separation`` (exact, approx, alpha).
+    ``summary`` gives the ring count, the fringe spacing beside pi/k, the
+    central ring beside ``central_ring_radius`` and, from the first row
+    between the foci (0 < |z| < d/2), its alpha and which reading of delta,
+    |z| from the midplane or d/2 - |z| from a focal plane, puts the
+    closed-form radii nearer the measured ones."""
     half_d = 0.5 * pair.separation_d
     rows = []
+    first = None        # the first row between the foci
     for split in ringset.splittings:
         delta = abs(split.z_pos)
-        if not 0.0 < delta < half_d:
+        if not delta > 0.0:
             continue
+        if first is None and delta < half_d:
+            first = len(rows)
         w1, w2 = double_ring_radii(pair, delta)
         sep = radial_separation(pair, delta)
         rows.append((split.z_pos, split.r_inner, split.r_outer, w1, w2,
@@ -404,20 +409,22 @@ def compare_rings(pair, ringset):
     if central:
         summary["central_z"] = central[0].z_pos
         summary["central_radius"] = central[0].radius
-    if rows:
-        z0, r_in, r_out, w1, w2 = rows[0][:5]
+    if first is not None:
+        z0, r_in, r_out, w1, w2 = rows[first][:5]
 
         def err(w1, w2):    # the two radii's relative errors, summed
             return abs(w1 - r_in) / r_in + abs(w2 - r_out) / r_out
 
         err_mid = err(w1, w2)
         summary["delta_reading"] = reading = {"midplane_offset_err": err_mid}
+        # d/2 - |z| reads like |z| only strictly inside (0, d/2); rounding
+        # can put it on either end
         alt = half_d - abs(z0)
         if 0.0 < alt < half_d:
             reading["focal_plane_offset_err"] = err_alt = err(*double_ring_radii(pair, alt))
             reading["matching"] = "midplane_offset" if err_mid <= err_alt else "focal_plane_offset"
-        summary["alpha_first_split"] = rows[0][8]
-        summary["alpha_lt_1"] = bool(rows[0][8] < 1.0)
+        summary["alpha_first_split"] = rows[first][8]
+        summary["alpha_lt_1"] = bool(rows[first][8] < 1.0)
     return np.array(rows, dtype=float).reshape(-1, 9), summary
 
 

@@ -176,7 +176,7 @@ def _amplitude_of(e, u1, u2):
 
 def _phase_of(e, u1, u2):
     dark = np.abs(e) <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
-    return np.where(dark, np.nan, np.angle(e))
+    return np.where(dark, np.nan, np.angle(e))[()]
 
 
 def total_amplitude(pair, pt, t=0.0):

@@ -753,6 +753,26 @@ def test_cli_refused_output_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_cli_builds_its_parser_once_and_looks_commands_up_per_call(tmp_path, monkeypatch):
+    """Every main call parses with the one parser of the process, and runs
+    the command COMMANDS holds at that call: one replaced after the parser
+    was built still runs."""
+    parser = cli.build_parser()
+    seen = []
+
+    def stub(cfg):
+        seen.append(cfg)
+        return []
+
+    monkeypatch.setitem(cli.COMMANDS, "field-map", (stub, "a stand-in field-map"))
+    good = write_config(tmp_path, base_config(
+        grid={"rho_max": "6um", "n_rho": 20, "z_min": "-5um", "z_max": "5um", "n_z": 21}))
+    for run in range(2):
+        assert run_cli(["field-map", "--config", good, "--out", tmp_path / "out"]) == 0
+        assert len(seen) == run + 1 and cli.build_parser() is parser
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["field-map_metadata.json"]
+
+
 def test_cli_field_map_exits_3_where_the_intensity_overflows(tmp_path):
     """beams.amp1 = amp2 = 1e200 is accepted, but the intensity does not fit
     a double: field-map exits 3 and writes nothing, where it wrote inf in 12

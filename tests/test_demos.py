@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vortexlattice
@@ -45,12 +46,16 @@ def test_ferris_demo_prints_the_summarys_drift_reference(capsys):
 
 def test_ring_demo_prints_compare_rings(capsys):
     """Demo 02 prints its double-ring table from compare_rings' rows, the
-    ones ring_comparison.csv holds, and the offset reading its summary says
-    matches."""
+    ones ring_comparison.csv holds, with how many lie past a focus, and the
+    offset reading its summary says matches.  Its 14 splittings past a
+    focus agree with double_ring_radii within 0.6%."""
     run = runpy.run_path(str(REPO / "demos" / "02_ring_lattice.py"))
     out = capsys.readouterr().out
     rows, summary = compare_rings(run["pair"], run["rings"])
-    assert f"{len(rows)} rings between the foci resolve a radial split" in out
+    past = np.abs(rows[:, 0]) >= 0.5 * run["pair"].separation_d
+    assert f"{len(rows)} rings resolve a radial split, {past.sum()} of them past a focus" in out
+    assert past.sum() == 14
+    assert np.all(np.abs(rows[past, 1:3] - rows[past, 3:5]) <= 0.006 * rows[past, 3:5])
     for z, r_inner, r_outer, *_ in rows[:: max(1, len(rows) // 8)]:
         assert f"{z * 1e6:+6.2f}   {r_inner * 1e6:.3f}, {r_outer * 1e6:.3f}" in out
     matching = summary["delta_reading"]["matching"]

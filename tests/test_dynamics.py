@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlattice import atom_forces, dynamics
+from vortexlattice import atom_forces, dynamics, lg_mode
 from vortexlattice.atom_forces import (AtomSpec, Velocity, central_ring_radius,
                                        detuning_eff, dipole_force, dipole_potential,
                                        spring_constant_k0, torque_axial)
@@ -301,6 +301,41 @@ def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dip
                                          *on_ring_state(p, v_z=0.01)[1:])
     assert counts == {"mode_jet": jets, "mode_amplitude": amplitudes}
     assert fz != 0.0
+
+
+@pytest.mark.parametrize("coupling", [False, True])
+@pytest.mark.parametrize("azimuthal", [True, False])
+def test_reduced_scattering_stage_builds_no_array(monkeypatch, coupling, azimuthal):
+    """One reduced scattering stage, the one trap-reduced repeats, computes
+    on floats: with numpy.array, numpy.zeros, numpy.empty and
+    lg_mode._stacked made to raise, _force_cartesian returns the same three
+    floats, bit for bit, as unpatched, with the run constants given or not."""
+    atom = sodium()
+    p = trap_pair()
+    period = 2.0 * math.pi / trap_frequency(atom, p)
+    cfg = IntegratorConfig(step=period / 400, duration=period, velocity_coupling=coupling,
+                           include_azimuthal=azimuthal)
+    rho = central_ring_radius(p)
+    state = (rho * math.cos(0.7), rho * math.sin(0.7), 0.02 * p.beam1.rayleigh_range,
+             0.01, -0.02, 0.03)
+    run = atom_forces._run_constants(atom, p, cfg.force_model)
+    want = [dynamics._force_cartesian(atom, p, cfg, 1e-6, *state, *extra)
+            for extra in ((), (run,))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was built in a scalar stage")
+
+    with monkeypatch.context() as patched:
+        for owner, name in ((np, "array"), (np, "zeros"), (np, "empty"),
+                            (lg_mode, "_stacked"), (atom_forces, "_stacked")):
+            patched.setattr(owner, name, refuse)
+        got = [dynamics._force_cartesian(atom, p, cfg, 1e-6, *state, *extra)
+               for extra in ((), (run,))]
+    for force in got:
+        assert all(type(f) is float for f in force)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # the reduced radial force is 0, so the transverse force is azimuthal
+    assert got[0][2] != 0.0 and (got[0][1] != 0.0) is azimuthal
 
 
 # ------------------------------------------------- bit-for-bit reference

@@ -182,42 +182,56 @@ def test_point_rejects_negative_rho(rho):
                                  np.array(-0.0), np.array([0.0, -0.0, math.nan, 1e-6])])
 def test_point_accepts_zero_signed_zero_and_nan(rho):
     """-0.0 compares equal to 0, and NaN fails every comparison.  The point
-    keeps the value and its sign bit, a scalar or 0-d rho as a numpy scalar
-    and an array rho as an array of the same ndim."""
+    keeps the value and its sign bit, a scalar or 0-d rho as a Python float
+    (exactly that type, not a numpy scalar) and an array rho as the
+    caller's own array."""
     stored = CylPoint(rho=rho, phi=0.0, z=0.0).rho
     np.testing.assert_array_equal(stored, rho)
     np.testing.assert_array_equal(np.signbit(stored), np.signbit(rho))
     if np.ndim(rho):
-        assert isinstance(stored, np.ndarray) and stored.ndim == np.ndim(rho)
+        assert stored is rho
     else:
-        assert isinstance(stored, np.generic)
+        assert type(stored) is float
 
 
 def _is_scalar_conversion(node):
-    """True for np.asarray(...)[()]."""
+    """True for np.asarray(...)[()], a 0-d array's numpy scalar."""
     return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
             and not node.slice.elts and isinstance(node.value, ast.Call)
             and getattr(node.value.func, "attr", None) == "asarray")
 
 
-def test_only_the_point_turns_a_coordinate_into_a_numpy_scalar():
-    """Every np.asarray(...)[()] in the package sits in
-    CylPoint.__post_init__: the point stores each coordinate once, so no
+def _is_float_call(node):
+    """True for float(...)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float")
+
+
+def test_only_the_point_turns_a_coordinate_into_a_float():
+    """The package forms no np.asarray(...)[()], and every float(...) of
+    lg_mode but the one of ``_at`` (a ufunc's result) sits in
+    CylPoint.__init__: the point stores each coordinate once, so no
     evaluation routine converts one per call."""
     stray, owned = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        allowed = set()
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and cls.name == "CylPoint":
-                for fn in cls.body:
-                    if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
-                        allowed.update(map(id, ast.walk(fn)))
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _is_scalar_conversion(node)]
+        if path.name != "lg_mode.py":
+            continue
+        allowed = {}
         for node in ast.walk(tree):
-            if _is_scalar_conversion(node):
-                if id(node) in allowed:
+            if isinstance(node, ast.ClassDef) and node.name == "CylPoint":
+                owner = next(fn for fn in node.body
+                             if isinstance(fn, ast.FunctionDef) and fn.name == "__init__")
+                allowed.update(dict.fromkeys(map(id, ast.walk(owner)), "point"))
+            elif isinstance(node, ast.FunctionDef) and node.name == "_at":
+                allowed.update(dict.fromkeys(map(id, ast.walk(node)), "ufunc"))
+        for node in ast.walk(tree):
+            if _is_float_call(node):
+                if allowed.get(id(node)) == "point":
                     owned += 1
-                else:
+                elif id(node) not in allowed:
                     stray.append(f"{path.name}:{node.lineno}")
     assert stray == [] and owned == 1, stray
 

@@ -139,7 +139,8 @@ def coordinates(draw, lo, n, m):
 @SETTINGS
 @given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(2, 3))
 def test_point_stores_each_coordinate_once(data, n, m, k):
-    """Each coordinate is stored as a numpy scalar, or as the caller's own
+    """Each coordinate is stored as a Python float (exactly that type, from
+    a float, an int, a numpy scalar or a 0-d array), or as the caller's own
     ndarray when it has ndim >= 1, with its values kept; shape is their
     broadcast shape, () for a point of scalars, and follows a replaced
     coordinate."""
@@ -152,7 +153,7 @@ def test_point_stores_each_coordinate_once(data, n, m, k):
         if isinstance(given_value, np.ndarray) and given_value.ndim:
             assert stored is given_value
         else:
-            assert isinstance(stored, np.generic)
+            assert type(stored) is float
         np.testing.assert_array_equal(stored, given_value)
     new_z = np.zeros((k, 1, 1))
     assert dataclasses.replace(pt, z=new_z).shape == np.broadcast(rho, phi, new_z).shape

@@ -63,13 +63,29 @@ def test_double_ring_radii_limits():
 
 
 def test_double_ring_radii_domain():
+    """Every delta >= 0 is in the domain, the foci and beyond them too,
+    where each radius is the beam's ring radius at |d/2 -+ delta| from its
+    focus (the form is even in d/2 - delta); d = 0 gives equal radii.  A
+    negative or NaN delta raises, in radial_separation too."""
     p = pair()
-    with pytest.raises(DegenerateGeometryError):
-        double_ring_radii(p, -1e-9)
-    with pytest.raises(DegenerateGeometryError):
-        double_ring_radii(p, 0.5 * p.separation_d)
-    with pytest.raises(DegenerateGeometryError):
-        double_ring_radii(pair(d_factor=0.0), 0.0)
+    half_d = 0.5 * p.separation_d
+    b = p.beam1
+    for delta in (half_d, 1.5 * half_d, 4.0 * half_d):
+        w1, w2 = double_ring_radii(p, delta)
+        assert w1 == pytest.approx(ring_radius_formula(p, delta), rel=1e-12)
+        assert w2 == pytest.approx(ring_radius_formula(p, -delta), rel=1e-12)
+        assert radial_separation(p, delta).exact == w2 - w1
+    # even in d/2 - delta: as far past a focus as short of it
+    assert double_ring_radii(p, 1.5 * half_d)[0] == pytest.approx(
+        double_ring_radii(p, 0.5 * half_d)[0], rel=1e-12)
+    assert double_ring_radii(p, half_d)[0] == b.waist_w0 * math.sqrt(0.5 * abs(b.winding_l))
+    w1, w2 = double_ring_radii(pair(d_factor=0.0), 3.0 * WAVELENGTH)
+    assert w1 == w2
+    for bad in (-1e-9, -half_d, math.nan):
+        with pytest.raises(DegenerateGeometryError):
+            double_ring_radii(p, bad)
+        with pytest.raises(DegenerateGeometryError):
+            radial_separation(p, bad)
 
 
 def test_radial_separation_against_exact():
@@ -893,22 +909,42 @@ def ring_set(*splittings, rings=()):
     return RingSet(rings=list(rings), fringe_delta=float("nan"), splittings=list(splittings))
 
 
-def test_compare_rings_keeps_splittings_strictly_between_midplane_and_foci():
-    """Splittings at z = 0 and at |z| >= d/2 have no closed form and give no
-    row; each other gives z, its radii, double_ring_radii, its delta_rho and
+def test_compare_rings_keeps_every_splitting_off_the_midplane():
+    """A splitting at z = 0 gives no row; each other, at a focus and past
+    one included, gives z, its radii, double_ring_radii, its delta_rho and
     radial_separation, in order."""
     p = pair()
     half_d = 0.5 * p.separation_d
-    kept = [split_at(p, -3.0 * WAVELENGTH), split_at(p, 7.0 * WAVELENGTH)]
-    dropped = [RingSplit(z, 1e-7, 1e-6, 1.1e-6) for z in (0.0, half_d, -half_d, 1.5 * half_d)]
-    rows, _ = compare_rings(p, ring_set(dropped[0], kept[0], *dropped[1:], kept[1]))
+    kept = [split_at(p, -1.5 * half_d), split_at(p, -half_d), split_at(p, -3.0 * WAVELENGTH),
+            split_at(p, 7.0 * WAVELENGTH), split_at(p, half_d), split_at(p, 1.5 * half_d)]
+    rows, _ = compare_rings(p, ring_set(*kept[:3], RingSplit(0.0, 1e-7, 1e-6, 1.1e-6),
+                                        *kept[3:]))
     want = []
     for split in kept:
         delta = abs(split.z_pos)
         want.append((split.z_pos, split.r_inner, split.r_outer, *double_ring_radii(p, delta),
                      split.delta_rho, *radial_separation(p, delta)))
-    assert rows.shape == (2, 9)
+    assert rows.shape == (6, 9)
     assert rows.tobytes() == np.array(want).tobytes()
+
+
+def test_compare_rings_summary_reads_the_first_row_between_the_foci():
+    """Rows at or past a focus come first in z, but the summary's delta
+    reading and alpha are the first row's between the foci; with no such
+    row it has neither, though the rows are kept."""
+    p = pair()
+    half_d = 0.5 * p.separation_d
+    outside = [split_at(p, -1.5 * half_d), split_at(p, -half_d)]
+    inside = [split_at(p, -5.0 * WAVELENGTH, "focal"), split_at(p, 9.0 * WAVELENGTH)]
+    rows, summary = compare_rings(p, ring_set(*outside, *inside))
+    assert rows.shape == (4, 9)
+    assert summary["alpha_first_split"] == rows[2, 8] == radial_separation(
+        p, 5.0 * WAVELENGTH).alpha
+    assert summary["delta_reading"]["matching"] == "focal_plane_offset"
+    assert summary["delta_reading"]["focal_plane_offset_err"] == 0.0
+    rows, summary = compare_rings(p, ring_set(*outside))
+    assert rows.shape == (2, 9)
+    assert not {"delta_reading", "alpha_first_split", "alpha_lt_1"} & set(summary)
 
 
 def test_compare_rings_without_rows_reads_no_offset():
@@ -959,8 +995,8 @@ def test_compare_rings_reads_delta_the_way_the_first_split_matches(reading, matc
 
 def test_compare_rings_has_no_focal_reading_where_it_rounds_onto_the_focus():
     """So near the midplane that d/2 - |z| rounds to d/2, the focal-plane
-    reading is outside double_ring_radii's domain: the midplane reading
-    stands alone, with no verdict."""
+    reading does not read like |z| (it names the focus, not an offset
+    inside it): the midplane reading stands alone, with no verdict."""
     p = pair()
     _, summary = compare_rings(p, ring_set(split_at(p, 1e-30)))
     assert 0.5 * p.separation_d - 1e-30 == 0.5 * p.separation_d

@@ -194,6 +194,30 @@ def test_dark_point_phase_is_nan():
     assert not math.isnan(total_phase(pr, bright))
 
 
+def test_both_halves_of_one_field_share_a_scalar_type():
+    """At a point of scalars, given as Python floats or as numpy scalars,
+    total_amplitude and total_phase return the same numpy scalar type, a dark
+    point's NaN phase included; on arrays both keep the points' shape, and
+    the phase is angle(pair_complex) under the dark rule, bit for bit."""
+    pr = pair(l1=1, d=0.0)
+    ring = pr.beam1.waist_w0 / math.sqrt(2.0)
+    for phi in (0.0, math.pi / 2.0):            # bright, then dark
+        for cast in (float, np.float64):
+            pt = CylPoint(rho=cast(ring), phi=cast(phi), z=cast(0.0))
+            amp, ph = total_amplitude(pr, pt), total_phase(pr, pt)
+            assert type(amp) is type(ph) is np.float64
+    pts = CylPoint(rho=np.full((2, 3), ring), phi=np.linspace(0.0, math.pi, 6).reshape(2, 3),
+                   z=0.0)
+    e = pair_complex(pr, pts)
+    u_max = np.maximum(np.abs(mode_amplitude(pr.beam1, pts)),
+                       np.abs(mode_amplitude(pr.beam2, pts)))
+    want = np.where(np.abs(e) <= superpose.DARK_FRACTION * u_max, np.nan, np.angle(e))
+    got = total_phase(pr, pts)
+    assert type(got) is np.ndarray and type(total_amplitude(pr, pts)) is np.ndarray
+    assert got.shape == total_amplitude(pr, pts).shape == (2, 3)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_azimuthal_symmetry_of_spokes():
     pr = pair(l1=2)      # 4 spokes
     base = CylPoint(rho=6e-6, phi=0.25, z=1e-5)
