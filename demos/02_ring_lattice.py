@@ -31,7 +31,10 @@ rings = find_rings(pair, region)
 rows, summary = compare_rings(pair, rings)
 
 rho0 = summary["central_radius_formula"]
-print(f"\n{summary['n_rings']} bright rings between the foci")
+# the grid runs past the foci at z = +-d/2, so some rings lie beyond them
+past_foci = sum(abs(ring.z_pos) >= 0.5 * d for ring in rings.rings)
+print(f"\n{summary['n_rings']} bright rings: {summary['n_rings'] - past_foci} between "
+      f"the foci, {past_foci} past them")
 print(f"central ring: z = {summary['central_z'] * 1e9:+.1f} nm, "
       f"radius {summary['central_radius'] * 1e6:.3f} um "
       f"(w(d/2) sqrt(l/2) = {rho0 * 1e6:.3f} um)")

@@ -13,15 +13,19 @@ interfered field at time t; the potential of an atom at rest takes its
 amplitude.  One beam's force is the reduced force of a pair whose beam 2 has
 amp_scale 0; one beam's complete phase gradient is ``mode_jet(beam, pt)[3]``.
 
-Every gradient is in closed form.  ``lg_mode.mode_jet`` gives U, Theta,
-grad(U) and grad(Theta) of each mode in one pass.  Forces, like gradients,
-are arrays stacked [rho, phi, z] on axis 0, with the points' broadcast shape
-after it.  ``_forces`` returns the scattering and dipole forces together and
-evaluates each beam's mode once for both; the total field
+Every gradient is in closed form.  ``lg_mode._jet`` gives U, Theta,
+grad(U) and grad(Theta) of each mode in one pass, each gradient a
+(rho, phi, z) triple of entries.  ``_forces`` returns the scattering and
+dipole forces together, evaluates each beam's mode once for both and builds
+each force as its triple of entries, so a point of scalars computes on
+floats.  The public forces and ``phase_gradient`` are arrays stacked
+[rho, phi, z] on axis 0, with the points' broadcast shape after it, as
+``mode_jet`` stacks its gradients.  The total field
 E = sum_j U_j e^{i Theta_j} has
 grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), from which
 Omega grad(Omega) = s^2 Re(E* grad E) and
-grad(arg E) = Im(grad E / E), with s = rabi_omega0 / (reference amplitude).
+grad(arg E) = Im(grad E / E), with s = rabi_omega0 / (reference amplitude);
+each of these products is written out in real parts.
 Only ``axial_force_slope`` differentiates numerically: it is the numeric leg
 of the spring-constant check.
 """
@@ -33,7 +37,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DarkPointError, DegenerateGeometryError
-from .lg_mode import CylPoint, _off_axis, _stacked, mode_amplitude, mode_jet, mode_phase
+from .lg_mode import CylPoint, _at, _jet, _off_axis, _stacked, mode_amplitude, mode_phase
 # mode_phase and pair_complex are not called here; they stay module attributes
 # because perfbench/spans.py traces calls by rebinding these names
 from .superpose import DARK_FRACTION, PairSpec, _offset_phase, pair_complex, total_amplitude
@@ -134,49 +138,66 @@ def _reduced_gradient(beam, pt):
 
 
 def _pair_gradient(pair, pt, t):
-    """Total field E, its gradient and max(|U1|, |U2|), from one mode jet
-    per beam.
+    """|E|, E and grad(E) of the total field and max(|U1|, |U2|), from one
+    jet per beam: ``(|E|, (Re E, Im E), (Re grad E, Im grad E), u_max)``,
+    each part of grad(E) a (rho, phi, z) triple of entries.
 
-    grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), so
-    Re(E* grad E) = |E| grad|E| and grad(arg E) = Im(grad E / E).
+    E = sum_j U_j e^{i Theta_j} and
+    grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j) are
+    written out in real parts with numpy's cos and sin, which equal the
+    parts of numpy's e^{i Theta}: Re E and Im E are ``superpose``'s E bit
+    for bit, and |E| is numpy's complex modulus of them, as in
+    ``total_amplitude``.  numpy's complex array multiply may fuse a multiply
+    and an add, so complex products on scalars would not give an array's
+    bits; the real ones do.
     """
-    u1, th1, gu1, gth1 = mode_jet(pair.beam1, pt)
-    u2, th2, gu2, gth2 = mode_jet(pair.beam2, pt)
+    u1, th1, gu1, gth1 = _jet(pair.beam1, pt)
+    u2, th2, gu2, gth2 = _jet(pair.beam2, pt)
     th2 = _offset_phase(pair, pt, t, th2)
-    gth2[2] += pair.delta_k
-    c1 = np.exp(1j * th1)
-    c2 = np.exp(1j * th2)
-    e = u1 * c1 + u2 * c2
-    grad_e = c1 * (gu1 + 1j * u1 * gth1) + c2 * (gu2 + 1j * u2 * gth2)
-    return e, grad_e, np.maximum(np.abs(u1), np.abs(u2))
+    c1, s1, c2, s2 = _at(np.cos, th1), _at(np.sin, th1), _at(np.cos, th2), _at(np.sin, th2)
+    re, im = u1 * c1 + u2 * c2, u1 * s1 + u2 * s2
+    gth2 = gth2[0], gth2[1], gth2[2] + pair.delta_k
+    # grad E = sum_j (c_j + i s_j) (a_j + i b_j), a_j = grad U_j, b_j = U_j grad Theta_j
+    terms = [(a1, u1 * b1, a2, u2 * b2) for a1, b1, a2, b2 in zip(gu1, gth1, gu2, gth2)]
+    grad_e = ([(c1 * a1 - s1 * b1) + (c2 * a2 - s2 * b2) for a1, b1, a2, b2 in terms],
+              [(c1 * b1 + s1 * a1) + (c2 * b2 + s2 * a2) for a1, b1, a2, b2 in terms])
+    a1, a2, amp = abs(u1), abs(u2), np.abs(re + 1j * im)
+    if isinstance(amp, np.ndarray):
+        return amp, (re, im), grad_e, np.maximum(a1, a2)
+    # a point of scalars: floats, and np.maximum(a1, a2) with its NaN rule
+    return float(amp), (re, im), grad_e, a2 if a2 > a1 or a2 != a2 else a1
 
 
-def _phase_slope(e, grad_e, u_max, strict=False):
-    """grad(arg E) = Im(grad E / E), set to 0 at dark points, where
-    |E| <= DARK_FRACTION * max(|U1|, |U2|); ``strict`` raises DarkPointError
-    instead if any point is dark.
+def _phase_slope(amp, e, grad_e, u_max, strict=False):
+    """grad(arg E) = Im(grad E / E) as a (rho, phi, z) triple of entries,
+    each 0 at dark points, where |E| <= DARK_FRACTION * max(|U1|, |U2|);
+    ``strict`` raises DarkPointError instead if any point is dark.  The
+    arguments are those ``_pair_gradient`` returns.
 
     Magnitudes set the threshold: the signed amplitudes are negative where
-    the radial polynomial is (radial_p > 0).  Dividing E and grad E by
-    max(|U1|, |U2|) first keeps the quotient finite in the far field, where
-    |E|^2 underflows.  The divisor is at least the smallest normal float:
-    complex division by a subnormal overflows its reciprocal.
+    the radial polynomial is (radial_p > 0).  E and grad E are divided by
+    max(|U1|, |U2|) first, so |E / max|^2, the quotient's denominator, is
+    at least DARK_FRACTION^2 off dark points and stays normal in the far
+    field, where |E|^2 underflows.  The divisor is at least the smallest
+    normal float.
     """
-    if not isinstance(e, np.ndarray):
-        # a point of scalars: one comparison, and no 0-d arrays
-        if abs(e) <= DARK_FRACTION * u_max:
-            if strict:
-                raise DarkPointError("total phase undefined at a dark point")
-            return np.zeros(grad_e.shape)
-        # np.maximum(u_max, _TINY), NaN included
-        scale = _TINY if u_max < _TINY else u_max
-        return (grad_e / scale / (e / scale)).imag
-    dark = np.abs(e) <= DARK_FRACTION * u_max
-    if strict and np.any(dark):
+    re, im = e
+    dark = amp <= DARK_FRACTION * u_max
+    array = isinstance(dark, np.ndarray)
+    if strict and (dark.any() if array else dark):
         raise DarkPointError("total phase undefined at a dark point")
-    scale = np.where(dark, 1.0, np.maximum(u_max, _TINY))
-    e_scaled = np.where(dark, 1.0, e / scale)
-    return np.where(dark, 0.0, (grad_e / scale / e_scaled).imag)
+    if array:
+        scale = np.where(dark, 1.0, np.maximum(u_max, _TINY))
+        re, im = np.where(dark, 1.0, re), np.where(dark, 0.0, im)
+    elif dark:
+        return 0.0, 0.0, 0.0
+    else:
+        # a point of scalars: np.maximum(u_max, _TINY) on floats, NaN included
+        scale = _TINY if u_max < _TINY else u_max
+    re, im = re / scale, im / scale
+    den = re * re + im * im
+    slope = tuple((gi / scale * re - gr / scale * im) / den for gr, gi in zip(*grad_e))
+    return tuple(np.where(dark, 0.0, g) for g in slope) if array else slope
 
 
 def _checked(pair, mode=_REDUCED):
@@ -196,7 +217,7 @@ def phase_gradient(pair, pt, t=0.0):
     gradients; a DarkPointError is raised if any evaluation point is dark.
     """
     _checked(pair)
-    return _phase_slope(*_pair_gradient(pair, pt, t), strict=True)
+    return _stacked(pt.shape, *_phase_slope(*_pair_gradient(pair, pt, t), strict=True))
 
 
 def detuning_eff(atom, vel, grad):
@@ -208,13 +229,14 @@ def detuning_eff(atom, vel, grad):
 
 def _field_terms(pair, pt, vel, t, scattering, dipole):
     """|E|, grad(arg E) and Re(E* grad E) of the interfered field from one
-    ``_pair_gradient``.  The slope is 0 at a dark point, unless the dipole
-    force's Doppler shift needs it there: that raises DarkPointError."""
-    e, grad_e, u_max = _pair_gradient(pair, pt, t)
+    ``_pair_gradient``, each gradient a (rho, phi, z) triple of entries.
+    The slope is 0 at a dark point, unless the dipole force's Doppler shift
+    needs it there: that raises DarkPointError."""
+    amp, e, grad_e, u_max = _pair_gradient(pair, pt, t)
     grad = None
     if scattering or vel is not None:
-        grad = _phase_slope(e, grad_e, u_max, strict=dipole and vel is not None)
-    return np.abs(e), grad, (np.conj(e) * grad_e).real if dipole else None
+        grad = _phase_slope(amp, e, grad_e, u_max, strict=dipole and vel is not None)
+    return amp, grad, [e[0] * gr + e[1] * gi for gr, gi in zip(*grad_e)] if dipole else None
 
 
 def _coefficients(atom, vel, amp, grad, ref):
@@ -249,9 +271,7 @@ def _as_force(f, shape, triple=False):
         if f is None:
             return 0.0, 0.0, 0.0
         return f if type(f) is tuple else tuple(f.tolist())
-    if f is None:
-        return np.zeros((3,) + shape)
-    return _stacked(shape, *f) if type(f) is tuple else f
+    return np.zeros((3,) + shape) if f is None else _stacked(shape, *f)
 
 
 def _forces(atom, pair, pt, vel, mode, t, scattering, dipole, run=None, triples=False):
@@ -264,13 +284,13 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole, run=None, triples=
     ``_run_constants(atom, pair, mode)`` when the caller formed it once for
     many calls.
 
-    In the reduced model each beam's mode is a jet when the dipole force
-    needs grad(U), else its amplitude, and the forces add beam by beam.
-    The reduced gradient's rho entry is 0, so each beam's scattering
-    coefficient goes straight into F_phi and F_z.  The full model combines
-    the two jets on stacked (3,) arrays at a point of scalars too: numpy's
-    complex array multiply may fuse a multiply and an add, so complex
-    scalar products would not give the array's bits.
+    Each force is built as its triple of entries, from each beam's jet
+    entries (``lg_mode._jet``) or amplitude, so a point of scalars computes
+    on floats in either model.  In the reduced model each beam's mode is a
+    jet when the dipole force needs grad(U), else its amplitude, and the
+    forces add beam by beam.  The reduced gradient's rho entry is 0, so each
+    beam's scattering coefficient goes straight into F_phi and F_z.  The
+    full model combines the two jets in real parts (``_pair_gradient``).
     """
     mode, ref, s = _run_constants(atom, pair, mode) if run is None else run
     fs = fd = None
@@ -278,7 +298,7 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole, run=None, triples=
         f_phi, f_z, f_dip = [], [], []
         for beam in (pair.beam1, pair.beam2):
             if dipole:
-                u, _, grad_u, _ = mode_jet(beam, pt)
+                u, _, grad_u, _ = _jet(beam, pt)
             else:
                 u = mode_amplitude(beam, pt)
             grad = _reduced_gradient(beam, pt)
@@ -287,18 +307,18 @@ def _forces(atom, pair, pt, vel, mode, t, scattering, dipole, run=None, triples=
                 f_phi.append(c_sc * grad[1])
                 f_z.append(c_sc * grad[2])
             if dipole:
-                f_dip.append(c_dip * (s * s * (u * grad_u)))
+                f_dip.append([c_dip * (s * s * (u * g)) for g in grad_u])
         if scattering:
             fs = (0.0, f_phi[0] + f_phi[1], f_z[0] + f_z[1])
         if dipole:
-            fd = f_dip[0] + f_dip[1]
+            fd = tuple(a + b for a, b in zip(*f_dip))
     else:
         amp, grad, amp_grad_amp = _field_terms(pair, pt, vel, t, scattering, dipole)
         c_sc, c_dip = _coefficients(atom, vel, amp, grad, ref)
         if scattering:
-            fs = c_sc * grad
+            fs = tuple(c_sc * g for g in grad)
         if dipole:
-            fd = c_dip * (s * s * amp_grad_amp)
+            fd = tuple(c_dip * (s * s * a) for a in amp_grad_amp)
     return _as_force(fs, pt.shape, triples), _as_force(fd, pt.shape, triples)
 
 
@@ -320,7 +340,7 @@ def dipole_force(atom, pair, pt, vel=None, mode="reduced", t=0.0):
 
     ``mode`` is as for ``scattering_force``.  Per beam
     Omega grad(Omega) = s^2 U grad(U), with s = rabi_omega0 over the
-    reference amplitude and U, grad(U) from one ``mode_jet``; for the total
+    reference amplitude and U, grad(U) from one jet; for the total
     field it is s^2 Re(E* grad E), and velocity coupling raises
     DarkPointError at a dark point.
     """

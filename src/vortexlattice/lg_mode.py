@@ -368,7 +368,17 @@ def mode_jet(beam, pt):
 
     Returns ``(U, Theta, grad_U, grad_Theta)``.  U and Theta equal
     ``mode_amplitude(beam, pt)`` and ``mode_phase(beam, pt)`` exactly;
-    each gradient is stacked as [d/drho, (1/rho) d/dphi, d/dz] along axis 0.
+    each gradient is stacked as [d/drho, (1/rho) d/dphi, d/dz] along axis 0
+    from the entries of ``_jet``.
+    """
+    u, theta, grad_u, grad_theta = _jet(beam, pt)
+    return u, theta, _stacked(pt.shape, *grad_u), _stacked(pt.shape, *grad_theta)
+
+
+def _jet(beam, pt):
+    """``(U, Theta, grad_U, grad_Theta)`` of ``mode_jet`` with each gradient
+    its (rho, phi, z) triple of entries: floats at a point of scalars, else
+    arrays or floats that broadcast against pt.shape.
 
     With x = 2 rho^2 / w^2 the amplitude is pref * R(x),
     pref = amp_scale * C_lp / sqrt(1 + z^2/z_R^2) and
@@ -402,11 +412,10 @@ def mode_jet(beam, pt):
     else:
         x_dr = amplitude * slope
     den = zl * zl + zr * zr
-    grad_amplitude = _stacked(pt.shape, _off_axis(2.0 * x_dr, rho, rho), 0.0,
-                              -beam.direction * zl * (amplitude + 2.0 * x_dr) / den)
-    grad_phase = _stacked(pt.shape, _off_axis(k * rho * zl, den, rho),
-                          _off_axis(beam.direction * beam.winding_l, rho, rho),
-                          beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
-                                            + 0.5 * k * rho * rho * (zr * zr - zl * zl)
-                                            / (den * den)))
+    grad_amplitude = (_off_axis(2.0 * x_dr, rho, rho), 0.0,
+                      -beam.direction * zl * (amplitude + 2.0 * x_dr) / den)
+    grad_phase = (_off_axis(k * rho * zl, den, rho),
+                  _off_axis(beam.direction * beam.winding_l, rho, rho),
+                  beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
+                                    + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den)))
     return amplitude, _phase(beam, zl, pt), grad_amplitude, grad_phase

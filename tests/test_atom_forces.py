@@ -340,7 +340,7 @@ def test_dipole_potential_needs_amplitudes_only(monkeypatch):
     """The potential of an atom at rest takes mode amplitudes alone: no mode
     jet, phase gradient or Doppler-corrected detuning, in either model."""
     calls = []
-    for name in ("mode_jet", "phase_gradient", "detuning_eff"):
+    for name in ("_jet", "phase_gradient", "detuning_eff"):
         def counted(*args, _name=name, _fn=getattr(atom_forces, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)

@@ -45,13 +45,19 @@ def test_ferris_demo_prints_the_summarys_drift_reference(capsys):
 
 
 def test_ring_demo_prints_compare_rings(capsys):
-    """Demo 02 prints its double-ring table from compare_rings' rows, the
-    ones ring_comparison.csv holds, with how many lie past a focus, and the
-    offset reading its summary says matches.  Its 14 splittings past a
-    focus agree with double_ring_radii within 0.6%."""
+    """Demo 02 prints how many of its rings lie between the foci and how
+    many past them (125 and 14), its double-ring table from compare_rings'
+    rows, the ones ring_comparison.csv holds, with how many lie past a
+    focus, and the offset reading its summary says matches.  Its 14
+    splittings past a focus agree with double_ring_radii within 0.6%."""
     run = runpy.run_path(str(REPO / "demos" / "02_ring_lattice.py"))
     out = capsys.readouterr().out
     rows, summary = compare_rings(run["pair"], run["rings"])
+    ring_z = np.array([ring.z_pos for ring in run["rings"].rings])
+    beyond = np.abs(ring_z) >= 0.5 * run["pair"].separation_d
+    assert (ring_z.size - beyond.sum(), beyond.sum()) == (125, 14)
+    assert (f"{ring_z.size} bright rings: {ring_z.size - beyond.sum()} between the foci, "
+            f"{beyond.sum()} past them") in out
     past = np.abs(rows[:, 0]) >= 0.5 * run["pair"].separation_d
     assert f"{len(rows)} rings resolve a radial split, {past.sum()} of them past a focus" in out
     assert past.sum() == 14

@@ -284,11 +284,12 @@ def test_pattern_period_step_gate(factor, raises):
 def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dipole,
                                              jets, amplitudes):
     """The scattering and dipole forces of a stage share each beam's mode
-    evaluation: a jet when the stage needs gradients, else an amplitude."""
+    evaluation: a jet (lg_mode._jet, which mode_jet stacks) when the stage
+    needs gradients, else an amplitude."""
     atom = sodium()
     p = trap_pair()
     period = 2.0 * math.pi / trap_frequency(atom, p)
-    counts = {"mode_jet": 0, "mode_amplitude": 0}
+    counts = {"_jet": 0, "mode_amplitude": 0}
     for name in counts:
         def counting(*args, _fn=getattr(atom_forces, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -299,28 +300,38 @@ def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dip
                            include_dipole=dipole)
     _, _, fz = dynamics._force_cartesian(atom, p, cfg, 0.0,
                                          *on_ring_state(p, v_z=0.01)[1:])
-    assert counts == {"mode_jet": jets, "mode_amplitude": amplitudes}
+    assert counts == {"_jet": jets, "mode_amplitude": amplitudes}
     assert fz != 0.0
 
 
 @pytest.mark.parametrize("coupling", [False, True])
 @pytest.mark.parametrize("azimuthal", [True, False])
 def test_reduced_scattering_stage_builds_no_array(monkeypatch, coupling, azimuthal):
-    """One reduced scattering stage, the one trap-reduced repeats, computes
-    on floats: with numpy.array, numpy.zeros, numpy.empty and
-    lg_mode._stacked made to raise, _force_cartesian returns the same three
-    floats, bit for bit, as unpatched, with the run constants given or not."""
+    """Every kind of stage computes on floats, the reduced scattering stage
+    trap-reduced repeats and the full dipole-only stage trap-total repeats
+    among them: in both models, with scattering, dipole or both, and with
+    numpy.array, numpy.zeros, numpy.empty and both _stacked made to raise,
+    _force_cartesian returns the same three floats, bit for bit, as
+    unpatched, with the run constants given or not."""
     atom = sodium()
     p = trap_pair()
     period = 2.0 * math.pi / trap_frequency(atom, p)
-    cfg = IntegratorConfig(step=period / 400, duration=period, velocity_coupling=coupling,
-                           include_azimuthal=azimuthal)
     rho = central_ring_radius(p)
     state = (rho * math.cos(0.7), rho * math.sin(0.7), 0.02 * p.beam1.rayleigh_range,
              0.01, -0.02, 0.03)
-    run = atom_forces._run_constants(atom, p, cfg.force_model)
-    want = [dynamics._force_cartesian(atom, p, cfg, 1e-6, *state, *extra)
-            for extra in ((), (run,))]
+    kinds = [(model, scattering, dipole) for model in atom_forces.FORCE_MODELS
+             for scattering, dipole in ((True, False), (False, True), (True, True))]
+
+    def forces(cfg):
+        run = atom_forces._run_constants(atom, p, cfg.force_model)
+        return [dynamics._force_cartesian(atom, p, cfg, 1e-6, *state, *extra)
+                for extra in ((), (run,))]
+
+    configs = [IntegratorConfig(step=period / 400, duration=period, force_model=model,
+                                velocity_coupling=coupling, include_scattering=scattering,
+                                include_dipole=dipole, include_azimuthal=azimuthal)
+               for model, scattering, dipole in kinds]
+    want = [forces(cfg) for cfg in configs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("an array was built in a scalar stage")
@@ -329,13 +340,15 @@ def test_reduced_scattering_stage_builds_no_array(monkeypatch, coupling, azimuth
         for owner, name in ((np, "array"), (np, "zeros"), (np, "empty"),
                             (lg_mode, "_stacked"), (atom_forces, "_stacked")):
             patched.setattr(owner, name, refuse)
-        got = [dynamics._force_cartesian(atom, p, cfg, 1e-6, *state, *extra)
-               for extra in ((), (run,))]
-    for force in got:
-        assert all(type(f) is float for f in force)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
-    # the reduced radial force is 0, so the transverse force is azimuthal
-    assert got[0][2] != 0.0 and (got[0][1] != 0.0) is azimuthal
+        got = [forces(cfg) for cfg in configs]
+    for kind, got_kind, want_kind in zip(kinds, got, want):
+        for force in got_kind:
+            assert all(type(f) is float for f in force), kind
+            assert force[2] != 0.0, kind
+        assert np.array(got_kind).tobytes() == np.array(want_kind).tobytes(), kind
+    # the reduced radial force is 0, so the transverse scattering force is
+    # azimuthal
+    assert (got[0][0][1] != 0.0) is azimuthal
 
 
 # ------------------------------------------------- bit-for-bit reference
@@ -345,26 +358,31 @@ def test_reduced_scattering_stage_builds_no_array(monkeypatch, coupling, azimuth
 # array.  The package's scalar path must give the same bits.
 
 def _reference_field_terms(pair, pt, vel, t, scattering, dipole):
-    """|E|, grad(arg E) and Re(E* grad E) of the interfered field, with the
-    slope Im(grad E / E) masked by np.where at dark points."""
+    """|E|, grad(arg E) and Re(E* grad E) of the interfered field on stacked
+    (3,) gradients, every complex product written out in real parts with
+    c = cos(Theta) and s = sin(Theta), and the slope Im(grad E / E) masked
+    by np.where at dark points."""
     u1, th1, gu1, gth1 = mode_jet(pair.beam1, pt)
     u2, th2, gu2, gth2 = mode_jet(pair.beam2, pt)
     th2 = th2 + pair.delta_k * pt.z + pair.delta_omega * t
     gth2[2] += pair.delta_k
-    c1 = np.exp(1j * th1)
-    c2 = np.exp(1j * th2)
-    e = u1 * c1 + u2 * c2
-    grad_e = c1 * (gu1 + 1j * u1 * gth1) + c2 * (gu2 + 1j * u2 * gth2)
+    c1, s1, c2, s2 = np.cos(th1), np.sin(th1), np.cos(th2), np.sin(th2)
+    e_re, e_im = u1 * c1 + u2 * c2, u1 * s1 + u2 * s2
+    b1, b2 = u1 * gth1, u2 * gth2
+    g_re = (c1 * gu1 - s1 * b1) + (c2 * gu2 - s2 * b2)
+    g_im = (c1 * b1 + s1 * gu1) + (c2 * b2 + s2 * gu2)
+    amp = np.abs(e_re + 1j * e_im)
     grad = None
     if scattering or vel is not None:
         u_max = np.maximum(np.abs(u1), np.abs(u2))
-        dark = np.abs(e) <= DARK_FRACTION * u_max
+        dark = amp <= DARK_FRACTION * u_max
         if dipole and vel is not None and np.any(dark):
             raise DarkPointError("dark")
         scale = np.where(dark, 1.0, np.maximum(u_max, np.finfo(float).tiny))
-        e_scaled = np.where(dark, 1.0, e / scale)
-        grad = np.where(dark, 0.0, (grad_e / scale / e_scaled).imag)
-    return np.abs(e), grad, (np.conj(e) * grad_e).real if dipole else None
+        e_re_s, e_im_s = np.where(dark, 1.0, e_re) / scale, np.where(dark, 0.0, e_im) / scale
+        grad = np.where(dark, 0.0, (g_im / scale * e_re_s - g_re / scale * e_im_s)
+                        / (e_re_s * e_re_s + e_im_s * e_im_s))
+    return amp, grad, e_re * g_re + e_im * g_im if dipole else None
 
 
 def _reference_forces(atom, pair, pt, vel, mode, t, scattering, dipole):
