@@ -15,12 +15,13 @@ amp_scale 0; one beam's complete phase gradient is ``mode_jet(beam, pt)[3]``.
 
 Every gradient is in closed form.  ``lg_mode._jet`` gives U, Theta,
 grad(U) and grad(Theta) of each mode in one pass, each gradient a
-(rho, phi, z) triple of entries.  ``_forces`` returns the scattering and
-dipole forces together, evaluates each beam's mode once for both and builds
-each force as its triple of entries, so a point of scalars computes on
-floats.  The public forces and ``phase_gradient`` are arrays stacked
-[rho, phi, z] on axis 0, with the points' broadcast shape after it, as
-``mode_jet`` stacks its gradients.  The total field
+(rho, phi, z) triple of entries.  Each model has one force function,
+``_reduced_forces`` or ``_full_forces``, that gives the scattering and
+dipole forces together, each its triple of entries, from one evaluation of
+each beam's mode, so a point of scalars computes on floats; an RK4 stage
+reads those triples.  ``_forces`` picks the function by ``mode``.  The
+public forces and ``phase_gradient`` are arrays stacked [rho, phi, z] on
+axis 0, with the points' broadcast shape after it.  The total field
 E = sum_j U_j e^{i Theta_j} has
 grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), from which
 Omega grad(Omega) = s^2 Re(E* grad E) and
@@ -37,7 +38,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DarkPointError, DegenerateGeometryError
-from .lg_mode import CylPoint, _at, _jet, _off_axis, _stacked, mode_amplitude, mode_phase
+from .lg_mode import CylPoint, _jet, _off_axis, _real, _stacked, mode_amplitude, mode_phase
 # mode_phase and pair_complex are not called here; they stay module attributes
 # because perfbench/spans.py traces calls by rebinding these names
 from .superpose import DARK_FRACTION, PairSpec, _offset_phase, pair_complex, total_amplitude
@@ -68,6 +69,8 @@ __all__ = [
 FORCE_MODELS = ("reduced", "full")
 _REDUCED = FORCE_MODELS[0]
 _TINY = np.finfo(float).tiny
+# The (rho, phi, z) triple of a force not asked for
+_NO_FORCE = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,9 @@ class AtomSpec:
         return 0.25 * self.gamma ** 2, 0.25 * HBAR * self.gamma
 
     def __post_init__(self):
+        for name in ("mass", "gamma", "detuning0", "rabi_omega0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         if self.gamma <= 0.0:
@@ -126,15 +132,18 @@ def _pair_amp_ref(pair):
     return ref
 
 
-def _reduced_gradient(beam, pt):
+def _reduced_gradient(beam, pt, azimuthal=True):
     """Reduced phase gradient of one beam as the triple
     (0.0, l / rho, direction * k), with the azimuthal entry 0 for
     rho <= AXIS_RHO and an array of rho's shape for an array rho; the
-    entries broadcast against pt.shape."""
+    entries broadcast against pt.shape.  Without ``azimuthal``, for a
+    caller that does not read that entry, it is 0.0 and l / rho is not
+    formed."""
     # own-frame azimuthal slope l / rho: every beam advances its phase in
     # its own handedness, so beam 2's slope is +l2 / rho here while its lab
     # phase, direction * l * phi, has -l2 / rho
-    return 0.0, _off_axis(beam.winding_l, pt.rho, pt.rho), beam.direction * beam.wavenumber
+    return (0.0, _off_axis(beam.winding_l, pt.rho, pt.rho) if azimuthal else 0.0,
+            beam.direction * beam.wavenumber)
 
 
 def _pair_gradient(pair, pt, t):
@@ -154,7 +163,8 @@ def _pair_gradient(pair, pt, t):
     u1, th1, gu1, gth1 = _jet(pair.beam1, pt)
     u2, th2, gu2, gth2 = _jet(pair.beam2, pt)
     th2 = _offset_phase(pair, pt, t, th2)
-    c1, s1, c2, s2 = _at(np.cos, th1), _at(np.sin, th1), _at(np.cos, th2), _at(np.sin, th2)
+    real = _real(pt)
+    c1, s1, c2, s2 = real(np.cos(th1)), real(np.sin(th1)), real(np.cos(th2)), real(np.sin(th2))
     re, im = u1 * c1 + u2 * c2, u1 * s1 + u2 * s2
     gth2 = gth2[0], gth2[1], gth2[2] + pair.delta_k
     # grad E = sum_j (c_j + i s_j) (a_j + i b_j), a_j = grad U_j, b_j = U_j grad Theta_j
@@ -246,80 +256,68 @@ def _coefficients(atom, vel, amp, grad, ref):
     c_dip = -(hbar / 2) Delta_eff / D and
     D = Delta_eff^2 + Omega^2 / 2 + Gamma^2 / 4."""
     quarter_gamma_sq, quarter_hbar_gamma = atom._force_constants
-    delta = detuning_eff(atom, vel, grad)
+    delta = atom.detuning0 if vel is None else detuning_eff(atom, vel, grad)
     omega = atom.rabi_omega0 * amp / ref
     den = delta * delta + 0.5 * omega * omega + quarter_gamma_sq
     return quarter_hbar_gamma * omega * omega / den, -0.5 * HBAR * delta / den
 
 
-def _run_constants(atom, pair, mode):
-    """(mode, ref, s) of ``_forces``: ``mode`` once ``_checked``, the
-    reference amplitude of ``_pair_amp_ref`` and s = rabi_omega0 / ref.
-    They depend on the atom, the pair and the model alone, so a trajectory
-    forms them once per run, not once per stage."""
-    mode = _checked(pair, mode)
-    ref = _pair_amp_ref(pair)
-    return mode, ref, atom.rabi_omega0 / ref
-
-
-def _as_force(f, shape, triple=False):
-    """A force of ``_forces`` from its (rho, phi, z) triple of entries or its
-    stacked array ``f``, zeros for None: with ``triple`` at a point of
-    scalars (shape ()) the triple of floats, else an array of shape
-    (3,) + shape."""
-    if triple and not shape:
-        if f is None:
-            return 0.0, 0.0, 0.0
-        return f if type(f) is tuple else tuple(f.tolist())
-    return np.zeros((3,) + shape) if f is None else _stacked(shape, *f)
-
-
-def _forces(atom, pair, pt, vel, mode, t, scattering, dipole, run=None, triples=False):
-    """Scattering and dipole forces of a pair at time t in the model
-    ``mode``, from one evaluation of each beam's mode.  Points are scalars or
-    broadcastable arrays, as in ``lg_mode``; each force is an array of shape
-    (3,) + pt.shape stacked [rho, phi, z], zeros when not asked for.  With
-    ``triples``, at a point of scalars each force is instead its
-    (rho, phi, z) triple of floats, as one RK4 stage reads it.  ``run`` is
-    ``_run_constants(atom, pair, mode)`` when the caller formed it once for
-    many calls.
-
-    Each force is built as its triple of entries, from each beam's jet
-    entries (``lg_mode._jet``) or amplitude, so a point of scalars computes
-    on floats in either model.  In the reduced model each beam's mode is a
-    jet when the dipole force needs grad(U), else its amplitude, and the
-    forces add beam by beam.  The reduced gradient's rho entry is 0, so each
-    beam's scattering coefficient goes straight into F_phi and F_z.  The
-    full model combines the two jets in real parts (``_pair_gradient``).
-    """
-    mode, ref, s = _run_constants(atom, pair, mode) if run is None else run
+def _reduced_forces(atom, pair, pt, vel, t, scattering, dipole, ref, s, azimuthal=True):
+    """Scattering and dipole forces of the reduced model (t unread), each
+    its (rho, phi, z) triple of entries, zeros when not asked for: the
+    beams' forces added, beam 1's first.  Each beam's mode is a jet when
+    the dipole force needs grad(U), else its amplitude; its scattering
+    coefficient goes straight into F_phi and F_z.  Without ``azimuthal``
+    F_phi of the scattering force is 0.0, and the azimuthal slope is formed
+    only for velocity coupling."""
     fs = fd = None
-    if mode == _REDUCED:
-        f_phi, f_z, f_dip = [], [], []
-        for beam in (pair.beam1, pair.beam2):
-            if dipole:
-                u, _, grad_u, _ = _jet(beam, pt)
-            else:
-                u = mode_amplitude(beam, pt)
-            grad = _reduced_gradient(beam, pt)
-            c_sc, c_dip = _coefficients(atom, vel, u, grad, ref)
-            if scattering:
-                f_phi.append(c_sc * grad[1])
-                f_z.append(c_sc * grad[2])
-            if dipole:
-                f_dip.append([c_dip * (s * s * (u * g)) for g in grad_u])
-        if scattering:
-            fs = (0.0, f_phi[0] + f_phi[1], f_z[0] + f_z[1])
+    for beam in (pair.beam1, pair.beam2):
         if dipole:
-            fd = tuple(a + b for a, b in zip(*f_dip))
-    else:
-        amp, grad, amp_grad_amp = _field_terms(pair, pt, vel, t, scattering, dipole)
-        c_sc, c_dip = _coefficients(atom, vel, amp, grad, ref)
+            u, _, grad_u, _ = _jet(beam, pt)
+        else:
+            u = mode_amplitude(beam, pt)
+        grad = _reduced_gradient(beam, pt, azimuthal or vel is not None)
+        c_sc, c_dip = _coefficients(atom, vel, u, grad, ref)
         if scattering:
-            fs = tuple(c_sc * g for g in grad)
+            f_phi, f_z = c_sc * grad[1] if azimuthal else 0.0, c_sc * grad[2]
+            fs = (0.0, f_phi, f_z) if fs is None else (0.0, fs[1] + f_phi, fs[2] + f_z)
         if dipole:
-            fd = tuple(c_dip * (s * s * a) for a in amp_grad_amp)
-    return _as_force(fs, pt.shape, triples), _as_force(fd, pt.shape, triples)
+            f = [c_dip * (s * s * (u * g)) for g in grad_u]
+            fd = f if fd is None else [a + b for a, b in zip(fd, f)]
+    return fs or _NO_FORCE, fd or _NO_FORCE
+
+
+def _full_forces(atom, pair, pt, vel, t, scattering, dipole, ref, s, azimuthal=True):
+    """Scattering and dipole forces of the full model at time t, as
+    ``_reduced_forces`` gives them: the formulas applied to the interfered
+    field (``_field_terms``)."""
+    amp, grad, amp_grad_amp = _field_terms(pair, pt, vel, t, scattering, dipole)
+    c_sc, c_dip = _coefficients(atom, vel, amp, grad, ref)
+    fs = fd = _NO_FORCE
+    if scattering:
+        fs = c_sc * grad[0], c_sc * grad[1] if azimuthal else 0.0, c_sc * grad[2]
+    if dipole:
+        fd = [c_dip * (s * s * a) for a in amp_grad_amp]
+    return fs, fd
+
+
+def _run_constants(atom, pair, mode):
+    """(forces, ref, s): the force function of the ``_checked`` model
+    (``_reduced_forces`` or ``_full_forces``), the reference amplitude of
+    ``_pair_amp_ref`` and s = rabi_omega0 / ref.  A trajectory forms them
+    once per run."""
+    forces = _reduced_forces if _checked(pair, mode) == _REDUCED else _full_forces
+    ref = _pair_amp_ref(pair)
+    return forces, ref, atom.rabi_omega0 / ref
+
+
+def _forces(atom, pair, pt, vel, mode, t, scattering, dipole):
+    """Scattering and dipole forces of a pair at time t in the model
+    ``mode``, from one evaluation of each beam's mode, each stacked from
+    its triple as an array of shape (3,) + pt.shape, [rho, phi, z]."""
+    forces, ref, s = _run_constants(atom, pair, mode)
+    return tuple(_stacked(pt.shape, *f)
+                 for f in forces(atom, pair, pt, vel, t, scattering, dipole, ref, s))
 
 
 def scattering_force(atom, pair, pt, vel=None, mode="reduced", t=0.0):

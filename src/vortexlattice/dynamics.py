@@ -9,6 +9,8 @@ time, so the pattern of a frequency-offset pair turns and crawls under the
 atom.  The force model is "reduced" (the beams' forces added) or "full" (the
 interfered field); the scattering and dipole forces toggle independently and
 share each substage's mode evaluations, with optional velocity coupling.
+The model's force function, its constants and the toggles are read once per
+run (``_stage``), so a stage pays only for the forces the run asks for.
 """
 
 import math
@@ -17,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atom_forces import FORCE_MODELS, Velocity, _as_force, _forces, _run_constants, \
-    central_ring_radius, spring_constant_k0
+from .atom_forces import FORCE_MODELS, Velocity, _run_constants, central_ring_radius, \
+    spring_constant_k0
 # scattering_force and dipole_force are not called here; they stay module
 # attributes because perfbench/spans.py traces calls by rebinding these names
 from .atom_forces import dipole_force, scattering_force
@@ -76,14 +78,15 @@ class IntegratorConfig:
     sample_every: int = 1
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
-        if self.duration < self.step:
-            raise ValueError("duration must be at least one step")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
+        if not (self.step <= self.duration and self.duration / self.step < math.inf):
+            raise ValueError("duration must be at least one step and a finite number of steps")
         if self.force_model not in FORCE_MODELS:
             raise ValueError(f"force_model must be one of {FORCE_MODELS}")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+        every = self.sample_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+            raise ValueError("sample_every must be an integer >= 1")
 
 
 def trap_frequency(atom, pair):
@@ -99,31 +102,31 @@ def angular_momentum(atom, state):
     return atom.mass * (state.x * state.vy - state.y * state.vx)
 
 
-def _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz, run=None):
-    """The Cartesian force (fx, fy, fz) as floats at time t on an atom at
-    (x, y, z) with velocity (vx, vy, vz), from the cylindrical forces of
-    ``_forces`` (``run`` as there)."""
-    rho = math.hypot(x, y)
-    phi = math.atan2(y, x)
-    c, s = math.cos(phi), math.sin(phi)
-    pt = CylPoint(rho=rho, phi=phi, z=z)
-    vel = None
-    if cfg.velocity_coupling:
-        vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz)
+def _stage(atom, pair, cfg):
+    """The run's RK4 stage ``accel(t, x, y, z, vx, vy, vz)``: the
+    acceleration (ax, ay, az) as floats, from the cylindrical force triples
+    of the model's force function, which ``_run_constants`` picks once per
+    run with its constants.  A lone force is used as it is (0.0 + -0.0
+    would lose a sign of zero)."""
+    forces, ref, s_ref = _run_constants(atom, pair, cfg.force_model)
     scattering, dipole = cfg.include_scattering, cfg.include_dipole
-    # each force as its (rho, phi, z) triple of floats
-    fs, fd = _forces(atom, pair, pt, vel, cfg.force_model, t, scattering, dipole, run, True)
-    # the force not asked for is zeros, so a lone force is used as it is
-    # (0.0 + -0.0 would lose a sign of zero); a force given as a stacked
-    # array reads as floats too
-    f_rho, f_phi, f_z = _as_force(fs if scattering else fd, (), True)
-    if scattering:
-        if not cfg.include_azimuthal:
-            f_phi = 0.0
-        if dipole:
-            d_rho, d_phi, d_z = _as_force(fd, (), True)
-            f_rho, f_phi, f_z = f_rho + d_rho, f_phi + d_phi, f_z + d_z
-    return f_rho * c - f_phi * s, f_rho * s + f_phi * c, f_z
+    azimuthal, coupling = cfg.include_azimuthal, cfg.velocity_coupling
+    inv_m = 1.0 / atom.mass
+
+    def accel(t, x, y, z, vx, vy, vz):
+        rho = math.hypot(x, y)
+        phi = math.atan2(y, x)
+        c, s = math.cos(phi), math.sin(phi)
+        vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz) if coupling else None
+        fs, fd = forces(atom, pair, CylPoint(rho, phi, z), vel, t, scattering, dipole, ref,
+                        s_ref, azimuthal)
+        if scattering and dipole:
+            f_rho, f_phi, f_z = fs[0] + fd[0], fs[1] + fd[1], fs[2] + fd[2]
+        else:
+            f_rho, f_phi, f_z = fs if scattering else fd
+        return (f_rho * c - f_phi * s) * inv_m, (f_rho * s + f_phi * c) * inv_m, f_z * inv_m
+
+    return accel
 
 
 def _extents(pair):
@@ -170,13 +173,7 @@ def integrate(atom, pair, init, cfg):
     # order, y + (h / 2) k and y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), so
     # the samples are the same
     x, y, z, vx, vy, vz = (float(v) for v in init[1:])
-    inv_m = 1.0 / atom.mass
-    run = _run_constants(atom, pair, cfg.force_model)
-
-    def accel(t, x, y, z, vx, vy, vz):
-        fx, fy, fz = _force_cartesian(atom, pair, cfg, t, x, y, z, vx, vy, vz, run)
-        return fx * inv_m, fy * inv_m, fz * inv_m
-
+    accel = _stage(atom, pair, cfg)
     n_steps = max(1, round(cfg.duration / cfg.step))
     h = cfg.step
     half = 0.5 * h

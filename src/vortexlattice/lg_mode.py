@@ -3,7 +3,8 @@
 Evaluates the amplitude and phase of an LG beam with winding number l and
 radial index p, propagating along +z or -z with its focal plane anywhere on
 the axis.  All quantities are SI; angles are radians.  Every evaluation
-routine accepts scalars or broadcastable numpy arrays.
+routine accepts scalars or broadcastable numpy arrays; at a point of
+scalars it computes on floats, deciding that once per call (``_real``).
 """
 
 import functools
@@ -55,8 +56,8 @@ class BeamSpec:
     most 40, the range ``laguerre_poly`` is tested for.
 
     ``wavenumber``, ``rayleigh_range``, ``norm``, ``log_norm``,
-    ``log_scale`` and the envelope's w0^2 and sqrt(2 / |l|) / w0 are
-    computed once per instance; the spec is frozen, and
+    ``log_scale`` and the envelope's constants are computed once per
+    instance; the spec is frozen, and
     ``dataclasses.replace`` builds a new instance with its own values.
     """
 
@@ -101,16 +102,14 @@ class BeamSpec:
         return math.exp(self.log_norm)
 
     @functools.cached_property
-    def _w0_sq(self):
-        """w0^2, the envelope's w^2 at the focal plane."""
-        return self.waist_w0 * self.waist_w0
-
-    @functools.cached_property
-    def _rho_scale(self):
-        """sqrt(2 / |l|) / w0, the factor of rho in the envelope's log term;
-        0 for l = 0, which has no such term."""
+    def _envelope(self):
+        """What ``_amplitude`` reads, in one lookup: |l|, direction, focal_z,
+        z_R, w0^2, ``log_scale``, (|l| + 1) / 2, sqrt(2 / |l|) / w0 (0 for
+        l = 0, which has no rho term) and p."""
         l = abs(self.winding_l)
-        return math.sqrt(2.0 / l) / self.waist_w0 if l else 0.0
+        return (l, self.direction, self.focal_z, self.rayleigh_range, self.waist_w0 * self.waist_w0,
+                self.log_scale, 0.5 * (l + 1.0), math.sqrt(2.0 / l) / self.waist_w0 if l else 0.0,
+                self.radial_p)
 
     @functools.cached_property
     def log_scale(self):
@@ -230,20 +229,23 @@ def _stacked(shape, *entries):
     return out
 
 
-def _at(ufunc, x):
-    """ufunc(x), as a Python float for a float x.  numpy stays the one source
-    of the exponential, logarithm and arctangent, since math.exp, math.log
-    and math.atan differ from it in the last bit on some inputs; at a point
-    of scalars the arithmetic on the result then stays on floats, where an
-    operation is not a ufunc call."""
-    return float(ufunc(x)) if type(x) is float else ufunc(x)
+def _same(x):
+    return x
 
 
-def _times_exp(factor, log_env):
+def _real(pt):
+    """How a routine takes numpy's exp, log, arctan, sign, cos and sin at
+    pt, chosen once per call: as floats at a point of scalars (shape ()),
+    so that arithmetic on them is not a ufunc call, else as numpy returns
+    them.  numpy stays their one source: math's differ in the last bit."""
+    return _same if pt.shape else float
+
+
+def _times_exp(factor, log_env, real):
     """factor * exp(log_env) as sign(factor) exp(log_env + log|factor|), so
     that a large factor is not lost when exp(log_env) alone underflows;
-    exactly 0 where factor is 0."""
-    return _at(np.sign, factor) * _at(np.exp, log_env + _at(np.log, abs(factor) + (factor == 0.0)))
+    exactly 0 where factor is 0.  ``real`` is ``_real`` of the point."""
+    return real(np.sign(factor)) * real(np.exp(log_env + real(np.log(abs(factor) + (factor == 0.0)))))
 
 
 def _amplitude(beam, pt):
@@ -267,37 +269,38 @@ def _amplitude(beam, pt):
     rho > 0 mask zeroes the result.  An array with no such point skips the
     mask, since multiplying by 1 is exact.
     """
-    l = abs(beam.winding_l)
-    zl = _local_z(beam, pt.z)
-    u = zl / beam.rayleigh_range
+    real = _real(pt)
+    l, direction, focal_z, zr, w0_sq, log_scale, half_order, rho_scale, p = beam._envelope
+    zl = direction * (pt.z - focal_z)
+    u = zl / zr
     axial = 1.0 + u * u
-    w2 = beam._w0_sq * axial
+    w2 = w0_sq * axial
     rho = pt.rho
     # -rho^2 / w^2 first: numpy then adds the other terms into that
     # temporary, which has the broadcast shape of rho and z, in place
-    log_env = rho * rho / -w2 + (beam.log_scale - 0.5 * (l + 1.0) * _at(np.log, axial))
+    log_env = rho * rho / -w2 + (log_scale - half_order * real(np.log(axial)))
     # the factor that zeroes U on the axis: False for a scalar rho that is
     # not > 0, the rho > 0 mask for an array rho that holds such a point,
     # else None
     mask = None
     if l:
-        if isinstance(rho, np.ndarray):
-            scaled = rho * beam._rho_scale
+        if type(rho) is not float:
+            scaled = rho * rho_scale
             off_axis = rho > 0.0
             if not off_axis.all():
                 scaled += ~off_axis
                 mask = off_axis
             log_env += l * np.log(scaled)
         elif rho > 0.0:
-            log_env += l * _at(np.log, rho * beam._rho_scale)
+            log_env += l * real(np.log(rho * rho_scale))
         else:
             mask = False
-    if beam.radial_p:
-        lag = laguerre_poly(beam.radial_p, l, 2.0 * rho * rho / w2)
-        amplitude = _times_exp(lag, log_env)
+    if p:
+        lag = laguerre_poly(p, l, 2.0 * rho * rho / w2)
+        amplitude = _times_exp(lag, log_env, real)
     else:
         lag = None
-        amplitude = _at(np.exp, log_env)
+        amplitude = real(np.exp(log_env))
     if mask is not None:
         amplitude *= mask
     return amplitude, zl, rho, w2, lag, log_env
@@ -324,16 +327,17 @@ def mode_amplitude(beam, pt):
     return _amplitude(beam, pt)[0]
 
 
-def _row_phase(beam, zl, phi):
+def _row_phase(beam, zl, phi, real=_same):
     """Everything of the phase at local axial offset zl and angle phi but
     rho: the plane-wave, azimuthal and Gouy terms and the curvature
     kappa = k zl / (2 (zl^2 + z_R^2)), which times rho^2 is the
-    wavefront-curvature term.  On a separable block each is per row."""
+    wavefront-curvature term.  On a separable block each is per row.
+    ``real`` converts the Gouy arctangent (``_real`` of the point)."""
     k = beam.wavenumber
     zr = beam.rayleigh_range
     plane = k * zl
     azimuthal = beam.direction * beam.winding_l * phi
-    gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * _at(np.arctan, zl / zr)
+    gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * real(np.arctan(zl / zr))
     kappa = k * zl / (2.0 * (zl * zl + zr * zr))
     return plane, azimuthal, gouy, kappa
 
@@ -341,7 +345,7 @@ def _row_phase(beam, zl, phi):
 def _phase_parts(beam, zl, pt):
     """Plane-wave, azimuthal, Gouy and curvature terms of the phase at local
     axial offset zl; the curvature term is rho * rho * kappa."""
-    plane, azimuthal, gouy, kappa = _row_phase(beam, zl, pt.phi)
+    plane, azimuthal, gouy, kappa = _row_phase(beam, zl, pt.phi, _real(pt))
     return plane, azimuthal, gouy, pt.rho * pt.rho * kappa
 
 
@@ -406,7 +410,7 @@ def _jet(beam, pt):
     slope = 0.5 * (l - x)
     if p:
         slope = slope * lag - x * laguerre_poly(p - 1, l + 1, x)
-        x_dr = _times_exp(slope, log_env)
+        x_dr = _times_exp(slope, log_env, _real(pt))
         if l:
             x_dr *= rho > 0.0
     else:

@@ -44,6 +44,12 @@ def test_atom_spec_validation():
         AtomSpec(mass=NA_MASS, gamma=-1.0, detuning0=0.0, rabi_omega0=GAMMA)
     with pytest.raises(ValueError):
         AtomSpec(mass=NA_MASS, gamma=GAMMA, detuning0=0.0, rabi_omega0=-GAMMA)
+    # a non-finite parameter would make every force NaN without an error
+    valid = dict(mass=NA_MASS, gamma=GAMMA, detuning0=0.5 * GAMMA, rabi_omega0=GAMMA)
+    for name in valid:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                AtomSpec(**{**valid, name: bad})
 
 
 def test_vector_helpers():

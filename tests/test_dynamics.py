@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -48,6 +49,17 @@ def test_config_validation():
         IntegratorConfig(step=1e-6, duration=1e-3, force_model="other")
     with pytest.raises(ValueError):
         IntegratorConfig(step=1e-6, duration=1e-3, sample_every=0)
+    # non-finite steps, durations and step counts, and a sample interval
+    # that is not an integer, which n % sample_every would read as every
+    # 5th step
+    for step, duration in ((math.nan, 1e-3), (1e-6, math.nan), (1e-6, math.inf),
+                           (math.inf, math.inf), (-math.inf, 1e-3), (1e-300, 1e10)):
+        with pytest.raises(ValueError):
+            IntegratorConfig(step=step, duration=duration)
+    for every in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="sample_every"):
+            IntegratorConfig(step=1e-6, duration=1e-3, sample_every=every)
+    assert IntegratorConfig(step=1e-6, duration=1e-3, sample_every=np.int64(3)).sample_every == 3
 
 
 def test_trap_frequency_identity_and_degenerate():
@@ -201,8 +213,8 @@ def test_divergence_guard_catches_non_finite_state(monkeypatch, bad):
     atom = sodium()
     p = trap_pair()
     period = 2.0 * math.pi / trap_frequency(atom, p)
-    monkeypatch.setattr(dynamics, "_forces",
-                        lambda *args, **kwargs: (np.full(3, bad), np.zeros(3)))
+    monkeypatch.setattr(atom_forces, "_reduced_forces",
+                        lambda *args, **kwargs: ((bad, bad, bad), (0.0, 0.0, 0.0)))
     cfg = IntegratorConfig(step=period / 400, duration=period)
     with pytest.raises(DivergenceError, match="non-finite"):
         integrate(atom, p, on_ring_state(p), cfg)
@@ -244,18 +256,18 @@ def test_first_stage_force_is_taken_at_the_initial_time(monkeypatch):
     init = TrajectoryState(1.3e-6, rho * math.cos(0.3), rho * math.sin(0.3), 1e-7,
                            0.0, 0.0, 0.0)
     calls = []
-    forces = dynamics._forces
+    forces = atom_forces._full_forces
 
     def recording(*args):
         result = forces(*args)
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(dynamics, "_forces", recording)
+    monkeypatch.setattr(atom_forces, "_full_forces", recording)
     integrate(atom, p, init, dipole_full(1e-7, 1e-7))
     assert len(calls) == 4
     args, (_, fd) = calls[0]
-    pt, t = args[2], args[5]
+    pt, t = args[2], args[4]
     assert t == init.time
     want = dipole_force(atom, p, pt, mode="full", t=init.time)
     np.testing.assert_array_equal(fd, want)
@@ -298,8 +310,7 @@ def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dip
     cfg = IntegratorConfig(step=period / 400, duration=period, force_model=model,
                            velocity_coupling=True, include_scattering=scattering,
                            include_dipole=dipole)
-    _, _, fz = dynamics._force_cartesian(atom, p, cfg, 0.0,
-                                         *on_ring_state(p, v_z=0.01)[1:])
+    _, _, fz = dynamics._stage(atom, p, cfg)(0.0, *on_ring_state(p, v_z=0.01)[1:])
     assert counts == {"_jet": jets, "mode_amplitude": amplitudes}
     assert fz != 0.0
 
@@ -311,8 +322,8 @@ def test_reduced_scattering_stage_builds_no_array(monkeypatch, coupling, azimuth
     trap-reduced repeats and the full dipole-only stage trap-total repeats
     among them: in both models, with scattering, dipole or both, and with
     numpy.array, numpy.zeros, numpy.empty and both _stacked made to raise,
-    _force_cartesian returns the same three floats, bit for bit, as
-    unpatched, with the run constants given or not."""
+    the run's stage returns the same three floats, bit for bit, as
+    unpatched."""
     atom = sodium()
     p = trap_pair()
     period = 2.0 * math.pi / trap_frequency(atom, p)
@@ -323,9 +334,7 @@ def test_reduced_scattering_stage_builds_no_array(monkeypatch, coupling, azimuth
              for scattering, dipole in ((True, False), (False, True), (True, True))]
 
     def forces(cfg):
-        run = atom_forces._run_constants(atom, p, cfg.force_model)
-        return [dynamics._force_cartesian(atom, p, cfg, 1e-6, *state, *extra)
-                for extra in ((), (run,))]
+        return [dynamics._stage(atom, p, cfg)(1e-6, *state)]
 
     configs = [IntegratorConfig(step=period / 400, duration=period, force_model=model,
                                 velocity_coupling=coupling, include_scattering=scattering,
@@ -416,25 +425,30 @@ def _reference_forces(atom, pair, pt, vel, mode, t, scattering, dipole):
             sum(fd[1:], fd[0]) if fd else np.zeros((3,) + pt.shape))
 
 
-def _reference_integrate(atom, pair, init, cfg):
+def _reference_accel(atom, pair, cfg, t, state):
+    """The acceleration (ax, ay, az) of a stage at time t on the state
+    (x, y, z, vx, vy, vz), from the array forces summed as arrays."""
+    x, y, z, vx, vy, vz = state
+    rho = math.hypot(x, y)
+    phi = math.atan2(y, x)
+    c, s = math.cos(phi), math.sin(phi)
+    vel = None
+    if cfg.velocity_coupling:
+        vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz)
+    fs, fd = _reference_forces(atom, pair, CylPoint(rho=rho, phi=phi, z=z), vel,
+                               cfg.force_model, t, cfg.include_scattering,
+                               cfg.include_dipole)
+    if not cfg.include_azimuthal:
+        fs[1] = 0.0
+    f_rho, f_phi, f_z = (fs + fd).tolist()
     inv_m = 1.0 / atom.mass
+    return (f_rho * c - f_phi * s) * inv_m, (f_rho * s + f_phi * c) * inv_m, f_z * inv_m
 
+
+def _reference_integrate(atom, pair, init, cfg):
     def deriv(state, t):
-        x, y, z, vx, vy, vz = state
-        rho = math.hypot(x, y)
-        phi = math.atan2(y, x)
-        c, s = math.cos(phi), math.sin(phi)
-        vel = None
-        if cfg.velocity_coupling:
-            vel = Velocity(v_rho=vx * c + vy * s, v_phi=vy * c - vx * s, v_z=vz)
-        fs, fd = _reference_forces(atom, pair, CylPoint(rho=rho, phi=phi, z=z), vel,
-                                   cfg.force_model, t, cfg.include_scattering,
-                                   cfg.include_dipole)
-        if not cfg.include_azimuthal:
-            fs[1] = 0.0
-        f_rho, f_phi, f_z = (fs + fd).tolist()
-        return np.array([state[3], state[4], state[5], (f_rho * c - f_phi * s) * inv_m,
-                         (f_rho * s + f_phi * c) * inv_m, f_z * inv_m])
+        return np.array([state[3], state[4], state[5],
+                         *_reference_accel(atom, pair, cfg, t, state.tolist())])
 
     y = np.array(init[1:], dtype=float)
     n_steps = max(1, round(cfg.duration / cfg.step))
@@ -505,10 +519,12 @@ def reference_runs(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(run=reference_runs())
 def test_scalar_path_is_bit_identical_to_the_array_reference(run):
-    """integrate's samples, and the scalar and array forces of both models
-    with every toggle, equal the array-state reference under np.array_equal:
-    the float RK4 state and the per-component reduced sum keep each
-    product's association, so no tolerance is needed."""
+    """integrate's samples, the scalar and array forces of both models with
+    every toggle, and the run's stage (``dynamics._stage``) with and without
+    velocity coupling and the azimuthal force, equal the array-state
+    reference under np.array_equal: the float RK4 state and the
+    per-component reduced sum keep each product's association, so no
+    tolerance is needed."""
     atom, pair, init, cfg = run
     got = _outcome(integrate, atom, pair, init, cfg)
     want = _outcome(_reference_integrate, atom, pair, init, cfg)
@@ -517,14 +533,22 @@ def test_scalar_path_is_bit_identical_to_the_array_reference(run):
     else:
         assert np.array_equal(np.array(got), np.array(want))
     rho = math.hypot(init.x, init.y)
-    for pt in (CylPoint(rho=rho, phi=math.atan2(init.y, init.x), z=init.z),
-               CylPoint(rho=np.array([0.0, rho, 2.0 * rho]), phi=0.3, z=init.z)):
-        for vel in (None, Velocity(init.vx, init.vy, init.vz)):
-            for mode in atom_forces.FORCE_MODELS:
-                for scattering, dipole in ((True, False), (False, True), (True, True)):
+    for mode in atom_forces.FORCE_MODELS:
+        for scattering, dipole in ((True, False), (False, True), (True, True)):
+            for pt in (CylPoint(rho=rho, phi=math.atan2(init.y, init.x), z=init.z),
+                       CylPoint(rho=np.array([0.0, rho, 2.0 * rho]), phi=0.3, z=init.z)):
+                for vel in (None, Velocity(init.vx, init.vy, init.vz)):
                     args = (atom, pair, pt, vel, mode, init.time, scattering, dipole)
                     assert _same(_outcome(atom_forces._forces, *args),
                                  _outcome(_reference_forces, *args)), (mode, scattering, dipole)
+            for coupling in (False, True):
+                for azimuthal in (True, False):
+                    kind = dataclasses.replace(cfg, force_model=mode, velocity_coupling=coupling,
+                                               include_scattering=scattering,
+                                               include_dipole=dipole, include_azimuthal=azimuthal)
+                    got = _outcome(lambda: dynamics._stage(atom, pair, kind)(init.time, *init[1:]))
+                    want = _outcome(_reference_accel, atom, pair, kind, init.time, init[1:])
+                    assert _same(got, want), (mode, scattering, dipole, coupling, azimuthal)
 
 
 def spinning_states(spins):

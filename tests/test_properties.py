@@ -22,11 +22,13 @@ from vortexlattice.atom_forces import (FORCE_MODELS, AtomSpec, Velocity, _field_
                                        dipole_force, dipole_potential, scattering_force,
                                        spring_constant_k0)
 from test_superpose import full_grid_points
-from vortexlattice import superpose
+from vortexlattice import dynamics, superpose
 from vortexlattice.constants import HBAR
 from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, _local_z, _phase_parts,
                                    mode_amplitude, mode_jet, mode_phase, waist_at)
-from vortexlattice.errors import DarkPointError, DegenerateGeometryError, VortexLatticeError
+from vortexlattice.dynamics import IntegratorConfig, TrajectoryState, integrate
+from vortexlattice.errors import (DarkPointError, DegenerateGeometryError, DivergenceError,
+                                  VortexLatticeError)
 from vortexlattice.ring_analysis import find_rings
 from vortexlattice.superpose import (BLOCK_POINTS, DARK_FRACTION, GridSpec, PairSpec,
                                      pair_complex, total_amplitude, total_phase)
@@ -320,6 +322,64 @@ def test_forces_and_spring_constant_are_finite_to_l_1000(case, vel, dipole_atom)
             forces = _forces(atom, pair, pt, vel, model, t, True, False)
         for f in forces:
             assert np.all(np.isfinite(f))
+
+
+@st.composite
+def wide_runs(draw):
+    """A short run in a pair with |l1|, |l2| <= 1000 and p <= 40, one beam
+    possibly dark, with a frequency offset or none; a blue or red atom; a
+    start from the axis out to 20 ring radii within 3 z_R of either focus,
+    with a small velocity; either model with every toggle drawn, and a step
+    inside both step gates."""
+    w0 = draw(st.floats(2.0, 12.0)) * WAVELENGTH
+    zr = math.pi * w0 ** 2 / WAVELENGTH
+    l1, l2 = draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))
+    p = draw(st.integers(0, 40))
+    amp1, amp2 = draw(st.sampled_from([(1.0, 1.0), (0.6, 1.3), (0.0, 1.0), (1.0, 0.0)]))
+    d = draw(st.floats(0.0, 3.0)) * zr
+    pair = PairSpec(WAVELENGTH, w0, l1=l1, l2=l2, separation_d=d, radial_p=p, amp1=amp1,
+                    amp2=amp2, delta_omega=draw(st.sampled_from([0.0, 2.0 * math.pi * 1e4])))
+    atom = dataclasses.replace(ATOM, detuning0=draw(st.sampled_from([0.5, -2.0])) * GAMMA)
+    periods = [2.0 * math.pi / pair.delta_omega] if pair.delta_omega else [1e-4]
+    k0 = spring_constant_k0(atom, pair)
+    if k0 > 0.0:
+        periods.append(2.0 * math.pi / math.sqrt(k0 / atom.mass))
+    step = min(periods) / 400.0
+    cfg = IntegratorConfig(step=step, duration=draw(st.integers(1, 4)) * step,
+                           force_model=draw(st.sampled_from(FORCE_MODELS)),
+                           velocity_coupling=draw(st.booleans()),
+                           include_scattering=draw(st.booleans()),
+                           include_dipole=draw(st.booleans()),
+                           include_azimuthal=draw(st.booleans()))
+    z_hi = 0.5 * d + 3.0 * zr
+    ring = math.sqrt(0.5 * max(abs(l1), abs(l2), 1) + p) * waist_at(pair.beam1, d + 3.0 * zr)
+    rho = draw(st.just(0.0) | st.floats(0.0, 20.0).map(lambda f: f * ring))
+    phi = draw(st.floats(-math.pi, math.pi))
+    init = TrajectoryState(0.0, rho * math.cos(phi), rho * math.sin(phi),
+                           draw(st.floats(-z_hi, z_hi)),
+                           *(draw(st.floats(-0.1, 0.1)) for _ in range(3)))
+    return atom, pair, init, cfg
+
+
+@SETTINGS
+@given(run=wide_runs())
+def test_short_trajectories_are_finite_to_l_1000(run):
+    """A few RK4 steps in either model, with every toggle, at |l| <= 1000
+    and p <= 40 give finite samples with no warning (warnings are errors),
+    or a typed refusal: the atom left the beam region (DivergenceError), or
+    the full model's Doppler-shifted dipole force met a dark point
+    (DarkPointError).  The guard's other refusal, a state that stopped
+    being finite, must not happen: every force here is finite."""
+    atom, pair, init, cfg = run
+    try:
+        states = integrate(atom, pair, init, cfg)
+    except DivergenceError as exc:
+        assert "left the beam region" in str(exc)
+        return
+    except DarkPointError:
+        assert cfg.force_model == "full" and cfg.include_dipole and cfg.velocity_coupling
+        return
+    assert np.all(np.isfinite(np.array(states)))
 
 
 @SETTINGS
@@ -834,13 +894,37 @@ def _result_or_error(fn, *args):
         return DarkPointError
 
 
+def _stage_of_one_point_arrays(pair, cfg, t, state):
+    """What a run's stage gives at the state (x, y, z, vx, vy, vz), built
+    from _forces at the stage's point as shape-(1,) arrays: the azimuthal
+    scattering force zeroed without include_azimuthal, a lone force used
+    as it is, and the cylindrical force turned into a Cartesian
+    acceleration."""
+    x, y, z, vx, vy, vz = state
+    rho, phi = math.hypot(x, y), math.atan2(y, x)
+    c, s = math.cos(phi), math.sin(phi)
+    vel = Velocity(vx * c + vy * s, vy * c - vx * s, vz) if cfg.velocity_coupling else None
+    pt = CylPoint(rho=np.array([rho]), phi=np.array([phi]), z=np.array([z]))
+    fs, fd = _forces(ATOM, pair, pt, vel, cfg.force_model, t, cfg.include_scattering,
+                     cfg.include_dipole)
+    if not cfg.include_azimuthal:
+        fs[1] = 0.0
+    f = fs + fd if cfg.include_scattering and cfg.include_dipole else \
+        fs if cfg.include_scattering else fd
+    f_rho, f_phi, f_z = f[:, 0].tolist()
+    inv_m = 1.0 / ATOM.mass
+    return (f_rho * c - f_phi * s) * inv_m, (f_rho * s + f_phi * c) * inv_m, f_z * inv_m
+
+
 @SETTINGS
 @given(case=scalar_cases())
 def test_a_scalar_point_gives_the_bits_of_a_one_point_array(case):
     """The scalar branches (the point's float path, the envelope's rho test,
     the force stack and the phase slope) give exactly what the array code
     gives for the same point: mode_amplitude, mode_jet, both models' _forces
-    with every toggle, and _phase_slope, strict or not."""
+    with every toggle, _phase_slope, strict or not, and a run's stage
+    (dynamics._stage) of either model with every toggle, signs of zero
+    included."""
     pair, (rho, phi, z), t, vel = case
     array = CylPoint(rho=np.array([rho]), phi=np.array([phi]), z=np.array([z]))
     for scalar in (CylPoint(rho=rho, phi=phi, z=z),
@@ -861,6 +945,19 @@ def test_a_scalar_point_gives_the_bits_of_a_one_point_array(case):
             got = _result_or_error(_phase_slope, *_pair_gradient(pair, scalar, t), strict)
             want = _result_or_error(_phase_slope, *_pair_gradient(pair, array, t), strict)
             assert got is want if want is DarkPointError else _one_point_bits(got, want)
+    state = (rho * math.cos(phi), rho * math.sin(phi), z,
+             *((vel.v_rho, vel.v_phi, vel.v_z) if vel else (0.0, 0.0, 0.0)))
+    for mode in FORCE_MODELS:
+        for scattering, dipole in ((True, False), (False, True), (True, True)):
+            for azimuthal in (True, False):
+                cfg = IntegratorConfig(step=1e-7, duration=1e-7, force_model=mode,
+                                       velocity_coupling=vel is not None,
+                                       include_scattering=scattering, include_dipole=dipole,
+                                       include_azimuthal=azimuthal)
+                got = _result_or_error(lambda: dynamics._stage(ATOM, pair, cfg)(t, *state))
+                want = _result_or_error(_stage_of_one_point_arrays, pair, cfg, t, state)
+                assert got is want if want is DarkPointError else \
+                    np.array(got).tobytes() == np.array(want).tobytes(), (mode, scattering, dipole)
 
 
 def complex_field_terms(jets):
