@@ -7,14 +7,13 @@ the comparison of detected rings with them, and the rotation/drift
 measurements for frequency-offset pairs.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .atom_forces import central_ring_radius
+from .atom_forces import _field_terms, central_ring_radius
 from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
 from .lg_mode import CylPoint, _local_z, _row_phase, mode_jet
 # intensity_map is not called here; it stays a module attribute because
@@ -36,19 +35,14 @@ __all__ = [
     "suggested_sample_dt",
 ]
 
-# Peak prominence threshold relative to the strongest ridge value; data are
-# noise-free so this only rejects float-level wiggles
-RIDGE_PROMINENCE = 1e-6
-
-# Secondary radial maxima must reach these fractions of the row maximum to
-# count as a resolved double-ring partner
+# A double-ring partner's least rise above the valley and height, as
+# fractions of its ring's intensity (find_rings)
 SPLIT_PROMINENCE = 0.05
 SPLIT_HEIGHT = 0.10
 
-# A coarse local maximum of a row gets a fine window when it reaches this
-# fraction of the row's coarse maximum; the lobe holding the row maximum is
-# sampled at nearly its top (see find_rings), far above it
-LOBE = 0.5
+# A polish ends below this next step, in grid cells, or fails (_polish)
+POLISH_TOL = 1e-6
+POLISH_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -91,76 +85,32 @@ class RingSet:
         }
 
 
-def _find_peaks(values, prominence=None, height=None):
-    """Peaks of each row of a finite (rows, n) array, as the (row, column)
-    index arrays of the kept peaks in row-major order; for a 1-D array, the
-    columns of the one row.
-
-    A peak is a strict local maximum; a flat plateau counts once, at its
-    middle index (rounded down), and a sample or plateau touching either
-    end of its row is never a peak.  ``height`` and ``prominence`` are None,
-    one threshold, or one per row (-inf keeps every peak).  ``height`` keeps
-    peaks whose value is >= it.  ``prominence`` keeps peaks whose
-    prominence is >= it: the peak value minus the higher of its two bases,
-    each base being the minimum from the peak out to the nearest strictly
-    higher sample on that side, or to the row's end.
-    """
+def _find_peaks(values):
+    """Indices, in increasing order, of the peaks of a finite 1-D array, as
+    scipy.signal.find_peaks defines them: a peak is a strict local maximum;
+    a flat plateau counts once, at its middle index (rounded down), and a
+    sample or plateau touching either end is never a peak."""
     x = np.asarray(values, dtype=float)
-    one_row = x.ndim == 1
-    x = np.atleast_2d(x)
-    # inner[r, c] marks a peak at column c + 1 of row r; boolean masks
-    # only, as a map-sized float temporary would grow the heap
-    inner = x[:, 1:-1] > x[:, :-2]
-    inner &= x[:, 1:-1] > x[:, 2:]
-    for r in np.flatnonzero((x[:, 1:] == x[:, :-1]).any(axis=1)):
-        # collapse each run of equal samples to one, then map back to the
-        # run's middle index
-        starts = np.flatnonzero(np.concatenate(([True], x[r, 1:] != x[r, :-1])))
-        level = x[r, starts]
-        runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
-        inner[r] = False
-        inner[r, (starts[runs] + starts[runs + 1] - 1) // 2 - 1] = True
-    rows, cols = np.divmod(np.flatnonzero(inner), max(inner.shape[1], 1))
-    cols += 1
-    top = x[rows, cols]
-    if height is not None:
-        keep = top >= np.broadcast_to(height, x.shape[:1])[rows]
-        rows, cols, top = rows[keep], cols[keep], top[keep]
-    if prominence is not None and rows.size:
-        prominence = np.broadcast_to(prominence, x.shape[:1])[rows]
-        # a base reaches at least down to the valley between the peak and
-        # its neighbouring peak (or its row's end), so the prominence is at
-        # least the peak minus the higher of those two valleys; one segment
-        # starts at each row start and at each peak, so peak k's valleys are
-        # segments k + rows[k] and the one after.  Only a peak this lower
-        # bound does not clear needs the walk to the nearest higher sample
-        n = x.shape[1]
-        valley = np.minimum.reduceat(
-            x.ravel(), np.sort(np.concatenate((np.arange(x.shape[0]) * n, rows * n + cols))))
-        left = np.arange(rows.size) + rows
-        keep = top - np.maximum(valley[left], valley[left + 1]) >= prominence
-        for k in np.flatnonzero(~keep):
-            row, p = x[rows[k]], cols[k]
-            higher = np.flatnonzero(row[:p] > top[k])
-            base_l = row[higher[-1] + 1 if higher.size else 0:p + 1].min()
-            higher = np.flatnonzero(row[p:] > top[k])
-            base_r = row[p:p + higher[0] if higher.size else n].min()
-            keep[k] = top[k] - max(base_l, base_r) >= prominence[k]
-        rows, cols = rows[keep], cols[keep]
-    return cols if one_row else (rows, cols)
+    step = np.diff(x)
+    if step.all():
+        return np.flatnonzero((step[:-1] > 0.0) & (step[1:] < 0.0)) + 1
+    # collapse each run of equal samples to one, then map back to the run's
+    # middle index
+    starts = np.flatnonzero(np.concatenate(([True], step != 0.0)))
+    level = x[starts]
+    runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    return (starts[runs] + starts[runs + 1] - 1) // 2
 
 
-def _refine_row(axis, values, *idx):
+def _refine_row(axis, values, col):
     """(positions, values) of the vertices of the parabolas through the
-    samples c - 1, c, c + 1 of ``values`` along its last axis, which lies on
-    the equally spaced ``axis``, at the index arrays ``idx`` (one per axis
-    of values; c is the last): within half a cell of axis[c] at a local
-    maximum, and the sample itself at either end or where not concave."""
-    col = idx[-1]
-    n = values.shape[-1]
+    samples col - 1, col, col + 1 of the 1-D ``values`` on the equally
+    spaced ``axis``, col an index or an index array: within half a cell of
+    axis[col] at a local maximum, and the sample itself at either end or
+    where not concave."""
+    n = values.size
     lo, hi = np.maximum(col - 1, 0), np.minimum(col + 1, n - 1)
-    x0, y0 = axis[col], values[idx]
-    y_lo, y_hi = values[idx[:-1] + (lo,)], values[idx[:-1] + (hi,)]
+    x0, y0, y_lo, y_hi = axis[col], values[col], values[lo], values[hi]
     den = y_lo - 2.0 * y0 + y_hi
     fit = (col > 0) & (col < n - 1) & (den < 0.0)
     den = np.where(fit, den, -1.0)
@@ -198,45 +148,99 @@ def _coarse_stride(pair, region):
     return max(1, min(int(h / region.spacing1), region.axis1.size - 1))
 
 
+def _polish(pair, region, start, lo, hi, cells, sign=1.0):
+    """Maxima of sign * I, I = |E|^2 at the region's phi and time, near the
+    (2, n) (rho, z) points ``start``, each within its bounds ``lo`` and
+    ``hi`` (z fixed where they are equal): rows (rho, z, I, last), where
+    ``last``, the next step in grid cells, fell below POLISH_TOL on both
+    axes, that step taken; else ``last`` is inf (no end in POLISH_ROUNDS,
+    or a step past the z bounds, which hold no maximum then).
+
+    In coarse cells (``cells``), the first step is a quarter cell towards
+    the farther bound.  Each round reads grad I = 2 Re(E* grad E) from the
+    closed-form jets at x + d, (x_rho, x_z + d_z) and (x_rho + d_rho, x_z):
+    a secant column of the slope matrix H per axis.  A trial lower than x
+    beyond rounding is refused and the trust radius T shrinks, else it may
+    grow to 4.  The step solves (H - mu) s = -g with mu = 0 (the secant
+    Newton step) where H is negative definite and that step is within T,
+    else with mu = max(eig H, 0) + |g| / T, which keeps |s| <= T."""
+    cell = np.array(cells)[:, None]
+    fine = np.array([[region.spacing1], [region.spacing2]]) / cell
+    x, lo, hi = start / cell, lo / cell, hi / cell
+    d = np.clip(np.where(hi - x >= x - lo, 0.25, -0.25), lo - x, hi - x)
+    out, state = np.full((4, x.shape[1]), np.inf), np.zeros((10, x.shape[1]))
+    # state rows: index, sign, T, sign * I and its slope at x, H's columns
+    state[0], state[1], state[2] = np.arange(x.shape[1]), sign, 1.0
+    axial = lo[1] != hi[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rounds in range(POLISH_ROUNDS):
+            if not (m := x.shape[1]):
+                break
+            live, sgn, radius, value = state[:4]
+            trial = x + d
+            pts = np.concatenate((trial, [x[0], trial[1]], [trial[0], x[1]]), axis=1)
+            pt = CylPoint(rho=pts[0] * cell[0], phi=region.phi, z=pts[1] * cell[1])
+            amp, _, grad = _field_terms(pair, pt, None, region.time, scattering=False, dipole=True)
+            slope = (2.0 * np.array([grad[0], grad[2]]) * cell).reshape(2, -1, m) * sgn
+            for axis in (0, 1):
+                moved = np.abs(d[axis]) >= 1e-4 * fine[axis]
+                state[6 + 2 * axis:8 + 2 * axis, moved] = \
+                    ((slope[:, 0] - slope[:, 1 + axis]) / d[axis])[:, moved]
+            i = sgn * amp[:m] * amp[:m]
+            better = i - value >= -1e-12 * np.abs(value) if rounds else np.ones(m, dtype=bool)
+            size = np.max(np.abs(d), axis=0)
+            radius[:] = np.where(better, np.minimum(np.maximum(2.0 * size, radius), 4.0), size / 4)
+            x[:, better], value[better] = trial[:, better], i[better]
+            state[4:6, better] = slope[:, 0, better]
+            gu, gv = state[4], state[5] * axial
+            a, b = state[6], 0.5 * (state[7] + state[8]) * axial
+            c = np.where(axial, state[9], -1.0)
+            top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+            norm = np.hypot(gu, gv)
+            s = np.array([b * gv - c * gu, b * gu - a * gv]) / (a * c - b * b)
+            mu = np.where((top < 0.0) & (np.max(np.abs(s), axis=0) <= radius), 0.0,
+                          np.maximum(top, 0.0) + norm / radius)
+            a, c = a - mu, c - mu
+            s = np.where(norm > 0.0, [b * gv - c * gu, b * gu - a * gv] / (a * c - b * b), 0.0)
+            # a point on its z bound that would step past it
+            past = ((x[1] == lo[1]) & (s[1] < 0.0)) | ((x[1] == hi[1]) & (s[1] > 0.0))
+            d = np.clip(s, lo - x, hi - x)
+            last = np.max(np.abs(d) / fine, axis=0)
+            done = last < POLISH_TOL
+            k = live[done].astype(int)
+            out[:, k] = np.r_[(x + d)[:, done] * cell, [sgn[done] * value[done], last[done]]]
+            keep = ~(done | past)
+            if not keep.all():
+                x, d, lo, hi, axial, state = (v[..., keep] for v in (x, d, lo, hi, axial, state))
+    return out
+
+
 def find_rings(pair, region):
-    """Detect the bright rings of the pair's interference pattern.
+    """The bright rings of the pair's interference pattern: maxima of
+    I = |E|^2, located between grid points.  ``region`` must be a "rho_z"
+    GridSpec covering |z| <= d/2 with axial spacing <= lambda/20 and radial
+    spacing <= w0/100, else ResolutionError.
 
-    ``region`` must be a "rho_z" GridSpec covering |z| <= d/2 with axial
-    spacing <= lambda/20 and radial spacing <= w0/100, otherwise a
-    ResolutionError is raised.  The intensity is that of the one kernel
-    entry ``_pair_intensity_at``, (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2),
-    evaluated only where a ring can be, in three stages on the region's own
-    grid points:
+    1. A coarse scan, ``_pair_intensity_at`` on the region's own points at
+       every k-th row (the most with k dz <= lambda/8, 4 per fringe) and
+       every s-th column (``_coarse_stride``, about 8 per radial lobe), the
+       first and last row and column always in: a map that is not finite
+       raises DegenerateGeometryError, as x = 2 rho^2 / w^2 and any overflow
+       of the Laguerre factor are largest in the last column.
+    2. Each 2-D local maximum of that map (ties kept) seeds a ``_polish``
+       of grad I = 0 in (rho, z), z within its neighbouring coarse rows;
+       one that does not end there is dropped, repeats count once.
+    3. A maximum is a ring when no coarse sample of its row (its z) and no
+       other radial maximum there, polished in rho, is brighter.
 
-    1. a coarse scan: every row at every s-th column (the first and the last
-       always included), s from ``_coarse_stride``;
-    2. fine windows: in each row, each coarse local maximum that reaches
-       LOBE of the coarse row maximum gets the fine columns of its two
-       neighbouring coarse cells;
-    3. peak rows: each row that holds a ring, in full.
-
-    The stride puts about 8 coarse cells across every radial lobe of the
-    row profile.  A row's highest lobe is then sampled within half a cell of
-    its top, at nearly the top's value and so above LOBE of the coarse row
-    maximum, and the coarse samples rise towards the top from both sides:
-    the higher of the two coarse samples around the top is a coarse local
-    maximum, and its window holds the top.  The ridge (each row's maximum)
-    is therefore the full map's, bit for bit, and so is everything read
-    from it: along each z row the radial maximum is refined by a parabolic
-    fit; local maxima of that ridge along z give the rings, again refined
-    parabolically.  The fringe spacing is the median gap between adjacent
-    rings near the midplane (|z| <= d/4), or between all rings when no two
-    adjacent ones lie there (always at d = 0).
-    The ring nearest z = 0 is classified "central" when it sits within half
-    a fringe of the midplane; every other ring belongs to a double-ring pair
-    and its radial splitting is recorded where a second radial maximum is
-    resolved; both searches and every refinement run on all peak rows at
-    once.  The scan holds each row's last column, where x = 2 rho^2 / w^2
-    and any overflow of the Laguerre factor are largest, so a map that is not
-    finite raises DegenerateGeometryError as the full map would.
-
-    Raises RingDetectionError when no interference maxima exist in the
-    region.
+    The ring nearest z = 0 is "central" within half a fringe of the
+    midplane, every other a member of a double-ring pair.  The fringe
+    spacing is the median gap between adjacent rings within |z| <= d/4, or
+    between all rings where no two adjacent ones lie there (as at d = 0).
+    A ring splits where the brightest other radial maximum of its row (by
+    the scan), polished, reaches SPLIT_HEIGHT of the ring and rises
+    SPLIT_PROMINENCE of it above the polished minimum between the two.
+    Raises RingDetectionError when there are no maxima.
     """
     b = pair.beam1
     if region.kind != "rho_z":
@@ -252,42 +256,57 @@ def find_rings(pair, region):
     if region.axis2[0] > -half_d + dz or region.axis2[-1] < half_d - dz:
         raise ResolutionError("region must cover |z| <= d/2 between the foci")
 
-    z_axis, rho_axis = region.axis2, region.axis1
-    n1 = rho_axis.size
-    s = _coarse_stride(pair, region)
-    cols = np.arange(0, n1 + s - 1, s)
-    cols[-1] = n1 - 1
-    coarse = _pair_intensity_at(pair, region, rho_axis[None, cols], z_axis[:, None])
-    ridge_val = coarse.max(axis=1)
-    # coarse local maxima reaching LOBE of their row's coarse maximum; a
-    # window spans the coarse cells on both sides of its maximum, so cell c,
-    # between columns cols[c] and cols[c + 1], is refined where either end
-    # is such a maximum
-    lobe = coarse >= LOBE * ridge_val[:, None]
-    lobe[:, 1:] &= coarse[:, 1:] >= coarse[:, :-1]
-    lobe[:, :-1] &= coarse[:, :-1] >= coarse[:, 1:]
-    cell_rows, cells = np.divmod(np.flatnonzero(lobe[:, :-1] | lobe[:, 1:]), cols.size - 1)
-    # the coarse map, the finder's largest array, is freed before the
-    # windows are made, so they reuse its memory (see BLOCK_POINTS)
-    del coarse, lobe
-    if s > 1 and cells.size:
-        # the s - 1 fine columns inside each cell, shifted left where the
-        # last cell is narrower
-        first = np.minimum(cols[:-1] + 1, n1 - s + 1)
-        cell_rho = rho_axis[first[:, None] + np.arange(s - 1)]
-        fine = _pair_intensity_at(pair, region, cell_rho[cells], z_axis[cell_rows, None])
-        # column by column: numpy reduces a short last axis slowly
-        np.maximum.at(ridge_val, cell_rows, functools.reduce(np.maximum, fine.T))
+    s, k = _coarse_stride(pair, region), max(1, int(b.wavelength / 8.0 / dz))
+    z_c, rho_c = (ax[np.r_[0:ax.size - 1:st, ax.size - 1]]
+                  for ax, st in ((region.axis2, k), (region.axis1, s)))
+    coarse = _pair_intensity_at(pair, region, rho_c[None, :], z_c[:, None])
+    cells = (s * drho, k * dz)
+    n_z, n_rho = coarse.shape
+    seed = coarse > 0.0
+    for dr, dc in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        r0, c0 = max(-dr, 0), max(-dc, 0)
+        r1, c1 = n_z - max(dr, 0), n_rho - max(dc, 0)
+        seed[r0:r1, c0:c1] &= coarse[r0:r1, c0:c1] >= coarse[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
+    r, c = np.nonzero(seed)
+    out = _polish(pair, region, np.array([rho_c[c], z_c[r]]),
+                  np.array([np.full(r.size, rho_c[0]), z_c[np.maximum(r - 1, 0)]]),
+                  np.array([np.full(r.size, rho_c[-1]), z_c[np.minimum(r + 1, n_z - 1)]]), cells)
+    # the ended maxima, sorted by z, then rho, each once
+    out = out[:, np.isfinite(out[3])]
+    rho_v, z_v, i_v, _ = out[:, np.lexsort(out[:2])]
+    again = (np.abs(np.diff(z_v)) <= 1e-3 * dz) & (np.abs(np.diff(rho_v)) <= 1e-3 * drho)
+    rho_v, z_v, i_v = (v[np.r_[True, ~again][:v.size]] for v in (rho_v, z_v, i_v))
 
-    peak_rows = _find_peaks(ridge_val, prominence=RIDGE_PROMINENCE * ridge_val.max())
-    if peak_rows.size == 0:
+    # each maximum's row at the coarse columns: its other radial maxima (off
+    # its own lobe) that could be brighter or its partner, the brightest of
+    # them by the scan, and the minimum between the two, polished in rho
+    profiles = _pair_intensity_at(pair, region, rho_c[None, :], z_v[:, None])
+    inner = profiles[:, 1:-1]
+    m, c = np.nonzero((inner >= profiles[:, :-2]) & (inner >= profiles[:, 2:])
+                      & (inner >= 0.5 * SPLIT_HEIGHT * i_v[:, None])
+                      & (np.abs(rho_c[1:-1] - rho_v[:, None]) > cells[0]))
+    order = np.lexsort((profiles[m, c + 1], m))
+    m, c = m[order], c[order] + 1
+    partner = np.flatnonzero(np.r_[m[1:] != m[:-1], True][:m.size])
+    p = m[partner]
+    r_in = np.minimum(rho_v[p], rho_c[c[partner]])
+    r_out = np.maximum(rho_v[p], rho_c[c[partner]])
+    low = np.argmin(np.where((rho_c > r_in[:, None]) & (rho_c < r_out[:, None]), profiles[p],
+                             np.inf), axis=1)
+    low = np.where((rho_c[low] > r_in) & (rho_c[low] < r_out), rho_c[low], 0.5 * (r_in + r_out))
+    rows, sign = np.r_[m, p], np.repeat([1.0, -1.0], [m.size, p.size])
+    rho_m, _, i_m, _ = _polish(pair, region, np.array([np.r_[rho_c[c], low], z_v[rows]]),
+                               np.array([np.r_[rho_c[c - 1], r_in], z_v[rows]]),
+                               np.array([np.r_[rho_c[c + 1], r_out], z_v[rows]]), cells, sign)
+    i_low, rho_m, i_m = i_m[m.size:], rho_m[:m.size], i_m[:m.size]
+    # a ring is its row's brightest point: a sample beats it only by more
+    # than the rounding that parts the two intensities
+    ring = profiles.max(axis=1) <= i_v * (1.0 + 1e-9)
+    ring[m[i_m > i_v[m]]] = False
+    if not ring.any():
         raise RingDetectionError("no interference maxima found in the region")
-    profiles = _pair_intensity_at(pair, region, rho_axis[None, :], z_axis[peak_rows, None])
-    ring = np.arange(peak_rows.size)
-    z_vals, i_vals = _refine_row(z_axis, ridge_val, peak_rows)
-    rho_vals, _ = _refine_row(rho_axis, profiles, ring, np.argmax(profiles, axis=1))
-    # peak rows ascend two or more apart, so the refined z ascend too
 
+    z_vals = z_v[ring]
     if z_vals.size >= 2:
         gaps = np.diff(z_vals)
         near = (np.abs(z_vals[:-1]) <= 0.5 * half_d) & (np.abs(z_vals[1:]) <= 0.5 * half_d)
@@ -301,34 +320,15 @@ def find_rings(pair, region):
     central = nearest if abs(z_vals[nearest]) <= central_tol else -1
     rings = [Ring(z_pos=z, radius=rho, peak_intensity=i,
                   classification="central" if n == central else "double")
-             for n, (z, rho, i) in enumerate(zip(z_vals.tolist(), rho_vals.tolist(),
-                                                 i_vals.tolist()))]
+             for n, (z, rho, i) in enumerate(zip(z_vals.tolist(), rho_v[ring].tolist(),
+                                                 i_v[ring].tolist()))]
 
-    # the two highest radial maxima of every other row with two or more;
-    # sorted by row, then value, each row's top two end its run
-    top = profiles.max(axis=1)
-    rows, cols = _find_peaks(profiles, prominence=SPLIT_PROMINENCE * top,
-                             height=SPLIT_HEIGHT * top)
-    keep = rows != central
-    rows, cols = rows[keep], cols[keep]
-    vals = profiles[rows, cols]
-    order = np.lexsort((vals, rows))
-    cols, vals = cols[order], vals[order]
-    count = np.bincount(rows, minlength=ring.size)
-    split = np.flatnonzero(count >= 2)
-    end = np.cumsum(count)[split]
-    pick = cols[end[:, None] - [2, 1]]
-    # where the second value ties the third, which two win is up to how
-    # np.argsort orders equal values, and that varies with the platform's
-    # sort kernel, so those rows are ranked by np.argsort itself
-    tied = (count[split] >= 3) & (vals[end - 2] == vals[end - 3])
-    for k in np.flatnonzero(tied):
-        cand = np.sort(cols[end[k] - count[split[k]]:end[k]])
-        pick[k] = cand[np.argsort(profiles[split[k], cand])[-2:]]
-    radii = np.sort(_refine_row(rho_axis, profiles, split[:, None], pick)[0], axis=1)
-    splittings = [RingSplit(z_pos=z, delta_rho=outer - inner, r_inner=inner, r_outer=outer)
-                  for z, (inner, outer) in zip(z_vals[split].tolist(), radii.tolist())]
-
+    top, rho_p, i_p = i_v[p], rho_m[partner], i_m[partner]
+    split = ring[p] & (i_p >= SPLIT_HEIGHT * top) & (i_p - i_low >= SPLIT_PROMINENCE * top)
+    split &= p != (np.flatnonzero(ring)[central] if central >= 0 else -1)
+    inner, outer = np.minimum(rho_v[p], rho_p)[split], np.maximum(rho_v[p], rho_p)[split]
+    splittings = [RingSplit(z_pos=z, delta_rho=r_o - r_i, r_inner=r_i, r_outer=r_o)
+                  for z, r_i, r_o in zip(z_v[p][split].tolist(), inner.tolist(), outer.tolist())]
     return RingSet(rings=rings, fringe_delta=fringe_delta, splittings=splittings)
 
 

@@ -257,12 +257,12 @@ class GridSpec:
 
 
 # Grid points in one row block of a map; every point is computed the same
-# way in any block.  A block's five to seven temporaries each stay under the
-# 128 KiB at which glibc's malloc maps fresh pages, and the ring finder's
-# peak heap use stays within 1.6 times its coarse map.  glibc trims its heap
-# only past twice the largest chunk it has mapped and freed, such as that
-# map, so a warm rings op takes no fresh pages.
-BLOCK_POINTS = 16_000
+# way in any block.  A block's five to seven 64 KB temporaries stay under
+# the 128 KiB at which glibc's malloc maps fresh pages, and the ring
+# finder's heap peak, its coarse map and one block, stays under twice that
+# map, past which glibc trims its heap once it has mapped and freed the
+# map: a warm rings op takes no fresh pages (about 400 with 16 000 points).
+BLOCK_POINTS = 8_000
 
 
 @dataclass(frozen=True)
@@ -314,16 +314,16 @@ def _require_finite(pair, grid, values):
 
 
 def _pair_intensity_at(pair, grid, rho, z):
-    """|E|^2 of the pair at chosen points of a rho_z grid, rho of shape
-    (R, W) or (1, W) and z of shape (R, 1), as an (R, W) array, for the ring
-    finder: ``_pair_intensity`` writes each block of rows in place, and
+    """|E|^2 of the pair at the rows z (shape (R, 1)) and columns rho (shape
+    (1, W)) of a rho_z grid, or any such points, as an (R, W) array, for the
+    ring finder: ``_pair_intensity`` writes each block of rows in place, and
     neither the amplitude nor the phase is formed.  A value depends only on
-    its point, not on the block or the shape it is evaluated in.  Raises
+    its point, not on the block it is evaluated in.  Raises
     DegenerateGeometryError where a value is not finite."""
     intensity = np.empty((z.shape[0], rho.shape[1]))
 
     def fill(rows):
-        pt = CylPoint(rho=rho[rows] if rho.shape[0] > 1 else rho, phi=grid.phi, z=z[rows])
+        pt = CylPoint(rho=rho, phi=grid.phi, z=z[rows])
         _pair_intensity(pair, pt, grid.time, out=intensity[rows])
         _require_finite(pair, grid, intensity[rows])
 

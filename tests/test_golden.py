@@ -29,13 +29,13 @@ REL = 1e-12
 # Columns whose own max |value| is no scale for their rounding: the scale
 # used instead, from the run's recorded files and the column's digest.
 SCALES = {
-    # The two outermost rings sit at the foci, where the ridge's three-point
-    # curvature is 1e-7 of its value, so the parabola through it puts their
-    # z at 7.7e-13 of max |z| from a 1-ulp change of the map (the intensity
-    # kernel moved them 1.4e-12).  They are the column's max |z|; a scale of
-    # 100 times it is still 3e-7 of the z grid step.
-    ("rings", "rings.json", "rings.*.z"): lambda files, col: 100.0 * col["max_abs"],
-    # 0 up to rounding (about 1e-22 m): its scale is the ring stack's extent.
+    # A polished ring's z moves by about eps A / (2 k V) when the last bits
+    # of its slope move (A the phase scale, about 900 rad here, and V the
+    # ring's fringe visibility): 7e-15 m, 1.6e-10 of max |z|, at the least
+    # visible ring (V = 1.3e-6, near a focus).  A scale of 1e4 times max |z|
+    # allows 4e-13 m, 3e-5 of the z grid step.
+    ("rings", "rings.json", "rings.*.z"): lambda files, col: 1e4 * col["max_abs"],
+    # 0 up to rounding (about 1e-21 m): its scale is the ring stack's extent.
     ("rings", "rings_summary.json", "central_z"):
         lambda files, col: files["rings.json"]["columns"]["rings.*.z"]["max_abs"],
     # A relative error formed from differences of nearly equal radii: a

@@ -209,9 +209,10 @@ def _is_float_call(node):
 
 def test_only_the_point_turns_a_coordinate_into_a_float():
     """The package forms no np.asarray(...)[()], and every float(...) of
-    lg_mode but the one of ``_at`` (a ufunc's result) sits in
-    CylPoint.__init__: the point stores each coordinate once, so no
-    evaluation routine converts one per call."""
+    lg_mode sits in CylPoint.__init__: the point stores each coordinate
+    once, so no evaluation routine converts one per call.  A ufunc's result
+    is turned into a float by the function ``_real`` returns, float itself,
+    which is no float(...) call."""
     stray, owned = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -219,19 +220,16 @@ def test_only_the_point_turns_a_coordinate_into_a_float():
                   if _is_scalar_conversion(node)]
         if path.name != "lg_mode.py":
             continue
-        allowed = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == "CylPoint":
-                owner = next(fn for fn in node.body
-                             if isinstance(fn, ast.FunctionDef) and fn.name == "__init__")
-                allowed.update(dict.fromkeys(map(id, ast.walk(owner)), "point"))
-            elif isinstance(node, ast.FunctionDef) and node.name == "_at":
-                allowed.update(dict.fromkeys(map(id, ast.walk(node)), "ufunc"))
+        point = next(node for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef) and node.name == "CylPoint")
+        init = next(fn for fn in point.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__")
+        allowed = set(map(id, ast.walk(init)))
         for node in ast.walk(tree):
             if _is_float_call(node):
-                if allowed.get(id(node)) == "point":
+                if id(node) in allowed:
                     owned += 1
-                elif id(node) not in allowed:
+                else:
                     stray.append(f"{path.name}:{node.lineno}")
     assert stray == [] and owned == 1, stray
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from vortexlattice.cli import main
 from vortexlattice.config import RunConfig
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
                                   RingDetectionError, VortexLatticeError)
-from vortexlattice.lg_mode import waist_at
+from vortexlattice.lg_mode import CylPoint, mode_amplitude, waist_at
 from vortexlattice.output import write_outputs
 from vortexlattice.ring_analysis import (Ring, RingSet, RingSplit, compare_rings,
                                          double_ring_radii, find_rings,
@@ -275,10 +276,10 @@ def test_measure_axial_drift_follows_the_phase_slope(l1):
 
 
 def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
-    """find_rings never maps the phase: it evaluates the coarse columns, the
-    windows and the peak rows with _pair_intensity_at, and each value it
-    evaluates is intensity_map's at the same grid point within
-    intensity_bound.  Both are
+    """find_rings never maps the phase: it evaluates the coarse scan and the
+    rows of its maxima with _pair_intensity_at, and each value is
+    |pair_complex|^2 at the same point within intensity_bound (the coarse
+    scan's, on grid points, is intensity_map's there).  Both are
     |U1 e^{i Theta1} + U2 e^{i Theta2}|^2 from the same U1 and U2: the
     kernel rounds the phase difference Delta as a row term plus
     rho^2 (kappa1 - kappa2), the map Theta1 and Theta2 apart, each off by
@@ -288,22 +289,41 @@ def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
     region = lattice_region(p)
     assert region.axis1.size * region.axis2.size > BLOCK_POINTS
     want = intensity_map(p, region)
-    bound, resolved = intensity_bound(p, full_grid_points(region), region.time)
-    assert resolved.all()
+    seen = []
+
+    def recorded(pair_, grid, rho, z):
+        assert grid is region
+        seen.append((superpose._pair_intensity_at(pair_, grid, rho, z), rho, z))
+        return seen[-1][0]
 
     def no_phase(*args):
         raise AssertionError("find_rings mapped the phase")
 
     with monkeypatch.context() as mp:
         mp.setattr(superpose, "_phase_of", no_phase)
-        outcome, seen = finder_evaluations(p, region)
-    assert outcome.startswith("RingSet(")
-    assert len(seen) == 3
-    for intensity, rows, cols in seen:
-        assert np.all(np.abs(intensity - want.intensity[rows, cols]) <= bound[rows, cols])
+        mp.setattr(ring_analysis, "_pair_intensity_at", recorded)
+        assert find_rings(p, region).rings
+    assert len(seen) == 2
+    (coarse, rho, z), (profiles, rho_p, z_p) = seen
+    rows, cols = np.searchsorted(region.axis2, z[:, 0]), np.searchsorted(region.axis1, rho[0])
+    assert np.array_equal(region.axis2[rows], z[:, 0]) and np.array_equal(region.axis1[cols], rho[0])
+    full = full_grid_points(region)
+    bound, resolved = intensity_bound(p, full, region.time)
+    assert resolved.all()
+    assert np.all(np.abs(coarse - want.intensity[np.ix_(rows, cols)])
+                  <= bound[np.ix_(rows, cols)])
+    pt = superpose.CylPoint(rho=rho_p + 0.0 * z_p, phi=region.phi, z=z_p + 0.0 * rho_p)
+    bound, _ = intensity_bound(p, pt, region.time)
+    assert np.all(np.abs(profiles - np.abs(superpose.pair_complex(p, pt, region.time)) ** 2)
+                  <= bound)
 
 
 # ------------------------------------------ the full-map finder, as an oracle
+
+# The full-map finder's ridge peaks must rise this far above their bases,
+# relative to the ridge's maximum: the data are noise-free, so this only
+# rejects float-level wiggles
+RIDGE_PROMINENCE = 1e-6
 
 def oracle_find_peaks(values, prominence=None, height=None):
     """The package's former 1-D peak finder, kept as the oracle of the
@@ -382,7 +402,7 @@ def full_map_find_rings(pair, region, map_fn=full_intensity):
 
     find_peaks_ = oracle_find_peaks
     refine = oracle_refine_row
-    peak_rows = find_peaks_(ridge_val, prominence=ring_analysis.RIDGE_PROMINENCE * ridge_val.max())
+    peak_rows = find_peaks_(ridge_val, prominence=RIDGE_PROMINENCE * ridge_val.max())
     if peak_rows.size == 0:
         raise RingDetectionError("no interference maxima found in the region")
 
@@ -427,43 +447,58 @@ def full_map_find_rings(pair, region, map_fn=full_intensity):
     return ring_analysis.RingSet(rings=rings, fringe_delta=fringe_delta, splittings=splittings)
 
 
-def rings_repr(finder, p, region):
-    """The finder's RingSet as its repr (every float's bits, NaN equal to
-    NaN), or its error as type and text."""
+def finder_outcome(finder, p, region):
+    """The finder's RingSet, or its error as type and text."""
     try:
-        return repr(finder(p, region))
+        return finder(p, region)
     except VortexLatticeError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def assert_finder_is_the_oracle(p, region):
-    got = rings_repr(find_rings, p, region)
-    assert got == rings_repr(full_map_find_rings, p, region)
-    return got
+def visibility(p, z, rho):
+    """Fringe visibility V = 2 |U1 U2| / (U1^2 + U2^2) at (rho, phi = 0, z):
+    1 where the two beams are equally bright there, 0 where one is dark."""
+    pt = CylPoint(rho=np.asarray(rho, dtype=float), phi=0.0, z=np.asarray(z, dtype=float))
+    u1, u2 = mode_amplitude(p.beam1, pt), mode_amplitude(p.beam2, pt)
+    den = u1 * u1 + u2 * u2
+    return np.where(den > 0.0, 2.0 * np.abs(u1 * u2) / np.where(den > 0.0, den, 1.0), 0.0)
 
 
-def finder_evaluations(p, region):
-    """find_rings' outcome (as rings_repr) and every evaluation it made
-    with _pair_intensity_at, as (values, row indices, column indices) of
-    region's grid: the coarse columns of every row, the windows, the peak
-    rows."""
-    seen = []
-
-    def recorded_points(pair_, grid, rho, z):
-        assert grid is region
-        intensity = superpose._pair_intensity_at(pair_, grid, rho, z)
-        seen.append((intensity, rho, z))
-        return intensity
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring_analysis, "_pair_intensity_at", recorded_points)
-        outcome = rings_repr(find_rings, p, region)
-    indexed = []
-    for intensity, rho, z in seen:
-        rows, cols = np.searchsorted(region.axis2, z), np.searchsorted(region.axis1, rho)
-        assert np.array_equal(region.axis2[rows], z) and np.array_equal(region.axis1[cols], rho)
-        indexed.append((intensity, rows, cols))
-    return outcome, indexed
+def assert_near_the_oracle(p, region, want=None):
+    """find_rings against the full-map finder (``want``, its RingSet where
+    already found): the same error, or rings within one grid cell in z.
+    Every ring of the full-map finder with visibility V >= 0.5, more than a
+    row from the region's ends, has a ring of find_rings within dz of it,
+    and for radial_p = 0 the other way round too; a fringe maximum's z is ill-conditioned where V
+    is low.  Radii are not compared: on a tilted crest the full-map finder
+    reads a ring's radius in its peak row, up to half a row from the ring,
+    which moves it by several radial cells (test_rings_are_polished_maxima
+    checks the polished radii).  The central ring's z and the fringe
+    spacing agree within dz too.  Returns find_rings' RingSet as its repr,
+    or its error as type and text."""
+    got = finder_outcome(find_rings, p, region)
+    if want is None:
+        want = finder_outcome(full_map_find_rings, p, region)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return got
+    dz = region.spacing2
+    # with p > 0 a lobe's fringe maximum can be its row's brightest over
+    # less than a row before another lobe's fringe outshines it: a ring of
+    # find_rings the grid's ridge cannot resolve
+    for one, other in ((want, got), (got, want))[:1 if p.radial_p else 2]:
+        z = np.array([r.z_pos for r in one.rings])
+        # a maximum within a row of the region's end is no peak of a grid row
+        bright = (visibility(p, z, [r.radius for r in one.rings]) >= 0.5) \
+            & (z > region.axis2[0] + dz) & (z < region.axis2[-1] - dz)
+        near = np.abs(z[bright, None] - np.array([r.z_pos for r in other.rings])) <= dz
+        assert near.any(axis=1).all()
+    central = [[r.z_pos for r in rs.rings if r.classification == "central"] for rs in (got, want)]
+    assert len(central[0]) == len(central[1])
+    assert all(abs(a - b) <= dz for a, b in zip(*central))
+    assert math.isnan(got.fringe_delta) == math.isnan(want.fringe_delta)
+    assert not abs(got.fringe_delta - want.fringe_delta) > dz
+    return repr(got)
 
 
 # ------------------------------------ the finder on the amplitude map squared
@@ -487,7 +522,7 @@ def rings_and_rows(p, region, intensity_map_fn):
     rings = full_map_find_rings(p, region, map_fn=recorded)
     [intensity] = maps
     ridge = intensity.max(axis=1)
-    rows = oracle_find_peaks(ridge, prominence=ring_analysis.RIDGE_PROMINENCE * ridge.max())
+    rows = oracle_find_peaks(ridge, prominence=RIDGE_PROMINENCE * ridge.max())
     assert rows.size == len(rings.rings)
     split_z = {s.z_pos for s in rings.splittings}
     return rings, ridge, rows, [n for n, r in enumerate(rings.rings) if r.z_pos in split_z]
@@ -500,14 +535,15 @@ def close(a, b):
 
 
 def assert_same_rings(p, region):
-    """find_rings, which is the full-map finder on the intensity kernel, and
-    the same finder on the amplitude map squared give the same peak rows,
+    """find_rings is within one cell of the full-map finder on the intensity
+    kernel, and that finder and the same finder on the amplitude map squared
+    give the same peak rows,
     ring classes and splitting rows, and every value within 1e-12 of its
     column's largest |value|.  A peak between two ridge rows that tie to
     rounding, as the central ring of a grid symmetric about z = 0 with an
     even row count, may sit on either row."""
     got, _, got_rows, got_split = rings_and_rows(p, region, full_intensity)
-    assert repr(got) == repr(find_rings(p, region))
+    assert_near_the_oracle(p, region, got)
     want, ridge, want_rows, want_split = rings_and_rows(p, region, amplitude_squared)
     assert want.rings
     assert got_rows.size == want_rows.size
@@ -542,69 +578,15 @@ def scipy_peaks(values, **kw):
 @st.composite
 def peak_cases(draw):
     """Up to 60 samples drawn from a few integer levels, so plateaus, ties
-    and maxima on the border are common, with the height and prominence
-    thresholds each absent or drawn from the same levels."""
+    and maxima on the border are common."""
     level = st.integers(0, draw(st.integers(1, 5))).map(float)
-    values = np.array(draw(st.lists(level, max_size=60)), dtype=float)
-    threshold = st.none() | level
-    return values, {"prominence": draw(threshold), "height": draw(threshold)}
+    return np.array(draw(st.lists(level, max_size=60)), dtype=float)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(case=peak_cases())
-def test_find_peaks_matches_scipy(case):
-    values, kw = case
-    got = ring_analysis._find_peaks(values, **kw)
-    assert np.array_equal(got, scipy_peaks(values, **kw))
-
-
-@st.composite
-def peak_row_cases(draw):
-    """Up to 6 rows of up to 40 samples, all drawn from a few integer
-    levels, and for each row a prominence and a height threshold, each
-    absent or drawn from the same levels."""
-    level = st.integers(0, draw(st.integers(1, 5))).map(float)
-    n_rows, n = draw(st.integers(1, 6)), draw(st.integers(0, 40))
-    row = st.lists(level, min_size=n, max_size=n)
-    values = np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows)),
-                      dtype=float).reshape(n_rows, n)
-    thresholds = st.lists(st.none() | level, min_size=n_rows, max_size=n_rows)
-    return values, draw(thresholds), draw(thresholds)
-
-
-def per_row(thresholds):
-    """The row-wise form of one threshold per row: None when every row has
-    none, else an array with -inf, which keeps every peak, for a None."""
-    if all(t is None for t in thresholds):
-        return None
-    return np.array([-np.inf if t is None else t for t in thresholds])
-
-
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(case=peak_row_cases())
-def test_find_peaks_row_wise_matches_scipy(case):
-    """Each row of the row-wise search is scipy's search on that row alone,
-    with that row's thresholds, and the peaks come in row-major order."""
-    values, prominence, height = case
-    rows, cols = ring_analysis._find_peaks(values, prominence=per_row(prominence),
-                                           height=per_row(height))
-    assert np.all(np.diff(rows) >= 0)
-    for r, row in enumerate(values):
-        want = scipy_peaks(row, prominence=prominence[r], height=height[r])
-        assert np.array_equal(cols[rows == r], want)
-
-
-def scipy_row_peaks(values, prominence=None, height=None):
-    """_find_peaks' contract, 1-D and row-wise, by scipy.signal.find_peaks
-    on each row."""
-    x = np.atleast_2d(np.asarray(values, dtype=float))
-    limits = [[None] * len(x) if t is None else np.broadcast_to(t, x.shape[:1])
-              for t in (prominence, height)]
-    found = [scipy_peaks(row, prominence=prom, height=h) for row, prom, h in zip(x, *limits)]
-    if np.ndim(values) == 1:
-        return found[0]
-    rows = np.repeat(np.arange(len(x)), [f.size for f in found])
-    return rows, np.concatenate(found).astype(int)
+@given(values=peak_cases())
+def test_find_peaks_matches_scipy(values):
+    assert np.array_equal(ring_analysis._find_peaks(values), scipy_peaks(values))
 
 
 def _outcome(fn, *args):
@@ -620,9 +602,9 @@ def _with_scipy_peaks(fn, *args):
     dimensions of each searched array, in call order."""
     searched = []
 
-    def recorded(values, **kw):
+    def recorded(values):
         searched.append(np.ndim(values))
-        return scipy_row_peaks(values, **kw)
+        return scipy_peaks(values)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring_analysis, "_find_peaks", recorded)
@@ -652,13 +634,18 @@ def paper_lattices(draw):
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(case=paper_lattices())
 def test_find_rings_same_with_scipy_peaks(case):
+    """find_rings makes no peak search: with scipy's in place of the
+    package's it gives the same rings, and the full-map finder with scipy's
+    peak search is within one cell of it."""
     p, region = case
     ours = _outcome(lambda: find_rings(p, region).to_json_dict())
     assert ours["rings"]
     theirs, searched = _with_scipy_peaks(lambda: find_rings(p, region).to_json_dict())
     assert ours == theirs
-    # the ridge, then the profiles of all peak rows at once
-    assert searched == [1, 2]
+    assert searched == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules[__name__], "oracle_find_peaks", scipy_peaks)
+        assert_near_the_oracle(p, region)
 
 
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
@@ -704,7 +691,7 @@ def test_find_rings_is_the_full_map_finder(case):
     the lattice, the resolved splittings, one beam switched off (one ring,
     no fringe spacing) and both off (every row 0)."""
     p, region = fixture_case(case)
-    got = assert_finder_is_the_oracle(p, region)
+    got = assert_near_the_oracle(p, region)
     assert got.startswith("RingDetectionError: " if case == "dark" else "RingSet(")
     if case == "split":
         assert "RingSplit(" in got
@@ -716,13 +703,13 @@ def test_find_rings_is_the_full_map_finder_on_generated_lattices(case):
     """Generated l, p <= 2, d, delta_omega, phi and time, each region at the
     finder's resolution limits."""
     p, region = case
-    assert_finder_is_the_oracle(p, region)
+    assert_near_the_oracle(p, region)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(case=paper_lattices())
 def test_find_rings_is_the_full_map_finder_on_paper_lattices(case):
-    assert_finder_is_the_oracle(*case)
+    assert_near_the_oracle(*case)
 
 
 def test_find_rings_raises_where_the_far_field_is_not_finite():
@@ -738,57 +725,52 @@ def test_find_rings_raises_where_the_far_field_is_not_finite():
                             z_min=0.0, z_max=WAVELENGTH / 400.0, n_z=2)
     assert ring_analysis._coarse_stride(p, region) > 1
     with np.errstate(over="ignore", invalid="ignore"):
-        got = assert_finder_is_the_oracle(p, region)
+        got = assert_near_the_oracle(p, region)
     assert got.startswith("DegenerateGeometryError: map intensity is not finite")
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(case=lattices())
-def test_windows_and_coarse_grid_give_the_maps_bits(case):
-    """Every value find_rings evaluates (the coarse grid of a column
-    subset, the banded windows, the peak rows) has the bits of the kernel
-    on the full grid at the same grid point: this is what makes the finder
-    exact."""
-    p, region = case
-    full = full_intensity(p, region)
-    outcome, seen = finder_evaluations(p, region)
-    assert outcome.startswith("RingSet(") and len(seen) == 3
-    for intensity, rows, cols in seen:
-        assert np.array_equal(intensity, full[rows, cols])
-
-
-def test_rings_command_writes_the_full_map_finders_bytes(tmp_path, monkeypatch):
-    """`rings` on configs/ring_lattice.json writes the same rings.json,
-    ring_comparison.csv and rings_summary.json with the package's finder as
-    with the full-map oracle in its place."""
+def test_rings_command_writes_the_full_map_finders_rings(tmp_path, monkeypatch):
+    """`rings` on configs/ring_lattice.json writes the same files with the
+    package's finder as with the full-map oracle in its place, and the
+    rings in rings.json and the central ring and fringe spacing in
+    rings_summary.json agree within one cell in z (assert_near_the_oracle)."""
     config = str(REPO / "configs" / "ring_lattice.json")
     assert main(["rings", "--config", config, "--out", str(tmp_path / "finder")]) == 0
     monkeypatch.setattr(cli, "find_rings", full_map_find_rings)
     assert main(["rings", "--config", config, "--out", str(tmp_path / "oracle")]) == 0
-    for name in ("rings.json", "ring_comparison.csv", "rings_summary.json"):
-        got = (tmp_path / "finder" / name).read_bytes()
-        assert got
-        assert got == (tmp_path / "oracle" / name).read_bytes()
+    names = sorted(path.name for path in (tmp_path / "finder").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "oracle").iterdir())
+    got, want = (json.loads((tmp_path / side / "rings.json").read_text())
+                 for side in ("finder", "oracle"))
+    cfg = RunConfig.from_file(config)
+    assert_near_the_oracle(cfg.pair, cfg.rings_grid, RingSet(
+        rings=[Ring(r["z"], r["radius"], r["peak"], r["class"]) for r in want["rings"]],
+        fringe_delta=want["fringe_delta"]))
+    assert got == find_rings(cfg.pair, cfg.rings_grid).to_json_dict()
+    dz = cfg.rings_grid.spacing2
+    got, want = (json.loads((tmp_path / side / "rings_summary.json").read_text())
+                 for side in ("finder", "oracle"))
+    for key in ("central_z", "fringe_delta"):
+        assert abs(got[key] - want[key]) <= dz
 
 
-# ------------------------- the batched refinement and split choice, exactly
+# ------------------------------------------- the parabolic refinement, exactly
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(values=st.lists(st.lists(st.integers(0, 3).map(float) | st.floats(0.0, 1e3),
                                 min_size=5, max_size=5), min_size=1, max_size=4),
        scale=st.floats(1e-9, 1e3))
 def test_refine_row_is_the_scalar_refinement(values, scale):
-    """At every index of every row, borders and flat or convex triples
-    included, the array refinement gives the frozen scalar one's bits, for
-    a 1-D array and row-wise alike."""
-    values = np.array(values)
-    axis = scale * np.arange(values.shape[1])
-    rows, cols = np.indices(values.shape)
-    got = ring_analysis._refine_row(axis, values, rows, cols)
-    want = [[oracle_refine_row(axis, row, c) for c in range(row.size)] for row in values]
-    assert np.stack(got, axis=-1).tobytes() == np.array(want).tobytes()
-    got = ring_analysis._refine_row(axis, values[0], cols[0])
-    assert np.stack(got, axis=-1).tobytes() == np.array(want[0]).tobytes()
+    """At every index of each row, borders and flat or convex triples
+    included, the refinement gives the frozen scalar one's bits, for an
+    index array and for each index alone."""
+    axis = scale * np.arange(5)
+    for row in np.array(values):
+        got = ring_analysis._refine_row(axis, row, np.arange(row.size))
+        want = [oracle_refine_row(axis, row, c) for c in range(row.size)]
+        assert np.stack(got, axis=-1).tobytes() == np.array(want).tobytes()
+        got = [ring_analysis._refine_row(axis, row, c) for c in range(row.size)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_refine_row_squares_as_numpy_scalars_do():
@@ -796,103 +778,93 @@ def test_refine_row_squares_as_numpy_scalars_do():
     did on the numpy scalars of the scalar refinement; an array's ** 2
     multiplies, which differs in the last bit for about 1 in 1200 random
     values, so 20000 concave rows of random samples tell the two apart."""
-    values = np.random.default_rng(29).random((20000, 3)) + [0.0, 1.0, 0.0]
-    axis = np.arange(3.0)
-    got = ring_analysis._refine_row(axis, values, np.arange(len(values)), 1)
-    want = [oracle_refine_row(axis, row, 1) for row in values]
+    values = (np.random.default_rng(29).random((20000, 3)) + [0.0, 1.0, 0.0]).ravel()
+    axis = np.arange(float(values.size))
+    middles = np.arange(1, values.size, 3)
+    got = ring_analysis._refine_row(axis, values, middles)
+    want = [oracle_refine_row(axis, values, c) for c in middles]
     assert np.stack(got, axis=-1).tobytes() == np.array(want).tobytes()
 
 
-def synthetic_finder_case(profiles):
-    """A pair and region that pass find_rings' gates, with one ring per
-    profile, and a map of that region in which every fourth row from row 2
-    (the middle one at z = 0) is a ridge peak holding the next profile,
-    scaled so that the ridge reads 3 at the peaks, 1 half-way and 2 between.
-    Each other row holds its nearest peak row's profile, scaled likewise."""
-    p = pair(d_factor=1.0)
-    n_rings, n_rho = len(profiles), len(profiles[0])
-    dz, drho = WAVELENGTH / 20.0, p.beam1.waist_w0 / 100.0
-    region = GridSpec.rho_z(rho_min=WAVELENGTH, rho_max=WAVELENGTH + (n_rho - 1) * drho,
-                            n_rho=n_rho, z_min=-2 * n_rings * dz, z_max=2 * n_rings * dz,
-                            n_z=4 * n_rings + 1)
-    rows = np.arange(region.axis2.size)
-    ridge = 2.0 + np.cos(0.5 * np.pi * (rows - 2))
-    nearest = np.minimum(rows // 4, n_rings - 1)
-    shape = np.array(profiles, dtype=float)
-    intensity = shape[nearest] * (ridge / shape.max(axis=1)[nearest])[:, None]
-    return p, region, intensity
+# ------------------------------------------ the polished rings themselves
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(l=st.integers(1, 80), sign=signs, w0=st.floats(3.0, 6.0), d=st.floats(0.0, 10.0))
+def test_symmetric_pairs_central_ring_is_the_closed_form(l, sign, w0, d):
+    """Equal beams, phi = 0 and t = 0: the pattern is even in z and on the
+    midplane the two fields are equal, so the central ring sits at z = 0 on
+    the beams' ring radius, central_ring_radius.  The polish finds it there,
+    z within 1e-6 of a cell and the radius to 1e-9, which no grid point
+    holds in general."""
+    p = PairSpec(WAVELENGTH, w0 * WAVELENGTH, l1=sign * l, separation_d=d * w0 * WAVELENGTH)
+    rho0 = central_ring_radius(p)
+    w = waist_at(p.beam1, 0.5 * p.separation_d)
+    half = 0.5 * p.separation_d + WAVELENGTH
+    region = GridSpec.rho_z(rho_min=max(0.0, rho0 - 1.5 * w), rho_max=rho0 + 1.5 * w,
+                            n_rho=math.ceil(3.0 * w / (p.beam1.waist_w0 / 100.0)) + 1,
+                            z_min=-half, z_max=half,
+                            n_z=math.ceil(2.0 * half / (WAVELENGTH / 20.0)) + 2)
+    [central] = [r for r in find_rings(p, region).rings if r.classification == "central"]
+    assert abs(central.z_pos) <= 1e-6 * region.spacing2
+    assert central.radius == pytest.approx(rho0, rel=1e-9)
 
 
-def finder_on_map(p, region, intensity):
-    """find_rings with its kernel reading the given map and its coarse
-    stride 1, so that its ridge is the map's; its RingSet, which must be the
-    full-map oracle's on the same map."""
-    def lookup(pair_, grid, rho, z):
-        return intensity[np.searchsorted(grid.axis2, z), np.searchsorted(grid.axis1, rho)]
+@pytest.mark.parametrize("case", ["ring_lattice", "lattice", "split", "single"])
+def test_rings_are_polished_maxima(case):
+    """Every ring is a local maximum of _pair_intensity, and every splitting
+    radius one along rho at its ring's z: each probe 0.01 of a cell away,
+    in rho and (for rings) in z, is dimmer.  A ring whose visibility is
+    below 1e-3 has a fringe too faint for its z probes to tell from the
+    envelope's slope, so only its rho probes bind."""
+    p, region = fixture_case(case)
+    rings = find_rings(p, region)
+    dz, drho = region.spacing2, region.spacing1
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring_analysis, "_pair_intensity_at", lookup)
-        mp.setattr(ring_analysis, "_coarse_stride", lambda pair_, region_: 1)
-        got = find_rings(p, region)
-    assert repr(got) == repr(full_map_find_rings(p, region, lambda *_: intensity))
-    return got
+    def intensity(rho, z):
+        pt = CylPoint(rho=np.asarray(rho, dtype=float), phi=region.phi,
+                      z=np.asarray(z, dtype=float))
+        return superpose._pair_intensity(p, pt, region.time)
 
-
-def bumps(*tops, width=40):
-    """A profile of `width` samples: 0, then each top followed by 0."""
-    out = np.zeros(width)
-    out[1:2 * len(tops):2] = tops
-    return out
-
-
-SPLIT_EDGE_CASES = {
-    "equal_top_two": bumps(0, 5, 0, 5),
-    "one_candidate": np.array([0.0, 1, 3, 6, 3, 1] + [0] * 34),
-    "no_candidate_max_at_the_end": np.arange(40.0),
-    "max_at_column_0": np.array([9.0, 8, 6, 3, 1, 2, 1] + [0] * 33),
-    "central": bumps(8, 7),
-    # numpy's argsort ranks these candidates [4, 1, 3, 2, 0] on AVX-512
-    # hosts and the stable sort [4, 1, 2, 3, 0]: their top two differ
-    "tie_at_the_cut": bumps(20, 10, 10, 10, 3),
-    "plateau_candidate": np.array([0.0, 2, 9, 9, 9, 2, 0, 3, 6, 3] + [0] * 30),
-    "18_candidates_tied_at_the_cut": bumps(30, *[10] * 17),
-    "18_candidates": bumps(*np.random.default_rng(29).permutation(18) + 10.0),
-}
+    z = np.array([r.z_pos for r in rings.rings])
+    rho = np.array([r.radius for r in rings.rings])
+    top = intensity(rho, z)
+    inside = (rho - 0.01 * drho >= region.axis1[0]) & (rho + 0.01 * drho <= region.axis1[-1])
+    for step in (-0.01 * drho, 0.01 * drho):
+        assert np.all(intensity(rho + step, z)[inside] < top[inside])
+    faint = visibility(p, z, rho) < 1e-3
+    for step in (-0.01 * dz, 0.01 * dz):
+        assert np.all(intensity(rho, z + step)[~faint] < top[~faint])
+    for split in rings.splittings:
+        for r in (split.r_inner, split.r_outer):
+            assert intensity(r - 0.01 * drho, split.z_pos) < intensity(r, split.z_pos)
+            assert intensity(r + 0.01 * drho, split.z_pos) < intensity(r, split.z_pos)
+    if case == "split":
+        assert rings.splittings
 
 
-def test_split_choice_edge_cases_are_the_oracles():
-    """One ring per case of SPLIT_EDGE_CASES, the central one in the middle:
-    equal top candidates, rows with one and with no candidate, a row maximum
-    in the first or the last column, where the refinement falls back to the
-    sample, a flat-topped candidate, ties at the cut, which np.argsort
-    decides, and rows with more than 16 candidates."""
-    p, region, intensity = synthetic_finder_case(list(SPLIT_EDGE_CASES.values()))
-    rings = finder_on_map(p, region, intensity)
-    names = list(SPLIT_EDGE_CASES)
-    assert [r.classification == "central" for r in rings.rings] == \
-        [name == "central" for name in names]
-    split = {r.z_pos for r in rings.rings} & {s.z_pos for s in rings.splittings}
-    assert [r.z_pos in split for r in rings.rings] == \
-        [name in ("equal_top_two", "tie_at_the_cut", "plateau_candidate",
-                  "18_candidates_tied_at_the_cut", "18_candidates") for name in names]
-    assert rings.rings[names.index("max_at_column_0")].radius == region.axis1[0]
-    assert rings.rings[names.index("no_candidate_max_at_the_end")].radius == region.axis1[-1]
+@pytest.mark.parametrize("case", ["ring_lattice", "split"])
+def test_polish_ends_below_a_millionth_of_a_cell(case, monkeypatch):
+    """Every ring and every splitting radius comes from a polish whose next
+    step, where it ended, was below POLISH_TOL = 1e-6 of a cell in rho and
+    z."""
+    p, region = fixture_case(case)
+    ended = []
 
+    def recorded(*args, **kwargs):
+        out = polish(*args, **kwargs)
+        ended.append(out)
+        return out
 
-@st.composite
-def synthetic_profiles(draw):
-    """Five profiles of 3 to 40 samples from a few integer levels, so that
-    ties, plateaus, maxima at either end and flat rows are common."""
-    level = st.integers(0, draw(st.integers(1, 6))).map(float)
-    n = draw(st.integers(3, 40))
-    profiles = draw(st.lists(st.lists(level, min_size=n, max_size=n), min_size=5, max_size=5))
-    return [row if max(row) > 0.0 else [1.0] + row[1:] for row in profiles]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(profiles=synthetic_profiles())
-def test_split_choice_is_the_oracles_on_integer_profiles(profiles):
-    assert len(finder_on_map(*synthetic_finder_case(profiles)).rings) == 5
+    polish = ring_analysis._polish
+    monkeypatch.setattr(ring_analysis, "_polish", recorded)
+    rings = find_rings(p, region)
+    assert ring_analysis.POLISH_TOL == 1e-6
+    points = np.concatenate(ended, axis=1)
+    done = {(rho, z): last for rho, z, _, last in points.T}
+    for r in rings.rings:
+        assert done[(r.radius, r.z_pos)] < 1e-6
+    for split in rings.splittings:
+        assert all(done[(r, split.z_pos)] < 1e-6 for r in (split.r_inner, split.r_outer))
 
 
 # ------------------------------------------ compare_rings on hand-built sets
