@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atom_forces import _field_terms, central_ring_radius
+from .atom_forces import _pair_gradient, central_ring_radius
 from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
 from .lg_mode import CylPoint, _local_z, _row_phase, mode_jet
 # intensity_map is not called here; it stays a module attribute because
@@ -148,71 +148,103 @@ def _coarse_stride(pair, region):
     return max(1, min(int(h / region.spacing1), region.axis1.size - 1))
 
 
-def _polish(pair, region, start, lo, hi, cells, sign=1.0):
-    """Maxima of sign * I, I = |E|^2 at the region's phi and time, near the
+def _polish(pair, region, start, lo, hi, cells, sign=1.0, up=None):
+    """Maxima of sign * I, I = |E|^2 at the region's phi and time, from the
     (2, n) (rho, z) points ``start``, each within its bounds ``lo`` and
-    ``hi`` (z fixed where they are equal): rows (rho, z, I, last), where
-    ``last``, the next step in grid cells, fell below POLISH_TOL on both
-    axes, that step taken; else ``last`` is inf (no end in POLISH_ROUNDS,
-    or a step past the z bounds, which hold no maximum then).
+    ``hi`` (z fixed for all where those are equal): rows (rho, z, I, last),
+    ``last`` the next step in grid cells where it fell below POLISH_TOL on
+    both axes, that step taken; else inf (no end in POLISH_ROUNDS, or a
+    step past the z bounds, which hold no maximum then).
 
-    In coarse cells (``cells``), the first step is a quarter cell towards
-    the farther bound.  Each round reads grad I = 2 Re(E* grad E) from the
-    closed-form jets at x + d, (x_rho, x_z + d_z) and (x_rho + d_rho, x_z):
-    a secant column of the slope matrix H per axis.  A trial lower than x
-    beyond rounding is refused and the trust radius T shrinks, else it may
-    grow to 4.  The step solves (H - mu) s = -g with mu = 0 (the secant
+    In coarse cells (``cells``), the first step is a quarter cell on each
+    axis: up where ``up`` (2, n) is positive, else down, or towards the
+    farther bound without ``up`` or from a bound.  Each round reads
+    grad I = 2 Re(E* grad E) from the closed-form jets at x + d and at the
+    corners (x_rho, x_z + d_z) and (x_rho + d_rho, x_z), which are x and
+    x + d where z is fixed: a secant column of the slope matrix H per
+    axis.  A trial lower than x beyond rounding is refused and the trust
+    radius T shrinks to half that step, else it may grow to four times the
+    step, up to 4.  The step solves (H - mu) s = -g with mu = 0 (the secant
     Newton step) where H is negative definite and that step is within T,
     else with mu = max(eig H, 0) + |g| / T, which keeps |s| <= T."""
     cell = np.array(cells)[:, None]
     fine = np.array([[region.spacing1], [region.spacing2]]) / cell
-    x, lo, hi = start / cell, lo / cell, hi / cell
-    d = np.clip(np.where(hi - x >= x - lo, 0.25, -0.25), lo - x, hi - x)
-    out, state = np.full((4, x.shape[1]), np.inf), np.zeros((10, x.shape[1]))
-    # state rows: index, sign, T, sign * I and its slope at x, H's columns
-    state[0], state[1], state[2] = np.arange(x.shape[1]), sign, 1.0
-    axial = lo[1] != hi[1]
+    axial = bool(np.any(lo[1] != hi[1]))
+    # state rows: x, d, lo, hi, slope at x (two each), H_rho_rho, H_rho_z,
+    # H_z_rho, H_z_z, T, sign * I at x, index, sign
+    state = np.zeros((18, start.shape[1]))
+    state[0:2], state[4:6], state[6:8] = start / cell, lo / cell, hi / cell
+    x, lo, hi = state[0:2], state[4:6], state[6:8]
+    far = hi - x >= x - lo
+    up = far if up is None else np.where(np.minimum(hi - x, x - lo) > 0.0, up > 0.0, far)
+    state[2:4] = np.where(up, np.minimum(hi - x, 0.25), np.maximum(lo - x, -0.25))
+    state[13], state[14], state[16], state[17] = -1.0, 1.0, np.arange(x.shape[1]), sign
+    out = np.full((4, x.shape[1]), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for rounds in range(POLISH_ROUNDS):
-            if not (m := x.shape[1]):
+            if not (m := state.shape[1]):
                 break
-            live, sgn, radius, value = state[:4]
+            x, d, lo, hi, g, h, radius, value, sgn = (
+                state[0:2], state[2:4], state[4:6], state[6:8], state[8:10], state[10:14],
+                state[14], state[15], state[17])
             trial = x + d
-            pts = np.concatenate((trial, [x[0], trial[1]], [trial[0], x[1]]), axis=1)
-            pt = CylPoint(rho=pts[0] * cell[0], phi=region.phi, z=pts[1] * cell[1])
-            amp, _, grad = _field_terms(pair, pt, None, region.time, scattering=False, dipole=True)
-            slope = (2.0 * np.array([grad[0], grad[2]]) * cell).reshape(2, -1, m) * sgn
-            for axis in (0, 1):
-                moved = np.abs(d[axis]) >= 1e-4 * fine[axis]
-                state[6 + 2 * axis:8 + 2 * axis, moved] = \
-                    ((slope[:, 0] - slope[:, 1 + axis]) / d[axis])[:, moved]
+            pts = np.concatenate((trial, [x[0], trial[1]], [trial[0], x[1]]) if axial
+                                 else (trial, x), axis=1) * cell
+            amp, (re, im), (gr, gi), _ = _pair_gradient(
+                pair, CylPoint(rho=pts[0], phi=region.phi, z=pts[1]), region.time)
+            slope = (np.array([re * gr[0] + im * gi[0], re * gr[2] + im * gi[2]])
+                     * (2.0 * cell)).reshape(2, -1, m) * sgn
+            corners = slope[:, 1:] if axial else slope[:, [1, 0]]
+            h[:] = np.where(np.abs(d) >= 1e-4 * fine, (slope[:, :1] - corners) / d,
+                            h.reshape(2, 2, m)).reshape(4, m)
             i = sgn * amp[:m] * amp[:m]
-            better = i - value >= -1e-12 * np.abs(value) if rounds else np.ones(m, dtype=bool)
-            size = np.max(np.abs(d), axis=0)
-            radius[:] = np.where(better, np.minimum(np.maximum(2.0 * size, radius), 4.0), size / 4)
-            x[:, better], value[better] = trial[:, better], i[better]
-            state[4:6, better] = slope[:, 0, better]
-            gu, gv = state[4], state[5] * axial
-            a, b = state[6], 0.5 * (state[7] + state[8]) * axial
-            c = np.where(axial, state[9], -1.0)
+            better = (i - value >= -1e-12 * np.abs(value)) | (not rounds)
+            size = np.maximum(np.abs(d[0]), np.abs(d[1]))
+            radius[:] = np.where(better, np.minimum(np.maximum(4.0 * size, radius), 4.0), 0.5 * size)
+            x[:], g[:], value[:] = (np.where(better, trial, x), np.where(better, slope[:, 0], g),
+                                    np.where(better, i, value))
+            gu, gv = g[0], g[1] * axial
+            a, b, c = h[0], 0.5 * (h[1] + h[2]) * axial, h[3]
             top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
             norm = np.hypot(gu, gv)
             s = np.array([b * gv - c * gu, b * gu - a * gv]) / (a * c - b * b)
-            mu = np.where((top < 0.0) & (np.max(np.abs(s), axis=0) <= radius), 0.0,
+            mu = np.where((top < 0.0) & (np.maximum(np.abs(s[0]), np.abs(s[1])) <= radius), 0.0,
                           np.maximum(top, 0.0) + norm / radius)
             a, c = a - mu, c - mu
             s = np.where(norm > 0.0, [b * gv - c * gu, b * gu - a * gv] / (a * c - b * b), 0.0)
             # a point on its z bound that would step past it
             past = ((x[1] == lo[1]) & (s[1] < 0.0)) | ((x[1] == hi[1]) & (s[1] > 0.0))
-            d = np.clip(s, lo - x, hi - x)
-            last = np.max(np.abs(d) / fine, axis=0)
+            d[:] = np.minimum(np.maximum(s, lo - x), hi - x)
+            last = np.maximum(np.abs(d[0]) / fine[0], np.abs(d[1]) / fine[1])
             done = last < POLISH_TOL
-            k = live[done].astype(int)
-            out[:, k] = np.r_[(x + d)[:, done] * cell, [sgn[done] * value[done], last[done]]]
-            keep = ~(done | past)
-            if not keep.all():
-                x, d, lo, hi, axial, state = (v[..., keep] for v in (x, d, lo, hi, axial, state))
+            if (done | past).any():
+                out[:, state[16, done].astype(int)] = np.r_[
+                    (x + d)[:, done] * cell, [(sgn * value)[done], last[done]]]
+                state = state[:, ~(done | past)]
     return out
+
+
+def _bases(rho, rows, peak, top, ring):
+    """(start, lo, hi) for ``_polish`` of both bases of each radial
+    maximum's prominence, left ones first, as scipy.signal.peak_prominences
+    takes them: the lowest point between the maximum (at ``peak``, of
+    intensity ``top``) and the nearest brighter point on that side, the ring
+    at ``ring`` or a sample of the maximum's row ``rows`` at the coarse
+    columns ``rho``, else the row's end.  A base starts at the side's lowest
+    sample, between its neighbours, or mid-side where the side has none."""
+    out = []
+    for side in (-1.0, 1.0):
+        ahead = side * (rho - peak[:, None]) > 0.0
+        edge = side * np.min(np.where(ahead & (rows > top[:, None]), side * rho, np.inf), axis=1)
+        edge = np.where((side * (ring - peak) > 0.0) & (side * (ring - edge) < 0.0), ring, edge)
+        inside = ahead & (side * (rho - edge[:, None]) < 0.0)
+        a = np.argmin(np.where(inside, rows, np.inf), axis=1)
+        near, far = np.minimum(peak, edge), np.maximum(peak, edge)
+        empty = ~inside[np.arange(peak.size), a]
+        out.append((np.where(empty, 0.5 * (near + far), rho[a]),
+                    np.where(empty, near, np.maximum(rho[np.maximum(a - 1, 0)], near)),
+                    np.where(empty, far, np.minimum(rho[np.minimum(a + 1, rho.size - 1)], far))))
+    return [np.r_[left, right] for left, right in zip(*out)]
 
 
 def find_rings(pair, region):
@@ -231,16 +263,18 @@ def find_rings(pair, region):
        of grad I = 0 in (rho, z), z within its neighbouring coarse rows;
        one that does not end there is dropped, repeats count once.
     3. A maximum is a ring when no coarse sample of its row (its z) and no
-       other radial maximum there, polished in rho, is brighter.
+       other radial maximum there (one whose neighbouring samples do not
+       hold it), polished in rho, is brighter.
 
     The ring nearest z = 0 is "central" within half a fringe of the
     midplane, every other a member of a double-ring pair.  The fringe
     spacing is the median gap between adjacent rings within |z| <= d/4, or
     between all rings where no two adjacent ones lie there (as at d = 0).
-    A ring splits where the brightest other radial maximum of its row (by
-    the scan), polished, reaches SPLIT_HEIGHT of the ring and rises
-    SPLIT_PROMINENCE of it above the polished minimum between the two.
-    Raises RingDetectionError when there are no maxima.
+    A ring splits where another radial maximum of its row reaches
+    SPLIT_HEIGHT of the ring and rises SPLIT_PROMINENCE of it above the
+    higher of its two bases, as scipy.signal.peak_prominences takes them
+    (``_bases``, each polished); the brightest such maximum is the
+    partner.  Raises RingDetectionError when there are no maxima.
     """
     b = pair.beam1
     if region.kind != "rho_z":
@@ -268,40 +302,43 @@ def find_rings(pair, region):
         r1, c1 = n_z - max(dr, 0), n_rho - max(dc, 0)
         seed[r0:r1, c0:c1] &= coarse[r0:r1, c0:c1] >= coarse[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
     r, c = np.nonzero(seed)
+    rl, rh, cl, ch = np.maximum(r - 1, 0), np.minimum(r + 1, n_z - 1), np.maximum(c - 1, 0), \
+        np.minimum(c + 1, n_rho - 1)
+    # each seed's first step heads for its brighter neighbour on each axis
     out = _polish(pair, region, np.array([rho_c[c], z_c[r]]),
-                  np.array([np.full(r.size, rho_c[0]), z_c[np.maximum(r - 1, 0)]]),
-                  np.array([np.full(r.size, rho_c[-1]), z_c[np.minimum(r + 1, n_z - 1)]]), cells)
+                  np.array([np.full(r.size, rho_c[0]), z_c[rl]]),
+                  np.array([np.full(r.size, rho_c[-1]), z_c[rh]]), cells,
+                  up=np.array([coarse[r, ch] - coarse[r, cl], coarse[rh, c] - coarse[rl, c]]))
     # the ended maxima, sorted by z, then rho, each once
     out = out[:, np.isfinite(out[3])]
     rho_v, z_v, i_v, _ = out[:, np.lexsort(out[:2])]
     again = (np.abs(np.diff(z_v)) <= 1e-3 * dz) & (np.abs(np.diff(rho_v)) <= 1e-3 * drho)
     rho_v, z_v, i_v = (v[np.r_[True, ~again][:v.size]] for v in (rho_v, z_v, i_v))
 
-    # each maximum's row at the coarse columns: its other radial maxima (off
-    # its own lobe) that could be brighter or its partner, the brightest of
-    # them by the scan, and the minimum between the two, polished in rho
+    # each maximum's row at the coarse columns; in the rows of those no
+    # sample outshines, every other radial maximum that could outshine the
+    # maximum or be its partner, and both bases of its prominence, all
+    # polished in rho.  A coarse maximum whose neighbouring samples hold the
+    # maximum is taken for its own peak: polished, no such sample ended
+    # anywhere else on the tests' generated and paper lattices, even with
+    # columns eight times coarser.
     profiles = _pair_intensity_at(pair, region, rho_c[None, :], z_v[:, None])
-    inner = profiles[:, 1:-1]
-    m, c = np.nonzero((inner >= profiles[:, :-2]) & (inner >= profiles[:, 2:])
-                      & (inner >= 0.5 * SPLIT_HEIGHT * i_v[:, None])
-                      & (np.abs(rho_c[1:-1] - rho_v[:, None]) > cells[0]))
-    order = np.lexsort((profiles[m, c + 1], m))
-    m, c = m[order], c[order] + 1
-    partner = np.flatnonzero(np.r_[m[1:] != m[:-1], True][:m.size])
-    p = m[partner]
-    r_in = np.minimum(rho_v[p], rho_c[c[partner]])
-    r_out = np.maximum(rho_v[p], rho_c[c[partner]])
-    low = np.argmin(np.where((rho_c > r_in[:, None]) & (rho_c < r_out[:, None]), profiles[p],
-                             np.inf), axis=1)
-    low = np.where((rho_c[low] > r_in) & (rho_c[low] < r_out), rho_c[low], 0.5 * (r_in + r_out))
-    rows, sign = np.r_[m, p], np.repeat([1.0, -1.0], [m.size, p.size])
-    rho_m, _, i_m, _ = _polish(pair, region, np.array([np.r_[rho_c[c], low], z_v[rows]]),
-                               np.array([np.r_[rho_c[c - 1], r_in], z_v[rows]]),
-                               np.array([np.r_[rho_c[c + 1], r_out], z_v[rows]]), cells, sign)
-    i_low, rho_m, i_m = i_m[m.size:], rho_m[:m.size], i_m[:m.size]
     # a ring is its row's brightest point: a sample beats it only by more
     # than the rounding that parts the two intensities
     ring = profiles.max(axis=1) <= i_v * (1.0 + 1e-9)
+    inner = profiles[:, 1:-1]
+    m, c = np.nonzero((inner >= profiles[:, :-2]) & (inner >= profiles[:, 2:])
+                      & (inner >= 0.5 * SPLIT_HEIGHT * i_v[:, None]) & ring[:, None])
+    c += 1
+    keep = (rho_v[m] < rho_c[c - 1]) | (rho_v[m] > rho_c[c + 1])
+    m, c = m[keep], c[keep]
+    start, lo, hi = _bases(rho_c, profiles[m], rho_c[c], profiles[m, c], rho_v[m])
+    z = z_v[np.r_[m, m, m]]
+    rho_m, _, i_m, _ = _polish(pair, region, np.array([np.r_[rho_c[c], start], z]),
+                               np.array([np.r_[rho_c[c - 1], lo], z]),
+                               np.array([np.r_[rho_c[c + 1], hi], z]), cells,
+                               np.repeat([1.0, -1.0], [m.size, 2 * m.size]))
+    rho_m, i_m, base = rho_m[:m.size], i_m[:m.size], np.max(i_m[m.size:].reshape(2, -1), axis=0)
     ring[m[i_m > i_v[m]]] = False
     if not ring.any():
         raise RingDetectionError("no interference maxima found in the region")
@@ -323,12 +360,19 @@ def find_rings(pair, region):
              for n, (z, rho, i) in enumerate(zip(z_vals.tolist(), rho_v[ring].tolist(),
                                                  i_v[ring].tolist()))]
 
-    top, rho_p, i_p = i_v[p], rho_m[partner], i_m[partner]
-    split = ring[p] & (i_p >= SPLIT_HEIGHT * top) & (i_p - i_low >= SPLIT_PROMINENCE * top)
-    split &= p != (np.flatnonzero(ring)[central] if central >= 0 else -1)
-    inner, outer = np.minimum(rho_v[p], rho_p)[split], np.maximum(rho_v[p], rho_p)[split]
+    # a ring's partner is the brightest other radial maximum of its row
+    # that reaches SPLIT_HEIGHT of it and rises SPLIT_PROMINENCE of it above
+    # the higher of its bases
+    top = i_v[m]
+    ok = (i_m >= SPLIT_HEIGHT * top) & (i_m - base >= SPLIT_PROMINENCE * top) & ring[m]
+    ok &= m != (np.flatnonzero(ring)[central] if central >= 0 else -1)
+    order = np.lexsort((i_m[ok], m[ok]))
+    p, rho_p = m[ok][order], rho_m[ok][order]
+    pick = np.r_[p[1:] != p[:-1], True][:p.size]
+    p, rho_p = p[pick], rho_p[pick]
+    inner, outer = np.minimum(rho_v[p], rho_p), np.maximum(rho_v[p], rho_p)
     splittings = [RingSplit(z_pos=z, delta_rho=r_o - r_i, r_inner=r_i, r_outer=r_o)
-                  for z, r_i, r_o in zip(z_v[p][split].tolist(), inner.tolist(), outer.tolist())]
+                  for z, r_i, r_o in zip(z_v[p].tolist(), inner.tolist(), outer.tolist())]
     return RingSet(rings=rings, fringe_delta=fringe_delta, splittings=splittings)
 
 

@@ -31,10 +31,10 @@ REL = 1e-12
 SCALES = {
     # A polished ring's z moves by about eps A / (2 k V) when the last bits
     # of its slope move (A the phase scale, about 900 rad here, and V the
-    # ring's fringe visibility): 7e-15 m, 1.6e-10 of max |z|, at the least
-    # visible ring (V = 1.3e-6, near a focus).  A scale of 1e4 times max |z|
-    # allows 4e-13 m, 3e-5 of the z grid step.
-    ("rings", "rings.json", "rings.*.z"): lambda files, col: 1e4 * col["max_abs"],
+    # ring's fringe visibility): 7e-15 m, 1.7e-10 of max |z| (4.2e-5 m), at
+    # the least visible ring (V = 1.3e-6, near a focus).  A scale of 300
+    # times max |z| allows 1.3e-14 m, about twice that.
+    ("rings", "rings.json", "rings.*.z"): lambda files, col: 300.0 * col["max_abs"],
     # 0 up to rounding (about 1e-21 m): its scale is the ring stack's extent.
     ("rings", "rings_summary.json", "central_z"):
         lambda files, col: files["rings.json"]["columns"]["rings.*.z"]["max_abs"],

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.signal import find_peaks
+from scipy.optimize import minimize_scalar
+from scipy.signal import find_peaks, peak_prominences
 
 from test_config_cli import REPO
 from test_properties import intensity_bound, lattices
@@ -151,9 +152,13 @@ def split_pair():
     return PairSpec(WAVELENGTH, 4.0 * WAVELENGTH, l1=20, separation_d=65.0 * WAVELENGTH)
 
 
-def split_region():
+def split_region(rho_max=23.0):
+    """split_pair's rings between the foci; rho_max = 21 cuts the outer
+    rings' lobes short, so that past many a partner the row ends above the
+    valley between it and its ring: the far base then decides."""
     lam = WAVELENGTH
-    return GridSpec.rho_z(rho_min=11 * lam, rho_max=23 * lam, n_rho=301,
+    return GridSpec.rho_z(rho_min=11 * lam, rho_max=rho_max * lam,
+                          n_rho=round((rho_max - 11.0) * 25.0) + 1,
                           z_min=-36 * lam, z_max=36 * lam, n_z=1441)
 
 
@@ -464,18 +469,128 @@ def visibility(p, z, rho):
     return np.where(den > 0.0, 2.0 * np.abs(u1 * u2) / np.where(den > 0.0, den, 1.0), 0.0)
 
 
+def row_of(region, z):
+    """The grid row nearest z: where the full-map finder reads a ring, whose
+    parabolic z lies within half a row of it."""
+    return region.axis2[int(np.rint((z - region.axis2[0]) / region.spacing2))]
+
+
+def crest_radius(p, region, rho, z):
+    """The radius of the maximum of I(., z) nearest rho, to 1e-4 of a
+    radial cell, or None where it is not within 8 cells: a ring followed
+    along its crest to the row z."""
+    drho = region.spacing1
+
+    def dim(r):
+        pt = CylPoint(rho=np.array([r]), phi=region.phi, z=np.array([z]))
+        return -superpose._pair_intensity(p, pt, region.time)[0]
+
+    lo, hi = max(rho - 8.0 * drho, region.axis1[0]), rho + 8.0 * drho
+    x = minimize_scalar(dim, bounds=(lo, hi), method="bounded", options={"xatol": 1e-4 * drho}).x
+    if lo == region.axis1[0] and x < lo + 1e-2 * drho:
+        return lo
+    return x if lo + 1e-2 * drho < x < hi - 1e-2 * drho else None
+
+
+def near_on_the_crest(p, region, mine, theirs, z):
+    """Whether the full-map finder's radius ``theirs``, read in the grid
+    row of its ring at z, is within one radial cell of the radius ``mine``
+    of find_rings followed along its crest to that row."""
+    there = crest_radius(p, region, mine, row_of(region, z))
+    return there is not None and abs(there - theirs) <= region.spacing1
+
+
+def lattice_rings(p, region, rings):
+    """Which rings are lattice rings: visibility V >= 0.5 (a fringe
+    maximum's z is ill-conditioned where V is low) and more than a row from
+    the region's z ends (a maximum there is no peak of a grid row)."""
+    dz = region.spacing2
+    z = np.array([r.z_pos for r in rings])
+    return (visibility(p, z, [r.radius for r in rings]) >= 0.5) \
+        & (z > region.axis2[0] + dz) & (z < region.axis2[-1] - dz)
+
+
+def one_to_one(z_from, z_to, dz):
+    """For each z of z_from, the index of the nearest z of z_to within dz;
+    asserts there is one and that no index is taken twice."""
+    z_to = np.asarray(z_to)
+    got = []
+    for z in z_from:
+        near = np.flatnonzero(np.abs(z_to - z) <= dz)
+        assert near.size, f"nothing within {dz:.3e} m of z = {z:.6e} m"
+        got.append(near[np.argmin(np.abs(z_to[near] - z))])
+    assert len(set(got)) == len(got)
+    return got
+
+
+def split_by_the_rule(p, region, ring):
+    """The splitting rule at a ring's own z, from scipy on 64 samples per
+    radial cell of that row: the radius of the ring's partner, the
+    brightest peak but the ring's that reaches SPLIT_HEIGHT of the row's
+    top and rises SPLIT_PROMINENCE of it above the higher of its bases, or
+    False where there is none.  None where the sampling cannot decide: a
+    peak's height or prominence, over the top, within 1e-3 of its
+    threshold, or the two brightest passing peaks within 1e-3 of the top
+    of each other."""
+    rho = np.linspace(region.axis1[0], region.axis1[-1], 64 * (region.axis1.size - 1) + 1)
+    row = superpose._pair_intensity(p, CylPoint(rho=rho, phi=region.phi, z=ring.z_pos),
+                                    region.time)
+    top = row.max()
+    peaks = find_peaks(row)[0]
+    peaks = peaks[np.abs(rho[peaks] - ring.radius) > region.spacing1]
+    height, prominence = row[peaks] / top, peak_prominences(row, peaks)[0] / top
+    if np.any(np.abs(height - ring_analysis.SPLIT_HEIGHT) < 1e-3) \
+            or np.any(np.abs(prominence - ring_analysis.SPLIT_PROMINENCE) < 1e-3):
+        return None
+    passes = np.sort(height[(height >= ring_analysis.SPLIT_HEIGHT)
+                            & (prominence >= ring_analysis.SPLIT_PROMINENCE)])
+    if passes.size >= 2 and passes[-1] - passes[-2] < 1e-3:
+        return None
+    return rho[peaks][height == passes[-1]][0] if passes.size else False
+
+
+def assert_split_is_the_rules(p, region, ring, split):
+    """find_rings' splitting (or None) at a ring is the rule's decision at
+    the ring's z (split_by_the_rule), the partner within one radial cell,
+    where the rule decides; returns whether it decides."""
+    rule = split_by_the_rule(p, region, ring)
+    if rule is None:
+        return False
+    if split is None:
+        assert rule is False
+    else:
+        partner = split.r_outer if split.r_inner == ring.radius else split.r_inner
+        assert rule is not False and abs(partner - rule) <= region.spacing1
+    return True
+
+
 def assert_near_the_oracle(p, region, want=None):
     """find_rings against the full-map finder (``want``, its RingSet where
-    already found): the same error, or rings within one grid cell in z.
-    Every ring of the full-map finder with visibility V >= 0.5, more than a
-    row from the region's ends, has a ring of find_rings within dz of it,
-    and for radial_p = 0 the other way round too; a fringe maximum's z is ill-conditioned where V
-    is low.  Radii are not compared: on a tilted crest the full-map finder
-    reads a ring's radius in its peak row, up to half a row from the ring,
-    which moves it by several radial cells (test_rings_are_polished_maxima
-    checks the polished radii).  The central ring's z and the fringe
-    spacing agree within dz too.  Returns find_rings' RingSet as its repr,
-    or its error as type and text."""
+    already found): the same error text, or
+
+    - its lattice rings (``lattice_rings``) one to one with rings of
+      find_rings within one grid cell in z, and for radial_p = 0 the other
+      way round too: with p > 0 a lobe's fringe maximum can be its row's
+      brightest over less than a row before another lobe's outshines it, a
+      ring the grid's ridge cannot resolve;
+    - the radius of each such ring within one radial cell of find_rings'
+      ring followed along its crest to the full-map finder's row
+      (``near_on_the_crest``): that finder reads the radius in the grid row
+      of its ridge peak, up to half a row from the ring, which on a tilted
+      crest moves it by several radial cells (the xfail
+      test_radii_are_within_one_cell_of_the_full_map_finders measures it);
+    - its splittings one to one with those of find_rings within one cell in
+      z, r_inner and r_outer within one radial cell as the radii; where the
+      two finders differ at a ring of find_rings, in whether it splits or
+      in the partner, find_rings takes the rule's decision at the ring's
+      own z (``assert_split_is_the_rules``) and the full-map finder the
+      decision at its grid row: when two lobes are about as bright, or the
+      partner's prominence is near SPLIT_PROMINENCE, half a row decides;
+    - the same number of central rings, z within one cell, and the fringe
+      spacing within one cell.
+
+    Returns find_rings' RingSet as its repr, or its error as type and
+    text."""
     got = finder_outcome(find_rings, p, region)
     if want is None:
         want = finder_outcome(full_map_find_rings, p, region)
@@ -483,16 +598,29 @@ def assert_near_the_oracle(p, region, want=None):
         assert got == want
         return got
     dz = region.spacing2
-    # with p > 0 a lobe's fringe maximum can be its row's brightest over
-    # less than a row before another lobe's fringe outshines it: a ring of
-    # find_rings the grid's ridge cannot resolve
-    for one, other in ((want, got), (got, want))[:1 if p.radial_p else 2]:
-        z = np.array([r.z_pos for r in one.rings])
-        # a maximum within a row of the region's end is no peak of a grid row
-        bright = (visibility(p, z, [r.radius for r in one.rings]) >= 0.5) \
-            & (z > region.axis2[0] + dz) & (z < region.axis2[-1] - dz)
-        near = np.abs(z[bright, None] - np.array([r.z_pos for r in other.rings])) <= dz
-        assert near.any(axis=1).all()
+    z_got = np.array([r.z_pos for r in got.rings])
+    lattice = [r for r, on in zip(want.rings, lattice_rings(p, region, want.rings)) if on]
+    for r, k in zip(lattice, one_to_one([r.z_pos for r in lattice], z_got, dz)):
+        assert near_on_the_crest(p, region, got.rings[k].radius, r.radius, r.z_pos)
+    if not p.beam1.radial_p:
+        one_to_one(z_got[lattice_rings(p, region, got.rings)], [r.z_pos for r in want.rings], dz)
+    split_of = {s.z_pos: s for s in got.splittings}
+    seen = set()
+    for s in want.splittings:
+        near = np.flatnonzero(np.abs(z_got - s.z_pos) <= dz)
+        if not near.size:
+            continue        # a ring only the full-map finder reports
+        ring = got.rings[near[np.argmin(np.abs(z_got[near] - s.z_pos))]]
+        t = split_of.get(ring.z_pos)
+        assert ring.z_pos not in seen
+        seen.add(ring.z_pos)
+        if t is None or not all(near_on_the_crest(p, region, mine, theirs, s.z_pos)
+                                for mine, theirs in ((t.r_inner, s.r_inner),
+                                                     (t.r_outer, s.r_outer))):
+            assert_split_is_the_rules(p, region, ring, t)
+    for ring in got.rings:
+        if ring.z_pos in split_of and ring.z_pos not in seen:
+            assert_split_is_the_rules(p, region, ring, split_of[ring.z_pos])
     central = [[r.z_pos for r in rs.rings if r.classification == "central"] for rs in (got, want)]
     assert len(central[0]) == len(central[1])
     assert all(abs(a - b) <= dz for a, b in zip(*central))
@@ -679,22 +807,69 @@ def fixture_case(case):
         return cfg.pair, cfg.rings_grid
     if case == "split":
         return split_pair(), split_region()
+    if case == "split_cut":
+        return split_pair(), split_region(rho_max=21.0)
     p = {"lattice": pair(), "single": pair(amp2=0.0), "dark": pair(amp1=0.0, amp2=0.0)}[case]
     if case == "single":
         return p, lattice_region(p, z_half=24.0, n_z=961)
     return p, lattice_region(p)
 
 
-@pytest.mark.parametrize("case", ["ring_lattice", "lattice", "split", "single", "dark"])
+@pytest.mark.parametrize("case", ["ring_lattice", "lattice", "split", "split_cut", "single",
+                                  "dark"])
 def test_find_rings_is_the_full_map_finder(case):
     """configs/ring_lattice.json's 420 x 6000 rings_grid and the fixtures:
-    the lattice, the resolved splittings, one beam switched off (one ring,
-    no fringe spacing) and both off (every row 0)."""
+    the lattice, the resolved splittings, on the full region and cut short
+    past the outer rings, one beam switched off (one ring, no fringe
+    spacing) and both off (every row 0)."""
     p, region = fixture_case(case)
     got = assert_near_the_oracle(p, region)
     assert got.startswith("RingDetectionError: " if case == "dark" else "RingSet(")
-    if case == "split":
+    if case.startswith("split"):
         assert "RingSplit(" in got
+
+
+def radius_gaps(p, region):
+    """The largest gaps, in radial cells, between the full-map finder's
+    radii and find_rings' as they stand, not followed along the crest: of
+    the lattice rings, and of r_inner and r_outer of the splittings at the
+    same rings."""
+    got, want = find_rings(p, region), full_map_find_rings(p, region)
+    dz, drho = region.spacing2, region.spacing1
+    lattice = [r for r, on in zip(want.rings, lattice_rings(p, region, want.rings)) if on]
+    at = one_to_one([r.z_pos for r in lattice], [r.z_pos for r in got.rings], dz)
+    rings = max(abs(got.rings[k].radius - r.radius) for r, k in zip(lattice, at)) / drho
+    split_of = {s.z_pos: s for s in got.splittings}
+    splits = [0.0]
+    for s in want.splittings:
+        t = [split_of[r.z_pos] for r in got.rings
+             if abs(r.z_pos - s.z_pos) <= dz and r.z_pos in split_of]
+        splits += [max(abs(t[0].r_inner - s.r_inner), abs(t[0].r_outer - s.r_outer)) / drho] if t else []
+    return rings, max(splits)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param("ring_lattice", marks=pytest.mark.xfail(strict=True, reason=(
+        "ring radii up to 2.32 radial cells and splitting radii up to 1.41 cells from the "
+        "full-map finder's, by the crests' tilt"))),
+    pytest.param("lattice", marks=pytest.mark.xfail(strict=True, reason=(
+        "ring radii up to 3.12 radial cells from the full-map finder's, by the crests' tilt"))),
+    pytest.param("split", marks=pytest.mark.xfail(strict=True, reason=(
+        "ring radii up to 4.11 radial cells and splitting radii up to 2.10 cells from the "
+        "full-map finder's, by the crests' tilt"))),
+])
+def test_radii_are_within_one_cell_of_the_full_map_finders(case):
+    """The radius clause of the oracle criterion as first written: lattice
+    rings, and the splittings at them, within one radial cell of the
+    full-map finder's radii as they stand.  It does not hold: that finder
+    reads a ring's radius in the grid row of its ridge peak, up to half a
+    row from the ring, and where the crest is tilted the crest's radius
+    there differs from the ring's by several radial cells.  Followed along
+    the crest to that row, find_rings' radii are within 0.003 cells of the
+    full-map finder's on these cases (assert_near_the_oracle binds one
+    cell)."""
+    rings, splits = radius_gaps(*fixture_case(case))
+    assert rings <= 1.0 and splits <= 1.0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -731,27 +906,36 @@ def test_find_rings_raises_where_the_far_field_is_not_finite():
 
 def test_rings_command_writes_the_full_map_finders_rings(tmp_path, monkeypatch):
     """`rings` on configs/ring_lattice.json writes the same files with the
-    package's finder as with the full-map oracle in its place, and the
-    rings in rings.json and the central ring and fringe spacing in
-    rings_summary.json agree within one cell in z (assert_near_the_oracle)."""
+    package's finder as with the full-map oracle in its place.  Each side's
+    files are its RingSet (rings.json, and the splittings' z, r_inner and
+    r_outer in ring_comparison.csv) and compare_rings of that RingSet
+    (the rest of ring_comparison.csv and rings_summary.json, bit for bit),
+    and the two RingSets agree as assert_near_the_oracle asks."""
     config = str(REPO / "configs" / "ring_lattice.json")
+    cfg = RunConfig.from_file(config)
     assert main(["rings", "--config", config, "--out", str(tmp_path / "finder")]) == 0
     monkeypatch.setattr(cli, "find_rings", full_map_find_rings)
     assert main(["rings", "--config", config, "--out", str(tmp_path / "oracle")]) == 0
     names = sorted(path.name for path in (tmp_path / "finder").iterdir())
     assert names == sorted(path.name for path in (tmp_path / "oracle").iterdir())
-    got, want = (json.loads((tmp_path / side / "rings.json").read_text())
-                 for side in ("finder", "oracle"))
-    cfg = RunConfig.from_file(config)
-    assert_near_the_oracle(cfg.pair, cfg.rings_grid, RingSet(
-        rings=[Ring(r["z"], r["radius"], r["peak"], r["class"]) for r in want["rings"]],
-        fringe_delta=want["fringe_delta"]))
-    assert got == find_rings(cfg.pair, cfg.rings_grid).to_json_dict()
-    dz = cfg.rings_grid.spacing2
-    got, want = (json.loads((tmp_path / side / "rings_summary.json").read_text())
-                 for side in ("finder", "oracle"))
-    for key in ("central_z", "fringe_delta"):
-        assert abs(got[key] - want[key]) <= dz
+    assert "ring_comparison.csv" in names
+    sets = []
+    for side in ("finder", "oracle"):
+        rings = json.loads((tmp_path / side / "rings.json").read_text())
+        rows = np.loadtxt(tmp_path / side / "ring_comparison.csv", delimiter=",", skiprows=1,
+                          ndmin=2)
+        ringset = RingSet(
+            rings=[Ring(r["z"], r["radius"], r["peak"], r["class"]) for r in rings["rings"]],
+            fringe_delta=rings["fringe_delta"],
+            splittings=[RingSplit(z, r_o - r_i, r_i, r_o) for z, r_i, r_o in rows[:, :3]])
+        assert rings == ringset.to_json_dict()
+        want_rows, want_summary = compare_rings(cfg.pair, ringset)
+        assert np.array_equal(rows, want_rows)
+        summary = json.loads((tmp_path / side / "rings_summary.json").read_text())
+        assert summary == json.loads(json.dumps(want_summary))
+        sets.append(ringset)
+    assert sets[0] == find_rings(cfg.pair, cfg.rings_grid)
+    assert_near_the_oracle(cfg.pair, cfg.rings_grid, sets[1])
 
 
 # ------------------------------------------- the parabolic refinement, exactly
@@ -838,6 +1022,26 @@ def test_rings_are_polished_maxima(case):
         for r in (split.r_inner, split.r_outer):
             assert intensity(r - 0.01 * drho, split.z_pos) < intensity(r, split.z_pos)
             assert intensity(r + 0.01 * drho, split.z_pos) < intensity(r, split.z_pos)
+    if case.startswith("split"):
+        assert rings.splittings
+
+
+@pytest.mark.parametrize("case", ["ring_lattice", "lattice", "split", "split_cut"])
+def test_every_ring_splits_as_the_rule_says_at_its_z(case):
+    """At every ring but the central one, find_rings splits, and picks its
+    partner, as scipy's peak heights and prominences on a row of 64
+    samples per radial cell at the ring's z say (split_by_the_rule), the
+    partner's prominence taken against the higher of its two bases, the
+    far one running to a brighter point or the row's end; rings where the
+    sampling cannot decide are skipped."""
+    p, region = fixture_case(case)
+    rings = find_rings(p, region)
+    split_of = {s.z_pos: s for s in rings.splittings}
+    decided = 0
+    for ring in rings.rings:
+        if ring.classification == "double":
+            decided += assert_split_is_the_rules(p, region, ring, split_of.get(ring.z_pos))
+    assert decided >= 0.9 * len(rings.rings) - 1
     if case == "split":
         assert rings.splittings
 
