@@ -21,14 +21,12 @@ dipole forces together, each its triple of entries, from one evaluation of
 each beam's mode, so a point of scalars computes on floats; an RK4 stage
 reads those triples.  ``_forces`` picks the function by ``mode``.  The
 public forces and ``phase_gradient`` are arrays stacked [rho, phi, z] on
-axis 0, with the points' broadcast shape after it.  The total field
-E = sum_j U_j e^{i Theta_j} has
-grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j), from which
-Omega grad(Omega) = s^2 Re(E* grad E) and
-grad(arg E) = Im(grad E / E), with s = rabi_omega0 / (reference amplitude);
-each of these products is written out in real parts.
-Only ``axial_force_slope`` differentiates numerically: it is the numeric leg
-of the spring-constant check.
+axis 0, with the points' broadcast shape after it.  The full model reads
+E, grad(E) and grad(arg E) = Im(grad E / E) of the total field as
+``superpose`` forms them in real parts (``_pair_gradient``,
+``_phase_slope``), and Omega grad(Omega) = s^2 Re(E* grad E) in real parts
+too, s = rabi_omega0 / (reference amplitude).  Only ``axial_force_slope``
+differentiates numerically: it is the numeric leg of the spring-constant check.
 """
 
 import functools
@@ -37,11 +35,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import HBAR
-from .errors import DarkPointError, DegenerateGeometryError
-from .lg_mode import CylPoint, _jet, _off_axis, _real, _stacked, mode_amplitude, mode_phase
+from .errors import DegenerateGeometryError
+from .lg_mode import CylPoint, _jet, _off_axis, _stacked, mode_amplitude, mode_phase
 # mode_phase and pair_complex are not called here; they stay module attributes
 # because perfbench/spans.py traces calls by rebinding these names
-from .superpose import DARK_FRACTION, PairSpec, _offset_phase, pair_complex, total_amplitude
+from .superpose import PairSpec, _pair_gradient, _phase_slope, pair_complex, total_amplitude
 
 __all__ = [
     "FORCE_MODELS",
@@ -68,7 +66,6 @@ __all__ = [
 # The force models a ``mode`` names: the beams' forces added, or the interfered field's
 FORCE_MODELS = ("reduced", "full")
 _REDUCED = FORCE_MODELS[0]
-_TINY = np.finfo(float).tiny
 # The (rho, phi, z) triple of a force not asked for
 _NO_FORCE = (0.0, 0.0, 0.0)
 
@@ -144,70 +141,6 @@ def _reduced_gradient(beam, pt, azimuthal=True):
     # phase, direction * l * phi, has -l2 / rho
     return (0.0, _off_axis(beam.winding_l, pt.rho, pt.rho) if azimuthal else 0.0,
             beam.direction * beam.wavenumber)
-
-
-def _pair_gradient(pair, pt, t):
-    """|E|, E and grad(E) of the total field and max(|U1|, |U2|), from one
-    jet per beam: ``(|E|, (Re E, Im E), (Re grad E, Im grad E), u_max)``,
-    each part of grad(E) a (rho, phi, z) triple of entries.
-
-    E = sum_j U_j e^{i Theta_j} and
-    grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j) are
-    written out in real parts with numpy's cos and sin, which equal the
-    parts of numpy's e^{i Theta}: Re E and Im E are ``superpose``'s E bit
-    for bit, and |E| is numpy's complex modulus of them, as in
-    ``total_amplitude``.  numpy's complex array multiply may fuse a multiply
-    and an add, so complex products on scalars would not give an array's
-    bits; the real ones do.
-    """
-    u1, th1, gu1, gth1 = _jet(pair.beam1, pt)
-    u2, th2, gu2, gth2 = _jet(pair.beam2, pt)
-    th2 = _offset_phase(pair, pt, t, th2)
-    real = _real(pt)
-    c1, s1, c2, s2 = real(np.cos(th1)), real(np.sin(th1)), real(np.cos(th2)), real(np.sin(th2))
-    re, im = u1 * c1 + u2 * c2, u1 * s1 + u2 * s2
-    gth2 = gth2[0], gth2[1], gth2[2] + pair.delta_k
-    # grad E = sum_j (c_j + i s_j) (a_j + i b_j), a_j = grad U_j, b_j = U_j grad Theta_j
-    terms = [(a1, u1 * b1, a2, u2 * b2) for a1, b1, a2, b2 in zip(gu1, gth1, gu2, gth2)]
-    grad_e = ([(c1 * a1 - s1 * b1) + (c2 * a2 - s2 * b2) for a1, b1, a2, b2 in terms],
-              [(c1 * b1 + s1 * a1) + (c2 * b2 + s2 * a2) for a1, b1, a2, b2 in terms])
-    a1, a2, amp = abs(u1), abs(u2), np.abs(re + 1j * im)
-    if isinstance(amp, np.ndarray):
-        return amp, (re, im), grad_e, np.maximum(a1, a2)
-    # a point of scalars: floats, and np.maximum(a1, a2) with its NaN rule
-    return float(amp), (re, im), grad_e, a2 if a2 > a1 or a2 != a2 else a1
-
-
-def _phase_slope(amp, e, grad_e, u_max, strict=False):
-    """grad(arg E) = Im(grad E / E) as a (rho, phi, z) triple of entries,
-    each 0 at dark points, where |E| <= DARK_FRACTION * max(|U1|, |U2|);
-    ``strict`` raises DarkPointError instead if any point is dark.  The
-    arguments are those ``_pair_gradient`` returns.
-
-    Magnitudes set the threshold: the signed amplitudes are negative where
-    the radial polynomial is (radial_p > 0).  E and grad E are divided by
-    max(|U1|, |U2|) first, so |E / max|^2, the quotient's denominator, is
-    at least DARK_FRACTION^2 off dark points and stays normal in the far
-    field, where |E|^2 underflows.  The divisor is at least the smallest
-    normal float.
-    """
-    re, im = e
-    dark = amp <= DARK_FRACTION * u_max
-    array = isinstance(dark, np.ndarray)
-    if strict and (dark.any() if array else dark):
-        raise DarkPointError("total phase undefined at a dark point")
-    if array:
-        scale = np.where(dark, 1.0, np.maximum(u_max, _TINY))
-        re, im = np.where(dark, 1.0, re), np.where(dark, 0.0, im)
-    elif dark:
-        return 0.0, 0.0, 0.0
-    else:
-        # a point of scalars: np.maximum(u_max, _TINY) on floats, NaN included
-        scale = _TINY if u_max < _TINY else u_max
-    re, im = re / scale, im / scale
-    den = re * re + im * im
-    slope = tuple((gi / scale * re - gr / scale * im) / den for gr, gi in zip(*grad_e))
-    return tuple(np.where(dark, 0.0, g) for g in slope) if array else slope
 
 
 def _checked(pair, mode=_REDUCED):

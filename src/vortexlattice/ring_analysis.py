@@ -13,12 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atom_forces import _pair_gradient, central_ring_radius
+from .atom_forces import central_ring_radius
 from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
 from .lg_mode import CylPoint, _local_z, _row_phase, mode_jet
 # intensity_map is not called here; it stays a module attribute because
 # perfbench/spans.py traces calls by rebinding this name
-from .superpose import _pair_intensity_at, intensity_map, total_amplitude
+from .superpose import _pair_gradient, _pair_intensity_at, intensity_map, total_amplitude
 
 __all__ = [
     "RadialSplit",
@@ -83,42 +83,6 @@ class RingSet:
             "splittings": [{"z": s.z_pos, "delta_rho": s.delta_rho}
                            for s in self.splittings],
         }
-
-
-def _find_peaks(values):
-    """Indices, in increasing order, of the peaks of a finite 1-D array, as
-    scipy.signal.find_peaks defines them: a peak is a strict local maximum;
-    a flat plateau counts once, at its middle index (rounded down), and a
-    sample or plateau touching either end is never a peak."""
-    x = np.asarray(values, dtype=float)
-    step = np.diff(x)
-    if step.all():
-        return np.flatnonzero((step[:-1] > 0.0) & (step[1:] < 0.0)) + 1
-    # collapse each run of equal samples to one, then map back to the run's
-    # middle index
-    starts = np.flatnonzero(np.concatenate(([True], step != 0.0)))
-    level = x[starts]
-    runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
-    return (starts[runs] + starts[runs + 1] - 1) // 2
-
-
-def _refine_row(axis, values, col):
-    """(positions, values) of the vertices of the parabolas through the
-    samples col - 1, col, col + 1 of the 1-D ``values`` on the equally
-    spaced ``axis``, col an index or an index array: within half a cell of
-    axis[col] at a local maximum, and the sample itself at either end or
-    where not concave."""
-    n = values.size
-    lo, hi = np.maximum(col - 1, 0), np.minimum(col + 1, n - 1)
-    x0, y0, y_lo, y_hi = axis[col], values[col], values[lo], values[hi]
-    den = y_lo - 2.0 * y0 + y_hi
-    fit = (col > 0) & (col < n - 1) & (den < 0.0)
-    den = np.where(fit, den, -1.0)
-    diff = y_lo - y_hi
-    # float_power, like the ** of a numpy scalar, rounds libm's pow; an
-    # array's ** 2 multiplies, which differs in the last bit now and then
-    return (np.where(fit, x0 + 0.5 * (axis[hi] - x0) * diff / den, x0),
-            np.where(fit, y0 - 0.125 * np.float_power(diff, 2) / den, y0))
 
 
 def _coarse_stride(pair, region):
@@ -480,6 +444,13 @@ def suggested_sample_dt(pair):
     return 0.25 * math.pi / abs(pair.delta_omega)
 
 
+def _elapsed(t0, t1):
+    """t1 - t0 of a rate; DegenerateGeometryError where it is 0 (a rate of 0 / 0)."""
+    if t1 == t0:
+        raise DegenerateGeometryError(f"t0 = t1 = {t0!r}: no time elapses between the samples")
+    return t1 - t0
+
+
 def measure_rotation_rate(pair, rho, z, t0, t1):
     """Angular velocity of the spoke pattern from the phase of its azimuthal
     harmonic.
@@ -492,6 +463,7 @@ def measure_rotation_rate(pair, rho, z, t0, t1):
     m = pair.azimuthal_order
     if m == 0:
         raise DegenerateGeometryError("no azimuthal spokes to track")
+    dt = _elapsed(t0, t1)
     n = max(8 * abs(m), 64)
     phi = 2.0 * np.pi * np.arange(n) / n
 
@@ -503,7 +475,7 @@ def measure_rotation_rate(pair, rho, z, t0, t1):
 
     dpsi = harmonic_phase(t1) - harmonic_phase(t0)
     dpsi = (dpsi + np.pi) % (2.0 * np.pi) - np.pi
-    return -dpsi / (m * (t1 - t0))
+    return -dpsi / (m * dt)
 
 
 def fringe_drift_speed(pair, rho):
@@ -523,17 +495,20 @@ def measure_axial_drift(pair, rho, t0, t1):
     points of the line (rho, phi=0) spanning 1.5 fringes either side.  The
     displacement must stay well inside one fringe (``suggested_sample_dt``).
     """
+    dt = _elapsed(t0, t1)
     half_span = 1.5 * np.pi / pair.beam1.wavenumber
     z = np.linspace(-half_span, half_span, 1201)
 
     def peak_near_center(t):
-        amp = total_amplitude(pair, CylPoint(rho=rho, phi=0.0, z=z), t=t)
-        intensity = amp * amp
-        cand = _find_peaks(intensity)
+        i = total_amplitude(pair, CylPoint(rho=rho, phi=0.0, z=z), t=t) ** 2
+        # maxima: above both neighbours, or the first of a two-sample top
+        mid, fall = i[1:-1], i[1:-1] > i[2:]
+        cand = np.flatnonzero((mid > i[:-2]) & (fall | (mid == i[2:]) & np.r_[fall[1:], False])) + 1
         if cand.size == 0:
             raise RingDetectionError("no fringe maximum on the sampling line")
         j = cand[np.argmin(np.abs(z[cand]))]
-        z_ref, _ = _refine_row(z, intensity, j)
-        return z_ref
+        # the vertex of the parabola through samples j - 1, j, j + 1
+        den = i[j - 1] - 2.0 * i[j] + i[j + 1]
+        return z[j] + 0.5 * (z[j + 1] - z[j]) * (i[j - 1] - i[j + 1]) / den if den < 0.0 else z[j]
 
-    return (peak_near_center(t1) - peak_near_center(t0)) / (t1 - t0)
+    return (peak_near_center(t1) - peak_near_center(t0)) / dt

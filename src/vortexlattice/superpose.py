@@ -3,6 +3,8 @@
 The pair interferes into an axial fringe lattice; this module evaluates the
 total amplitude/phase, the phase difference split into its physical parts,
 and sampled intensity maps on half-plane (rho, z) or transverse (x, y) grids.
+It alone forms the field E = U1 e^{i Theta1} + U2 e^{i Theta2}, in real parts:
+for maps and point values, and with its gradient for the forces and the polish.
 """
 
 import math
@@ -10,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError
-from .lg_mode import (BeamSpec, CylPoint, _local_z, _phase_parts, _row_phase, mode_amplitude,
-                      mode_phase)
+from .errors import ConfigError, DarkPointError, DegenerateGeometryError
+from .lg_mode import (BeamSpec, CylPoint, _jet, _local_z, _phase_parts, _real, _row_phase,
+                      mode_amplitude, mode_phase)
 
 __all__ = [
     "BLOCK_POINTS",
@@ -31,6 +33,7 @@ __all__ = [
 # Fraction of max(U1, U2) below which the total amplitude counts as a dark
 # point and the total phase is undefined
 DARK_FRACTION = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ def _pair_intensity(pair, pt, t, out=None):
     curvature from ``_row_phase``.  On a separable rho_z block r and kappa
     are per row, so Delta / 2 costs two full-block passes (halving is
     exact).  The form is non-negative up to rounding.  Delta is rounded
-    apart from the Theta1 and Theta2 that the complex field E of
+    apart from the Theta1 and Theta2 that the field E of
     intensity_map reads, so the two intensities differ by up to a few
     eps max|Theta| times 2 |U1 U2|, plus a few eps (|U1| + |U2|)^2."""
     b1, b2 = pair.beam1, pair.beam2
@@ -161,22 +164,85 @@ def _pair_intensity(pair, pt, t, out=None):
 
 
 def _field(pair, pt, t):
-    """(E, U1, U2): the one complex field E = U1 e^{i Theta1} + U2 e^{i Theta2}
+    """(Re E, Im E, U1, U2): the one field E = U1 e^{i Theta1} + U2 e^{i Theta2}
+    in real parts, from numpy's cos and sin as ``_pair_gradient`` forms it,
     and the signed amplitudes its envelope and dark rule read."""
     u1, u2, th1, th2 = _pair_terms(pair, pt, t)
-    return u1 * np.exp(1j * th1) + u2 * np.exp(1j * th2), u1, u2
+    return u1 * np.cos(th1) + u2 * np.cos(th2), u1 * np.sin(th1) + u2 * np.sin(th2), u1, u2
 
 
-def _amplitude_of(e, u1, u2):
-    """|E| clamped into [||U1| - |U2||, |U1| + |U2|]; U may be a scalar where
-    E is an array, as for scalar rho and z with an array of phi."""
+def _amplitude_of(re, im, u1, u2):
+    """|E|, numpy's complex modulus, clamped into [||U1| - |U2||, |U1| + |U2|];
+    U may be a scalar where E is an array (scalar rho and z, an array of phi)."""
     a1, a2 = np.abs(u1), np.abs(u2)
-    return np.minimum(np.maximum(np.abs(e), np.abs(a1 - a2)), a1 + a2)[()]
+    return np.minimum(np.maximum(np.abs(re + 1j * im), np.abs(a1 - a2)), a1 + a2)[()]
 
 
-def _phase_of(e, u1, u2):
-    dark = np.abs(e) <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
-    return np.where(dark, np.nan, np.angle(e))[()]
+def _phase_of(re, im, u1, u2):
+    dark = np.abs(re + 1j * im) <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
+    return np.where(dark, np.nan, np.arctan2(im, re))[()]
+
+
+def _pair_gradient(pair, pt, t):
+    """|E|, E and grad(E) of the total field and max(|U1|, |U2|), from one
+    jet per beam: ``(|E|, (Re E, Im E), (Re grad E, Im grad E), u_max)``,
+    each part of grad(E) a (rho, phi, z) triple of entries.
+
+    E and grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j) are
+    written out in real parts with numpy's cos and sin: Re E and Im E are
+    ``_field``'s bit for bit, and |E| is numpy's complex modulus of them, as
+    in ``total_amplitude``.  numpy's complex array multiply may fuse a
+    multiply and an add, so complex products on scalars would not give an
+    array's bits; the real ones do.
+    """
+    u1, th1, gu1, gth1 = _jet(pair.beam1, pt)
+    u2, th2, gu2, gth2 = _jet(pair.beam2, pt)
+    th2 = _offset_phase(pair, pt, t, th2)
+    real = _real(pt)
+    c1, s1, c2, s2 = real(np.cos(th1)), real(np.sin(th1)), real(np.cos(th2)), real(np.sin(th2))
+    re, im = u1 * c1 + u2 * c2, u1 * s1 + u2 * s2
+    gth2 = gth2[0], gth2[1], gth2[2] + pair.delta_k
+    # grad E = sum_j (c_j + i s_j) (a_j + i b_j), a_j = grad U_j, b_j = U_j grad Theta_j
+    terms = [(a1, u1 * b1, a2, u2 * b2) for a1, b1, a2, b2 in zip(gu1, gth1, gu2, gth2)]
+    grad_e = ([(c1 * a1 - s1 * b1) + (c2 * a2 - s2 * b2) for a1, b1, a2, b2 in terms],
+              [(c1 * b1 + s1 * a1) + (c2 * b2 + s2 * a2) for a1, b1, a2, b2 in terms])
+    a1, a2, amp = abs(u1), abs(u2), np.abs(re + 1j * im)
+    if isinstance(amp, np.ndarray):
+        return amp, (re, im), grad_e, np.maximum(a1, a2)
+    # a point of scalars: floats, and np.maximum(a1, a2) with its NaN rule
+    return float(amp), (re, im), grad_e, a2 if a2 > a1 or a2 != a2 else a1
+
+
+def _phase_slope(amp, e, grad_e, u_max, strict=False):
+    """grad(arg E) = Im(grad E / E) as a (rho, phi, z) triple of entries,
+    each 0 at dark points, where |E| <= DARK_FRACTION * max(|U1|, |U2|);
+    ``strict`` raises DarkPointError instead if any point is dark.  The
+    arguments are those ``_pair_gradient`` returns.
+
+    Magnitudes set the threshold: the signed amplitudes are negative where
+    the radial polynomial is (radial_p > 0).  E and grad E are divided by
+    max(|U1|, |U2|) first, so |E / max|^2, the quotient's denominator, is
+    at least DARK_FRACTION^2 off dark points and stays normal in the far
+    field, where |E|^2 underflows.  The divisor is at least the smallest
+    normal float.
+    """
+    re, im = e
+    dark = amp <= DARK_FRACTION * u_max
+    array = isinstance(dark, np.ndarray)
+    if strict and (dark.any() if array else dark):
+        raise DarkPointError("total phase undefined at a dark point")
+    if array:
+        scale = np.where(dark, 1.0, np.maximum(u_max, _TINY))
+        re, im = np.where(dark, 1.0, re), np.where(dark, 0.0, im)
+    elif dark:
+        return 0.0, 0.0, 0.0
+    else:
+        # a point of scalars: np.maximum(u_max, _TINY) on floats, NaN included
+        scale = _TINY if u_max < _TINY else u_max
+    re, im = re / scale, im / scale
+    den = re * re + im * im
+    slope = tuple((gi / scale * re - gr / scale * im) / den for gr, gi in zip(*grad_e))
+    return tuple(np.where(dark, 0.0, g) for g in slope) if array else slope
 
 
 def total_amplitude(pair, pt, t=0.0):
@@ -190,13 +256,14 @@ def total_amplitude(pair, pt, t=0.0):
 
 def pair_complex(pair, pt, t=0.0):
     """Complex field U1 e^{i Theta1} + U2 e^{i (Theta2 + dk z + dw t)} with the
-    common optical carrier divided out."""
-    return _field(pair, pt, t)[0]
+    common optical carrier divided out, Re E + 1j Im E."""
+    re, im, _, _ = _field(pair, pt, t)
+    return re + 1j * im
 
 
 def total_phase(pair, pt, t=0.0):
-    """Principal-value phase angle(E) of the two-beam field; NaN at dark
-    points (|E| <= DARK_FRACTION * max(|U1|, |U2|))."""
+    """Principal-value phase arctan2(Im E, Re E) of the two-beam field; NaN
+    at dark points (|E| <= DARK_FRACTION * max(|U1|, |U2|))."""
     return _phase_of(*_field(pair, pt, t))
 
 
@@ -334,7 +401,7 @@ def _pair_intensity_at(pair, grid, rho, z):
 def intensity_map(pair, grid, n_threads=1):
     """Evaluate the pair field over a grid in row blocks, each forming E once:
     the amplitude is total_amplitude's clamped |E|, the intensity its square
-    and the phase total_phase's angle(E), NaN at dark points.  ``n_threads``
+    and the phase total_phase's arctan2(Im E, Re E), NaN at dark points.  ``n_threads``
     is ignored: maps run on the calling thread, and the parameter stays only
     because the benchmark still passes it.  Raises DegenerateGeometryError
     where the intensity is not finite, as for amplitudes above about 1.3e154."""
@@ -342,11 +409,11 @@ def intensity_map(pair, grid, n_threads=1):
     amplitude, phase, intensity = (np.empty((n2, n1)) for _ in range(3))
 
     def fill(rows):
-        e, u1, u2 = _field(pair, _block_points(grid, rows), grid.time)
-        amplitude[rows] = _amplitude_of(e, u1, u2)
+        field = _field(pair, _block_points(grid, rows), grid.time)
+        amplitude[rows] = _amplitude_of(*field)
         np.square(amplitude[rows], out=intensity[rows])
         _require_finite(pair, grid, intensity[rows])
-        phase[rows] = _phase_of(e, u1, u2)
+        phase[rows] = _phase_of(*field)
 
     _fill_blocks(n2, n1, fill)
     return FieldMap(grid=grid, amplitude=amplitude, phase=phase, intensity=intensity)

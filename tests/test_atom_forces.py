@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from vortexlattice import atom_forces
+from vortexlattice import atom_forces, superpose
 from vortexlattice.atom_forces import (AtomSpec, Velocity, _forces,
                                        _reduced_gradient, axial_force_slope, central_ring_radius,
                                        detuning_eff, dipole_force,
@@ -346,11 +346,12 @@ def test_dipole_potential_needs_amplitudes_only(monkeypatch):
     """The potential of an atom at rest takes mode amplitudes alone: no mode
     jet, phase gradient or Doppler-corrected detuning, in either model."""
     calls = []
-    for name in ("_jet", "phase_gradient", "detuning_eff"):
-        def counted(*args, _name=name, _fn=getattr(atom_forces, name), **kwargs):
+    for module, name in ((atom_forces, "_jet"), (superpose, "_jet"),
+                         (atom_forces, "phase_gradient"), (atom_forces, "detuning_eff")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(atom_forces, name, counted)
+        monkeypatch.setattr(module, name, counted)
     p = pair(l1=2, amp2=0.7)
     pt = CylPoint(rho=np.array([2e-6, 7e-6]), phi=0.4, z=np.array([-1e-6, 3e-6]))
     for mode in ("reduced", "full"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlattice import atom_forces, dynamics, lg_mode
+from vortexlattice import atom_forces, dynamics, lg_mode, superpose
 from vortexlattice.atom_forces import (AtomSpec, Velocity, central_ring_radius,
                                        detuning_eff, dipole_force, dipole_potential,
                                        spring_constant_k0, torque_axial)
@@ -296,17 +296,19 @@ def test_pattern_period_step_gate(factor, raises):
 def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dipole,
                                              jets, amplitudes):
     """The scattering and dipole forces of a stage share each beam's mode
-    evaluation: a jet (lg_mode._jet, which mode_jet stacks) when the stage
-    needs gradients, else an amplitude."""
+    evaluation: a jet (lg_mode._jet, which mode_jet stacks; the full model's
+    field takes it in superpose) when the stage needs gradients, else an
+    amplitude."""
     atom = sodium()
     p = trap_pair()
     period = 2.0 * math.pi / trap_frequency(atom, p)
     counts = {"_jet": 0, "mode_amplitude": 0}
-    for name in counts:
-        def counting(*args, _fn=getattr(atom_forces, name), _name=name, **kwargs):
+    for module, name in ((atom_forces, "_jet"), (superpose, "_jet"),
+                         (atom_forces, "mode_amplitude")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(atom_forces, name, counting)
+        monkeypatch.setattr(module, name, counting)
     cfg = IntegratorConfig(step=period / 400, duration=period, force_model=model,
                            velocity_coupling=True, include_scattering=scattering,
                            include_dipole=dipole)

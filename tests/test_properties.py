@@ -517,10 +517,17 @@ def test_amplitude_combine_is_the_clamped_modulus_of_pair_complex(case):
 def test_total_amplitude_is_the_modulus_the_force_model_reads(case):
     """The full force model's field, E from _pair_gradient, gives
     total_amplitude bit for bit once clamped: the full-model dipole
-    potential and force read one field."""
+    potential and force read one field.  pair_complex is that E bit for
+    bit, and total_phase is arctan2(Im E, Re E), NaN at exactly the points
+    the force model's phase slope takes for dark."""
     pair, pt, t = case
-    e = _pair_gradient(pair, pt, t)[0]
-    assert np.array_equal(total_amplitude(pair, pt, t=t), clamped_modulus(pair, pt, e))
+    amp, (re, im), _, u_max = _pair_gradient(pair, pt, t)
+    assert np.array_equal(total_amplitude(pair, pt, t=t), clamped_modulus(pair, pt, amp))
+    got, want = np.asarray(pair_complex(pair, pt, t=t)), np.asarray(re + 1j * im)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    phase, dark = total_phase(pair, pt, t=t), amp <= DARK_FRACTION * u_max
+    assert np.array_equal(np.isnan(phase), np.broadcast_to(dark, np.shape(phase)))
+    assert np.array_equal(phase, np.where(dark, np.nan, np.arctan2(im, re)), equal_nan=True)
 
 
 @SETTINGS

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import sys
@@ -11,7 +12,7 @@ from scipy.signal import find_peaks, peak_prominences
 from test_config_cli import REPO
 from test_properties import intensity_bound, lattices
 from test_superpose import full_grid_points
-from vortexlattice import cli, ring_analysis, superpose
+from vortexlattice import atom_forces, cli, ring_analysis, superpose
 from vortexlattice.atom_forces import central_ring_radius, lift_speed
 from vortexlattice.cli import main
 from vortexlattice.config import RunConfig
@@ -24,7 +25,8 @@ from vortexlattice.ring_analysis import (Ring, RingSet, RingSplit, compare_rings
                                          fringe_drift_speed, measure_axial_drift,
                                          measure_rotation_rate,
                                          radial_separation, suggested_sample_dt)
-from vortexlattice.superpose import BLOCK_POINTS, GridSpec, PairSpec, intensity_map
+from vortexlattice.superpose import (BLOCK_POINTS, GridSpec, PairSpec, intensity_map,
+                                     total_amplitude)
 
 signs = st.sampled_from([1, -1])
 
@@ -280,6 +282,27 @@ def test_measure_axial_drift_follows_the_phase_slope(l1):
     assert abs(drift / lift_speed(p) - 1.0) > 1e-4
 
 
+@pytest.mark.parametrize("measure, where", [(measure_rotation_rate, (3e-6, 0.0)),
+                                            (measure_axial_drift, (3e-6,))],
+                         ids=["rotation", "drift"])
+def test_equal_times_raise_degenerate_geometry(measure, where):
+    """With t1 == t0 no time passes and a rate would be 0 / 0: both
+    measurements raise DegenerateGeometryError, not a NaN with a warning."""
+    p = PairSpec(589e-9, 20 * 589e-9, l1=2, delta_omega=2.0 * math.pi * 1e3)
+    with pytest.raises(DegenerateGeometryError, match="no time elapses"):
+        measure(p, *where, 1e-4, 1e-4)
+
+
+def test_ring_analysis_imports_only_public_names_from_atom_forces():
+    """ring_analysis takes the pair field and its gradient from superpose:
+    of atom_forces it imports only names that module exports, so no field
+    helper grows back in the force module for the finder to borrow."""
+    tree = ast.parse((REPO / "src" / "vortexlattice" / "ring_analysis.py").read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.module or "").rpartition(".")[2] == "atom_forces" for alias in node.names]
+    assert names and set(names) <= set(atom_forces.__all__), names
+
+
 def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
     """find_rings never maps the phase: it evaluates the coarse scan and the
     rows of its maxima with _pair_intensity_at, and each value is
@@ -361,10 +384,9 @@ def oracle_find_peaks(values, prominence=None, height=None):
 
 
 def oracle_refine_row(axis, values, idx):
-    """The package's former scalar parabolic refinement, kept as the oracle
-    of the array _refine_row: (position, value) of the vertex through the
-    samples idx - 1, idx, idx + 1, or the sample at a border or if not
-    concave."""
+    """The package's former scalar parabolic refinement, kept as the
+    oracle's: (position, value) of the vertex through the samples idx - 1,
+    idx, idx + 1, or the sample at a border or if not concave."""
     x0, y0 = axis[idx], values[idx]
     den = values[idx - 1] - 2.0 * y0 + values[idx + 1] if 0 < idx < values.size - 1 else 0.0
     if den >= 0.0:
@@ -697,24 +719,10 @@ def test_find_rings_matches_the_amplitude_squared(case):
     assert_same_rings(p, region)
 
 
-# ------------------------------------------- the peak finder against scipy
+# ------------------------------------------ the drift tracker against scipy
 
 def scipy_peaks(values, **kw):
     return find_peaks(values, **kw)[0]
-
-
-@st.composite
-def peak_cases(draw):
-    """Up to 60 samples drawn from a few integer levels, so plateaus, ties
-    and maxima on the border are common."""
-    level = st.integers(0, draw(st.integers(1, 5))).map(float)
-    return np.array(draw(st.lists(level, max_size=60)), dtype=float)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(values=peak_cases())
-def test_find_peaks_matches_scipy(values):
-    assert np.array_equal(ring_analysis._find_peaks(values), scipy_peaks(values))
 
 
 def _outcome(fn, *args):
@@ -725,18 +733,22 @@ def _outcome(fn, *args):
         return f"RingDetectionError: {exc}"
 
 
-def _with_scipy_peaks(fn, *args):
-    """fn's outcome with every peak search made by scipy, and the number of
-    dimensions of each searched array, in call order."""
-    searched = []
+def oracle_axial_drift(pair, rho, t0, t1):
+    """measure_axial_drift as it was with the package's copy of scipy's peak
+    finder and its parabola refiner: scipy.signal.find_peaks and
+    oracle_refine_row on the same 1201 samples of the line."""
+    half_span = 1.5 * np.pi / pair.beam1.wavenumber
+    z = np.linspace(-half_span, half_span, 1201)
 
-    def recorded(values):
-        searched.append(np.ndim(values))
-        return scipy_peaks(values)
+    def peak_near_center(t):
+        amp = total_amplitude(pair, CylPoint(rho=rho, phi=0.0, z=z), t=t)
+        intensity = amp * amp
+        cand = scipy_peaks(intensity)
+        if cand.size == 0:
+            raise RingDetectionError("no fringe maximum on the sampling line")
+        return oracle_refine_row(z, intensity, cand[np.argmin(np.abs(z[cand]))])[0]
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring_analysis, "_find_peaks", recorded)
-        return _outcome(fn, *args), searched
+    return (peak_near_center(t1) - peak_near_center(t0)) / (t1 - t0)
 
 
 @st.composite
@@ -762,15 +774,11 @@ def paper_lattices(draw):
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(case=paper_lattices())
 def test_find_rings_same_with_scipy_peaks(case):
-    """find_rings makes no peak search: with scipy's in place of the
-    package's it gives the same rings, and the full-map finder with scipy's
-    peak search is within one cell of it."""
+    """find_rings makes no peak search, and the full-map finder with
+    scipy's peak search in place of its frozen one is within one cell of
+    it."""
     p, region = case
-    ours = _outcome(lambda: find_rings(p, region).to_json_dict())
-    assert ours["rings"]
-    theirs, searched = _with_scipy_peaks(lambda: find_rings(p, region).to_json_dict())
-    assert ours == theirs
-    assert searched == []
+    assert find_rings(p, region).rings
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys.modules[__name__], "oracle_find_peaks", scipy_peaks)
         assert_near_the_oracle(p, region)
@@ -787,16 +795,17 @@ def test_find_rings_matches_the_amplitude_squared_on_paper_lattices(case):
        d=st.floats(0.0, 10.0), dw=st.floats(1e2, 1e6), rho=st.floats(0.5, 1.5),
        t0=st.floats(0.0, 1e-3))
 def test_measure_axial_drift_same_with_scipy_peaks(l, sign, w0, d, dw, rho, t0):
+    """The drift, or its error, is the scipy oracle's bit for bit: the
+    tracker's maxima are scipy's on the line's samples, and its vertex the
+    frozen refinement's."""
     p = PairSpec(WAVELENGTH, w0 * WAVELENGTH, l1=sign * l,
                  separation_d=d * w0 * WAVELENGTH,
                  delta_omega=sign * dw)
     rho_probe = rho * ring_radius_formula(p, 0.0)
     t1 = t0 + suggested_sample_dt(p)
     ours = _outcome(measure_axial_drift, p, rho_probe, t0, t1)
-    theirs, searched = _with_scipy_peaks(measure_axial_drift, p, rho_probe, t0, t1)
-    assert ours == theirs
-    # one line search at each time, or the first only if it found nothing
-    assert searched == ([1] if isinstance(ours, str) else [1, 1])
+    theirs = _outcome(oracle_axial_drift, p, rho_probe, t0, t1)
+    assert repr(ours) == repr(theirs)
 
 
 # --------------------------------- the finder against the full-map oracle
@@ -936,38 +945,6 @@ def test_rings_command_writes_the_full_map_finders_rings(tmp_path, monkeypatch):
         sets.append(ringset)
     assert sets[0] == find_rings(cfg.pair, cfg.rings_grid)
     assert_near_the_oracle(cfg.pair, cfg.rings_grid, sets[1])
-
-
-# ------------------------------------------- the parabolic refinement, exactly
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(values=st.lists(st.lists(st.integers(0, 3).map(float) | st.floats(0.0, 1e3),
-                                min_size=5, max_size=5), min_size=1, max_size=4),
-       scale=st.floats(1e-9, 1e3))
-def test_refine_row_is_the_scalar_refinement(values, scale):
-    """At every index of each row, borders and flat or convex triples
-    included, the refinement gives the frozen scalar one's bits, for an
-    index array and for each index alone."""
-    axis = scale * np.arange(5)
-    for row in np.array(values):
-        got = ring_analysis._refine_row(axis, row, np.arange(row.size))
-        want = [oracle_refine_row(axis, row, c) for c in range(row.size)]
-        assert np.stack(got, axis=-1).tobytes() == np.array(want).tobytes()
-        got = [ring_analysis._refine_row(axis, row, c) for c in range(row.size)]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-
-
-def test_refine_row_squares_as_numpy_scalars_do():
-    """The vertex value squares the slope difference with libm's pow, as **
-    did on the numpy scalars of the scalar refinement; an array's ** 2
-    multiplies, which differs in the last bit for about 1 in 1200 random
-    values, so 20000 concave rows of random samples tell the two apart."""
-    values = (np.random.default_rng(29).random((20000, 3)) + [0.0, 1.0, 0.0]).ravel()
-    axis = np.arange(float(values.size))
-    middles = np.arange(1, values.size, 3)
-    got = ring_analysis._refine_row(axis, values, middles)
-    want = [oracle_refine_row(axis, values, c) for c in middles]
-    assert np.stack(got, axis=-1).tobytes() == np.array(want).tobytes()
 
 
 # ------------------------------------------ the polished rings themselves
