@@ -38,7 +38,6 @@ _UNITS = {
              "ns": 1e-9},
     "mass": {"kg": 1.0, "amu": AMU, "u": AMU},
     "speed": {"m/s": 1.0, "mm/s": 1e-3, "um/s": 1e-6},
-    "wavenumber": {"rad/m": 1.0},
     "plain": {},
 }
 
@@ -60,8 +59,7 @@ SECTION_KEYS = {
     "beams": {"wavelength": ("length", _REQUIRED), "waist": ("length", _REQUIRED),
               "l1": ("int", _REQUIRED), "l2": ("int", None), "p": ("int", 0),
               "amp1": ("plain", 1.0), "amp2": ("plain", 1.0)},
-    "pair": {"d": ("length", 0.0), "delta_omega": ("angular_frequency", 0.0),
-             "delta_k": ("wavenumber", 0.0)},
+    "pair": {"d": ("length", 0.0), "delta_omega": ("angular_frequency", 0.0)},
     "atom": {"mass": ("mass", _REQUIRED), "gamma": ("angular_frequency", _REQUIRED),
              "delta0": ("angular_frequency", _REQUIRED),
              "rabi": ("angular_frequency", _REQUIRED)},
@@ -171,8 +169,7 @@ def _pair(beams, pair):
     return PairSpec(
         wavelength=beams["wavelength"], waist=beams["waist"], l1=beams["l1"],
         l2=beams["l2"], separation_d=pair["d"], delta_omega=pair["delta_omega"],
-        delta_k=pair["delta_k"], radial_p=beams["p"], amp1=beams["amp1"],
-        amp2=beams["amp2"])
+        radial_p=beams["p"], amp1=beams["amp1"], amp2=beams["amp2"])
 
 
 def _atom(atom):

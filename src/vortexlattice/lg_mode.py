@@ -55,10 +55,10 @@ class BeamSpec:
     has the opposite handedness of a +z beam of winding l.  radial_p is at
     most 40, the range ``laguerre_poly`` is tested for.
 
-    ``wavenumber``, ``rayleigh_range``, ``norm``, ``log_norm``,
-    ``log_scale`` and the envelope's constants are computed once per
-    instance; the spec is frozen, and
-    ``dataclasses.replace`` builds a new instance with its own values.
+    Each value must be finite.  ``wavenumber``, ``rayleigh_range``,
+    ``log_norm``, ``log_scale`` and the envelope's constants are computed
+    once per instance; the spec is frozen, and ``dataclasses.replace``
+    builds a new instance with its own values.
     """
 
     wavelength: float
@@ -70,6 +70,9 @@ class BeamSpec:
     amp_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("wavelength", "waist_w0", "focal_z", "amp_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
         if self.waist_w0 <= 0.0:
@@ -95,11 +98,6 @@ class BeamSpec:
         |l| = 600."""
         l, p = abs(self.winding_l), self.radial_p
         return 0.5 * (math.lgamma(p + 1.0) - math.lgamma(p + l + 1.0))
-
-    @functools.cached_property
-    def norm(self):
-        """Normalisation constant C_{lp} = sqrt(p! / (p + |l|)!)."""
-        return math.exp(self.log_norm)
 
     @functools.cached_property
     def _envelope(self):
@@ -196,12 +194,6 @@ def laguerre_poly(p, alpha, x):
     for n in range(1, p):
         prev, cur = cur, ((2.0 * n + 1.0 + alpha - x) * cur - (n + alpha) * prev) / (n + 1.0)
     return cur
-
-
-def _local_z(beam, z):
-    """Axial offset from the focal plane, measured along the propagation
-    direction (positive downstream)."""
-    return beam.direction * (z - beam.focal_z)
 
 
 def _off_axis(num, den, rho):
@@ -327,32 +319,22 @@ def mode_amplitude(beam, pt):
     return _amplitude(beam, pt)[0]
 
 
-def _row_phase(beam, zl, phi, real=_same):
-    """Everything of the phase at local axial offset zl and angle phi but
-    rho: the plane-wave, azimuthal and Gouy terms and the curvature
-    kappa = k zl / (2 (zl^2 + z_R^2)), which times rho^2 is the
-    wavefront-curvature term.  On a separable block each is per row.
-    ``real`` converts the Gouy arctangent (``_real`` of the point)."""
+def _row_phase(beam, z, phi, real=_same):
+    """Everything of the phase at lab z and angle phi but rho: the
+    plane-wave, azimuthal and Gouy terms and the curvature
+    kappa = k z_local / (2 (z_local^2 + z_R^2)), which times rho^2 is the
+    wavefront-curvature term; z_local = direction * (z - focal_z) is the
+    axial offset from the focal plane, positive downstream.  On a separable
+    block each is per row.  ``real`` converts the Gouy arctangent (``_real``
+    of the point)."""
     k = beam.wavenumber
     zr = beam.rayleigh_range
+    zl = beam.direction * (z - beam.focal_z)
     plane = k * zl
     azimuthal = beam.direction * beam.winding_l * phi
     gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * real(np.arctan(zl / zr))
     kappa = k * zl / (2.0 * (zl * zl + zr * zr))
     return plane, azimuthal, gouy, kappa
-
-
-def _phase_parts(beam, zl, pt):
-    """Plane-wave, azimuthal, Gouy and curvature terms of the phase at local
-    axial offset zl; the curvature term is rho * rho * kappa."""
-    plane, azimuthal, gouy, kappa = _row_phase(beam, zl, pt.phi, _real(pt))
-    return plane, azimuthal, gouy, pt.rho * pt.rho * kappa
-
-
-def _phase(beam, zl, pt):
-    """Unwrapped phase of ``mode_phase`` at local axial offset zl."""
-    plane, azimuthal, gouy, curvature = _phase_parts(beam, zl, pt)
-    return plane + azimuthal + gouy + curvature
 
 
 def mode_phase(beam, pt):
@@ -364,7 +346,8 @@ def mode_phase(beam, pt):
     k * rho^2 * z_local / (2 (z_local^2 + z_R^2)).  The optical carrier
     omega * t is left out: every beam of a pair shares it.
     """
-    return _phase(beam, _local_z(beam, pt.z), pt)
+    plane, azimuthal, gouy, kappa = _row_phase(beam, pt.z, pt.phi, _real(pt))
+    return plane + azimuthal + gouy + pt.rho * pt.rho * kappa
 
 
 def mode_jet(beam, pt):
@@ -422,4 +405,4 @@ def _jet(beam, pt):
                   _off_axis(beam.direction * beam.winding_l, rho, rho),
                   beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
                                     + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den)))
-    return amplitude, _phase(beam, zl, pt), grad_amplitude, grad_phase
+    return amplitude, mode_phase(beam, pt), grad_amplitude, grad_phase

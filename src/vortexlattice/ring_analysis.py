@@ -15,10 +15,10 @@ import numpy as np
 
 from .atom_forces import central_ring_radius
 from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
-from .lg_mode import CylPoint, _local_z, _row_phase, mode_jet
+from .lg_mode import CylPoint, mode_jet
 # intensity_map is not called here; it stays a module attribute because
 # perfbench/spans.py traces calls by rebinding this name
-from .superpose import _pair_gradient, _pair_intensity_at, intensity_map, total_amplitude
+from .superpose import _pair_gradient, _pair_intensity_at, _phase_rows, intensity_map, total_amplitude
 
 __all__ = [
     "RadialSplit",
@@ -100,13 +100,13 @@ def _coarse_stride(pair, region):
     Delta / 2, is a row term plus rho^2 (kappa1 - kappa2) / 2, so it turns
     by rho |kappa1 - kappa2| h per coarse cell; h <= (pi / 8) / (rho_max
     max |kappa1 - kappa2|) keeps that turn within pi / 8 in every row, so
-    each period pi of cos^2(Delta / 2) spans at least 8 coarse cells too."""
-    b1, b2 = pair.beam1, pair.beam2
-    w0 = b1.waist_w0
-    h = min(0.1 * w0, math.pi * w0 / (16.0 * math.sqrt(2.0 * b1.radial_p + 1.0)))
-    kappa1 = _row_phase(b1, _local_z(b1, region.axis2), region.phi)[3]
-    kappa2 = _row_phase(b2, _local_z(b2, region.axis2), region.phi)[3]
-    turn = region.axis1[-1] * np.max(np.abs(kappa1 - kappa2))
+    each period pi of cos^2(Delta / 2) spans at least 8 coarse cells too
+    (kappa1 - kappa2 per row from ``_phase_rows``)."""
+    b = pair.beam1
+    w0 = b.waist_w0
+    h = min(0.1 * w0, math.pi * w0 / (16.0 * math.sqrt(2.0 * b.radial_p + 1.0)))
+    kappa = _phase_rows(pair, region.axis2, region.phi, region.time)[1]
+    turn = region.axis1[-1] * np.max(np.abs(kappa))
     if turn > 0.0:
         h = min(h, 0.125 * math.pi / turn)
     return max(1, min(int(h / region.spacing1), region.axis1.size - 1))
@@ -445,7 +445,9 @@ def suggested_sample_dt(pair):
 
 
 def _elapsed(t0, t1):
-    """t1 - t0 of a rate; DegenerateGeometryError where it is 0 (a rate of 0 / 0)."""
+    """t1 - t0 of a rate; DegenerateGeometryError unless both are finite and differ."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DegenerateGeometryError(f"t0 = {t0!r}, t1 = {t1!r}: sample times must be finite")
     if t1 == t0:
         raise DegenerateGeometryError(f"t0 = t1 = {t0!r}: no time elapses between the samples")
     return t1 - t0
@@ -480,11 +482,11 @@ def measure_rotation_rate(pair, rho, z, t0, t1):
 
 def fringe_drift_speed(pair, rho):
     """Axial speed Delta_omega / Phi'(0) at which the fringes crawl on the
-    line (rho, phi=0), where Phi = Theta1 - Theta2 - delta_k z is the phase
+    line (rho, phi=0), where Phi = Theta1 - Theta2 is the static phase
     difference there (m/s).  lift_speed's Delta_omega / 2k leaves out the
     Gouy and curvature slopes; measure_axial_drift tracks this speed."""
     probe = CylPoint(rho=rho, phi=0.0, z=0.0)
-    slope = mode_jet(pair.beam1, probe)[3][2] - mode_jet(pair.beam2, probe)[3][2] - pair.delta_k
+    slope = mode_jet(pair.beam1, probe)[3][2] - mode_jet(pair.beam2, probe)[3][2]
     return pair.delta_omega / slope
 
 

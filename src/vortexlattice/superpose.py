@@ -3,8 +3,9 @@
 The pair interferes into an axial fringe lattice; this module evaluates the
 total amplitude/phase, the phase difference split into its physical parts,
 and sampled intensity maps on half-plane (rho, z) or transverse (x, y) grids.
-It alone forms the field E = U1 e^{i Theta1} + U2 e^{i Theta2}, in real parts:
-for maps and point values, and with its gradient for the forces and the polish.
+It alone forms the field E = U1 e^{i Theta1} + U2 e^{i (Theta2 + delta_omega t)},
+in real parts, for maps, point values, forces and the polish, and the phase
+difference Delta of the ring finder's kernel (``_phase_rows``).
 """
 
 import math
@@ -13,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DarkPointError, DegenerateGeometryError
-from .lg_mode import (BeamSpec, CylPoint, _jet, _local_z, _phase_parts, _real, _row_phase,
-                      mode_amplitude, mode_phase)
+from .lg_mode import BeamSpec, CylPoint, _jet, _real, _row_phase, mode_amplitude, mode_phase
 
 __all__ = [
     "BLOCK_POINTS",
@@ -44,11 +44,10 @@ class PairSpec:
     Beam 1 (winding l1, amplitude scale amp1) travels along +z with its
     focus at z = -d/2; beam 2 (winding l2, default l1, amplitude scale amp2)
     travels along -z with its focus at z = +d/2, so in the lab frame it
-    carries -l2 phi and the pattern has l1 + l2 spokes.  ``delta_omega`` and
-    ``delta_k`` are the frequency and wavenumber offsets of beam 2 relative
-    to beam 1, applied as an extra phase delta_k * z + delta_omega * t on
-    beam 2.  ``beam1`` and ``beam2`` are built and validated once, from
-    these values.
+    carries -l2 phi and the pattern has l1 + l2 spokes.  Beam 2 differs from
+    beam 1 only by the frequency offset ``delta_omega``, an extra phase
+    delta_omega * t; both share one wavenumber.  ``beam1`` and ``beam2`` are
+    built and validated once, from these values, which must be finite.
     """
 
     wavelength: float
@@ -57,7 +56,6 @@ class PairSpec:
     l2: int = None
     separation_d: float = 0.0
     delta_omega: float = 0.0
-    delta_k: float = 0.0
     radial_p: int = 0
     amp1: float = 1.0
     amp2: float = 1.0
@@ -65,6 +63,9 @@ class PairSpec:
     beam2: BeamSpec = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("separation_d", "delta_omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         d = self.separation_d
         if d < 0.0:
             raise ValueError("separation_d must be >= 0")
@@ -108,49 +109,40 @@ def phase_difference(pair, pt):
     Each part is beam 2's closed-form term subtracted from beam 1's; the
     parts sum to mode_phase(beam1) - mode_phase(beam2) up to float rounding.
     """
-    b1, b2 = pair.beam1, pair.beam2
-    parts1 = _phase_parts(b1, _local_z(b1, pt.z), pt)
-    parts2 = _phase_parts(b2, _local_z(b2, pt.z), pt)
-    return PhaseDifference(*(a - b for a, b in zip(parts1, parts2)))
+    real = _real(pt)
+    plane1, azimuthal1, gouy1, kappa1 = _row_phase(pair.beam1, pt.z, pt.phi, real)
+    plane2, azimuthal2, gouy2, kappa2 = _row_phase(pair.beam2, pt.z, pt.phi, real)
+    rho2 = pt.rho * pt.rho
+    return PhaseDifference(plane1 - plane2, azimuthal1 - azimuthal2, gouy1 - gouy2,
+                           rho2 * kappa1 - rho2 * kappa2)
 
 
-def _offset_phase(pair, pt, t, th2):
-    """Beam 2's static phase th2 plus its offsets delta_k * z + delta_omega * t."""
-    return th2 + pair.delta_k * pt.z + pair.delta_omega * t
-
-
-def _pair_terms(pair, pt, t):
-    """Amplitudes and static phases (U1, U2, Theta1, Theta2) of both beams,
-    each mode evaluated once.  The beams share omega, so omega * t cancels
-    identically in any interference quantity: ``mode_phase`` leaves it out,
-    and only beam 2's offsets delta_k * z + delta_omega * t are added, so no
-    huge phase is formed whose difference would lose precision."""
-    u1 = mode_amplitude(pair.beam1, pt)
-    u2 = mode_amplitude(pair.beam2, pt)
-    th1 = mode_phase(pair.beam1, pt)
-    return u1, u2, th1, _offset_phase(pair, pt, t, mode_phase(pair.beam2, pt))
+def _phase_rows(pair, z, phi, t):
+    """(r, kappa1 - kappa2) at lab z and angle phi: the phase difference
+    Delta = Theta1 - Theta2 - delta_omega t is r + rho^2 (kappa1 - kappa2),
+    r the plane-wave, azimuthal and Gouy differences less delta_omega t and
+    kappa each beam's curvature from ``_row_phase``, per row on a separable
+    block.  The shared omega t cancels, so no huge phase is formed."""
+    plane1, azimuthal1, gouy1, kappa1 = _row_phase(pair.beam1, z, phi)
+    plane2, azimuthal2, gouy2, kappa2 = _row_phase(pair.beam2, z, phi)
+    return ((plane1 + azimuthal1 + gouy1) - (plane2 + azimuthal2 + gouy2 + pair.delta_omega * t),
+            kappa1 - kappa2)
 
 
 def _pair_intensity(pair, pt, t, out=None):
     """|E|^2 = (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2) at the points, into
     ``out`` (of shape pt.shape) if given; no phase and no square root.
 
-    Delta, the phase difference with beam 2's offsets, is built as
-    r + rho^2 (kappa1 - kappa2): r holds the plane, azimuthal and Gouy
-    differences and delta_k z + delta_omega t, and kappa is each beam's
-    curvature from ``_row_phase``.  On a separable rho_z block r and kappa
-    are per row, so Delta / 2 costs two full-block passes (halving is
-    exact).  The form is non-negative up to rounding.  Delta is rounded
-    apart from the Theta1 and Theta2 that the field E of
-    intensity_map reads, so the two intensities differ by up to a few
-    eps max|Theta| times 2 |U1 U2|, plus a few eps (|U1| + |U2|)^2."""
-    b1, b2 = pair.beam1, pair.beam2
-    u1 = mode_amplitude(b1, pt)
-    u2 = mode_amplitude(b2, pt)
-    plane1, azimuthal1, gouy1, kappa1 = _row_phase(b1, _local_z(b1, pt.z), pt.phi)
-    plane2, azimuthal2, gouy2, kappa2 = _row_phase(b2, _local_z(b2, pt.z), pt.phi)
-    row = (plane1 + azimuthal1 + gouy1) - _offset_phase(pair, pt, t, plane2 + azimuthal2 + gouy2)
-    cross = np.multiply(pt.rho * pt.rho, 0.5 * (kappa1 - kappa2), out=np.empty(pt.shape))
+    Delta = r + rho^2 (kappa1 - kappa2) comes from ``_phase_rows``; on a
+    separable rho_z block r and kappa are per row, so Delta / 2 costs two
+    full-block passes (halving is exact).  The form is non-negative up to
+    rounding.  Delta is rounded apart from the Theta1 and Theta2 that the
+    field E of intensity_map reads, so the two intensities differ by up to
+    a few eps max|Theta| times 2 |U1 U2|, plus a few eps (|U1| + |U2|)^2."""
+    u1 = mode_amplitude(pair.beam1, pt)
+    u2 = mode_amplitude(pair.beam2, pt)
+    row, kappa = _phase_rows(pair, pt.z, pt.phi, t)
+    cross = np.multiply(pt.rho * pt.rho, 0.5 * kappa, out=np.empty(pt.shape))
     cross += 0.5 * row
     np.cos(cross, out=cross)
     cross *= cross
@@ -166,20 +158,24 @@ def _pair_intensity(pair, pt, t, out=None):
 def _field(pair, pt, t):
     """(Re E, Im E, U1, U2): the one field E = U1 e^{i Theta1} + U2 e^{i Theta2}
     in real parts, from numpy's cos and sin as ``_pair_gradient`` forms it,
-    and the signed amplitudes its envelope and dark rule read."""
-    u1, u2, th1, th2 = _pair_terms(pair, pt, t)
+    and the signed amplitudes its envelope and dark rule read; Theta2 takes
+    beam 2's offset delta_omega t, and the shared omega t cancels."""
+    u1 = mode_amplitude(pair.beam1, pt)
+    u2 = mode_amplitude(pair.beam2, pt)
+    th1 = mode_phase(pair.beam1, pt)
+    th2 = mode_phase(pair.beam2, pt) + pair.delta_omega * t
     return u1 * np.cos(th1) + u2 * np.cos(th2), u1 * np.sin(th1) + u2 * np.sin(th2), u1, u2
 
 
-def _amplitude_of(re, im, u1, u2):
-    """|E|, numpy's complex modulus, clamped into [||U1| - |U2||, |U1| + |U2|];
+def _amplitude_of(modulus, u1, u2):
+    """|E| from numpy's complex modulus, clamped into [||U1| - |U2||, |U1| + |U2|];
     U may be a scalar where E is an array (scalar rho and z, an array of phi)."""
     a1, a2 = np.abs(u1), np.abs(u2)
-    return np.minimum(np.maximum(np.abs(re + 1j * im), np.abs(a1 - a2)), a1 + a2)[()]
+    return np.minimum(np.maximum(modulus, np.abs(a1 - a2)), a1 + a2)[()]
 
 
-def _phase_of(re, im, u1, u2):
-    dark = np.abs(re + 1j * im) <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
+def _phase_of(modulus, re, im, u1, u2):
+    dark = modulus <= DARK_FRACTION * np.maximum(np.abs(u1), np.abs(u2))
     return np.where(dark, np.nan, np.arctan2(im, re))[()]
 
 
@@ -197,11 +193,10 @@ def _pair_gradient(pair, pt, t):
     """
     u1, th1, gu1, gth1 = _jet(pair.beam1, pt)
     u2, th2, gu2, gth2 = _jet(pair.beam2, pt)
-    th2 = _offset_phase(pair, pt, t, th2)
+    th2 = th2 + pair.delta_omega * t
     real = _real(pt)
     c1, s1, c2, s2 = real(np.cos(th1)), real(np.sin(th1)), real(np.cos(th2)), real(np.sin(th2))
     re, im = u1 * c1 + u2 * c2, u1 * s1 + u2 * s2
-    gth2 = gth2[0], gth2[1], gth2[2] + pair.delta_k
     # grad E = sum_j (c_j + i s_j) (a_j + i b_j), a_j = grad U_j, b_j = U_j grad Theta_j
     terms = [(a1, u1 * b1, a2, u2 * b2) for a1, b1, a2, b2 in zip(gu1, gth1, gu2, gth2)]
     grad_e = ([(c1 * a1 - s1 * b1) + (c2 * a2 - s2 * b2) for a1, b1, a2, b2 in terms],
@@ -251,11 +246,12 @@ def total_amplitude(pair, pt, t=0.0):
     rounding can leave by a few eps (|U1| + |U2|).  The signed amplitudes
     are negative where the radial polynomial is (radial_p > 0), so the
     envelope is built from magnitudes.  Finite wherever U1 and U2 are."""
-    return _amplitude_of(*_field(pair, pt, t))
+    re, im, u1, u2 = _field(pair, pt, t)
+    return _amplitude_of(np.abs(re + 1j * im), u1, u2)
 
 
 def pair_complex(pair, pt, t=0.0):
-    """Complex field U1 e^{i Theta1} + U2 e^{i (Theta2 + dk z + dw t)} with the
+    """Complex field U1 e^{i Theta1} + U2 e^{i (Theta2 + dw t)} with the
     common optical carrier divided out, Re E + 1j Im E."""
     re, im, _, _ = _field(pair, pt, t)
     return re + 1j * im
@@ -264,7 +260,8 @@ def pair_complex(pair, pt, t=0.0):
 def total_phase(pair, pt, t=0.0):
     """Principal-value phase arctan2(Im E, Re E) of the two-beam field; NaN
     at dark points (|E| <= DARK_FRACTION * max(|U1|, |U2|))."""
-    return _phase_of(*_field(pair, pt, t))
+    re, im, u1, u2 = _field(pair, pt, t)
+    return _phase_of(np.abs(re + 1j * im), re, im, u1, u2)
 
 
 @dataclass(frozen=True)
@@ -409,11 +406,12 @@ def intensity_map(pair, grid, n_threads=1):
     amplitude, phase, intensity = (np.empty((n2, n1)) for _ in range(3))
 
     def fill(rows):
-        field = _field(pair, _block_points(grid, rows), grid.time)
-        amplitude[rows] = _amplitude_of(*field)
+        re, im, u1, u2 = _field(pair, _block_points(grid, rows), grid.time)
+        modulus = np.abs(re + 1j * im)
+        amplitude[rows] = _amplitude_of(modulus, u1, u2)
         np.square(amplitude[rows], out=intensity[rows])
         _require_finite(pair, grid, intensity[rows])
-        phase[rows] = _phase_of(*field)
+        phase[rows] = _phase_of(modulus, re, im, u1, u2)
 
     _fill_blocks(n2, n1, fill)
     return FieldMap(grid=grid, amplitude=amplitude, phase=phase, intensity=intensity)

@@ -398,7 +398,7 @@ def arg_gradient_stencil(p, rho, phi, z, t, h):
 
 
 def offset_pair_points():
-    p = pair(l1=2, d_frac=0.8, amp2=0.7, delta_omega=2.0 * math.pi * 1e3, delta_k=3e3)
+    p = pair(l1=2, d_frac=0.8, amp2=0.7, delta_omega=2.0 * math.pi * 1e3)
     rho0 = central_ring_radius(p)
     rng = np.random.default_rng(5)
     rho = rho0 * rng.uniform(0.6, 1.4, 400)

@@ -375,8 +375,7 @@ def _reference_field_terms(pair, pt, vel, t, scattering, dipole):
     by np.where at dark points."""
     u1, th1, gu1, gth1 = mode_jet(pair.beam1, pt)
     u2, th2, gu2, gth2 = mode_jet(pair.beam2, pt)
-    th2 = th2 + pair.delta_k * pt.z + pair.delta_omega * t
-    gth2[2] += pair.delta_k
+    th2 = th2 + pair.delta_omega * t
     c1, s1, c2, s2 = np.cos(th1), np.sin(th1), np.cos(th2), np.sin(th2)
     e_re, e_im = u1 * c1 + u2 * c2, u1 * s1 + u2 * s2
     b1, b2 = u1 * gth1, u2 * gth2
@@ -495,7 +494,7 @@ def reference_runs(draw):
                     separation_d=draw(st.floats(0.0, 2.0)) * zr,
                     delta_omega=draw(st.sampled_from([0.0, 2.0 * math.pi * 1e4,
                                                       -2.0 * math.pi * 3e5])),
-                    delta_k=draw(st.sampled_from([0.0, 30.0])), amp1=amp1, amp2=amp2)
+                    amp1=amp1, amp2=amp2)
     atom = AtomSpec(mass=NA_MASS, gamma=GAMMA, detuning0=draw(st.sampled_from([0.5, -2.0])) * GAMMA,
                     rabi_omega0=GAMMA)
     periods = [2.0 * math.pi / abs(pair.delta_omega)] if pair.delta_omega else [1e-4]

@@ -24,8 +24,8 @@ from vortexlattice.atom_forces import (FORCE_MODELS, AtomSpec, Velocity, _field_
 from test_superpose import full_grid_points
 from vortexlattice import dynamics, superpose
 from vortexlattice.constants import HBAR
-from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, _local_z, _phase_parts,
-                                   mode_amplitude, mode_jet, mode_phase, waist_at)
+from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, _row_phase, mode_amplitude,
+                                   mode_jet, mode_phase, waist_at)
 from vortexlattice.dynamics import IntegratorConfig, TrajectoryState, integrate
 from vortexlattice.errors import (DarkPointError, DegenerateGeometryError, DivergenceError,
                                   VortexLatticeError)
@@ -94,20 +94,20 @@ def beams_and_points(draw):
 def pairs(draw, symmetric=False):
     """(pair, rho_max, z_hi): a counter-propagating pair and the extent of
     its ring stack, rho <= rho_max and |z| <= z_hi; a symmetric pair has
-    l2 = l1, equal amplitudes and no offsets."""
+    l2 = l1, equal amplitudes and no frequency offset."""
     w0 = draw(st.floats(2.0, 12.0)) * WAVELENGTH
     zr = math.pi * w0 ** 2 / WAVELENGTH
     l1 = draw(st.integers(-80, 80))
     amp1 = draw(st.floats(0.1, 3.0))
     if symmetric:
-        l2, amp2, dw, dk = l1, amp1, 0.0, 0.0
+        l2, amp2, dw = l1, amp1, 0.0
     else:
         l2, amp2 = draw(st.integers(-80, 80)), draw(st.floats(0.1, 3.0))
-        dw, dk = draw(st.floats(0.0, 1e6)), draw(st.floats(-50.0, 50.0))
+        dw = draw(st.floats(0.0, 1e6))
     d = draw(st.floats(0.0, 3.0)) * zr
     pair = PairSpec(WAVELENGTH, w0, l1=l1, l2=l2, separation_d=d,
                     radial_p=draw(st.integers(0, 3)), amp1=amp1,
-                    amp2=amp2, delta_omega=dw, delta_k=dk)
+                    amp2=amp2, delta_omega=dw)
     z_hi = 0.5 * d + 2.0 * zr
     w_far = w0 * math.sqrt(1.0 + (z_hi / zr) ** 2)
     rho_max = (math.sqrt(0.5 * max(abs(l1), abs(l2)) + pair.beam1.radial_p) + 3.0) * w_far
@@ -405,14 +405,14 @@ def test_reduced_phase_gradient_closed_form(case):
 @given(old=beams(), new=beams())
 def test_cached_beam_constants_follow_replace(old, new):
     """A spec built by dataclasses.replace computes its own wavenumber,
-    Rayleigh range and normalisation, not the ones its source cached."""
-    cached = (old.wavenumber, old.rayleigh_range, old.norm)
+    Rayleigh range and log normalisation, not the ones its source cached."""
+    cached = (old.wavenumber, old.rayleigh_range, old.log_norm)
     changed = dataclasses.replace(old, wavelength=new.wavelength, waist_w0=new.waist_w0,
                                   winding_l=new.winding_l, radial_p=new.radial_p)
     fresh = BeamSpec(new.wavelength, new.waist_w0, new.winding_l, new.radial_p)
-    assert (changed.wavenumber, changed.rayleigh_range, changed.norm) == \
-        (fresh.wavenumber, fresh.rayleigh_range, fresh.norm)
-    assert (old.wavenumber, old.rayleigh_range, old.norm) == cached
+    assert (changed.wavenumber, changed.rayleigh_range, changed.log_norm) == \
+        (fresh.wavenumber, fresh.rayleigh_range, fresh.log_norm)
+    assert (old.wavenumber, old.rayleigh_range, old.log_norm) == cached
     assert dataclasses.replace(old, waist_w0=2.0 * old.waist_w0).rayleigh_range \
         == math.pi * (2.0 * old.waist_w0) ** 2 / old.wavelength
 
@@ -539,7 +539,9 @@ def test_total_amplitude_matches_the_mpmath_modulus(case):
     the complex sum rounds each term by about eps |U|, and no cancellation
     of squares next to a dark point magnifies that."""
     pair, pt, t = case
-    terms = np.broadcast_arrays(*superpose._pair_terms(pair, pt, t))
+    terms = np.broadcast_arrays(mode_amplitude(pair.beam1, pt), mode_amplitude(pair.beam2, pt),
+                                mode_phase(pair.beam1, pt),
+                                mode_phase(pair.beam2, pt) + pair.delta_omega * t)
     got = np.broadcast_to(total_amplitude(pair, pt, t=t), terms[0].shape)
     eps = np.finfo(float).eps
     with mpmath.workdps(50):
@@ -556,9 +558,9 @@ def intensity_bound(pair, pt, t):
     and the points where that bound holds.
 
     Phase: A is the sum of |part| over the plane, azimuthal, Gouy and
-    curvature parts of both beams and beam 2's offsets delta_k z and
-    delta_omega t, so every intermediate of Delta (or of Theta1 and Theta2)
-    is at most A.  Each side forms its phase in at most eight roundings of
+    curvature parts of both beams and beam 2's offset delta_omega t, so
+    every intermediate of Delta (or of Theta1 and Theta2) is at most A.
+    Each side forms its phase in at most eight roundings of
     at most eps/2 * A, so the two phase differences part by at most 8 eps A,
     and |dI/dDelta| = 2 |U1 U2 sin Delta| <= 2 |U1 U2| makes that
     16 eps |U1 U2| A.  Magnitude: each side rounds its products, squares and
@@ -568,9 +570,10 @@ def intensity_bound(pair, pt, t):
     eps = np.finfo(float).eps
     u1 = mode_amplitude(pair.beam1, pt)
     u2 = mode_amplitude(pair.beam2, pt)
-    phase_scale = np.abs(pair.delta_k * pt.z) + abs(pair.delta_omega * t)
+    phase_scale = abs(pair.delta_omega * t)
     for beam in (pair.beam1, pair.beam2):
-        for part in _phase_parts(beam, _local_z(beam, pt.z), pt):
+        plane, azimuthal, gouy, kappa = _row_phase(beam, pt.z, pt.phi)
+        for part in (plane, azimuthal, gouy, pt.rho * pt.rho * kappa):
             phase_scale = phase_scale + np.abs(part)
     s = (np.abs(u1) + np.abs(u2)) ** 2
     return 16.0 * eps * np.abs(u1 * u2) * phase_scale + 8.0 * eps * s, s > 1e-250
@@ -593,9 +596,9 @@ def test_pair_intensity_is_the_square_of_pair_complex(case):
 @SETTINGS
 @given(case=pairs_and_points(symmetric=True))
 def test_axial_force_odd_in_z_for_symmetric_pairs(case):
-    """For l2 = l1, equal amplitudes and no offsets, beam 1 at (phi, -z) is
-    beam 2 at (-phi, z), so f_z is odd under (phi, z) -> (-phi, -z) in both
-    force models.  The reduced forces do not depend on phi, so there f_z is
+    """For l2 = l1, equal amplitudes and no frequency offset, beam 1 at
+    (phi, -z) is beam 2 at (-phi, z), so f_z is odd under (phi, z) ->
+    (-phi, -z) in both force models.  The reduced forces do not depend on phi, so there f_z is
     odd in z at fixed phi as well; the total field has spokes, so it is not."""
     pair, pt, _ = case
     phi, z = np.asarray(pt.phi), np.asarray(pt.z)
@@ -692,8 +695,7 @@ def test_dark_partner_pair_is_one_beam(case):
     """A pair whose partner beam is dark acts as its lit beam alone.  The
     reduced forces and potential are the single-beam closed forms with the
     reduced gradient (0, l / rho, direction * k), to 1e-12; the full model's
-    are the same forms with mode_jet's phase gradient, plus delta_k along z
-    when the lit beam is beam 2, to 1e-11.  Under velocity coupling the full
+    are the same forms with mode_jet's phase gradient, to 1e-11.  Under velocity coupling the full
     dipole force raises DarkPointError where the lit beam's amplitude is 0.
 
     The full model is checked at least 1% of a waist off the axis.  Its
@@ -706,8 +708,6 @@ def test_dark_partner_pair_is_one_beam(case):
     reduced = np.stack(np.broadcast_arrays(0.0, g_phi, float(lit.direction) * lit.wavenumber))
     off_axis = dataclasses.replace(pt, rho=np.maximum(rho, 0.01 * lit.waist_w0))
     full = mode_jet(lit, off_axis)[3]
-    if lit is pair.beam2:
-        full[2] += pair.delta_k
     for model, pt, grad, rtol in (("reduced", pt, reduced, 1e-12),
                                   ("full", off_axis, full, 1e-11)):
         f_sc, f_dip, v = _single_beam_forces(lit, pt, vel, grad)
@@ -869,8 +869,8 @@ def test_rings_strictly_increase_in_z(case):
 @st.composite
 def scalar_cases(draw):
     """A pair with |l| <= 4 (0 included), p <= 3, possibly one dark beam and
-    offsets; a point whose rho may be 0.0, -0.0 or AXIS_RHO, given as three
-    Python floats; a time; no velocity or one."""
+    a frequency offset; a point whose rho may be 0.0, -0.0 or AXIS_RHO,
+    given as three Python floats; a time; no velocity or one."""
     w0 = draw(st.floats(2.0, 12.0)) * WAVELENGTH
     zr = math.pi * w0 ** 2 / WAVELENGTH
     amp1, amp2 = draw(st.sampled_from([(1.0, 1.0), (0.6, 1.3), (0.0, 1.0), (1.0, 0.0)]))
@@ -878,7 +878,7 @@ def scalar_cases(draw):
                     radial_p=draw(st.integers(0, 3)),
                     separation_d=draw(st.floats(0.0, 2.0)) * zr,
                     delta_omega=draw(st.sampled_from([0.0, 2.0 * math.pi * 1e4])),
-                    delta_k=draw(st.sampled_from([0.0, 30.0])), amp1=amp1, amp2=amp2)
+                    amp1=amp1, amp2=amp2)
     rho = draw(st.sampled_from([0.0, -0.0, AXIS_RHO, 0.5 * AXIS_RHO])
                | unit.map(lambda f: f * 3.0 * w0))
     point = (rho, draw(st.floats(-math.pi, math.pi)), draw(st.floats(-2.0, 2.0)) * zr)
@@ -970,7 +970,7 @@ def test_a_scalar_point_gives_the_bits_of_a_one_point_array(case):
 def complex_field_terms(jets):
     """Re(E* grad E) and Im(grad E / E) in the package's former complex
     form, on the stacked (3,) gradients of two jets (U, Theta, grad U,
-    grad Theta), beam 2's offsets already added."""
+    grad Theta), beam 2's offset already added."""
     (u1, th1, gu1, gth1), (u2, th2, gu2, gth2) = jets
     c1, c2 = np.exp(1j * th1), np.exp(1j * th2)
     e = u1 * c1 + u2 * c2
@@ -997,8 +997,7 @@ def test_real_combine_matches_the_mpmath_field_terms(case):
     pair, (rho, phi, z), t, _ = case
     pt = CylPoint(rho=rho, phi=phi, z=z)
     jets = [list(mode_jet(beam, pt)) for beam in (pair.beam1, pair.beam2)]
-    jets[1][1] = superpose._offset_phase(pair, pt, t, jets[1][1])
-    jets[1][3][2] += pair.delta_k
+    jets[1][1] = jets[1][1] + pair.delta_omega * t
     amp, slope, dip = _field_terms(pair, pt, None, t, True, True)
     old_dip, old_slope = complex_field_terms(jets)
     dark = amp <= DARK_FRACTION * max(abs(u) for u, *_ in jets)

@@ -293,14 +293,37 @@ def test_equal_times_raise_degenerate_geometry(measure, where):
         measure(p, *where, 1e-4, 1e-4)
 
 
+@pytest.mark.parametrize("t0, t1", [(1e-4, math.nan), (1e-4, math.inf), (1e-4, -math.inf),
+                                    (math.nan, 1e-4)],
+                         ids=["t1-nan", "t1-inf", "t1-neg-inf", "t0-nan"])
+@pytest.mark.parametrize("measure, where", [(measure_rotation_rate, (3e-6, 0.0)),
+                                            (measure_axial_drift, (3e-6,))],
+                         ids=["rotation", "drift"])
+def test_non_finite_times_raise_degenerate_geometry(measure, where, t0, t1):
+    """A sample time that is NaN or infinite gives no rate: both
+    measurements raise DegenerateGeometryError, not a NaN, a
+    RingDetectionError or a RuntimeWarning."""
+    p = PairSpec(589e-9, 20 * 589e-9, l1=2, delta_omega=2.0 * math.pi * 1e3)
+    with pytest.raises(DegenerateGeometryError, match="must be finite"):
+        measure(p, *where, t0, t1)
+
+
 def test_ring_analysis_imports_only_public_names_from_atom_forces():
-    """ring_analysis takes the pair field and its gradient from superpose:
-    of atom_forces it imports only names that module exports, so no field
-    helper grows back in the force module for the finder to borrow."""
+    """ring_analysis takes the pair field, its gradient and its phase rows
+    from superpose: of atom_forces it imports only names that module
+    exports, so no field helper grows back in the force module for the
+    finder to borrow, and of lg_mode no private name, so the phase
+    difference is formed in superpose alone."""
     tree = ast.parse((REPO / "src" / "vortexlattice" / "ring_analysis.py").read_text())
-    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-             and (node.module or "").rpartition(".")[2] == "atom_forces" for alias in node.names]
+
+    def imported(module):
+        return [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").rpartition(".")[2] == module for alias in node.names]
+
+    names = imported("atom_forces")
     assert names and set(names) <= set(atom_forces.__all__), names
+    names = imported("lg_mode")
+    assert names and not [n for n in names if n.startswith("_")], names
 
 
 def test_find_rings_intensity_skips_the_phase_but_matches_the_map(monkeypatch):
