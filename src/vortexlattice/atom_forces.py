@@ -323,11 +323,8 @@ def central_ring_radius(pair):
     """Radius of the midplane intensity ring:
     w0 sqrt(|l|/2) sqrt(1 + d^2 / (4 z_R^2)); 0 for l = 0."""
     b = pair.beam1
-    l = abs(b.winding_l)
-    if l == 0:
-        return 0.0
     u = 0.5 * pair.separation_d / b.rayleigh_range
-    return b.waist_w0 * np.sqrt(0.5 * l) * np.sqrt(1.0 + u * u)
+    return b.waist_w0 * np.sqrt(0.5 * abs(b.winding_l)) * np.sqrt(1.0 + u * u)
 
 
 def _spring_prefactor(atom, pair, rho):
@@ -398,11 +395,8 @@ def spring_sweep(atom, pair, d_values):
 def torque_axial(atom, pair):
     """Axial radiation torque on the central ring:
     (hbar Gamma l / 2) Q_plus(rho_0, 0); zero for l = 0."""
-    l = pair.beam1.winding_l
-    if l == 0:
-        return 0.0
     pt = CylPoint(rho=central_ring_radius(pair), phi=0.0, z=0.0)
-    return 0.5 * HBAR * atom.gamma * l * q_plus(atom, pair, pt)
+    return 0.5 * HBAR * atom.gamma * pair.beam1.winding_l * q_plus(atom, pair, pt)
 
 
 def ferris_rate(pair):

@@ -39,7 +39,7 @@ class BeamSpec:
     waist_w0 : float
         Beam waist at the focal plane (m).
     winding_l : int
-        Azimuthal winding number; may be negative.
+        Azimuthal winding number; may be negative, |l| <= 1000.
     radial_p : int
         Radial mode index, >= 0.
     direction : int
@@ -79,6 +79,8 @@ class BeamSpec:
             raise ValueError("waist_w0 must be positive")
         if not 0 <= self.radial_p <= 40:
             raise ValueError("radial_p must lie in [0, 40]")
+        if not -1000 <= self.winding_l <= 1000:
+            raise ValueError("winding_l must lie in [-1000, 1000]")
         if self.direction not in (-1, 1):
             raise ValueError("direction must be +1 or -1")
         if self.amp_scale < 0.0:
@@ -210,11 +212,7 @@ def _off_axis(num, den, rho):
 
 
 def _stacked(shape, *entries):
-    """The entries stacked along a new axis 0, each broadcast to ``shape``:
-    one np.array of floats for a point of scalars (shape ()), else one
-    array filled entry by entry."""
-    if not shape:
-        return np.array(entries, dtype=float)
+    """The entries stacked along a new axis 0, each broadcast to ``shape``."""
     out = np.empty((len(entries),) + shape)
     for i, entry in enumerate(entries):
         out[i] = entry
@@ -243,9 +241,8 @@ def _times_exp(factor, log_env, real):
 def _amplitude(beam, pt):
     """U of ``mode_amplitude`` with what it is built from:
     ``(U, z_local, rho, w^2, L_p^|l|(x), log_env)``, x = 2 rho^2 / w^2 and
-    log_env the log of the envelope pref x^(|l|/2) e^(-x/2) before the
-    on-axis zero.  For p = 0 the Laguerre factor is None, x is not formed
-    and U is the envelope.
+    log_env the log of the envelope pref x^(|l|/2) e^(-x/2).  For p = 0 the
+    Laguerre factor is None, x is not formed and U is the envelope.
 
     U is formed in log space with one exp:
     log(amp_scale C_lp |l|^(|l|/2)) + |l| log(sqrt(2 / |l|) rho / w0)
@@ -254,12 +251,8 @@ def _amplitude(beam, pt):
     there is no rho term.  The rho term depends on rho alone and the u term
     on z alone, so on a separable block only rho^2 / w^2, two sums and the
     exp are full-block work.  No power of rho / w overflows, and U
-    underflows only where it is below the smallest double.  On the axis U
-    is exactly 0 for l != 0, and no log(0) is formed: a scalar rho that is
-    not > 0 skips the rho term and zeroes U (NaN stays NaN); an array rho
-    that holds such a point takes 1 as the log's argument there, and the
-    rho > 0 mask zeroes the result.  An array with no such point skips the
-    mask, since multiplying by 1 is exact.
+    underflows only where it is below the smallest double.  On the axis the
+    rho term of l != 0 is log 0 = -inf, as for a dark beam, so U = +0.0.
     """
     real = _real(pt)
     l, direction, focal_z, zr, w0_sq, log_scale, half_order, rho_scale, p = beam._envelope
@@ -271,30 +264,20 @@ def _amplitude(beam, pt):
     # -rho^2 / w^2 first: numpy then adds the other terms into that
     # temporary, which has the broadcast shape of rho and z, in place
     log_env = rho * rho / -w2 + (log_scale - half_order * real(np.log(axial)))
-    # the factor that zeroes U on the axis: False for a scalar rho that is
-    # not > 0, the rho > 0 mask for an array rho that holds such a point,
-    # else None
-    mask = None
     if l:
         if type(rho) is not float:
-            scaled = rho * rho_scale
-            off_axis = rho > 0.0
-            if not off_axis.all():
-                scaled += ~off_axis
-                mask = off_axis
-            log_env += l * np.log(scaled)
-        elif rho > 0.0:
-            log_env += l * real(np.log(rho * rho_scale))
+            with np.errstate(divide="ignore"):
+                log_env += l * np.log(rho * rho_scale)
+        elif rho == 0.0:
+            log_env -= math.inf
         else:
-            mask = False
+            log_env += l * real(np.log(rho * rho_scale))
     if p:
         lag = laguerre_poly(p, l, 2.0 * rho * rho / w2)
         amplitude = _times_exp(lag, log_env, real)
     else:
         lag = None
         amplitude = real(np.exp(log_env))
-    if mask is not None:
-        amplitude *= mask
     return amplitude, zl, rho, w2, lag, log_env
 
 
@@ -314,7 +297,7 @@ def mode_amplitude(beam, pt):
         the local axial offset.  L_0 = 1 is not formed.  The product is
         formed in log space with one exp, so no factor overflows (tested to
         |l| = 1000, p = 40); it underflows to 0 only where U itself is
-        below the smallest double.
+        below the smallest double.  On the axis it is +0.0 for l != 0.
     """
     return _amplitude(beam, pt)[0]
 
@@ -374,7 +357,7 @@ def _jet(beam, pt):
     Both w(z) and the (1 + z^2/z_R^2)^(-1/2) prefactor carry the axial
     dependence, so dU/dz_local = -z_local (U + 2 pref x R') / (z_local^2 + z_R^2).
     For p > 0, pref x R' is formed in log space like U, its bracket's sign
-    carried apart.
+    carried apart, and is 0 on the axis of l != 0, as U is.
     The phase gradient differentiates the plane-wave, azimuthal, Gouy and
     curvature terms of ``mode_phase``.
 
@@ -394,8 +377,6 @@ def _jet(beam, pt):
     if p:
         slope = slope * lag - x * laguerre_poly(p - 1, l + 1, x)
         x_dr = _times_exp(slope, log_env, _real(pt))
-        if l:
-            x_dr *= rho > 0.0
     else:
         x_dr = amplitude * slope
     den = zl * zl + zr * zr

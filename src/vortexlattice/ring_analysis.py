@@ -15,10 +15,11 @@ import numpy as np
 
 from .atom_forces import central_ring_radius
 from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
-from .lg_mode import CylPoint, mode_jet
+from .lg_mode import CylPoint, mode_amplitude, mode_jet
 # intensity_map is not called here; it stays a module attribute because
 # perfbench/spans.py traces calls by rebinding this name
-from .superpose import _pair_gradient, _pair_intensity_at, _phase_rows, intensity_map, total_amplitude
+from .superpose import DARK_FRACTION, _pair_gradient, _pair_intensity_at, _phase_rows, intensity_map, \
+    total_amplitude
 
 __all__ = [
     "RadialSplit",
@@ -444,12 +445,20 @@ def suggested_sample_dt(pair):
     return 0.25 * math.pi / abs(pair.delta_omega)
 
 
-def _elapsed(t0, t1):
-    """t1 - t0 of a rate; DegenerateGeometryError unless both are finite and differ."""
+def _elapsed(pair, rho, z, t0, t1):
+    """t1 - t0 of a rate of the pattern at (rho, 0, z); DegenerateGeometryError
+    unless both times are finite and |t1 - t0| lies in (0, pi / |delta_omega|),
+    as a longer step aliases, and |U1| and |U2| there each exceed DARK_FRACTION
+    times the other, compared with no ratio (one is 0 / 0 on the axis)."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DegenerateGeometryError(f"t0 = {t0!r}, t1 = {t1!r}: sample times must be finite")
     if t1 == t0:
         raise DegenerateGeometryError(f"t0 = t1 = {t0!r}: no time elapses between the samples")
+    if abs(pair.delta_omega) * abs(t1 - t0) >= math.pi:
+        raise DegenerateGeometryError(f"|t1 - t0| = {abs(t1 - t0)!r} >= pi / |delta_omega|: aliased")
+    u1, u2 = (abs(mode_amplitude(b, CylPoint(rho, 0.0, z))) for b in (pair.beam1, pair.beam2))
+    if not (u1 > DARK_FRACTION * u2 and u2 > DARK_FRACTION * u1):
+        raise DegenerateGeometryError(f"|U1| = {u1!r}, |U2| = {u2!r}: a beam is dark at the probe")
     return t1 - t0
 
 
@@ -459,13 +468,13 @@ def measure_rotation_rate(pair, rho, z, t0, t1):
 
     Samples the intensity at max(8 |l1 + l2|, 64) angles on the circle
     (rho, z) at t0 and t1, reads the phase of the harmonic l1 + l2 from an
-    FFT, and converts its advance into a rotation rate, which is unambiguous
-    while |delta_omega| * (t1 - t0) < pi.
+    FFT into a rotation rate; DegenerateGeometryError unless it is unambiguous,
+    |delta_omega| |t1 - t0| < pi, and both beams are bright at (rho, 0, z).
     """
     m = pair.azimuthal_order
     if m == 0:
         raise DegenerateGeometryError("no azimuthal spokes to track")
-    dt = _elapsed(t0, t1)
+    dt = _elapsed(pair, rho, z, t0, t1)
     n = max(8 * abs(m), 64)
     phi = 2.0 * np.pi * np.arange(n) / n
 
@@ -494,10 +503,11 @@ def measure_axial_drift(pair, rho, t0, t1):
     """Axial crawl speed of the fringe lattice from peak tracking.
 
     Follows the fringe maximum nearest z = 0 between t0 and t1, on 1201
-    points of the line (rho, phi=0) spanning 1.5 fringes either side.  The
-    displacement must stay well inside one fringe (``suggested_sample_dt``).
+    points of the line (rho, phi=0) spanning 1.5 fringes either side.  Raises
+    DegenerateGeometryError unless |delta_omega| |t1 - t0| < pi (see
+    ``suggested_sample_dt``) and both beams are bright at (rho, 0, 0).
     """
-    dt = _elapsed(t0, t1)
+    dt = _elapsed(pair, rho, 0.0, t0, t1)
     half_span = 1.5 * np.pi / pair.beam1.wavenumber
     z = np.linspace(-half_span, half_span, 1201)
 

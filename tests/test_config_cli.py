@@ -149,6 +149,14 @@ def test_from_dict_validation():
         RunConfig.from_dict(cfg)
 
 
+@pytest.mark.parametrize("key, l", [("l1", 1001), ("l1", -1001), ("l2", 1001), ("l2", -1001)])
+def test_winding_beyond_1000_is_a_config_error(key, l):
+    cfg = base_config()
+    cfg["beams"][key] = l
+    with pytest.raises(ConfigError, match="winding_l"):
+        RunConfig.from_dict(cfg)
+
+
 def full_config():
     """A valid config that sets every accepted key."""
     grid = {"rho_min": 0.0, "rho_max": "6um", "n_rho": 5, "z_min": "-5um",
@@ -686,6 +694,17 @@ def test_cli_ferris_drift_error_is_against_the_phase_slope(tmp_path):
     assert summary["drift_rel_err"] == abs(
         summary["drift_speed_measured"] - summary["drift_speed_phase_slope"]) \
         / summary["drift_speed_phase_slope"]
+
+
+def test_cli_ferris_with_a_dark_beam_exits_3_and_writes_nothing(tmp_path):
+    """With beam 2 off no pattern moves: ferris refuses to read a rate
+    (exit 3) where it wrote relative errors of 1.0 before."""
+    cfg = json.loads((REPO / "configs" / "ferris.json").read_text())
+    cfg["xy_grid"]["n"] = 21
+    cfg["beams"]["amp2"] = 0.0
+    out = tmp_path / "out"
+    assert run_cli(["ferris", "--config", write_config(tmp_path, cfg), "--out", out]) == 3
+    assert list(out.iterdir()) == []
 
 
 def test_cli_exit_codes(tmp_path):

@@ -101,6 +101,30 @@ def test_amplitude_on_axis():
     assert mode_amplitude(b, CylPoint(rho=0.0, phi=0.0, z=0.0)) == pytest.approx(1.7, rel=1e-12)
 
 
+@pytest.mark.parametrize("l, p", [(1, 0), (-3, 0), (1, 2), (-3, 2)])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_mode_keeps_its_axis_bits(l, p, direction):
+    """On the axis U is +0.0, dU/drho is +0.0 and dU/dz is a zero with the
+    sign of -direction * z_local, bit for bit, at rho = 0.0 and -0.0, as a
+    point of scalars and as a column of a separable block, off the focus on
+    both sides; a NaN rho gives NaN for U and dU/dz."""
+    b = beam(l=l, p=p, direction=direction, focal_z=1e-4)
+    zs = np.array([3e-4, -2e-4])
+    want_dz_sign = np.signbit(-direction * direction * (zs - 1e-4))    # -direction z_local
+    for rho in (0.0, -0.0):
+        points = [mode_jet(b, CylPoint(rho, 0.7, float(z))) for z in zs]
+        block_u, _, block_grad, _ = mode_jet(b, CylPoint(np.array([rho, 2e-6]), 0.7, zs[:, None]))
+        for u, dr, dz in (np.array([[u, grad[0], grad[2]] for u, _, grad, _ in points]).T,
+                          (block_u[:, 0], block_grad[0][:, 0], block_grad[2][:, 0])):
+            assert np.all(u == 0.0) and not np.signbit(u).any()
+            assert np.all(dr == 0.0) and not np.signbit(dr).any()
+            assert np.all(dz == 0.0)
+            np.testing.assert_array_equal(np.signbit(dz), want_dz_sign)
+    for pt in (CylPoint(math.nan, 0.7, 3e-4), CylPoint(np.array([math.nan]), 0.7, 3e-4)):
+        u, _, grad, _ = mode_jet(b, pt)
+        assert np.isnan(u).all() and np.isnan(grad[2]).all()
+
+
 def test_doughnut_peak_radius():
     """The p=0 radial intensity maximum sits at w(z) sqrt(|l|/2)."""
     for l, zfac in ((1, 0.0), (2, 0.5), (8, 1.0), (80, 0.3)):
@@ -246,6 +270,15 @@ def test_spec_validation():
         BeamSpec(wavelength=WAVELENGTH, waist_w0=8e-6, winding_l=1, direction=2)
     with pytest.raises(ValueError):
         CylPoint(rho=-1e-9, phi=0.0, z=0.0)
+
+
+@pytest.mark.parametrize("l", [1001, -1001])
+def test_winding_beyond_1000_is_rejected(l):
+    """Every finiteness test stops at |l| = 1000, so a larger winding is
+    refused, as p > 40 is; |l| = 1000 is accepted."""
+    beam(l=l // 1001 * 1000)
+    with pytest.raises(ValueError, match="winding_l"):
+        beam(l=l)
 
 
 @pytest.mark.parametrize("p", [41, 120, 150, 200])

@@ -13,7 +13,7 @@ from test_config_cli import REPO
 from test_properties import intensity_bound, lattices
 from test_superpose import full_grid_points
 from vortexlattice import atom_forces, cli, ring_analysis, superpose
-from vortexlattice.atom_forces import central_ring_radius, lift_speed
+from vortexlattice.atom_forces import central_ring_radius, ferris_rate, lift_speed
 from vortexlattice.cli import main
 from vortexlattice.config import RunConfig
 from vortexlattice.errors import (DegenerateGeometryError, ResolutionError,
@@ -306,6 +306,48 @@ def test_non_finite_times_raise_degenerate_geometry(measure, where, t0, t1):
     p = PairSpec(589e-9, 20 * 589e-9, l1=2, delta_omega=2.0 * math.pi * 1e3)
     with pytest.raises(DegenerateGeometryError, match="must be finite"):
         measure(p, *where, t0, t1)
+
+
+def ferris_pair(**kw):
+    """The pair of configs/ferris.json."""
+    return PairSpec(589.16e-9, 11.7832e-6, l1=2, delta_omega=2.0 * math.pi * 1e3, **kw)
+
+
+RATES = pytest.mark.parametrize("measure, where", [(measure_rotation_rate, (0.0,)),
+                                                   (measure_axial_drift, ())],
+                                ids=["rotation", "drift"])
+
+
+@RATES
+@pytest.mark.parametrize("dark", ["amp1", "amp2"])
+def test_a_dark_beam_has_no_rate_to_measure(measure, where, dark):
+    """With one beam off nothing moves: both measurements raise where they
+    returned -0.0 and 0.0, which ferris compared with a rate of 1570.8 rad/s."""
+    p = ferris_pair(**{dark: 0.0})
+    with pytest.raises(DegenerateGeometryError, match="dark"):
+        measure(p, central_ring_radius(p), *where, 0.0, suggested_sample_dt(p))
+
+
+def test_the_axis_has_no_rotation_to_measure():
+    """On the axis both doughnuts are 0, so there are no spokes to follow."""
+    p = ferris_pair()
+    with pytest.raises(DegenerateGeometryError, match="dark"):
+        measure_rotation_rate(p, 0.0, 0.0, 0.0, suggested_sample_dt(p))
+
+
+@RATES
+@pytest.mark.parametrize("sign", [1, -1])
+def test_aliased_time_steps_raise(measure, where, sign):
+    """The spoke harmonic and the tracked fringe each advance by
+    delta_omega (t1 - t0), so a step of pi / |delta_omega| or more aliases:
+    at 1.1 pi it read -0.818 times the rate.  At 0.9 pi the rate holds."""
+    p = ferris_pair()
+    rho = central_ring_radius(p)
+    with pytest.raises(DegenerateGeometryError, match="alias"):
+        measure(p, rho, *where, 0.0, sign * 1.1 * math.pi / p.delta_omega)
+    got = measure(p, rho, *where, 0.0, sign * 0.9 * math.pi / p.delta_omega)
+    want = ferris_rate(p) if measure is measure_rotation_rate else fringe_drift_speed(p, rho)
+    assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_ring_analysis_imports_only_public_names_from_atom_forces():
