@@ -15,8 +15,9 @@ amp_scale 0; one beam's complete phase gradient is ``mode_jet(beam, pt)[3]``.
 
 Every gradient is in closed form.  ``lg_mode._jet`` gives U, Theta,
 grad(U) and grad(Theta) of each mode in one pass, each gradient a
-(rho, phi, z) triple of entries.  Each model has one force function,
-``_reduced_forces`` or ``_full_forces``, that gives the scattering and
+(rho, phi, z) triple of entries, and its amplitude half
+``lg_mode._amplitude_jet`` gives U and grad(U) alone.  Each model has one
+force function, ``_reduced_forces`` or ``_full_forces``, that gives the scattering and
 dipole forces together, each its triple of entries, from one evaluation of
 each beam's mode, so a point of scalars computes on floats; an RK4 stage
 reads those triples.  ``_forces`` picks the function by ``mode``.  The
@@ -36,7 +37,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DegenerateGeometryError
-from .lg_mode import CylPoint, _jet, _off_axis, _stacked, mode_amplitude, mode_phase
+from .lg_mode import CylPoint, _amplitude_jet, _off_axis, _stacked, mode_amplitude, mode_phase
 # mode_phase and pair_complex are not called here; they stay module attributes
 # because perfbench/spans.py traces calls by rebinding these names
 from .superpose import PairSpec, _pair_gradient, _phase_slope, pair_complex, total_amplitude
@@ -198,15 +199,16 @@ def _coefficients(atom, vel, amp, grad, ref):
 def _reduced_forces(atom, pair, pt, vel, t, scattering, dipole, ref, s, azimuthal=True):
     """Scattering and dipole forces of the reduced model (t unread), each
     its (rho, phi, z) triple of entries, zeros when not asked for: the
-    beams' forces added, beam 1's first.  Each beam's mode is a jet when
-    the dipole force needs grad(U), else its amplitude; its scattering
+    beams' forces added, beam 1's first.  Each beam's mode is the jet's
+    amplitude half when the dipole force needs grad(U), else its amplitude
+    (neither forms Theta or grad(Theta)); its scattering
     coefficient goes straight into F_phi and F_z.  Without ``azimuthal``
     F_phi of the scattering force is 0.0, and the azimuthal slope is formed
     only for velocity coupling."""
     fs = fd = None
     for beam in (pair.beam1, pair.beam2):
         if dipole:
-            u, _, grad_u, _ = _jet(beam, pt)
+            u, grad_u, _, _ = _amplitude_jet(beam, pt)
         else:
             u = mode_amplitude(beam, pt)
         grad = _reduced_gradient(beam, pt, azimuthal or vel is not None)

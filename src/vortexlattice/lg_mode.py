@@ -302,21 +302,25 @@ def mode_amplitude(beam, pt):
     return _amplitude(beam, pt)[0]
 
 
-def _row_phase(beam, z, phi, real=_same):
-    """Everything of the phase at lab z and angle phi but rho: the
-    plane-wave, azimuthal and Gouy terms and the curvature
-    kappa = k z_local / (2 (z_local^2 + z_R^2)), which times rho^2 is the
-    wavefront-curvature term; z_local = direction * (z - focal_z) is the
-    axial offset from the focal plane, positive downstream.  On a separable
-    block each is per row.  ``real`` converts the Gouy arctangent (``_real``
-    of the point)."""
-    k = beam.wavenumber
+def _curvature(beam, z):
+    """(z_local, kappa) at lab z: the axial offset
+    z_local = direction * (z - focal_z) from the focal plane, positive
+    downstream, and the curvature kappa = k z_local / (2 (z_local^2 + z_R^2)),
+    which times rho^2 is the wavefront-curvature term of the phase."""
     zr = beam.rayleigh_range
     zl = beam.direction * (z - beam.focal_z)
-    plane = k * zl
+    return zl, beam.wavenumber * zl / (2.0 * (zl * zl + zr * zr))
+
+
+def _row_phase(beam, z, phi, real=_same):
+    """Everything of the phase at lab z and angle phi but rho: the
+    plane-wave, azimuthal and Gouy terms and the curvature kappa of
+    ``_curvature``.  On a separable block each is per row.  ``real``
+    converts the Gouy arctangent (``_real`` of the point)."""
+    zl, kappa = _curvature(beam, z)
+    plane = beam.wavenumber * zl
     azimuthal = beam.direction * beam.winding_l * phi
-    gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * real(np.arctan(zl / zr))
-    kappa = k * zl / (2.0 * (zl * zl + zr * zr))
+    gouy = -(2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * real(np.arctan(zl / beam.rayleigh_range))
     return plane, azimuthal, gouy, kappa
 
 
@@ -345,30 +349,28 @@ def mode_jet(beam, pt):
     return u, theta, _stacked(pt.shape, *grad_u), _stacked(pt.shape, *grad_theta)
 
 
-def _jet(beam, pt):
-    """``(U, Theta, grad_U, grad_Theta)`` of ``mode_jet`` with each gradient
-    its (rho, phi, z) triple of entries: floats at a point of scalars, else
-    arrays or floats that broadcast against pt.shape.
+def _amplitude_jet(beam, pt):
+    """The amplitude half of the jet: ``(U, grad_U, z_local, den)``, U as
+    ``mode_amplitude`` gives it, grad_U its (rho, phi, z) triple of entries
+    (the phi entry 0.0), and z_local and den = z_local^2 + z_R^2 for the
+    phase half (``_theta_z``).  Floats at a point of scalars, else arrays
+    or floats that broadcast against pt.shape.
 
     With x = 2 rho^2 / w^2 the amplitude is pref * R(x),
     pref = amp_scale * C_lp / sqrt(1 + z^2/z_R^2) and
     R = x^(|l|/2) L_p^|l|(x) e^(-x/2); dL_p^a/dx = -L_(p-1)^(a+1) gives
     x R'(x) = x^(|l|/2) e^(-x/2) [((|l| - x)/2) L_p^|l| - x L_(p-1)^(|l|+1)].
     Both w(z) and the (1 + z^2/z_R^2)^(-1/2) prefactor carry the axial
-    dependence, so dU/dz_local = -z_local (U + 2 pref x R') / (z_local^2 + z_R^2).
+    dependence, so dU/dz_local = -z_local (U + 2 pref x R') / den.
     For p > 0, pref x R' is formed in log space like U, its bracket's sign
-    carried apart, and is 0 on the axis of l != 0, as U is.
-    The phase gradient differentiates the plane-wave, azimuthal, Gouy and
-    curvature terms of ``mode_phase``.
-
-    On the axis (rho <= AXIS_RHO) the rho and phi entries are 0, the values
-    a central difference of the mode extended evenly in rho gives: the
-    azimuthal slope l / rho has no limit there, and for |l| = 1 the
-    amplitude, proportional to rho, has no radial derivative.
+    carried apart, and is 0 on the axis of l != 0, as U is.  On the axis
+    (rho <= AXIS_RHO) the rho entry is 0, the value a central difference of
+    the mode extended evenly in rho gives: for |l| = 1 the amplitude,
+    proportional to rho, has no radial derivative there, and for l = 0
+    2 pref x R' / rho would be 0 / 0.
     """
     l = abs(beam.winding_l)
     p = beam.radial_p
-    k = beam.wavenumber
     zr = beam.rayleigh_range
     amplitude, zl, rho, w2, lag, log_env = _amplitude(beam, pt)
     x = 2.0 * rho * rho / w2
@@ -380,10 +382,33 @@ def _jet(beam, pt):
     else:
         x_dr = amplitude * slope
     den = zl * zl + zr * zr
-    grad_amplitude = (_off_axis(2.0 * x_dr, rho, rho), 0.0,
-                      -beam.direction * zl * (amplitude + 2.0 * x_dr) / den)
-    grad_phase = (_off_axis(k * rho * zl, den, rho),
-                  _off_axis(beam.direction * beam.winding_l, rho, rho),
-                  beam.direction * (k - (2.0 * p + l + 1.0) * zr / den
-                                    + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den)))
+    return (amplitude, (_off_axis(2.0 * x_dr, rho, rho), 0.0,
+                        -beam.direction * zl * (amplitude + 2.0 * x_dr) / den), zl, den)
+
+
+def _theta_z(beam, rho, zl, den):
+    """dTheta/dz in the lab frame at rho, from z_local and den of
+    ``_amplitude_jet``: the slopes of the plane-wave, Gouy and
+    wavefront-curvature terms of ``mode_phase``."""
+    k = beam.wavenumber
+    zr = beam.rayleigh_range
+    return beam.direction * (k - (2.0 * beam.radial_p + abs(beam.winding_l) + 1.0) * zr / den
+                             + 0.5 * k * rho * rho * (zr * zr - zl * zl) / (den * den))
+
+
+def _jet(beam, pt):
+    """``(U, Theta, grad_U, grad_Theta)`` of ``mode_jet`` with each gradient
+    its (rho, phi, z) triple of entries: floats at a point of scalars, else
+    arrays or floats that broadcast against pt.shape.  The amplitude half
+    (``_amplitude_jet``) gives U and grad_U; the phase half is Theta of
+    ``mode_phase`` and grad_Theta from the same z_local and den, its rho and
+    phi entries the slopes k rho z_local / den and direction * l / rho of the
+    curvature and azimuthal terms, 0 on the axis (rho <= AXIS_RHO), where
+    the azimuthal slope has no limit, and its z entry ``_theta_z``.  A caller
+    that reads U and grad_U alone takes the amplitude half.
+    """
+    amplitude, grad_amplitude, zl, den = _amplitude_jet(beam, pt)
+    rho = pt.rho
+    grad_phase = (_off_axis(beam.wavenumber * rho * zl, den, rho),
+                  _off_axis(beam.direction * beam.winding_l, rho, rho), _theta_z(beam, rho, zl, den))
     return amplitude, mode_phase(beam, pt), grad_amplitude, grad_phase

@@ -18,7 +18,7 @@ from .errors import DegenerateGeometryError, ResolutionError, RingDetectionError
 from .lg_mode import CylPoint, mode_amplitude, mode_jet
 # intensity_map is not called here; it stays a module attribute because
 # perfbench/spans.py traces calls by rebinding this name
-from .superpose import DARK_FRACTION, _pair_gradient, _pair_intensity_at, _phase_rows, intensity_map, \
+from .superpose import DARK_FRACTION, _curvature_rows, _intensity_slope, _pair_intensity_at, intensity_map, \
     total_amplitude
 
 __all__ = [
@@ -102,12 +102,11 @@ def _coarse_stride(pair, region):
     by rho |kappa1 - kappa2| h per coarse cell; h <= (pi / 8) / (rho_max
     max |kappa1 - kappa2|) keeps that turn within pi / 8 in every row, so
     each period pi of cos^2(Delta / 2) spans at least 8 coarse cells too
-    (kappa1 - kappa2 per row from ``_phase_rows``)."""
+    (kappa1 - kappa2 per row from ``_curvature_rows``)."""
     b = pair.beam1
     w0 = b.waist_w0
     h = min(0.1 * w0, math.pi * w0 / (16.0 * math.sqrt(2.0 * b.radial_p + 1.0)))
-    kappa = _phase_rows(pair, region.axis2, region.phi, region.time)[1]
-    turn = region.axis1[-1] * np.max(np.abs(kappa))
+    turn = region.axis1[-1] * np.max(np.abs(_curvature_rows(pair, region.axis2)))
     if turn > 0.0:
         h = min(h, 0.125 * math.pi / turn)
     return max(1, min(int(h / region.spacing1), region.axis1.size - 1))
@@ -123,15 +122,17 @@ def _polish(pair, region, start, lo, hi, cells, sign=1.0, up=None):
 
     In coarse cells (``cells``), the first step is a quarter cell on each
     axis: up where ``up`` (2, n) is positive, else down, or towards the
-    farther bound without ``up`` or from a bound.  Each round reads
-    grad I = 2 Re(E* grad E) from the closed-form jets at x + d and at the
-    corners (x_rho, x_z + d_z) and (x_rho + d_rho, x_z), which are x and
-    x + d where z is fixed: a secant column of the slope matrix H per
-    axis.  A trial lower than x beyond rounding is refused and the trust
-    radius T shrinks to half that step, else it may grow to four times the
-    step, up to 4.  The step solves (H - mu) s = -g with mu = 0 (the secant
-    Newton step) where H is negative definite and that step is within T,
-    else with mu = max(eig H, 0) + |g| / T, which keeps |s| <= T."""
+    farther bound without ``up`` or from a bound.  Each round reads I and
+    grad I from ``superpose._intensity_slope`` at x + d and at the corners
+    (x_rho, x_z + d_z) and (x_rho + d_rho, x_z): a secant column of the
+    slope matrix H per axis.  Where z is fixed a round reads I and dI/drho
+    at x + d alone, the slope at x being known (and read with it in the
+    first round), and takes the 1-D step.  A trial lower than x beyond
+    rounding is refused and the trust radius T shrinks to half that step,
+    else it may grow to four times the step, up to 4.  The step solves
+    (H - mu) s = -g with mu = 0 (the secant Newton step) where H is negative
+    definite and that step is within T, else with
+    mu = max(eig H, 0) + |g| / T, which keeps |s| <= T."""
     cell = np.array(cells)[:, None]
     fine = np.array([[region.spacing1], [region.spacing2]]) / cell
     axial = bool(np.any(lo[1] != hi[1]))
@@ -153,38 +154,53 @@ def _polish(pair, region, start, lo, hi, cells, sign=1.0, up=None):
                 state[0:2], state[2:4], state[4:6], state[6:8], state[8:10], state[10:14],
                 state[14], state[15], state[17])
             trial = x + d
-            pts = np.concatenate((trial, [x[0], trial[1]], [trial[0], x[1]]) if axial
-                                 else (trial, x), axis=1) * cell
-            amp, (re, im), (gr, gi), _ = _pair_gradient(
-                pair, CylPoint(rho=pts[0], phi=region.phi, z=pts[1]), region.time)
-            slope = (np.array([re * gr[0] + im * gi[0], re * gr[2] + im * gi[2]])
-                     * (2.0 * cell)).reshape(2, -1, m) * sgn
-            corners = slope[:, 1:] if axial else slope[:, [1, 0]]
-            h[:] = np.where(np.abs(d) >= 1e-4 * fine, (slope[:, :1] - corners) / d,
-                            h.reshape(2, 2, m)).reshape(4, m)
-            i = sgn * amp[:m] * amp[:m]
+            if axial:
+                pts = np.concatenate((trial, [x[0], trial[1]], [trial[0], x[1]]), axis=1) * cell
+            else:
+                pts = (np.concatenate((trial, x), axis=1) if not rounds else trial) * cell
+            i, *slope = _intensity_slope(
+                pair, CylPoint(rho=pts[0], phi=region.phi, z=pts[1]), region.time, axial)
+            i = sgn * i[:m]
             better = (i - value >= -1e-12 * np.abs(value)) | (not rounds)
             size = np.maximum(np.abs(d[0]), np.abs(d[1]))
             radius[:] = np.where(better, np.minimum(np.maximum(4.0 * size, radius), 4.0), 0.5 * size)
-            x[:], g[:], value[:] = (np.where(better, trial, x), np.where(better, slope[:, 0], g),
-                                    np.where(better, i, value))
-            gu, gv = g[0], g[1] * axial
-            a, b, c = h[0], 0.5 * (h[1] + h[2]) * axial, h[3]
-            top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
-            norm = np.hypot(gu, gv)
-            s = np.array([b * gv - c * gu, b * gu - a * gv]) / (a * c - b * b)
-            mu = np.where((top < 0.0) & (np.maximum(np.abs(s[0]), np.abs(s[1])) <= radius), 0.0,
-                          np.maximum(top, 0.0) + norm / radius)
-            a, c = a - mu, c - mu
-            s = np.where(norm > 0.0, [b * gv - c * gu, b * gu - a * gv] / (a * c - b * b), 0.0)
-            # a point on its z bound that would step past it
-            past = ((x[1] == lo[1]) & (s[1] < 0.0)) | ((x[1] == hi[1]) & (s[1] > 0.0))
-            d[:] = np.minimum(np.maximum(s, lo - x), hi - x)
-            last = np.maximum(np.abs(d[0]) / fine[0], np.abs(d[1]) / fine[1])
+            if axial:
+                slope = (np.array(slope) * cell).reshape(2, 3, m) * sgn
+                h[:] = np.where(np.abs(d) >= 1e-4 * fine, (slope[:, :1] - slope[:, 1:]) / d,
+                                h.reshape(2, 2, m)).reshape(4, m)
+                x[:], g[:], value[:] = (np.where(better, trial, x), np.where(better, slope[:, 0], g),
+                                        np.where(better, i, value))
+                gu, gv = g
+                a, b, c = h[0], 0.5 * (h[1] + h[2]), h[3]
+                top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+                norm = np.hypot(gu, gv)
+                s = np.array([b * gv - c * gu, b * gu - a * gv]) / (a * c - b * b)
+                mu = np.where((top < 0.0) & (np.maximum(np.abs(s[0]), np.abs(s[1])) <= radius), 0.0,
+                              np.maximum(top, 0.0) + norm / radius)
+                a, c = a - mu, c - mu
+                s = np.where(norm > 0.0, [b * gv - c * gu, b * gu - a * gv] / (a * c - b * b), 0.0)
+                # a point on its z bound that would step past it
+                past = ((x[1] == lo[1]) & (s[1] < 0.0)) | ((x[1] == hi[1]) & (s[1] > 0.0))
+                d[:] = np.minimum(np.maximum(s, lo - x), hi - x)
+                last = np.maximum(np.abs(d[0]) / fine[0], np.abs(d[1]) / fine[1])
+            else:
+                # the slope at x + d, and at x in the first round
+                slope = (slope[0] * cell[0]).reshape(-1, m) * sgn
+                h[0] = np.where(np.abs(d[0]) >= 1e-4 * fine[0],
+                                (slope[0] - (g[0] if rounds else slope[1])) / d[0], h[0])
+                x[0], g[0], value[:] = (np.where(better, trial[0], x[0]), np.where(better, slope[0], g[0]),
+                                        np.where(better, i, value))
+                a, gu = h[0], g[0]
+                norm = np.abs(gu)
+                mu = np.where((a < 0.0) & (np.abs(gu / a) <= radius), 0.0, np.maximum(a, 0.0) + norm / radius)
+                past = False
+                d[0] = np.minimum(np.maximum(np.where(norm > 0.0, gu / (mu - a), 0.0), lo[0] - x[0]),
+                                  hi[0] - x[0])
+                last = np.abs(d[0]) / fine[0]
             done = last < POLISH_TOL
             if (done | past).any():
-                out[:, state[16, done].astype(int)] = np.r_[
-                    (x + d)[:, done] * cell, [(sgn * value)[done], last[done]]]
+                out[:, state[16, done].astype(int)] = np.concatenate(
+                    ((x + d)[:, done] * cell, [(sgn * value)[done], last[done]]))
                 state = state[:, ~(done | past)]
     return out
 
@@ -209,7 +225,7 @@ def _bases(rho, rows, peak, top, ring):
         out.append((np.where(empty, 0.5 * (near + far), rho[a]),
                     np.where(empty, near, np.maximum(rho[np.maximum(a - 1, 0)], near)),
                     np.where(empty, far, np.minimum(rho[np.minimum(a + 1, rho.size - 1)], far))))
-    return [np.r_[left, right] for left, right in zip(*out)]
+    return [np.concatenate((left, right)) for left, right in zip(*out)]
 
 
 def find_rings(pair, region):
@@ -226,10 +242,13 @@ def find_rings(pair, region):
        of the Laguerre factor are largest in the last column.
     2. Each 2-D local maximum of that map (ties kept) seeds a ``_polish``
        of grad I = 0 in (rho, z), z within its neighbouring coarse rows;
-       one that does not end there is dropped, repeats count once.
+       one that does not end there is dropped, repeats count once.  The
+       polish reads I, as ``_pair_intensity_at`` forms it, and grad I from
+       ``superpose._intensity_slope``: the beams' amplitudes and the phase
+       difference's rows, with no phase, field or complex modulus formed.
     3. A maximum is a ring when no coarse sample of its row (its z) and no
        other radial maximum there (one whose neighbouring samples do not
-       hold it), polished in rho, is brighter.
+       hold it), polished in rho (a 1-D polish), is brighter.
 
     The ring nearest z = 0 is "central" within half a fringe of the
     midplane, every other a member of a double-ring pair.  The fringe
@@ -256,7 +275,7 @@ def find_rings(pair, region):
         raise ResolutionError("region must cover |z| <= d/2 between the foci")
 
     s, k = _coarse_stride(pair, region), max(1, int(b.wavelength / 8.0 / dz))
-    z_c, rho_c = (ax[np.r_[0:ax.size - 1:st, ax.size - 1]]
+    z_c, rho_c = (ax[np.append(np.arange(0, ax.size - 1, st), ax.size - 1)]
                   for ax, st in ((region.axis2, k), (region.axis1, s)))
     coarse = _pair_intensity_at(pair, region, rho_c[None, :], z_c[:, None])
     cells = (s * drho, k * dz)
@@ -278,7 +297,7 @@ def find_rings(pair, region):
     out = out[:, np.isfinite(out[3])]
     rho_v, z_v, i_v, _ = out[:, np.lexsort(out[:2])]
     again = (np.abs(np.diff(z_v)) <= 1e-3 * dz) & (np.abs(np.diff(rho_v)) <= 1e-3 * drho)
-    rho_v, z_v, i_v = (v[np.r_[True, ~again][:v.size]] for v in (rho_v, z_v, i_v))
+    rho_v, z_v, i_v = (v[np.append(True, ~again)[:v.size]] for v in (rho_v, z_v, i_v))
 
     # each maximum's row at the coarse columns; in the rows of those no
     # sample outshines, every other radial maximum that could outshine the
@@ -289,7 +308,11 @@ def find_rings(pair, region):
     # columns eight times coarser.
     profiles = _pair_intensity_at(pair, region, rho_c[None, :], z_v[:, None])
     # a ring is its row's brightest point: a sample beats it only by more
-    # than the rounding that parts the two intensities
+    # than 1e-9 of it.  Both sides are _pair_intensity's formula, but the
+    # polish read I at its last accepted point, a step below POLISH_TOL from
+    # the reported one, and Delta rounds by a few eps max|Delta| from point
+    # to point, so a sample at the maximum itself (the axis column under an
+    # l = 0 ring) may read a hair above it
     ring = profiles.max(axis=1) <= i_v * (1.0 + 1e-9)
     inner = profiles[:, 1:-1]
     m, c = np.nonzero((inner >= profiles[:, :-2]) & (inner >= profiles[:, 2:])
@@ -298,10 +321,10 @@ def find_rings(pair, region):
     keep = (rho_v[m] < rho_c[c - 1]) | (rho_v[m] > rho_c[c + 1])
     m, c = m[keep], c[keep]
     start, lo, hi = _bases(rho_c, profiles[m], rho_c[c], profiles[m, c], rho_v[m])
-    z = z_v[np.r_[m, m, m]]
-    rho_m, _, i_m, _ = _polish(pair, region, np.array([np.r_[rho_c[c], start], z]),
-                               np.array([np.r_[rho_c[c - 1], lo], z]),
-                               np.array([np.r_[rho_c[c + 1], hi], z]), cells,
+    z = z_v[np.tile(m, 3)]
+    rho_m, _, i_m, _ = _polish(pair, region, np.array([np.concatenate((rho_c[c], start)), z]),
+                               np.array([np.concatenate((rho_c[c - 1], lo)), z]),
+                               np.array([np.concatenate((rho_c[c + 1], hi)), z]), cells,
                                np.repeat([1.0, -1.0], [m.size, 2 * m.size]))
     rho_m, i_m, base = rho_m[:m.size], i_m[:m.size], np.max(i_m[m.size:].reshape(2, -1), axis=0)
     ring[m[i_m > i_v[m]]] = False
@@ -333,7 +356,7 @@ def find_rings(pair, region):
     ok &= m != (np.flatnonzero(ring)[central] if central >= 0 else -1)
     order = np.lexsort((i_m[ok], m[ok]))
     p, rho_p = m[ok][order], rho_m[ok][order]
-    pick = np.r_[p[1:] != p[:-1], True][:p.size]
+    pick = np.append(p[1:] != p[:-1], True)[:p.size]
     p, rho_p = p[pick], rho_p[pick]
     inner, outer = np.minimum(rho_v[p], rho_p), np.maximum(rho_v[p], rho_p)
     splittings = [RingSplit(z_pos=z, delta_rho=r_o - r_i, r_inner=r_i, r_outer=r_o)

@@ -4,8 +4,8 @@ The pair interferes into an axial fringe lattice; this module evaluates the
 total amplitude/phase, the phase difference split into its physical parts,
 and sampled intensity maps on half-plane (rho, z) or transverse (x, y) grids.
 It alone forms the field E = U1 e^{i Theta1} + U2 e^{i (Theta2 + delta_omega t)},
-in real parts, for maps, point values, forces and the polish, and the phase
-difference Delta of the ring finder's kernel (``_phase_rows``).
+in real parts, for maps, point values and forces, and the phase difference
+Delta (``_phase_rows``) of the ring finder's intensity and of its slope.
 """
 
 import math
@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DarkPointError, DegenerateGeometryError
-from .lg_mode import BeamSpec, CylPoint, _jet, _real, _row_phase, mode_amplitude, mode_phase
+from .lg_mode import AXIS_RHO, BeamSpec, CylPoint, _amplitude_jet, _curvature, _jet, _real, _row_phase, \
+    _theta_z, mode_amplitude, mode_phase
 
 __all__ = [
     "BLOCK_POINTS",
@@ -129,30 +130,80 @@ def _phase_rows(pair, z, phi, t):
             kappa1 - kappa2)
 
 
+def _curvature_rows(pair, z):
+    """kappa1 - kappa2 of ``_phase_rows`` at lab z alone, from each beam's
+    ``_curvature``, without the plane-wave, azimuthal and Gouy terms."""
+    return _curvature(pair.beam1, z)[1] - _curvature(pair.beam2, z)[1]
+
+
+def _half_delta(pair, pt, t):
+    """(Delta / 2, kappa1 - kappa2) at the points: Delta / 2 =
+    rho^2 (kappa1 - kappa2) / 2 + r / 2 from ``_phase_rows``, a fresh array
+    of pt.shape (halving is exact); on a separable rho_z block r and kappa
+    are per row, so it costs two full-block passes."""
+    row, kappa = _phase_rows(pair, pt.z, pt.phi, t)
+    half = np.multiply(pt.rho * pt.rho, 0.5 * kappa, out=np.empty(pt.shape))
+    half += 0.5 * row
+    return half, kappa
+
+
+def _add_cross(u1, u2, cos_sq, out=None):
+    """|E|^2 = (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2) from cos_sq =
+    cos^2(Delta / 2), an array it overwrites, into ``out`` (of its shape)
+    if given.  The form is non-negative up to rounding."""
+    cos_sq *= u1
+    cos_sq *= u2
+    cos_sq *= 4.0
+    out = np.subtract(u1, u2, out=np.empty(cos_sq.shape) if out is None else out)
+    out *= out
+    out += cos_sq
+    return out[()]
+
+
 def _pair_intensity(pair, pt, t, out=None):
     """|E|^2 = (U1 - U2)^2 + 4 U1 U2 cos^2(Delta / 2) at the points, into
-    ``out`` (of shape pt.shape) if given; no phase and no square root.
-
-    Delta = r + rho^2 (kappa1 - kappa2) comes from ``_phase_rows``; on a
-    separable rho_z block r and kappa are per row, so Delta / 2 costs two
-    full-block passes (halving is exact).  The form is non-negative up to
-    rounding.  Delta is rounded apart from the Theta1 and Theta2 that the
-    field E of intensity_map reads, so the two intensities differ by up to
-    a few eps max|Theta| times 2 |U1 U2|, plus a few eps (|U1| + |U2|)^2."""
+    ``out`` (of shape pt.shape) if given; no phase and no square root
+    (``_half_delta``, ``_add_cross``).  Delta is rounded apart from the
+    Theta1 and Theta2 that the field E of intensity_map reads, so the two
+    intensities differ by up to a few eps max|Theta| times 2 |U1 U2|, plus
+    a few eps (|U1| + |U2|)^2; ``_intensity_slope`` forms this I bit for
+    bit."""
     u1 = mode_amplitude(pair.beam1, pt)
     u2 = mode_amplitude(pair.beam2, pt)
-    row, kappa = _phase_rows(pair, pt.z, pt.phi, t)
-    cross = np.multiply(pt.rho * pt.rho, 0.5 * kappa, out=np.empty(pt.shape))
-    cross += 0.5 * row
+    cross = _half_delta(pair, pt, t)[0]
     np.cos(cross, out=cross)
     cross *= cross
-    cross *= u1
-    cross *= u2
-    cross *= 4.0
-    out = np.subtract(u1, u2, out=np.empty(pt.shape) if out is None else out)
-    out *= out
-    out += cross
-    return out[()]
+    return _add_cross(u1, u2, cross, out)
+
+
+def _intensity_slope(pair, pt, t, axial=True):
+    """(I, dI/drho, dI/dz) at the points for the ring finder's polish: I as
+    ``_pair_intensity`` forms it, bit for bit, and with P = U1 U2
+    dI = 2 (U1 - U2) d(U1 - U2) + 4 cos^2(Delta / 2) dP - 2 P sin(Delta) dDelta,
+    which is 2 (U1 dU1 + U2 dU2) + 2 cos(Delta) dP - 2 P sin(Delta) dDelta,
+    in rho and z.  U and dU come from each beam's amplitude half
+    (``_amplitude_jet``), Delta / 2 from ``_half_delta``,
+    dDelta/drho = 2 rho (kappa1 - kappa2) and dDelta/dz the difference of
+    the beams' ``_theta_z``; delta_omega t does not vary.  No phase Theta,
+    no azimuthal entry and no modulus is formed.  The rho entry is 0 on the
+    axis (rho <= AXIS_RHO), as each dU/drho is; without ``axial`` the z
+    entry is None and is not formed."""
+    b1, b2 = pair.beam1, pair.beam2
+    u1, (r1, _, z1), zl1, den1 = _amplitude_jet(b1, pt)
+    u2, (r2, _, z2), zl2, den2 = _amplitude_jet(b2, pt)
+    half, kappa = _half_delta(pair, pt, t)
+    cos = np.cos(half)
+    cos_sq = cos * cos
+    # 2 (U1 - U2), 4 cos^2(Delta / 2) and 2 P sin(Delta) = 4 P sin(Delta / 2) cos(Delta / 2)
+    diff, weight, beat = 2.0 * (u1 - u2), 4.0 * cos_sq, np.sin(half, out=half) * cos * (4.0 * u1 * u2)
+    rho = pt.rho
+    radial = (diff * (r1 - r2) + weight * (u2 * r1 + u1 * r2)
+              - beat * (2.0 * (rho * (rho > AXIS_RHO)) * kappa))
+    slope_z = None
+    if axial:
+        slope_z = (diff * (z1 - z2) + weight * (u2 * z1 + u1 * z2)
+                   - beat * (_theta_z(b1, rho, zl1, den1) - _theta_z(b2, rho, zl2, den2)))
+    return _add_cross(u1, u2, cos_sq), radial, slope_z
 
 
 def _field(pair, pt, t):
@@ -181,8 +232,9 @@ def _phase_of(modulus, re, im, u1, u2):
 
 def _pair_gradient(pair, pt, t):
     """|E|, E and grad(E) of the total field and max(|U1|, |U2|), from one
-    jet per beam: ``(|E|, (Re E, Im E), (Re grad E, Im grad E), u_max)``,
-    each part of grad(E) a (rho, phi, z) triple of entries.
+    jet per beam, for the full force model: ``(|E|, (Re E, Im E),
+    (Re grad E, Im grad E), u_max)``, each part of grad(E) a (rho, phi, z)
+    triple of entries.
 
     E and grad(E) = sum_j e^{i Theta_j} (grad U_j + i U_j grad Theta_j) are
     written out in real parts with numpy's cos and sin: Re E and Im E are
@@ -197,10 +249,13 @@ def _pair_gradient(pair, pt, t):
     real = _real(pt)
     c1, s1, c2, s2 = real(np.cos(th1)), real(np.sin(th1)), real(np.cos(th2)), real(np.sin(th2))
     re, im = u1 * c1 + u2 * c2, u1 * s1 + u2 * s2
-    # grad E = sum_j (c_j + i s_j) (a_j + i b_j), a_j = grad U_j, b_j = U_j grad Theta_j
-    terms = [(a1, u1 * b1, a2, u2 * b2) for a1, b1, a2, b2 in zip(gu1, gth1, gu2, gth2)]
-    grad_e = ([(c1 * a1 - s1 * b1) + (c2 * a2 - s2 * b2) for a1, b1, a2, b2 in terms],
-              [(c1 * b1 + s1 * a1) + (c2 * b2 + s2 * a2) for a1, b1, a2, b2 in terms])
+    # grad E = sum_j (c_j + i s_j) (a_j + i b_j), a_j = grad U_j, b_j = U_j grad Theta_j,
+    # in one loop: list comprehensions would cost a call each at a point of scalars
+    grad_e = [], []
+    for a1, b1, a2, b2 in zip(gu1, gth1, gu2, gth2):
+        b1, b2 = u1 * b1, u2 * b2
+        grad_e[0].append((c1 * a1 - s1 * b1) + (c2 * a2 - s2 * b2))
+        grad_e[1].append((c1 * b1 + s1 * a1) + (c2 * b2 + s2 * a2))
     a1, a2, amp = abs(u1), abs(u2), np.abs(re + 1j * im)
     if isinstance(amp, np.ndarray):
         return amp, (re, im), grad_e, np.maximum(a1, a2)

@@ -344,9 +344,10 @@ def test_dipole_force_total_field_consistency():
 
 def test_dipole_potential_needs_amplitudes_only(monkeypatch):
     """The potential of an atom at rest takes mode amplitudes alone: no mode
-    jet, phase gradient or Doppler-corrected detuning, in either model."""
+    jet or its amplitude half, phase gradient or Doppler-corrected detuning,
+    in either model."""
     calls = []
-    for module, name in ((atom_forces, "_jet"), (superpose, "_jet"),
+    for module, name in ((atom_forces, "_amplitude_jet"), (superpose, "_jet"),
                          (atom_forces, "phase_gradient"), (atom_forces, "detuning_eff")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls.append(_name)

@@ -292,20 +292,22 @@ def test_pattern_period_step_gate(factor, raises):
 
 
 @pytest.mark.parametrize("model, scattering, dipole, jets, amplitudes",
-                         [("full", True, True, 2, 0), ("reduced", True, False, 0, 2)])
+                         [("full", True, True, 2, 0), ("reduced", True, False, 0, 2),
+                          ("reduced", True, True, 2, 0)])
 def test_each_stage_evaluates_each_mode_once(monkeypatch, model, scattering, dipole,
                                              jets, amplitudes):
     """The scattering and dipole forces of a stage share each beam's mode
-    evaluation: a jet (lg_mode._jet, which mode_jet stacks; the full model's
-    field takes it in superpose) when the stage needs gradients, else an
-    amplitude."""
+    evaluation: a jet when the stage needs gradients (lg_mode._jet, which
+    mode_jet stacks, as the full model's field takes it in superpose; its
+    amplitude half lg_mode._amplitude_jet for the reduced model's dipole
+    force), else an amplitude."""
     atom = sodium()
     p = trap_pair()
     period = 2.0 * math.pi / trap_frequency(atom, p)
     counts = {"_jet": 0, "mode_amplitude": 0}
-    for module, name in ((atom_forces, "_jet"), (superpose, "_jet"),
-                         (atom_forces, "mode_amplitude")):
-        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+    for module, name, key in ((atom_forces, "_amplitude_jet", "_jet"), (superpose, "_jet", "_jet"),
+                              (atom_forces, "mode_amplitude", "mode_amplitude")):
+        def counting(*args, _fn=getattr(module, name), _name=key, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vortexlattice import lg_mode
 from vortexlattice.lg_mode import (AXIS_RHO, BeamSpec, CylPoint, laguerre_poly,
                                    mode_amplitude, mode_jet, mode_phase, waist_at)
 
@@ -123,6 +124,34 @@ def test_mode_keeps_its_axis_bits(l, p, direction):
     for pt in (CylPoint(math.nan, 0.7, 3e-4), CylPoint(np.array([math.nan]), 0.7, 3e-4)):
         u, _, grad, _ = mode_jet(b, pt)
         assert np.isnan(u).all() and np.isnan(grad[2]).all()
+
+
+def _bits(value):
+    """A value's type and bytes: -0.0 and +0.0, and a float and np.float64,
+    differ."""
+    return type(value), np.asarray(value, dtype=float).tobytes(), np.shape(value)
+
+
+@pytest.mark.parametrize("l, p", [(0, 0), (1, 0), (-3, 1), (2, 3), (-7, 2)])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("amp_scale", [1.3, 0.0])
+def test_amplitude_half_is_the_jets(l, p, direction, amp_scale):
+    """The jet's amplitude half (lg_mode._amplitude_jet) gives U and grad U
+    as _jet's entries and U as mode_amplitude, bit for bit and of the same
+    type: at points of scalars and on separable blocks, on the axis
+    (rho = 0.0 and -0.0), next to it and off it, for p <= 3, both
+    directions and a dark beam (amp_scale 0)."""
+    b = beam(l=l, p=p, direction=direction, focal_z=-1e-4, amp_scale=amp_scale)
+    rhos = [0.0, -0.0, 0.5 * AXIS_RHO, 2.0 * AXIS_RHO, 3e-6, 1.1e-5]
+    zs = [-3e-4, -1e-4, 2e-5]
+    pts = [CylPoint(rho, 0.4, z) for rho in rhos for z in zs]
+    pts.append(CylPoint(np.array(rhos)[None, :], 0.4, np.array(zs)[:, None]))
+    pts.append(CylPoint(np.array(rhos), 0.4, np.array([zs[0]] * len(rhos))))
+    for pt in pts:
+        u, grad_u, _, _ = lg_mode._amplitude_jet(b, pt)
+        jet = lg_mode._jet(b, pt)
+        assert _bits(u) == _bits(jet[0]) == _bits(mode_amplitude(b, pt))
+        assert [_bits(g) for g in grad_u] == [_bits(g) for g in jet[2]]
 
 
 def test_doughnut_peak_radius():

@@ -570,13 +570,19 @@ def intensity_bound(pair, pt, t):
     eps = np.finfo(float).eps
     u1 = mode_amplitude(pair.beam1, pt)
     u2 = mode_amplitude(pair.beam2, pt)
-    phase_scale = abs(pair.delta_omega * t)
+    s = (np.abs(u1) + np.abs(u2)) ** 2
+    return 16.0 * eps * np.abs(u1 * u2) * phase_scale(pair, pt, t) + 8.0 * eps * s, s > 1e-250
+
+
+def phase_scale(pair, pt, t):
+    """A: the sum of |part| over the plane, azimuthal, Gouy and curvature
+    parts of both beams' phases and beam 2's offset delta_omega t."""
+    scale = abs(pair.delta_omega * t)
     for beam in (pair.beam1, pair.beam2):
         plane, azimuthal, gouy, kappa = _row_phase(beam, pt.z, pt.phi)
         for part in (plane, azimuthal, gouy, pt.rho * pt.rho * kappa):
-            phase_scale = phase_scale + np.abs(part)
-    s = (np.abs(u1) + np.abs(u2)) ** 2
-    return 16.0 * eps * np.abs(u1 * u2) * phase_scale + 8.0 * eps * s, s > 1e-250
+            scale = scale + np.abs(part)
+    return scale
 
 
 @SETTINGS
@@ -591,6 +597,98 @@ def test_pair_intensity_is_the_square_of_pair_complex(case):
     err = np.abs(got - np.abs(pair_complex(pair, pt, t=t)) ** 2)
     assert np.shape(got) == pt.shape
     assert np.all(err[resolved] <= bound[resolved])
+
+
+@st.composite
+def near_ring_points(draw):
+    """(pair, pt, t): a pair with |l1|, |l2| <= 80, p <= 3 and d/z_R in
+    [0.5, 3], and points within half a waist of beam 1's ring radius
+    w(z) sqrt(|l1| / 2 + p) at z between the foci and a little past them,
+    or on and next to the axis: a scalar point, 1-D arrays of rho and z at
+    one phi, as the polish passes them, or a separable block."""
+    w0 = draw(st.floats(2.0, 12.0)) * WAVELENGTH
+    zr = math.pi * w0 ** 2 / WAVELENGTH
+    l1, l2 = draw(st.integers(-80, 80)), draw(st.integers(-80, 80))
+    d = draw(st.floats(0.5, 3.0)) * zr
+    pair = PairSpec(WAVELENGTH, w0, l1=l1, l2=l2, separation_d=d,
+                    radial_p=draw(st.integers(0, 3)), amp1=draw(st.floats(0.1, 3.0)),
+                    amp2=draw(st.floats(0.1, 3.0)), delta_omega=draw(st.floats(0.0, 1e6)))
+    z_hi = 0.5 * d + 0.5 * zr
+    z = draw(st.floats(-z_hi, z_hi))
+    ring = waist_at(pair.beam1, z + 0.5 * d) * math.sqrt(0.5 * abs(l1) + pair.radial_p)
+    rho = st.floats(-0.5, 0.5).map(lambda f: max(ring + f * w0, 0.0)) | axis_rho
+    zs, phi = st.floats(z - 0.01 * zr, z + 0.01 * zr), st.floats(-math.pi, math.pi)
+    form, n = draw(st.sampled_from(["scalar", "array", "separable"])), draw(st.integers(1, 6))
+    if form == "scalar":
+        pt = CylPoint(rho=draw(rho), phi=draw(phi), z=draw(zs))
+    elif form == "array":
+        pt = CylPoint(rho=np.array(draw(st.lists(rho, min_size=n, max_size=n))), phi=draw(phi),
+                      z=np.array(draw(st.lists(zs, min_size=n, max_size=n))))
+    else:
+        m = draw(st.integers(1, 4))
+        pt = CylPoint(rho=np.array(draw(st.lists(rho, min_size=n, max_size=n)))[None, :],
+                      phi=draw(phi), z=np.array(draw(st.lists(zs, min_size=m, max_size=m)))[:, None])
+    return pair, pt, draw(st.floats(0.0, 1e-6))
+
+
+def slope_bound(pair, pt, t, jets, axis):
+    """(bound, resolved): how far the finder's dI along ``axis`` (0 for rho,
+    2 for z) may be from 2 Re(E* grad E) of ``_pair_gradient``, both formed
+    from the same U_j and dU_j, and the points where that bound holds;
+    ``jets`` are the beams' ``mode_jet``.
+
+    Let S = |U1| + |U2|, G = sum_j |dU_j| + |U_j| |dTheta_j| and M = 2 S G,
+    which bounds |dI| = 2 |Re(E* dE)| <= 2 |E| |dE|.  Arithmetic: each side
+    rounds at most 32 times, the transcendentals within eps of their
+    results, and every intermediate is at most 2 M (the finder's three
+    terms 2 (U1 - U2) d(U1 - U2), 4 cos^2(Delta / 2) dP and
+    2 P sin(Delta) dDelta, P = U1 U2, are at most M, 2 M and M), so the two
+    part by at most 64 eps M.  Phase: the two sides' phase differences part
+    by at most 8 eps A (``phase_scale``, as in ``intensity_bound``), and
+    |d(dI)/dDelta| = |2 sin(Delta) dP + 2 P cos(Delta) dDelta| <= 2 M, which
+    adds 16 eps A M.  The bound is eps M (64 + 16 A).  Where M <= 1e-250
+    the products leave the normal range, and a bound relative to M does
+    not hold."""
+    eps = np.finfo(float).eps
+    g = sum(np.abs(du[axis]) + np.abs(u) * np.abs(dth[axis]) for u, _, du, dth in jets)
+    m = 2.0 * sum(np.abs(jet[0]) for jet in jets) * g
+    return eps * m * (64.0 + 16.0 * phase_scale(pair, pt, t)), m > 1e-250
+
+
+@SETTINGS
+@given(case=near_ring_points())
+def test_the_finders_slope_is_the_pair_gradients(case):
+    """The polish's I and grad I (superpose._intensity_slope): I is
+    _pair_intensity's bit for bit; dI/drho and dI/dz are the rho and z
+    entries of 2 Re(E* grad E) from _pair_gradient within slope_bound; the
+    rho entry is 0 on the axis (rho <= AXIS_RHO), as a central difference
+    of the intensity extended evenly in rho gives; and without ``axial``
+    the z entry is not formed."""
+    pair, pt, t = case
+    i, d_rho, d_z = superpose._intensity_slope(pair, pt, t)
+    np.testing.assert_array_equal(i, superpose._pair_intensity(pair, pt, t), strict=True)
+    _, (re, im), (gr, gi), _ = _pair_gradient(pair, pt, t)
+    jets = [mode_jet(beam, pt) for beam in (pair.beam1, pair.beam2)]
+    for axis, got in ((0, d_rho), (2, d_z)):
+        bound, resolved = slope_bound(pair, pt, t, jets, axis)
+        err = np.broadcast_to(np.abs(got - 2.0 * (re * gr[axis] + im * gi[axis])), pt.shape)
+        assert np.all(err[resolved] <= bound[resolved])
+    on_axis = np.broadcast_to(pt.rho <= AXIS_RHO, pt.shape)
+    assert np.all(np.broadcast_to(d_rho, pt.shape)[on_axis] == 0.0)
+    flat = superpose._intensity_slope(pair, pt, t, axial=False)
+    np.testing.assert_array_equal(flat[0], i, strict=True)
+    np.testing.assert_array_equal(flat[1], d_rho, strict=True)
+    assert flat[2] is None
+
+
+@SETTINGS
+@given(case=pairs_and_points())
+def test_curvature_rows_are_the_phase_rows_curvature(case):
+    """The coarse stride's kappa1 - kappa2 (superpose._curvature_rows) is
+    _phase_rows' bit for bit, so the stride does not move."""
+    pair, pt, t = case
+    np.testing.assert_array_equal(superpose._curvature_rows(pair, pt.z),
+                                  superpose._phase_rows(pair, pt.z, pt.phi, t)[1], strict=True)
 
 
 @SETTINGS

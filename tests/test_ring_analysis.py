@@ -12,7 +12,7 @@ from scipy.signal import find_peaks, peak_prominences
 from test_config_cli import REPO
 from test_properties import intensity_bound, lattices
 from test_superpose import full_grid_points
-from vortexlattice import atom_forces, cli, ring_analysis, superpose
+from vortexlattice import atom_forces, cli, lg_mode, ring_analysis, superpose
 from vortexlattice.atom_forces import central_ring_radius, ferris_rate, lift_speed
 from vortexlattice.cli import main
 from vortexlattice.config import RunConfig
@@ -887,6 +887,25 @@ def fixture_case(case):
     if case == "single":
         return p, lattice_region(p, z_half=24.0, n_z=961)
     return p, lattice_region(p)
+
+
+@pytest.mark.parametrize("case", ["ring_lattice", "split", "single"])
+def test_find_rings_forms_no_field_gradient_and_no_phase(case, monkeypatch):
+    """The polish reads I and grad I from superpose._intensity_slope, built
+    from each beam's amplitude half and the phase difference's rows: with
+    the full force model's field gradient (superpose._pair_gradient) and a
+    mode's phase (lg_mode.mode_phase, which the jet calls, and superpose's
+    name for it) made to raise, find_rings returns the same rings."""
+    p, region = fixture_case(case)
+    want = find_rings(p, region).to_json_dict()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("find_rings formed a field gradient or a phase")
+
+    for module, name in ((superpose, "_pair_gradient"), (lg_mode, "mode_phase"),
+                         (superpose, "mode_phase")):
+        monkeypatch.setattr(module, name, refused)
+    assert find_rings(p, region).to_json_dict() == want
 
 
 @pytest.mark.parametrize("case", ["ring_lattice", "lattice", "split", "split_cut", "single",
