@@ -21,6 +21,7 @@ from .ring_analysis import (RadialSplit, Ring, RingSet, RingSplit, compare_rings
                             measure_axial_drift, measure_rotation_rate,
                             radial_separation, suggested_sample_dt)
 from .superpose import (FieldMap, GridSpec, PairSpec, PhaseDifference, intensity_map,
-                        pair_complex, phase_difference, total_amplitude, total_phase)
+                        intensity_maps, pair_complex, phase_difference, total_amplitude,
+                        total_phase)
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .errors import ConfigError, VortexLatticeError
 from .output import write_outputs
 from .ring_analysis import compare_rings, find_rings, fringe_drift_speed, \
     measure_axial_drift, measure_rotation_rate, suggested_sample_dt
-from .superpose import intensity_map
+from .superpose import intensity_map, intensity_maps
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 2, 3, 4
 
@@ -81,8 +81,9 @@ def cmd_ferris(cfg):
     if not grids:
         raise ConfigError("ferris needs an 'xy_grid' section")
 
-    outputs = [(f"ferris_xy_t{i}_z{j}.csv", intensity_map(pair, replace(grid, time=t)))
-               for i, t in enumerate(cfg.ferris_times) for j, grid in enumerate(grids)]
+    maps = [intensity_maps(pair, grid, cfg.ferris_times) for grid in grids]
+    outputs = [(f"ferris_xy_t{i}_z{j}.csv", grid_maps[i])
+               for i in range(len(cfg.ferris_times)) for j, grid_maps in enumerate(maps)]
 
     # the measurements stay here, where perfbench/spans.py traces them
     rho_probe = central_ring_radius(pair)

@@ -16,10 +16,11 @@ import numpy as np
 from .errors import DegenerateGeometryError
 from .superpose import FieldMap
 
-# Values formatted per numpy pass of the CSV writer: a pass's slot planes (29
-# bytes a value) stay below the 128 KiB at which glibc's malloc maps fresh
-# pages (16384 values took about 11 000 minor faults per ferris map), and the
-# row buffer is made once per file, so a warm map's write takes no minor fault.
+# Values formatted per numpy pass of the CSV writer, rounded down to whole grid
+# rows for a map (at least one row): a pass's slot planes (29 bytes a value)
+# stay below the 128 KiB at which glibc's malloc maps fresh pages (16384 values
+# took about 11 000 minor faults per ferris map), and the row buffer is made
+# once per file, so a warm map's write takes no minor fault.
 _CHUNK_VALUES = 4096
 # Decimal exponents the numpy path formats: |x| in [1e-280, 1e280] keeps every
 # scaled product below and its error terms well above the float64 range limits.
@@ -27,6 +28,10 @@ _E_MIN, _E_MAX = -281, 280
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
 # How close to a rounding tie the 17th digit may fall before Python formats it
 _TIE_WINDOW = 1e-6
+# The text of NaN and of infinity in mantissa slots 0-2, less the text "2" of
+# the stand-in 2.0 that ``_slots`` formats in their place
+_NAN_TEXT, _INF_TEXT = (np.frombuffer(text, dtype=np.uint8)[:, None] - np.uint8([[50], [0], [0]])
+                        for text in (b"nan", b"inf"))
 
 
 @functools.cache
@@ -79,14 +84,16 @@ def _slots(values):
       or N >= 10^17, so N is the 17-digit significand only strictly
       between those bounds (N = 10^17 is also the carry into E + 1).
 
-    Zeros, NaN, infinities, |x| out of range, values near a tie (which Python
-    rounds half to even) and values on or past the bounds are formatted by
-    Python's "%.17g" in one % operation and written into their slots."""
+    Exact zeros, NaN and infinities take the stand-in 2.0, whose text is the
+    one digit "2", and row operations then make that "0", "nan" or "inf"
+    and clear NaN's sign.  Only |x| out of range, values near a tie (which
+    Python rounds half to even) and values on or past the bounds are
+    formatted by ``_percent_slots``."""
     n = values.size
     scale, layout = _decimal_tables()
     a = np.abs(values)
-    fallback = ~((a >= 1e-280) & (a <= 1e280))
-    a[fallback] = 1.5
+    outside = ~((a >= 1e-280) & (a <= 1e280))
+    a[outside] = 2.0
     col = np.floor(np.log10(a)).astype(np.intp)
     col -= _E_MIN
     hi_hi, hi_lo, hi, lo = np.take(scale, col, axis=1)
@@ -98,7 +105,7 @@ def _slots(values):
     e += 0.5
     r = np.floor(e)
     e -= r
-    fallback |= np.abs(e - 0.5) > 0.5 - _TIE_WINDOW
+    fallback = np.abs(e - 0.5) > 0.5 - _TIE_WINDOW
     sig = p.astype(np.int64)
     sig += r.astype(np.int64)
     fallback |= (sig <= 10 ** 16) | (sig >= 10 ** 17)
@@ -134,37 +141,55 @@ def _slots(values):
     cols = np.flatnonzero(point < 18)
     mantissa[point[cols], cols] = 46
     planes[24:29] = lay[5:10]
+    if outside.any():
+        zero, nan, inf = values == 0.0, np.isnan(values), np.isinf(values)
+        fallback |= outside ^ (zero | nan | inf)
+        planes[0] *= ~nan
+        mantissa[0] -= zero * np.uint8(2)
+        mantissa[:3] += nan * _NAN_TEXT
+        mantissa[:3] += inf * _INF_TEXT
     rows = np.flatnonzero(fallback)
     if rows.size:
-        text = ("%.17g\n" * rows.size % tuple(values[rows].tolist())).split("\n")[:-1]
-        planes[:, rows] = np.array(text, dtype="S29").view(np.uint8).reshape(-1, 29).T
+        planes[:, rows] = _percent_slots(values[rows])
     return planes
+
+
+def _percent_slots(values):
+    """``_slots`` of a few values by Python's "%.17g", in one % operation."""
+    text = ("%.17g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
+    return np.array(text, dtype="S29").view(np.uint8).reshape(-1, 29).T
 
 
 def write_rows(path, header, data, axes=()):
     """Write a header line, then one line per row i of the 2-D float64
-    ``data``: each axis's value at grid point i (the first axis varying
-    fastest), then the row's values, in "%.17g", comma-separated, LF
-    newlines: np.savetxt's bytes, NaN, inf and rows of no columns included.
+    ``data``: for a map's two ``axes``, their values at grid point i
+    (axis 1 varying fastest), then the row's values, in "%.17g",
+    comma-separated, LF newlines: np.savetxt's bytes, NaN, inf and rows of
+    no columns included.
 
-    Axes are formatted once and gathered per row; ``data`` is formatted about
-    _CHUNK_VALUES values at a time into a (rows, columns, 30) uint8 buffer
+    ``data`` is formatted about _CHUNK_VALUES values at a time, a map's in
+    whole grid rows (at least one), into a (rows, columns, 30) uint8 buffer
     made once per file: ``_slots``' 29 bytes, then "," or "\\n"; 0 bytes are
-    dropped."""
+    dropped.  Each axis is formatted once: as every chunk starts a grid row,
+    axis 1's text goes into the buffer once, and axis 2's is repeated along
+    each grid row of a chunk."""
     n_rows, n_cols = data.shape[0], len(axes) + data.shape[1]
-    step = max(1, _CHUNK_VALUES // max(1, data.shape[1]))
-    texts = [_slots(axis).T.copy() for axis in axes]
+    width = axes[0].size if axes else 1     # rows per grid row
+    step = max(1, _CHUNK_VALUES // max(1, data.shape[1]) // width) * width
     buf = np.empty((min(step, n_rows), n_cols, 30), dtype=np.uint8)
     buf[:, :, 29] = 44
     buf[:, -1:, 29] = 10
+    if axes:
+        grid = buf.reshape(-1, width, n_cols, 30)
+        grid[:, :, 0, :29] = _slots(axes[0]).T
+        text2 = _slots(axes[1]).T
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, n_rows, step):
             rows = buf[:min(step, n_rows - start)]
-            point = np.arange(start, start + len(rows))
-            for j, text in enumerate(texts):
-                point, index = np.divmod(point, len(text))
-                rows[:, j, :29] = np.take(text, index, axis=0)
+            if axes:
+                first = start // width
+                grid[:len(rows) // width, :, 1, :29] = text2[first:first + len(rows) // width, None]
             block = data[start:start + len(rows)]
             rows[:, len(axes):, :29] = _slots(block.ravel()).reshape(
                 29, *block.shape).transpose(1, 2, 0)

@@ -9,7 +9,7 @@ Delta (``_phase_rows``) of the ring finder's intensity and of its slope.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "PairSpec",
     "PhaseDifference",
     "intensity_map",
+    "intensity_maps",
     "pair_complex",
     "phase_difference",
     "total_amplitude",
@@ -206,16 +207,26 @@ def _intensity_slope(pair, pt, t, axial=True):
     return _add_cross(u1, u2, cos_sq), radial, slope_z
 
 
-def _field(pair, pt, t):
-    """(Re E, Im E, U1, U2): the one field E = U1 e^{i Theta1} + U2 e^{i Theta2}
-    in real parts, from numpy's cos and sin as ``_pair_gradient`` forms it,
-    and the signed amplitudes its envelope and dark rule read; Theta2 takes
-    beam 2's offset delta_omega t, and the shared omega t cancels."""
+def _field(pair, pt, times):
+    """(U1, U2, fields): the signed amplitudes, which the envelope and dark
+    rule read, and an iterator of (Re E, Im E) at each of ``times``, the one
+    field E = U1 e^{i Theta1} + U2 e^{i Theta2} in real parts, from numpy's
+    cos and sin as ``_pair_gradient`` forms it.  Theta2 takes beam 2's
+    offset delta_omega t, and the shared omega t cancels.  U, Theta and
+    U1 e^{i Theta1} are formed once for all times; a time forms only
+    Theta2 + delta_omega t, its cos and sin and the sums, so E at a time has
+    the bits of a call at that time alone."""
     u1 = mode_amplitude(pair.beam1, pt)
     u2 = mode_amplitude(pair.beam2, pt)
     th1 = mode_phase(pair.beam1, pt)
-    th2 = mode_phase(pair.beam2, pt) + pair.delta_omega * t
-    return u1 * np.cos(th1) + u2 * np.cos(th2), u1 * np.sin(th1) + u2 * np.sin(th2), u1, u2
+    th2 = mode_phase(pair.beam2, pt)
+    re1, im1 = u1 * np.cos(th1), u1 * np.sin(th1)
+
+    def at(t):
+        th = th2 + pair.delta_omega * t
+        return re1 + u2 * np.cos(th), im1 + u2 * np.sin(th)
+
+    return u1, u2, map(at, times)
 
 
 def _amplitude_of(modulus, u1, u2):
@@ -301,21 +312,21 @@ def total_amplitude(pair, pt, t=0.0):
     rounding can leave by a few eps (|U1| + |U2|).  The signed amplitudes
     are negative where the radial polynomial is (radial_p > 0), so the
     envelope is built from magnitudes.  Finite wherever U1 and U2 are."""
-    re, im, u1, u2 = _field(pair, pt, t)
+    u1, u2, [(re, im)] = _field(pair, pt, (t,))
     return _amplitude_of(np.abs(re + 1j * im), u1, u2)
 
 
 def pair_complex(pair, pt, t=0.0):
     """Complex field U1 e^{i Theta1} + U2 e^{i (Theta2 + dw t)} with the
     common optical carrier divided out, Re E + 1j Im E."""
-    re, im, _, _ = _field(pair, pt, t)
+    _, _, [(re, im)] = _field(pair, pt, (t,))
     return re + 1j * im
 
 
 def total_phase(pair, pt, t=0.0):
     """Principal-value phase arctan2(Im E, Re E) of the two-beam field; NaN
     at dark points (|E| <= DARK_FRACTION * max(|U1|, |U2|))."""
-    re, im, u1, u2 = _field(pair, pt, t)
+    u1, u2, [(re, im)] = _field(pair, pt, (t,))
     return _phase_of(np.abs(re + 1j * im), re, im, u1, u2)
 
 
@@ -443,30 +454,44 @@ def _pair_intensity_at(pair, grid, rho, z):
 
     def fill(rows):
         pt = CylPoint(rho=rho, phi=grid.phi, z=z[rows])
-        _pair_intensity(pair, pt, grid.time, out=intensity[rows])
+        with np.errstate(over="ignore", invalid="ignore"):     # _require_finite reports it
+            _pair_intensity(pair, pt, grid.time, out=intensity[rows])
         _require_finite(pair, grid, intensity[rows])
 
     _fill_blocks(*intensity.shape, fill)
     return intensity
 
 
-def intensity_map(pair, grid, n_threads=1):
-    """Evaluate the pair field over a grid in row blocks, each forming E once:
-    the amplitude is total_amplitude's clamped |E|, the intensity its square
-    and the phase total_phase's arctan2(Im E, Re E), NaN at dark points.  ``n_threads``
-    is ignored: maps run on the calling thread, and the parameter stays only
-    because the benchmark still passes it.  Raises DegenerateGeometryError
-    where the intensity is not finite, as for amplitudes above about 1.3e154."""
+def intensity_maps(pair, grid, times):
+    """The pair field over a grid at each of ``times``, a list of FieldMaps
+    whose grids take each time.  Row blocks evaluate each beam's mode once
+    for all times and form E once per time (``_field``): the amplitude is
+    total_amplitude's clamped |E|, the intensity its square and the phase
+    total_phase's arctan2(Im E, Re E), NaN at dark points, so each map has
+    the bits of intensity_map at its time.  Raises DegenerateGeometryError
+    where the intensity is not finite, as for amplitudes above about
+    1.3e154; numpy's overflow warning is not given."""
     n2, n1 = grid.axis2.size, grid.axis1.size
-    amplitude, phase, intensity = (np.empty((n2, n1)) for _ in range(3))
+    maps = [FieldMap(replace(grid, time=t), *(np.empty((n2, n1)) for _ in range(3)))
+            for t in times]
 
     def fill(rows):
-        re, im, u1, u2 = _field(pair, _block_points(grid, rows), grid.time)
-        modulus = np.abs(re + 1j * im)
-        amplitude[rows] = _amplitude_of(modulus, u1, u2)
-        np.square(amplitude[rows], out=intensity[rows])
-        _require_finite(pair, grid, intensity[rows])
-        phase[rows] = _phase_of(modulus, re, im, u1, u2)
+        u1, u2, fields = _field(pair, _block_points(grid, rows), times)
+        for fmap, (re, im) in zip(maps, fields):
+            modulus = np.abs(re + 1j * im)
+            amplitude, intensity = fmap.amplitude[rows], fmap.intensity[rows]
+            amplitude[...] = _amplitude_of(modulus, u1, u2)
+            with np.errstate(over="ignore", invalid="ignore"):     # _require_finite reports it
+                np.square(amplitude, out=intensity)
+            _require_finite(pair, grid, intensity)
+            fmap.phase[rows] = _phase_of(modulus, re, im, u1, u2)
 
     _fill_blocks(n2, n1, fill)
-    return FieldMap(grid=grid, amplitude=amplitude, phase=phase, intensity=intensity)
+    return maps
+
+
+def intensity_map(pair, grid, n_threads=1):
+    """intensity_maps at the grid's one time.  ``n_threads`` is ignored:
+    maps run on the calling thread, and the parameter stays only because
+    the benchmark still passes it."""
+    return intensity_maps(pair, grid, (grid.time,))[0]

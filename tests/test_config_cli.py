@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -794,19 +795,26 @@ def test_cli_builds_its_parser_once_and_looks_commands_up_per_call(tmp_path, mon
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["field-map_metadata.json"]
 
 
-def test_cli_field_map_exits_3_where_the_intensity_overflows(tmp_path):
-    """beams.amp1 = amp2 = 1e200 is accepted, but the intensity does not fit
-    a double: field-map exits 3 and writes nothing, where it wrote inf in 12
-    of the 15 intensities.  Numpy's overflow warnings come first."""
-    cfg = base_config(grid={"rho_max": "6um", "n_rho": 5, "z_min": "-5um",
-                            "z_max": "5um", "n_z": 3})
+@pytest.mark.parametrize("command", ["field-map", "rings", "ferris"])
+def test_map_commands_exit_3_where_the_intensity_overflows(tmp_path, capsys, command):
+    """beams.amp1 = amp2 = 1e200 is accepted, but a map's intensity does not
+    fit a double: field-map, rings and ferris exit 3, write nothing and print
+    one line, the numerical error.  Numpy's overflow warning, which came
+    first and escaped main untyped under warnings as errors, is not given."""
+    cfg = base_config(
+        grid={"rho_max": "6um", "n_rho": 5, "z_min": "-5um", "z_max": "5um", "n_z": 3},
+        rings_grid={"rho_min": "2.8um", "rho_max": "3.2um", "n_rho": 21,
+                    "z_min": "-0.5um", "z_max": "0.5um", "n_z": 41},
+        xy_grid={"half_width": "6um", "n": 5}, ferris={"t_samples": [0.0, "125us", "250us"]})
     cfg["beams"].update(amp1=1e200, amp2=1e200)
-    cfg["pair"]["d"] = "20um"
+    cfg["pair"].update(d="1um", delta_omega="1kHz")
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert run_cli(["field-map", "--config", write_config(tmp_path, cfg),
-                        "--out", out]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([command, "--config", write_config(tmp_path, cfg), "--out", out]) == 3
     assert list(out.iterdir()) == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error: map intensity is not finite")
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])

@@ -308,6 +308,19 @@ def test_write_csv_formats_edge_values_as_percent_17g(tmp_path):
         == b"x\n1000000000000000.2\n1000000000000000.8\n"
 
 
+def test_zeros_nan_and_infinities_are_formatted_in_numpy(tmp_path):
+    """Signed zeros, NaN of either sign, with a payload or not, and both
+    infinities, alone and among ordinary values, come out as Python's
+    "%.17g" without reaching the formatter's Python fallback."""
+    special = [0.0, -0.0, math.nan, -math.nan, _bits(0x7FF8000000000001),
+               _bits(0xFFF0000000000123), math.inf, -math.inf]
+    values = special + [0.5, -3.25] + special[::-1] + [0.0] * 5
+    with mock.patch.object(output, "_percent_slots", side_effect=AssertionError):
+        for column in (special, values):
+            assert _write_column_bytes(tmp_path, column) \
+                == ("x\n" + "".join("%.17g\n" % x for x in column)).encode()
+
+
 def test_write_csv_writes_rows_of_no_columns_as_savetxt(tmp_path):
     """Rows of no columns are empty lines, as np.savetxt writes them."""
     path = tmp_path / "empty.csv"

@@ -1,17 +1,21 @@
+import collections
 import dataclasses
 import math
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexlattice import superpose
+from vortexlattice import cli, superpose
+from vortexlattice.config import RunConfig
 from vortexlattice.atom_forces import AtomSpec, dipole_potential
 from vortexlattice.errors import DegenerateGeometryError
 from vortexlattice.lg_mode import BeamSpec, CylPoint, mode_amplitude, mode_jet, mode_phase
 from vortexlattice.superpose import (BLOCK_POINTS, GridSpec, PairSpec, intensity_map,
-                                     pair_complex, phase_difference,
+                                     intensity_maps, pair_complex, phase_difference,
                                      total_amplitude, total_phase)
 
 WAVELENGTH = 589.16e-9
@@ -382,13 +386,88 @@ def test_separable_blocks_equal_full_grid_points(kind):
     assert np.array_equal(fm.phase, total_phase(pr, block, t=g.time), equal_nan=True)
 
 
+@st.composite
+def timed_maps(draw):
+    """A pair with |l1|, |l2| <= 80, p <= 3, d = 0 or not and delta_omega =
+    0 or not; a rho_z or xy grid over its rings at a phi or z slice; and 1
+    to 4 times, 0.0 and repeated times among them."""
+    w0 = draw(st.floats(3.0, 12.0)) * WAVELENGTH
+    zr = math.pi * w0 ** 2 / WAVELENGTH
+    l1, l2, p = draw(st.integers(-80, 80)), draw(st.integers(-80, 80)), draw(st.integers(0, 3))
+    pr = PairSpec(WAVELENGTH, w0, l1=l1, l2=l2, radial_p=p,
+                  separation_d=draw(st.sampled_from([0.0, 0.3, 1.7])) * zr,
+                  delta_omega=draw(st.sampled_from([0.0, 2e3 * math.pi, -5e4 * math.pi])))
+    reach = (math.sqrt(0.5 * max(abs(l1), abs(l2)) + p) + 2.0) * w0
+    n1, n2 = draw(st.integers(2, 30)), draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        grid = GridSpec.rho_z(rho_max=reach, n_rho=n1, z_min=-zr, z_max=zr, n_z=n2,
+                              phi=draw(st.floats(-math.pi, math.pi)))
+    else:
+        grid = GridSpec(kind="xy", axis1=np.linspace(-reach, reach, n1),
+                        axis2=np.linspace(-reach, reach, n2),
+                        z_slice=draw(st.floats(-1.0, 1.0)) * zr)
+    times = st.sampled_from([0.0, 1.25e-4, 2.5e-4]) | st.floats(0.0, 1e-3)
+    return pr, grid, draw(st.lists(times, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=timed_maps())
+def test_maps_at_several_times_are_the_one_time_maps(case):
+    """intensity_maps over several times, in row blocks of three rows, gives
+    at each time the bytes of intensity_map at that time alone: amplitude,
+    intensity and phase, NaN positions included.  Its phase is arctan2 of
+    E = U1 e^{i Theta1} + U2 e^{i (Theta2 + delta_omega t)} formed from the
+    modes at every grid point, where it is not NaN."""
+    pr, grid, times = case
+    full = full_grid_points(grid)
+    u1, u2 = mode_amplitude(pr.beam1, full), mode_amplitude(pr.beam2, full)
+    th1 = mode_phase(pr.beam1, full)
+    with mock.patch.object(superpose, "BLOCK_POINTS", 3 * grid.axis1.size):
+        maps = intensity_maps(pr, grid, times)
+    assert len(maps) == len(times)
+    for fm, t in zip(maps, times):
+        one = intensity_map(pr, dataclasses.replace(grid, time=t))
+        assert fm.grid.time == t
+        for name in ("amplitude", "intensity", "phase"):
+            assert getattr(fm, name).tobytes() == getattr(one, name).tobytes()
+        th2 = mode_phase(pr.beam2, full) + pr.delta_omega * t
+        angle = np.arctan2(u1 * np.sin(th1) + u2 * np.sin(th2), u1 * np.cos(th1) + u2 * np.cos(th2))
+        lit = ~np.isnan(fm.phase)
+        assert np.array_equal(fm.phase[lit], angle[lit])
+
+
+def test_ferris_evaluates_each_mode_once_per_block(monkeypatch):
+    """cmd_ferris on configs/ferris.json, three times on one 201 x 201 grid,
+    calls mode_amplitude and mode_phase of each beam once per row block:
+    the modes do not depend on time.  The rate measurements are stubbed
+    out, as they evaluate the field at their own points."""
+    cfg = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "ferris.json")
+    assert len(cfg.ferris_times) == 3 and len(cfg.xy_grids()) == 1
+    calls = collections.Counter()
+    for name in ("mode_amplitude", "mode_phase"):
+        def counted(beam, pt, fn=getattr(superpose, name), name=name):
+            calls[name, 1 if beam is cfg.pair.beam1 else 2] += 1
+            return fn(beam, pt)
+        monkeypatch.setattr(superpose, name, counted)
+    for name in ("measure_rotation_rate", "measure_axial_drift"):
+        monkeypatch.setattr(cli, name, lambda *args: 1.0)
+    cli.cmd_ferris(cfg)
+    n = cfg.xy_grids()[0].axis1.size
+    blocks = -(-n // (BLOCK_POINTS // n))
+    assert blocks > 1
+    assert calls == {(name, beam): blocks for name in ("mode_amplitude", "mode_phase")
+                     for beam in (1, 2)}
+
+
 def test_map_raises_where_the_intensity_overflows():
     """At amplitude scales of 1e200 the amplitude |E| is finite, but its
     square does not fit a double: intensity_map raises rather than return
-    inf intensities.  Numpy's overflow warning comes first and is caught."""
+    inf intensities, and numpy's overflow warning, which would come first
+    as an untyped error under warnings as errors, is not given."""
     pr = pair(l1=2, w0=3e-6, d=20e-6, amp1=1e200, amp2=1e200)
     g = GridSpec.rho_z(rho_max=6e-6, n_rho=5, z_min=-5e-6, z_max=5e-6, n_z=3)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(DegenerateGeometryError, match="map intensity is not finite"):
             intensity_map(pr, g)
 
